@@ -20,14 +20,13 @@ import sys
 import numpy as np
 
 from . import serialize
-from .decompose import DecomposeError, decompose_generator, spectral_split, verify_plan
-from .lindblad import (DiagonalGenerator, LindbladError, QuantumState, apply_exact,
-                       from_diagonal, trace_distance)
+from .decompose import DecomposeError, decompose_term, spectral_split, verify_plan
+from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, from_diagonal,
+                       maximally_mixed, trace_distance)
 from .numerics import NumericsError, dagger, frobenius
 from .sud import SudError, gell_mann_basis
-from .trotter import (TrotterError, build_plan, nexp_bound_closed_form, nexp_bound_res,
-                      nexp_report, prepare_components, run_plan, select_order,
-                      segments_per_block)
+from .trotter import (TrotterError, nexp_report, segments_per_block, simulate, simulate_plans,
+                      step_count)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -52,8 +51,12 @@ def _load_json(path: str):
         raise CliError(f"malformed JSON in {path}: {exc}", EXIT_IO)
 
 
-def _write_json(path: str, doc):
+def _emit(doc, path: str | None):
+    """Write doc as canonical JSON to path, or to stdout when path is None."""
     text = serialize.dumps(doc) + "\n"
+    if path is None:
+        print(text, end="")
+        return
     try:
         with open(path, "w") as fh:
             fh.write(text)
@@ -95,6 +98,13 @@ def lambda_atom_generator(gamma1: float, gamma2: float, phi: float, eta: float, 
     return from_diagonal(diag, gell_mann_basis(3))
 
 
+def _decompose(g):
+    """Spectral terms of g, their conjugation plans, and the plans' residuals."""
+    terms = spectral_split(g)
+    plans = [decompose_term(t, g.basis) for t in terms]
+    return terms, plans, [verify_plan(p, t, g.basis) for p, t in zip(plans, terms)]
+
+
 def cmd_validate(args) -> int:
     doc = _load_json(args.generator)
     try:
@@ -116,14 +126,9 @@ def cmd_validate(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = _parse_generator_file(args.generator)
-    H, plans = decompose_generator(g)
-    terms = spectral_split(g)
-    residuals = [verify_plan(p, t, g.basis) for p, t in zip(plans, terms)]
-    doc = serialize.plans_to_json(H, plans, residuals)
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        print(serialize.dumps(doc))
+    _, plans, residuals = _decompose(g)
+    doc = serialize.plans_to_json(g.H, plans, residuals)
+    _emit(doc, args.out)
     for i, r in enumerate(residuals):
         print(f"term {i}: lambda = {plans[i].lam:.6g}, residual = {r:.3e}", file=sys.stderr)
     if any(r > 1e-8 for r in residuals):
@@ -146,9 +151,11 @@ def cmd_simulate(args) -> int:
         raise CliError(str(exc), EXIT_IO)
     except DOMAIN_ERRORS as exc:
         raise CliError(str(exc), EXIT_INVALID)
-    if t < 0:
+    except (TypeError, ValueError) as exc:  # a request that is not an object, text for a number
+        raise CliError(f"malformed simulation request: {exc}", EXIT_IO)
+    if not t >= 0:  # written so that NaN fails too
         raise CliError("t must be non-negative", EXIT_INVALID)
-    if eps <= 0:
+    if not eps > 0:
         raise CliError("epsilon must be positive", EXIT_INVALID)
     if rho0.d != g.d:
         raise CliError("state dimension does not match the generator", EXIT_INVALID)
@@ -157,23 +164,13 @@ def cmd_simulate(args) -> int:
     if mode == "oracle":
         out["rho"] = serialize.matrix_to_json(oracle.rho)
     elif mode == "trotter":
-        Hm, plans = decompose_generator(g)
-        components = prepare_components(Hm, plans, g.basis)
-        if components:
-            plan = build_plan(components, eps, t)
-            state = run_plan(plan, components, rho0)
-            out["cost"] = nexp_report(plan).to_dict()
-        else:
-            state = rho0
-            out["cost"] = None
+        state, plan, components = simulate(g, rho0, t, eps)
+        out["cost"] = nexp_report(plan).to_dict() if components else None
         out["rho"] = serialize.matrix_to_json(state.rho)
         out["trace_distance_to_oracle"] = trace_distance(state.rho, oracle.rho)
     else:
         raise CliError(f"unknown mode {mode!r}", EXIT_INVALID)
-    if args.out:
-        _write_json(args.out, out)
-    else:
-        print(serialize.dumps(out))
+    _emit(out, args.out)
     if "trace_distance_to_oracle" in out:
         print(f"trace distance to oracle = {out['trace_distance_to_oracle']:.3e}",
               file=sys.stderr)
@@ -193,21 +190,15 @@ def cmd_cost(args) -> int:
     for eps in eps_values:
         if eps <= 0:
             raise CliError("epsilon must be positive", EXIT_INVALID)
-        if args.m == 1:
-            rows.append({"epsilon": eps, "k": 1, "r": 0.0, "n_reps": 1,
-                         "N_exp": 1, "N_exp_bound_res": None,
-                         "N_exp_bound_closed_form": None})
-            continue
-        k, r = select_order(eps, args.t, args.m, args.L1, args.L2)
-        n_reps = max(1, int(np.ceil(r * args.L1)))
+        k, r, n_reps, bound_res, bound_closed = step_count(eps, args.t, args.m, args.L1, args.L2)
         rows.append({
             "epsilon": eps,
             "k": k,
             "r": r,
             "n_reps": n_reps,
             "N_exp": segments_per_block(args.m, k) * n_reps,
-            "N_exp_bound_res": nexp_bound_res(args.m, k, args.t, eps, args.L1, args.L2),
-            "N_exp_bound_closed_form": nexp_bound_closed_form(args.m, args.t, eps, args.L1, args.L2),
+            "N_exp_bound_res": bound_res,
+            "N_exp_bound_closed_form": bound_closed,
         })
     if args.sweep:
         cols = ["epsilon", "k", "r", "n_reps", "N_exp", "N_exp_bound_res",
@@ -222,23 +213,16 @@ def cmd_cost(args) -> int:
 
 def cmd_example_lambda(args) -> int:
     g = lambda_atom_generator(args.gamma1, args.gamma2, args.phi, args.eta, args.alpha)
-    terms = spectral_split(g)
-    H, plans = decompose_generator(g)
-    residuals = [verify_plan(p, t, g.basis) for p, t in zip(plans, terms)]
-    rho0 = QuantumState(d=3, rho=np.eye(3, dtype=complex) / 3)
+    terms, plans, residuals = _decompose(g)
+    rho0 = maximally_mixed(3)
     bundle = {
         "generator": serialize.generator_to_json(g),
         "spectral": [{"lambda": t.lam, "a": serialize.vector_to_json(t.a)} for t in terms],
-        "plans": serialize.plans_to_json(H, plans, residuals),
+        "plans": serialize.plans_to_json(g.H, plans, residuals),
     }
     oracle = apply_exact(g, rho0, args.t)
-    components = prepare_components(H, plans, g.basis)
-    if components:
-        plan = build_plan(components, args.eps, args.t)
-        state = run_plan(plan, components, rho0)
-        cost = nexp_report(plan).to_dict()
-    else:
-        state, cost = rho0, None
+    state, plan, components = simulate_plans(g.H, plans, g.basis, rho0, args.t, args.eps)
+    cost = nexp_report(plan).to_dict() if components else None
     bundle["simulation"] = {
         "t": args.t,
         "epsilon": args.eps,
@@ -247,10 +231,7 @@ def cmd_example_lambda(args) -> int:
         "trace_distance_to_oracle": trace_distance(state.rho, oracle.rho),
         "cost": cost,
     }
-    if args.out:
-        _write_json(args.out, bundle)
-    else:
-        print(serialize.dumps(bundle))
+    _emit(bundle, args.out)
     for i, p in enumerate(plans):
         print(f"term {i}: lambda = {p.lam:.6g}, theta = {p.params.theta:.12g}, "
               f"residual = {residuals[i]:.3e}", file=sys.stderr)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import numerics
 from .numerics import dagger, frobenius
-from .lindblad import GksGenerator
+from .lindblad import GksGenerator, gks_spectrum
 from .sud import GellMannBasis, adjoint_matrix, from_vector, to_vector
 
 
@@ -94,17 +94,9 @@ class ConjugationPlan:
     params: UniversalParams
 
 
-def spectral_split(g: GksGenerator, cutoff: float = 1e-12) -> list[RankOneTerm]:
+def spectral_split(g: GksGenerator) -> list[RankOneTerm]:
     """Spectral decomposition A = sum_k lambda_k a_k a_k†, descending."""
-    w, v = numerics.eigh(g.A)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w.min() < -1e-10 * max(scale, 1e-300):
-        raise DecomposeError("GKS matrix is not positive semidefinite")
-    terms = []
-    for i, lam in enumerate(w):
-        if lam > cutoff * scale and lam > 0.0:
-            terms.append(RankOneTerm(lam=float(lam), a=v[:, i]))
-    return terms
+    return [RankOneTerm(lam=lam, a=a) for lam, a in gks_spectrum(g)]
 
 
 def canonical_phase(a) -> CanonicalVector:
@@ -228,13 +220,6 @@ def phase_elimination_unitary(atilde_i, basis: GellMannBasis) -> np.ndarray:
     g_d = float(np.sum(phases)) / d
     g = np.concatenate([g_d - phases, [g_d]])
     return np.diag(np.exp(1j * g))
-
-
-def diagonal_phase_components(u2: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Coefficients h with U2 = exp(i sum_l h_l D_l) for diagonal U2."""
-    g = np.angle(np.diag(u2))
-    diag_mats = basis.matrices[: basis.d - 1]
-    return np.einsum("j,ljj->l", g, diag_mats).real
 
 
 def sigma_y_zero_slots(basis: GellMannBasis) -> list[int]:

@@ -28,6 +28,17 @@ class LindbladError(ValueError):
     pass
 
 
+# eigenvalues of A at or below this share of the largest are roundoff zeros
+EIGEN_CUTOFF = 1e-12
+
+# (1->1) norm estimator: random starts beyond the d^2 structured ones,
+# iterations per start, convergence tolerance, upward safety factor
+NORM_STARTS = 12
+NORM_ITERS = 200
+NORM_TOL = 1e-12
+NORM_SAFETY = 1.001
+
+
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
@@ -169,20 +180,29 @@ def from_diagonal(g: DiagonalGenerator, basis: GellMannBasis | None = None) -> G
     return GksGenerator(basis=basis, H=H, A=A)
 
 
-def to_diagonal(g: GksGenerator, cutoff: float = 1e-12) -> DiagonalGenerator:
-    """Diagonalize A into rates and Lindblad operators.
+def gks_spectrum(g: GksGenerator) -> list[tuple[float, np.ndarray]]:
+    """Eigenpairs (lam, v) of A in descending order, zeros dropped.
 
-    Eigenvalues above cutoff * ||A|| become rates; the operator for each
-    kept eigenvector v is L = sum_a v_a F_a.
+    An eigenvalue is kept when it is positive and above EIGEN_CUTOFF times
+    the largest eigenvalue modulus.
     """
     w, v = numerics.eigh(g.A)
-    scale = max(float(np.max(np.abs(w))), 0.0) if w.size else 0.0
-    terms = []
-    for i, lam in enumerate(w):
-        if lam > cutoff * scale and lam > 0.0:
-            L = np.einsum("g,gij->ij", v[:, i], g.basis.matrices)
-            terms.append((float(lam), L))
-    return DiagonalGenerator(d=g.d, H=g.H, terms=tuple(terms))
+    scale = float(np.max(np.abs(w)))
+    if w.min() < -1e-10 * max(scale, 1e-300):
+        raise LindbladError("GKS matrix is not positive semidefinite")
+    return [(float(lam), v[:, i]) for i, lam in enumerate(w)
+            if lam > EIGEN_CUTOFF * scale and lam > 0.0]
+
+
+def to_diagonal(g: GksGenerator) -> DiagonalGenerator:
+    """Diagonalize A into rates and Lindblad operators.
+
+    The rates are the eigenvalues kept by gks_spectrum; the operator for
+    each kept eigenvector v is L = sum_a v_a F_a.
+    """
+    terms = tuple((lam, np.einsum("g,gij->ij", v, g.basis.matrices))
+                  for lam, v in gks_spectrum(g))
+    return DiagonalGenerator(d=g.d, H=g.H, terms=terms)
 
 
 def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
@@ -240,8 +260,7 @@ def _polar_unitary(y: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def one_one_norm(S: Superoperator, seed: int = 0, starts: int = 12, iters: int = 200,
-                 tol: float = 1e-12, safety: float = 1.001) -> float:
+def one_one_norm(S: Superoperator, seed: int = 0) -> float:
     """Estimate of the (1->1) norm sup_{||X||_1 = 1} ||S(X)||_1.
 
     The supremum is attained on rank-one extreme points |psi><phi| of the
@@ -263,7 +282,7 @@ def one_one_norm(S: Superoperator, seed: int = 0, starts: int = 12, iters: int =
 
     def alternate(psi: np.ndarray, phi: np.ndarray) -> float:
         val = 0.0
-        for _ in range(iters):
+        for _ in range(NORM_ITERS):
             Y = unvec(M @ vec(np.outer(psi, np.conj(phi))), d)
             W = _polar_unitary(Y)
             # tr(W† S(psi phi†)) = vec(W)† M (conj(phi) kron psi) = phi† K psi
@@ -272,7 +291,7 @@ def one_one_norm(S: Superoperator, seed: int = 0, starts: int = 12, iters: int =
             new = float(ss[0])
             phi = uu[:, 0]
             psi = np.conj(vvh[0, :])
-            if abs(new - val) <= tol * max(1.0, new):
+            if abs(new - val) <= NORM_TOL * max(1.0, new):
                 val = new
                 break
             val = new
@@ -286,11 +305,11 @@ def one_one_norm(S: Superoperator, seed: int = 0, starts: int = 12, iters: int =
             e_i[i] = 1.0
             e_j[j] = 1.0
             best = max(best, alternate(e_i, e_j))
-    for _ in range(starts):
+    for _ in range(NORM_STARTS):
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)
         phi = rng.normal(size=d) + 1j * rng.normal(size=d)
         best = max(best, alternate(psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)))
-    return best * safety
+    return best * NORM_SAFETY
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

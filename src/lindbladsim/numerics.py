@@ -49,7 +49,7 @@ def expm(m) -> np.ndarray:
     return out
 
 
-def eigh(m, rtol: float = 1e-10):
+def eigh(m):
     """Eigendecomposition of a Hermitian matrix with fixed conventions.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` sorted in descending
@@ -60,7 +60,7 @@ def eigh(m, rtol: float = 1e-10):
     """
     a = _require_square(_as_matrix(m))
     scale = frobenius(a)
-    if frobenius(a - dagger(a)) > rtol * max(scale, 1e-300):
+    if frobenius(a - dagger(a)) > 1e-10 * max(scale, 1e-300):
         raise NumericsError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
     order = np.argsort(-w, kind="stable")

@@ -7,12 +7,13 @@ on files this module wrote.
 """
 
 import json
+import math
 
 import numpy as np
 
-from .lindblad import DiagonalGenerator, GksGenerator, QuantumState, from_diagonal
+from .lindblad import DiagonalGenerator, GksGenerator, LindbladError, QuantumState, from_diagonal
 from .sud import gell_mann_basis
-from .decompose import ConjugationPlan, UniversalParams
+from .decompose import ConjugationPlan
 
 
 class SerializeError(ValueError):
@@ -52,10 +53,20 @@ def complex_to_json(z: complex) -> list:
     return [z.real, z.imag]
 
 
+def _finite(x, what: str) -> float:
+    try:
+        value = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise SerializeError(f"{what} must be a number, got {x!r}") from None
+    if not math.isfinite(value):
+        raise SerializeError(f"{what} must be finite, got {x!r}")
+    return value
+
+
 def json_to_complex(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise SerializeError(f"expected a [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(_finite(obj[0], "real part"), _finite(obj[1], "imaginary part"))
 
 
 def matrix_to_json(m) -> list:
@@ -66,15 +77,13 @@ def matrix_to_json(m) -> list:
 def json_to_matrix(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SerializeError("expected a non-empty list of rows")
+    if not all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj):
+        raise SerializeError("expected rows that are lists of equal length")
     return np.array([[json_to_complex(z) for z in row] for row in obj], dtype=complex)
 
 
 def vector_to_json(v) -> list:
     return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
-
-
-def json_to_vector(obj) -> np.ndarray:
-    return np.array([json_to_complex(z) for z in obj], dtype=complex)
 
 
 def generator_to_json(g) -> dict:
@@ -93,8 +102,13 @@ def parse_generator(doc: dict) -> GksGenerator:
     for key in ("d", "H"):
         if key not in doc:
             raise SerializeError(f"generator document is missing {key!r}")
-    d = int(doc["d"])
+    d = _finite(doc["d"], "'d'")
+    if not d.is_integer():
+        raise SerializeError(f"'d' must be an integer, got {doc['d']!r}")
+    d = int(d)
     H = json_to_matrix(doc["H"])
+    if H.shape != (d, d):  # before the basis, whose size grows as d^4
+        raise LindbladError(f"H must be {d}x{d}, got {H.shape}")
     has_a = "A" in doc
     has_terms = "terms" in doc
     if has_a == has_terms:
@@ -102,9 +116,13 @@ def parse_generator(doc: dict) -> GksGenerator:
     basis = gell_mann_basis(d)
     if has_a:
         return GksGenerator(basis=basis, H=H, A=json_to_matrix(doc["A"]))
+    if not isinstance(doc["terms"], list):
+        raise SerializeError("'terms' must be a list")
     terms = []
     for entry in doc["terms"]:
-        terms.append((float(entry["gamma"]), json_to_matrix(entry["L"])))
+        if not (isinstance(entry, dict) and "gamma" in entry and "L" in entry):
+            raise SerializeError("each entry of 'terms' needs 'gamma' and 'L'")
+        terms.append((_finite(entry["gamma"], "'gamma'"), json_to_matrix(entry["L"])))
     return from_diagonal(DiagonalGenerator(d=d, H=H, terms=tuple(terms)), basis)
 
 
@@ -118,33 +136,13 @@ def plan_to_json(plan: ConjugationPlan) -> dict:
     }
 
 
-def plans_to_json(H, plans, residuals=None) -> dict:
-    doc = {
+def plans_to_json(H, plans, residuals) -> dict:
+    return {
         "d": int(np.asarray(H).shape[0]),
         "H": matrix_to_json(H),
         "plans": [plan_to_json(p) for p in plans],
+        "residuals": [float(r) for r in residuals],
     }
-    if residuals is not None:
-        doc["residuals"] = [float(r) for r in residuals]
-    return doc
-
-
-def parse_plan(doc: dict, d: int) -> ConjugationPlan:
-    params = UniversalParams(d=d, theta=float(doc["theta"]),
-                             alphaR=tuple(float(a) for a in doc["alphaR"]),
-                             alphaI=tuple(float(a) for a in doc["alphaI"]))
-    return ConjugationPlan(lam=float(doc["lambda"]), U=json_to_matrix(doc["U"]), params=params)
-
-
-def parse_plans(doc: dict):
-    d = int(doc["d"])
-    H = json_to_matrix(doc["H"])
-    plans = [parse_plan(p, d) for p in doc["plans"]]
-    return H, plans
-
-
-def state_to_json(state: QuantumState) -> dict:
-    return {"d": state.d, "rho": matrix_to_json(state.rho)}
 
 
 def parse_state(doc) -> QuantumState:

@@ -104,12 +104,12 @@ def structure_constants(basis: GellMannBasis) -> np.ndarray:
     return f.real
 
 
-def to_vector(x, basis: GellMannBasis, atol: float = 1e-10) -> np.ndarray:
+def to_vector(x, basis: GellMannBasis) -> np.ndarray:
     """Coordinates of X = sum_a x_a (i F_a); real for anti-Hermitian X."""
     a = np.asarray(x, dtype=complex)
     if a.shape != (basis.d, basis.d):
         raise SudError(f"expected a {basis.d}x{basis.d} matrix, got {a.shape}")
-    if abs(np.trace(a)) > atol * max(1.0, frobenius(a)):
+    if abs(np.trace(a)) > 1e-10 * max(1.0, frobenius(a)):
         raise SudError("matrix has a nonzero trace")
     vec = -1j * np.einsum("gij,ji->g", basis.matrices, a)
     if frobenius(a + dagger(a)) <= 1e-12 * max(1.0, frobenius(a)):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import ConjugationPlan, universal_gks_matrix
+from .decompose import ConjugationPlan, decompose_generator, universal_gks_matrix
 from .lindblad import (GksGenerator, QuantumState, Superoperator,
                        conjugation_superoperator, dissipator_superoperator,
                        hamiltonian_superoperator, one_one_norm, unvec, vec)
@@ -197,6 +197,20 @@ def nexp_bound_closed_form(m: int, t: float, eps: float, L1: float, L2: float) -
         2.0 * math.sqrt(0.5 * math.log(25.0 / 3.0) * math.log(x)))
 
 
+def step_count(eps: float, t: float, m: int, L1: float, L2: float):
+    """The planner: (k, r, n_reps, N_exp bound at k, closed-form N_exp bound).
+
+    One component needs no splitting: one exact segment, k = 1, r = 0,
+    and no error bound applies, so both bounds are None.
+    """
+    if m == 1:
+        return 1, 0.0, 1, None, None
+    k, r = select_order(eps, t, m, L1, L2)
+    n_reps = max(1, math.ceil(r * L1))
+    return (k, r, n_reps, nexp_bound_res(m, k, t, eps, L1, L2),
+            nexp_bound_closed_form(m, t, eps, L1, L2))
+
+
 @dataclass(frozen=True)
 class TrotterPlan:
     """Integrator order, repetition count, and one block's schedule."""
@@ -210,7 +224,6 @@ class TrotterPlan:
     L2: float
     t: float
     eps: float
-    predicted_error: float
 
     @property
     def n_exp(self) -> int:
@@ -233,7 +246,7 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
     """Choose (k, r) for the component list and lay out the block schedule.
 
     Components must already be ordered by descending norm.  A single
-    component needs no splitting: one exact segment, zero predicted error.
+    component needs no splitting: one exact segment.
     """
     if not components:
         raise TrotterError("component list is empty")
@@ -246,17 +259,10 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
         raise TrotterError("t must be non-negative")
     m = len(components)
     L1 = norms[0]
+    L2 = norms[1] if m > 1 else 0.0
     if t == 0.0 or L1 == 0.0:
-        return TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=m, L1=L1,
-                           L2=norms[1] if m > 1 else 0.0, t=t, eps=eps,
-                           predicted_error=0.0)
-    if m == 1:
-        sched = (Segment(index=0, duration=t * L1),)
-        return TrotterPlan(k=1, r=0.0, n_reps=1, schedule=sched, m=1, L1=L1,
-                           L2=0.0, t=t, eps=eps, predicted_error=0.0)
-    L2 = norms[1]
-    k, r = select_order(eps, t, m, L1, L2)
-    n_reps = max(1, math.ceil(r * L1))
+        return TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=m, L1=L1, L2=L2, t=t, eps=eps)
+    k, r, n_reps, _, _ = step_count(eps, t, m, L1, L2)
     lam = t * L1 / n_reps
     sched = tuple(s2k_schedule(m, k, lam))
     total = {}
@@ -265,8 +271,7 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
     for j in range(m):
         if abs(total.get(j, 0.0) - lam) > 1e-12 * max(1.0, abs(lam)):
             raise TrotterError("schedule durations do not sum to the block length")
-    return TrotterPlan(k=k, r=r, n_reps=n_reps, schedule=sched, m=m, L1=L1, L2=L2,
-                       t=t, eps=eps, predicted_error=eps)
+    return TrotterPlan(k=k, r=r, n_reps=n_reps, schedule=sched, m=m, L1=L1, L2=L2, t=t, eps=eps)
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -284,7 +289,12 @@ def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.nd
 
 
 def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState) -> QuantumState:
-    """Apply the full product [block]^n_reps to the initial state."""
+    """Apply the full product [block]^n_reps to the initial state.
+
+    The block is first projected onto trace-preserving maps, so that
+    vec(I)† B = vec(I)† holds to rounding; otherwise the block's rounding
+    error in the trace grows with n_reps inside the power.
+    """
     if len(components) != plan.m:
         raise TrotterError("component list does not match the plan")
     if components and components[0].d != rho0.d:
@@ -292,6 +302,8 @@ def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState)
     if plan.n_reps == 0 or not plan.schedule:
         return rho0
     block = block_superoperator(plan, components)
+    one = vec(np.eye(rho0.d))
+    block += np.outer(one, one - one @ block) / rho0.d
     total = np.linalg.matrix_power(block, plan.n_reps)
     rho = unvec(total @ vec(rho0.rho), rho0.d)
     rho = 0.5 * (rho + np.conj(rho).T)
@@ -324,12 +336,9 @@ class CostReport:
 
 def nexp_report(plan: TrotterPlan) -> CostReport:
     """Actual exponential counts next to both printed cost bounds."""
-    if plan.m <= 1 or plan.t == 0.0 or plan.L2 <= 0.0:
-        bound_res = None
-        bound_closed = None
-    else:
-        bound_res = nexp_bound_res(plan.m, plan.k, plan.t, plan.eps, plan.L1, plan.L2)
-        bound_closed = nexp_bound_closed_form(plan.m, plan.t, plan.eps, plan.L1, plan.L2)
+    bound_res = bound_closed = None
+    if plan.n_reps > 0:
+        _, _, _, bound_res, bound_closed = step_count(plan.eps, plan.t, plan.m, plan.L1, plan.L2)
     return CostReport(
         k=plan.k,
         r=plan.r,
@@ -344,13 +353,20 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
 
 def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float, seed: int = 0):
     """Decompose, plan, and run; returns (state, plan, components)."""
-    from .decompose import decompose_generator
-
     H, plans = decompose_generator(g)
-    components = prepare_components(H, plans, g.basis, seed=seed)
+    return simulate_plans(H, plans, g.basis, rho0, t, eps, seed)
+
+
+def simulate_plans(H: np.ndarray, plans, basis: GellMannBasis, rho0: QuantumState,
+                   t: float, eps: float, seed: int = 0):
+    """Plan and run a decomposition (H, plans); returns (state, plan, components).
+
+    With no nonzero component the dynamics is trivial: the state is
+    returned as is, with an empty plan and component list.
+    """
+    components = prepare_components(H, plans, basis, seed=seed)
     if not components:
-        plan = TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=0, L1=0.0, L2=0.0,
-                           t=t, eps=eps, predicted_error=0.0)
+        plan = TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=0, L1=0.0, L2=0.0, t=t, eps=eps)
         return rho0, plan, []
     plan = build_plan(components, eps, t)
     return run_plan(plan, components, rho0), plan, components

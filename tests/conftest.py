@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lindbladsim.lindblad import DiagonalGenerator, GksGenerator, from_diagonal
+from lindbladsim.cli import lambda_atom_generator
+from lindbladsim.lindblad import DiagonalGenerator, GksGenerator
 from lindbladsim.numerics import dagger
 from lindbladsim.sud import gell_mann_basis
 
@@ -54,14 +55,7 @@ def random_mixed_state(d, rng):
 
 def lambda_atom(gamma1=1.0, gamma2=1.0, phi=np.pi / 3, eta=np.pi / 3, alpha=np.pi / 3):
     """Three-level lambda-configuration generator, states (|e>, |1>, |2>)."""
-    L1 = np.zeros((3, 3), dtype=complex)
-    L1[1, 0] = np.cos(phi)
-    L1[2, 0] = np.exp(1j * eta) * np.sin(phi)
-    L2 = np.zeros((3, 3), dtype=complex)
-    L2[1, 2] = np.cos(alpha)
-    L2[2, 1] = np.sin(alpha)
-    diag = DiagonalGenerator(d=3, H=np.zeros((3, 3)), terms=((gamma1, L1), (gamma2, L2)))
-    return from_diagonal(diag, gell_mann_basis(3))
+    return lambda_atom_generator(gamma1, gamma2, phi, eta, alpha)
 
 
 @pytest.fixture

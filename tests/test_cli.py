@@ -44,9 +44,26 @@ def test_validate_rejects_non_hermitian_h(tmp_path):
 
 
 def test_validate_rejects_malformed_json(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["validate", str(path)]) == 2
+    zero2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    jump = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    term = {"gamma": 1.0, "L": jump}
+    documents = {
+        "broken": "{not json",
+        "no-gamma": {"d": 2, "H": zero2, "terms": [{"L": jump}]},
+        "string-gamma": {"d": 2, "H": zero2, "terms": [{**term, "gamma": "x"}]},
+        "string-d": {"d": "two", "H": zero2, "terms": [term]},
+        "float-d": {"d": 2.5, "H": zero2, "terms": [term]},
+        "text-entry": {"d": 2, "H": [[[0.0, 0.0], "x"], [[0.0, 0.0], [0.0, 0.0]]], "terms": []},
+        "ragged-h": {"d": 2, "H": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "terms": []},
+        "terms-number": {"d": 2, "H": zero2, "terms": 5},
+        "nan-h": {"d": 2, "H": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                  "terms": [term]},
+    }
+    for name, doc in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        for command in ("validate", "decompose"):
+            assert main([command, str(path)]) == 2, (name, command)
 
 
 def test_validate_missing_file():
@@ -185,6 +202,15 @@ def test_simulate_rejects_bad_request(tmp_path):
     g = lambda_atom()
     req = simulation_request(tmp_path, g, maximally_mixed(3).rho, -1.0, 1e-3, "oracle")
     assert main(["simulate", str(req)]) == 1
+    doc = json.loads(req.read_text())
+    for name, bad in (("list", [1, 2]), ("text-t", {**doc, "t": "x"}),
+                      ("text-d", {**doc, "rho0": {"d": "x", "rho": doc["rho0"]}})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["simulate", str(path)]) == 2, name
+    path = tmp_path / "nan-eps.json"
+    path.write_text(json.dumps({**doc, "t": 1.0, "epsilon": float("nan"), "mode": "trotter"}))
+    assert main(["simulate", str(path)]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import lambda_atom, random_diagonal, random_mixed_state
+from conftest import lambda_atom, random_diagonal, random_gks, random_mixed_state
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
                                   from_diagonal, maximally_mixed, trace_distance)
@@ -144,7 +144,6 @@ def test_build_plan_single_component_exact(rng):
     assert len(comps) == 1
     plan = build_plan(comps, eps=1e-3, t=3.0)
     assert plan.n_reps == 1 and len(plan.schedule) == 1
-    assert plan.predicted_error == 0.0
     out = run_plan(plan, comps, maximally_mixed(2))
     oracle = apply_exact(g, maximally_mixed(2), 3.0)
     assert trace_distance(out.rho, oracle.rho) < 1e-10
@@ -157,6 +156,21 @@ def test_run_plan_zero_time(rng):
     rho0 = QuantumState(d=3, rho=random_mixed_state(3, rng))
     out = run_plan(plan, comps, rho0)
     assert np.array_equal(out.rho, rho0.rho)
+
+
+@pytest.mark.parametrize("g, t, eps", [
+    (random_gks(2, np.random.default_rng(1)), 1.0, 1e-6),
+    (random_gks(3, np.random.default_rng(1)), 1.0, 1e-3),
+    (random_gks(3, np.random.default_rng(1)), 1.0, 1e-6),
+    (lambda_atom(), 32.0, 1e-6),
+], ids=["d2-1e-6", "d3-1e-3", "d3-1e-6", "lambda-t32-1e-6"])
+def test_long_runs_keep_the_trace(g, t, eps):
+    # n_reps reaches 1e4..1e5 here; rounding in the block's trace used to
+    # accumulate in the power past the 1e-10 trace check of QuantumState
+    rho0 = maximally_mixed(g.d)
+    out, plan, _ = simulate(g, rho0, t=t, eps=eps)
+    QuantumState(d=g.d, rho=out.rho)
+    assert trace_distance(out.rho, apply_exact(g, rho0, t).rho) <= eps
 
 
 def test_lambda_atom_within_tolerance():
@@ -220,7 +234,7 @@ def test_convergence_is_second_order_at_k1(rng):
     for n in (8, 16, 32, 64, 80):
         lam = t * L1 / n
         plan = TrotterPlan(k=1, r=0.0, n_reps=n, schedule=tuple(s2k_schedule(m, 1, lam)),
-                           m=m, L1=L1, L2=comps[1].norm, t=t, eps=1.0, predicted_error=1.0)
+                           m=m, L1=L1, L2=comps[1].norm, t=t, eps=1.0)
         rho0 = maximally_mixed(2)
         out = run_plan(plan, comps, rho0)
         exact = apply_exact(g, rho0, t)
@@ -239,8 +253,7 @@ def test_one_step_error_is_third_order(rng):
 
     def one_step_error(lam):
         plan = TrotterPlan(k=1, r=0.0, n_reps=1, schedule=tuple(s2k_schedule(m, 1, lam)),
-                           m=m, L1=L1, L2=comps[1].norm, t=lam / L1, eps=1.0,
-                           predicted_error=1.0)
+                           m=m, L1=L1, L2=comps[1].norm, t=lam / L1, eps=1.0)
         from lindbladsim.trotter import block_superoperator
         return frobenius(block_superoperator(plan, comps) - expm((lam / L1) * S))
 
