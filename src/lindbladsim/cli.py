@@ -15,18 +15,19 @@ parse error.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import serialize
-from .decompose import DecomposeError, decompose_term, spectral_split, verify_plan
+from .decompose import (DecomposeError, decompose_generator, decompose_term, spectral_split,
+                        verify_plan)
 from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, from_diagonal,
                        maximally_mixed, trace_distance)
 from .numerics import NumericsError, dagger, frobenius
 from .sud import SudError, gell_mann_basis
-from .trotter import (TrotterError, nexp_report, segments_per_block, simulate, simulate_plans,
-                      step_count)
+from .trotter import TrotterError, nexp_report, segments_per_block, simulate_plans, step_count
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -85,8 +86,8 @@ def lambda_atom_generator(gamma1: float, gamma2: float, phi: float, eta: float, 
         L1 = cos(phi) |1><e| + e^(i eta) sin(phi) |2><e|      (rate gamma1)
         L2 = cos(alpha) |1><2| + sin(alpha) |2><1|            (rate gamma2)
     """
-    if gamma1 < 0 or gamma2 < 0:
-        raise LindbladError("rates must be non-negative")
+    if not all(map(math.isfinite, (phi, eta, alpha))):  # the rates are checked by the generator
+        raise LindbladError("angles must be finite")
     e, g1, g2 = 0, 1, 2
     L1 = np.zeros((3, 3), dtype=complex)
     L1[g1, e] = np.cos(phi)
@@ -103,6 +104,25 @@ def _decompose(g):
     terms = spectral_split(g)
     plans = [decompose_term(t, g.basis) for t in terms]
     return terms, plans, [verify_plan(p, t, g.basis) for p, t in zip(plans, terms)]
+
+
+def _check_run(t: float, eps: float):
+    """A run needs finite t >= 0 and eps > 0; written so that NaN fails too."""
+    if not 0 <= t < math.inf:
+        raise CliError("t must be finite and non-negative", EXIT_INVALID)
+    if not 0 < eps < math.inf:
+        raise CliError("epsilon must be finite and positive", EXIT_INVALID)
+
+
+def _trotter_run(g, plans, rho0, t: float, eps: float) -> dict:
+    """Run the oracle and the product formula of g's plans; the run's report fields."""
+    oracle = apply_exact(g, rho0, t)
+    state, plan, components = simulate_plans(g.H, plans, g.basis, rho0, t, eps)
+    return {
+        "rho": serialize.matrix_to_json(state.rho),
+        "cost": nexp_report(plan).to_dict() if components else None,
+        "trace_distance_to_oracle": trace_distance(state.rho, oracle.rho),
+    }
 
 
 def cmd_validate(args) -> int:
@@ -153,21 +173,14 @@ def cmd_simulate(args) -> int:
         raise CliError(str(exc), EXIT_INVALID)
     except (TypeError, ValueError) as exc:  # a request that is not an object, text for a number
         raise CliError(f"malformed simulation request: {exc}", EXIT_IO)
-    if not t >= 0:  # written so that NaN fails too
-        raise CliError("t must be non-negative", EXIT_INVALID)
-    if not eps > 0:
-        raise CliError("epsilon must be positive", EXIT_INVALID)
+    _check_run(t, eps)
     if rho0.d != g.d:
         raise CliError("state dimension does not match the generator", EXIT_INVALID)
-    oracle = apply_exact(g, rho0, t)
     out = {"d": g.d, "t": t, "epsilon": eps, "mode": mode}
     if mode == "oracle":
-        out["rho"] = serialize.matrix_to_json(oracle.rho)
+        out["rho"] = serialize.matrix_to_json(apply_exact(g, rho0, t).rho)
     elif mode == "trotter":
-        state, plan, components = simulate(g, rho0, t, eps)
-        out["cost"] = nexp_report(plan).to_dict() if components else None
-        out["rho"] = serialize.matrix_to_json(state.rho)
-        out["trace_distance_to_oracle"] = trace_distance(state.rho, oracle.rho)
+        out.update(_trotter_run(g, decompose_generator(g)[1], rho0, t, eps))
     else:
         raise CliError(f"unknown mode {mode!r}", EXIT_INVALID)
     _emit(out, args.out)
@@ -178,18 +191,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    if args.m < 1 or args.t <= 0 or args.L1 <= 0 or args.L2 <= 0 or args.L2 > args.L1:
-        raise CliError("need m >= 1, t > 0 and L1 >= L2 > 0", EXIT_INVALID)
     eps_values = [args.eps]
     if args.sweep:
         try:
             eps_values = [float(x) for x in args.sweep.split(",") if x]
         except ValueError as exc:
             raise CliError(f"bad sweep list: {exc}", EXIT_IO)
+        if not eps_values:  # nothing to plan, so nothing would check the other inputs
+            raise CliError("bad sweep list: no epsilon values", EXIT_IO)
     rows = []
-    for eps in eps_values:
-        if eps <= 0:
-            raise CliError("epsilon must be positive", EXIT_INVALID)
+    for eps in eps_values:  # step_count refuses bad inputs
         k, r, n_reps, bound_res, bound_closed = step_count(eps, args.t, args.m, args.L1, args.L2)
         rows.append({
             "epsilon": eps,
@@ -201,17 +212,16 @@ def cmd_cost(args) -> int:
             "N_exp_bound_closed_form": bound_closed,
         })
     if args.sweep:
-        cols = ["epsilon", "k", "r", "n_reps", "N_exp", "N_exp_bound_res",
-                "N_exp_bound_closed_form"]
-        print(",".join(cols))
+        print(",".join(rows[0]))
         for row in rows:
-            print(",".join("" if row[c] is None else serialize.dumps(row[c]) for c in cols))
+            print(",".join("" if v is None else serialize.dumps(v) for v in row.values()))
     else:
         print(serialize.dumps(rows[0]))
     return EXIT_OK
 
 
 def cmd_example_lambda(args) -> int:
+    _check_run(args.t, args.eps)
     g = lambda_atom_generator(args.gamma1, args.gamma2, args.phi, args.eta, args.alpha)
     terms, plans, residuals = _decompose(g)
     rho0 = maximally_mixed(3)
@@ -219,17 +229,8 @@ def cmd_example_lambda(args) -> int:
         "generator": serialize.generator_to_json(g),
         "spectral": [{"lambda": t.lam, "a": serialize.vector_to_json(t.a)} for t in terms],
         "plans": serialize.plans_to_json(g.H, plans, residuals),
-    }
-    oracle = apply_exact(g, rho0, args.t)
-    state, plan, components = simulate_plans(g.H, plans, g.basis, rho0, args.t, args.eps)
-    cost = nexp_report(plan).to_dict() if components else None
-    bundle["simulation"] = {
-        "t": args.t,
-        "epsilon": args.eps,
-        "rho0": serialize.matrix_to_json(rho0.rho),
-        "rho": serialize.matrix_to_json(state.rho),
-        "trace_distance_to_oracle": trace_distance(state.rho, oracle.rho),
-        "cost": cost,
+        "simulation": {"t": args.t, "epsilon": args.eps, "rho0": serialize.matrix_to_json(rho0.rho),
+                       **_trotter_run(g, plans, rho0, args.t, args.eps)},
     }
     _emit(bundle, args.out)
     for i, p in enumerate(plans):

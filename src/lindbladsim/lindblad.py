@@ -15,6 +15,7 @@ product-formula step selection.
 Vectorization is column-stacking throughout: vec(X rho Y) = (Y^T kron X) vec(rho).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,10 @@ class LindbladError(ValueError):
 # eigenvalues of A at or below this share of the largest are roundoff zeros
 EIGEN_CUTOFF = 1e-12
 
-# (1->1) norm estimator: random starts beyond the d^2 structured ones,
-# iterations per start, convergence tolerance, upward safety factor
+# (1->1) norm estimator: random starts beyond the d^2 structured ones and
+# their seed, iterations per start, convergence tolerance, upward safety factor
 NORM_STARTS = 12
+NORM_SEED = 0
 NORM_ITERS = 200
 NORM_TOL = 1e-12
 NORM_SAFETY = 1.001
@@ -70,6 +72,8 @@ class GksGenerator:
             raise LindbladError(f"H must be {d}x{d}, got {H.shape}")
         if A.shape != (n, n):
             raise LindbladError(f"A must be {n}x{n}, got {A.shape}")
+        if not (np.isfinite(H).all() and np.isfinite(A).all()):
+            raise LindbladError("H and A must be finite")
         if frobenius(H - dagger(H)) > 1e-10 * max(1.0, frobenius(H)):
             raise LindbladError("H is not Hermitian within tolerance")
         if frobenius(A - dagger(A)) > 1e-10 * max(1.0, frobenius(A)):
@@ -98,15 +102,19 @@ class DiagonalGenerator:
         H = np.asarray(self.H, dtype=complex)
         if H.shape != (self.d, self.d):
             raise LindbladError(f"H must be {self.d}x{self.d}, got {H.shape}")
+        if not np.isfinite(H).all():
+            raise LindbladError("H must be finite")
         if frobenius(H - dagger(H)) > 1e-10 * max(1.0, frobenius(H)):
             raise LindbladError("H is not Hermitian within tolerance")
         terms = []
         for gamma, L in self.terms:
-            if gamma < 0:
-                raise LindbladError(f"negative rate {gamma}")
+            if not 0 <= gamma < math.inf:  # written so that NaN fails too
+                raise LindbladError(f"rate must be finite and non-negative, got {gamma}")
             L = np.asarray(L, dtype=complex)
             if L.shape != (self.d, self.d):
                 raise LindbladError(f"Lindblad operator must be {self.d}x{self.d}, got {L.shape}")
+            if not np.isfinite(L).all():
+                raise LindbladError("Lindblad operator must be finite")
             terms.append((float(gamma), L))
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "terms", tuple(terms))
@@ -260,7 +268,7 @@ def _polar_unitary(y: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def one_one_norm(S: Superoperator, seed: int = 0) -> float:
+def one_one_norm(S: Superoperator) -> float:
     """Estimate of the (1->1) norm sup_{||X||_1 = 1} ||S(X)||_1.
 
     The supremum is attained on rank-one extreme points |psi><phi| of the
@@ -268,16 +276,16 @@ def one_one_norm(S: Superoperator, seed: int = 0) -> float:
     two exact partial maximizations: for fixed (psi, phi) the optimal dual
     unitary W of the trace norm is the polar factor of S(|psi><phi|), and
     for fixed W the best (psi, phi) is the top singular pair of the matrix
-    K with tr(W† S(|psi><phi|)) = phi† K psi.  Multi-start with a seeded
-    generator keeps the result deterministic; the safety factor biases the
-    converged value upward so the estimate errs on the side of more
+    K with tr(W† S(|psi><phi|)) = phi† K psi.  Multi-start with a generator
+    seeded by NORM_SEED keeps the result deterministic; the safety factor
+    biases the converged value upward so the estimate errs on the side of more
     product-formula steps, never fewer.
     """
     d = S.d
     M = S.S
     if frobenius(M) == 0.0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(NORM_SEED)
     Mdag = dagger(M)
 
     def alternate(psi: np.ndarray, phi: np.ndarray) -> float:

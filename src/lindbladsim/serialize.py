@@ -63,6 +63,13 @@ def _finite(x, what: str) -> float:
     return value
 
 
+def _dimension(x) -> int:
+    d = _finite(x, "'d'")
+    if not d.is_integer():
+        raise SerializeError(f"'d' must be an integer, got {x!r}")
+    return int(d)
+
+
 def json_to_complex(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise SerializeError(f"expected a [re, im] pair, got {obj!r}")
@@ -102,10 +109,7 @@ def parse_generator(doc: dict) -> GksGenerator:
     for key in ("d", "H"):
         if key not in doc:
             raise SerializeError(f"generator document is missing {key!r}")
-    d = _finite(doc["d"], "'d'")
-    if not d.is_integer():
-        raise SerializeError(f"'d' must be an integer, got {doc['d']!r}")
-    d = int(d)
+    d = _dimension(doc["d"])
     H = json_to_matrix(doc["H"])
     if H.shape != (d, d):  # before the basis, whose size grows as d^4
         raise LindbladError(f"H must be {d}x{d}, got {H.shape}")
@@ -147,6 +151,6 @@ def plans_to_json(H, plans, residuals) -> dict:
 
 def parse_state(doc) -> QuantumState:
     if isinstance(doc, dict):
-        return QuantumState(d=int(doc["d"]), rho=json_to_matrix(doc["rho"]))
+        return QuantumState(d=_dimension(doc["d"]), rho=json_to_matrix(doc["rho"]))
     rho = json_to_matrix(doc)
     return QuantumState(d=rho.shape[0], rho=rho)

@@ -19,9 +19,15 @@ closed-form bound minimization
     r = t (4 e m t L2 / eps)^(1/2k) * 2 e d_k / (2k + 1),
     d_k = m (4/3) k (5/3)^(k-1),
 
-valid in the regime 4 e m t L2 >= eps; outside it k is clamped to 1.  The
-resulting product approximates exp(tL) within eps in (1->1) norm, so output
-states are within eps of the exact oracle in trace distance.
+valid in the regime x = 4 e m t L2 / eps >= 1; outside it k is clamped to 1
+and neither N_exp bound applies.  The resulting product approximates
+exp(tL) within eps in (1->1) norm, so output states are within eps of the
+exact oracle in trace distance.
+
+step_count is the planner, and select_order, its first step, holds the one
+check of the planner's inputs.  build_plan calls step_count once per run;
+the TrotterPlan it returns carries the two N_exp bounds that nexp_report
+prints.
 
 Each component channel is realized exactly: Hamiltonian segments as unitary
 conjugation, dissipative segments as U [exp(t~ L_universal)(U† . U)] U†
@@ -65,7 +71,6 @@ class Component:
     kind: str  # "hamiltonian" | "dissipative"
     d: int
     norm: float
-    superop: np.ndarray = field(repr=False)
     # hamiltonian payload
     H: np.ndarray | None = field(default=None, repr=False)
     # dissipative payload
@@ -83,25 +88,22 @@ class Component:
         return self.conj @ inner @ np.conj(self.conj).T
 
 
-def hamiltonian_component(H: np.ndarray, seed: int = 0) -> Component:
+def hamiltonian_component(H: np.ndarray) -> Component:
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
-    S = hamiltonian_superoperator(H)
-    norm = one_one_norm(Superoperator(d=d, S=S), seed=seed)
-    return Component(kind="hamiltonian", d=d, norm=norm, superop=S, H=H)
+    norm = one_one_norm(Superoperator(d=d, S=hamiltonian_superoperator(H)))
+    return Component(kind="hamiltonian", d=d, norm=norm, H=H)
 
 
-def dissipative_component(plan: ConjugationPlan, basis: GellMannBasis, seed: int = 0) -> Component:
+def dissipative_component(plan: ConjugationPlan, basis: GellMannBasis) -> Component:
     A_univ = universal_gks_matrix(plan.params, basis)
     S_univ = dissipator_superoperator(A_univ, basis)
     K = conjugation_superoperator(plan.U)
-    S = plan.lam * (K @ S_univ @ np.conj(K).T)
-    norm = one_one_norm(Superoperator(d=basis.d, S=S), seed=seed)
-    return Component(kind="dissipative", d=basis.d, norm=norm, superop=S,
-                     plan=plan, conj=K, universal=S_univ)
+    norm = one_one_norm(Superoperator(d=basis.d, S=plan.lam * (K @ S_univ @ np.conj(K).T)))
+    return Component(kind="dissipative", d=basis.d, norm=norm, plan=plan, conj=K, universal=S_univ)
 
 
-def prepare_components(H: np.ndarray, plans, basis: GellMannBasis, seed: int = 0) -> list[Component]:
+def prepare_components(H: np.ndarray, plans, basis: GellMannBasis) -> list[Component]:
     """Assemble and norm-order the component list for a decomposition.
 
     Zero components (vanishing Hamiltonian, zero-weight plans) are
@@ -111,10 +113,10 @@ def prepare_components(H: np.ndarray, plans, basis: GellMannBasis, seed: int = 0
     comps = []
     H = np.asarray(H, dtype=complex)
     if np.max(np.abs(H)) > 0.0:
-        comps.append(hamiltonian_component(H, seed=seed))
+        comps.append(hamiltonian_component(H))
     for plan in plans:
         if plan.lam > 0.0:
-            comps.append(dissipative_component(plan, basis, seed=seed))
+            comps.append(dissipative_component(plan, basis))
     comps = [c for c in comps if c.norm > 0.0]
     order = sorted(range(len(comps)), key=lambda i: (-comps[i].norm, i))
     return [comps[i] for i in order]
@@ -163,19 +165,16 @@ def segments_per_block(m: int, k: int) -> int:
 
 
 def select_order(eps: float, t: float, m: int, L1: float, L2: float):
-    """Half-order k and block parameter r from the cost-bound formulas."""
-    if eps <= 0 or t <= 0:
-        raise TrotterError("eps and t must be positive")
-    if m < 1:
-        raise TrotterError("need at least one component")
-    if L2 > L1 or L2 <= 0:
-        raise TrotterError("norms must satisfy L1 >= L2 > 0")
+    """Half-order k and block parameter r from the cost-bound formulas.
+
+    This is the one check of the planner's inputs, written so that NaN
+    and inf fail it too.
+    """
+    if not (m >= 1 and 0 < eps < math.inf and 0 < t < math.inf and 0 < L2 <= L1 < math.inf):
+        raise TrotterError("need m >= 1 and finite eps > 0, t > 0, L1 >= L2 > 0")
     x = 4.0 * E * m * t * L2 / eps
-    if x >= 1.0:
-        k = int(round(math.sqrt(0.5 * math.log(x) / math.log(25.0 / 3.0))))
-        k = max(k, 1)
-    else:
-        k = 1  # outside the bound's regime; fall back to the basic split
+    # outside the bound's regime, x < 1, fall back to the basic split
+    k = max(1, round(math.sqrt(0.5 * math.log(x) / math.log(25.0 / 3.0)))) if x >= 1.0 else 1
     d_k = m * (4.0 / 3.0) * k * (5.0 / 3.0) ** (k - 1)
     r = t * x ** (1.0 / (2 * k)) * 2.0 * E * d_k / (2 * k + 1)
     return k, r
@@ -189,10 +188,8 @@ def nexp_bound_res(m: int, k: int, t: float, eps: float, L1: float, L2: float) -
 
 
 def nexp_bound_closed_form(m: int, t: float, eps: float, L1: float, L2: float) -> float:
-    """Closed-form bound after optimizing over the half-order."""
+    """Closed-form bound after optimizing over the half-order; needs x >= 1."""
     x = 4.0 * E * m * t * L2 / eps
-    if x < 1.0:
-        return float("inf")
     return (8.0 / 3.0) * (2 * m - 1) * m * E * t * L1 * math.exp(
         2.0 * math.sqrt(0.5 * math.log(25.0 / 3.0) * math.log(x)))
 
@@ -200,20 +197,24 @@ def nexp_bound_closed_form(m: int, t: float, eps: float, L1: float, L2: float) -
 def step_count(eps: float, t: float, m: int, L1: float, L2: float):
     """The planner: (k, r, n_reps, N_exp bound at k, closed-form N_exp bound).
 
-    One component needs no splitting: one exact segment, k = 1, r = 0,
-    and no error bound applies, so both bounds are None.
+    One component needs no splitting: one exact segment, k = 1, r = 0.
+    Both bounds are None when they do not apply: for one component, and
+    outside the regime x = 4 e m t L2 / eps >= 1.
     """
+    k, r = select_order(eps, t, m, L1, L2)
     if m == 1:
         return 1, 0.0, 1, None, None
-    k, r = select_order(eps, t, m, L1, L2)
     n_reps = max(1, math.ceil(r * L1))
+    if 4.0 * E * m * t * L2 / eps < 1.0:
+        return k, r, n_reps, None, None
     return (k, r, n_reps, nexp_bound_res(m, k, t, eps, L1, L2),
             nexp_bound_closed_form(m, t, eps, L1, L2))
 
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Integrator order, repetition count, and one block's schedule."""
+    """Integrator order, repetition count, one block's schedule, and the
+    planner's two N_exp bounds (None where they do not apply)."""
 
     k: int
     r: float
@@ -221,9 +222,8 @@ class TrotterPlan:
     schedule: tuple  # of Segment, one repetition block
     m: int
     L1: float
-    L2: float
-    t: float
-    eps: float
+    bound_res: float | None = None
+    bound_closed_form: float | None = None
 
     @property
     def n_exp(self) -> int:
@@ -246,32 +246,26 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
     """Choose (k, r) for the component list and lay out the block schedule.
 
     Components must already be ordered by descending norm.  A single
-    component needs no splitting: one exact segment.
+    component needs no splitting: one exact segment.  With no component,
+    no nonzero norm or no time the dynamics is trivial: the plan has no
+    segment and n_reps = 0.
     """
-    if not components:
-        raise TrotterError("component list is empty")
     norms = [c.norm for c in components]
     if any(norms[i] < norms[i + 1] for i in range(len(norms) - 1)):
         raise TrotterError("components must be ordered by descending norm")
-    if eps <= 0:
-        raise TrotterError("eps must be positive")
-    if t < 0:
-        raise TrotterError("t must be non-negative")
     m = len(components)
-    L1 = norms[0]
-    L2 = norms[1] if m > 1 else 0.0
+    L1 = norms[0] if norms else 0.0
     if t == 0.0 or L1 == 0.0:
-        return TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=m, L1=L1, L2=L2, t=t, eps=eps)
-    k, r, n_reps, _, _ = step_count(eps, t, m, L1, L2)
+        return TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=m, L1=L1)
+    # one component has no L2; L1 stands in, and the planner ignores it for m = 1
+    k, r, n_reps, bound_res, bound_closed = step_count(eps, t, m, L1, norms[1] if m > 1 else L1)
     lam = t * L1 / n_reps
     sched = tuple(s2k_schedule(m, k, lam))
-    total = {}
-    for seg in sched:
-        total[seg.index] = total.get(seg.index, 0.0) + seg.duration
     for j in range(m):
-        if abs(total.get(j, 0.0) - lam) > 1e-12 * max(1.0, abs(lam)):
+        if abs(sum(s.duration for s in sched if s.index == j) - lam) > 1e-12 * max(1.0, abs(lam)):
             raise TrotterError("schedule durations do not sum to the block length")
-    return TrotterPlan(k=k, r=r, n_reps=n_reps, schedule=sched, m=m, L1=L1, L2=L2, t=t, eps=eps)
+    return TrotterPlan(k=k, r=r, n_reps=n_reps, schedule=sched, m=m, L1=L1,
+                       bound_res=bound_res, bound_closed_form=bound_closed)
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -335,38 +329,28 @@ class CostReport:
 
 
 def nexp_report(plan: TrotterPlan) -> CostReport:
-    """Actual exponential counts next to both printed cost bounds."""
-    bound_res = bound_closed = None
-    if plan.n_reps > 0:
-        _, _, _, bound_res, bound_closed = step_count(plan.eps, plan.t, plan.m, plan.L1, plan.L2)
+    """Actual exponential counts next to the plan's two cost bounds."""
     return CostReport(
         k=plan.k,
         r=plan.r,
         n_reps=plan.n_reps,
         n_exp_actual=plan.actual_exponentials(),
         n_exp_unmerged=plan.n_exp,
-        n_exp_bound_res=bound_res,
-        n_exp_bound_closed_form=bound_closed,
+        n_exp_bound_res=plan.bound_res,
+        n_exp_bound_closed_form=plan.bound_closed_form,
         negative_segments=plan.has_negative_segments(),
     )
 
 
-def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float, seed: int = 0):
+def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
     """Decompose, plan, and run; returns (state, plan, components)."""
     H, plans = decompose_generator(g)
-    return simulate_plans(H, plans, g.basis, rho0, t, eps, seed)
+    return simulate_plans(H, plans, g.basis, rho0, t, eps)
 
 
 def simulate_plans(H: np.ndarray, plans, basis: GellMannBasis, rho0: QuantumState,
-                   t: float, eps: float, seed: int = 0):
-    """Plan and run a decomposition (H, plans); returns (state, plan, components).
-
-    With no nonzero component the dynamics is trivial: the state is
-    returned as is, with an empty plan and component list.
-    """
-    components = prepare_components(H, plans, basis, seed=seed)
-    if not components:
-        plan = TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=0, L1=0.0, L2=0.0, t=t, eps=eps)
-        return rho0, plan, []
+                   t: float, eps: float):
+    """Plan and run a decomposition (H, plans); returns (state, plan, components)."""
+    components = prepare_components(H, plans, basis)
     plan = build_plan(components, eps, t)
     return run_plan(plan, components, rho0), plan, components

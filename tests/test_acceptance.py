@@ -260,7 +260,7 @@ def test_criterion_8_convergence_order():
     for n in (8, 14, 24, 44, 80):  # one decade of step sizes
         lam = t * L1 / n
         plan = TrotterPlan(k=1, r=0.0, n_reps=n, schedule=tuple(s2k_schedule(m, 1, lam)),
-                           m=m, L1=L1, L2=comps[1].norm, t=t, eps=1.0)
+                           m=m, L1=L1)
         out = run_plan(plan, comps, rho0)
         lams.append(lam)
         errs.append(trace_distance(out.rho, exact.rho))

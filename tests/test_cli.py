@@ -204,7 +204,8 @@ def test_simulate_rejects_bad_request(tmp_path):
     assert main(["simulate", str(req)]) == 1
     doc = json.loads(req.read_text())
     for name, bad in (("list", [1, 2]), ("text-t", {**doc, "t": "x"}),
-                      ("text-d", {**doc, "rho0": {"d": "x", "rho": doc["rho0"]}})):
+                      ("text-d", {**doc, "rho0": {"d": "x", "rho": doc["rho0"]}}),
+                      ("float-d", {**doc, "rho0": {"d": 3.7, "rho": doc["rho0"]}})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == 2, name
@@ -255,6 +256,54 @@ def test_cost_sweep_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("epsilon,k,r,n_reps,N_exp")
     assert len(lines) == 4
+    assert main(["cost", "--m", "0", "--t", "1.0", "--L1", "1.0", "--L2", "0.5",
+                 "--sweep", ","]) == 2
+
+
+# ---------------------------------------------------------------------------
+# eps so large that x = 4 e m t L2 / eps < 1: no bound applies
+# ---------------------------------------------------------------------------
+
+NO_BOUNDS = ["N_exp_bound_res", "N_exp_bound_closed_form"]
+
+
+def test_cost_bounds_null_below_their_regime(capsys):
+    argv = ["cost", "--m", "2", "--t", "1.5", "--L1", "2.5", "--L2", "1.25"]
+    assert main([*argv, "--eps", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [doc[c] for c in NO_BOUNDS] == [None, None]
+    assert main([*argv, "--sweep", "1e-3,100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and not lines[1].endswith(",")
+    assert lines[2].endswith(",,")
+
+
+def test_simulate_and_example_bounds_null_below_their_regime(tmp_path):
+    req = simulation_request(tmp_path, lambda_atom(), maximally_mixed(3).rho, 1.0, 100.0,
+                             "trotter")
+    out = tmp_path / "state.json"
+    assert main(["simulate", str(req), "--out", str(out)]) == 0
+    sim = json.loads(out.read_text())
+    assert main(["example-lambda", "--eps", "100", "--out", str(out)]) == 0
+    for doc in (sim, json.loads(out.read_text())["simulation"]):
+        assert [doc["cost"][c] for c in NO_BOUNDS] == [None, None]
+        assert doc["trace_distance_to_oracle"] <= 100.0
+
+
+COST = ["cost", "--m", "2", "--t", "1", "--L1", "2", "--L2", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*COST, "--eps", "nan"], [*COST, "--t", "nan"], [*COST, "--L1", "inf"],
+    [*COST, "--eps", "inf"], [*COST, "--sweep", "1e-3,nan"],
+    ["example-lambda", "--eps", "nan"], ["example-lambda", "--t", "inf"],
+    ["example-lambda", "--t", "0", "--eps", "nan"], ["example-lambda", "--gamma1", "nan"],
+    ["example-lambda", "--gamma2", "inf"], ["example-lambda", "--phi", "nan"],
+    ["example-lambda", "--alpha", "inf"],
+], ids=" ".join)
+def test_non_finite_inputs_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

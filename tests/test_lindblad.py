@@ -165,7 +165,7 @@ def test_one_one_norm_dominates_dense_sampling(rng):
 def test_one_one_norm_deterministic(rng):
     g = random_gks(3, rng)
     S = liouvillian_matrix(g)
-    assert one_one_norm(S, seed=5) == one_one_norm(S, seed=5)
+    assert one_one_norm(S) == one_one_norm(S)
 
 
 def test_exact_channel_is_cptp(rng):

@@ -4,23 +4,32 @@ import numpy as np
 import pytest
 
 from conftest import lambda_atom, random_diagonal, random_gks, random_mixed_state
+from lindbladsim import trotter
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
-                                  from_diagonal, maximally_mixed, trace_distance)
+                                  from_diagonal, hamiltonian_superoperator, maximally_mixed,
+                                  trace_distance)
 from lindbladsim.numerics import expm, frobenius
 from lindbladsim.sud import gell_mann_basis
-from lindbladsim.trotter import (TrotterError, TrotterPlan, build_plan,
+from lindbladsim.trotter import (TrotterError, TrotterPlan, block_superoperator, build_plan,
                                  merge_adjacent, nexp_bound_closed_form, nexp_bound_res,
                                  nexp_report, prepare_components, run_plan, s2_schedule,
                                  s2k_schedule, segments_per_block, select_order, simulate,
-                                 suzuki_p)
+                                 step_count, suzuki_p)
 
 E = math.e
 
 
-def components_for(g, seed=0):
+def components_for(g):
     H, plans = decompose_generator(g)
-    return prepare_components(H, plans, g.basis, seed=seed)
+    return prepare_components(H, plans, g.basis)
+
+
+def component_generator(c):
+    """The d^2 x d^2 generator matrix L_j of one component, exp(t L_j) = c.channel(t)."""
+    if c.kind == "hamiltonian":
+        return hamiltonian_superoperator(c.H)
+    return c.plan.lam * (c.conj @ c.universal @ np.conj(c.conj).T)
 
 
 def damping_generator(gamma=1.0):
@@ -132,6 +141,11 @@ def test_select_order_rejects_bad_args():
         select_order(-1e-3, 1.0, 2, 1.0, 0.5)
     with pytest.raises(TrotterError):
         select_order(1e-3, 1.0, 2, 1.0, 2.0)
+    for bad in ((math.nan, 1.0, 2, 1.0, 0.5), (1e-3, math.inf, 2, 1.0, 0.5),
+                (1e-3, 1.0, 2, math.inf, 0.5), (1e-3, 1.0, 2, 1.0, math.nan),
+                (1e-3, 1.0, 0, 1.0, 0.5)):
+        with pytest.raises(TrotterError):
+            select_order(*bad)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +176,9 @@ def test_run_plan_zero_time(rng):
     (random_gks(2, np.random.default_rng(1)), 1.0, 1e-6),
     (random_gks(3, np.random.default_rng(1)), 1.0, 1e-3),
     (random_gks(3, np.random.default_rng(1)), 1.0, 1e-6),
+    (random_gks(5, np.random.default_rng(1)), 1.0, 1e-6),
     (lambda_atom(), 32.0, 1e-6),
-], ids=["d2-1e-6", "d3-1e-3", "d3-1e-6", "lambda-t32-1e-6"])
+], ids=["d2-1e-6", "d3-1e-3", "d3-1e-6", "d5-1e-6", "lambda-t32-1e-6"])
 def test_long_runs_keep_the_trace(g, t, eps):
     # n_reps reaches 1e4..1e5 here; rounding in the block's trace used to
     # accumulate in the power past the 1e-10 trace check of QuantumState
@@ -229,12 +244,11 @@ def test_convergence_is_second_order_at_k1(rng):
     m = len(comps)
     t = 1.0
     L1 = comps[0].norm
-    S_exact = expm(t * sum(c.superop for c in comps))
     errs, lams = [], []
     for n in (8, 16, 32, 64, 80):
         lam = t * L1 / n
         plan = TrotterPlan(k=1, r=0.0, n_reps=n, schedule=tuple(s2k_schedule(m, 1, lam)),
-                           m=m, L1=L1, L2=comps[1].norm, t=t, eps=1.0)
+                           m=m, L1=L1)
         rho0 = maximally_mixed(2)
         out = run_plan(plan, comps, rho0)
         exact = apply_exact(g, rho0, t)
@@ -249,12 +263,11 @@ def test_one_step_error_is_third_order(rng):
     comps = components_for(g)
     m = len(comps)
     L1 = comps[0].norm
-    S = sum(c.superop for c in comps)
+    S = sum(component_generator(c) for c in comps)
 
     def one_step_error(lam):
         plan = TrotterPlan(k=1, r=0.0, n_reps=1, schedule=tuple(s2k_schedule(m, 1, lam)),
-                           m=m, L1=L1, L2=comps[1].norm, t=lam / L1, eps=1.0)
-        from lindbladsim.trotter import block_superoperator
+                           m=m, L1=L1)
         return frobenius(block_superoperator(plan, comps) - expm((lam / L1) * S))
 
     lam = 0.05
@@ -274,6 +287,38 @@ def test_nexp_report_m1_trivial():
     assert rep.n_exp_actual == 1
     assert rep.n_exp_bound_res is None and rep.n_exp_bound_closed_form is None
     assert not rep.negative_segments
+
+
+def test_simulate_sizes_the_run_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step_count(*args)
+
+    monkeypatch.setattr(trotter, "step_count", counted)
+    _, plan, _ = simulate(lambda_atom(), maximally_mixed(3), t=1.0, eps=1e-3)
+    rep = nexp_report(plan)
+    assert len(calls) == 1
+    assert (rep.n_exp_bound_res, rep.n_exp_bound_closed_form) == step_count(*calls[0])[3:]
+
+
+def test_bounds_are_none_outside_their_regime():
+    # x = 4 e m t L2 / eps < 1: neither bound holds, N_exp_bound_res would read 2.5e-4 here
+    g = lambda_atom()
+    out, plan, _ = simulate(g, maximally_mixed(3), t=1e-5, eps=1e-3)
+    rep = nexp_report(plan)
+    assert rep.n_exp_actual == 3
+    assert rep.n_exp_bound_res is None and rep.n_exp_bound_closed_form is None
+    assert trace_distance(out.rho, apply_exact(g, maximally_mixed(3), 1e-5).rho) <= 1e-3
+
+
+def test_build_plan_empty_is_the_zero_plan():
+    comps = components_for(lambda_atom())
+    assert build_plan([], eps=1e-3, t=1.0) == TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(),
+                                                           m=0, L1=0.0)
+    zero = build_plan(comps, eps=1e-3, t=0.0)
+    assert (zero.n_reps, zero.schedule, zero.bound_res) == (0, (), None)
 
 
 def test_nexp_per_block_m2_k1():
