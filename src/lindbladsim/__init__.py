@@ -8,8 +8,8 @@ from explicit error bounds.  An exact matrix-exponential oracle is kept
 alongside for verification.
 """
 
-from .sud import GellMannBasis, gell_mann_basis, structure_constants, adjoint_matrix
-from .lindblad import (GksGenerator, DiagonalGenerator, Superoperator, QuantumState,
+from .sud import GellMannBasis, gell_mann_basis, adjoint_matrix
+from .lindblad import (GksGenerator, DiagonalGenerator, QuantumState,
                        from_diagonal, to_diagonal, liouvillian_matrix, apply_exact,
                        one_one_norm, trace_distance, maximally_mixed)
 from .decompose import (RankOneTerm, ConjugationPlan, UniversalParams, spectral_split,
@@ -18,8 +18,8 @@ from .trotter import (TrotterPlan, CostReport, build_plan, run_plan, nexp_report
                       prepare_components, simulate)
 
 __all__ = [
-    "GellMannBasis", "gell_mann_basis", "structure_constants", "adjoint_matrix",
-    "GksGenerator", "DiagonalGenerator", "Superoperator", "QuantumState",
+    "GellMannBasis", "gell_mann_basis", "adjoint_matrix",
+    "GksGenerator", "DiagonalGenerator", "QuantumState",
     "from_diagonal", "to_diagonal", "liouvillian_matrix", "apply_exact",
     "one_one_norm", "trace_distance", "maximally_mixed",
     "RankOneTerm", "ConjugationPlan", "UniversalParams", "spectral_split",

@@ -117,7 +117,7 @@ def _check_run(t: float, eps: float):
 def _trotter_run(g, plans, rho0, t: float, eps: float) -> dict:
     """Run the oracle and the product formula of g's plans; the run's report fields."""
     oracle = apply_exact(g, rho0, t)
-    state, plan, components = simulate_plans(g.H, plans, g.basis, rho0, t, eps)
+    state, plan, components = simulate_plans(g, plans, rho0, t, eps)
     return {
         "rho": serialize.matrix_to_json(state.rho),
         "cost": nexp_report(plan).to_dict() if components else None,
@@ -180,7 +180,7 @@ def cmd_simulate(args) -> int:
     if mode == "oracle":
         out["rho"] = serialize.matrix_to_json(apply_exact(g, rho0, t).rho)
     elif mode == "trotter":
-        out.update(_trotter_run(g, decompose_generator(g)[1], rho0, t, eps))
+        out.update(_trotter_run(g, decompose_generator(g), rho0, t, eps))
     else:
         raise CliError(f"unknown mode {mode!r}", EXIT_INVALID)
     _emit(out, args.out)

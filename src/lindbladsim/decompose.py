@@ -382,16 +382,15 @@ def _deterministic_imaginary(aR_t: np.ndarray, basis: GellMannBasis) -> np.ndarr
     return out
 
 
-def decompose_generator(g: GksGenerator):
-    """Split a generator into its Hamiltonian and conjugation plans.
+def decompose_generator(g: GksGenerator) -> list[ConjugationPlan]:
+    """Conjugation plans of a generator's dissipative part.
 
-    Returns (H, plans) such that the Liouvillian of g equals the
-    Hamiltonian Liouvillian plus sum_k lam_k times the Liouvillian of the
-    k-th reconstructed rank-one GKS matrix G_k A(params_k) G_k^T.
+    The Liouvillian of g equals the Liouvillian of g.H plus sum_k lam_k
+    times the Liouvillian of the k-th reconstructed rank-one GKS matrix
+    G_k A(params_k) G_k^T.
     """
     terms = spectral_split(g)
-    plans = [decompose_term(t, g.basis) for t in terms]
-    return np.array(g.H, dtype=complex), plans
+    return [decompose_term(t, g.basis) for t in terms]
 
 
 def plan_gks_matrix(plan: ConjugationPlan, basis: GellMannBasis) -> np.ndarray:

@@ -121,23 +121,6 @@ class DiagonalGenerator:
 
 
 @dataclass(frozen=True)
-class Superoperator:
-    """d^2 x d^2 matrix acting on column-stacked density matrices."""
-
-    d: int
-    S: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        S = np.asarray(self.S, dtype=complex)
-        if S.shape != (self.d**2, self.d**2):
-            raise LindbladError(f"superoperator must be {self.d**2}x{self.d**2}, got {S.shape}")
-        object.__setattr__(self, "S", S)
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.S @ vec(rho), self.d)
-
-
-@dataclass(frozen=True)
 class QuantumState:
     d: int
     rho: np.ndarray = field(repr=False)
@@ -146,6 +129,8 @@ class QuantumState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (self.d, self.d):
             raise LindbladError(f"state must be {self.d}x{self.d}, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise LindbladError("state must be finite")
         if frobenius(rho - dagger(rho)) > 1e-10:
             raise LindbladError("state is not Hermitian within tolerance")
         if abs(np.trace(rho) - 1.0) > 1e-10:
@@ -235,31 +220,16 @@ def dissipator_superoperator(A: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     return S
 
 
-def liouvillian_matrix(g: GksGenerator) -> Superoperator:
-    """Full generator matrix: Hamiltonian commutator plus dissipator."""
-    S = hamiltonian_superoperator(g.H) + dissipator_superoperator(g.A, g.basis)
-    return Superoperator(d=g.d, S=S)
-
-
-def liouvillian_of_diagonal(g: DiagonalGenerator) -> Superoperator:
-    """Generator matrix built directly from rate/operator terms."""
-    d = g.d
-    eye = np.eye(d)
-    S = hamiltonian_superoperator(g.H)
-    for gamma, L in g.terms:
-        Ld = dagger(L)
-        S += gamma * (np.kron(np.conj(L), L)
-                      - 0.5 * np.kron((Ld @ L).T, eye)
-                      - 0.5 * np.kron(eye, Ld @ L))
-    return Superoperator(d=d, S=S)
+def liouvillian_matrix(g: GksGenerator) -> np.ndarray:
+    """Full d^2 x d^2 generator matrix: Hamiltonian commutator plus dissipator."""
+    return hamiltonian_superoperator(g.H) + dissipator_superoperator(g.A, g.basis)
 
 
 def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:
     """Exact channel exp(tL) applied to rho0."""
-    if t < 0:
-        raise LindbladError(f"time must be non-negative, got {t}")
-    S = liouvillian_matrix(g)
-    rho = unvec(expm(t * S.S) @ vec(rho0.rho), g.d)
+    if not 0 <= t < math.inf:  # written so that NaN fails too
+        raise LindbladError(f"time must be finite and non-negative, got {t}")
+    rho = unvec(expm(t * liouvillian_matrix(g)) @ vec(rho0.rho), g.d)
     return QuantumState(d=g.d, rho=rho)
 
 
@@ -268,7 +238,7 @@ def _polar_unitary(y: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def one_one_norm(S: Superoperator) -> float:
+def one_one_norm(S: np.ndarray) -> float:
     """Estimate of the (1->1) norm sup_{||X||_1 = 1} ||S(X)||_1.
 
     The supremum is attained on rank-one extreme points |psi><phi| of the
@@ -279,10 +249,13 @@ def one_one_norm(S: Superoperator) -> float:
     K with tr(W† S(|psi><phi|)) = phi† K psi.  Multi-start with a generator
     seeded by NORM_SEED keeps the result deterministic; the safety factor
     biases the converged value upward so the estimate errs on the side of more
-    product-formula steps, never fewer.
+    product-formula steps, never fewer.  S is a d^2 x d^2 matrix acting on
+    column-stacked d x d matrices.
     """
-    d = S.d
-    M = S.S
+    M = np.asarray(S, dtype=complex)
+    d = math.isqrt(M.shape[0])
+    if M.shape != (d * d, d * d):
+        raise LindbladError(f"superoperator must be d^2 x d^2, got {M.shape}")
     if frobenius(M) == 0.0:
         return 0.0
     rng = np.random.default_rng(NORM_SEED)

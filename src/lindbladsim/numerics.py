@@ -90,6 +90,6 @@ def trace_norm(m) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
-def is_unitary(u, tol: float = 1e-10) -> bool:
+def is_unitary(u) -> bool:
     a = _require_square(_as_matrix(u))
-    return frobenius(dagger(a) @ a - np.eye(a.shape[0])) <= tol * a.shape[0]
+    return frobenius(dagger(a) @ a - np.eye(a.shape[0])) <= 1e-10 * a.shape[0]

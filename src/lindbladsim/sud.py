@@ -46,9 +46,6 @@ class GellMannBasis:
     def n(self) -> int:
         return self.d * self.d - 1
 
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, a: int) -> np.ndarray:
         return self.matrices[a]
 
@@ -89,21 +86,6 @@ def gell_mann_basis(d: int) -> GellMannBasis:
     return GellMannBasis(d=d, matrices=np.stack(mats))
 
 
-def structure_constants(basis: GellMannBasis) -> np.ndarray:
-    """Real antisymmetric tensor f with [F_g, F_a] = i sum_b f_gab F_b.
-
-    Computed as f_gab = -i tr([F_g, F_a] F_b), returned dense with shape
-    (n, n, n).
-    """
-    F = basis.matrices
-    prod = np.einsum("gij,ajk->gaik", F, F)
-    comm = prod - np.transpose(prod, (1, 0, 2, 3))
-    f = -1j * np.einsum("gaik,bki->gab", comm, F)
-    if np.max(np.abs(f.imag)) > 1e-12:
-        raise SudError("structure constants acquired an imaginary part")
-    return f.real
-
-
 def to_vector(x, basis: GellMannBasis) -> np.ndarray:
     """Coordinates of X = sum_a x_a (i F_a); real for anti-Hermitian X."""
     a = np.asarray(x, dtype=complex)
@@ -141,13 +123,3 @@ def adjoint_matrix(u, basis: GellMannBasis) -> np.ndarray:
     if np.max(np.abs(g.imag)) > 1e-10:
         raise SudError("adjoint matrix acquired an imaginary part")
     return g.real
-
-
-def adjoint_generator(f: np.ndarray, r) -> np.ndarray:
-    """Generator sum_g r_g K_g of the adjoint rotation, (K_g)_ab = f_gab.
-
-    exp of this matrix equals adjoint_matrix(exp(i sum_g r_g F_g)); kept as
-    an independent construction path for cross-checks.
-    """
-    r = np.asarray(r, dtype=float)
-    return np.einsum("g,gab->ab", r, f)

@@ -42,9 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompose import ConjugationPlan, decompose_generator, universal_gks_matrix
-from .lindblad import (GksGenerator, QuantumState, Superoperator,
-                       conjugation_superoperator, dissipator_superoperator,
-                       hamiltonian_superoperator, one_one_norm, unvec, vec)
+from .lindblad import (GksGenerator, QuantumState, conjugation_superoperator,
+                       dissipator_superoperator, hamiltonian_superoperator, one_one_norm,
+                       unvec, vec)
 from .numerics import expm
 from .sud import GellMannBasis
 
@@ -91,7 +91,7 @@ class Component:
 def hamiltonian_component(H: np.ndarray) -> Component:
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
-    norm = one_one_norm(Superoperator(d=d, S=hamiltonian_superoperator(H)))
+    norm = one_one_norm(hamiltonian_superoperator(H))
     return Component(kind="hamiltonian", d=d, norm=norm, H=H)
 
 
@@ -99,24 +99,23 @@ def dissipative_component(plan: ConjugationPlan, basis: GellMannBasis) -> Compon
     A_univ = universal_gks_matrix(plan.params, basis)
     S_univ = dissipator_superoperator(A_univ, basis)
     K = conjugation_superoperator(plan.U)
-    norm = one_one_norm(Superoperator(d=basis.d, S=plan.lam * (K @ S_univ @ np.conj(K).T)))
+    norm = one_one_norm(plan.lam * (K @ S_univ @ np.conj(K).T))
     return Component(kind="dissipative", d=basis.d, norm=norm, plan=plan, conj=K, universal=S_univ)
 
 
-def prepare_components(H: np.ndarray, plans, basis: GellMannBasis) -> list[Component]:
-    """Assemble and norm-order the component list for a decomposition.
+def prepare_components(g: GksGenerator, plans) -> list[Component]:
+    """Assemble and norm-order the components of g, given its conjugation plans.
 
     Zero components (vanishing Hamiltonian, zero-weight plans) are
     dropped; the rest are sorted by descending (1->1) norm with stable
     ties, which fixes the product order deterministically.
     """
     comps = []
-    H = np.asarray(H, dtype=complex)
-    if np.max(np.abs(H)) > 0.0:
-        comps.append(hamiltonian_component(H))
+    if np.max(np.abs(g.H)) > 0.0:
+        comps.append(hamiltonian_component(g.H))
     for plan in plans:
         if plan.lam > 0.0:
-            comps.append(dissipative_component(plan, basis))
+            comps.append(dissipative_component(plan, g.basis))
     comps = [c for c in comps if c.norm > 0.0]
     order = sorted(range(len(comps)), key=lambda i: (-comps[i].norm, i))
     return [comps[i] for i in order]
@@ -168,15 +167,20 @@ def select_order(eps: float, t: float, m: int, L1: float, L2: float):
     """Half-order k and block parameter r from the cost-bound formulas.
 
     This is the one check of the planner's inputs, written so that NaN
-    and inf fail it too.
+    and inf fail it too.  Finite inputs can still overflow x or the
+    step count r L1; those are refused here as well.
     """
     if not (m >= 1 and 0 < eps < math.inf and 0 < t < math.inf and 0 < L2 <= L1 < math.inf):
         raise TrotterError("need m >= 1 and finite eps > 0, t > 0, L1 >= L2 > 0")
     x = 4.0 * E * m * t * L2 / eps
+    if x == math.inf:
+        raise TrotterError("4 e m t L2 / eps overflows")
     # outside the bound's regime, x < 1, fall back to the basic split
     k = max(1, round(math.sqrt(0.5 * math.log(x) / math.log(25.0 / 3.0)))) if x >= 1.0 else 1
     d_k = m * (4.0 / 3.0) * k * (5.0 / 3.0) ** (k - 1)
     r = t * x ** (1.0 / (2 * k)) * 2.0 * E * d_k / (2 * k + 1)
+    if r * L1 == math.inf:
+        raise TrotterError("the step count r L1 overflows")
     return k, r
 
 
@@ -199,7 +203,8 @@ def step_count(eps: float, t: float, m: int, L1: float, L2: float):
 
     One component needs no splitting: one exact segment, k = 1, r = 0.
     Both bounds are None when they do not apply: for one component, and
-    outside the regime x = 4 e m t L2 / eps >= 1.
+    outside the regime x = 4 e m t L2 / eps >= 1.  Inputs whose bounds
+    overflow are refused, like those that overflow select_order.
     """
     k, r = select_order(eps, t, m, L1, L2)
     if m == 1:
@@ -207,8 +212,10 @@ def step_count(eps: float, t: float, m: int, L1: float, L2: float):
     n_reps = max(1, math.ceil(r * L1))
     if 4.0 * E * m * t * L2 / eps < 1.0:
         return k, r, n_reps, None, None
-    return (k, r, n_reps, nexp_bound_res(m, k, t, eps, L1, L2),
-            nexp_bound_closed_form(m, t, eps, L1, L2))
+    bounds = nexp_bound_res(m, k, t, eps, L1, L2), nexp_bound_closed_form(m, t, eps, L1, L2)
+    if math.inf in bounds:
+        raise TrotterError("the N_exp bounds overflow")
+    return (k, r, n_reps, *bounds)
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,10 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
     Components must already be ordered by descending norm.  A single
     component needs no splitting: one exact segment.  With no component,
     no nonzero norm or no time the dynamics is trivial: the plan has no
-    segment and n_reps = 0.
+    segment and n_reps = 0.  Every path needs finite t >= 0 and eps > 0.
     """
+    if not (0 <= t < math.inf and 0 < eps < math.inf):  # written so that NaN fails too
+        raise TrotterError("need finite t >= 0 and eps > 0")
     norms = [c.norm for c in components]
     if any(norms[i] < norms[i + 1] for i in range(len(norms) - 1)):
         raise TrotterError("components must be ordered by descending norm")
@@ -344,13 +353,11 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
 
 def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
     """Decompose, plan, and run; returns (state, plan, components)."""
-    H, plans = decompose_generator(g)
-    return simulate_plans(H, plans, g.basis, rho0, t, eps)
+    return simulate_plans(g, decompose_generator(g), rho0, t, eps)
 
 
-def simulate_plans(H: np.ndarray, plans, basis: GellMannBasis, rho0: QuantumState,
-                   t: float, eps: float):
-    """Plan and run a decomposition (H, plans); returns (state, plan, components)."""
-    components = prepare_components(H, plans, basis)
+def simulate_plans(g: GksGenerator, plans, rho0: QuantumState, t: float, eps: float):
+    """Plan and run g with its conjugation plans; returns (state, plan, components)."""
+    components = prepare_components(g, plans)
     plan = build_plan(components, eps, t)
     return run_plan(plan, components, rho0), plan, components

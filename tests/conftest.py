@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lindbladsim.cli import lambda_atom_generator
-from lindbladsim.lindblad import DiagonalGenerator, GksGenerator
+from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal,
+                                  hamiltonian_superoperator)
 from lindbladsim.numerics import dagger
-from lindbladsim.sud import gell_mann_basis
+from lindbladsim.sud import SudError, gell_mann_basis
 
 SQRT3 = np.sqrt(3.0)
 
@@ -47,6 +48,18 @@ def random_diagonal(d, n_terms, rng, scale=1.0, with_h=True):
     return DiagonalGenerator(d=d, H=H, terms=tuple(terms))
 
 
+def dephasing_gks(d, rng):
+    """Driven pure dephasing: a random H and two real diagonal Lindblad operators.
+
+    Every Lindblad operator is Hermitian, so A is real and each spectral
+    vector has canonical angle theta = 0.
+    """
+    terms = tuple((float(rng.uniform(0.3, 1.0)), np.diag(rng.normal(size=d)))
+                  for _ in range(2))
+    H = random_hermitian(d, rng)
+    return from_diagonal(DiagonalGenerator(d=d, H=H, terms=terms), gell_mann_basis(d))
+
+
 def random_mixed_state(d, rng):
     b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = b @ dagger(b)
@@ -56,6 +69,45 @@ def random_mixed_state(d, rng):
 def lambda_atom(gamma1=1.0, gamma2=1.0, phi=np.pi / 3, eta=np.pi / 3, alpha=np.pi / 3):
     """Three-level lambda-configuration generator, states (|e>, |1>, |2>)."""
     return lambda_atom_generator(gamma1, gamma2, phi, eta, alpha)
+
+
+def liouvillian_of_diagonal(g):
+    """Generator matrix built directly from rate/operator terms, an oracle
+    for lindblad.liouvillian_matrix."""
+    d = g.d
+    eye = np.eye(d)
+    S = hamiltonian_superoperator(g.H)
+    for gamma, L in g.terms:
+        Ld = dagger(L)
+        S += gamma * (np.kron(np.conj(L), L)
+                      - 0.5 * np.kron((Ld @ L).T, eye)
+                      - 0.5 * np.kron(eye, Ld @ L))
+    return S
+
+
+def structure_constants(basis):
+    """Real antisymmetric tensor f with [F_g, F_a] = i sum_b f_gab F_b.
+
+    Computed as f_gab = -i tr([F_g, F_a] F_b), returned dense with shape
+    (n, n, n).
+    """
+    F = basis.matrices
+    prod = np.einsum("gij,ajk->gaik", F, F)
+    comm = prod - np.transpose(prod, (1, 0, 2, 3))
+    f = -1j * np.einsum("gaik,bki->gab", comm, F)
+    if np.max(np.abs(f.imag)) > 1e-12:
+        raise SudError("structure constants acquired an imaginary part")
+    return f.real
+
+
+def adjoint_generator(f, r):
+    """Generator sum_g r_g K_g of the adjoint rotation, (K_g)_ab = f_gab.
+
+    exp of this matrix equals sud.adjoint_matrix(exp(i sum_g r_g F_g)); an
+    independent construction path for cross-checks.
+    """
+    r = np.asarray(r, dtype=float)
+    return np.einsum("g,gab->ab", r, f)
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, SQRT3, THETA2,
-                      lambda_atom, random_diagonal, random_mixed_state)
+                      adjoint_generator, lambda_atom, random_diagonal, random_mixed_state,
+                      structure_constants)
 from lindbladsim.decompose import (canonical_phase, decompose_generator, decompose_term,
                                    diagonalizing_unitary, plan_gks_matrix,
                                    reconstruct_vectors, RankOneTerm, spectral_split,
@@ -20,8 +21,7 @@ from lindbladsim.decompose import (canonical_phase, decompose_generator, decompo
 from lindbladsim.lindblad import (GksGenerator, QuantumState, apply_exact, from_diagonal,
                                   liouvillian_matrix, maximally_mixed, trace_distance)
 from lindbladsim.numerics import dagger, expm, frobenius
-from lindbladsim.sud import (adjoint_generator, adjoint_matrix, from_vector,
-                             gell_mann_basis, structure_constants)
+from lindbladsim.sud import adjoint_matrix, from_vector, gell_mann_basis
 from lindbladsim.trotter import build_plan, nexp_report, prepare_components, run_plan
 
 A1_LITERAL = (AHAT1_R + 1j * AHAT1_I) / np.sqrt(2.0)
@@ -109,8 +109,8 @@ def test_criterion_3_universal_form_verification():
                 worst_term = max(worst_term, verify_plan(p, t, basis))
             A_re = sum((p.lam * plan_gks_matrix(p, basis) for p in plans),
                        np.zeros((basis.n, basis.n), dtype=complex))
-            S_in = liouvillian_matrix(g).S
-            S_re = liouvillian_matrix(GksGenerator(basis=basis, H=g.H, A=A_re)).S
+            S_in = liouvillian_matrix(g)
+            S_re = liouvillian_matrix(GksGenerator(basis=basis, H=g.H, A=A_re))
             worst_liou = max(worst_liou, frobenius(S_in - S_re))
     elapsed = time.perf_counter() - start
     ok = worst_term <= 1e-8 and worst_liou <= 1e-8 and elapsed < 60.0
@@ -138,8 +138,7 @@ def test_criterion_4_trotter_error_bound():
     runs = 0
     for d, g, state_seed in _criterion_4_instances():
         state_rng = np.random.default_rng(state_seed)
-        H, plans = decompose_generator(g)
-        components = prepare_components(H, plans, g.basis)
+        components = prepare_components(g, decompose_generator(g))
         rho0 = QuantumState(d=d, rho=random_mixed_state(d, state_rng))
         for t in (0.5, 1.0, 2.0):
             oracle = apply_exact(g, rho0, t)
@@ -203,8 +202,7 @@ def test_criterion_6_cptp_properties():
             for _ in range(5):
                 g = from_diagonal(random_diagonal(d, 2, rng), gell_mann_basis(d))
                 rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
-                H, plans = decompose_generator(g)
-                comps = prepare_components(H, plans, g.basis)
+                comps = prepare_components(g, decompose_generator(g))
                 for t, eps in ((1.0, 1e-2), (2.0, 1e-3)):
                     states.append(apply_exact(g, rho0, t).rho)
                     plan = build_plan(comps, eps, t)
@@ -246,8 +244,7 @@ def test_criterion_8_convergence_order():
     start = time.perf_counter()
     rng = np.random.default_rng(8)
     g = from_diagonal(random_diagonal(2, 2, rng), gell_mann_basis(2))  # H + 2 terms: m = 3
-    H, plans = decompose_generator(g)
-    comps = prepare_components(H, plans, g.basis)
+    comps = prepare_components(g, decompose_generator(g))
     m = len(comps)
     assert m == 3
     t = 1.0

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, random_gks
+from conftest import GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, random_diagonal, random_gks
 from lindbladsim import serialize
 from lindbladsim.cli import main
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix, maximally_mixed
@@ -133,8 +133,8 @@ def test_decompose_plan_file_reassembles_liouvillian(tmp_path, rng):
         G = adjoint_matrix(U, b)
         A += p["lambda"] * (G @ np.outer(v, np.conj(v)) @ G.T)
     H = serialize.json_to_matrix(doc["H"])
-    S_in = liouvillian_matrix(g).S
-    S_re = liouvillian_matrix(GksGenerator(basis=b, H=H, A=A)).S
+    S_in = liouvillian_matrix(g)
+    S_re = liouvillian_matrix(GksGenerator(basis=b, H=H, A=A))
     assert np.max(np.abs(S_in - S_re)) < 1e-8
 
 
@@ -300,6 +300,10 @@ COST = ["cost", "--m", "2", "--t", "1", "--L1", "2", "--L2", "1"]
     ["example-lambda", "--t", "0", "--eps", "nan"], ["example-lambda", "--gamma1", "nan"],
     ["example-lambda", "--gamma2", "inf"], ["example-lambda", "--phi", "nan"],
     ["example-lambda", "--alpha", "inf"],
+    # finite inputs that overflow the planner: x = 4 e m t L2 / eps, r L1, the N_exp bounds
+    ["cost", "--m", "2", "--t", "1e300", "--eps", "1e-300", "--L1", "1", "--L2", "1"],
+    ["cost", "--m", "2", "--t", "1", "--L1", "1e308", "--L2", "1"],
+    ["cost", "--m", "2", "--t", "1", "--L1", "1e306", "--L2", "1"],  # r L1 finite, bounds not
 ], ids=" ".join)
 def test_non_finite_inputs_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -352,14 +356,18 @@ def test_emitted_json_roundtrips_byte_identical(tmp_path, rng):
     assert serialize.dumps(reparsed) + "\n" == text
 
 
-def test_decompose_deterministic_bytes(tmp_path, rng):
-    g = random_gks(3, rng)
-    path = tmp_path / "gen.json"
-    write_generator(path, g)
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["decompose", str(path), "--out", str(out1)]) == 0
-    assert main(["decompose", str(path), "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_decompose_deterministic_bytes(tmp_path, rng, capsys):
+    # both document forms, {d, H, A} and {d, H, terms}; stdout carries the same bytes
+    for g in (random_gks(3, rng), random_diagonal(3, 2, rng)):
+        path = tmp_path / "gen.json"
+        write_generator(path, g)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["decompose", str(path), "--out", str(out1)]) == 0
+        assert main(["decompose", str(path), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        capsys.readouterr()
+        assert main(["decompose", str(path)]) == 0
+        assert capsys.readouterr().out == out1.read_text()
 
 
 def test_console_entry_point(tmp_path):

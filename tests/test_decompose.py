@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, THETA2, lambda_atom,
-                      random_gks, random_psd)
+from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, THETA2, dephasing_gks,
+                      lambda_atom, random_gks, random_psd)
 from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
                                    UniversalParams, canonical_phase, decompose_generator,
                                    decompose_term, diagonalizing_unitary, extract_params,
@@ -316,14 +316,12 @@ def test_decompose_hamiltonian_only(rng):
     b = gell_mann_basis(3)
     H = np.diag([1.0, -0.5, -0.5]).astype(complex)
     g = GksGenerator(basis=b, H=H, A=np.zeros((8, 8)))
-    Hout, plans = decompose_generator(g)
-    assert plans == []
-    assert np.array_equal(Hout, H)
+    assert decompose_generator(g) == []
 
 
 def test_decompose_lambda_atom_two_plans():
     g = lambda_atom(1.0, 0.25)
-    _, plans = decompose_generator(g)
+    plans = decompose_generator(g)
     assert [p.lam for p in plans] == pytest.approx([1.0, 0.25], abs=1e-12)
     thetas = sorted(p.params.theta for p in plans)
     assert thetas == pytest.approx(sorted([math.pi / 4, THETA2]), abs=1e-10)
@@ -331,15 +329,18 @@ def test_decompose_lambda_atom_two_plans():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_decompose_reassembly(d, rng):
-    for _ in range(5):
-        g = random_gks(d, rng)
-        H, plans = decompose_generator(g)
+    generators = [random_gks(d, rng) for _ in range(5)]
+    generators.append(dephasing_gks(d, rng))  # Hermitian Lindblad operators
+    for g in generators:
+        plans = decompose_generator(g)
         A_re = sum(p.lam * plan_gks_matrix(p, g.basis) for p in plans)
-        S_in = liouvillian_matrix(g).S
-        S_re = liouvillian_matrix(GksGenerator(basis=g.basis, H=H, A=A_re)).S
+        S_in = liouvillian_matrix(g)
+        S_re = liouvillian_matrix(GksGenerator(basis=g.basis, H=g.H, A=A_re))
         assert np.max(np.abs(S_in - S_re)) < 1e-8
         for term, plan in zip(spectral_split(g), plans):
             assert verify_plan(plan, term, g.basis) < 1e-8
+    # plans of the last generator, the dephasing one, take decompose_term's theta = 0 branch
+    assert plans and all(p.params.theta == 0.0 for p in plans)
 
 
 def test_verify_plan_negative_control(rng):
@@ -363,8 +364,8 @@ def test_verify_plan_d2_trivial():
 
 def test_plans_deterministic(rng):
     g = random_gks(3, rng)
-    _, plans1 = decompose_generator(g)
-    _, plans2 = decompose_generator(g)
+    plans1 = decompose_generator(g)
+    plans2 = decompose_generator(g)
     for p1, p2 in zip(plans1, plans2):
         assert np.array_equal(p1.U, p2.U)
         assert p1.params == p2.params

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import SQRT3, lambda_atom, random_diagonal, random_gks, random_mixed_state
+from conftest import (SQRT3, lambda_atom, liouvillian_of_diagonal, random_diagonal,
+                      random_gks, random_mixed_state)
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
-                                  QuantumState, Superoperator, apply_exact, from_diagonal,
-                                  liouvillian_matrix, liouvillian_of_diagonal,
-                                  maximally_mixed, one_one_norm, to_diagonal,
-                                  trace_distance, unvec, vec)
+                                  QuantumState, apply_exact, from_diagonal,
+                                  liouvillian_matrix, maximally_mixed, one_one_norm,
+                                  to_diagonal, trace_distance, unvec, vec)
 from lindbladsim.numerics import dagger, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
 
@@ -53,8 +55,8 @@ def test_from_diagonal_matches_direct_liouvillian(rng):
         shifted = tuple((gamma, L + rng.normal() * np.eye(d) + 1j * rng.normal() * np.eye(d))
                         for gamma, L in dg.terms)
         dg = DiagonalGenerator(d=d, H=dg.H, terms=shifted)
-        S_direct = liouvillian_of_diagonal(dg).S
-        S_gks = liouvillian_matrix(from_diagonal(dg)).S
+        S_direct = liouvillian_of_diagonal(dg)
+        S_gks = liouvillian_matrix(from_diagonal(dg))
         assert np.max(np.abs(S_direct - S_gks)) < 1e-10
 
 
@@ -73,15 +75,15 @@ def test_to_diagonal_zero_matrix():
 def test_diagonal_roundtrip_preserves_liouvillian(rng):
     for d in (2, 3, 4):
         g = random_gks(d, rng)
-        S = liouvillian_matrix(g).S
+        S = liouvillian_matrix(g)
         g2 = from_diagonal(to_diagonal(g), g.basis)
-        assert np.max(np.abs(liouvillian_matrix(g2).S - S)) < 1e-10
+        assert np.max(np.abs(liouvillian_matrix(g2) - S)) < 1e-10
 
 
 def test_liouvillian_zero():
     b = gell_mann_basis(2)
     g = GksGenerator(basis=b, H=np.zeros((2, 2)), A=np.zeros((3, 3)))
-    assert np.max(np.abs(liouvillian_matrix(g).S)) == 0.0
+    assert np.max(np.abs(liouvillian_matrix(g))) == 0.0
 
 
 def test_liouvillian_pure_hamiltonian(rng):
@@ -89,7 +91,7 @@ def test_liouvillian_pure_hamiltonian(rng):
     H = np.diag([0.5, -0.5]).astype(complex)
     g = GksGenerator(basis=b, H=H, A=np.zeros((3, 3)))
     t = 0.73
-    E = expm(t * liouvillian_matrix(g).S)
+    E = expm(t * liouvillian_matrix(g))
     rho = random_mixed_state(2, rng)
     u = expm(-1j * H * t)
     assert np.max(np.abs(unvec(E @ vec(rho), 2) - u @ rho @ dagger(u))) < 1e-10
@@ -99,7 +101,7 @@ def test_liouvillian_amplitude_damping_closed_form():
     # rho_ee -> e^-t rho_ee, coherences -> e^-(t/2), population flows to |g>
     g = amplitude_damping()
     t = 0.9
-    E = expm(t * liouvillian_matrix(g).S)
+    E = expm(t * liouvillian_matrix(g))
     et, eh = np.exp(-t), np.exp(-t / 2)
     expected = np.array([
         [1, 0, 0, 1 - et],
@@ -133,18 +135,20 @@ def test_apply_exact_damping_fixed_point():
 
 
 def test_apply_exact_rejects_negative_time():
-    with pytest.raises(LindbladError):
-        apply_exact(amplitude_damping(), maximally_mixed(2), -1.0)
+    for t in (-1.0, math.nan, math.inf):  # negative or non-finite
+        with pytest.raises(LindbladError):
+            apply_exact(amplitude_damping(), maximally_mixed(2), t)
 
 
 def test_one_one_norm_zero():
-    S = Superoperator(d=2, S=np.zeros((4, 4)))
-    assert one_one_norm(S) == 0.0
+    assert one_one_norm(np.zeros((4, 4))) == 0.0
+    for shape in ((4, 5), (5, 5), (4,)):  # not d^2 x d^2
+        with pytest.raises(LindbladError):
+            one_one_norm(np.zeros(shape))
 
 
 def test_one_one_norm_identity_channel():
-    S = Superoperator(d=2, S=np.eye(4))
-    val = one_one_norm(S)
+    val = one_one_norm(np.eye(4))
     assert 1.0 <= val <= 1.001 + 1e-9
 
 
@@ -158,7 +162,7 @@ def test_one_one_norm_dominates_dense_sampling(rng):
         phi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
         phi /= np.linalg.norm(phi)
-        best = max(best, trace_norm(S(np.outer(psi, np.conj(phi)))))
+        best = max(best, trace_norm(unvec(S @ vec(np.outer(psi, np.conj(phi))), 2)))
     assert est >= best
 
 
@@ -192,7 +196,7 @@ def test_superoperator_trace_preserving_exponential(rng):
     g = random_gks(3, rng)
     S = liouvillian_matrix(g)
     rho = random_mixed_state(3, rng)
-    evolved = unvec(expm(1.7 * S.S) @ vec(rho), 3)
+    evolved = unvec(expm(1.7 * S) @ vec(rho), 3)
     assert abs(np.trace(evolved) - 1.0) < 1e-9
 
 
@@ -206,6 +210,8 @@ def test_generator_validation_errors():
         DiagonalGenerator(d=2, H=np.zeros((2, 2)), terms=((-0.5, np.eye(2)),))
     with pytest.raises(LindbladError):
         QuantumState(d=2, rho=np.diag([0.9, 0.3]))
+    with pytest.raises(LindbladError):
+        QuantumState(d=2, rho=np.diag([np.nan, 0.5]))
 
 
 def test_trace_distance_basic():

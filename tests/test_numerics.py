@@ -40,7 +40,7 @@ def test_expm_antihermitian_is_unitary(rng):
     for _ in range(10):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = m - dagger(m)
-        assert is_unitary(expm(m), tol=1e-10)
+        assert is_unitary(expm(m))
 
 
 def test_expm_accuracy_at_large_norm(rng):

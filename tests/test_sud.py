@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import adjoint_generator, structure_constants
 from lindbladsim.numerics import dagger, expm
-from lindbladsim.sud import (SudError, adjoint_generator, adjoint_matrix, from_vector,
-                             gell_mann_basis, structure_constants, to_vector)
+from lindbladsim.sud import SudError, adjoint_matrix, from_vector, gell_mann_basis, to_vector
 
 SQRT2 = np.sqrt(2.0)
 
@@ -26,7 +26,8 @@ def test_d2_basis_is_rescaled_paulis():
 
 
 def test_basis_count_d3():
-    assert len(gell_mann_basis(3)) == 8
+    b = gell_mann_basis(3)
+    assert b.n == len(b.matrices) == 8
 
 
 def test_basis_orthonormal_traceless_hermitian_d4():

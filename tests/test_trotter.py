@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import lambda_atom, random_diagonal, random_gks, random_mixed_state
+from conftest import dephasing_gks, lambda_atom, random_diagonal, random_gks, random_mixed_state
 from lindbladsim import trotter
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
@@ -21,8 +21,7 @@ E = math.e
 
 
 def components_for(g):
-    H, plans = decompose_generator(g)
-    return prepare_components(H, plans, g.basis)
+    return prepare_components(g, decompose_generator(g))
 
 
 def component_generator(c):
@@ -146,6 +145,13 @@ def test_select_order_rejects_bad_args():
                 (1e-3, 1.0, 0, 1.0, 0.5)):
         with pytest.raises(TrotterError):
             select_order(*bad)
+    # finite inputs that overflow x = 4 e m t L2 / eps, r L1, the N_exp bounds
+    for overflow in ((1e-300, 1e300, 2, 1.0, 1.0), (1e-3, 1.0, 2, 1e308, 1.0),
+                     (1e-3, 1.0, 2, 1e306, 1.0)):
+        with pytest.raises(TrotterError):
+            step_count(*overflow)
+    with pytest.raises(TrotterError):
+        simulate(lambda_atom(), maximally_mixed(3), 1e300, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +206,17 @@ def test_lambda_atom_within_tolerance():
 
 
 def test_random_generators_meet_accuracy(rng):
-    for d, n_terms in ((2, 3), (3, 2)):
-        g = from_diagonal(random_diagonal(d, n_terms, rng), gell_mann_basis(d))
-        rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
+    def check(g):
+        rho0 = QuantumState(d=g.d, rho=random_mixed_state(g.d, rng))
         for t, eps in ((1.0, 1e-3), (2.0, 1e-2)):
             out, plan, comps = simulate(g, rho0, t=t, eps=eps)
             oracle = apply_exact(g, rho0, t)
             assert trace_distance(out.rho, oracle.rho) <= eps
+
+    for d, n_terms in ((2, 3), (3, 2)):
+        check(from_diagonal(random_diagonal(d, n_terms, rng), gell_mann_basis(d)))
+    for d in (2, 3, 4):  # Hermitian Lindblad operators: the theta = 0 plans
+        check(dephasing_gks(d, rng))
 
 
 def test_accuracy_over_dense_state_sample(rng):
@@ -319,6 +329,14 @@ def test_build_plan_empty_is_the_zero_plan():
                                                            m=0, L1=0.0)
     zero = build_plan(comps, eps=1e-3, t=0.0)
     assert (zero.n_reps, zero.schedule, zero.bound_res) == (0, (), None)
+    # the trivial path still refuses what every run refuses
+    for t, eps in ((0.0, -1.0), (0.0, math.nan), (0.0, 0.0), (-1.0, 1e-3), (math.nan, 1e-3),
+                   (math.inf, 1e-3)):
+        for cs in ([], comps):
+            with pytest.raises(TrotterError):
+                build_plan(cs, eps=eps, t=t)
+    with pytest.raises(TrotterError):
+        simulate(lambda_atom(), maximally_mixed(3), 0.0, -1.0)
 
 
 def test_nexp_per_block_m2_k1():
