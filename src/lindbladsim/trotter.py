@@ -167,11 +167,14 @@ def select_order(eps: float, t: float, m: int, L1: float, L2: float):
     """Half-order k and block parameter r from the cost-bound formulas.
 
     This is the one check of the planner's inputs, written so that NaN
-    and inf fail it too.  Finite inputs can still overflow x or the
-    step count r L1; those are refused here as well.
+    and inf fail it too.  m is capped at 2^53, up to which a float holds
+    every integer exactly, so the formulas' float(m) neither rounds nor
+    overflows.  Finite inputs can still overflow x or the step count r L1;
+    those are refused here as well.
     """
-    if not (m >= 1 and 0 < eps < math.inf and 0 < t < math.inf and 0 < L2 <= L1 < math.inf):
-        raise TrotterError("need m >= 1 and finite eps > 0, t > 0, L1 >= L2 > 0")
+    if not (1 <= m <= 2 ** 53 and 0 < eps < math.inf and 0 < t < math.inf
+            and 0 < L2 <= L1 < math.inf):
+        raise TrotterError("need 1 <= m <= 2^53 and finite eps > 0, t > 0, L1 >= L2 > 0")
     x = 4.0 * E * m * t * L2 / eps
     if x == math.inf:
         raise TrotterError("4 e m t L2 / eps overflows")

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from lindbladsim.cli import lambda_atom_generator
-from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal,
-                                  hamiltonian_superoperator)
-from lindbladsim.numerics import dagger
+from lindbladsim.lindblad import (NORM_ITERS, NORM_SAFETY, NORM_SEED, NORM_STARTS, NORM_TOL,
+                                  DiagonalGenerator, GksGenerator, from_diagonal,
+                                  hamiltonian_superoperator, unvec, vec)
+from lindbladsim.numerics import dagger, frobenius
 from lindbladsim.sud import SudError, gell_mann_basis
 
 SQRT3 = np.sqrt(3.0)
@@ -108,6 +111,49 @@ def adjoint_generator(f, r):
     """
     r = np.asarray(r, dtype=float)
     return np.einsum("g,gab->ab", r, f)
+
+
+def serial_one_one_norm(S):
+    """lindblad.one_one_norm with its starts run one at a time, an oracle the
+    batched estimator must match bit for bit."""
+    M = np.asarray(S, dtype=complex)
+    d = math.isqrt(M.shape[0])
+    if frobenius(M) == 0.0:
+        return 0.0
+    rng = np.random.default_rng(NORM_SEED)
+    Mdag = dagger(M)
+
+    def alternate(psi, phi):
+        val = 0.0
+        for _ in range(NORM_ITERS):
+            Y = unvec(M @ vec(np.outer(psi, np.conj(phi))), d)
+            u, _, vh = np.linalg.svd(Y)
+            W = u @ vh
+            # tr(W† S(psi phi†)) = vec(W)† M (conj(phi) kron psi) = phi† K psi
+            K = dagger(unvec(Mdag @ vec(W), d))
+            uu, ss, vvh = np.linalg.svd(K)
+            new = float(ss[0])
+            phi = uu[:, 0]
+            psi = np.conj(vvh[0, :])
+            if abs(new - val) <= NORM_TOL * max(1.0, new):
+                val = new
+                break
+            val = new
+        return val
+
+    best = 0.0
+    # structured starts: computational-basis dyads
+    for i in range(d):
+        for j in range(d):
+            e_i, e_j = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+            e_i[i] = 1.0
+            e_j[j] = 1.0
+            best = max(best, alternate(e_i, e_j))
+    for _ in range(NORM_STARTS):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        best = max(best, alternate(psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)))
+    return best * NORM_SAFETY
 
 
 @pytest.fixture

@@ -304,6 +304,7 @@ COST = ["cost", "--m", "2", "--t", "1", "--L1", "2", "--L2", "1"]
     ["cost", "--m", "2", "--t", "1e300", "--eps", "1e-300", "--L1", "1", "--L2", "1"],
     ["cost", "--m", "2", "--t", "1", "--L1", "1e308", "--L2", "1"],
     ["cost", "--m", "2", "--t", "1", "--L1", "1e306", "--L2", "1"],  # r L1 finite, bounds not
+    ["cost", "--m", "1" + "0" * 400, "--t", "1", "--L1", "2", "--L2", "1"],  # m beyond a float
 ], ids=" ".join)
 def test_non_finite_inputs_exit_1(argv, capsys):
     assert main(argv) == 1

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import (SQRT3, lambda_atom, liouvillian_of_diagonal, random_diagonal,
-                      random_gks, random_mixed_state)
+                      random_gks, random_hermitian, random_mixed_state)
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
                                   QuantumState, apply_exact, from_diagonal,
-                                  liouvillian_matrix, maximally_mixed, one_one_norm,
-                                  to_diagonal, trace_distance, unvec, vec)
+                                  hamiltonian_superoperator, liouvillian_matrix, maximally_mixed,
+                                  one_one_norm, to_diagonal, trace_distance, unvec, vec)
 from lindbladsim.numerics import dagger, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
 
@@ -145,6 +145,21 @@ def test_one_one_norm_zero():
     for shape in ((4, 5), (5, 5), (4,)):  # not d^2 x d^2
         with pytest.raises(LindbladError):
             one_one_norm(np.zeros(shape))
+    for bad in (math.nan, math.inf):
+        S = np.eye(4, dtype=complex)
+        S[1, 2] = bad
+        with pytest.raises(LindbladError, match="finite"):
+            one_one_norm(S)
+
+
+def test_one_one_norm_bounds_hamiltonian_closed_form(rng):
+    # the (1->1) norm of rho -> i[rho, H] is exactly lambda_max(H) - lambda_min(H);
+    # the estimate lands at about NORM_SAFETY times it
+    for d in range(2, 7):
+        for _ in range(5):
+            H = random_hermitian(d, rng)
+            w = np.linalg.eigvalsh(H)
+            assert one_one_norm(hamiltonian_superoperator(H)) >= w[-1] - w[0]
 
 
 def test_one_one_norm_identity_channel():

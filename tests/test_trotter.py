@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dephasing_gks, lambda_atom, random_diagonal, random_gks, random_mixed_state
+from conftest import (dephasing_gks, lambda_atom, random_diagonal, random_gks, random_mixed_state,
+                      serial_one_one_norm)
 from lindbladsim import trotter
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
@@ -12,8 +13,9 @@ from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
 from lindbladsim.numerics import expm, frobenius
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import (TrotterError, TrotterPlan, block_superoperator, build_plan,
-                                 merge_adjacent, nexp_bound_closed_form, nexp_bound_res,
-                                 nexp_report, prepare_components, run_plan, s2_schedule,
+                                 dissipative_component, hamiltonian_component, merge_adjacent,
+                                 nexp_bound_closed_form, nexp_bound_res, nexp_report,
+                                 prepare_components, run_plan, s2_schedule,
                                  s2k_schedule, segments_per_block, select_order, simulate,
                                  step_count, suzuki_p)
 
@@ -105,6 +107,24 @@ def test_s2k_rejects_bad_order():
 
 
 # ---------------------------------------------------------------------------
+# components
+# ---------------------------------------------------------------------------
+
+def test_component_norms_match_serial_estimator():
+    """The batched estimator gives every component the norm of the
+    one-start-at-a-time loop, bit for bit; at d = 6 a few components keep
+    the serial oracle's cost (~45 ms each) down."""
+    cases = [(lambda_atom(), None)] + [(random_gks(d, np.random.default_rng(1)), None)
+                                       for d in range(2, 6)]
+    cases.append((random_gks(6, np.random.default_rng(1)), 2))
+    for g, n_plans in cases:
+        comps = [hamiltonian_component(g.H)]
+        comps += [dissipative_component(p, g.basis) for p in decompose_generator(g)[:n_plans]]
+        for c in comps:
+            assert c.norm == serial_one_one_norm(component_generator(c))
+
+
+# ---------------------------------------------------------------------------
 # order selection and bounds
 # ---------------------------------------------------------------------------
 
@@ -152,6 +172,8 @@ def test_select_order_rejects_bad_args():
             step_count(*overflow)
     with pytest.raises(TrotterError):
         simulate(lambda_atom(), maximally_mixed(3), 1e300, 1e-3)
+    with pytest.raises(TrotterError):  # an int m too large for a float
+        step_count(1e-3, 1.0, 10 ** 400, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
