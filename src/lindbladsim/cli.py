@@ -126,14 +126,7 @@ def _trotter_run(g, plans, rho0, t: float, eps: float) -> dict:
 
 
 def cmd_validate(args) -> int:
-    doc = _load_json(args.generator)
-    try:
-        g = serialize.parse_generator(doc)
-    except serialize.SerializeError as exc:
-        raise CliError(str(exc), EXIT_IO)
-    except DOMAIN_ERRORS as exc:
-        print(f"invalid generator: {exc}")
-        return EXIT_INVALID
+    g = _parse_generator_file(args.generator)
     herm = frobenius(g.H - dagger(g.H))
     eigs = np.linalg.eigvalsh(0.5 * (g.A + dagger(g.A)))
     m = len(spectral_split(g))

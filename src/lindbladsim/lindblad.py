@@ -16,6 +16,8 @@ Vectorization is column-stacking throughout: vec(X rho Y) = (Y^T kron X) vec(rho
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +58,21 @@ def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
     return np.kron(np.conj(U), U)
 
 
+def _require_hermitian(X: np.ndarray, name: str) -> None:
+    """Refuse X unless ||X - X†||_F <= 1e-10 max(1, ||X||_F).
+
+    Both sides are evaluated on X scaled by a power of two at or above its
+    largest real or imaginary part, so neither norm overflows; a power of
+    two scales exactly, so the answer is the unscaled test's wherever the
+    unscaled norms are finite.
+    """
+    top = max(np.max(np.abs(X.real), initial=1.0), np.max(np.abs(X.imag), initial=1.0))
+    unit = 2.0 ** -math.frexp(top)[1]
+    Xs = X * unit
+    if frobenius(Xs - dagger(Xs)) > 1e-10 * max(unit, frobenius(Xs)):
+        raise LindbladError(f"{name} is not Hermitian within tolerance")
+
+
 @dataclass(frozen=True)
 class GksGenerator:
     """Generator data (H, A) over a fixed Gell-Mann basis."""
@@ -74,10 +91,8 @@ class GksGenerator:
             raise LindbladError(f"A must be {n}x{n}, got {A.shape}")
         if not (np.isfinite(H).all() and np.isfinite(A).all()):
             raise LindbladError("H and A must be finite")
-        if frobenius(H - dagger(H)) > 1e-10 * max(1.0, frobenius(H)):
-            raise LindbladError("H is not Hermitian within tolerance")
-        if frobenius(A - dagger(A)) > 1e-10 * max(1.0, frobenius(A)):
-            raise LindbladError("A is not Hermitian within tolerance")
+        _require_hermitian(H, "H")
+        _require_hermitian(A, "A")
         w = np.linalg.eigvalsh(0.5 * (A + dagger(A)))
         scale = max(float(np.max(np.abs(w))), 1e-300)
         if w.min() < -1e-10 * scale:
@@ -104,8 +119,7 @@ class DiagonalGenerator:
             raise LindbladError(f"H must be {self.d}x{self.d}, got {H.shape}")
         if not np.isfinite(H).all():
             raise LindbladError("H must be finite")
-        if frobenius(H - dagger(H)) > 1e-10 * max(1.0, frobenius(H)):
-            raise LindbladError("H is not Hermitian within tolerance")
+        _require_hermitian(H, "H")
         terms = []
         for gamma, L in self.terms:
             if not 0 <= gamma < math.inf:  # written so that NaN fails too
@@ -233,6 +247,40 @@ def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:
     return QuantumState(d=g.d, rho=rho)
 
 
+def _ascend(M: np.ndarray, Mdag: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> float:
+    """Largest value among the starts (psi, phi) of one_one_norm's
+    alternating maximization, all advanced as one batch; each start leaves
+    the batch at its own tolerance, so its arithmetic does not depend on
+    which other starts share the batch.  Overwrites psi and phi."""
+    n, d = psi.shape
+    val = np.zeros(n)
+    live = np.arange(n)
+    for _ in range(NORM_ITERS):
+        # row s of X is vec(psi_s phi_s†), its factors in np.outer's order; a
+        # stacked matmul on contiguous columns reproduces M @ v bit for bit
+        X = (psi[live, None, :] * np.conj(phi[live])[:, :, None]).reshape(-1, d * d)
+        Y = np.matmul(M, X[:, :, None]).reshape(-1, d, d).transpose(0, 2, 1)
+        u, _, vh = np.linalg.svd(Y)
+        W = (u @ vh).transpose(0, 2, 1).reshape(-1, d * d)
+        # tr(W† S(psi phi†)) = vec(W)† M (conj(phi) kron psi) = phi† K psi
+        K = np.conj(np.matmul(Mdag, W[:, :, None]).reshape(-1, d, d))
+        uu, ss, vvh = np.linalg.svd(K)
+        new = ss[:, 0]
+        phi[live], psi[live] = uu[:, :, 0], np.conj(vvh[:, 0, :])
+        done = np.abs(new - val[live]) <= NORM_TOL * np.maximum(1.0, new)
+        val[live] = new
+        live = live[~done]
+        if live.size == 0:
+            break
+    return float(val.max())
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def one_one_norm(S: np.ndarray) -> float:
     """Estimate of the (1->1) norm sup_{||X||_1 = 1} ||S(X)||_1.
 
@@ -242,13 +290,17 @@ def one_one_norm(S: np.ndarray) -> float:
     unitary W of the trace norm is the polar factor of S(|psi><phi|), and
     for fixed W the best (psi, phi) is the top singular pair of the matrix
     K with tr(W† S(|psi><phi|)) = phi† K psi.  Multi-start with a generator
-    seeded by NORM_SEED keeps the result deterministic; the safety factor
-    biases the converged value upward so the estimate errs on the side of more
-    product-formula steps, never fewer.  S is a d^2 x d^2 matrix acting on
-    column-stacked d x d matrices.
+    seeded by NORM_SEED keeps the result deterministic.  The converged
+    maximum is a value attained by some input, so it is a lower bound on
+    the norm; the factor NORM_SAFETY lifts it by a heuristic margin, not a
+    proven one.  S is a d^2 x d^2 matrix acting on column-stacked d x d
+    matrices.
 
     All starts advance as one batch, each leaving it at its own tolerance,
-    so the estimate is bit for bit that of running them one at a time.
+    so the estimate is bit for bit that of running them one at a time.  At
+    d >= 4, when the process may run on at least two CPUs, the even and
+    the odd starts run as two batches on two threads (numpy's batched SVD
+    releases the interpreter lock), with the same bits.
     """
     M = np.asarray(S, dtype=complex)
     d = math.isqrt(M.shape[0])
@@ -270,26 +322,15 @@ def one_one_norm(S: np.ndarray) -> float:
         p = rng.normal(size=d) + 1j * rng.normal(size=d)
         q = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi[s], phi[s] = p / np.linalg.norm(p), q / np.linalg.norm(q)
-    val = np.zeros(n)
-    live = np.arange(n)
-    for _ in range(NORM_ITERS):
-        # row s of X is vec(psi_s phi_s†), its factors in np.outer's order; a
-        # stacked matmul on contiguous columns reproduces M @ v bit for bit
-        X = (psi[live, None, :] * np.conj(phi[live])[:, :, None]).reshape(-1, d * d)
-        Y = np.matmul(M, X[:, :, None]).reshape(-1, d, d).transpose(0, 2, 1)
-        u, _, vh = np.linalg.svd(Y)
-        W = (u @ vh).transpose(0, 2, 1).reshape(-1, d * d)
-        # tr(W† S(psi phi†)) = vec(W)† M (conj(phi) kron psi) = phi† K psi
-        K = np.conj(np.matmul(Mdag, W[:, :, None]).reshape(-1, d, d))
-        uu, ss, vvh = np.linalg.svd(K)
-        new = ss[:, 0]
-        phi[live], psi[live] = uu[:, :, 0], np.conj(vvh[:, 0, :])
-        done = np.abs(new - val[live]) <= NORM_TOL * np.maximum(1.0, new)
-        val[live] = new
-        live = live[~done]
-        if live.size == 0:
-            break
-    return float(val.max()) * NORM_SAFETY
+    # below d = 4, or on one CPU, a second thread measured slower; the
+    # interleaved halves share out the slow starts, and an executor per
+    # call leaves no thread behind it
+    if d < 4 or _usable_cpus() < 2:
+        return _ascend(M, Mdag, psi, phi) * NORM_SAFETY
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        odd = worker.submit(_ascend, M, Mdag, psi[1::2], phi[1::2])
+        even = _ascend(M, Mdag, psi[::2], phi[::2])
+        return max(even, odd.result()) * NORM_SAFETY
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -43,6 +43,18 @@ def test_validate_rejects_non_hermitian_h(tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+def test_validate_rejects_overflowing_non_hermitian_h(tmp_path, capsys):
+    # both norms in the Hermiticity check overflow for this H
+    zero = [0.0, 0.0]
+    doc = {"d": 2, "H": [[zero, [1e200, 0.0]], [zero, zero]], "terms": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1  # a warning would raise here
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: H is not Hermitian within tolerance\n"
+
+
 def test_validate_rejects_malformed_json(tmp_path):
     zero2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     jump = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

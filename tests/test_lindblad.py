@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import (SQRT3, lambda_atom, liouvillian_of_diagonal, random_diagonal,
-                      random_gks, random_hermitian, random_mixed_state)
+                      random_gks, random_hermitian, random_mixed_state, serial_one_one_norm)
+from lindbladsim import lindblad
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
                                   QuantumState, apply_exact, from_diagonal,
                                   hamiltonian_superoperator, liouvillian_matrix, maximally_mixed,
@@ -187,6 +189,43 @@ def test_one_one_norm_deterministic(rng):
     assert one_one_norm(S) == one_one_norm(S)
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_one_one_norm_paths_match_serial_estimator(monkeypatch, rng, cpus):
+    """On one usable CPU the starts run as one batch, on two as two halves
+    on two threads; both give the serial loop's bits and leave no thread."""
+    monkeypatch.setattr(lindblad.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    ascend, on_main = lindblad._ascend, set()
+
+    def recording_ascend(*args):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return ascend(*args)
+
+    monkeypatch.setattr(lindblad, "_ascend", recording_ascend)
+    before = threading.active_count()
+    for d in (4, 6):
+        for S in (hamiltonian_superoperator(random_hermitian(d, rng)),
+                  liouvillian_matrix(random_gks(d, rng))):
+            assert one_one_norm(S) == serial_one_one_norm(S)
+    assert threading.active_count() == before
+    assert on_main == ({True} if len(cpus) == 1 else {True, False})
+
+
+def test_one_one_norm_raises_worker_failure(monkeypatch, rng):
+    monkeypatch.setattr(lindblad.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    svd = np.linalg.svd
+
+    def svd_failing_off_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad.np.linalg, "svd", svd_failing_off_main_thread)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError):
+        one_one_norm(liouvillian_matrix(random_gks(4, rng)))
+    assert threading.active_count() == before
+
+
 def test_exact_channel_is_cptp(rng):
     for d in (2, 3):
         for _ in range(5):
@@ -221,6 +260,13 @@ def test_generator_validation_errors():
         GksGenerator(basis=b, H=np.array([[0, 1], [0, 0]]), A=np.zeros((3, 3)))
     with pytest.raises(LindbladError):
         GksGenerator(basis=b, H=np.zeros((2, 2)), A=-np.eye(3))
+    huge = np.array([[0, 1e200], [0, 0]])  # its Hermiticity residual overflows
+    with pytest.raises(LindbladError, match="H is not Hermitian"):
+        GksGenerator(basis=b, H=huge, A=np.zeros((3, 3)))
+    with pytest.raises(LindbladError, match="H is not Hermitian"):
+        DiagonalGenerator(d=2, H=huge)
+    with pytest.raises(LindbladError, match="A is not Hermitian"):
+        GksGenerator(basis=b, H=np.zeros((2, 2)), A=np.pad(huge, ((0, 1), (0, 1))))
     with pytest.raises(LindbladError):
         DiagonalGenerator(d=2, H=np.zeros((2, 2)), terms=((-0.5, np.eye(2)),))
     with pytest.raises(LindbladError):
@@ -234,3 +280,12 @@ def test_trace_distance_basic():
     sig = np.diag([0.0, 1.0])
     assert trace_distance(rho, sig) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_hermiticity_tolerance_is_scale_free():
+    # ||H - H†|| <= 1e-10 max(1, ||H||) at any scale; at 1e200 both norms
+    # overflow to inf unless the check scales H first
+    for scale in (1.0, 1e200):
+        DiagonalGenerator(d=2, H=scale * np.array([[0, 1], [1 + 1e-11, 0]]))
+        with pytest.raises(LindbladError, match="H is not Hermitian"):
+            DiagonalGenerator(d=2, H=scale * np.array([[0, 1], [1 + 1e-9, 0]]))
