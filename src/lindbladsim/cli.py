@@ -24,7 +24,7 @@ from . import serialize
 from .decompose import (DecomposeError, decompose_generator, decompose_term, spectral_split,
                         verify_plan)
 from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, from_diagonal,
-                       maximally_mixed, trace_distance)
+                       maximally_mixed, positivity_spectrum, trace_distance)
 from .numerics import NumericsError, dagger, frobenius
 from .sud import SudError, gell_mann_basis
 from .trotter import TrotterError, nexp_report, segments_per_block, simulate_plans, step_count
@@ -128,7 +128,7 @@ def _trotter_run(g, plans, rho0, t: float, eps: float) -> dict:
 def cmd_validate(args) -> int:
     g = _parse_generator_file(args.generator)
     herm = frobenius(g.H - dagger(g.H))
-    eigs = np.linalg.eigvalsh(0.5 * (g.A + dagger(g.A)))
+    eigs = positivity_spectrum(g.A)
     m = len(spectral_split(g))
     print(f"d = {g.d}")
     print(f"hermiticity residual of H = {herm:.3e}")

@@ -9,15 +9,13 @@ or equivalently, after diagonalizing A, by rates gamma_k and Lindblad
 operators L_k.  This module converts between the two forms, builds the
 d^2 x d^2 matrix of L under column-stacking vectorization, applies the exact
 channel exp(tL) (the oracle all approximate simulations are judged
-against), and estimates the (1->1) superoperator norm that drives
-product-formula step selection.
+against), and gives the closed-form upper bound on the (1->1)
+superoperator norm that drives product-formula step selection.
 
 Vectorization is column-stacking throughout: vec(X rho Y) = (Y^T kron X) vec(rho).
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +31,6 @@ class LindbladError(ValueError):
 
 # eigenvalues of A at or below this share of the largest are roundoff zeros
 EIGEN_CUTOFF = 1e-12
-
-# (1->1) norm estimator: random starts beyond the d^2 structured ones and
-# their seed, iterations per start, convergence tolerance, upward safety factor
-NORM_STARTS = 12
-NORM_SEED = 0
-NORM_ITERS = 200
-NORM_TOL = 1e-12
-NORM_SAFETY = 1.001
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -59,18 +49,15 @@ def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(X: np.ndarray, name: str) -> None:
-    """Refuse X unless ||X - X†||_F <= 1e-10 max(1, ||X||_F).
-
-    Both sides are evaluated on X scaled by a power of two at or above its
-    largest real or imaginary part, so neither norm overflows; a power of
-    two scales exactly, so the answer is the unscaled test's wherever the
-    unscaled norms are finite.
-    """
-    top = max(np.max(np.abs(X.real), initial=1.0), np.max(np.abs(X.imag), initial=1.0))
-    unit = 2.0 ** -math.frexp(top)[1]
-    Xs = X * unit
-    if frobenius(Xs - dagger(Xs)) > 1e-10 * max(unit, frobenius(Xs)):
+    """Refuse X unless ||X - X†||_F <= 1e-10 max(1, ||X||_F); the difference
+    is formed from halves, which cannot overflow."""
+    if 2.0 * frobenius(0.5 * X - 0.5 * dagger(X)) > 1e-10 * max(1.0, frobenius(X)):
         raise LindbladError(f"{name} is not Hermitian within tolerance")
+
+
+def positivity_spectrum(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of A, formed from halves so no sum overflows."""
+    return np.linalg.eigvalsh(0.5 * A + 0.5 * dagger(A))
 
 
 @dataclass(frozen=True)
@@ -93,7 +80,7 @@ class GksGenerator:
             raise LindbladError("H and A must be finite")
         _require_hermitian(H, "H")
         _require_hermitian(A, "A")
-        w = np.linalg.eigvalsh(0.5 * (A + dagger(A)))
+        w = positivity_spectrum(A)
         scale = max(float(np.max(np.abs(w))), 1e-300)
         if w.min() < -1e-10 * scale:
             raise LindbladError(f"A is not positive semidefinite (min eigenvalue {w.min():.3e})")
@@ -228,7 +215,8 @@ def dissipator_superoperator(A: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     # sum_lk A_lk F_l rho F_k  ->  sum_lk A_lk kron(F_k^T, F_l); with the
     # column-stacked index (col*d + row) the row axes are (a=out col,
     # i=out row) and the column axes (b=in col, j=in row).
-    S = np.einsum("lk,kba,lij->aibj", A, F, F).reshape(d * d, d * d)
+    B = np.einsum("lk,kba->lba", A, F)
+    S = np.einsum("lba,lij->aibj", B, F).reshape(d * d, d * d)
     Phi = np.einsum("lk,kia,laj->ij", A, F, F)  # sum_lk A_lk F_k F_l
     S = S - 0.5 * (np.kron(Phi.T, eye) + np.kron(eye, Phi))
     return S
@@ -247,90 +235,23 @@ def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:
     return QuantumState(d=g.d, rho=rho)
 
 
-def _ascend(M: np.ndarray, Mdag: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> float:
-    """Largest value among the starts (psi, phi) of one_one_norm's
-    alternating maximization, all advanced as one batch; each start leaves
-    the batch at its own tolerance, so its arithmetic does not depend on
-    which other starts share the batch.  Overwrites psi and phi."""
-    n, d = psi.shape
-    val = np.zeros(n)
-    live = np.arange(n)
-    for _ in range(NORM_ITERS):
-        # row s of X is vec(psi_s phi_s†), its factors in np.outer's order; a
-        # stacked matmul on contiguous columns reproduces M @ v bit for bit
-        X = (psi[live, None, :] * np.conj(phi[live])[:, :, None]).reshape(-1, d * d)
-        Y = np.matmul(M, X[:, :, None]).reshape(-1, d, d).transpose(0, 2, 1)
-        u, _, vh = np.linalg.svd(Y)
-        W = (u @ vh).transpose(0, 2, 1).reshape(-1, d * d)
-        # tr(W† S(psi phi†)) = vec(W)† M (conj(phi) kron psi) = phi† K psi
-        K = np.conj(np.matmul(Mdag, W[:, :, None]).reshape(-1, d, d))
-        uu, ss, vvh = np.linalg.svd(K)
-        new = ss[:, 0]
-        phi[live], psi[live] = uu[:, :, 0], np.conj(vvh[:, 0, :])
-        done = np.abs(new - val[live]) <= NORM_TOL * np.maximum(1.0, new)
-        val[live] = new
-        live = live[~done]
-        if live.size == 0:
-            break
-    return float(val.max())
+def one_one_norm(g: DiagonalGenerator) -> float:
+    """Upper bound lambda_max(H) - lambda_min(H) + sum_k 2 gamma_k ||L_k||_op^2
+    on the (1->1) norm sup_{||X||_1 = 1} ||L(X)||_1 of g's generator.
 
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def one_one_norm(S: np.ndarray) -> float:
-    """Estimate of the (1->1) norm sup_{||X||_1 = 1} ||S(X)||_1.
-
-    The supremum is attained on rank-one extreme points |psi><phi| of the
-    unit trace-norm ball, so we maximize ||S(|psi><phi|)||_1 by alternating
-    two exact partial maximizations: for fixed (psi, phi) the optimal dual
-    unitary W of the trace norm is the polar factor of S(|psi><phi|), and
-    for fixed W the best (psi, phi) is the top singular pair of the matrix
-    K with tr(W† S(|psi><phi|)) = phi† K psi.  Multi-start with a generator
-    seeded by NORM_SEED keeps the result deterministic.  The converged
-    maximum is a value attained by some input, so it is a lower bound on
-    the norm; the factor NORM_SAFETY lifts it by a heuristic margin, not a
-    proven one.  S is a d^2 x d^2 matrix acting on column-stacked d x d
-    matrices.
-
-    All starts advance as one batch, each leaving it at its own tolerance,
-    so the estimate is bit for bit that of running them one at a time.  At
-    d >= 4, when the process may run on at least two CPUs, the even and
-    the odd starts run as two batches on two threads (numpy's batched SVD
-    releases the interpreter lock), with the same bits.
+    The Hamiltonian term is exact: i[X, H] = i[X, H - c], which with c the
+    middle of H's spectrum is at most 2 ||H - c||_op ||X||_1, and X = |a><b|
+    on the top and bottom eigenvectors attains it.  Each rate term holds
+    because ||L X L†||_1 and ||(1/2){L†L, X}||_1 are at most ||L||_op^2 ||X||_1.
+    The result is a Python float, whose arithmetic overflows to inf without
+    a warning.
     """
-    M = np.asarray(S, dtype=complex)
-    d = math.isqrt(M.shape[0])
-    if M.shape != (d * d, d * d):
-        raise LindbladError(f"superoperator must be d^2 x d^2, got {M.shape}")
-    if not np.isfinite(M).all():
-        raise LindbladError("superoperator must be finite")
-    if frobenius(M) == 0.0:
-        return 0.0
-    rng = np.random.default_rng(NORM_SEED)
-    Mdag = dagger(M)
-    # structured starts: computational-basis dyads e_i e_j† in (i, j) order,
-    # then NORM_STARTS random unit pairs
-    n = d * d + NORM_STARTS
-    psi, phi = np.zeros((2, n, d), dtype=complex)
-    psi[:d * d] = np.repeat(np.eye(d), d, axis=0)
-    phi[:d * d] = np.tile(np.eye(d), (d, 1))
-    for s in range(d * d, n):
-        p = rng.normal(size=d) + 1j * rng.normal(size=d)
-        q = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi[s], phi[s] = p / np.linalg.norm(p), q / np.linalg.norm(q)
-    # below d = 4, or on one CPU, a second thread measured slower; the
-    # interleaved halves share out the slow starts, and an executor per
-    # call leaves no thread behind it
-    if d < 4 or _usable_cpus() < 2:
-        return _ascend(M, Mdag, psi, phi) * NORM_SAFETY
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        odd = worker.submit(_ascend, M, Mdag, psi[1::2], phi[1::2])
-        even = _ascend(M, Mdag, psi[::2], phi[::2])
-        return max(even, odd.result()) * NORM_SAFETY
+    w = np.linalg.eigvalsh(g.H)
+    total = float(w[-1]) - float(w[0])
+    for gamma, L in g.terms:
+        s = float(np.linalg.norm(L, 2))
+        total += 2.0 * gamma * s * s
+    return total
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -6,6 +6,8 @@ deterministic ordering/phase convention, and the trace norm.  All functions
 are pure and operate on plain ``numpy`` arrays.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -34,7 +36,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm, which overflows only when the norm itself does: m is
+    first scaled by a power of two, which is exact, to parts below 1."""
+    a = np.asarray(m)
+    top = max(np.max(np.abs(a.real), initial=0.0), np.max(np.abs(a.imag), initial=0.0))
+    unit = 2.0 ** -max(math.frexp(top)[1], 0)
+    return float(np.linalg.norm(a * unit)) / unit
 
 
 def expm(m) -> np.ndarray:

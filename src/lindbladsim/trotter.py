@@ -1,8 +1,8 @@
 """Suzuki-Lie-Trotter recombination of component semigroups.
 
-The generator is split as L = sum_j L_j with component norms
-L1 >= L2 >= ... (1->1 norms).  With normalized components L̂_j = L_j / L1
-the symmetric product formula
+The generator is split as L = sum_j L_j with component norm upper bounds
+L1 >= L2 >= ... (closed-form bounds on the 1->1 norms, lindblad.one_one_norm).
+With normalized components L̂_j = L_j / L1 the symmetric product formula
 
     S_2(lam) = prod_j e^(lam/2 L̂_j) prod_{j reversed} e^(lam/2 L̂_j)
 
@@ -41,10 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import ConjugationPlan, decompose_generator, universal_gks_matrix
-from .lindblad import (GksGenerator, QuantumState, conjugation_superoperator,
-                       dissipator_superoperator, hamiltonian_superoperator, one_one_norm,
-                       unvec, vec)
+from .decompose import ConjugationPlan, decompose_generator, universal_vector
+from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, conjugation_superoperator,
+                       dissipator_superoperator, one_one_norm, unvec, vec)
 from .numerics import expm
 from .sud import GellMannBasis
 
@@ -91,24 +90,28 @@ class Component:
 def hamiltonian_component(H: np.ndarray) -> Component:
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
-    norm = one_one_norm(hamiltonian_superoperator(H))
+    norm = one_one_norm(DiagonalGenerator(d, H))
     return Component(kind="hamiltonian", d=d, norm=norm, H=H)
 
 
 def dissipative_component(plan: ConjugationPlan, basis: GellMannBasis) -> Component:
-    A_univ = universal_gks_matrix(plan.params, basis)
-    S_univ = dissipator_superoperator(A_univ, basis)
+    # lam U [L . L† - (1/2){L†L, .}] U† with L = sum_a v_a F_a: conjugation
+    # by U leaves the (1->1) norm unchanged, so L's norm bound is the component's
+    d = basis.d
+    v = universal_vector(plan.params, basis)
+    S_univ = dissipator_superoperator(np.outer(v, np.conj(v)), basis)
+    L = np.einsum("a,aij->ij", v, basis.matrices)
+    norm = one_one_norm(DiagonalGenerator(d, np.zeros((d, d)), ((plan.lam, L),)))
     K = conjugation_superoperator(plan.U)
-    norm = one_one_norm(plan.lam * (K @ S_univ @ np.conj(K).T))
-    return Component(kind="dissipative", d=basis.d, norm=norm, plan=plan, conj=K, universal=S_univ)
+    return Component(kind="dissipative", d=d, norm=norm, plan=plan, conj=K, universal=S_univ)
 
 
 def prepare_components(g: GksGenerator, plans) -> list[Component]:
     """Assemble and norm-order the components of g, given its conjugation plans.
 
     Zero components (vanishing Hamiltonian, zero-weight plans) are
-    dropped; the rest are sorted by descending (1->1) norm with stable
-    ties, which fixes the product order deterministically.
+    dropped; the rest are sorted by descending (1->1) norm upper bound,
+    with stable ties, which fixes the product order deterministically.
     """
     comps = []
     if np.max(np.abs(g.H)) > 0.0:

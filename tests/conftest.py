@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lindbladsim.cli import lambda_atom_generator
-from lindbladsim.lindblad import (NORM_ITERS, NORM_SAFETY, NORM_SEED, NORM_STARTS, NORM_TOL,
-                                  DiagonalGenerator, GksGenerator, from_diagonal,
+from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal,
                                   hamiltonian_superoperator, unvec, vec)
 from lindbladsim.numerics import dagger, frobenius
 from lindbladsim.sud import SudError, gell_mann_basis
@@ -24,6 +23,14 @@ SECONDVEC = np.array([0, 0, 0, 0, (2 + SQRT3) * 1j, 0, 0, 1], dtype=complex) / S
 THETA2 = np.arccos((2.0 + SQRT3) / SECONDVEC_NORM)
 
 GOLDEN_ALPHA_I = np.array([np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 2, 3 * np.pi / 2])
+
+# serial_one_one_norm: random starts beyond the d^2 structured ones and
+# their seed, iterations per start, convergence tolerance, upward factor
+NORM_STARTS = 12
+NORM_SEED = 0
+NORM_ITERS = 200
+NORM_TOL = 1e-12
+NORM_SAFETY = 1.001
 
 
 def random_hermitian(d, rng, scale=1.0):
@@ -114,8 +121,17 @@ def adjoint_generator(f, r):
 
 
 def serial_one_one_norm(S):
-    """lindblad.one_one_norm with its starts run one at a time, an oracle the
-    batched estimator must match bit for bit."""
+    """Multi-start ascent of ||S(psi phi†)||_1 over unit psi, phi, times NORM_SAFETY.
+
+    S is a d^2 x d^2 matrix acting on column-stacked d x d matrices.  Each
+    start alternates the two exact partial maximizations: for fixed
+    (psi, phi) the dual unitary W of the trace norm is the polar factor of
+    S(psi phi†), and for fixed W the best (psi, phi) is the top singular
+    pair of K with tr(W† S(psi phi†)) = phi† K psi.  Every value reached is
+    attained by an input, so the raw maximum (the result / NORM_SAFETY) is
+    a lower bound on the (1->1) norm: an oracle that a proven upper bound
+    must dominate.
+    """
     M = np.asarray(S, dtype=complex)
     d = math.isqrt(M.shape[0])
     if frobenius(M) == 0.0:

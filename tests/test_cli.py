@@ -55,6 +55,27 @@ def test_validate_rejects_overflowing_non_hermitian_h(tmp_path, capsys):
     assert err == "error: H is not Hermitian within tolerance\n"
 
 
+ZERO, HUGE = [0.0, 0.0], [1e308, 0.0]
+NEAR_OVERFLOW = {
+    # the Hermitian part of A, its Frobenius norm and its spectrum must not overflow
+    "huge-A": ({"d": 2, "H": [[ZERO, ZERO], [ZERO, ZERO]],
+                "A": [[HUGE if i == j else ZERO for j in range(3)] for i in range(3)]}, 0),
+    # H - H† overflows unless it is formed from halves
+    "huge-anti-hermitian-H": ({"d": 2, "H": [[ZERO, HUGE], [[-1e308, 0.0], ZERO]], "terms": []},
+                              1),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+@pytest.mark.parametrize("name", NEAR_OVERFLOW)
+def test_near_overflow_generators_exit_cleanly(tmp_path, capsys, command, name):
+    doc, code = NEAR_OVERFLOW[name]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == code  # a warning or a traceback would raise here
+    assert ("error: " in capsys.readouterr().err) == (code == 1)
+
+
 def test_validate_rejects_malformed_json(tmp_path):
     zero2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     jump = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

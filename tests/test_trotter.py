@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (dephasing_gks, lambda_atom, random_diagonal, random_gks, random_mixed_state,
-                      serial_one_one_norm)
+from conftest import (NORM_SAFETY, dephasing_gks, lambda_atom, random_diagonal, random_gks,
+                      random_mixed_state, serial_one_one_norm)
 from lindbladsim import trotter
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
@@ -111,9 +111,9 @@ def test_s2k_rejects_bad_order():
 # ---------------------------------------------------------------------------
 
 def test_component_norms_match_serial_estimator():
-    """The batched estimator gives every component the norm of the
-    one-start-at-a-time loop, bit for bit; at d = 6 a few components keep
-    the serial oracle's cost (~45 ms each) down."""
+    """Every component's closed-form norm bound is at least the raw maximum
+    of the serial multi-start ascent, a lower bound on the (1->1) norm; at
+    d = 6 a few components keep the oracle's cost (~45 ms each) down."""
     cases = [(lambda_atom(), None)] + [(random_gks(d, np.random.default_rng(1)), None)
                                        for d in range(2, 6)]
     cases.append((random_gks(6, np.random.default_rng(1)), 2))
@@ -121,7 +121,8 @@ def test_component_norms_match_serial_estimator():
         comps = [hamiltonian_component(g.H)]
         comps += [dissipative_component(p, g.basis) for p in decompose_generator(g)[:n_plans]]
         for c in comps:
-            assert c.norm == serial_one_one_norm(component_generator(c))
+            oracle = serial_one_one_norm(component_generator(c)) / NORM_SAFETY
+            assert c.norm >= oracle * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
