@@ -3,7 +3,7 @@
 A generator in GKSL form is specified by a Hamiltonian H and a positive
 semidefinite coefficient matrix A over the Gell-Mann basis,
 
-    L(rho) = i[rho, H] + sum_lk A_lk (F_l rho F_k - (1/2){F_k F_l, rho}),
+    L(rho) = i[rho, H] + sum_lk A_lk (F_l rho F_k† - (1/2){F_k† F_l, rho}),
 
 or equivalently, after diagonalizing A, by rates gamma_k and Lindblad
 operators L_k.  This module converts between the two forms, builds the
@@ -11,6 +11,11 @@ d^2 x d^2 matrix of L under column-stacking vectorization, applies the exact
 channel exp(tL) (the oracle all approximate simulations are judged
 against), and gives the closed-form upper bound on the (1->1)
 superoperator norm that drives product-formula step selection.
+
+The one dissipator construction, dissipator_superoperator, contracts a
+coefficient matrix over any stack of operators: the Gell-Mann matrices
+under A for the oracle, or a single Lindblad operator L under [[1]] for a
+rank-one component.
 
 Vectorization is column-stacking throughout: vec(X rho Y) = (Y^T kron X) vec(rho).
 """
@@ -207,24 +212,30 @@ def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
     return 1j * (np.kron(H.T, eye) - np.kron(eye, H))
 
 
-def dissipator_superoperator(A: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Matrix of the A-weighted dissipator over the given basis."""
-    A = np.asarray(A, dtype=complex)
-    F = basis.matrices
-    d, eye = basis.d, np.eye(basis.d)
-    # sum_lk A_lk F_l rho F_k  ->  sum_lk A_lk kron(F_k^T, F_l); with the
-    # column-stacked index (col*d + row) the row axes are (a=out col,
-    # i=out row) and the column axes (b=in col, j=in row).
-    B = np.einsum("lk,kba->lba", A, F)
-    S = np.einsum("lba,lij->aibj", B, F).reshape(d * d, d * d)
-    Phi = np.einsum("lk,kia,laj->ij", A, F, F)  # sum_lk A_lk F_k F_l
-    S = S - 0.5 * (np.kron(Phi.T, eye) + np.kron(eye, Phi))
-    return S
+def dissipator_superoperator(A: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> sum_lk A_lk (F_l rho F_k† - (1/2){F_k† F_l, rho}) over
+    the operator stack ops = (F_1, ..., F_n) of shape (n, d, d)."""
+    F = np.asarray(ops, dtype=complex)
+    d, eye = F.shape[1], np.eye(F.shape[1])
+    # F_l rho F_k†  ->  kron(conj F_k, F_l); with the column-stacked index
+    # (col*d + row) the row axes are (a=out col, i=out row) and the column
+    # axes (b=in col, j=in row).
+    B = np.einsum("lk,kab->lab", np.asarray(A, dtype=complex), np.conj(F))
+    S = np.einsum("lab,lij->aibj", B, F).reshape(d * d, d * d)
+    Phi = np.einsum("lai,laj->ij", B, F)  # sum_lk A_lk F_k† F_l
+    return S - 0.5 * (np.kron(Phi.T, eye) + np.kron(eye, Phi))
 
 
 def liouvillian_matrix(g: GksGenerator) -> np.ndarray:
-    """Full d^2 x d^2 generator matrix: Hamiltonian commutator plus dissipator."""
-    return hamiltonian_superoperator(g.H) + dissipator_superoperator(g.A, g.basis)
+    """Full d^2 x d^2 generator matrix: Hamiltonian commutator plus dissipator.
+
+    A generator whose matrix overflows is refused, not returned with inf entries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = hamiltonian_superoperator(g.H) + dissipator_superoperator(g.A, g.basis.matrices)
+    if not np.isfinite(S).all():
+        raise LindbladError("the generator matrix overflows")
+    return S
 
 
 def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:

@@ -91,10 +91,9 @@ def fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values, computed from the spectrum of ``m† m``."""
+    """Sum of singular values."""
     a = _require_square(_as_matrix(m))
-    w = np.linalg.eigvalsh(dagger(a) @ a)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
 def is_unitary(u) -> bool:

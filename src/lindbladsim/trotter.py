@@ -98,9 +98,8 @@ def dissipative_component(plan: ConjugationPlan, basis: GellMannBasis) -> Compon
     # lam U [L . L† - (1/2){L†L, .}] U† with L = sum_a v_a F_a: conjugation
     # by U leaves the (1->1) norm unchanged, so L's norm bound is the component's
     d = basis.d
-    v = universal_vector(plan.params, basis)
-    S_univ = dissipator_superoperator(np.outer(v, np.conj(v)), basis)
-    L = np.einsum("a,aij->ij", v, basis.matrices)
+    L = np.einsum("a,aij->ij", universal_vector(plan.params, basis), basis.matrices)
+    S_univ = dissipator_superoperator(np.ones((1, 1)), L[None])
     norm = one_one_norm(DiagonalGenerator(d, np.zeros((d, d)), ((plan.lam, L),)))
     K = conjugation_superoperator(plan.U)
     return Component(kind="dissipative", d=d, norm=norm, plan=plan, conj=K, universal=S_univ)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lindbladsim.cli import lambda_atom_generator
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal,
@@ -32,6 +33,11 @@ NORM_ITERS = 200
 NORM_TOL = 1e-12
 NORM_SAFETY = 1.001
 
+# every property test draws the same examples on every run, so tier-1 is
+# reproducible; a test's own @settings sets only max_examples
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
+
 
 def random_hermitian(d, rng, scale=1.0):
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -56,6 +62,25 @@ def random_diagonal(d, n_terms, rng, scale=1.0, with_h=True):
         terms.append((float(rng.uniform(0.3, 1.0)) * scale, L / np.linalg.norm(L)))
     H = random_hermitian(d, rng, scale) if with_h else np.zeros((d, d), dtype=complex)
     return DiagonalGenerator(d=d, H=H, terms=tuple(terms))
+
+
+def n_qubit_generator(n):
+    """n qubits in a chain: transverse-field Ising H = sum Z_i Z_i+1 + 0.7 sum X_i,
+    amplitude damping (rate 0.3) and Z dephasing (rate 0.2) on every qubit.
+
+    Its 2n Lindblad operators are linearly independent, so A has rank 2n and
+    the generator m = 2n + 1 components, where a generic one at d = 2^n has d^2.
+    """
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def on(i, op):
+        return np.kron(np.kron(np.eye(2 ** i), op), np.eye(2 ** (n - i - 1)))
+
+    d = 2 ** n
+    H = sum(on(i, Z) @ on(i + 1, Z) for i in range(n - 1)) + 0.7 * sum(on(i, X) for i in range(n))
+    terms = tuple((gamma, on(i, op)) for i in range(n) for gamma, op in ((0.3, lower), (0.2, Z)))
+    return from_diagonal(DiagonalGenerator(d=d, H=H, terms=terms), gell_mann_basis(d))
 
 
 def dephasing_gks(d, rng):

@@ -76,6 +76,20 @@ def test_near_overflow_generators_exit_cleanly(tmp_path, capsys, command, name):
     assert ("error: " in capsys.readouterr().err) == (code == 1)
 
 
+@pytest.mark.parametrize("mode", ["oracle", "trotter"])
+def test_simulate_refuses_overflowing_liouvillian(tmp_path, capsys, mode):
+    # validate and decompose accept huge-A, but its generator matrix overflows
+    doc = {"generator": NEAR_OVERFLOW["huge-A"][0],
+           "rho0": serialize.matrix_to_json(maximally_mixed(2).rho),
+           "t": 1e-300, "epsilon": 1e-3, "mode": mode}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1  # a warning would raise here
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the generator matrix overflows\n"
+
+
 def test_validate_rejects_malformed_json(tmp_path):
     zero2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     jump = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

@@ -117,6 +117,12 @@ def test_trace_norm_single_dyad():
     m = np.zeros((2, 2), dtype=complex)
     m[0, 1] = 1.0
     assert trace_norm(m) == pytest.approx(1.0, abs=1e-12)
+    # a dyad u w† has one nonzero singular value, ||u|| ||w||
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        u, w = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        exact = np.linalg.norm(u) * np.linalg.norm(w)
+        assert trace_norm(np.outer(u, np.conj(w))) == pytest.approx(exact, rel=1e-13)
 
 
 def test_trace_norm_rejects_nonsquare():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (NORM_SAFETY, dephasing_gks, lambda_atom, random_diagonal, random_gks,
-                      random_mixed_state, serial_one_one_norm)
+from conftest import (NORM_SAFETY, dephasing_gks, lambda_atom, n_qubit_generator, random_diagonal,
+                      random_gks, random_mixed_state, serial_one_one_norm)
 from lindbladsim import trotter
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
@@ -386,3 +386,13 @@ def test_bound_closed_form_dominates_selected_res(rng):
         res = nexp_bound_res(m, k, t, eps, L1, L2)
         closed = nexp_bound_closed_form(m, t, eps, L1, L2)
         assert res <= closed * 1.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_n_qubit_generator_runs_within_eps(n):
+    # m grows with the number of Lindblad operators, 2n + 1, not with d^2 = 4^n
+    g = n_qubit_generator(n)
+    rho0 = maximally_mixed(g.d)
+    state, plan, components = simulate(g, rho0, 1.0, 1e-3)
+    assert len(components) == plan.m == 2 * n + 1
+    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= 1e-3
