@@ -167,8 +167,6 @@ def cmd_simulate(args) -> int:
     except (TypeError, ValueError) as exc:  # a request that is not an object, text for a number
         raise CliError(f"malformed simulation request: {exc}", EXIT_IO)
     _check_run(t, eps)
-    if rho0.d != g.d:
-        raise CliError("state dimension does not match the generator", EXIT_INVALID)
     out = {"d": g.d, "t": t, "epsilon": eps, "mode": mode}
     if mode == "oracle":
         out["rho"] = serialize.matrix_to_json(apply_exact(g, rho0, t).rho)

@@ -13,8 +13,8 @@ to a canonical form in three steps:
 
 2.  Diagonalization.  A special unitary U1 conjugates the su(d) element
     corresponding to aR into the diagonal (Cartan) subalgebra.  Eigenvalues
-    are ordered by descending modulus (sign-descending on ties) so zeros
-    land last and the outcome is deterministic.
+    are ordered by signed value, descending, with numerically-zero ones
+    moved last, so the outcome is deterministic.
 
 3.  Phase elimination.  A diagonal special unitary U2 = exp(i sum h_l D_l)
     removes the sigma_y components of the conjugated aI on the d-1 pairs
@@ -27,7 +27,7 @@ to a canonical form in three steps:
 The result is a pair of orthonormal real vectors supported on a fixed set
 of d^2 - d coordinates (all but the sigma_y^(j,d) slots), parametrized by
 hyperspherical angles.  The original rank-one piece is recovered as
-a a† = G A(theta, alphas) G^T with G the adjoint matrix of U = U1† U2†.
+a a† = b b† with b = G v, G the adjoint matrix of U = U1† U2† (see verify_plan).
 """
 
 import math
@@ -38,7 +38,7 @@ import numpy as np
 from . import numerics
 from .numerics import dagger, frobenius
 from .lindblad import GksGenerator, gks_spectrum
-from .sud import GellMannBasis, adjoint_matrix, from_vector, to_vector
+from .sud import GellMannBasis
 
 
 class DecomposeError(ValueError):
@@ -335,20 +335,21 @@ def universal_vector(params: UniversalParams, basis: GellMannBasis) -> np.ndarra
     return math.cos(params.theta) * aR + 1j * math.sin(params.theta) * aI
 
 
-def universal_gks_matrix(params: UniversalParams, basis: GellMannBasis) -> np.ndarray:
-    v = universal_vector(params, basis)
-    return np.outer(v, np.conj(v))
+def universal_operator(params: UniversalParams, basis: GellMannBasis) -> np.ndarray:
+    """Lindblad operator L = sum_a v_a F_a of the family member."""
+    return np.einsum("a,aij->ij", universal_vector(params, basis), basis.matrices)
 
 
 def decompose_term(term: RankOneTerm, basis: GellMannBasis) -> ConjugationPlan:
     """Carry one rank-one piece through the three canonicalization steps."""
     canon = canonical_phase(term.a)
     u1 = diagonalizing_unitary(canon.aR, basis)
-    AR_d = u1 @ from_vector(canon.aR, basis) @ dagger(u1)
-    AI_t = u1 @ from_vector(canon.aI, basis) @ dagger(u1)
+    # coordinates of an su(d) element X = i sum_a x_a F_a are x_a = Im tr(F_a X)
+    AR_d = u1 @ (1j * np.einsum("g,gij->ij", canon.aR, basis.matrices)) @ dagger(u1)
+    AI_t = u1 @ (1j * np.einsum("g,gij->ij", canon.aI, basis.matrices)) @ dagger(u1)
     u2 = phase_elimination_unitary(AI_t, basis)
-    aR_t = np.asarray(to_vector(AR_d, basis)).real
-    aI_t = np.asarray(to_vector(u2 @ AI_t @ dagger(u2), basis)).real
+    aR_t = np.einsum("gij,ji->g", basis.matrices, AR_d).imag
+    aI_t = np.einsum("gij,ji->g", basis.matrices, u2 @ AI_t @ dagger(u2)).imag
     _clip_zero_slots(aR_t, aI_t, basis)
     if math.sin(canon.theta) < 1e-13:
         # the imaginary part carries no weight; choose it deterministically
@@ -386,20 +387,15 @@ def decompose_generator(g: GksGenerator) -> list[ConjugationPlan]:
     """Conjugation plans of a generator's dissipative part.
 
     The Liouvillian of g equals the Liouvillian of g.H plus sum_k lam_k
-    times the Liouvillian of the k-th reconstructed rank-one GKS matrix
-    G_k A(params_k) G_k^T.
+    times the Liouvillian of the k-th plan's GKS matrix b_k b_k† (verify_plan).
     """
     terms = spectral_split(g)
     return [decompose_term(t, g.basis) for t in terms]
 
 
-def plan_gks_matrix(plan: ConjugationPlan, basis: GellMannBasis) -> np.ndarray:
-    """Unit-rate GKS matrix G A(params) G^T realized by the plan."""
-    G = adjoint_matrix(plan.U, basis)
-    return G @ universal_gks_matrix(plan.params, basis) @ G.T
-
-
 def verify_plan(plan: ConjugationPlan, term: RankOneTerm, basis: GellMannBasis) -> float:
-    """Frobenius residual between a a† and the plan's reconstruction."""
-    target = np.outer(term.a, np.conj(term.a))
-    return frobenius(target - plan_gks_matrix(plan, basis))
+    """Frobenius residual ||a a† - b b†|| with b_a = tr(F_a U L U†) = (G(U) v)_a, where
+    L = universal_operator(plan.params) is the operator the plan's component runs."""
+    UL = plan.U @ universal_operator(plan.params, basis) @ dagger(plan.U)
+    b = np.einsum("gij,ji->g", basis.matrices, UL)
+    return frobenius(np.outer(term.a, np.conj(term.a)) - np.outer(b, np.conj(b)))

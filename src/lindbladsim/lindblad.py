@@ -242,6 +242,8 @@ def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:
     """Exact channel exp(tL) applied to rho0."""
     if not 0 <= t < math.inf:  # written so that NaN fails too
         raise LindbladError(f"time must be finite and non-negative, got {t}")
+    if rho0.d != g.d:
+        raise LindbladError(f"state has d = {rho0.d} but the generator has d = {g.d}")
     rho = unvec(expm(t * liouvillian_matrix(g)) @ vec(rho0.rho), g.d)
     return QuantumState(d=g.d, rho=rho)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import ConjugationPlan, decompose_generator, universal_vector
+from .decompose import ConjugationPlan, decompose_generator, universal_operator
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, conjugation_superoperator,
                        dissipator_superoperator, one_one_norm, unvec, vec)
 from .numerics import expm
@@ -98,7 +98,7 @@ def dissipative_component(plan: ConjugationPlan, basis: GellMannBasis) -> Compon
     # lam U [L . L† - (1/2){L†L, .}] U† with L = sum_a v_a F_a: conjugation
     # by U leaves the (1->1) norm unchanged, so L's norm bound is the component's
     d = basis.d
-    L = np.einsum("a,aij->ij", universal_vector(plan.params, basis), basis.matrices)
+    L = universal_operator(plan.params, basis)
     S_univ = dissipator_superoperator(np.ones((1, 1)), L[None])
     norm = one_one_norm(DiagonalGenerator(d, np.zeros((d, d)), ((plan.lam, L),)))
     K = conjugation_superoperator(plan.U)
@@ -363,6 +363,8 @@ def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
 
 def simulate_plans(g: GksGenerator, plans, rho0: QuantumState, t: float, eps: float):
     """Plan and run g with its conjugation plans; returns (state, plan, components)."""
+    if rho0.d != g.d:
+        raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")
     components = prepare_components(g, plans)
     plan = build_plan(components, eps, t)
     return run_plan(plan, components, rho0), plan, components

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import settings
 
 from lindbladsim.cli import lambda_atom_generator
+from lindbladsim.decompose import universal_vector
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal,
                                   hamiltonian_superoperator, unvec, vec)
 from lindbladsim.numerics import dagger, frobenius
-from lindbladsim.sud import SudError, gell_mann_basis
+from lindbladsim.sud import SudError, adjoint_matrix, gell_mann_basis
 
 SQRT3 = np.sqrt(3.0)
 
@@ -143,6 +144,22 @@ def adjoint_generator(f, r):
     """
     r = np.asarray(r, dtype=float)
     return np.einsum("g,gab->ab", r, f)
+
+
+def universal_gks_matrix(params, basis):
+    """Unit-rate GKS matrix v v† of a universal-family member."""
+    v = universal_vector(params, basis)
+    return np.outer(v, np.conj(v))
+
+
+def plan_gks_matrix(plan, basis):
+    """Unit-rate GKS matrix G A(params) G^T realized by a conjugation plan.
+
+    G is the adjoint matrix of plan.U, built in O(d^6): an oracle for
+    decompose.verify_plan, which forms G v as tr(F_a U L U†) instead.
+    """
+    G = adjoint_matrix(plan.U, basis)
+    return G @ universal_gks_matrix(plan.params, basis) @ G.T
 
 
 def serial_one_one_norm(S):

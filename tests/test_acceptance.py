@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, SQRT3, THETA2,
-                      adjoint_generator, lambda_atom, random_diagonal, random_mixed_state,
-                      structure_constants)
+                      adjoint_generator, lambda_atom, plan_gks_matrix, random_diagonal,
+                      random_mixed_state, structure_constants)
 from lindbladsim.decompose import (canonical_phase, decompose_generator, decompose_term,
-                                   diagonalizing_unitary, plan_gks_matrix,
-                                   reconstruct_vectors, RankOneTerm, spectral_split,
-                                   verify_plan)
+                                   diagonalizing_unitary, reconstruct_vectors, RankOneTerm,
+                                   spectral_split, verify_plan)
 from lindbladsim.lindblad import (GksGenerator, QuantumState, apply_exact, from_diagonal,
                                   liouvillian_matrix, maximally_mixed, trace_distance)
 from lindbladsim.numerics import dagger, expm, frobenius

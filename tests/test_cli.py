@@ -90,6 +90,20 @@ def test_simulate_refuses_overflowing_liouvillian(tmp_path, capsys, mode):
     assert err == "error: the generator matrix overflows\n"
 
 
+@pytest.mark.parametrize("g1", [1.0, 0.0], ids=["lambda", "zero"])
+@pytest.mark.parametrize("mode", ["oracle", "trotter"])
+def test_simulate_refuses_dimension_mismatch(tmp_path, capsys, mode, g1):
+    doc = {"generator": serialize.generator_to_json(lambda_atom(g1, g1)),
+           "rho0": serialize.matrix_to_json(maximally_mixed(2).rho),
+           "t": 1.0, "epsilon": 1e-3, "mode": mode}
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: state has d = 2 but the generator has d = 3\n"
+
+
 def test_validate_rejects_malformed_json(tmp_path):
     zero2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     jump = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

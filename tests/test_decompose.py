@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, THETA2, dephasing_gks,
-                      lambda_atom, random_gks, random_psd)
+                      lambda_atom, plan_gks_matrix, random_gks, random_psd)
 from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
                                    UniversalParams, canonical_phase, decompose_generator,
                                    decompose_term, diagonalizing_unitary, extract_params,
-                                   phase_elimination_unitary, plan_gks_matrix,
-                                   reconstruct_vectors, sigma_y_zero_slots, spectral_split,
-                                   universal_support, verify_plan)
+                                   phase_elimination_unitary, reconstruct_vectors,
+                                   sigma_y_zero_slots, spectral_split, universal_support,
+                                   verify_plan)
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix
-from lindbladsim.numerics import dagger, expm
+from lindbladsim.numerics import dagger, expm, frobenius
 from lindbladsim.sud import adjoint_matrix, from_vector, gell_mann_basis, to_vector
 
 B3 = gell_mann_basis(3)
@@ -360,6 +362,59 @@ def test_verify_plan_d2_trivial():
     plan = ConjugationPlan(lam=1.0, U=np.eye(2, dtype=complex),
                            params=UniversalParams(d=2, theta=theta, alphaR=(), alphaI=()))
     assert verify_plan(plan, term, b) < 1e-12
+
+
+DIRECTIONS = ("real", "balanced", "basis", "sparse", "degenerate-diagonal", "near-real",
+              "near-balanced", "generic")
+
+
+def edge_direction(kind, basis, rng):
+    """Unit direction a in C^(d^2-1) of the given kind, times a random global phase.
+
+    real and balanced have canonical angle theta = 0 and pi/4, near-real and
+    near-balanced lie 1e-15..1e-6 inside; basis is one coordinate vector and
+    sparse has two nonzero entries; degenerate-diagonal has aR on the diagonal
+    block, with M_R = sum_a aR_a F_a holding a repeated eigenvalue when d >= 3.
+    """
+    n, d = basis.n, basis.d
+    if kind in ("basis", "sparse", "generic"):
+        a = np.zeros(n, dtype=complex)
+        slots = {"basis": 1, "sparse": 2, "generic": n}[kind]
+        idx = rng.choice(n, slots, replace=False)
+        a[idx] = rng.normal(size=slots) + 1j * rng.normal(size=slots)
+    else:
+        u, w = np.linalg.qr(rng.normal(size=(n, 2)))[0].T
+        if kind == "degenerate-diagonal":
+            x = np.zeros(d)
+            x[: rng.integers(1, d)] = 1.0  # two levels: one repeats once d >= 3
+            x = rng.permutation(x - x.mean())
+            u = np.einsum("gij,ji->g", basis.matrices, np.diag(x)).real
+            u /= np.linalg.norm(u)
+            w -= (u @ w) * u
+            w /= np.linalg.norm(w)
+        tiny = 10.0 ** rng.uniform(-15.0, -6.0)
+        theta = {"real": 0.0, "balanced": math.pi / 4, "near-real": tiny,
+                 "near-balanced": math.pi / 4 - tiny,
+                 "degenerate-diagonal": rng.uniform(0.0, math.pi / 4)}[kind]
+        a = math.cos(theta) * u + 1j * math.sin(theta) * w
+    return np.exp(2j * math.pi * rng.uniform()) * a / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@settings(max_examples=60)
+@given(st.sampled_from(DIRECTIONS), st.integers(0, 2 ** 32 - 1))
+def test_decompose_term_edge_directions(d, kind, seed):
+    """Every edge direction decomposes onto the zero pattern, and verify_plan
+    agrees with the adjoint-matrix oracle G A(params) G^T."""
+    b = gell_mann_basis(d)
+    term = RankOneTerm(lam=1.0, a=edge_direction(kind, b, np.random.default_rng(seed)))
+    plan = decompose_term(term, b)
+    residual = verify_plan(plan, term, b)
+    assert residual <= 1e-8
+    oracle = frobenius(np.outer(term.a, np.conj(term.a)) - plan_gks_matrix(plan, b))
+    assert abs(residual - oracle) <= 1e-14
+    rR, rI = reconstruct_vectors(plan.params, b)
+    assert not rR[d - 1:].any() and not rI[sigma_y_zero_slots(b)].any()
 
 
 def test_plans_deterministic(rng):

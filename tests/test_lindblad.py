@@ -170,6 +170,13 @@ def test_apply_exact_rejects_negative_time():
             apply_exact(amplitude_damping(), maximally_mixed(2), t)
 
 
+def test_apply_exact_rejects_dimension_mismatch():
+    g = lambda_atom()
+    for d in (2, 4):
+        with pytest.raises(LindbladError, match=f"state has d = {d} but the generator has d = 3"):
+            apply_exact(g, maximally_mixed(d), 1.0)
+
+
 def test_one_one_norm_zero():
     zero = np.zeros((3, 3))
     assert one_one_norm(DiagonalGenerator(d=3, H=zero)) == 0.0

@@ -362,6 +362,14 @@ def test_build_plan_empty_is_the_zero_plan():
         simulate(lambda_atom(), maximally_mixed(3), 0.0, -1.0)
 
 
+@pytest.mark.parametrize("g", [lambda_atom(), lambda_atom(0.0, 0.0)], ids=["lambda", "zero"])
+def test_simulate_rejects_dimension_mismatch(g):
+    # the zero generator has no component, so its run would be the trivial plan
+    for t in (0.0, 1.0):
+        with pytest.raises(TrotterError, match="state has d = 2 but the generator has d = 3"):
+            simulate(g, maximally_mixed(2), t, 1e-3)
+
+
 def test_nexp_per_block_m2_k1():
     assert segments_per_block(2, 1) == 3
 
