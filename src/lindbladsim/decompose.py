@@ -249,10 +249,9 @@ def _angles_from_unit(x: np.ndarray) -> tuple:
     K = x.size
     if K == 1:
         return ()
-    angles = []
-    for i in range(K - 2):
-        tail = float(np.linalg.norm(x[i + 1:]))
-        angles.append(math.atan2(tail, float(x[i])))
+    # tails[i] = ||x[i:]||, all from one reversed cumulative sum of squares
+    tails = np.sqrt(np.cumsum((x * x)[::-1])[::-1])
+    angles = [math.atan2(float(tails[i + 1]), float(x[i])) for i in range(K - 2)]
     angles.append(math.atan2(float(x[K - 1]), float(x[K - 2])) % TWO_PI)
     return tuple(angles)
 

@@ -48,9 +48,12 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> U rho U† in the column-stacking convention."""
+    """Matrix kron(conj U, U) of rho -> U rho U† in the column-stacking
+    convention, for one unitary or each of a stack (..., d, d)."""
     U = np.asarray(u, dtype=complex)
-    return np.kron(np.conj(U), U)
+    d = U.shape[-1]
+    outer = np.conj(U)[..., :, None, :, None] * U[..., None, :, None, :]
+    return outer.reshape(*U.shape[:-2], d * d, d * d)
 
 
 def _require_hermitian(X: np.ndarray, name: str) -> None:

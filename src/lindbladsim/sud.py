@@ -35,6 +35,13 @@ def pair_order(d: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(1, d) for k in range(j + 1, d + 1)]
 
 
+def pair_index(d: int, j: int, k: int) -> int:
+    """Position of (j, k) in pair_order(d): rows 1 .. j-1 hold (j-1)(2d-j)/2 pairs."""
+    if not 1 <= j < k <= d:
+        raise SudError(f"pair ({j}, {k}) out of range for d={d}")
+    return (j - 1) * (2 * d - j) // 2 + (k - j - 1)
+
+
 @dataclass(frozen=True)
 class GellMannBasis:
     """Ordered orthonormal Hermitian traceless basis of d x d matrices."""
@@ -56,10 +63,10 @@ class GellMannBasis:
         return l - 1
 
     def index_x(self, j: int, k: int) -> int:
-        return self.d - 1 + pair_order(self.d).index((j, k))
+        return self.d - 1 + pair_index(self.d, j, k)
 
     def index_y(self, j: int, k: int) -> int:
-        return self.d - 1 + self.d * (self.d - 1) // 2 + pair_order(self.d).index((j, k))
+        return self.d - 1 + self.d * (self.d - 1) // 2 + pair_index(self.d, j, k)
 
 
 def gell_mann_basis(d: int) -> GellMannBasis:

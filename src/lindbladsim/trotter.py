@@ -32,8 +32,10 @@ prints.
 Each component channel is realized exactly: Hamiltonian segments as unitary
 conjugation, dissipative segments as U [exp(t~ L_universal)(U† . U)] U†
 with the physical duration t~ carrying the component's spectral weight.
-Negative intermediate durations appear in the recursion for k >= 2; the
-matrix exponential is applied for any sign and the cost report flags them.
+A block asks each component once for the channels of all its distinct
+durations, which one stacked numerics.expm call computes.  Negative
+intermediate durations appear in the recursion for k >= 2; the matrix
+exponential is applied for any sign and the cost report flags them.
 """
 
 import math
@@ -77,13 +79,13 @@ class Component:
     conj: np.ndarray | None = field(default=None, repr=False)  # vec form of U . U†
     universal: np.ndarray | None = field(default=None, repr=False)  # generator of A(params)
 
-    def channel(self, t_phys: float) -> np.ndarray:
-        """Exact channel matrix exp(t_phys * L_j), built from primitives."""
+    def channel(self, t_phys) -> np.ndarray:
+        """Exact channel matrices exp(t * L_j), one per physical duration t in
+        t_phys, stacked in its order and taken from one expm call."""
+        t = np.asarray(t_phys, dtype=float)[:, None, None]
         if self.kind == "hamiltonian":
-            u = expm(-1j * t_phys * self.H)
-            return conjugation_superoperator(u)
-        t_eff = t_phys * self.plan.lam
-        inner = expm(t_eff * self.universal)
+            return conjugation_superoperator(expm(-1j * t * self.H))
+        inner = expm((t * self.plan.lam) * self.universal)
         return self.conj @ inner @ np.conj(self.conj).T
 
 
@@ -285,14 +287,15 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
     """Channel matrix of one S_2k block (segments applied left to right)."""
     d = components[0].d
-    cache: dict[tuple[int, float], np.ndarray] = {}
+    distinct = dict.fromkeys((seg.index, seg.duration) for seg in plan.schedule)
+    channels: dict[tuple[int, float], np.ndarray] = {}
+    for j, comp in enumerate(components):
+        taus = [tau for i, tau in distinct if i == j]
+        for tau, channel in zip(taus, comp.channel(np.array(taus) / plan.L1)):
+            channels[j, tau] = channel
     out = np.eye(d * d, dtype=complex)
     for seg in plan.schedule:
-        key = (seg.index, seg.duration)
-        if key not in cache:
-            t_phys = seg.duration / plan.L1
-            cache[key] = components[seg.index].channel(t_phys)
-        out = cache[key] @ out
+        out = channels[seg.index, seg.duration] @ out
     return out
 
 

@@ -90,6 +90,24 @@ def test_simulate_refuses_overflowing_liouvillian(tmp_path, capsys, mode):
     assert err == "error: the generator matrix overflows\n"
 
 
+@pytest.mark.parametrize("t", [1e15, 1e20])
+@pytest.mark.parametrize("mode", ["oracle", "trotter"])
+def test_simulate_refuses_times_beyond_the_exponential(tmp_path, capsys, mode, t):
+    # amplitude damping, ||tL||_1 = 2t: past the exponential's domain, a
+    # refusal and not a state the exponential cannot vouch for
+    zero2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    jump = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    doc = {"generator": {"d": 2, "H": zero2, "terms": [{"gamma": 1.0, "L": jump}]},
+           "rho0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+           "t": t, "epsilon": 1e-3, "mode": mode}
+    path = tmp_path / "damping.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: matrix exponential needs ||A||_1 <= ")
+
+
 @pytest.mark.parametrize("g1", [1.0, 0.0], ids=["lambda", "zero"])
 @pytest.mark.parametrize("mode", ["oracle", "trotter"])
 def test_simulate_refuses_dimension_mismatch(tmp_path, capsys, mode, g1):

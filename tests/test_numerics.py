@@ -1,7 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lindbladsim.numerics import (NumericsError, dagger, eigh, expm, frobenius,
+from conftest import random_gks
+from lindbladsim.lindblad import liouvillian_matrix
+from lindbladsim.numerics import (MAX_EXPM_NORM, NumericsError, dagger, eigh, expm, frobenius,
                                   is_unitary, trace_norm)
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -43,15 +50,77 @@ def test_expm_antihermitian_is_unitary(rng):
         assert is_unitary(expm(m))
 
 
-def test_expm_accuracy_at_large_norm(rng):
-    # oracle: for normal M = V diag(w) V†, exp(M) = V diag(e^w) V†
+def unitary_expm_error(rng, norm):
+    """Relative error of expm on i H with ||i H||_2 = norm, against the oracle
+    exp(M) = V diag(e^w) V† for normal M = V diag(w) V†."""
     h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     h = h + dagger(h)
-    m = 1j * h * (50.0 / np.linalg.norm(h, 2))
+    m = 1j * h * (norm / np.linalg.norm(h, 2))
     w, v = np.linalg.eigh(-1j * m)
     oracle = v @ np.diag(np.exp(1j * w)) @ dagger(v)
-    out = expm(m)
-    assert frobenius(out - oracle) <= 1e-12 * frobenius(oracle)
+    return frobenius(expm(m) - oracle) / frobenius(oracle)
+
+
+def test_expm_accuracy_at_large_norm(rng):
+    assert unitary_expm_error(rng, 50.0) <= 1e-12
+
+
+def test_expm_accuracy_at_norm_1e6(rng):
+    # a relative rounding u in M moves the phases by u ||M||, in the oracle too
+    assert unitary_expm_error(rng, 1e6) <= 2e-15 * 1e6
+
+
+def scaled_to_one_norm(m, norm):
+    return m * (norm / np.max(np.sum(np.abs(m), axis=0)))
+
+
+# log10 of ||A||_1 from -3 to 3 runs every Pade degree, unscaled and with squarings
+@settings(max_examples=60)
+@given(st.integers(2, 6), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_expm_matches_scipy_on_liouvillians(d, log_norm, seed):
+    m = scaled_to_one_norm(liouvillian_matrix(random_gks(d, np.random.default_rng(seed))),
+                           10.0 ** log_norm)
+    ref = scipy.linalg.expm(m)
+    assert frobenius(expm(m) - ref) <= 1e-12 * frobenius(ref)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 36), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_expm_matches_scipy_on_anti_hermitian(n, log_norm, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = scaled_to_one_norm(1j * (h + dagger(h)), 10.0 ** log_norm)
+    ref = scipy.linalg.expm(m)
+    assert frobenius(expm(m) - ref) <= 1e-12 * frobenius(ref)
+
+
+def test_expm_stack_equals_its_slices(rng):
+    # norms from 1e-3 to 1e3: slices of different Pade degrees and squaring counts
+    norms = 10.0 ** np.arange(-3.0, 3.5, 0.5)
+    stack = np.stack([scaled_to_one_norm(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)),
+                                         x) for x in np.concatenate([norms, norms[::-1]])])
+    out = expm(stack.reshape(2, -1, 9, 9))
+    assert out.shape == (2, len(norms), 9, 9)
+    assert all(np.array_equal(x, expm(m)) for x, m in zip(out.reshape(-1, 9, 9), stack))
+
+
+def test_expm_refuses_norms_beyond_the_squaring_limit(rng):
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = 1j * (h + dagger(h))
+    u = expm(scaled_to_one_norm(m, 0.999 * MAX_EXPM_NORM))
+    # unitary up to the u ||M|| rounding of test_expm_accuracy_at_large_norm
+    assert frobenius(dagger(u) @ u - np.eye(4)) <= 2e-15 * MAX_EXPM_NORM
+    with pytest.raises(NumericsError, match="needs"):
+        expm(scaled_to_one_norm(m, 1.001 * MAX_EXPM_NORM))
+
+
+@pytest.mark.parametrize("m", [800.0 * np.eye(3), 1e300 * np.ones((3, 3))],
+                         ids=["overflowing-result", "huge-norm"])
+def test_expm_overflow_is_an_error_not_a_warning(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError):
+            expm(m)
 
 
 def test_eigh_diagonal_descending():

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import adjoint_generator, structure_constants
 from lindbladsim.numerics import dagger, expm
-from lindbladsim.sud import SudError, adjoint_matrix, from_vector, gell_mann_basis, to_vector
+from lindbladsim.sud import (SudError, adjoint_matrix, from_vector, gell_mann_basis, pair_index,
+                             pair_order, to_vector)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -48,6 +49,18 @@ def test_basis_ordering_slots():
     m = np.zeros((3, 3), dtype=complex)
     m[0, 1] = m[1, 0] = 1 / SQRT2
     assert np.allclose(b[b.index_x(1, 2)], m, atol=1e-15)
+
+
+def test_pair_index_matches_pair_order():
+    for d in range(2, 9):
+        b = gell_mann_basis(d)
+        for pos, (j, k) in enumerate(pair_order(d)):
+            assert pair_index(d, j, k) == pos
+            assert b.index_x(j, k) == d - 1 + pos
+            assert b.index_y(j, k) == d - 1 + len(pair_order(d)) + pos
+        for j, k in ((0, 1), (2, 2), (2, 1), (1, d + 1)):
+            with pytest.raises(SudError):
+                pair_index(d, j, k)
 
 
 def test_basis_rejects_small_d():
