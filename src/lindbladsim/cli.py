@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import serialize
-from .decompose import (DecomposeError, decompose_generator, decompose_term, spectral_split,
-                        verify_plan)
+from .decompose import (DecomposeError, decompose_generator, decompose_terms, spectral_split,
+                        verify_plans)
 from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, from_diagonal,
                        maximally_mixed, positivity_spectrum, trace_distance)
 from .numerics import NumericsError, dagger, frobenius
@@ -102,8 +102,8 @@ def lambda_atom_generator(gamma1: float, gamma2: float, phi: float, eta: float, 
 def _decompose(g):
     """Spectral terms of g, their conjugation plans, and the plans' residuals."""
     terms = spectral_split(g)
-    plans = [decompose_term(t, g.basis) for t in terms]
-    return terms, plans, [verify_plan(p, t, g.basis) for p, t in zip(plans, terms)]
+    plans = decompose_terms(terms, g.basis)
+    return terms, plans, verify_plans(plans, terms, g.basis)
 
 
 def _check_run(t: float, eps: float):

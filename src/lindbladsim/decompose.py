@@ -28,6 +28,9 @@ The result is a pair of orthonormal real vectors supported on a fixed set
 of d^2 - d coordinates (all but the sigma_y^(j,d) slots), parametrized by
 hyperspherical angles.  The original rank-one piece is recovered as
 a a† = b b† with b = G v, G the adjoint matrix of U = U1† U2† (see verify_plan).
+
+Each step is one pass over the stack of all pieces (decompose_terms, verify_plans);
+decompose_term and the single-input steps are the one-row case of the same code.
 """
 
 import math
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .numerics import dagger, frobenius
+from .numerics import dagger
 from .lindblad import GksGenerator, gks_spectrum
 from .sud import GellMannBasis
 
@@ -60,9 +63,6 @@ class RankOneTerm:
         if abs(np.linalg.norm(a) - 1.0) > 1e-12:
             raise DecomposeError("rank-one direction is not a unit vector")
         object.__setattr__(self, "a", a)
-
-    def matrix(self) -> np.ndarray:
-        return self.lam * np.outer(self.a, np.conj(self.a))
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,42 @@ def spectral_split(g: GksGenerator) -> list[RankOneTerm]:
     return [RankOneTerm(lam=lam, a=a) for lam, a in gks_spectrum(g)]
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row.  np.vecdot sums in the order of a vector dot
+    product, and rows built from unit vectors cannot overflow it."""
+    return np.sqrt(np.vecdot(x, x).real)
+
+
+def _refuse(message: str, *bad):
+    """One check over the stack: raise when any row of any mask is bad."""
+    if any(np.any(b) for b in bad):
+        raise DecomposeError(message)
+
+
+def _canonical_phases(a: np.ndarray):
+    """canonical_phase on each row of a (m, n): stacked (psi, theta, aR, aI)."""
+    _refuse("input is not a unit vector", np.abs(_norms(a) - 1.0) > 1e-12)
+    k1 = np.vecdot(a.real, a.real) - np.vecdot(a.imag, a.imag)
+    k2 = 2.0 * np.vecdot(a.real, a.imag)
+    k2[np.abs(k2) < 1e-15] = 0.0
+    # atan2(0, 0) = 0, so a balanced vector (k1 = k2 = 0) keeps psi = 0
+    psi = np.mod(-np.arctan2(k2, k1), TWO_PI) / 2.0
+    ap = np.exp(1j * psi)[:, None] * a
+    nR, nI = _norms(ap.real), _norms(ap.imag)
+    # atan2 keeps full precision for nearly-real vectors, where
+    # acos(nR) ~ acos(1 - eps) would lose half the significant digits
+    theta = np.minimum(np.arctan2(nI, nR), math.pi / 4.0)
+    uR = ap.real / nR[:, None]
+    real = nI <= 1e-13
+    uI = ap.imag / np.where(real, 1.0, nI)[:, None]
+    for i in np.flatnonzero(real):
+        uI[i] = _completion_orthogonal_to(uR[i])
+    # exact re-orthogonalization; the correction is O(eps)/nI and is
+    # scaled back by sin(theta) wherever the split is recombined
+    uI -= np.vecdot(uR, uI)[:, None] * uR
+    return psi, theta, uR, uI / _norms(uI)[:, None]
+
+
 def canonical_phase(a) -> CanonicalVector:
     """Remove the global-phase freedom of a rank-one direction.
 
@@ -109,50 +145,45 @@ def canonical_phase(a) -> CanonicalVector:
     imaginary part vanishes entirely, aI is completed deterministically
     with the first coordinate direction not parallel to aR.
     """
-    a = np.asarray(a, dtype=complex)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-12:
-        raise DecomposeError("input is not a unit vector")
-    aR, aI = a.real.copy(), a.imag.copy()
-    k1 = float(aR @ aR - aI @ aI)
-    k2 = float(2.0 * (aR @ aI))
-    if abs(k2) < 1e-15:
-        k2 = 0.0
-    two_psi = (-math.atan2(k2, k1)) % TWO_PI if (k1, k2) != (0.0, 0.0) else 0.0
-    psi = two_psi / 2.0
-    ap = np.exp(1j * psi) * a
-    apR, apI = ap.real, ap.imag
-    nR, nI = float(np.linalg.norm(apR)), float(np.linalg.norm(apI))
-    # atan2 keeps full precision for nearly-real vectors, where
-    # acos(nR) ~ acos(1 - eps) would lose half the significant digits
-    theta = min(math.atan2(nI, nR), math.pi / 4.0)
-    uR = apR / nR
-    if nI > 1e-13:
-        uI = apI / nI
-        # exact re-orthogonalization; the correction is O(eps)/nI and is
-        # scaled back by sin(theta) wherever the split is recombined
-        uI = uI - (uR @ uI) * uR
-        uI = uI / np.linalg.norm(uI)
-    else:
-        uI = _completion_orthogonal_to(uR)
-    return CanonicalVector(psi=psi, theta=theta, aR=uR, aI=uI)
+    psi, theta, aR, aI = _canonical_phases(np.asarray(a, dtype=complex)[None])
+    return CanonicalVector(psi=float(psi[0]), theta=float(theta[0]), aR=aR[0], aI=aI[0])
 
 
 def _completion_orthogonal_to(u: np.ndarray) -> np.ndarray:
-    """First coordinate direction, Gram-Schmidt'ed against u."""
-    for p in range(u.size):
-        e = np.zeros(u.size)
-        e[p] = 1.0
-        e = e - (u @ e) * u
-        norm = np.linalg.norm(e)
-        if norm > 0.5:
-            return e / norm
-    raise DecomposeError("no orthogonal completion found")  # unreachable for unit u
+    """First coordinate direction e_p - u_p u of norm sqrt(1 - u_p^2) > 1/2, normalized:
+    one exists for a unit u of length >= 2, as at most one |u_p| reaches sqrt(3)/2."""
+    e = np.eye(u.size) - np.outer(u, u)
+    norms = _norms(e)
+    p = int(np.argmax(norms > 0.5))
+    return e[p] / norms[p]
 
 
-def _special_unitary(u: np.ndarray) -> np.ndarray:
-    """Divide by the principal d-th root of det(u) to land in SU(d)."""
-    det = np.linalg.det(u)
-    return u * np.exp(-1j * np.angle(det) / u.shape[0])
+def _diagonalizing_unitaries(aR: np.ndarray, basis: GellMannBasis):
+    """diagonalizing_unitary on each row of aR (m, n): the stack of U1 and of
+    the diagonal matrices U1 (i M) U1†."""
+    M = np.einsum("mg,gij->mij", aR, basis.matrices)
+    w, v = numerics.eigh(M)
+    scale = np.maximum(np.max(np.abs(w), axis=-1, keepdims=True), 1e-300)
+    # nonzero eigenvalues first and zeros last, each kept in descending order
+    order = np.argsort(np.abs(w) <= 1e-10 * scale, axis=-1, kind="stable")
+    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    # fixed column-phase convention for this routine: make the last
+    # nonzero component real non-negative (any deterministic choice
+    # works; this one also pins the residual pair phases that feed the
+    # angle extraction)
+    modulus = np.abs(v)
+    big = modulus > 1e-12 * np.max(modulus, axis=-2, keepdims=True)
+    last = v.shape[-2] - 1 - np.argmax(big[:, ::-1, :], axis=-2)
+    pivot = np.take_along_axis(v, last[:, None, :], axis=-2)
+    u1 = dagger(v * (np.conj(pivot) / np.abs(pivot)))
+    # divide by the principal d-th root of det to land in SU(d)
+    u1 *= np.exp(-1j * np.angle(np.linalg.det(u1)) / basis.d)[:, None, None]
+    diag = u1 @ (1j * M) @ dagger(u1)
+    off = diag * (1.0 - np.eye(basis.d))
+    _refuse("diagonalization left significant off-diagonal residue",
+            np.linalg.norm(off, axis=(-2, -1))
+            > 1e-10 * np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1))))
+    return u1, diag
 
 
 def diagonalizing_unitary(aR, basis: GellMannBasis) -> np.ndarray:
@@ -165,33 +196,21 @@ def diagonalizing_unitary(aR, basis: GellMannBasis) -> np.ndarray:
     keeps the order stable when a +/- pair agrees in modulus only up to
     roundoff.
     """
-    aR = np.asarray(aR, dtype=float)
-    M = np.einsum("g,gij->ij", aR, basis.matrices)
-    w, v = numerics.eigh(M)
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    nonzero = [i for i in range(len(w)) if abs(w[i]) > 1e-10 * scale]
-    zero = [i for i in range(len(w)) if abs(w[i]) <= 1e-10 * scale]
-    v = v[:, nonzero + zero]
-    # fixed column-phase convention for this routine: make the last
-    # nonzero component real non-negative (any deterministic choice
-    # works; this one also pins the residual pair phases that feed the
-    # angle extraction)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        big = np.where(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        i = int(big[-1])
-        v[:, j] = col * (np.conj(col[i]) / abs(col[i]))
-    u1 = _special_unitary(dagger(v))
-    diag = u1 @ (1j * M) @ dagger(u1)
-    off = diag - np.diag(np.diag(diag))
-    if frobenius(off) > 1e-10 * max(1.0, frobenius(M)):
-        raise DecomposeError("diagonalization left significant off-diagonal residue")
-    return u1
+    return _diagonalizing_unitaries(np.asarray(aR, dtype=float)[None], basis)[0][0]
 
 
-def _pair_coefficient(m: np.ndarray, j: int, k: int) -> complex:
-    """Coefficient a_(j,k) in X = sum i a_(j,k) |j><k|/sqrt(2) + h.c. terms."""
-    return -1j * math.sqrt(2.0) * m[j - 1, k - 1]
+def _phase_eliminations(X: np.ndarray) -> np.ndarray:
+    """phase_elimination_unitary on each matrix of X (m, d, d): the stack of
+    U2's diagonals e^(i g)."""
+    d = X.shape[-1]
+    norm = np.linalg.norm(X, axis=(-2, -1))
+    _refuse("input is not anti-Hermitian",
+            np.linalg.norm(X + dagger(X), axis=(-2, -1)) > 1e-9 * np.maximum(1.0, norm))
+    # pair coefficients a_(j,d) in X = sum i a_(j,k) |j><k| / sqrt(2) + h.c.
+    c = -1j * math.sqrt(2.0) * X[:, :-1, -1]
+    phases = np.where(np.abs(c) > 1e-12 * np.maximum(norm, 1e-300)[:, None], np.angle(c), 0.0)
+    g_d = np.sum(phases, axis=-1, keepdims=True) / d
+    return np.exp(1j * np.concatenate([g_d - phases, g_d], axis=-1))
 
 
 def phase_elimination_unitary(atilde_i, basis: GellMannBasis) -> np.ndarray:
@@ -207,19 +226,9 @@ def phase_elimination_unitary(atilde_i, basis: GellMannBasis) -> np.ndarray:
     vectors are untouched.
     """
     X = np.asarray(atilde_i, dtype=complex)
-    d = basis.d
-    if X.shape != (d, d):
-        raise DecomposeError(f"expected a {d}x{d} matrix, got {X.shape}")
-    if frobenius(X + dagger(X)) > 1e-9 * max(1.0, frobenius(X)):
-        raise DecomposeError("input is not anti-Hermitian")
-    scale = max(frobenius(X), 1e-300)
-    phases = np.zeros(d - 1)
-    for j in range(1, d):
-        c = _pair_coefficient(X, j, d)
-        phases[j - 1] = np.angle(c) if abs(c) > 1e-12 * scale else 0.0
-    g_d = float(np.sum(phases)) / d
-    g = np.concatenate([g_d - phases, [g_d]])
-    return np.diag(np.exp(1j * g))
+    if X.shape != (basis.d, basis.d):
+        raise DecomposeError(f"expected a {basis.d}x{basis.d} matrix, got {X.shape}")
+    return np.diag(_phase_eliminations(X[None])[0])
 
 
 def sigma_y_zero_slots(basis: GellMannBasis) -> list[int]:
@@ -240,34 +249,52 @@ def universal_support(basis: GellMannBasis) -> list[int]:
     return [i for i in range(basis.n) if i not in zeros]
 
 
-def _angles_from_unit(x: np.ndarray) -> tuple:
-    """Hyperspherical angles of a unit vector; inverse of _unit_from_angles.
+def _angles_from_unit(x: np.ndarray) -> np.ndarray:
+    """Hyperspherical angles of each row of x (m, K), K >= 2; inverse of
+    _unit_from_angles.
 
-    First len(x)-2 angles lie in [0, pi], the last in [0, 2 pi).  Trailing
+    First K-2 angles lie in [0, pi], the last in [0, 2 pi).  Trailing
     zero tails resolve deterministically through atan2.
     """
-    K = x.size
-    if K == 1:
-        return ()
-    # tails[i] = ||x[i:]||, all from one reversed cumulative sum of squares
-    tails = np.sqrt(np.cumsum((x * x)[::-1])[::-1])
-    angles = [math.atan2(float(tails[i + 1]), float(x[i])) for i in range(K - 2)]
-    angles.append(math.atan2(float(x[K - 1]), float(x[K - 2])) % TWO_PI)
-    return tuple(angles)
+    # tails[:, i] = ||x[:, i:]||, all from one reversed cumulative sum of squares
+    tails = np.sqrt(np.cumsum((x * x)[:, ::-1], axis=-1)[:, ::-1])
+    last = np.mod(np.arctan2(x[:, -1], x[:, -2]), TWO_PI)
+    return np.concatenate([np.arctan2(tails[:, 1:-1], x[:, :-2]), last[:, None]], axis=-1)
 
 
-def _unit_from_angles(angles, K: int) -> np.ndarray:
-    x = np.zeros(K)
-    if K == 1:
-        x[0] = 1.0
-        return x
-    sin_prod = 1.0
-    for i in range(K - 2):
-        x[i] = sin_prod * math.cos(angles[i])
-        sin_prod *= math.sin(angles[i])
-    x[K - 2] = sin_prod * math.cos(angles[K - 2])
-    x[K - 1] = sin_prod * math.sin(angles[K - 2])
-    return x
+def _unit_from_angles(angles: np.ndarray) -> np.ndarray:
+    """Unit rows of length K from rows of K - 1 hyperspherical angles:
+    x_i = sin(a_0) ... sin(a_(i-1)) cos(a_i), and x_(K-1) the full sine product."""
+    m = angles.shape[0]
+    cosines = np.concatenate([np.cos(angles), np.ones((m, 1))], axis=-1)
+    sines = np.concatenate([np.ones((m, 1)), np.cumprod(np.sin(angles), axis=-1)], axis=-1)
+    return sines * cosines
+
+
+def _extract_params(aR: np.ndarray, aI: np.ndarray, theta, basis: GellMannBasis) -> list:
+    """extract_params on each row of aR, aI (m, n) and theta (m,)."""
+    d = basis.d
+    _refuse("real canonical vector leaks outside the diagonal block", np.abs(aR[:, d - 1:]) > 1e-9)
+    _refuse("imaginary canonical vector violates the zero pattern",
+            np.abs(aI[:, sigma_y_zero_slots(basis)]) > 1e-9)
+    _refuse("aR is not a unit vector", np.abs(_norms(aR) - 1.0) > 1e-10)
+    _refuse("aI is not a unit vector", np.abs(_norms(aI) - 1.0) > 1e-10)
+    _refuse("canonical vectors are not orthogonal", np.abs(np.vecdot(aR, aI)) > 1e-10)
+    thetas = [float(t) for t in theta]
+    if d == 2:
+        _refuse("d=2 canonical vectors must be e1 and e2",
+                np.abs(aR[:, 0] - 1.0) > 1e-9, np.abs(aI[:, 1] - 1.0) > 1e-9)
+        return [UniversalParams(d=2, theta=t, alphaR=(), alphaI=()) for t in thetas]
+    alphaR = _angles_from_unit(aR[:, : d - 1])
+    alphaI = _angles_from_unit(aI[:, universal_support(basis)])
+    # orthogonality pins the leading aI component whenever aR_1 is nonzero:
+    # cos(alphaI_1) = -(sum_{j>=2} aR_j aI_j) / aR_1
+    pinned = np.abs(aR[:, 0]) > 1e-9
+    rhs = -np.vecdot(aR[:, 1: d - 1], aI[:, 1: d - 1]) / np.where(pinned, aR[:, 0], 1.0)
+    _refuse("orthogonality constraint on alphaI_1 violated",
+            pinned & (np.abs(np.cos(alphaI[:, 0]) - rhs) > 1e-10))
+    return [UniversalParams(d=d, theta=t, alphaR=tuple(r), alphaI=tuple(i))
+            for t, r, i in zip(thetas, alphaR.tolist(), alphaI.tolist())]
 
 
 def extract_params(aR, aI, theta: float, basis: GellMannBasis) -> UniversalParams:
@@ -278,108 +305,86 @@ def extract_params(aR, aI, theta: float, basis: GellMannBasis) -> UniversalParam
     respective supports beyond 1e-9 are an error.  For d = 2 the canonical
     pair is fixed at aR = e1, aI = e2 and only theta remains.
     """
-    d, n = basis.d, basis.n
     aR = np.asarray(aR, dtype=float)
     aI = np.asarray(aI, dtype=float)
-    if aR.shape != (n,) or aI.shape != (n,):
+    if aR.shape != (basis.n,) or aI.shape != (basis.n,):
         raise DecomposeError("canonical vectors have the wrong length")
-    support = universal_support(basis)
-    if np.max(np.abs(aR[d - 1:])) > 1e-9:
-        raise DecomposeError("real canonical vector leaks outside the diagonal block")
-    zero_slots = sigma_y_zero_slots(basis)
-    if zero_slots and np.max(np.abs(aI[zero_slots])) > 1e-9:
-        raise DecomposeError("imaginary canonical vector violates the zero pattern")
-    for v, name in ((aR, "aR"), (aI, "aI")):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise DecomposeError(f"{name} is not a unit vector")
-    if abs(float(aR @ aI)) > 1e-10:
-        raise DecomposeError("canonical vectors are not orthogonal")
+    return _extract_params(aR[None], aI[None], [theta], basis)[0]
+
+
+def _universal_vectors(params, basis: GellMannBasis):
+    """Stacked (aR, aI, v = cos(theta) aR + i sin(theta) aI) of a list of
+    universal parameters."""
+    d, n, m = basis.d, basis.n, len(params)
+    if any(p.d != d for p in params):
+        raise DecomposeError("parameter dimension does not match basis")
+    aR, aI = np.zeros((2, m, n))
     if d == 2:
-        if abs(aR[0] - 1.0) > 1e-9 or abs(aI[1] - 1.0) > 1e-9:
-            raise DecomposeError("d=2 canonical vectors must be e1 and e2")
-        return UniversalParams(d=2, theta=float(theta), alphaR=(), alphaI=())
-    alphaR = _angles_from_unit(aR[: d - 1])
-    alphaI = _angles_from_unit(aI[support])
-    params = UniversalParams(d=d, theta=float(theta), alphaR=alphaR, alphaI=alphaI)
-    # orthogonality pins the leading aI component whenever aR_1 is nonzero:
-    # cos(alphaI_1) = -(sum_{j>=2} aR_j aI_j) / aR_1
-    if abs(aR[0]) > 1e-9:
-        lhs = math.cos(alphaI[0])
-        rhs = -float(aR[1: d - 1] @ aI[1: d - 1]) / float(aR[0])
-        if abs(lhs - rhs) > 1e-10:
-            raise DecomposeError("orthogonality constraint on alphaI_1 violated")
-    return params
+        aR[:, 0] = aI[:, 1] = 1.0
+    else:
+        alphaR = np.array([p.alphaR for p in params]).reshape(m, d - 2)
+        alphaI = np.array([p.alphaI for p in params]).reshape(m, n - d)
+        aR[:, : d - 1] = _unit_from_angles(alphaR)
+        aI[:, universal_support(basis)] = _unit_from_angles(alphaI)
+    theta = np.array([p.theta for p in params])[:, None]
+    return aR, aI, np.cos(theta) * aR + 1j * np.sin(theta) * aI
 
 
 def reconstruct_vectors(params: UniversalParams, basis: GellMannBasis):
     """Embed the hyperspherical angles back into full-length vectors."""
-    d, n = basis.d, basis.n
-    if params.d != d:
-        raise DecomposeError("parameter dimension does not match basis")
-    aR = np.zeros(n)
-    aI = np.zeros(n)
-    if d == 2:
-        aR[0] = 1.0
-        aI[1] = 1.0
-        return aR, aI
-    aR[: d - 1] = _unit_from_angles(params.alphaR, d - 1)
-    support = universal_support(basis)
-    aI[support] = _unit_from_angles(params.alphaI, n - (d - 1))
-    return aR, aI
+    aR, aI, _ = _universal_vectors([params], basis)
+    return aR[0], aI[0]
 
 
 def universal_vector(params: UniversalParams, basis: GellMannBasis) -> np.ndarray:
     """Unit vector cos(theta) aR + i sin(theta) aI of the family member."""
-    aR, aI = reconstruct_vectors(params, basis)
-    return math.cos(params.theta) * aR + 1j * math.sin(params.theta) * aI
+    return _universal_vectors([params], basis)[2][0]
 
 
-def universal_operator(params: UniversalParams, basis: GellMannBasis) -> np.ndarray:
-    """Lindblad operator L = sum_a v_a F_a of the family member."""
-    return np.einsum("a,aij->ij", universal_vector(params, basis), basis.matrices)
+def universal_operators(params, basis: GellMannBasis) -> np.ndarray:
+    """Stack of the Lindblad operators L = sum_a v_a F_a of a list of family members."""
+    return np.einsum("ma,aij->mij", _universal_vectors(params, basis)[2], basis.matrices)
+
+
+def _coordinates(X: np.ndarray, basis: GellMannBasis) -> np.ndarray:
+    """Coordinates x_a = Im tr(F_a X) of each su(d) element X = i sum_a x_a F_a."""
+    return np.einsum("gij,mji->mg", basis.matrices, X).imag
+
+
+def decompose_terms(terms, basis: GellMannBasis) -> list[ConjugationPlan]:
+    """Carry rank-one pieces through the three canonicalization steps, each
+    step one pass over the stack of all pieces."""
+    d = basis.d
+    _, theta, aR, aI = _canonical_phases(np.array([t.a for t in terms]).reshape(-1, basis.n))
+    u1, AR_d = _diagonalizing_unitaries(aR, basis)
+    AI_t = u1 @ (1j * np.einsum("mg,gij->mij", aI, basis.matrices)) @ dagger(u1)
+    e = _phase_eliminations(AI_t)  # U2 = diag(e) is diagonal: conjugating scales entries
+    aR_t = _coordinates(AR_d, basis)
+    aI_t = _coordinates(AI_t * e[:, :, None] * np.conj(e)[:, None, :], basis)
+    # zero out sub-tolerance leakage so the stored pattern is exact
+    zero_slots = sigma_y_zero_slots(basis)
+    _refuse("canonicalization failed to reach the zero pattern",
+            np.abs(aR_t[:, d - 1:]) > 1e-9, np.abs(aI_t[:, zero_slots]) > 1e-9)
+    aR_t[:, d - 1:] = 0.0
+    aR_t /= _norms(aR_t)[:, None]
+    aI_t[:, zero_slots] = 0.0
+    support = universal_support(basis)
+    for i in np.flatnonzero(np.sin(theta) < 1e-13):
+        # the imaginary part carries no weight; choose it deterministically
+        # inside the support, orthogonal to the real part (which lies inside it)
+        aI_t[i] = 0.0
+        aI_t[i, support] = _completion_orthogonal_to(aR_t[i, support])
+    aI_t /= _norms(aI_t)[:, None]
+    aI_t -= np.vecdot(aR_t, aI_t)[:, None] * aR_t
+    aI_t /= _norms(aI_t)[:, None]
+    params = _extract_params(aR_t, aI_t, theta, basis)
+    U = dagger(u1) * np.conj(e)[:, None, :]  # U1† U2†
+    return [ConjugationPlan(lam=t.lam, U=u, params=p) for t, u, p in zip(terms, U, params)]
 
 
 def decompose_term(term: RankOneTerm, basis: GellMannBasis) -> ConjugationPlan:
     """Carry one rank-one piece through the three canonicalization steps."""
-    canon = canonical_phase(term.a)
-    u1 = diagonalizing_unitary(canon.aR, basis)
-    # coordinates of an su(d) element X = i sum_a x_a F_a are x_a = Im tr(F_a X)
-    AR_d = u1 @ (1j * np.einsum("g,gij->ij", canon.aR, basis.matrices)) @ dagger(u1)
-    AI_t = u1 @ (1j * np.einsum("g,gij->ij", canon.aI, basis.matrices)) @ dagger(u1)
-    u2 = phase_elimination_unitary(AI_t, basis)
-    aR_t = np.einsum("gij,ji->g", basis.matrices, AR_d).imag
-    aI_t = np.einsum("gij,ji->g", basis.matrices, u2 @ AI_t @ dagger(u2)).imag
-    _clip_zero_slots(aR_t, aI_t, basis)
-    if math.sin(canon.theta) < 1e-13:
-        # the imaginary part carries no weight; choose it deterministically
-        # inside the support, orthogonal to the real part
-        aI_t = _deterministic_imaginary(aR_t, basis)
-    params = extract_params(aR_t, aI_t, canon.theta, basis)
-    u = dagger(u1) @ dagger(u2)
-    return ConjugationPlan(lam=term.lam, U=u, params=params)
-
-
-def _clip_zero_slots(aR_t: np.ndarray, aI_t: np.ndarray, basis: GellMannBasis):
-    """Zero out sub-tolerance leakage so the stored pattern is exact."""
-    d = basis.d
-    if np.max(np.abs(aR_t[d - 1:])) > 1e-9 or \
-            np.max(np.abs(aI_t[sigma_y_zero_slots(basis)])) > 1e-9:
-        raise DecomposeError("canonicalization failed to reach the zero pattern")
-    aR_t[d - 1:] = 0.0
-    aR_t /= np.linalg.norm(aR_t)
-    aI_t[sigma_y_zero_slots(basis)] = 0.0
-    aI_t /= np.linalg.norm(aI_t)
-    aI_t -= (aR_t @ aI_t) * aR_t
-    aI_t /= np.linalg.norm(aI_t)
-
-
-def _deterministic_imaginary(aR_t: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    support = universal_support(basis)
-    u = aR_t[support]
-    comp = _completion_orthogonal_to(u / np.linalg.norm(u))
-    out = np.zeros(basis.n)
-    out[support] = comp
-    return out
+    return decompose_terms([term], basis)[0]
 
 
 def decompose_generator(g: GksGenerator) -> list[ConjugationPlan]:
@@ -388,13 +393,23 @@ def decompose_generator(g: GksGenerator) -> list[ConjugationPlan]:
     The Liouvillian of g equals the Liouvillian of g.H plus sum_k lam_k
     times the Liouvillian of the k-th plan's GKS matrix b_k b_k† (verify_plan).
     """
-    terms = spectral_split(g)
-    return [decompose_term(t, g.basis) for t in terms]
+    return decompose_terms(spectral_split(g), g.basis)
+
+
+def verify_plans(plans, terms, basis: GellMannBasis) -> np.ndarray:
+    """verify_plan of each plan against its term, in one pass."""
+    U = np.array([p.U for p in plans]).reshape(-1, basis.d, basis.d)
+    b = np.einsum("gij,mji->mg", basis.matrices,
+                  U @ universal_operators([p.params for p in plans], basis) @ dagger(U))
+    a = np.array([t.a for t in terms]).reshape(-1, basis.n)
+    # rephased so that a† b is real, a a† - b b† = (p q† + q p†) / 2 with p, q = a -+ b has the
+    # squared norm (|p|^2 |q|^2 + (|a|^2 - |b|^2)^2) / 2: no cancellation, no n x n matrices
+    b *= np.exp(1j * np.angle(np.vecdot(b, a)))[:, None]
+    gap = np.vecdot(a, a).real - np.vecdot(b, b).real
+    return np.sqrt(0.5 * (_norms(a - b) ** 2 * _norms(a + b) ** 2 + gap ** 2))
 
 
 def verify_plan(plan: ConjugationPlan, term: RankOneTerm, basis: GellMannBasis) -> float:
     """Frobenius residual ||a a† - b b†|| with b_a = tr(F_a U L U†) = (G(U) v)_a, where
-    L = universal_operator(plan.params) is the operator the plan's component runs."""
-    UL = plan.U @ universal_operator(plan.params, basis) @ dagger(plan.U)
-    b = np.einsum("gij,ji->g", basis.matrices, UL)
-    return frobenius(np.outer(term.a, np.conj(term.a)) - np.outer(b, np.conj(b)))
+    L = universal_operators([plan.params])[0] is the operator the plan's component runs."""
+    return float(verify_plans([plan], [term], basis)[0])

@@ -216,17 +216,21 @@ def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
 
 
 def dissipator_superoperator(A: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> sum_lk A_lk (F_l rho F_k† - (1/2){F_k† F_l, rho}) over
-    the operator stack ops = (F_1, ..., F_n) of shape (n, d, d)."""
+    """Matrix of rho -> sum_lk A_lk (F_l rho F_k† - (1/2){F_k† F_l, rho}) over the operator
+    stack ops = (F_1, ..., F_n) of shape (n, d, d), or one per leading index of (..., n, d, d)."""
     F = np.asarray(ops, dtype=complex)
-    d, eye = F.shape[1], np.eye(F.shape[1])
+    d = F.shape[-1]
     # F_l rho F_k†  ->  kron(conj F_k, F_l); with the column-stacked index
     # (col*d + row) the row axes are (a=out col, i=out row) and the column
     # axes (b=in col, j=in row).
-    B = np.einsum("lk,kab->lab", np.asarray(A, dtype=complex), np.conj(F))
-    S = np.einsum("lab,lij->aibj", B, F).reshape(d * d, d * d)
-    Phi = np.einsum("lai,laj->ij", B, F)  # sum_lk A_lk F_k† F_l
-    return S - 0.5 * (np.kron(Phi.T, eye) + np.kron(eye, Phi))
+    B = np.einsum("lk,...kab->...lab", np.asarray(A, dtype=complex), np.conj(F))
+    S = np.einsum("...lab,...lij->...aibj", B, F)
+    Phi = np.einsum("...lai,...laj->...ij", B, F)  # sum_lk A_lk F_k† F_l
+    # kron(Phi^T, I) + kron(I, Phi), through the diagonal views i = j and a = b
+    anti = np.zeros(S.shape, dtype=complex)
+    np.einsum("...aiaj->...aij", anti)[...] += Phi[..., None, :, :]
+    np.einsum("...aibi->...abi", anti)[...] += np.swapaxes(Phi, -1, -2)[..., :, :, None]
+    return (S - 0.5 * anti).reshape(*F.shape[:-3], d * d, d * d)
 
 
 def liouvillian_matrix(g: GksGenerator) -> np.ndarray:

@@ -28,32 +28,39 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag)))
 
 
-def _as_matrix(m) -> np.ndarray:
+def _square_stack(m) -> np.ndarray:
+    """m as a complex square matrix or stack of them (..., n, n), with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise NumericsError(f"expected a matrix, got array of ndim {a.ndim}")
+    if a.shape[-2] != a.shape[-1]:
+        raise NumericsError(f"expected square matrices, got shape {a.shape}")
     if not _all_finite(a):
         raise NumericsError("matrix contains non-finite entries")
     return a
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
-        raise NumericsError(f"expected a square matrix, got shape {a.shape}")
+def _square_matrix(m) -> np.ndarray:
+    a = _square_stack(m)
+    if a.ndim != 2:
+        raise NumericsError(f"expected a matrix, got array of ndim {a.ndim}")
     return a
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., n, n)."""
+    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
-def frobenius(m) -> float:
-    """Frobenius norm, which overflows only when the norm itself does: m is
-    first scaled by a power of two, which is exact, to parts below 1."""
+def frobenius(m):
+    """Frobenius norm of a matrix, or array of them for a stack (..., n, n), which
+    overflows only when the norm itself does: each matrix is first scaled by
+    a power of two, which is exact, to entries of modulus below 1."""
     a = np.asarray(m)
-    top = max(np.max(np.abs(a.real), initial=0.0), np.max(np.abs(a.imag), initial=0.0))
-    unit = 2.0 ** -max(math.frexp(top)[1], 0)
-    return float(np.linalg.norm(a * unit)) / unit
+    top = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    unit = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))
+    norm = np.linalg.norm(a * unit[..., None, None], axis=(-2, -1)) / unit
+    return float(norm) if norm.ndim == 0 else norm
 
 
 # (q, theta_q): for ||A||_1 <= theta_q the [q/q] Pade approximant's backward error is
@@ -118,13 +125,7 @@ def expm(m) -> np.ndarray:
     squaring count are computed together.  A matrix with ||A||_1 above
     MAX_EXPM_NORM, and a result that overflows, raise NumericsError.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2:
-        raise NumericsError(f"expected a matrix, got array of ndim {a.ndim}")
-    if a.shape[-2] != a.shape[-1]:
-        raise NumericsError(f"expected square matrices, got shape {a.shape}")
-    if not _all_finite(a):
-        raise NumericsError("matrix contains non-finite entries")
+    a = _square_stack(m)
     stack = a.reshape(-1, *a.shape[-2:])
     out = np.empty_like(stack)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,7 +143,7 @@ def expm(m) -> np.ndarray:
 
 
 def eigh(m):
-    """Eigendecomposition of a Hermitian matrix with fixed conventions.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack (..., n, n).
 
     Returns ``(w, v)`` with real eigenvalues ``w`` sorted in descending
     order and eigenvectors in the columns of ``v``.  Each eigenvector is
@@ -150,37 +151,24 @@ def eigh(m):
     non-negative, which makes repeated calls on identical input
     bit-identical and keeps downstream decompositions deterministic.
     """
-    a = _require_square(_as_matrix(m))
-    scale = frobenius(a)
-    if frobenius(a - dagger(a)) > 1e-10 * max(scale, 1e-300):
+    a = _square_stack(m)
+    if np.any(frobenius(a - dagger(a)) > 1e-10 * np.maximum(frobenius(a), 1e-300)):
         raise NumericsError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    v = fix_eigenvector_phases(v)
-    return w, v
-
-
-def fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:
-    """Rephase each column so its largest-modulus entry (first such, in row
-    order) is real and non-negative."""
-    v = np.array(v, dtype=complex)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if abs(pivot) > 0.0:
-            v[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return v
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    # eigenvectors are unit columns, so no pivot is zero
+    return w, v * (np.conj(pivot) / np.abs(pivot))
 
 
 def trace_norm(m) -> float:
     """Sum of singular values."""
-    a = _require_square(_as_matrix(m))
+    a = _square_matrix(m)
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
 def is_unitary(u) -> bool:
-    a = _require_square(_as_matrix(u))
+    a = _square_matrix(u)
     return frobenius(dagger(a) @ a - np.eye(a.shape[0])) <= 1e-10 * a.shape[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import dagger, frobenius, is_unitary
+from .numerics import is_unitary
 
 
 class SudError(ValueError):
@@ -53,18 +53,6 @@ class GellMannBasis:
     def n(self) -> int:
         return self.d * self.d - 1
 
-    def __getitem__(self, a: int) -> np.ndarray:
-        return self.matrices[a]
-
-    def index_diag(self, l: int) -> int:
-        """Index of D_l, l = 1 .. d-1."""
-        if not 1 <= l <= self.d - 1:
-            raise SudError(f"diagonal index {l} out of range for d={self.d}")
-        return l - 1
-
-    def index_x(self, j: int, k: int) -> int:
-        return self.d - 1 + pair_index(self.d, j, k)
-
     def index_y(self, j: int, k: int) -> int:
         return self.d - 1 + self.d * (self.d - 1) // 2 + pair_index(self.d, j, k)
 
@@ -91,27 +79,6 @@ def gell_mann_basis(d: int) -> GellMannBasis:
         m[k - 1, j - 1] = 1.0j
         mats.append(m / np.sqrt(2.0))
     return GellMannBasis(d=d, matrices=np.stack(mats))
-
-
-def to_vector(x, basis: GellMannBasis) -> np.ndarray:
-    """Coordinates of X = sum_a x_a (i F_a); real for anti-Hermitian X."""
-    a = np.asarray(x, dtype=complex)
-    if a.shape != (basis.d, basis.d):
-        raise SudError(f"expected a {basis.d}x{basis.d} matrix, got {a.shape}")
-    if abs(np.trace(a)) > 1e-10 * max(1.0, frobenius(a)):
-        raise SudError("matrix has a nonzero trace")
-    vec = -1j * np.einsum("gij,ji->g", basis.matrices, a)
-    if frobenius(a + dagger(a)) <= 1e-12 * max(1.0, frobenius(a)):
-        return vec.real
-    return vec
-
-
-def from_vector(x, basis: GellMannBasis) -> np.ndarray:
-    """Inverse coordinate map: sum_a x_a (i F_a)."""
-    v = np.asarray(x)
-    if v.shape != (basis.n,):
-        raise SudError(f"expected a vector of length {basis.n}, got shape {v.shape}")
-    return 1j * np.einsum("g,gij->ij", v, basis.matrices)
 
 
 def adjoint_matrix(u, basis: GellMannBasis) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import ConjugationPlan, decompose_generator, universal_operator
+from .decompose import ConjugationPlan, decompose_generator, universal_operators
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, conjugation_superoperator,
                        dissipator_superoperator, one_one_norm, unvec, vec)
 from .numerics import expm
@@ -96,15 +96,18 @@ def hamiltonian_component(H: np.ndarray) -> Component:
     return Component(kind="hamiltonian", d=d, norm=norm, H=H)
 
 
-def dissipative_component(plan: ConjugationPlan, basis: GellMannBasis) -> Component:
+def dissipative_components(plans, basis: GellMannBasis) -> list[Component]:
+    """The components of a list of plans, with their operators, dissipators and
+    conjugation superoperators built as stacks, and each norm from one_one_norm."""
     # lam U [L . L† - (1/2){L†L, .}] U† with L = sum_a v_a F_a: conjugation
     # by U leaves the (1->1) norm unchanged, so L's norm bound is the component's
-    d = basis.d
-    L = universal_operator(plan.params, basis)
-    S_univ = dissipator_superoperator(np.ones((1, 1)), L[None])
-    norm = one_one_norm(DiagonalGenerator(d, np.zeros((d, d)), ((plan.lam, L),)))
-    K = conjugation_superoperator(plan.U)
-    return Component(kind="dissipative", d=d, norm=norm, plan=plan, conj=K, universal=S_univ)
+    d, zero = basis.d, np.zeros((basis.d, basis.d))
+    L = universal_operators([p.params for p in plans], basis)
+    S_univ = dissipator_superoperator(np.ones((1, 1)), L[:, None])
+    K = conjugation_superoperator(np.array([p.U for p in plans]).reshape(-1, d, d))
+    return [Component(kind="dissipative", d=d, plan=p, conj=k, universal=s,
+                      norm=one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))))
+            for p, l, s, k in zip(plans, L, S_univ, K)]
 
 
 def prepare_components(g: GksGenerator, plans) -> list[Component]:
@@ -114,15 +117,9 @@ def prepare_components(g: GksGenerator, plans) -> list[Component]:
     dropped; the rest are sorted by descending (1->1) norm upper bound,
     with stable ties, which fixes the product order deterministically.
     """
-    comps = []
-    if np.max(np.abs(g.H)) > 0.0:
-        comps.append(hamiltonian_component(g.H))
-    for plan in plans:
-        if plan.lam > 0.0:
-            comps.append(dissipative_component(plan, g.basis))
-    comps = [c for c in comps if c.norm > 0.0]
-    order = sorted(range(len(comps)), key=lambda i: (-comps[i].norm, i))
-    return [comps[i] for i in order]
+    comps = [hamiltonian_component(g.H)] if np.max(np.abs(g.H)) > 0.0 else []
+    comps += dissipative_components([p for p in plans if p.lam > 0.0], g.basis)
+    return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
 
 
 def s2_schedule(m: int, lam: float) -> list[Segment]:

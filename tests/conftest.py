@@ -9,7 +9,7 @@ from lindbladsim.decompose import universal_vector
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal,
                                   hamiltonian_superoperator, unvec, vec)
 from lindbladsim.numerics import dagger, frobenius
-from lindbladsim.sud import SudError, adjoint_matrix, gell_mann_basis
+from lindbladsim.sud import SudError, adjoint_matrix, gell_mann_basis, pair_index
 
 SQRT3 = np.sqrt(3.0)
 
@@ -119,6 +119,32 @@ def liouvillian_of_diagonal(g):
                       - 0.5 * np.kron((Ld @ L).T, eye)
                       - 0.5 * np.kron(eye, Ld @ L))
     return S
+
+
+def sigma_x_slot(basis, j, k):
+    """Index of sigma_x^(j,k): after the d - 1 diagonal matrices, at the pair's position."""
+    return basis.d - 1 + pair_index(basis.d, j, k)
+
+
+def to_vector(x, basis):
+    """Coordinates of X = sum_a x_a (i F_a); real for anti-Hermitian X."""
+    a = np.asarray(x, dtype=complex)
+    if a.shape != (basis.d, basis.d):
+        raise SudError(f"expected a {basis.d}x{basis.d} matrix, got {a.shape}")
+    if abs(np.trace(a)) > 1e-10 * max(1.0, frobenius(a)):
+        raise SudError("matrix has a nonzero trace")
+    vec = -1j * np.einsum("gij,ji->g", basis.matrices, a)
+    if frobenius(a + dagger(a)) <= 1e-12 * max(1.0, frobenius(a)):
+        return vec.real
+    return vec
+
+
+def from_vector(x, basis):
+    """Inverse coordinate map: sum_a x_a (i F_a)."""
+    v = np.asarray(x)
+    if v.shape != (basis.n,):
+        raise SudError(f"expected a vector of length {basis.n}, got shape {v.shape}")
+    return 1j * np.einsum("g,gij->ij", v, basis.matrices)
 
 
 def structure_constants(basis):

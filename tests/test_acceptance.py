@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, SQRT3, THETA2,
-                      adjoint_generator, lambda_atom, plan_gks_matrix, random_diagonal,
-                      random_mixed_state, structure_constants)
+                      adjoint_generator, from_vector, lambda_atom, plan_gks_matrix,
+                      random_diagonal, random_mixed_state, structure_constants)
 from lindbladsim.decompose import (canonical_phase, decompose_generator, decompose_term,
                                    diagonalizing_unitary, reconstruct_vectors, RankOneTerm,
                                    spectral_split, verify_plan)
 from lindbladsim.lindblad import (GksGenerator, QuantumState, apply_exact, from_diagonal,
                                   liouvillian_matrix, maximally_mixed, trace_distance)
 from lindbladsim.numerics import dagger, expm, frobenius
-from lindbladsim.sud import adjoint_matrix, from_vector, gell_mann_basis
+from lindbladsim.sud import adjoint_matrix, gell_mann_basis
 from lindbladsim.trotter import build_plan, nexp_report, prepare_components, run_plan
 
 A1_LITERAL = (AHAT1_R + 1j * AHAT1_I) / np.sqrt(2.0)

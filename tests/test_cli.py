@@ -9,6 +9,7 @@ import pytest
 from conftest import GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, random_diagonal, random_gks
 from lindbladsim import serialize
 from lindbladsim.cli import main
+from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix, maximally_mixed
 from lindbladsim.sud import adjoint_matrix, gell_mann_basis
 
@@ -215,6 +216,26 @@ def test_decompose_plan_file_reassembles_liouvillian(tmp_path, rng):
     S_in = liouvillian_matrix(g)
     S_re = liouvillian_matrix(GksGenerator(basis=b, H=H, A=A))
     assert np.max(np.abs(S_in - S_re)) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["lambda"] + [f"random-d{d}" for d in range(2, 7)])
+def test_decompose_file_matches_library_plans(tmp_path, case):
+    """The plans decompose --out writes (17-digit JSON, which round-trips every
+    float) are those of decompose_generator: the CLI and the library run one
+    decomposition."""
+    d = 3 if case == "lambda" else int(case[-1])
+    g = lambda_atom() if case == "lambda" else random_gks(d, np.random.default_rng(d))
+    path, out = tmp_path / "gen.json", tmp_path / "plans.json"
+    write_generator(path, g)
+    assert main(["decompose", str(path), "--out", str(out)]) == 0
+    written = json.loads(out.read_text())["plans"]
+    plans = decompose_generator(g)
+    assert len(written) == len(plans) > 0
+    for doc, plan in zip(written, plans):
+        assert doc["lambda"] == plan.lam and doc["theta"] == plan.params.theta
+        assert tuple(doc["alphaR"]) == plan.params.alphaR
+        assert tuple(doc["alphaI"]) == plan.params.alphaI
+        assert np.array_equal(serialize.json_to_matrix(doc["U"]), plan.U)
 
 
 def test_decompose_random_d4_residuals(tmp_path, rng):

@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, THETA2, dephasing_gks,
-                      lambda_atom, plan_gks_matrix, random_gks, random_psd)
+                      from_vector, lambda_atom, plan_gks_matrix, random_gks, random_psd,
+                      sigma_x_slot, to_vector)
 from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
                                    UniversalParams, canonical_phase, decompose_generator,
-                                   decompose_term, diagonalizing_unitary, extract_params,
+                                   decompose_term, decompose_terms, diagonalizing_unitary,
+                                   extract_params,
                                    phase_elimination_unitary, reconstruct_vectors,
                                    sigma_y_zero_slots, spectral_split, universal_support,
-                                   verify_plan)
+                                   verify_plan, verify_plans)
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix
 from lindbladsim.numerics import dagger, expm, frobenius
-from lindbladsim.sud import adjoint_matrix, from_vector, gell_mann_basis, to_vector
+from lindbladsim.sud import adjoint_matrix, gell_mann_basis
 
 B3 = gell_mann_basis(3)
 A1_LITERAL = (AHAT1_R + 1j * AHAT1_I) / np.sqrt(2.0)
@@ -55,7 +57,7 @@ def test_spectral_split_reconstructs(rng):
     b = gell_mann_basis(3)
     A = random_psd(b.n, rng)
     g = GksGenerator(basis=b, H=np.zeros((3, 3)), A=A)
-    total = sum(t.matrix() for t in spectral_split(g))
+    total = sum(t.lam * np.outer(t.a, np.conj(t.a)) for t in spectral_split(g))
     assert np.max(np.abs(total - A)) < 1e-10
 
 
@@ -177,7 +179,7 @@ def _pair_coefficients(m, basis):
     out = {}
     for j in range(1, d):
         for k in range(j + 1, d + 1):
-            out[(j, k)] = (v[basis.index_x(j, k)], v[basis.index_y(j, k)])
+            out[(j, k)] = (v[sigma_x_slot(basis, j, k)], v[basis.index_y(j, k)])
     return out
 
 
@@ -415,6 +417,36 @@ def test_decompose_term_edge_directions(d, kind, seed):
     assert abs(residual - oracle) <= 1e-14
     rR, rI = reconstruct_vectors(plan.params, b)
     assert not rR[d - 1:].any() and not rI[sigma_y_zero_slots(b)].any()
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_stack_equals_its_rows(d):
+    """One stack mixing generic rows with rows on every rare branch (theta = 0,
+    where Im a' vanishes and the imaginary part is replaced; theta = pi/4; M_R
+    with zero and repeated eigenvalues) gives each row the plan of its own
+    one-row call, and every plan verifies."""
+    b = gell_mann_basis(d)
+    rng = np.random.default_rng(100 + d)
+    kinds = DIRECTIONS + ("generic", "real", "balanced", "basis", "degenerate-diagonal")
+    terms = [RankOneTerm(lam=1.0, a=edge_direction(kind, b, rng)) for kind in kinds]
+    plans = decompose_terms(terms, b)
+    for term, plan in zip(terms, plans):
+        row = decompose_term(term, b)
+        assert row.lam == plan.lam
+        assert np.max(np.abs(row.U - plan.U)) <= 1e-14
+        rp, sp = row.params, plan.params
+        assert abs(rp.theta - sp.theta) <= 1e-14
+        assert np.max(np.abs(np.array(rp.alphaR + rp.alphaI) - (sp.alphaR + sp.alphaI)),
+                      initial=0.0) <= 1e-14
+    assert np.max(verify_plans(plans, terms, b)) <= 1e-12
+    # the stack does take every rare branch
+    canon = [canonical_phase(t.a) for t in terms]
+    assert any(math.sin(c.theta) < 1e-13 for c in canon)
+    assert any(c.theta == pytest.approx(math.pi / 4, abs=1e-12) for c in canon)
+    spectra = [np.linalg.eigvalsh(np.einsum("g,gij->ij", c.aR, b.matrices)) for c in canon]
+    if d >= 3:
+        assert any(np.min(np.abs(w)) < 1e-12 for w in spectra)
+        assert any(np.min(np.diff(w)) < 1e-12 and np.min(np.abs(w)) > 1e-6 for w in spectra)
 
 
 def test_plans_deterministic(rng):

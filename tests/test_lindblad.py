@@ -46,7 +46,7 @@ def test_lambda_atom_gks_entries(g1, g2):
 
 def test_from_diagonal_basis_aligned_term():
     b = gell_mann_basis(3)
-    g = from_diagonal(DiagonalGenerator(d=3, H=np.zeros((3, 3)), terms=((1.0, b[0]),)), b)
+    g = from_diagonal(DiagonalGenerator(d=3, H=np.zeros((3, 3)), terms=((1.0, b.matrices[0]),)), b)
     e1 = np.zeros(8)
     e1[0] = 1.0
     assert np.allclose(g.A, np.outer(e1, e1), atol=1e-14)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import adjoint_generator, structure_constants
+from conftest import (adjoint_generator, from_vector, sigma_x_slot, structure_constants,
+                      to_vector)
 from lindbladsim.numerics import dagger, expm
-from lindbladsim.sud import (SudError, adjoint_matrix, from_vector, gell_mann_basis, pair_index,
-                             pair_order, to_vector)
+from lindbladsim.sud import SudError, adjoint_matrix, gell_mann_basis, pair_index, pair_order
 
 SQRT2 = np.sqrt(2.0)
 
@@ -21,9 +21,9 @@ def test_d2_basis_is_rescaled_paulis():
     sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
     sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
     sigma_y = np.array([[0, -1j], [1j, 0]])
-    assert np.allclose(b[0], sigma_z / SQRT2, atol=1e-15)
-    assert np.allclose(b[1], sigma_x / SQRT2, atol=1e-15)
-    assert np.allclose(b[2], sigma_y / SQRT2, atol=1e-15)
+    assert np.allclose(b.matrices[0], sigma_z / SQRT2, atol=1e-15)
+    assert np.allclose(b.matrices[1], sigma_x / SQRT2, atol=1e-15)
+    assert np.allclose(b.matrices[2], sigma_y / SQRT2, atol=1e-15)
 
 
 def test_basis_count_d3():
@@ -43,12 +43,13 @@ def test_basis_orthonormal_traceless_hermitian_d4():
 def test_basis_ordering_slots():
     b = gell_mann_basis(3)
     # diagonal block first, then sigma_x pairs (1,2),(1,3),(2,3), then sigma_y
-    assert b.index_diag(1) == 0 and b.index_diag(2) == 1
-    assert b.index_x(1, 2) == 2 and b.index_x(2, 3) == 4
+    for l in (0, 1):
+        assert np.array_equal(b.matrices[l], np.diag(np.diag(b.matrices[l])))
+    assert sigma_x_slot(b, 1, 2) == 2 and sigma_x_slot(b, 2, 3) == 4
     assert b.index_y(1, 2) == 5 and b.index_y(2, 3) == 7
     m = np.zeros((3, 3), dtype=complex)
     m[0, 1] = m[1, 0] = 1 / SQRT2
-    assert np.allclose(b[b.index_x(1, 2)], m, atol=1e-15)
+    assert np.allclose(b.matrices[sigma_x_slot(b, 1, 2)], m, atol=1e-15)
 
 
 def test_pair_index_matches_pair_order():
@@ -56,7 +57,7 @@ def test_pair_index_matches_pair_order():
         b = gell_mann_basis(d)
         for pos, (j, k) in enumerate(pair_order(d)):
             assert pair_index(d, j, k) == pos
-            assert b.index_x(j, k) == d - 1 + pos
+            assert sigma_x_slot(b, j, k) == d - 1 + pos
             assert b.index_y(j, k) == d - 1 + len(pair_order(d)) + pos
         for j, k in ((0, 1), (2, 2), (2, 1), (1, d + 1)):
             with pytest.raises(SudError):
@@ -69,8 +70,9 @@ def test_basis_rejects_small_d():
 
 
 def brute_force_constant(b, g, a, c):
-    comm = b[g] @ b[a] - b[a] @ b[g]
-    return (-1j * np.trace(comm @ b[c])).real
+    F = b.matrices
+    comm = F[g] @ F[a] - F[a] @ F[g]
+    return (-1j * np.trace(comm @ F[c])).real
 
 
 def test_structure_constant_d2_value():
@@ -116,7 +118,7 @@ def test_jacobi_identity(d):
 
 def test_to_vector_basis_element():
     b = gell_mann_basis(3)
-    x = to_vector(1j * b[2], b)
+    x = to_vector(1j * b.matrices[2], b)
     expected = np.zeros(8)
     expected[2] = 1.0
     assert np.allclose(x, expected, atol=1e-14)
@@ -137,7 +139,7 @@ def test_vector_roundtrip(rng):
         assert np.max(np.abs(from_vector(to_vector(x, b), b) - x)) < 1e-12
     e1 = np.zeros(15)
     e1[0] = 1.0
-    assert np.allclose(from_vector(e1, b), 1j * b[0], atol=1e-15)
+    assert np.allclose(from_vector(e1, b), 1j * b.matrices[0], atol=1e-15)
     assert np.allclose(from_vector(np.zeros(15), b), np.zeros((4, 4)), atol=0)
 
 

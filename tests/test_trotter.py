@@ -13,7 +13,7 @@ from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
 from lindbladsim.numerics import expm, frobenius
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import (TrotterError, TrotterPlan, block_superoperator, build_plan,
-                                 dissipative_component, hamiltonian_component, merge_adjacent,
+                                 dissipative_components, hamiltonian_component, merge_adjacent,
                                  nexp_bound_closed_form, nexp_bound_res, nexp_report,
                                  prepare_components, run_plan, s2_schedule,
                                  s2k_schedule, segments_per_block, select_order, simulate,
@@ -119,7 +119,7 @@ def test_component_norms_match_serial_estimator():
     cases.append((random_gks(6, np.random.default_rng(1)), 2))
     for g, n_plans in cases:
         comps = [hamiltonian_component(g.H)]
-        comps += [dissipative_component(p, g.basis) for p in decompose_generator(g)[:n_plans]]
+        comps += dissipative_components(decompose_generator(g)[:n_plans], g.basis)
         for c in comps:
             oracle = serial_one_one_norm(component_generator(c)) / NORM_SAFETY
             assert c.norm >= oracle * (1.0 - 1e-12)
