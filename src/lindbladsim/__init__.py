@@ -13,7 +13,7 @@ from .lindblad import (GksGenerator, DiagonalGenerator, QuantumState,
                        from_diagonal, to_diagonal, liouvillian_matrix, apply_exact,
                        one_one_norm, trace_distance, maximally_mixed)
 from .decompose import (RankOneTerm, ConjugationPlan, UniversalParams, spectral_split,
-                        canonical_phase, decompose_generator, verify_plan)
+                        decompose_generator, verify_plan)
 from .trotter import (TrotterPlan, CostReport, build_plan, run_plan, nexp_report,
                       prepare_components, simulate)
 
@@ -23,7 +23,7 @@ __all__ = [
     "from_diagonal", "to_diagonal", "liouvillian_matrix", "apply_exact",
     "one_one_norm", "trace_distance", "maximally_mixed",
     "RankOneTerm", "ConjugationPlan", "UniversalParams", "spectral_split",
-    "canonical_phase", "decompose_generator", "verify_plan",
+    "decompose_generator", "verify_plan",
     "TrotterPlan", "CostReport", "build_plan", "run_plan", "nexp_report",
     "prepare_components", "simulate",
 ]

@@ -29,8 +29,9 @@ of d^2 - d coordinates (all but the sigma_y^(j,d) slots), parametrized by
 hyperspherical angles.  The original rank-one piece is recovered as
 a a† = b b† with b = G v, G the adjoint matrix of U = U1† U2† (see verify_plan).
 
-Each step is one pass over the stack of all pieces (decompose_terms, verify_plans);
-decompose_term and the single-input steps are the one-row case of the same code.
+Each step is one function over a stack of rows, one row per piece; decompose_terms
+and verify_plans chain the steps over all pieces at once, and decompose_term and
+verify_plan are their one-row case.
 """
 
 import math
@@ -51,6 +52,11 @@ class DecomposeError(ValueError):
 TWO_PI = 2.0 * math.pi
 
 
+def _require_weight(lam):
+    if not 0.0 <= lam < math.inf:  # written so that NaN fails too
+        raise DecomposeError(f"weight must be finite and non-negative, got {lam}")
+
+
 @dataclass(frozen=True)
 class RankOneTerm:
     """One spectral component lambda * a a† of a GKS matrix."""
@@ -59,20 +65,11 @@ class RankOneTerm:
     a: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_weight(self.lam)
         a = np.asarray(self.a, dtype=complex)
         if abs(np.linalg.norm(a) - 1.0) > 1e-12:
             raise DecomposeError("rank-one direction is not a unit vector")
         object.__setattr__(self, "a", a)
-
-
-@dataclass(frozen=True)
-class CanonicalVector:
-    """Phase-canonicalized split a' = cos(theta) aR + i sin(theta) aI."""
-
-    psi: float
-    theta: float
-    aR: np.ndarray = field(repr=False)
-    aI: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -93,6 +90,9 @@ class ConjugationPlan:
     U: np.ndarray = field(repr=False)
     params: UniversalParams
 
+    def __post_init__(self):
+        _require_weight(self.lam)
+
 
 def spectral_split(g: GksGenerator) -> list[RankOneTerm]:
     """Spectral decomposition A = sum_k lambda_k a_k a_k†, descending."""
@@ -111,8 +111,16 @@ def _refuse(message: str, *bad):
         raise DecomposeError(message)
 
 
-def _canonical_phases(a: np.ndarray):
-    """canonical_phase on each row of a (m, n): stacked (psi, theta, aR, aI)."""
+def canonical_phases(a: np.ndarray):
+    """Remove the global-phase freedom of each rank-one direction, a row of a (m, n).
+
+    Returns the stacked psi in [0, pi) such that e^(i psi) a has orthogonal
+    real and imaginary parts with the real part at least as long, theta in
+    [0, pi/4], and the normalized parts aR, aI.  Degenerate rows: when
+    k1 = k2 = 0 the row is already balanced and psi = 0; when its imaginary
+    part vanishes entirely, aI is completed deterministically with the
+    first coordinate direction not parallel to aR.
+    """
     _refuse("input is not a unit vector", np.abs(_norms(a) - 1.0) > 1e-12)
     k1 = np.vecdot(a.real, a.real) - np.vecdot(a.imag, a.imag)
     k2 = 2.0 * np.vecdot(a.real, a.imag)
@@ -135,20 +143,6 @@ def _canonical_phases(a: np.ndarray):
     return psi, theta, uR, uI / _norms(uI)[:, None]
 
 
-def canonical_phase(a) -> CanonicalVector:
-    """Remove the global-phase freedom of a rank-one direction.
-
-    Returns psi in [0, pi) such that e^(i psi) a has orthogonal real and
-    imaginary parts with the real part at least as long, theta in
-    [0, pi/4], and the normalized parts aR, aI.  Degenerate cases: when
-    k1 = k2 = 0 the vector is already balanced and psi = 0; when the
-    imaginary part vanishes entirely, aI is completed deterministically
-    with the first coordinate direction not parallel to aR.
-    """
-    psi, theta, aR, aI = _canonical_phases(np.asarray(a, dtype=complex)[None])
-    return CanonicalVector(psi=float(psi[0]), theta=float(theta[0]), aR=aR[0], aI=aI[0])
-
-
 def _completion_orthogonal_to(u: np.ndarray) -> np.ndarray:
     """First coordinate direction e_p - u_p u of norm sqrt(1 - u_p^2) > 1/2, normalized:
     one exists for a unit u of length >= 2, as at most one |u_p| reaches sqrt(3)/2."""
@@ -158,9 +152,17 @@ def _completion_orthogonal_to(u: np.ndarray) -> np.ndarray:
     return e[p] / norms[p]
 
 
-def _diagonalizing_unitaries(aR: np.ndarray, basis: GellMannBasis):
-    """diagonalizing_unitary on each row of aR (m, n): the stack of U1 and of
-    the diagonal matrices U1 (i M) U1†."""
+def diagonalizing_unitaries(aR: np.ndarray, basis: GellMannBasis):
+    """Special unitaries U1, one per row of aR (m, n), with U1 f^-1(aR) U1† in the
+    diagonal subalgebra: the (m, d, d) stacks of U1 and of U1 (i M) U1†.
+
+    f^-1(aR) = i M with M Hermitian; U1 is the (phase-fixed) inverse of
+    the eigenvector matrix of M.  Eigenvalues are ordered descending with
+    numerically-zero ones moved last, so zero eigenvalues sit in the
+    trailing diagonal entries; comparing signed values rather than moduli
+    keeps the order stable when a +/- pair agrees in modulus only up to
+    roundoff.
+    """
     M = np.einsum("mg,gij->mij", aR, basis.matrices)
     w, v = numerics.eigh(M)
     scale = np.maximum(np.max(np.abs(w), axis=-1, keepdims=True), 1e-300)
@@ -186,35 +188,10 @@ def _diagonalizing_unitaries(aR: np.ndarray, basis: GellMannBasis):
     return u1, diag
 
 
-def diagonalizing_unitary(aR, basis: GellMannBasis) -> np.ndarray:
-    """Special unitary U1 with U1 f^-1(aR) U1† in the diagonal subalgebra.
-
-    f^-1(aR) = i M with M Hermitian; U1 is the (phase-fixed) inverse of
-    the eigenvector matrix of M.  Eigenvalues are ordered descending with
-    numerically-zero ones moved last, so zero eigenvalues sit in the
-    trailing diagonal entries; comparing signed values rather than moduli
-    keeps the order stable when a +/- pair agrees in modulus only up to
-    roundoff.
-    """
-    return _diagonalizing_unitaries(np.asarray(aR, dtype=float)[None], basis)[0][0]
-
-
-def _phase_eliminations(X: np.ndarray) -> np.ndarray:
-    """phase_elimination_unitary on each matrix of X (m, d, d): the stack of
-    U2's diagonals e^(i g)."""
-    d = X.shape[-1]
-    norm = np.linalg.norm(X, axis=(-2, -1))
-    _refuse("input is not anti-Hermitian",
-            np.linalg.norm(X + dagger(X), axis=(-2, -1)) > 1e-9 * np.maximum(1.0, norm))
-    # pair coefficients a_(j,d) in X = sum i a_(j,k) |j><k| / sqrt(2) + h.c.
-    c = -1j * math.sqrt(2.0) * X[:, :-1, -1]
-    phases = np.where(np.abs(c) > 1e-12 * np.maximum(norm, 1e-300)[:, None], np.angle(c), 0.0)
-    g_d = np.sum(phases, axis=-1, keepdims=True) / d
-    return np.exp(1j * np.concatenate([g_d - phases, g_d], axis=-1))
-
-
-def phase_elimination_unitary(atilde_i, basis: GellMannBasis) -> np.ndarray:
-    """Diagonal special unitary U2 killing sigma_y components on pairs (j, d).
+def phase_eliminations(X: np.ndarray) -> np.ndarray:
+    """Diagonal special unitaries U2 killing sigma_y components on pairs (j, d),
+    one per anti-Hermitian matrix of X (m, d, d): the (m, d) stack of their
+    diagonals e^(i g).
 
     Writing U2 = diag(e^(i g_1), ..., e^(i g_d)), the off-diagonal pair
     coefficients transform by phi_(j,k) -> phi_(j,k) + g_j - g_k, so
@@ -225,10 +202,15 @@ def phase_elimination_unitary(atilde_i, basis: GellMannBasis) -> np.ndarray:
     every diagonal basis element, so the diagonal parts of both canonical
     vectors are untouched.
     """
-    X = np.asarray(atilde_i, dtype=complex)
-    if X.shape != (basis.d, basis.d):
-        raise DecomposeError(f"expected a {basis.d}x{basis.d} matrix, got {X.shape}")
-    return np.diag(_phase_eliminations(X[None])[0])
+    d = X.shape[-1]
+    norm = np.linalg.norm(X, axis=(-2, -1))
+    _refuse("input is not anti-Hermitian",
+            np.linalg.norm(X + dagger(X), axis=(-2, -1)) > 1e-9 * np.maximum(1.0, norm))
+    # pair coefficients a_(j,d) in X = sum i a_(j,k) |j><k| / sqrt(2) + h.c.
+    c = -1j * math.sqrt(2.0) * X[:, :-1, -1]
+    phases = np.where(np.abs(c) > 1e-12 * np.maximum(norm, 1e-300)[:, None], np.angle(c), 0.0)
+    g_d = np.sum(phases, axis=-1, keepdims=True) / d
+    return np.exp(1j * np.concatenate([g_d - phases, g_d], axis=-1))
 
 
 def sigma_y_zero_slots(basis: GellMannBasis) -> list[int]:
@@ -271,9 +253,18 @@ def _unit_from_angles(angles: np.ndarray) -> np.ndarray:
     return sines * cosines
 
 
-def _extract_params(aR: np.ndarray, aI: np.ndarray, theta, basis: GellMannBasis) -> list:
-    """extract_params on each row of aR, aI (m, n) and theta (m,)."""
+def extract_params(aR: np.ndarray, aI: np.ndarray, theta, basis: GellMannBasis) -> list:
+    """Hyperspherical angles of canonical-form vector pairs: one UniversalParams
+    per row of aR, aI (m, n) and entry of theta (m,).
+
+    Expects every aR row supported on the first d-1 (diagonal) components
+    and every aI row on the support returned by universal_support; entries
+    outside the respective supports beyond 1e-9 are an error.  For d = 2
+    the canonical pair is fixed at aR = e1, aI = e2 and only theta remains.
+    """
     d = basis.d
+    if aR.shape != aI.shape or aR.shape[1:] != (basis.n,) or len(theta) != len(aR):
+        raise DecomposeError("canonical vectors and angles do not form one stack of length-n rows")
     _refuse("real canonical vector leaks outside the diagonal block", np.abs(aR[:, d - 1:]) > 1e-9)
     _refuse("imaginary canonical vector violates the zero pattern",
             np.abs(aI[:, sigma_y_zero_slots(basis)]) > 1e-9)
@@ -297,24 +288,9 @@ def _extract_params(aR: np.ndarray, aI: np.ndarray, theta, basis: GellMannBasis)
             for t, r, i in zip(thetas, alphaR.tolist(), alphaI.tolist())]
 
 
-def extract_params(aR, aI, theta: float, basis: GellMannBasis) -> UniversalParams:
-    """Hyperspherical angles of a canonical-form vector pair.
-
-    Expects aR supported on the first d-1 (diagonal) components and aI on
-    the support returned by universal_support; entries outside the
-    respective supports beyond 1e-9 are an error.  For d = 2 the canonical
-    pair is fixed at aR = e1, aI = e2 and only theta remains.
-    """
-    aR = np.asarray(aR, dtype=float)
-    aI = np.asarray(aI, dtype=float)
-    if aR.shape != (basis.n,) or aI.shape != (basis.n,):
-        raise DecomposeError("canonical vectors have the wrong length")
-    return _extract_params(aR[None], aI[None], [theta], basis)[0]
-
-
-def _universal_vectors(params, basis: GellMannBasis):
-    """Stacked (aR, aI, v = cos(theta) aR + i sin(theta) aI) of a list of
-    universal parameters."""
+def universal_vectors(params, basis: GellMannBasis):
+    """Stacked (aR, aI, v = cos(theta) aR + i sin(theta) aI) of a list of universal
+    parameters: the angles embedded back into full-length vectors, one row each."""
     d, n, m = basis.d, basis.n, len(params)
     if any(p.d != d for p in params):
         raise DecomposeError("parameter dimension does not match basis")
@@ -330,20 +306,9 @@ def _universal_vectors(params, basis: GellMannBasis):
     return aR, aI, np.cos(theta) * aR + 1j * np.sin(theta) * aI
 
 
-def reconstruct_vectors(params: UniversalParams, basis: GellMannBasis):
-    """Embed the hyperspherical angles back into full-length vectors."""
-    aR, aI, _ = _universal_vectors([params], basis)
-    return aR[0], aI[0]
-
-
-def universal_vector(params: UniversalParams, basis: GellMannBasis) -> np.ndarray:
-    """Unit vector cos(theta) aR + i sin(theta) aI of the family member."""
-    return _universal_vectors([params], basis)[2][0]
-
-
 def universal_operators(params, basis: GellMannBasis) -> np.ndarray:
     """Stack of the Lindblad operators L = sum_a v_a F_a of a list of family members."""
-    return np.einsum("ma,aij->mij", _universal_vectors(params, basis)[2], basis.matrices)
+    return np.einsum("ma,aij->mij", universal_vectors(params, basis)[2], basis.matrices)
 
 
 def _coordinates(X: np.ndarray, basis: GellMannBasis) -> np.ndarray:
@@ -355,10 +320,10 @@ def decompose_terms(terms, basis: GellMannBasis) -> list[ConjugationPlan]:
     """Carry rank-one pieces through the three canonicalization steps, each
     step one pass over the stack of all pieces."""
     d = basis.d
-    _, theta, aR, aI = _canonical_phases(np.array([t.a for t in terms]).reshape(-1, basis.n))
-    u1, AR_d = _diagonalizing_unitaries(aR, basis)
+    _, theta, aR, aI = canonical_phases(np.array([t.a for t in terms]).reshape(-1, basis.n))
+    u1, AR_d = diagonalizing_unitaries(aR, basis)
     AI_t = u1 @ (1j * np.einsum("mg,gij->mij", aI, basis.matrices)) @ dagger(u1)
-    e = _phase_eliminations(AI_t)  # U2 = diag(e) is diagonal: conjugating scales entries
+    e = phase_eliminations(AI_t)  # U2 = diag(e) is diagonal: conjugating scales entries
     aR_t = _coordinates(AR_d, basis)
     aI_t = _coordinates(AI_t * e[:, :, None] * np.conj(e)[:, None, :], basis)
     # zero out sub-tolerance leakage so the stored pattern is exact
@@ -377,7 +342,7 @@ def decompose_terms(terms, basis: GellMannBasis) -> list[ConjugationPlan]:
     aI_t /= _norms(aI_t)[:, None]
     aI_t -= np.vecdot(aR_t, aI_t)[:, None] * aR_t
     aI_t /= _norms(aI_t)[:, None]
-    params = _extract_params(aR_t, aI_t, theta, basis)
+    params = extract_params(aR_t, aI_t, theta, basis)
     U = dagger(u1) * np.conj(e)[:, None, :]  # U1† U2†
     return [ConjugationPlan(lam=t.lam, U=u, params=p) for t, u, p in zip(terms, U, params)]
 
@@ -398,6 +363,8 @@ def decompose_generator(g: GksGenerator) -> list[ConjugationPlan]:
 
 def verify_plans(plans, terms, basis: GellMannBasis) -> np.ndarray:
     """verify_plan of each plan against its term, in one pass."""
+    if len(plans) != len(terms):
+        raise DecomposeError(f"{len(plans)} plans for {len(terms)} terms")
     U = np.array([p.U for p in plans]).reshape(-1, basis.d, basis.d)
     b = np.einsum("gij,mji->mg", basis.matrices,
                   U @ universal_operators([p.params for p in plans], basis) @ dagger(U))

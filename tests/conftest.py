@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from lindbladsim.cli import lambda_atom_generator
-from lindbladsim.decompose import universal_vector
+from lindbladsim.decompose import universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal,
                                   hamiltonian_superoperator, unvec, vec)
 from lindbladsim.numerics import dagger, frobenius
@@ -174,7 +174,7 @@ def adjoint_generator(f, r):
 
 def universal_gks_matrix(params, basis):
     """Unit-rate GKS matrix v v† of a universal-family member."""
-    v = universal_vector(params, basis)
+    (v,) = universal_vectors([params], basis)[2]
     return np.outer(v, np.conj(v))
 
 

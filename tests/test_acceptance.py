@@ -14,8 +14,8 @@ import pytest
 from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, SQRT3, THETA2,
                       adjoint_generator, from_vector, lambda_atom, plan_gks_matrix,
                       random_diagonal, random_mixed_state, structure_constants)
-from lindbladsim.decompose import (canonical_phase, decompose_generator, decompose_term,
-                                   diagonalizing_unitary, reconstruct_vectors, RankOneTerm,
+from lindbladsim.decompose import (canonical_phases, decompose_generator, decompose_term,
+                                   diagonalizing_unitaries, universal_vectors, RankOneTerm,
                                    spectral_split, verify_plan)
 from lindbladsim.lindblad import (GksGenerator, QuantumState, apply_exact, from_diagonal,
                                   liouvillian_matrix, maximally_mixed, trace_distance)
@@ -72,15 +72,14 @@ def test_criterion_2_worked_example_decomposition():
     checks.append(np.allclose([t.lam for t in terms], [1.0, 0.25], atol=1e-12))
     checks.append(abs(abs(np.vdot(SECONDVEC, terms[1].a)) - 1.0) <= 1e-10)
 
-    c1 = canonical_phase(A1_LITERAL)
-    c2 = canonical_phase(SECONDVEC)
-    checks.append(abs(c1.psi - 0.0) <= 1e-12)
-    checks.append(abs(c1.theta - math.pi / 4) <= 1e-12)
-    checks.append(abs(c2.psi - math.pi / 2) <= 1e-12)
-    checks.append(abs(c2.theta - THETA2) <= 1e-12)
+    psi, theta, aR, _ = canonical_phases(np.array([A1_LITERAL, SECONDVEC]))
+    checks.append(abs(psi[0] - 0.0) <= 1e-12)
+    checks.append(abs(theta[0] - math.pi / 4) <= 1e-12)
+    checks.append(abs(psi[1] - math.pi / 2) <= 1e-12)
+    checks.append(abs(theta[1] - THETA2) <= 1e-12)
 
-    u1 = diagonalizing_unitary(c1.aR, gell_mann_basis(3))
-    diag = u1 @ from_vector(c1.aR, gell_mann_basis(3)) @ dagger(u1)
+    u1 = diagonalizing_unitaries(aR[:1], gell_mann_basis(3))[0][0]
+    diag = u1 @ from_vector(aR[0], gell_mann_basis(3)) @ dagger(u1)
     target = np.diag([1j / np.sqrt(2), -1j / np.sqrt(2), 0.0])
     checks.append(np.max(np.abs(diag - target)) <= 1e-10)
 
@@ -228,7 +227,7 @@ def test_criterion_7_d2_specialization():
         terms = spectral_split(g)
         for term in terms:
             plan = decompose_term(term, basis)
-            aR, aI = reconstruct_vectors(plan.params, basis)
+            (aR,), (aI,), _ = universal_vectors([plan.params], basis)
             ok = ok and np.array_equal(aR, np.array([1.0, 0.0, 0.0]))
             ok = ok and np.array_equal(aI, np.array([0.0, 1.0, 0.0]))
             ok = ok and plan.params.alphaR == () and plan.params.alphaI == ()

@@ -9,11 +9,10 @@ from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, THETA2, depha
                       from_vector, lambda_atom, plan_gks_matrix, random_gks, random_psd,
                       sigma_x_slot, to_vector)
 from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
-                                   UniversalParams, canonical_phase, decompose_generator,
-                                   decompose_term, decompose_terms, diagonalizing_unitary,
-                                   extract_params,
-                                   phase_elimination_unitary, reconstruct_vectors,
-                                   sigma_y_zero_slots, spectral_split, universal_support,
+                                   UniversalParams, canonical_phases, decompose_generator,
+                                   decompose_term, decompose_terms, diagonalizing_unitaries,
+                                   extract_params, phase_eliminations, sigma_y_zero_slots,
+                                   spectral_split, universal_support, universal_vectors,
                                    verify_plan, verify_plans)
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix
 from lindbladsim.numerics import dagger, expm, frobenius
@@ -62,49 +61,48 @@ def test_spectral_split_reconstructs(rng):
 
 
 # ---------------------------------------------------------------------------
-# canonical_phase
+# canonical_phases
 # ---------------------------------------------------------------------------
 
 def test_canonical_phase_first_term_golden():
-    c = canonical_phase(A1_LITERAL)
-    assert c.psi == pytest.approx(0.0, abs=1e-12)
-    assert c.theta == pytest.approx(math.pi / 4, abs=1e-12)
-    assert np.allclose(c.aR, AHAT1_R, atol=1e-12)
-    assert np.allclose(c.aI, AHAT1_I, atol=1e-12)
+    (psi,), (theta,), (aR,), (aI,) = canonical_phases(A1_LITERAL[None])
+    assert psi == pytest.approx(0.0, abs=1e-12)
+    assert theta == pytest.approx(math.pi / 4, abs=1e-12)
+    assert np.allclose(aR, AHAT1_R, atol=1e-12)
+    assert np.allclose(aI, AHAT1_I, atol=1e-12)
 
 
 def test_canonical_phase_second_term_golden():
-    c = canonical_phase(SECONDVEC)
-    assert c.psi == pytest.approx(math.pi / 2, abs=1e-12)
-    assert c.theta == pytest.approx(THETA2, abs=1e-12)
+    (psi,), (theta,), (aR,), (aI,) = canonical_phases(SECONDVEC[None])
+    assert psi == pytest.approx(math.pi / 2, abs=1e-12)
+    assert theta == pytest.approx(THETA2, abs=1e-12)
     e5 = np.zeros(8)
     e5[4] = -1.0
     e8 = np.zeros(8)
     e8[7] = 1.0
-    assert np.allclose(c.aR, e5, atol=1e-12)
-    assert np.allclose(c.aI, e8, atol=1e-12)
+    assert np.allclose(aR, e5, atol=1e-12)
+    assert np.allclose(aI, e8, atol=1e-12)
 
 
 def test_canonical_phase_real_vector(rng):
     x = rng.normal(size=8)
     x /= np.linalg.norm(x)
-    c = canonical_phase(x.astype(complex))
-    assert c.psi == 0.0
-    assert c.theta == 0.0
-    assert np.allclose(c.aR, x, atol=1e-14)
-    assert abs(c.aR @ c.aI) < 1e-12
+    (psi,), (theta,), (aR,), (aI,) = canonical_phases(x.astype(complex)[None])
+    assert psi == 0.0
+    assert theta == 0.0
+    assert np.allclose(aR, x, atol=1e-14)
+    assert abs(aR @ aI) < 1e-12
 
 
 def test_canonical_phase_invariants(rng):
-    for _ in range(30):
-        a = random_unit_complex(8, rng)
-        c = canonical_phase(a)
-        assert 0.0 <= c.theta <= math.pi / 4 + 1e-12
-        assert abs(np.linalg.norm(c.aR) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(c.aI) - 1.0) < 1e-12
-        assert abs(c.aR @ c.aI) < 1e-10
-        rebuilt = math.cos(c.theta) * c.aR + 1j * math.sin(c.theta) * c.aI
-        assert np.max(np.abs(np.exp(1j * c.psi) * a - rebuilt)) < 1e-10
+    a = np.array([random_unit_complex(8, rng) for _ in range(30)])
+    for row, psi, theta, aR, aI in zip(a, *canonical_phases(a)):
+        assert 0.0 <= theta <= math.pi / 4 + 1e-12
+        assert abs(np.linalg.norm(aR) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(aI) - 1.0) < 1e-12
+        assert abs(aR @ aI) < 1e-10
+        rebuilt = math.cos(theta) * aR + 1j * math.sin(theta) * aI
+        assert np.max(np.abs(np.exp(1j * psi) * row - rebuilt)) < 1e-10
 
 
 def test_canonical_phase_theta_rotation_invariant(rng):
@@ -113,31 +111,32 @@ def test_canonical_phase_theta_rotation_invariant(rng):
         r = rng.normal(size=8)
         u = expm(1j * np.einsum("g,gij->ij", r, B3.matrices))
         g = adjoint_matrix(u, B3)
-        assert canonical_phase(g @ a).theta == pytest.approx(canonical_phase(a).theta, abs=1e-9)
+        theta = canonical_phases(np.array([g @ a, a]))[1]
+        assert theta[0] == pytest.approx(theta[1], abs=1e-9)
 
 
 def test_canonical_phase_rejects_non_unit():
     with pytest.raises(DecomposeError):
-        canonical_phase(np.ones(8, dtype=complex))
+        canonical_phases(np.ones((1, 8), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
-# diagonalizing_unitary
+# diagonalizing_unitaries
 # ---------------------------------------------------------------------------
 
 def test_diagonalizing_unitary_first_term_golden():
-    c = canonical_phase(A1_LITERAL)
-    u1 = diagonalizing_unitary(c.aR, B3)
-    diag = u1 @ from_vector(c.aR, B3) @ dagger(u1)
+    (aR,) = canonical_phases(A1_LITERAL[None])[2]
+    (u1,), _ = diagonalizing_unitaries(aR[None], B3)
+    diag = u1 @ from_vector(aR, B3) @ dagger(u1)
     target = np.diag([1j / np.sqrt(2), -1j / np.sqrt(2), 0.0])
     assert np.max(np.abs(diag - target)) < 1e-10
     assert np.linalg.det(u1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_diagonalizing_unitary_second_term_golden():
-    c = canonical_phase(SECONDVEC)
-    u1 = diagonalizing_unitary(c.aR, B3)
-    diag = u1 @ from_vector(c.aR, B3) @ dagger(u1)
+    (aR,) = canonical_phases(SECONDVEC[None])[2]
+    (u1,), _ = diagonalizing_unitaries(aR[None], B3)
+    diag = u1 @ from_vector(aR, B3) @ dagger(u1)
     target = np.diag([1j / np.sqrt(2), -1j / np.sqrt(2), 0.0])
     assert np.max(np.abs(diag - target)) < 1e-10
 
@@ -147,7 +146,7 @@ def test_diagonalizing_unitary_already_diagonal():
     aR = np.zeros(8)
     aR[0] = 0.6
     aR[1] = 0.8
-    u1 = diagonalizing_unitary(aR, b)
+    (u1,), _ = diagonalizing_unitaries(aR[None], b)
     diag = u1 @ from_vector(aR, b) @ dagger(u1)
     off = diag - np.diag(np.diag(diag))
     assert np.max(np.abs(off)) < 1e-12
@@ -158,10 +157,9 @@ def test_diagonalizing_unitary_already_diagonal():
 
 def test_diagonalizing_unitary_random_d4(rng):
     b = gell_mann_basis(4)
-    for _ in range(10):
-        aR = rng.normal(size=15)
-        aR /= np.linalg.norm(aR)
-        u1 = diagonalizing_unitary(aR, b)
+    aRs = rng.normal(size=(10, 15))
+    aRs /= np.linalg.norm(aRs, axis=1, keepdims=True)
+    for aR, u1 in zip(aRs, diagonalizing_unitaries(aRs, b)[0]):
         diag = u1 @ from_vector(aR, b) @ dagger(u1)
         off = diag - np.diag(np.diag(diag))
         assert np.max(np.abs(off)) < 1e-10
@@ -169,7 +167,7 @@ def test_diagonalizing_unitary_random_d4(rng):
 
 
 # ---------------------------------------------------------------------------
-# phase_elimination_unitary
+# phase_eliminations
 # ---------------------------------------------------------------------------
 
 def _pair_coefficients(m, basis):
@@ -186,15 +184,15 @@ def _pair_coefficients(m, basis):
 def test_phase_elimination_trivial_identity():
     m = np.zeros((3, 3), dtype=complex)
     m[0, 1], m[1, 0] = 0.4, -0.4  # real antisymmetric: pair phases +-pi/2 on (1,2) only
-    u2 = phase_elimination_unitary(m, B3)
+    u2 = np.diag(phase_eliminations(m[None])[0])
     assert np.max(np.abs(u2 - np.eye(3))) < 1e-14
 
 
 def test_phase_elimination_lambda_atom_identity():
-    c = canonical_phase(A1_LITERAL)
-    u1 = diagonalizing_unitary(c.aR, B3)
-    AI_t = u1 @ from_vector(c.aI, B3) @ dagger(u1)
-    u2 = phase_elimination_unitary(AI_t, B3)
+    _, _, aR, (aI,) = canonical_phases(A1_LITERAL[None])
+    (u1,), _ = diagonalizing_unitaries(aR, B3)
+    AI_t = u1 @ from_vector(aI, B3) @ dagger(u1)
+    u2 = np.diag(phase_eliminations(AI_t[None])[0])
     assert np.max(np.abs(u2 - np.eye(3))) < 1e-12
 
 
@@ -204,7 +202,7 @@ def test_phase_elimination_kills_last_column_sigma_y(rng):
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         x = x - dagger(x)
         x -= np.trace(x) / 3 * np.eye(3)
-        u2 = phase_elimination_unitary(x, b)
+        u2 = np.diag(phase_eliminations(x[None])[0])
         coeffs = _pair_coefficients(u2 @ x @ dagger(u2), b)
         for j in (1, 2):
             sx, sy = coeffs[(j, 3)]
@@ -218,7 +216,7 @@ def test_phase_elimination_preserves_diagonal_parts(rng):
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     x = x - dagger(x)
     x -= np.trace(x) / 4 * np.eye(4)
-    u2 = phase_elimination_unitary(x, b)
+    u2 = np.diag(phase_eliminations(x[None])[0])
     for l in range(3):
         dmat = 1j * b.matrices[l]
         assert np.max(np.abs(u2 @ dmat @ dagger(u2) - dmat)) < 1e-12
@@ -228,16 +226,16 @@ def test_phase_elimination_preserves_diagonal_parts(rng):
 
 
 # ---------------------------------------------------------------------------
-# extract_params / reconstruct_vectors
+# extract_params / universal_vectors
 # ---------------------------------------------------------------------------
 
 def test_d2_params_are_theta_only():
     b = gell_mann_basis(2)
     aR = np.array([1.0, 0.0, 0.0])
     aI = np.array([0.0, 1.0, 0.0])
-    p = extract_params(aR, aI, 0.3, b)
+    (p,) = extract_params(aR[None], aI[None], [0.3], b)
     assert p.alphaR == () and p.alphaI == ()
-    rR, rI = reconstruct_vectors(p, b)
+    (rR,), (rI,), _ = universal_vectors([p], b)
     assert np.array_equal(rR, aR) and np.array_equal(rI, aI)
 
 
@@ -269,8 +267,8 @@ def test_extract_params_roundtrip(d, rng):
     for _ in range(20):
         aR, aI = _random_canonical_pair(b, rng)
         theta = rng.uniform(0.0, math.pi / 4)
-        p = extract_params(aR, aI, theta, b)
-        rR, rI = reconstruct_vectors(p, b)
+        (p,) = extract_params(aR[None], aI[None], [theta], b)
+        (rR,), (rI,), _ = universal_vectors([p], b)
         assert np.max(np.abs(rR - aR)) < 1e-10
         assert np.max(np.abs(rI - aI)) < 1e-10
         assert all(0.0 <= a <= math.pi + 1e-12 for a in p.alphaR[:-1])
@@ -286,7 +284,7 @@ def test_extract_params_orthogonality_constraint(rng):
         aR, aI = _random_canonical_pair(b, rng)
         if abs(aR[0]) < 1e-6:
             continue
-        p = extract_params(aR, aI, 0.2, b)
+        (p,) = extract_params(aR[None], aI[None], [0.2], b)
         lhs = math.cos(p.alphaI[0])
         rhs = -float(aR[1:3] @ aI[1:3]) / float(aR[0])
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -299,7 +297,16 @@ def test_extract_params_rejects_pattern_violation():
     bad = np.zeros(8)
     bad[7] = 1.0  # sigma_y^(2,3) slot is excluded from the support
     with pytest.raises(DecomposeError):
-        extract_params(aR, bad, 0.3, b)
+        extract_params(aR[None], bad[None], [0.3], b)
+
+
+def test_extract_params_rejects_a_malformed_stack():
+    b = gell_mann_basis(3)
+    aR, aI = np.eye(9)[:2, :8]
+    for args in ((aR[None], aI[None, :7], [0.3]), (np.eye(9)[None, 0], np.eye(9)[None, 2], [0.3]),
+                 (aR[None], aI[None], [0.3, 0.3]), (aR[None], np.array([aI, aI]), [0.3])):
+        with pytest.raises(DecomposeError, match="one stack of length-n rows"):
+            extract_params(*args, b)
 
 
 def test_universal_support_shape():
@@ -366,6 +373,24 @@ def test_verify_plan_d2_trivial():
     assert verify_plan(plan, term, b) < 1e-12
 
 
+def test_verify_plans_refuses_lists_of_different_lengths():
+    g = lambda_atom(1.0, 0.25)
+    with pytest.raises(DecomposeError, match="2 plans for 1 terms"):
+        verify_plans(decompose_generator(g), spectral_split(g)[:1], g.basis)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+def test_weight_must_be_finite_and_non_negative(lam):
+    plan = decompose_term(RankOneTerm(lam=1.0, a=A1_LITERAL), B3)
+    with pytest.raises(DecomposeError, match="weight must be finite and non-negative"):
+        RankOneTerm(lam=lam, a=A1_LITERAL)
+    with pytest.raises(DecomposeError, match="weight must be finite and non-negative"):
+        ConjugationPlan(lam=lam, U=plan.U, params=plan.params)
+    # a zero weight stays allowed: preparation drops such plans by design
+    RankOneTerm(lam=0.0, a=A1_LITERAL)
+    ConjugationPlan(lam=0.0, U=plan.U, params=plan.params)
+
+
 DIRECTIONS = ("real", "balanced", "basis", "sparse", "degenerate-diagonal", "near-real",
               "near-balanced", "generic")
 
@@ -415,7 +440,7 @@ def test_decompose_term_edge_directions(d, kind, seed):
     assert residual <= 1e-8
     oracle = frobenius(np.outer(term.a, np.conj(term.a)) - plan_gks_matrix(plan, b))
     assert abs(residual - oracle) <= 1e-14
-    rR, rI = reconstruct_vectors(plan.params, b)
+    (rR,), (rI,), _ = universal_vectors([plan.params], b)
     assert not rR[d - 1:].any() and not rI[sigma_y_zero_slots(b)].any()
 
 
@@ -440,10 +465,10 @@ def test_stack_equals_its_rows(d):
                       initial=0.0) <= 1e-14
     assert np.max(verify_plans(plans, terms, b)) <= 1e-12
     # the stack does take every rare branch
-    canon = [canonical_phase(t.a) for t in terms]
-    assert any(math.sin(c.theta) < 1e-13 for c in canon)
-    assert any(c.theta == pytest.approx(math.pi / 4, abs=1e-12) for c in canon)
-    spectra = [np.linalg.eigvalsh(np.einsum("g,gij->ij", c.aR, b.matrices)) for c in canon]
+    _, thetas, aRs, _ = canonical_phases(np.array([t.a for t in terms]))
+    assert any(math.sin(theta) < 1e-13 for theta in thetas)
+    assert any(theta == pytest.approx(math.pi / 4, abs=1e-12) for theta in thetas)
+    spectra = [np.linalg.eigvalsh(np.einsum("g,gij->ij", aR, b.matrices)) for aR in aRs]
     if d >= 3:
         assert any(np.min(np.abs(w)) < 1e-12 for w in spectra)
         assert any(np.min(np.diff(w)) < 1e-12 and np.min(np.abs(w)) > 1e-6 for w in spectra)
@@ -466,7 +491,7 @@ def test_zero_pattern_exact(rng):
         for _ in range(5):
             term = RankOneTerm(lam=1.0, a=random_unit_complex(b.n, rng))
             plan = decompose_term(term, b)
-            rR, rI = reconstruct_vectors(plan.params, b)
+            (rR,), (rI,), _ = universal_vectors([plan.params], b)
             for i in range(b.n):
                 if i >= d - 1:
                     assert rR[i] == 0.0
@@ -482,7 +507,7 @@ def test_d2_always_fixed_vectors(rng):
     for _ in range(20):
         term = RankOneTerm(lam=1.0, a=random_unit_complex(3, rng))
         plan = decompose_term(term, b)
-        rR, rI = reconstruct_vectors(plan.params, b)
+        (rR,), (rI,), _ = universal_vectors([plan.params], b)
         assert np.array_equal(rR, np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(rI, np.array([0.0, 1.0, 0.0]))
         assert verify_plan(plan, term, b) < 1e-8

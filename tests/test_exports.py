@@ -1,3 +1,9 @@
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import conftest
 import lindbladsim
 
 
@@ -7,3 +13,31 @@ def test_star_import_resolves_every_exported_name():
     exec("from lindbladsim import *", namespace)
     assert set(lindbladsim.__all__) <= namespace.keys()
     assert len(set(lindbladsim.__all__)) == len(lindbladsim.__all__)
+
+
+MODULES = {m.name: importlib.import_module(f"lindbladsim.{m.name}")
+           for m in pkgutil.iter_modules(lindbladsim.__path__)}
+
+
+def readme_spans():
+    """Backticked spans of README.md, fenced code blocks left out."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+
+
+def test_readme_module_references_resolve():
+    # every module.name the README names, such as numerics.expm, exists
+    refs = [m.groups() for span in readme_spans()
+            for m in re.finditer(r"(?<![\w.])(\w+)\.(\w+)", span) if m[1] in MODULES]
+    assert ("numerics", "expm") in refs
+    assert [f"{mod}.{name}" for mod, name in refs if not hasattr(MODULES[mod], name)] == []
+
+
+def test_readme_identifiers_resolve():
+    # every bare identifier with an underscore, or the callee of a call, lives in the
+    # package or in the tests' conftest
+    names = {m[1] for span in readme_spans()
+             if (m := re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", span, flags=re.S)) and "_" in m[1]}
+    assert "verify_plan" in names
+    owners = [*MODULES.values(), conftest]
+    assert sorted(n for n in names if not any(hasattr(o, n) for o in owners)) == []

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (SQRT3, lambda_atom, liouvillian_of_diagonal, random_diagonal,
                       random_gks, random_hermitian, random_mixed_state)
-from lindbladsim.decompose import decompose_generator, universal_vector
+from lindbladsim.decompose import decompose_generator, universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
                                   QuantumState, apply_exact, dissipator_superoperator,
                                   from_diagonal, liouvillian_matrix, maximally_mixed,
@@ -105,7 +105,7 @@ def test_dissipator_contracts_any_operator_stack(d, seed):
     assert_entries_close(dissipator_superoperator(g.A, g.basis.matrices),
                          liouvillian_of_diagonal(to_diagonal(g)))
     for c in prepare_components(g, decompose_generator(g)):
-        v = universal_vector(c.plan.params, g.basis)
+        (v,) = universal_vectors([c.plan.params], g.basis)[2]
         assert_entries_close(c.universal,
                              dissipator_superoperator(np.outer(v, np.conj(v)), g.basis.matrices))
 

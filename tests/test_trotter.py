@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import (NORM_SAFETY, dephasing_gks, lambda_atom, n_qubit_generator, random_diagonal,
                       random_gks, random_mixed_state, serial_one_one_norm)
 from lindbladsim import trotter
-from lindbladsim.decompose import decompose_generator
+from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
                                   from_diagonal, hamiltonian_superoperator, maximally_mixed,
                                   trace_distance)
@@ -17,7 +18,7 @@ from lindbladsim.trotter import (TrotterError, TrotterPlan, block_superoperator,
                                  nexp_bound_closed_form, nexp_bound_res, nexp_report,
                                  prepare_components, run_plan, s2_schedule,
                                  s2k_schedule, segments_per_block, select_order, simulate,
-                                 step_count, suzuki_p)
+                                 simulate_plans, step_count, suzuki_p)
 
 E = math.e
 
@@ -368,6 +369,15 @@ def test_simulate_rejects_dimension_mismatch(g):
     for t in (0.0, 1.0):
         with pytest.raises(TrotterError, match="state has d = 2 but the generator has d = 3"):
             simulate(g, maximally_mixed(2), t, 1e-3)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+def test_simulate_plans_refuses_a_bad_weight(lam):
+    # preparation drops plans by their weight, so a bad one must be refused before it
+    g = lambda_atom(1.0, 0.25)
+    with pytest.raises(DecomposeError, match="weight must be finite and non-negative"):
+        plans = [dataclasses.replace(p, lam=lam) for p in decompose_generator(g)]
+        simulate_plans(g, plans, maximally_mixed(3), 1.0, 1e-3)
 
 
 def test_nexp_per_block_m2_k1():
