@@ -25,7 +25,7 @@ class NumericsError(ValueError):
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag)))
+    return bool(np.isfinite(a).all())
 
 
 def _square_stack(m) -> np.ndarray:
@@ -59,7 +59,8 @@ def frobenius(m):
     a = np.asarray(m)
     top = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
     unit = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))
-    norm = np.linalg.norm(a * unit[..., None, None], axis=(-2, -1)) / unit
+    scaled = a * unit[..., None, None]  # np.linalg.norm's Frobenius sum, without its dispatch
+    norm = np.sqrt(np.add.reduce((scaled.conj() * scaled).real, axis=(-2, -1))) / unit
     return float(norm) if norm.ndim == 0 else norm
 
 
@@ -132,11 +133,15 @@ def expm(m) -> np.ndarray:
         groups = defaultdict(list)
         for i, norm in enumerate(np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)):
             groups[_degree_and_squarings(float(norm))].append(i)
+        whole = len(groups) == 1  # one (q, s) for every slice: no gather and scatter copies
         for (q, s), slices in groups.items():
-            x = _pade(stack[slices] * 2.0 ** -s, q)
+            x = _pade(np.multiply(stack if whole else stack[slices], 2.0 ** -s, order="C"), q)
             for _ in range(s):
                 x = x @ x
-            out[slices] = x
+            if whole:
+                out = x
+            else:
+                out[slices] = x
     if not _all_finite(out):
         raise NumericsError("matrix exponential overflowed to non-finite values")
     return out.reshape(a.shape)

@@ -24,29 +24,42 @@ and neither N_exp bound applies.  The resulting product approximates
 exp(tL) within eps in (1->1) norm, so output states are within eps of the
 exact oracle in trace distance.
 
-step_count is the planner, and select_order, its first step, holds the one
-check of the planner's inputs.  build_plan calls step_count once per run;
-the TrotterPlan it returns carries the two N_exp bounds that nexp_report
-prints.
+That bound is loose by orders of magnitude at small d, so a run does not
+use its step count directly.  build_plan certifies the map that runs
+instead: at k = 1 it searches upward from n = ceil(t L1) for a repetition
+count whose map T_n = B^n (B the trace-projected block) satisfies
 
-Each component channel is realized exactly: Hamiltonian segments as unitary
-conjugation, dissipative segments as U [exp(t~ L_universal)(U† . U)] U†
-with the physical duration t~ carrying the component's spectral weight.
-A block asks each component once for the channels of all its distinct
-durations, which one stacked numerics.expm call computes.  Negative
-intermediate durations appear in the recursion for k >= 2; the matrix
-exponential is applied for any sign and the cost report flags them.
+    sqrt(d) ||T_n - exp(t sum_j G_j)||_2 <= eps / 2,
+
+which bounds ||T_n - exp(tL)||_(1->1) by eps / 2, and the plan carries T_n
+and that certificate.  When the search stops first (certify lists when),
+the paper's plan (paper_plan) runs, uncertified, as the fallback; it is
+also what the cost subcommand reports.  step_count is the paper's planner,
+and select_order, its first step, holds the one check of the planner's
+inputs.  build_plan calls step_count once per run, through paper_plan;
+every plan it returns carries the two N_exp bounds that nexp_report prints.
+
+Each component carries its d^2 x d^2 generator G_j.  Hamiltonian segments
+are realized as unitary conjugation, dissipative segments as exp(t~ G_j),
+G_j = lam U [L . L† - (1/2){L†L, .}] U† with the physical duration t~
+carrying the component's spectral weight.  A block asks each component once
+for the channels of all its distinct durations, which one stacked
+numerics.expm call computes.  At k = 1 every duration is positive, so every
+factor is a channel of the universal family; negative intermediate
+durations appear in the recursion for k >= 2, where the matrix exponential
+is applied for any sign and the cost report flags them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .decompose import ConjugationPlan, decompose_generator, universal_operators
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, conjugation_superoperator,
-                       dissipator_superoperator, one_one_norm, unvec, vec)
-from .numerics import expm
+                       dissipator_superoperator, hamiltonian_superoperator, one_one_norm, unvec,
+                       vec)
+from .numerics import NumericsError, dagger, expm
 from .sud import GellMannBasis
 
 
@@ -72,42 +85,42 @@ class Component:
     kind: str  # "hamiltonian" | "dissipative"
     d: int
     norm: float
+    generator: np.ndarray = field(repr=False)  # d^2 x d^2 matrix G_j, exp(t G_j) is the channel
     # hamiltonian payload
     H: np.ndarray | None = field(default=None, repr=False)
     # dissipative payload
     plan: ConjugationPlan | None = None
-    conj: np.ndarray | None = field(default=None, repr=False)  # vec form of U . U†
-    universal: np.ndarray | None = field(default=None, repr=False)  # generator of A(params)
 
     def channel(self, t_phys) -> np.ndarray:
-        """Exact channel matrices exp(t * L_j), one per physical duration t in
+        """Exact channel matrices exp(t * G_j), one per physical duration t in
         t_phys, stacked in its order and taken from one expm call."""
         t = np.asarray(t_phys, dtype=float)[:, None, None]
         if self.kind == "hamiltonian":
             return conjugation_superoperator(expm(-1j * t * self.H))
-        inner = expm((t * self.plan.lam) * self.universal)
-        return self.conj @ inner @ np.conj(self.conj).T
+        return expm(t * self.generator)
 
 
 def hamiltonian_component(H: np.ndarray) -> Component:
     H = np.asarray(H, dtype=complex)
     d = H.shape[0]
     norm = one_one_norm(DiagonalGenerator(d, H))
-    return Component(kind="hamiltonian", d=d, norm=norm, H=H)
+    return Component(kind="hamiltonian", d=d, norm=norm, generator=hamiltonian_superoperator(H),
+                     H=H)
 
 
 def dissipative_components(plans, basis: GellMannBasis) -> list[Component]:
-    """The components of a list of plans, with their operators, dissipators and
-    conjugation superoperators built as stacks, and each norm from one_one_norm."""
-    # lam U [L . L† - (1/2){L†L, .}] U† with L = sum_a v_a F_a: conjugation
-    # by U leaves the (1->1) norm unchanged, so L's norm bound is the component's
+    """The components of a list of plans, with their operators and generators
+    built as stacks, and each norm from one_one_norm."""
+    # lam U [L . L† - (1/2){L†L, .}] U† with L = sum_a v_a F_a is the dissipator of
+    # U L U†; conjugation by U leaves the (1->1) norm unchanged, so L's bound is the component's
     d, zero = basis.d, np.zeros((basis.d, basis.d))
     L = universal_operators([p.params for p in plans], basis)
-    S_univ = dissipator_superoperator(np.ones((1, 1)), L[:, None])
-    K = conjugation_superoperator(np.array([p.U for p in plans]).reshape(-1, d, d))
-    return [Component(kind="dissipative", d=d, plan=p, conj=k, universal=s,
+    U = np.array([p.U for p in plans]).reshape(-1, d, d)
+    lam = np.array([p.lam for p in plans]).reshape(-1, 1, 1)
+    G = lam * dissipator_superoperator(np.ones((1, 1)), (U @ L @ dagger(U))[:, None])
+    return [Component(kind="dissipative", d=d, plan=p, generator=g,
                       norm=one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))))
-            for p, l, s, k in zip(plans, L, S_univ, K)]
+            for p, l, g in zip(plans, L, G)]
 
 
 def prepare_components(g: GksGenerator, plans) -> list[Component]:
@@ -162,6 +175,12 @@ def s2k_schedule(m: int, k: int, lam: float) -> list[Segment]:
 def segments_per_block(m: int, k: int) -> int:
     """Factor count of one merged S_2k block: 2(m-1) 5^(k-1) + 1."""
     return 2 * (m - 1) * 5 ** (k - 1) + 1
+
+
+def merged_count(m: int, k: int, n_reps: int) -> int:
+    """Exponentials in n_reps merged S_2k blocks over m components: each
+    block starts and ends on component 0, so neighbouring blocks share one."""
+    return n_reps * segments_per_block(m, k) - (n_reps - 1)
 
 
 def select_order(eps: float, t: float, m: int, L1: float, L2: float):
@@ -224,8 +243,14 @@ def step_count(eps: float, t: float, m: int, L1: float, L2: float):
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Integrator order, repetition count, one block's schedule, and the
-    planner's two N_exp bounds (None where they do not apply)."""
+    """Integrator order, repetition count, one block's schedule, the
+    planner's two N_exp bounds (None where they do not apply), and, for a
+    certified plan, its certificate and the map it certifies.
+
+    r is the paper planner's block parameter, n_reps = ceil(r L1); a
+    certified plan's n_reps comes from the search instead, and its r is
+    n_reps / L1.  Plans compare without their map.
+    """
 
     k: int
     r: float
@@ -235,6 +260,8 @@ class TrotterPlan:
     L1: float
     bound_res: float | None = None
     bound_closed_form: float | None = None
+    certificate: float | None = None  # sqrt(d) ||total_map - e^(tL)||_2 <= eps / 2
+    total_map: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_exp(self) -> int:
@@ -243,18 +270,78 @@ class TrotterPlan:
 
     def actual_exponentials(self) -> int:
         """Segment count after merging across repetition boundaries."""
-        block = len(self.schedule)
-        if self.n_reps == 0 or block == 0:
-            return 0
-        boundary = 1 if self.schedule[0].index == self.schedule[-1].index else 0
-        return self.n_reps * block - boundary * (self.n_reps - 1)
+        return merged_count(self.m, self.k, self.n_reps) if self.schedule else 0
 
     def has_negative_segments(self) -> bool:
         return any(seg.duration < 0 for seg in self.schedule)
 
 
-def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
-    """Choose (k, r) for the component list and lay out the block schedule.
+def block_schedule(m: int, k: int, lam: float) -> tuple:
+    """The order-2k block of normalized length lam, checked to give every
+    component the whole length."""
+    sched = tuple(s2k_schedule(m, k, lam))
+    totals = [0.0] * m  # one pass, each sum in schedule order
+    for seg in sched:
+        totals[seg.index] += seg.duration
+    if any(abs(total - lam) > 1e-12 * max(1.0, abs(lam)) for total in totals):
+        raise TrotterError("schedule durations do not sum to the block length")
+    return sched
+
+
+# the certificate search: at most this many block builds, each candidate n
+# overshooting the n^-2 law's prediction by this factor
+MAX_BUILDS = 4
+SEARCH_MARGIN = 1.05
+
+
+def certify(components: list[Component], eps: float, t: float,
+            paper: TrotterPlan) -> TrotterPlan | None:
+    """The k = 1 plan, at the first repetition count the search reaches, whose
+    map T_n satisfies sqrt(d) ||T_n - e^(t sum_j G_j)||_2 <= eps / 2; None
+    when the search stops first.
+
+    The (1->1) norm of a d^2 x d^2 map is at most sqrt(d) times its spectral
+    norm, so T_n(rho) is within eps / 2 of the exact state in trace norm.
+    The search starts at one normalized time unit per block, n = ceil(t L1),
+    and steps by the k = 1 law err ~ n^-2.  It stops when a candidate would
+    need as many exponentials as the paper's plan, after MAX_BUILDS builds,
+    when T_n is not finite, when numerics.expm refuses t sum_j G_j, and at
+    the rounding floor: when the certificate falls by a factor less than
+    min(2, f / 2), f the fall the law predicted for the step.  The plan
+    carries the paper plan's two N_exp bounds.
+    """
+    m, L1, d = len(components), components[0].norm, components[0].d
+    budget = paper.actual_exponentials()
+    n = max(1, math.ceil(t * L1))
+    if merged_count(m, 1, n) >= budget:
+        return None
+    try:
+        exact = expm(t * sum(c.generator for c in components))
+    except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
+        return None
+    target, last, fall = 0.5 * eps, math.inf, math.inf
+    for _ in range(MAX_BUILDS):
+        plan = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
+                           m=m, L1=L1, bound_res=paper.bound_res,
+                           bound_closed_form=paper.bound_closed_form)
+        total = plan_map(plan, components)
+        if not np.isfinite(total).all():
+            return None
+        cert = math.sqrt(d) * float(np.linalg.svd(total - exact, compute_uv=False)[0])
+        if cert <= target:
+            return replace(plan, certificate=cert, total_map=total)
+        if not cert * min(2.0, 0.5 * fall) <= last:
+            return None
+        step = max(n + 1, math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN))
+        if merged_count(m, 1, step) >= budget:
+            return None
+        n, last, fall = step, cert, (step / n) ** 2
+    return None
+
+
+def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
+    """The paper planner's plan for the component list: step_count's
+    (k, n_reps) and bounds, and the order-2k block.
 
     Components must already be ordered by descending norm.  A single
     component needs no splitting: one exact segment.  With no component,
@@ -272,23 +359,32 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
         return TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=m, L1=L1)
     # one component has no L2; L1 stands in, and the planner ignores it for m = 1
     k, r, n_reps, bound_res, bound_closed = step_count(eps, t, m, L1, norms[1] if m > 1 else L1)
-    lam = t * L1 / n_reps
-    sched = tuple(s2k_schedule(m, k, lam))
-    for j in range(m):
-        if abs(sum(s.duration for s in sched if s.index == j) - lam) > 1e-12 * max(1.0, abs(lam)):
-            raise TrotterError("schedule durations do not sum to the block length")
-    return TrotterPlan(k=k, r=r, n_reps=n_reps, schedule=sched, m=m, L1=L1,
-                       bound_res=bound_res, bound_closed_form=bound_closed)
+    return TrotterPlan(k=k, r=r, n_reps=n_reps, schedule=block_schedule(m, k, t * L1 / n_reps),
+                       m=m, L1=L1, bound_res=bound_res, bound_closed_form=bound_closed)
+
+
+def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
+    """The certified plan for the component list (certify), or else the
+    paper's plan (paper_plan), which also bounds the search's cost.
+
+    A plan with one component or no repetition is the paper's: it has
+    nothing to certify.
+    """
+    paper = paper_plan(components, eps, t)
+    if paper.m < 2 or paper.n_reps == 0:
+        return paper
+    return certify(components, eps, t, paper) or paper
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
     """Channel matrix of one S_2k block (segments applied left to right)."""
     d = components[0].d
-    distinct = dict.fromkeys((seg.index, seg.duration) for seg in plan.schedule)
+    taus: list[list[float]] = [[] for _ in components]  # distinct durations per component
+    for i, tau in dict.fromkeys((seg.index, seg.duration) for seg in plan.schedule):
+        taus[i].append(tau)
     channels: dict[tuple[int, float], np.ndarray] = {}
     for j, comp in enumerate(components):
-        taus = [tau for i, tau in distinct if i == j]
-        for tau, channel in zip(taus, comp.channel(np.array(taus) / plan.L1)):
+        for tau, channel in zip(taus[j], comp.channel(np.array(taus[j]) / plan.L1)):
             channels[j, tau] = channel
     out = np.eye(d * d, dtype=complex)
     for seg in plan.schedule:
@@ -296,23 +392,32 @@ def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.nd
     return out
 
 
-def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState) -> QuantumState:
-    """Apply the full product [block]^n_reps to the initial state.
+def plan_map(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
+    """The full product [block]^n_reps as one d^2 x d^2 map.
 
     The block is first projected onto trace-preserving maps, so that
     vec(I)† B = vec(I)† holds to rounding; otherwise the block's rounding
-    error in the trace grows with n_reps inside the power.
+    error in the trace grows with n_reps inside the power.  A power that
+    overflows comes back with non-finite entries, not a warning.
     """
+    d = components[0].d
+    block = block_superoperator(plan, components)
+    one = vec(np.eye(d))
+    block += np.outer(one, one - one @ block) / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.matrix_power(block, plan.n_reps)
+
+
+def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState) -> QuantumState:
+    """Apply the plan's map, the one its certificate covers, or for a plan
+    without one plan_map, to the initial state."""
     if len(components) != plan.m:
         raise TrotterError("component list does not match the plan")
     if components and components[0].d != rho0.d:
         raise TrotterError("state dimension does not match the components")
     if plan.n_reps == 0 or not plan.schedule:
         return rho0
-    block = block_superoperator(plan, components)
-    one = vec(np.eye(rho0.d))
-    block += np.outer(one, one - one @ block) / rho0.d
-    total = np.linalg.matrix_power(block, plan.n_reps)
+    total = plan.total_map if plan.total_map is not None else plan_map(plan, components)
     rho = unvec(total @ vec(rho0.rho), rho0.d)
     rho = 0.5 * (rho + np.conj(rho).T)
     return QuantumState(d=rho0.d, rho=rho)
@@ -328,6 +433,7 @@ class CostReport:
     n_exp_bound_res: float | None
     n_exp_bound_closed_form: float | None
     negative_segments: bool
+    certificate: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -339,6 +445,7 @@ class CostReport:
             "N_exp_bound_res": self.n_exp_bound_res,
             "N_exp_bound_closed_form": self.n_exp_bound_closed_form,
             "negative_segments": self.negative_segments,
+            "certificate": self.certificate,
         }
 
 
@@ -353,6 +460,7 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
         n_exp_bound_res=plan.bound_res,
         n_exp_bound_closed_form=plan.bound_closed_form,
         negative_segments=plan.has_negative_segments(),
+        certificate=plan.certificate,
     )
 
 

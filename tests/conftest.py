@@ -102,6 +102,20 @@ def random_mixed_state(d, rng):
     return rho / np.trace(rho)
 
 
+def criterion_4_instances():
+    """The (d, generator, state seed) cases of acceptance criterion 4: 50 at d = 2
+    and 20 at d = 3, each a Hamiltonian plus one to three Lindblad terms."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for d, count in ((2, 50), (3, 20)):
+        basis = gell_mann_basis(d)
+        for _ in range(count):
+            n_terms = int(rng.integers(1, 4))  # plus the Hamiltonian: m <= 4
+            dg = random_diagonal(d, n_terms, rng)
+            cases.append((d, from_diagonal(dg, basis), rng.integers(0, 2**31)))
+    return cases
+
+
 def lambda_atom(gamma1=1.0, gamma2=1.0, phi=np.pi / 3, eta=np.pi / 3, alpha=np.pi / 3):
     """Three-level lambda-configuration generator, states (|e>, |1>, |2>)."""
     return lambda_atom_generator(gamma1, gamma2, phi, eta, alpha)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, SQRT3, THETA2,
-                      adjoint_generator, from_vector, lambda_atom, plan_gks_matrix,
-                      random_diagonal, random_mixed_state, structure_constants)
+                      adjoint_generator, criterion_4_instances, from_vector, lambda_atom,
+                      plan_gks_matrix, random_diagonal, random_mixed_state,
+                      structure_constants)
 from lindbladsim.decompose import (canonical_phases, decompose_generator, decompose_term,
                                    diagonalizing_unitaries, universal_vectors, RankOneTerm,
                                    spectral_split, verify_plan)
@@ -21,7 +22,8 @@ from lindbladsim.lindblad import (GksGenerator, QuantumState, apply_exact, from_
                                   liouvillian_matrix, maximally_mixed, trace_distance)
 from lindbladsim.numerics import dagger, expm, frobenius
 from lindbladsim.sud import adjoint_matrix, gell_mann_basis
-from lindbladsim.trotter import build_plan, nexp_report, prepare_components, run_plan
+from lindbladsim.trotter import (build_plan, nexp_report, paper_plan, prepare_components,
+                                 run_plan)
 
 A1_LITERAL = (AHAT1_R + 1j * AHAT1_I) / np.sqrt(2.0)
 
@@ -117,24 +119,12 @@ def test_criterion_3_universal_form_verification():
     assert ok
 
 
-def _criterion_4_instances():
-    rng = np.random.default_rng(41)
-    cases = []
-    for d, count in ((2, 50), (3, 20)):
-        basis = gell_mann_basis(d)
-        for _ in range(count):
-            n_terms = int(rng.integers(1, 4))  # plus the Hamiltonian: m <= 4
-            dg = random_diagonal(d, n_terms, rng)
-            cases.append((d, from_diagonal(dg, basis), rng.integers(0, 2**31)))
-    return cases
-
-
 def test_criterion_4_trotter_error_bound():
     start = time.perf_counter()
     worst_ratio = 0.0
     bounds_ok = True
     runs = 0
-    for d, g, state_seed in _criterion_4_instances():
+    for d, g, state_seed in criterion_4_instances():
         state_rng = np.random.default_rng(state_seed)
         components = prepare_components(g, decompose_generator(g))
         rho0 = QuantumState(d=d, rho=random_mixed_state(d, state_rng))
@@ -142,20 +132,21 @@ def test_criterion_4_trotter_error_bound():
             oracle = apply_exact(g, rho0, t)
             _SIMULATED_STATES.append(oracle.rho)
             for eps in (1e-2, 1e-3):
-                plan = build_plan(components, eps, t)
-                out = run_plan(plan, components, rho0)
-                _SIMULATED_STATES.append(out.rho)
-                dist = trace_distance(out.rho, oracle.rho)
-                worst_ratio = max(worst_ratio, dist / eps)
-                rep = nexp_report(plan)
-                if rep.n_exp_bound_res is not None:
-                    bounds_ok = bounds_ok and rep.n_exp_actual <= rep.n_exp_bound_res
-                    bounds_ok = bounds_ok and rep.n_exp_actual <= rep.n_exp_bound_closed_form
-                runs += 1
+                # the plan a run uses, and the paper's plan, its fallback
+                for plan in (build_plan(components, eps, t), paper_plan(components, eps, t)):
+                    out = run_plan(plan, components, rho0)
+                    _SIMULATED_STATES.append(out.rho)
+                    dist = trace_distance(out.rho, oracle.rho)
+                    worst_ratio = max(worst_ratio, dist / eps)
+                    rep = nexp_report(plan)
+                    if rep.n_exp_bound_res is not None:
+                        bounds_ok = bounds_ok and rep.n_exp_actual <= rep.n_exp_bound_res
+                        bounds_ok = bounds_ok and rep.n_exp_actual <= rep.n_exp_bound_closed_form
+                    runs += 1
     elapsed = time.perf_counter() - start
     ok = worst_ratio <= 1.0 and bounds_ok and elapsed < 300.0
-    _report(4, ok, elapsed, f"{runs} runs, worst dist/eps {worst_ratio:.2e}, "
-                            f"bounds {'ok' if bounds_ok else 'violated'}")
+    _report(4, ok, elapsed, f"{runs} runs (certified and paper plans), worst dist/eps "
+                            f"{worst_ratio:.2e}, bounds {'ok' if bounds_ok else 'violated'}")
     assert ok
 
 

@@ -283,6 +283,7 @@ def test_simulate_lambda_atom_trotter(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["trace_distance_to_oracle"] <= 1e-3
     assert doc["cost"]["N_exp_actual"] <= doc["cost"]["N_exp_bound_res"]
+    assert doc["cost"]["k"] == 1 and doc["cost"]["certificate"] <= 0.5e-3
 
 
 def test_simulate_oracle_damping_fixed_point(tmp_path):

@@ -10,9 +10,10 @@ from conftest import (SQRT3, lambda_atom, liouvillian_of_diagonal, random_diagon
                       random_gks, random_hermitian, random_mixed_state)
 from lindbladsim.decompose import decompose_generator, universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
-                                  QuantumState, apply_exact, dissipator_superoperator,
-                                  from_diagonal, liouvillian_matrix, maximally_mixed,
-                                  one_one_norm, to_diagonal, trace_distance, unvec, vec)
+                                  QuantumState, apply_exact, conjugation_superoperator,
+                                  dissipator_superoperator, from_diagonal, liouvillian_matrix,
+                                  maximally_mixed, one_one_norm, to_diagonal, trace_distance,
+                                  unvec, vec)
 from lindbladsim.numerics import dagger, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import prepare_components
@@ -106,8 +107,9 @@ def test_dissipator_contracts_any_operator_stack(d, seed):
                          liouvillian_of_diagonal(to_diagonal(g)))
     for c in prepare_components(g, decompose_generator(g)):
         (v,) = universal_vectors([c.plan.params], g.basis)[2]
-        assert_entries_close(c.universal,
-                             dissipator_superoperator(np.outer(v, np.conj(v)), g.basis.matrices))
+        K = conjugation_superoperator(c.plan.U)
+        universal = dissipator_superoperator(np.outer(v, np.conj(v)), g.basis.matrices)
+        assert_entries_close(c.generator, c.plan.lam * (K @ universal @ dagger(K)))
 
 
 def test_liouvillian_zero():

@@ -4,19 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (NORM_SAFETY, dephasing_gks, lambda_atom, n_qubit_generator, random_diagonal,
-                      random_gks, random_mixed_state, serial_one_one_norm)
+from conftest import (NORM_SAFETY, criterion_4_instances, dephasing_gks, lambda_atom,
+                      n_qubit_generator, random_diagonal, random_gks, random_mixed_state,
+                      serial_one_one_norm)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
-from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact,
-                                  from_diagonal, hamiltonian_superoperator, maximally_mixed,
-                                  trace_distance)
+from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact, from_diagonal,
+                                  liouvillian_matrix, maximally_mixed, trace_distance, unvec,
+                                  vec)
 from lindbladsim.numerics import expm, frobenius
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import (TrotterError, TrotterPlan, block_superoperator, build_plan,
                                  dissipative_components, hamiltonian_component, merge_adjacent,
                                  nexp_bound_closed_form, nexp_bound_res, nexp_report,
-                                 prepare_components, run_plan, s2_schedule,
+                                 paper_plan, prepare_components, run_plan, s2_schedule,
                                  s2k_schedule, segments_per_block, select_order, simulate,
                                  simulate_plans, step_count, suzuki_p)
 
@@ -25,13 +26,6 @@ E = math.e
 
 def components_for(g):
     return prepare_components(g, decompose_generator(g))
-
-
-def component_generator(c):
-    """The d^2 x d^2 generator matrix L_j of one component, exp(t L_j) = c.channel(t)."""
-    if c.kind == "hamiltonian":
-        return hamiltonian_superoperator(c.H)
-    return c.plan.lam * (c.conj @ c.universal @ np.conj(c.conj).T)
 
 
 def damping_generator(gamma=1.0):
@@ -122,7 +116,7 @@ def test_component_norms_match_serial_estimator():
         comps = [hamiltonian_component(g.H)]
         comps += dissipative_components(decompose_generator(g)[:n_plans], g.basis)
         for c in comps:
-            oracle = serial_one_one_norm(component_generator(c)) / NORM_SAFETY
+            oracle = serial_one_one_norm(c.generator) / NORM_SAFETY
             assert c.norm >= oracle * (1.0 - 1e-12)
 
 
@@ -210,12 +204,17 @@ def test_run_plan_zero_time(rng):
     (lambda_atom(), 32.0, 1e-6),
 ], ids=["d2-1e-6", "d3-1e-3", "d3-1e-6", "d5-1e-6", "lambda-t32-1e-6"])
 def test_long_runs_keep_the_trace(g, t, eps):
-    # n_reps reaches 1e4..1e5 here; rounding in the block's trace used to
-    # accumulate in the power past the 1e-10 trace check of QuantumState
+    # the paper's plans reach n_reps 6e3..2e5 here, the certified ones 48..2921;
+    # rounding in the block's trace used to accumulate in the power past the
+    # 1e-10 trace check of QuantumState
     rho0 = maximally_mixed(g.d)
-    out, plan, _ = simulate(g, rho0, t=t, eps=eps)
-    QuantumState(d=g.d, rho=out.rho)
-    assert trace_distance(out.rho, apply_exact(g, rho0, t).rho) <= eps
+    oracle = apply_exact(g, rho0, t)
+    out, plan, comps = simulate(g, rho0, t=t, eps=eps)
+    paper = paper_plan(comps, eps, t)
+    assert paper.n_reps >= 6000
+    for state in (out, run_plan(paper, comps, rho0)):
+        QuantumState(d=g.d, rho=state.rho)
+        assert trace_distance(state.rho, oracle.rho) <= eps
 
 
 def test_lambda_atom_within_tolerance():
@@ -297,7 +296,7 @@ def test_one_step_error_is_third_order(rng):
     comps = components_for(g)
     m = len(comps)
     L1 = comps[0].norm
-    S = sum(component_generator(c) for c in comps)
+    S = sum(c.generator for c in comps)
 
     def one_step_error(lam):
         plan = TrotterPlan(k=1, r=0.0, n_reps=1, schedule=tuple(s2k_schedule(m, 1, lam)),
@@ -387,13 +386,16 @@ def test_nexp_per_block_m2_k1():
 def test_nexp_report_bounds_hold_across_eps():
     g = lambda_atom(1.0, 1.0)
     comps = components_for(g)
+    ks = set()
     for eps in (1e-2, 1e-3, 1e-4):
-        plan = build_plan(comps, eps=eps, t=1.0)
-        rep = nexp_report(plan)
-        assert rep.n_exp_actual <= rep.n_exp_unmerged
-        assert rep.n_exp_actual <= rep.n_exp_bound_res
-        assert rep.n_exp_actual <= rep.n_exp_bound_closed_form
-        assert rep.negative_segments == (plan.k >= 2)
+        for plan in (build_plan(comps, eps=eps, t=1.0), paper_plan(comps, eps=eps, t=1.0)):
+            rep = nexp_report(plan)
+            assert rep.n_exp_actual <= rep.n_exp_unmerged
+            assert rep.n_exp_actual <= rep.n_exp_bound_res
+            assert rep.n_exp_actual <= rep.n_exp_bound_closed_form
+            assert rep.negative_segments == (plan.k >= 2)
+            ks.add(plan.k)
+    assert ks == {1, 2}
 
 
 def test_bound_closed_form_dominates_selected_res(rng):
@@ -414,3 +416,149 @@ def test_n_qubit_generator_runs_within_eps(n):
     state, plan, components = simulate(g, rho0, 1.0, 1e-3)
     assert len(components) == plan.m == 2 * n + 1
     assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# certified plans
+# ---------------------------------------------------------------------------
+
+def assert_certified(g, comps, plan, t, eps):
+    """What a certified plan promises, checked against the oracle's own matrix."""
+    assert plan.certificate is not None and plan.certificate <= eps / 2
+    exact = expm(t * liouvillian_matrix(g))
+    assert math.sqrt(g.d) * np.linalg.norm(plan.total_map - exact, 2) <= eps
+    rep = nexp_report(plan)
+    assert not rep.negative_segments
+    paper = paper_plan(comps, eps, t)
+    assert rep.n_exp_actual <= segments_per_block(plan.m, paper.k) * paper.n_reps
+
+
+def test_certified_plans_on_the_criterion_4_instances():
+    for d, g, _ in criterion_4_instances():
+        comps = components_for(g)
+        for t in (0.5, 1.0, 2.0):
+            for eps in (1e-2, 1e-3):
+                assert_certified(g, comps, build_plan(comps, eps, t), t, eps)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_eps_floor_is_closed(d):
+    # the paper's plans read dist/eps 2.4..5.5 here at d = 5, 6: rounding in their
+    # 1e5-fold block power; every case certifies at k = 1 with far fewer repetitions
+    t, eps = 1.0, 1e-9
+    for seed in (1, 2, 3):
+        g = random_gks(d, np.random.default_rng(seed))
+        rho0 = maximally_mixed(d)
+        state, plan, comps = simulate(g, rho0, t, eps)
+        assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
+        assert_certified(g, comps, plan, t, eps)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12])
+def test_search_stops_at_the_rounding_floor(eps):
+    # k = 1 certificates stall near 1e-10 at d = 6: the search stops when one falls
+    # short of the n^-2 law and runs the paper's plan, with no overflow warning or LinAlgError.
+    # That plan's state is itself 4.0e-10 and 6.1e-10 from the oracle here, the
+    # paper plan's own floor, so only the state's checks are asserted
+    g = random_gks(6, np.random.default_rng(1))
+    rho0 = maximally_mixed(6)
+    state, plan, comps = simulate(g, rho0, 1.0, eps)
+    assert plan.certificate is None and plan.total_map is None
+    assert plan == paper_plan(comps, eps, 1.0)
+    assert np.array_equal(state.rho, run_plan(plan, comps, rho0).rho)
+
+
+def test_search_skips_a_probe_that_costs_the_paper_plan(monkeypatch):
+    # at eps = 1e4 the paper's plan is one k = 1 block of 3 exponentials, and the
+    # probe n = ceil(t L1) = 2 would need 5
+    comps = components_for(lambda_atom())
+    with monkeypatch.context() as patch:
+        patch.setattr(trotter, "plan_map", None)  # no block is built
+        patch.setattr(trotter, "expm", None)  # and no e^(t sum_j G_j)
+        plan = build_plan(comps, eps=1e4, t=1.0)
+    assert plan.certificate is None
+    assert (plan.k, plan.n_reps, plan.actual_exponentials()) == (1, 1, 3)
+
+
+def test_search_gives_up_on_a_non_finite_map(monkeypatch):
+    g = lambda_atom()
+    comps = components_for(g)
+    with monkeypatch.context() as patch:
+        patch.setattr(trotter, "plan_map", lambda plan, components: np.full((9, 9), np.inf))
+        plan = build_plan(comps, eps=1e-3, t=1.0)
+    assert plan.certificate is None and plan == paper_plan(comps, 1e-3, 1.0)
+    rho0 = maximally_mixed(3)
+    assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-3
+
+
+def test_search_gives_up_when_expm_refuses_the_generator():
+    # ||t sum_j G_j||_1 is past numerics.MAX_EXPM_NORM at t = 1e8: no certificate
+    comps = components_for(lambda_atom())
+    plan = build_plan(comps, eps=1e-3, t=1e8)
+    assert plan.certificate is None and plan == paper_plan(comps, 1e-3, 1e8)
+
+
+def test_search_builds_at_most_max_builds_blocks(monkeypatch):
+    g = lambda_atom()
+    comps = components_for(g)
+    builds = []
+    plan_map = trotter.plan_map
+
+    def counted(plan, components):
+        builds.append(plan.n_reps)
+        return plan_map(plan, components)
+
+    monkeypatch.setattr(trotter, "plan_map", counted)
+    assert build_plan(comps, eps=1e-6, t=1.0).certificate is not None
+    assert len(builds) == 2
+    builds.clear()
+    monkeypatch.setattr(trotter, "MAX_BUILDS", 1)
+    plan = build_plan(comps, eps=1e-6, t=1.0)
+    assert len(builds) == 1 and plan.certificate is None
+    assert plan == paper_plan(comps, 1e-6, 1.0)
+    rho0 = maximally_mixed(3)
+    assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-6
+
+
+@pytest.mark.parametrize("certificates, builds, certified", [
+    # from 1.5 times the target the law asks for a step of fall 1.65; landing at 1.05
+    # times it falls by 1.43, less than 2 but more than half of 1.65: the search goes on
+    ([1.5, 1.05, 0.9, 0.1], 3, True),
+    # from 100 times the target the law predicts a fall of about 110; one of 100/60
+    # is less than 2: the rounding floor, so the paper's plan runs
+    ([100.0, 60.0, 0.1], 2, False),
+], ids=["small-step-lands-above-the-target", "fall-short-of-the-law"])
+def test_search_stop_rule(monkeypatch, certificates, builds, certified):
+    # plan_map is replaced by maps whose certificates are the given multiples of
+    # eps / 2, in order
+    comps = components_for(lambda_atom())
+    t, eps = 1.0, 1e-6
+    exact = expm(t * sum(c.generator for c in comps))
+    scripted, built = iter(certificates), []
+
+    def plan_map(plan, components):
+        built.append(plan.n_reps)
+        off = np.zeros_like(exact)
+        off[0, 0] = next(scripted) * 0.5 * eps / math.sqrt(3)  # the offset's spectral norm
+        return exact + off
+
+    monkeypatch.setattr(trotter, "plan_map", plan_map)
+    plan = build_plan(comps, eps, t)
+    assert len(built) == builds
+    if certified:
+        assert plan.n_reps == built[-1]
+        assert plan.certificate == pytest.approx(certificates[builds - 1] * 0.5 * eps)
+    else:
+        assert plan.certificate is None and plan == paper_plan(comps, eps, t)
+
+
+def test_run_plan_applies_the_certified_map(monkeypatch):
+    g = lambda_atom()
+    comps = components_for(g)
+    plan = build_plan(comps, eps=1e-6, t=1.0)
+    assert plan.certificate is not None and plan == dataclasses.replace(plan, total_map=None)
+    monkeypatch.setattr(trotter, "block_superoperator", None)  # run_plan builds no block
+    rho0 = maximally_mixed(3)
+    state = run_plan(plan, comps, rho0)
+    expected = unvec(plan.total_map @ vec(rho0.rho), 3)
+    assert np.array_equal(state.rho, 0.5 * (expected + np.conj(expected).T))
