@@ -10,7 +10,7 @@ alongside for verification.
 
 from .sud import GellMannBasis, gell_mann_basis, adjoint_matrix
 from .lindblad import (GksGenerator, DiagonalGenerator, QuantumState,
-                       from_diagonal, to_diagonal, liouvillian_matrix, apply_exact,
+                       from_diagonal, liouvillian_matrix, apply_exact,
                        one_one_norm, trace_distance, maximally_mixed)
 from .decompose import (RankOneTerm, ConjugationPlan, UniversalParams, spectral_split,
                         decompose_generator, verify_plan)
@@ -20,7 +20,7 @@ from .trotter import (TrotterPlan, CostReport, build_plan, run_plan, nexp_report
 __all__ = [
     "GellMannBasis", "gell_mann_basis", "adjoint_matrix",
     "GksGenerator", "DiagonalGenerator", "QuantumState",
-    "from_diagonal", "to_diagonal", "liouvillian_matrix", "apply_exact",
+    "from_diagonal", "liouvillian_matrix", "apply_exact",
     "one_one_norm", "trace_distance", "maximally_mixed",
     "RankOneTerm", "ConjugationPlan", "UniversalParams", "spectral_split",
     "decompose_generator", "verify_plan",

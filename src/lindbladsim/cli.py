@@ -155,8 +155,8 @@ def cmd_simulate(args) -> int:
     try:
         g = serialize.parse_generator(doc["generator"])
         rho0 = serialize.parse_state(doc["rho0"])
-        t = float(doc["t"] if args.t is None else args.t)
-        eps = float(doc["epsilon"] if args.eps is None else args.eps)
+        t = serialize.number(doc["t"] if args.t is None else args.t, "'t'")
+        eps = serialize.number(doc["epsilon"] if args.eps is None else args.eps, "'epsilon'")
         mode = str(doc.get("mode", "trotter") if args.mode is None else args.mode)
     except KeyError as exc:
         raise CliError(f"simulation request is missing {exc}", EXIT_IO)
@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
         raise CliError(str(exc), EXIT_IO)
     except DOMAIN_ERRORS as exc:
         raise CliError(str(exc), EXIT_INVALID)
-    except (TypeError, ValueError) as exc:  # a request that is not an object, text for a number
+    except (TypeError, ValueError) as exc:  # a request that is not an object
         raise CliError(f"malformed simulation request: {exc}", EXIT_IO)
     _check_run(t, eps)
     out = {"d": g.d, "t": t, "epsilon": eps, "mode": mode}

@@ -47,15 +47,6 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
 
-def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
-    """Matrix kron(conj U, U) of rho -> U rho U† in the column-stacking
-    convention, for one unitary or each of a stack (..., d, d)."""
-    U = np.asarray(u, dtype=complex)
-    d = U.shape[-1]
-    outer = np.conj(U)[..., :, None, :, None] * U[..., None, :, None, :]
-    return outer.reshape(*U.shape[:-2], d * d, d * d)
-
-
 def _require_hermitian(X: np.ndarray, name: str) -> None:
     """Refuse X unless ||X - X†||_F <= 1e-10 max(1, ||X||_F); the difference
     is formed from halves, which cannot overflow."""
@@ -196,17 +187,6 @@ def gks_spectrum(g: GksGenerator) -> list[tuple[float, np.ndarray]]:
             if lam > EIGEN_CUTOFF * scale and lam > 0.0]
 
 
-def to_diagonal(g: GksGenerator) -> DiagonalGenerator:
-    """Diagonalize A into rates and Lindblad operators.
-
-    The rates are the eigenvalues kept by gks_spectrum; the operator for
-    each kept eigenvector v is L = sum_a v_a F_a.
-    """
-    terms = tuple((lam, np.einsum("g,gij->ij", v, g.basis.matrices))
-                  for lam, v in gks_spectrum(g))
-    return DiagonalGenerator(d=g.d, H=g.H, terms=terms)
-
-
 def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
     """Matrix of rho -> i[rho, H]."""
     H = np.asarray(H, dtype=complex)
@@ -245,14 +225,34 @@ def liouvillian_matrix(g: GksGenerator) -> np.ndarray:
     return S
 
 
+def evolve(S: np.ndarray, rho0: QuantumState) -> QuantumState:
+    """The state S(rho0) of a d^2 x d^2 map S, Hermitized: a map that keeps
+    matrices Hermitian does so only up to rounding."""
+    rho = unvec(S @ vec(rho0.rho), rho0.d)
+    return QuantumState(d=rho0.d, rho=0.5 * (rho + dagger(rho)))
+
+
 def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:
-    """Exact channel exp(tL) applied to rho0."""
+    """Exact channel exp(tL), projected onto trace-preserving maps against
+    the squarings' rounding, applied to rho0."""
     if not 0 <= t < math.inf:  # written so that NaN fails too
         raise LindbladError(f"time must be finite and non-negative, got {t}")
     if rho0.d != g.d:
         raise LindbladError(f"state has d = {rho0.d} but the generator has d = {g.d}")
-    rho = unvec(expm(t * liouvillian_matrix(g)) @ vec(rho0.rho), g.d)
-    return QuantumState(d=g.d, rho=rho)
+    return evolve(trace_preserving(expm(t * liouvillian_matrix(g))), rho0)
+
+
+def trace_preserving(S: np.ndarray) -> np.ndarray:
+    """The projection S' = S + vec(I) (vec(I)† - vec(I)† S) / d of a d^2 x d^2
+    map onto trace-preserving maps: vec(I)† S' = vec(I)†.
+
+    For any trace-preserving map E, S' - E = P (S - E) with P = I - vec(I) vec(I)† / d
+    an orthogonal projection: S' is no farther from E than S in the 2-norm,
+    and E itself is left as it is.
+    """
+    d = math.isqrt(S.shape[-1])
+    one = vec(np.eye(d))
+    return S + np.outer(one, one - one @ S) / d
 
 
 def one_one_norm(g: DiagonalGenerator) -> float:

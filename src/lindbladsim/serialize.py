@@ -53,11 +53,19 @@ def complex_to_json(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _finite(x, what: str) -> float:
+def number(x, what: str) -> float:
+    """x as a float when it is a JSON number (an int or a float, numpy
+    scalars included); text and booleans are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise SerializeError(f"{what} must be a number, got {x!r}")
     try:
-        value = float(x)
-    except (TypeError, ValueError, OverflowError):
+        return float(x)
+    except OverflowError:
         raise SerializeError(f"{what} must be a number, got {x!r}") from None
+
+
+def _finite(x, what: str) -> float:
+    value = number(x, what)
     if not math.isfinite(value):
         raise SerializeError(f"{what} must be finite, got {x!r}")
     return value

@@ -27,27 +27,29 @@ exact oracle in trace distance.
 That bound is loose by orders of magnitude at small d, so a run does not
 use its step count directly.  build_plan certifies the map that runs
 instead: at k = 1 it searches upward from n = ceil(t L1) for a repetition
-count whose map T_n = B^n (B the trace-projected block) satisfies
+count whose map T_n, the n-th power of the block, satisfies
 
     sqrt(d) ||T_n - exp(t sum_j G_j)||_2 <= eps / 2,
 
 which bounds ||T_n - exp(tL)||_(1->1) by eps / 2, and the plan carries T_n
-and that certificate.  When the search stops first (certify lists when),
-the paper's plan (paper_plan) runs, uncertified, as the fallback; it is
-also what the cost subcommand reports.  step_count is the paper's planner,
-and select_order, its first step, holds the one check of the planner's
-inputs.  build_plan calls step_count once per run, through paper_plan;
-every plan it returns carries the two N_exp bounds that nexp_report prints.
+and that certificate.  The block and its power are each projected onto
+trace-preserving maps (plan_map).  When the search stops first (certify
+lists when), the paper's plan (paper_plan) runs, uncertified, as the
+fallback; it is also what the cost subcommand reports.  step_count is the
+paper's planner, and select_order, its first step, holds the one check of
+the planner's inputs.  build_plan calls step_count once per run, through
+paper_plan; every plan it returns carries the two N_exp bounds that
+nexp_report prints.
 
-Each component carries its d^2 x d^2 generator G_j.  Hamiltonian segments
-are realized as unitary conjugation, dissipative segments as exp(t~ G_j),
-G_j = lam U [L . L† - (1/2){L†L, .}] U† with the physical duration t~
-carrying the component's spectral weight.  A block asks each component once
-for the channels of all its distinct durations, which one stacked
+A component is its d^2 x d^2 generator G_j: i[., H] for the Hamiltonian,
+lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece.  Every segment,
+Hamiltonian or dissipative, is realized as exp(t~ G_j), with the physical
+duration t~ carrying the component's weight.  A block asks each component
+once for the channels of all its distinct durations, which one stacked
 numerics.expm call computes.  At k = 1 every duration is positive, so every
-factor is a channel of the universal family; negative intermediate
-durations appear in the recursion for k >= 2, where the matrix exponential
-is applied for any sign and the cost report flags them.
+factor is a unitary channel or a channel of the universal family; negative
+intermediate durations appear in the recursion for k >= 2, where the matrix
+exponential is applied for any sign and the cost report flags them.
 """
 
 import math
@@ -55,12 +57,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decompose import ConjugationPlan, decompose_generator, universal_operators
-from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, conjugation_superoperator,
-                       dissipator_superoperator, hamiltonian_superoperator, one_one_norm, unvec,
-                       vec)
+from .decompose import decompose_generator, universal_operators
+from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, dissipator_superoperator,
+                       evolve, hamiltonian_superoperator, one_one_norm, trace_preserving)
 from .numerics import NumericsError, dagger, expm
-from .sud import GellMannBasis
 
 
 class TrotterError(ValueError):
@@ -80,58 +80,41 @@ class Segment:
 
 @dataclass(frozen=True)
 class Component:
-    """One summand of the generator with its exact channel realization."""
+    """One summand of the generator: its d^2 x d^2 matrix G_j, whose
+    exponentials exp(t G_j) are its channels, and a (1->1) norm bound."""
 
-    kind: str  # "hamiltonian" | "dissipative"
     d: int
     norm: float
-    generator: np.ndarray = field(repr=False)  # d^2 x d^2 matrix G_j, exp(t G_j) is the channel
-    # hamiltonian payload
-    H: np.ndarray | None = field(default=None, repr=False)
-    # dissipative payload
-    plan: ConjugationPlan | None = None
+    generator: np.ndarray = field(repr=False)
 
     def channel(self, t_phys) -> np.ndarray:
         """Exact channel matrices exp(t * G_j), one per physical duration t in
         t_phys, stacked in its order and taken from one expm call."""
-        t = np.asarray(t_phys, dtype=float)[:, None, None]
-        if self.kind == "hamiltonian":
-            return conjugation_superoperator(expm(-1j * t * self.H))
-        return expm(t * self.generator)
-
-
-def hamiltonian_component(H: np.ndarray) -> Component:
-    H = np.asarray(H, dtype=complex)
-    d = H.shape[0]
-    norm = one_one_norm(DiagonalGenerator(d, H))
-    return Component(kind="hamiltonian", d=d, norm=norm, generator=hamiltonian_superoperator(H),
-                     H=H)
-
-
-def dissipative_components(plans, basis: GellMannBasis) -> list[Component]:
-    """The components of a list of plans, with their operators and generators
-    built as stacks, and each norm from one_one_norm."""
-    # lam U [L . L† - (1/2){L†L, .}] U† with L = sum_a v_a F_a is the dissipator of
-    # U L U†; conjugation by U leaves the (1->1) norm unchanged, so L's bound is the component's
-    d, zero = basis.d, np.zeros((basis.d, basis.d))
-    L = universal_operators([p.params for p in plans], basis)
-    U = np.array([p.U for p in plans]).reshape(-1, d, d)
-    lam = np.array([p.lam for p in plans]).reshape(-1, 1, 1)
-    G = lam * dissipator_superoperator(np.ones((1, 1)), (U @ L @ dagger(U))[:, None])
-    return [Component(kind="dissipative", d=d, plan=p, generator=g,
-                      norm=one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))))
-            for p, l, g in zip(plans, L, G)]
+        return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator)
 
 
 def prepare_components(g: GksGenerator, plans) -> list[Component]:
-    """Assemble and norm-order the components of g, given its conjugation plans.
+    """The components of g, given its conjugation plans, norm-ordered.
 
-    Zero components (vanishing Hamiltonian, zero-weight plans) are
-    dropped; the rest are sorted by descending (1->1) norm upper bound,
-    with stable ties, which fixes the product order deterministically.
+    The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan of
+    positive weight gives lam U [L . L† - (1/2){L†L, .}] U†, the dissipator
+    of U L U† with L = sum_a v_a F_a, all built as one stack; conjugation by
+    U leaves the (1->1) norm unchanged, so L's bound is the component's.
+    Each norm comes from one one_one_norm call.  Components of zero norm are
+    dropped; the rest are sorted by descending norm, with stable ties, which
+    fixes the product order deterministically.
     """
-    comps = [hamiltonian_component(g.H)] if np.max(np.abs(g.H)) > 0.0 else []
-    comps += dissipative_components([p for p in plans if p.lam > 0.0], g.basis)
+    d, zero = g.d, np.zeros((g.d, g.d))
+    plans = [p for p in plans if p.lam > 0.0]
+    L = universal_operators([p.params for p in plans], g.basis)
+    U = np.array([p.U for p in plans]).reshape(-1, d, d)
+    lam = np.array([p.lam for p in plans]).reshape(-1, 1, 1)
+    G = lam * dissipator_superoperator(np.ones((1, 1)), (U @ L @ dagger(U))[:, None])
+    comps = [Component(d, one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))), G_j)
+             for p, l, G_j in zip(plans, L, G)]
+    if np.max(np.abs(g.H)) > 0.0:
+        comps.insert(0, Component(d, one_one_norm(DiagonalGenerator(d, g.H)),
+                                  hamiltonian_superoperator(g.H)))
     return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
 
 
@@ -395,17 +378,15 @@ def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.nd
 def plan_map(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
     """The full product [block]^n_reps as one d^2 x d^2 map.
 
-    The block is first projected onto trace-preserving maps, so that
-    vec(I)† B = vec(I)† holds to rounding; otherwise the block's rounding
-    error in the trace grows with n_reps inside the power.  A power that
-    overflows comes back with non-finite entries, not a warning.
+    The block and its power are each projected onto trace-preserving maps
+    (lindblad.trace_preserving): the block so that the rounding error in
+    its trace does not grow with n_reps inside the power, and the power for
+    the rounding the power adds itself.  A power that overflows comes back
+    with non-finite entries, not a warning.
     """
-    d = components[0].d
-    block = block_superoperator(plan, components)
-    one = vec(np.eye(d))
-    block += np.outer(one, one - one @ block) / d
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.matrix_power(block, plan.n_reps)
+        block = trace_preserving(block_superoperator(plan, components))
+        return trace_preserving(np.linalg.matrix_power(block, plan.n_reps))
 
 
 def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState) -> QuantumState:
@@ -418,9 +399,7 @@ def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState)
     if plan.n_reps == 0 or not plan.schedule:
         return rho0
     total = plan.total_map if plan.total_map is not None else plan_map(plan, components)
-    rho = unvec(total @ vec(rho0.rho), rho0.d)
-    rho = 0.5 * (rho + np.conj(rho).T)
-    return QuantumState(d=rho0.d, rho=rho)
+    return evolve(total, rho0)
 
 
 @dataclass(frozen=True)

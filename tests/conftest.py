@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from lindbladsim.cli import lambda_atom_generator
 from lindbladsim.decompose import universal_vectors
-from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal,
+from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal, gks_spectrum,
                                   hamiltonian_superoperator, unvec, vec)
 from lindbladsim.numerics import dagger, frobenius
 from lindbladsim.sud import SudError, adjoint_matrix, gell_mann_basis, pair_index
@@ -54,6 +54,13 @@ def random_gks(d, rng, scale=1.0, with_h=True):
     basis = gell_mann_basis(d)
     H = random_hermitian(d, rng, scale) if with_h else np.zeros((d, d), dtype=complex)
     return GksGenerator(basis=basis, H=H, A=random_psd(basis.n, rng, scale))
+
+
+def pure_hamiltonian(d):
+    """A random Hamiltonian, drawn from default_rng(d), and A = 0."""
+    basis = gell_mann_basis(d)
+    return GksGenerator(basis=basis, H=random_hermitian(d, np.random.default_rng(d)),
+                        A=np.zeros((basis.n, basis.n)))
 
 
 def random_diagonal(d, n_terms, rng, scale=1.0, with_h=True):
@@ -133,6 +140,23 @@ def liouvillian_of_diagonal(g):
                       - 0.5 * np.kron((Ld @ L).T, eye)
                       - 0.5 * np.kron(eye, Ld @ L))
     return S
+
+
+def to_diagonal(g):
+    """Rate/operator form of g: the rates are the eigenvalues gks_spectrum
+    keeps, and each kept eigenvector v gives the operator L = sum_a v_a F_a."""
+    terms = tuple((lam, np.einsum("g,gij->ij", v, g.basis.matrices))
+                  for lam, v in gks_spectrum(g))
+    return DiagonalGenerator(d=g.d, H=g.H, terms=terms)
+
+
+def conjugation_superoperator(u):
+    """Matrix kron(conj U, U) of rho -> U rho U† in the column-stacking
+    convention, for one unitary or each of a stack (..., d, d)."""
+    U = np.asarray(u, dtype=complex)
+    d = U.shape[-1]
+    outer = np.conj(U)[..., :, None, :, None] * U[..., None, :, None, :]
+    return outer.reshape(*U.shape[:-2], d * d, d * d)
 
 
 def sigma_x_slot(basis, j, k):

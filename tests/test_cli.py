@@ -138,6 +138,13 @@ def test_validate_rejects_malformed_json(tmp_path):
         "terms-number": {"d": 2, "H": zero2, "terms": 5},
         "nan-h": {"d": 2, "H": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
                   "terms": [term]},
+        # only JSON numbers are numbers: no numeric text, no booleans
+        "numeric-text-entry": {"d": 2, "H": [[["0.5", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                               "terms": [term]},
+        "bool-entry": {"d": 2, "H": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                       "terms": [term]},
+        "numeric-text-d": {"d": "2", "H": zero2, "terms": [term]},
+        "numeric-text-gamma": {"d": 2, "H": zero2, "terms": [{**term, "gamma": "1"}]},
     }
     for name, doc in documents.items():
         path = tmp_path / f"{name}.json"
@@ -306,12 +313,17 @@ def test_simulate_rejects_bad_request(tmp_path):
     doc = json.loads(req.read_text())
     for name, bad in (("list", [1, 2]), ("text-t", {**doc, "t": "x"}),
                       ("text-d", {**doc, "rho0": {"d": "x", "rho": doc["rho0"]}}),
-                      ("float-d", {**doc, "rho0": {"d": 3.7, "rho": doc["rho0"]}})):
+                      ("float-d", {**doc, "rho0": {"d": 3.7, "rho": doc["rho0"]}}),
+                      ("numeric-text-t", {**doc, "t": "1"}),
+                      ("bool-eps", {**doc, "t": 1.0, "epsilon": True})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == 2, name
     path = tmp_path / "nan-eps.json"
     path.write_text(json.dumps({**doc, "t": 1.0, "epsilon": float("nan"), "mode": "trotter"}))
+    assert main(["simulate", str(path)]) == 1
+    path = tmp_path / "nan-t.json"
+    path.write_text(json.dumps({**doc, "t": float("nan")}))
     assert main(["simulate", str(path)]) == 1
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -41,3 +42,31 @@ def test_readme_identifiers_resolve():
     assert "verify_plan" in names
     owners = [*MODULES.values(), conftest]
     assert sorted(n for n in names if not any(hasattr(o, n) for o in owners)) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def names_used(path):
+    """Names a Python file uses in code: Name and Attribute nodes and import aliases."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # an oracle that only tests use lives in tests/conftest.py; the package's own
+    # re-exports in __init__.py do not count as a use
+    package = ROOT / "src" / "lindbladsim"
+    modules = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    defined = {node.name for path in modules for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"}
+    callers = [*modules, *sorted((ROOT / "bench").glob("*.py")),
+               *sorted((ROOT / "scripts").glob("*.py"))]
+    used = {name for path in callers for name in names_used(path)}
+    assert "simulate" in defined and "simulate" in used
+    assert sorted(defined - used) == []

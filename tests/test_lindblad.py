@@ -6,14 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (SQRT3, lambda_atom, liouvillian_of_diagonal, random_diagonal,
-                      random_gks, random_hermitian, random_mixed_state)
+from conftest import (SQRT3, conjugation_superoperator, lambda_atom, liouvillian_of_diagonal,
+                      pure_hamiltonian, random_diagonal, random_gks, random_hermitian,
+                      random_mixed_state, to_diagonal)
 from lindbladsim.decompose import decompose_generator, universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
-                                  QuantumState, apply_exact, conjugation_superoperator,
-                                  dissipator_superoperator, from_diagonal, liouvillian_matrix,
-                                  maximally_mixed, one_one_norm, to_diagonal, trace_distance,
-                                  unvec, vec)
+                                  QuantumState, apply_exact, dissipator_superoperator,
+                                  from_diagonal, liouvillian_matrix, maximally_mixed,
+                                  one_one_norm, trace_distance, unvec, vec)
 from lindbladsim.numerics import dagger, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import prepare_components
@@ -95,7 +95,8 @@ def assert_entries_close(S, expected):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_dissipator_contracts_any_operator_stack(d, seed):
     """One non-Hermitian L, the Gell-Mann basis under A, and each dissipative
-    component's one L all give the dissipator of their rate/operator form."""
+    component's one L all give the dissipator of their rate/operator form;
+    the Hamiltonian component's channels are conjugations by e^(-i tau H)."""
     rng = np.random.default_rng(seed)
     L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     gamma = float(rng.uniform(0.1, 2.0))
@@ -105,11 +106,42 @@ def test_dissipator_contracts_any_operator_stack(d, seed):
     g = random_gks(d, rng, with_h=False)
     assert_entries_close(dissipator_superoperator(g.A, g.basis.matrices),
                          liouvillian_of_diagonal(to_diagonal(g)))
-    for c in prepare_components(g, decompose_generator(g)):
-        (v,) = universal_vectors([c.plan.params], g.basis)[2]
-        K = conjugation_superoperator(c.plan.U)
+    for p in decompose_generator(g):
+        (c,) = prepare_components(g, [p])
+        (v,) = universal_vectors([p.params], g.basis)[2]
+        K = conjugation_superoperator(p.U)
         universal = dissipator_superoperator(np.outer(v, np.conj(v)), g.basis.matrices)
-        assert_entries_close(c.generator, c.plan.lam * (K @ universal @ dagger(K)))
+        assert_entries_close(c.generator, p.lam * (K @ universal @ dagger(K)))
+    H = random_hermitian(d, rng)
+    (c,) = prepare_components(GksGenerator(basis=g.basis, H=H, A=np.zeros_like(g.A)), [])
+    tau = 20.0 / c.norm  # ||tau G||_1 >= 20, past the Pade cores: expm squares
+    assert_entries_close(c.channel([tau])[0], conjugation_superoperator(expm(-1j * tau * H)))
+
+
+def unitary_evolution(H, t, rho):
+    """e^(-i t H) rho e^(i t H), from the eigendecomposition of H."""
+    w, V = np.linalg.eigh(H)
+    U = V @ np.diag(np.exp(-1j * t * w)) @ dagger(V)
+    return U @ rho @ dagger(U)
+
+
+def stationary_state(g):
+    """The null vector of g's generator matrix as a unit-trace state; unique for the lambda atom."""
+    w, V = np.linalg.eig(liouvillian_matrix(g))
+    rho = unvec(V[:, np.argmin(np.abs(w))], g.d)
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("g, t", [(pure_hamiltonian(2), 1e6), (pure_hamiltonian(3), 1e6),
+                                  (lambda_atom(), 1e7)],
+                         ids=["hamiltonian-d2", "hamiltonian-d3", "lambda"])
+def test_oracle_passes_its_state_checks_at_long_times(g, t):
+    # ||tL||_1 is far below numerics.MAX_EXPM_NORM here, yet the squarings' rounding
+    # used to put the state's trace or its Hermiticity past the 1e-10 checks of QuantumState
+    rho0 = QuantumState(d=g.d, rho=random_mixed_state(g.d, np.random.default_rng(0)))
+    out = apply_exact(g, rho0, t)
+    expected = unitary_evolution(g.H, t, rho0.rho) if np.any(g.H) else stationary_state(g)
+    assert trace_distance(out.rho, expected) <= 1e-9
 
 
 def test_liouvillian_zero():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (NORM_SAFETY, criterion_4_instances, dephasing_gks, lambda_atom,
-                      n_qubit_generator, random_diagonal, random_gks, random_mixed_state,
-                      serial_one_one_norm)
+                      n_qubit_generator, pure_hamiltonian, random_diagonal, random_gks,
+                      random_mixed_state, serial_one_one_norm)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact, from_diagonal,
@@ -15,11 +15,10 @@ from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact, 
 from lindbladsim.numerics import expm, frobenius
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import (TrotterError, TrotterPlan, block_superoperator, build_plan,
-                                 dissipative_components, hamiltonian_component, merge_adjacent,
-                                 nexp_bound_closed_form, nexp_bound_res, nexp_report,
-                                 paper_plan, prepare_components, run_plan, s2_schedule,
-                                 s2k_schedule, segments_per_block, select_order, simulate,
-                                 simulate_plans, step_count, suzuki_p)
+                                 merge_adjacent, nexp_bound_closed_form, nexp_bound_res,
+                                 nexp_report, paper_plan, prepare_components, run_plan,
+                                 s2_schedule, s2k_schedule, segments_per_block, select_order,
+                                 simulate, simulate_plans, step_count, suzuki_p)
 
 E = math.e
 
@@ -113,9 +112,7 @@ def test_component_norms_match_serial_estimator():
                                        for d in range(2, 6)]
     cases.append((random_gks(6, np.random.default_rng(1)), 2))
     for g, n_plans in cases:
-        comps = [hamiltonian_component(g.H)]
-        comps += dissipative_components(decompose_generator(g)[:n_plans], g.basis)
-        for c in comps:
+        for c in prepare_components(g, decompose_generator(g)[:n_plans]):
             oracle = serial_one_one_norm(c.generator) / NORM_SAFETY
             assert c.norm >= oracle * (1.0 - 1e-12)
 
@@ -176,14 +173,17 @@ def test_select_order_rejects_bad_args():
 # build_plan / run_plan
 # ---------------------------------------------------------------------------
 
-def test_build_plan_single_component_exact(rng):
-    g = damping_generator()
+@pytest.mark.parametrize("g", [damping_generator(), pure_hamiltonian(3)],
+                         ids=["damping", "hamiltonian"])
+def test_build_plan_single_component_exact(g, rng):
+    # one component needs no splitting: one segment of the whole length t
     comps = components_for(g)
     assert len(comps) == 1
     plan = build_plan(comps, eps=1e-3, t=3.0)
     assert plan.n_reps == 1 and len(plan.schedule) == 1
-    out = run_plan(plan, comps, maximally_mixed(2))
-    oracle = apply_exact(g, maximally_mixed(2), 3.0)
+    rho0 = QuantumState(d=g.d, rho=random_mixed_state(g.d, rng))
+    out = run_plan(plan, comps, rho0)
+    oracle = apply_exact(g, rho0, 3.0)
     assert trace_distance(out.rho, oracle.rho) < 1e-10
 
 
@@ -215,6 +215,16 @@ def test_long_runs_keep_the_trace(g, t, eps):
     for state in (out, run_plan(paper, comps, rho0)):
         QuantumState(d=g.d, rho=state.rho)
         assert trace_distance(state.rho, oracle.rho) <= eps
+
+
+@pytest.mark.parametrize("t", [1e6, 1e7])
+def test_long_certified_runs_keep_the_trace(t):
+    # certified at n_reps 2e6 and 2e7; the power's own rounding used to put the
+    # state's trace 1.0e-10 and 1.5e-9 off 1, past the 1e-10 check of QuantumState
+    g, rho0 = lambda_atom(), maximally_mixed(3)
+    out, plan, _ = simulate(g, rho0, t=t, eps=1e-3)
+    assert plan.certificate is not None and plan.n_reps >= 2 * t
+    assert trace_distance(out.rho, apply_exact(g, rho0, t).rho) <= 1e-3
 
 
 def test_lambda_atom_within_tolerance():
