@@ -17,9 +17,16 @@ coefficient matrix over any stack of operators: the Gell-Mann matrices
 under A for the oracle, or a single Lindblad operator L under [[1]] for a
 rank-one component.
 
-Vectorization is column-stacking throughout: vec(X rho Y) = (Y^T kron X) vec(rho).
+The constructors (hamiltonian_superoperator, dissipator_superoperator,
+liouvillian_matrix) column-stack: vec(X rho Y) = (Y^T kron X) vec(rho).
+Every map that is exponentiated, multiplied, projected or applied is first
+taken by real_map into the orthonormal Hermitian basis
+B = (I / sqrt(d), F_1, ..., F_{d^2-1}) of hermitian_basis, where a map that
+keeps matrices Hermitian is a real matrix R: it sends the coordinates
+x_k = tr(B_k rho) of rho to those of its image.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,15 +43,6 @@ class LindbladError(ValueError):
 
 # eigenvalues of A at or below this share of the largest are roundoff zeros
 EIGEN_CUTOFF = 1e-12
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
 
 def _require_hermitian(X: np.ndarray, name: str) -> None:
@@ -225,11 +223,36 @@ def liouvillian_matrix(g: GksGenerator) -> np.ndarray:
     return S
 
 
-def evolve(S: np.ndarray, rho0: QuantumState) -> QuantumState:
-    """The state S(rho0) of a d^2 x d^2 map S, Hermitized: a map that keeps
-    matrices Hermitian does so only up to rounding."""
-    rho = unvec(S @ vec(rho0.rho), rho0.d)
-    return QuantumState(d=rho0.d, rho=0.5 * (rho + dagger(rho)))
+@functools.cache
+def hermitian_basis(d: int) -> np.ndarray:
+    """The orthonormal Hermitian basis B = (I / sqrt(d), F_1, ..., F_{d^2-1}) of d x d
+    matrices, F_a the Gell-Mann basis, as a read-only (d^2, d, d) stack."""
+    B = np.concatenate([np.eye(d)[None] / math.sqrt(d), gell_mann_basis(d).matrices])
+    B.setflags(write=False)
+    return B
+
+
+def real_map(S: np.ndarray) -> np.ndarray:
+    """The real matrix R = (T S T†).real of a column-stacked d^2 x d^2 map S that keeps
+    matrices Hermitian, or of each in a stack (..., d^2, d^2).
+
+    T is the unitary whose rows are vec(B_k)†, B = hermitian_basis(d); as B_k is
+    Hermitian, that row is B_k read row by row.  R_kl = tr(B_k S(B_l)) is a trace
+    of two Hermitian matrices, real up to rounding, which .real drops.
+    """
+    d = math.isqrt(S.shape[-1])
+    T = hermitian_basis(d).reshape(d * d, d * d)
+    return np.ascontiguousarray((T @ S @ dagger(T)).real)
+
+
+def evolve(R: np.ndarray, rho0: QuantumState) -> QuantumState:
+    """The state sum_k x'_k B_k of a real d^2 x d^2 map R, with x' = R x and
+    x_k = tr(B_k rho0) the coordinates of rho0 in B = hermitian_basis(d): with T as
+    in real_map, x = T vec(rho0) and the state's rows are those of x'^T T."""
+    d = rho0.d
+    T = hermitian_basis(d).reshape(d * d, d * d)
+    x = (T @ rho0.rho.reshape(-1, order="F")).real
+    return QuantumState(d=d, rho=((R @ x) @ T).reshape(d, d))
 
 
 def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:
@@ -239,20 +262,22 @@ def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:
         raise LindbladError(f"time must be finite and non-negative, got {t}")
     if rho0.d != g.d:
         raise LindbladError(f"state has d = {rho0.d} but the generator has d = {g.d}")
-    return evolve(trace_preserving(expm(t * liouvillian_matrix(g))), rho0)
+    return evolve(trace_preserving(expm(t * real_map(liouvillian_matrix(g)))), rho0)
 
 
-def trace_preserving(S: np.ndarray) -> np.ndarray:
-    """The projection S' = S + vec(I) (vec(I)† - vec(I)† S) / d of a d^2 x d^2
-    map onto trace-preserving maps: vec(I)† S' = vec(I)†.
+def trace_preserving(R: np.ndarray) -> np.ndarray:
+    """The projection of a real d^2 x d^2 map R onto trace-preserving maps: R' is R with
+    row 0 set to e0^T.  The trace of rho is sqrt(d) x_0, so a map keeps it exactly
+    when its row 0 is e0^T.
 
-    For any trace-preserving map E, S' - E = P (S - E) with P = I - vec(I) vec(I)† / d
-    an orthogonal projection: S' is no farther from E than S in the 2-norm,
+    For any trace-preserving map E, R' - E = P (R - E) with P = I - e0 e0^T an
+    orthogonal projection: R' is no farther from E than R in the 2-norm,
     and E itself is left as it is.
     """
-    d = math.isqrt(S.shape[-1])
-    one = vec(np.eye(d))
-    return S + np.outer(one, one - one @ S) / d
+    out = np.array(R)
+    out[0] = 0.0
+    out[0, 0] = 1.0
+    return out
 
 
 def one_one_norm(g: DiagonalGenerator) -> float:

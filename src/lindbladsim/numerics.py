@@ -1,17 +1,21 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel.
 
 Everything else in the package funnels its matrix work through the three
 routines here: a matrix exponential, a Hermitian eigendecomposition with a
 deterministic ordering/phase convention, and the trace norm.  All functions
 are pure and operate on plain ``numpy`` arrays, and all run on numpy's BLAS
-and LAPACK alone.
+and LAPACK alone.  A real matrix stays real.
 
-The exponential is the scaling and squaring method of Higham, "The scaling
-and squaring method for the matrix exponential revisited", SIAM J. Matrix
-Anal. Appl. 26 (2005) 1179: the [q/q] Pade approximant of degree
-q in {3, 5, 7, 9, 13} is the lowest whose bound theta_q covers ||A||_1;
-beyond theta_13 the matrix is scaled by 2^-s, s = ceil(log2(||A||_1 / theta_13)),
-and the approximant squared s times.
+The exponential takes the lowest rung of one ladder that covers ||A||_1.
+Up to theta_16 = 0.78 the rungs are Taylor polynomials of degree m in
+{2, 4, 6, 9, 12, 16}, with the bounds theta_m of Al-Mohy and Higham,
+"Computing the action of the matrix exponential", SIAM J. Sci. Comput. 33
+(2011) 488, Table 3.1, each evaluated by Paterson-Stockmeyer in 1 to 6
+products and no solve.  Above it are the [q/q] Pade rungs q in {7, 9, 13}
+of Higham, "The scaling and squaring method for the matrix exponential
+revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179; beyond theta_13 the
+matrix is scaled by 2^-s, s = ceil(log2(||A||_1 / theta_13)), and the
+approximant squared s times.
 """
 
 import math
@@ -29,8 +33,10 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _square_stack(m) -> np.ndarray:
-    """m as a complex square matrix or stack of them (..., n, n), with finite entries."""
-    a = np.asarray(m, dtype=complex)
+    """m as a float64 or complex128 square matrix or stack of them (..., n, n), with
+    finite entries; a real input stays real."""
+    a = np.asarray(m)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
     if a.ndim < 2:
         raise NumericsError(f"expected a matrix, got array of ndim {a.ndim}")
     if a.shape[-2] != a.shape[-1]:
@@ -57,20 +63,22 @@ def frobenius(m):
     overflows only when the norm itself does: each matrix is first scaled by
     a power of two, which is exact, to entries of modulus below 1."""
     a = np.asarray(m)
-    top = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    top = np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=0.0)
     unit = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))
     scaled = a * unit[..., None, None]  # np.linalg.norm's Frobenius sum, without its dispatch
     norm = np.sqrt(np.add.reduce((scaled.conj() * scaled).real, axis=(-2, -1))) / unit
     return float(norm) if norm.ndim == 0 else norm
 
 
-# (q, theta_q): for ||A||_1 <= theta_q the [q/q] Pade approximant's backward error is
-# below the unit roundoff
-PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
-              (9, 2.097847961257068e0), (13, 5.371920351148152e0))
+# (m, theta_m): for ||A||_1 <= theta_m the degree-m Taylor polynomial's backward error is
+# below the unit roundoff 2^-53: theta_m is where sum_(k > m) |c_k| theta^(k-1) = 2^-53, with
+# c_k the series coefficients of log(e^-x T_m(x)) (Al-Mohy and Higham 2011, Table 3.1)
+TAYLOR_THETA = ((2, 2.580956802e-8), (4, 3.397168839e-4), (6, 9.065656407e-3),
+                (9, 8.957760203e-2), (12, 2.996158913e-1), (16, 7.802874256e-1))
+# (q, theta_q): the same for the [q/q] Pade approximant (Higham 2005); the rungs below
+# theta_16 are Taylor's, which need no solve
+PADE_THETA = ((7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152e0))
 PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
     7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
     9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
         110880.0, 3960.0, 90.0, 1.0),
@@ -85,15 +93,34 @@ MAX_SQUARINGS = 24
 MAX_EXPM_NORM = 2.0 ** MAX_SQUARINGS * PADE_THETA[-1][1]
 
 
-def _degree_and_squarings(norm: float) -> tuple[int, int]:
-    """Pade degree q and squaring count s for a matrix of 1-norm norm."""
-    for q, theta in PADE_THETA:
-        if norm <= theta:
-            return q, 0
-    if not norm <= MAX_EXPM_NORM:
-        raise NumericsError(f"matrix exponential needs ||A||_1 <= {MAX_EXPM_NORM:.2e}, "
-                            f"got {norm:.3e}")
-    return 13, math.ceil(math.log2(norm / PADE_THETA[-1][1]))
+def _taylor_chunks(m: int) -> np.ndarray:
+    """Paterson-Stockmeyer chunks of the degree-m Taylor polynomial, s = ceil(sqrt(m)):
+    row q holds the coefficients 1 / (q s + i)! of A^i, i = 1..s, up to A^m."""
+    s = math.isqrt(m - 1) + 1
+    chunks = np.zeros(((m - 1) // s + 1, s))
+    for j in range(1, m + 1):
+        chunks[divmod(j - 1, s)] = 1.0 / math.factorial(j)
+    return chunks
+
+
+TAYLOR_CHUNKS = {m: _taylor_chunks(m) for m, _ in TAYLOR_THETA}
+
+
+def _taylor(a: np.ndarray, m: int) -> np.ndarray:
+    """Degree-m Taylor polynomial of exp on a stack of matrices, by Paterson-Stockmeyer:
+    I plus Horner's rule in A^s over the chunks sum_i c_qi A^i of TAYLOR_CHUNKS[m], all
+    formed by one product with the powers A..A^s, in s - 1 + floor((m - 1) / s) products."""
+    coeffs = TAYLOR_CHUNKS[m]
+    s = coeffs.shape[1]
+    powers = np.empty((s, *a.shape), dtype=a.dtype)
+    powers[0] = a
+    for i in range(1, s):
+        np.matmul(powers[i - 1], a, out=powers[i])
+    chunks = (coeffs @ powers.reshape(s, -1)).reshape(-1, *a.shape)
+    p = chunks[-1]
+    for chunk in chunks[-2::-1]:
+        p = chunk + powers[-1] @ p
+    return p + np.eye(a.shape[-1])
 
 
 def _pade(a: np.ndarray, q: int) -> np.ndarray:
@@ -118,13 +145,31 @@ def _pade(a: np.ndarray, q: int) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def expm(m) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Pade core (Higham 2005).
+# the rungs (core, degree, theta) in ascending theta
+RUNGS = tuple((_taylor, m, theta) for m, theta in TAYLOR_THETA) + tuple(
+    (_pade, q, theta) for q, theta in PADE_THETA)
 
-    Accepts one square complex matrix with finite entries, or a stack of
-    them of shape (..., n, n); the slices that share a Pade degree and
-    squaring count are computed together.  A matrix with ||A||_1 above
-    MAX_EXPM_NORM, and a result that overflows, raise NumericsError.
+
+def _rung_and_squarings(norm: float):
+    """Core, degree and squaring count s for a matrix of 1-norm norm."""
+    for core, degree, theta in RUNGS:
+        if norm <= theta:
+            return core, degree, 0
+    if not norm <= MAX_EXPM_NORM:
+        raise NumericsError(f"matrix exponential needs ||A||_1 <= {MAX_EXPM_NORM:.2e}, "
+                            f"got {norm:.3e}")
+    return _pade, 13, math.ceil(math.log2(norm / PADE_THETA[-1][1]))
+
+
+def expm(m) -> np.ndarray:
+    """Matrix exponential: a Taylor rung for ||A||_1 <= theta_16, else Pade with
+    scaling and squaring (Higham 2005).
+
+    Accepts one square real or complex matrix with finite entries, or a stack
+    of them of shape (..., n, n), and returns a real result for a real input;
+    the slices that share a rung and squaring count are computed together.
+    A matrix with ||A||_1 above MAX_EXPM_NORM, and a result that overflows,
+    raise NumericsError.
     """
     a = _square_stack(m)
     stack = a.reshape(-1, *a.shape[-2:])
@@ -132,10 +177,10 @@ def expm(m) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         groups = defaultdict(list)
         for i, norm in enumerate(np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)):
-            groups[_degree_and_squarings(float(norm))].append(i)
-        whole = len(groups) == 1  # one (q, s) for every slice: no gather and scatter copies
-        for (q, s), slices in groups.items():
-            x = _pade(np.multiply(stack if whole else stack[slices], 2.0 ** -s, order="C"), q)
+            groups[_rung_and_squarings(float(norm))].append(i)
+        whole = len(groups) == 1  # one rung and s for every slice: no gather and scatter copies
+        for (core, degree, s), slices in groups.items():
+            x = core(np.multiply(stack if whole else stack[slices], 2.0 ** -s, order="C"), degree)
             for _ in range(s):
                 x = x @ x
             if whole:
@@ -156,16 +201,21 @@ def eigh(m):
     non-negative, which makes repeated calls on identical input
     bit-identical and keeps downstream decompositions deterministic.
     """
-    a = _square_stack(m)
-    if np.any(frobenius(a - dagger(a)) > 1e-10 * np.maximum(frobenius(a), 1e-300)):
+    a = _square_stack(m).astype(complex, copy=False)
+    residual, norm = frobenius(np.stack([a - dagger(a), a]))
+    if (residual > 1e-10 * np.maximum(norm, 1e-300)).any():
         raise NumericsError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    # LAPACK returns w ascending, so w reversed is w descending; the columns of v take
+    # the stable descending order, which keeps equal eigenvalues in LAPACK's order
+    n = a.shape[-1]
+    order = np.argsort(-w, axis=-1, kind="stable").reshape(-1, 1, n)
+    stack = np.arange(order.shape[0])[:, None, None]
+    v = v.reshape(-1, n, n)[stack, np.arange(n)[:, None], order]
+    pivot = v[stack[..., 0], np.argmax(np.abs(v), axis=-2), np.arange(n)]
     # eigenvectors are unit columns, so no pivot is zero
-    return w, v * (np.conj(pivot) / np.abs(pivot))
+    v = v * (np.conj(pivot) / np.abs(pivot))[:, None, :]
+    return w[..., ::-1], v.reshape(a.shape)
 
 
 def trace_norm(m) -> float:

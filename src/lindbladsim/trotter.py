@@ -42,11 +42,16 @@ paper_plan; every plan it returns carries the two N_exp bounds that
 nexp_report prints.
 
 A component is its d^2 x d^2 generator G_j: i[., H] for the Hamiltonian,
-lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece.  Every segment,
-Hamiltonian or dissipative, is realized as exp(t~ G_j), with the physical
-duration t~ carrying the component's weight.  A block asks each component
-once for the channels of all its distinct durations, which one stacked
-numerics.expm call computes.  At k = 1 every duration is positive, so every
+lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece, each built
+column-stacked and taken by lindblad.real_map into the orthonormal Hermitian
+basis, where it is a real matrix.  Every segment, Hamiltonian or
+dissipative, is realized as exp(t~ G_j), with the physical duration t~
+carrying the component's weight.  A block asks each component once for the
+channels of all its distinct durations, which one stacked numerics.expm
+call computes, on a Taylor rung with no solve at a block's small norms.
+The block, its power, exp(t sum_j G_j) and the certificate's SVD are all
+real; the 2-norm is the same in either basis, since the change of basis
+is unitary.  At k = 1 every duration is positive, so every
 factor is a unitary channel or a channel of the universal family; negative
 intermediate durations appear in the recursion for k >= 2, where the matrix
 exponential is applied for any sign and the cost report flags them.
@@ -59,7 +64,8 @@ import numpy as np
 
 from .decompose import decompose_generator, universal_operators
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, dissipator_superoperator,
-                       evolve, hamiltonian_superoperator, one_one_norm, trace_preserving)
+                       evolve, hamiltonian_superoperator, one_one_norm, real_map,
+                       trace_preserving)
 from .numerics import NumericsError, dagger, expm
 
 
@@ -80,8 +86,9 @@ class Segment:
 
 @dataclass(frozen=True)
 class Component:
-    """One summand of the generator: its d^2 x d^2 matrix G_j, whose
-    exponentials exp(t G_j) are its channels, and a (1->1) norm bound."""
+    """One summand of the generator: its real d^2 x d^2 matrix G_j in the Hermitian
+    basis (lindblad.real_map), whose exponentials exp(t G_j) are its channels, and a
+    (1->1) norm bound."""
 
     d: int
     norm: float
@@ -100,7 +107,8 @@ def prepare_components(g: GksGenerator, plans) -> list[Component]:
     positive weight gives lam U [L . L† - (1/2){L†L, .}] U†, the dissipator
     of U L U† with L = sum_a v_a F_a, all built as one stack; conjugation by
     U leaves the (1->1) norm unchanged, so L's bound is the component's.
-    Each norm comes from one one_one_norm call.  Components of zero norm are
+    The column-stacked generators go through one lindblad.real_map.  Each
+    norm comes from one one_one_norm call.  Components of zero norm are
     dropped; the rest are sorted by descending norm, with stable ties, which
     fixes the product order deterministically.
     """
@@ -110,11 +118,11 @@ def prepare_components(g: GksGenerator, plans) -> list[Component]:
     U = np.array([p.U for p in plans]).reshape(-1, d, d)
     lam = np.array([p.lam for p in plans]).reshape(-1, 1, 1)
     G = lam * dissipator_superoperator(np.ones((1, 1)), (U @ L @ dagger(U))[:, None])
-    comps = [Component(d, one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))), G_j)
-             for p, l, G_j in zip(plans, L, G)]
+    norms = [one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))) for p, l in zip(plans, L)]
     if np.max(np.abs(g.H)) > 0.0:
-        comps.insert(0, Component(d, one_one_norm(DiagonalGenerator(d, g.H)),
-                                  hamiltonian_superoperator(g.H)))
+        G = np.concatenate([hamiltonian_superoperator(g.H)[None], G])
+        norms.insert(0, one_one_norm(DiagonalGenerator(d, g.H)))
+    comps = [Component(d, norm, R) for norm, R in zip(norms, real_map(G))]
     return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
 
 
@@ -369,7 +377,7 @@ def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.nd
     for j, comp in enumerate(components):
         for tau, channel in zip(taus[j], comp.channel(np.array(taus[j]) / plan.L1)):
             channels[j, tau] = channel
-    out = np.eye(d * d, dtype=complex)
+    out = np.eye(d * d)
     for seg in plan.schedule:
         out = channels[seg.index, seg.duration] @ out
     return out

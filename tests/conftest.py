@@ -7,7 +7,7 @@ from hypothesis import settings
 from lindbladsim.cli import lambda_atom_generator
 from lindbladsim.decompose import universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal, gks_spectrum,
-                                  hamiltonian_superoperator, unvec, vec)
+                                  hamiltonian_superoperator)
 from lindbladsim.numerics import dagger, frobenius
 from lindbladsim.sud import SudError, adjoint_matrix, gell_mann_basis, pair_index
 
@@ -38,6 +38,28 @@ NORM_SAFETY = 1.001
 # reproducible; a test's own @settings sets only max_examples
 settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
 settings.load_profile("reproducible")
+
+
+def vec(m):
+    """Column-stack a matrix into a vector."""
+    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+
+
+def unvec(v, d):
+    return np.asarray(v, dtype=complex).reshape((d, d), order="F")
+
+
+def frame(d):
+    """The unitary T of lindblad.real_map, built from its definition: its rows are
+    vec(B_k)† over the Hermitian basis B = (I / sqrt(d), F_1, ..., F_{d^2-1})."""
+    return np.array([np.conj(vec(b)) for b in (np.eye(d) / np.sqrt(d),
+                                               *gell_mann_basis(d).matrices)])
+
+
+def column_stacked(R):
+    """The column-stacked map T† R T of a real map R, the inverse of lindblad.real_map."""
+    T = frame(math.isqrt(R.shape[-1]))
+    return dagger(T) @ R @ T
 
 
 def random_hermitian(d, rng, scale=1.0):

@@ -6,14 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (SQRT3, conjugation_superoperator, lambda_atom, liouvillian_of_diagonal,
-                      pure_hamiltonian, random_diagonal, random_gks, random_hermitian,
-                      random_mixed_state, to_diagonal)
-from lindbladsim.decompose import decompose_generator, universal_vectors
+from conftest import (SQRT3, column_stacked, conjugation_superoperator, frame, lambda_atom,
+                      liouvillian_of_diagonal, pure_hamiltonian, random_diagonal, random_gks,
+                      random_hermitian, random_mixed_state, to_diagonal, unvec, vec)
+from lindbladsim.decompose import decompose_generator, universal_operators, universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
-                                  QuantumState, apply_exact, dissipator_superoperator,
-                                  from_diagonal, liouvillian_matrix, maximally_mixed,
-                                  one_one_norm, trace_distance, unvec, vec)
+                                  QuantumState, apply_exact, dissipator_superoperator, evolve,
+                                  from_diagonal, hamiltonian_superoperator, liouvillian_matrix,
+                                  maximally_mixed, one_one_norm, real_map, trace_distance,
+                                  trace_preserving)
 from lindbladsim.numerics import dagger, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import prepare_components
@@ -111,11 +112,59 @@ def test_dissipator_contracts_any_operator_stack(d, seed):
         (v,) = universal_vectors([p.params], g.basis)[2]
         K = conjugation_superoperator(p.U)
         universal = dissipator_superoperator(np.outer(v, np.conj(v)), g.basis.matrices)
-        assert_entries_close(c.generator, p.lam * (K @ universal @ dagger(K)))
+        assert_entries_close(c.generator, real_map(p.lam * (K @ universal @ dagger(K))))
     H = random_hermitian(d, rng)
     (c,) = prepare_components(GksGenerator(basis=g.basis, H=H, A=np.zeros_like(g.A)), [])
     tau = 20.0 / c.norm  # ||tau G||_1 >= 20, past the Pade cores: expm squares
-    assert_entries_close(c.channel([tau])[0], conjugation_superoperator(expm(-1j * tau * H)))
+    assert_entries_close(c.channel([tau])[0],
+                         real_map(conjugation_superoperator(expm(-1j * tau * H))))
+
+
+def real_of(G):
+    """(T G T†).real of a column-stacked map G, with T from its definition."""
+    T = frame(math.isqrt(G.shape[-1]))
+    return (T @ G @ dagger(T)).real
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_component_generators_are_real_in_the_hermitian_basis(d):
+    g = random_gks(d, np.random.default_rng(d))
+    dissipative = GksGenerator(basis=g.basis, H=np.zeros((d, d)), A=g.A)
+    plans = decompose_generator(g)
+    L = universal_operators([p.params for p in plans], g.basis)
+    cases = [(prepare_components(dissipative, [p]),
+              dissipator_superoperator([[p.lam]], (p.U @ l @ dagger(p.U))[None]))
+             for p, l in zip(plans, L)]
+    hamiltonian = GksGenerator(basis=g.basis, H=g.H, A=np.zeros_like(g.A))
+    cases.append((prepare_components(hamiltonian, []), hamiltonian_superoperator(g.H)))
+    for (c,), G in cases:
+        assert c.generator.dtype == np.float64
+        assert frobenius(c.generator - real_of(G)) <= 1e-14 * frobenius(G)
+
+
+def test_trace_preserving_is_the_projection_onto_trace_preserving_maps(rng):
+    d, n = 3, 9
+    e0 = np.eye(n)[0]
+    E = rng.normal(size=(n, n))
+    E[0] = e0  # row 0 = e0^T: E keeps the trace
+    assert np.array_equal(trace_preserving(E), E)
+    R = rng.normal(size=(n, n))
+    out = trace_preserving(R)
+    assert np.array_equal(out[0], e0)
+    assert np.array_equal(out - E, (np.eye(n) - np.outer(e0, e0)) @ (R - E))
+    # column-stacked, row 0 = e0^T reads vec(I)† S = vec(I)†
+    one = vec(np.eye(d))
+    assert np.max(np.abs(np.conj(one) @ column_stacked(out) - np.conj(one))) <= 1e-14
+
+
+def test_evolve_applies_the_map_to_the_coordinates(rng):
+    for d in (2, 3, 6):
+        R = expm(real_map(liouvillian_matrix(random_gks(d, rng))))
+        rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
+        rho = evolve(R, rho0).rho
+        assert np.array_equal(rho, dagger(rho))
+        expected = unvec(column_stacked(R) @ vec(rho0.rho), d)
+        assert np.max(np.abs(rho - expected)) <= 1e-14
 
 
 def unitary_evolution(H, t, rho):

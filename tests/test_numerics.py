@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_gks
 from lindbladsim.lindblad import liouvillian_matrix
-from lindbladsim.numerics import (MAX_EXPM_NORM, NumericsError, dagger, eigh, expm, frobenius,
-                                  is_unitary, trace_norm)
+from lindbladsim.numerics import (MAX_EXPM_NORM, TAYLOR_THETA, NumericsError, dagger, eigh, expm,
+                                  frobenius, is_unitary, trace_norm)
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -197,3 +199,67 @@ def test_trace_norm_single_dyad():
 def test_trace_norm_rejects_nonsquare():
     with pytest.raises(NumericsError):
         trace_norm(np.zeros((2, 3)))
+
+
+def log_taylor_series(m, terms):
+    """Exact coefficients c_0..c_terms of log(e^-x T_m(x)), T_m the degree-m Taylor
+    polynomial of e^x: f = log T_m solves T_m f' = T_m', so k f_k = k t_k - sum_(j < k) j f_j t_(k-j)."""
+    t = [Fraction(1, math.factorial(j)) if j <= m else Fraction(0) for j in range(terms + 1)]
+    f = [Fraction(0)] * (terms + 1)
+    for k in range(1, terms + 1):
+        f[k] = t[k] - sum((j * f[j] * t[k - j] for j in range(1, k)), Fraction(0)) / k
+    f[1] -= 1  # the e^-x
+    return f
+
+
+def test_taylor_thetas_are_the_backward_error_bounds():
+    # theta_m is the largest theta with sum_(k > m) |c_k| theta^(k-1) <= 2^-53; the
+    # series converges geometrically there, so 150 terms hold every digit
+    for m, theta in TAYLOR_THETA:
+        c = log_taylor_series(m, 150)
+        assert not any(c[:m + 1])  # e^-x T_m(x) = 1 + O(x^(m+1))
+        tail = [abs(float(x)) for x in c[m + 1:]]
+        lo, hi = 0.0, 2.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if sum(a * mid ** (m + k) for k, a in enumerate(tail)) <= 2.0 ** -53:
+                lo = mid
+            else:
+                hi = mid
+        assert lo * (1.0 - 1e-6) <= theta <= lo
+
+
+# log10 of ||A||_1 from -9 to -3 runs the Taylor rungs of degree 2, 4 and 6, which the
+# property tests above, from 1e-3 up, never reach
+@settings(max_examples=60)
+@given(st.integers(1, 36), st.floats(-9.0, -3.0), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_expm_matches_scipy_at_small_norms(n, log_norm, seed, real):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
+    m = scaled_to_one_norm(m, 10.0 ** log_norm)
+    ref = scipy.linalg.expm(m)
+    assert frobenius(expm(m) - ref) <= 1e-12 * frobenius(ref)
+
+
+def real_stack(rng, norms):
+    return np.stack([scaled_to_one_norm(rng.normal(size=(9, 9)), x) for x in norms])
+
+
+def test_expm_keeps_a_real_stack_real(rng):
+    # norms from 1e-9 to 1e2: every Taylor rung, the Pade rungs and up to 5 squarings.
+    # Further up e^A is ill-conditioned: the real and complex products round apart by
+    # 1.6e-14 of ||e^A|| at ||A||_1 = 316, both within its conditioning
+    stack = real_stack(rng, 10.0 ** np.arange(-9.0, 2.5, 0.5))
+    out = expm(stack)
+    assert out.dtype == np.float64
+    for x, m in zip(out, stack):
+        z = expm(m.astype(complex))
+        assert frobenius(x - z) <= 1e-15 * frobenius(z)
+
+
+def test_expm_real_stack_equals_its_slices(rng):
+    norms = 10.0 ** np.arange(-9.0, 3.5, 0.5)
+    stack = real_stack(rng, np.concatenate([norms, norms[::-1]]))
+    out = expm(stack.reshape(2, -1, 9, 9))
+    assert out.dtype == np.float64 and out.shape == (2, len(norms), 9, 9)
+    assert all(np.array_equal(x, expm(m)) for x, m in zip(out.reshape(-1, 9, 9), stack))
