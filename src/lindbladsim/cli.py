@@ -21,13 +21,12 @@ import sys
 import numpy as np
 
 from . import serialize
-from .decompose import (DecomposeError, decompose_generator, decompose_terms, spectral_split,
-                        verify_plans)
+from .decompose import DecomposeError, decompose_generator, spectral_split, verify_plans
 from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, from_diagonal,
                        maximally_mixed, positivity_spectrum, trace_distance)
 from .numerics import NumericsError, dagger, frobenius
 from .sud import SudError, gell_mann_basis
-from .trotter import TrotterError, nexp_report, segments_per_block, simulate_plans, step_count
+from .trotter import TrotterError, nexp_report, segments_per_block, simulate, step_count
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -100,9 +99,8 @@ def lambda_atom_generator(gamma1: float, gamma2: float, phi: float, eta: float, 
 
 
 def _decompose(g):
-    """Spectral terms of g, their conjugation plans, and the plans' residuals."""
-    terms = spectral_split(g)
-    plans = decompose_terms(terms, g.basis)
+    """Spectral terms of g, its conjugation plans, and the plans' residuals."""
+    terms, plans = spectral_split(g), decompose_generator(g)
     return terms, plans, verify_plans(plans, terms, g.basis)
 
 
@@ -114,10 +112,10 @@ def _check_run(t: float, eps: float):
         raise CliError("epsilon must be finite and positive", EXIT_INVALID)
 
 
-def _trotter_run(g, plans, rho0, t: float, eps: float) -> dict:
-    """Run the oracle and the product formula of g's plans; the run's report fields."""
+def _trotter_run(g, rho0, t: float, eps: float) -> dict:
+    """Run the oracle and the product formula of g; the run's report fields."""
     oracle = apply_exact(g, rho0, t)
-    state, plan, components = simulate_plans(g, plans, rho0, t, eps)
+    state, plan, components = simulate(g, rho0, t, eps)
     return {
         "rho": serialize.matrix_to_json(state.rho),
         "cost": nexp_report(plan).to_dict() if components else None,
@@ -171,7 +169,7 @@ def cmd_simulate(args) -> int:
     if mode == "oracle":
         out["rho"] = serialize.matrix_to_json(apply_exact(g, rho0, t).rho)
     elif mode == "trotter":
-        out.update(_trotter_run(g, decompose_generator(g), rho0, t, eps))
+        out.update(_trotter_run(g, rho0, t, eps))
     else:
         raise CliError(f"unknown mode {mode!r}", EXIT_INVALID)
     _emit(out, args.out)
@@ -221,7 +219,7 @@ def cmd_example_lambda(args) -> int:
         "spectral": [{"lambda": t.lam, "a": serialize.vector_to_json(t.a)} for t in terms],
         "plans": serialize.plans_to_json(g.H, plans, residuals),
         "simulation": {"t": args.t, "epsilon": args.eps, "rho0": serialize.matrix_to_json(rho0.rho),
-                       **_trotter_run(g, plans, rho0, args.t, args.eps)},
+                       **_trotter_run(g, rho0, args.t, args.eps)},
     }
     _emit(bundle, args.out)
     for i, p in enumerate(plans):

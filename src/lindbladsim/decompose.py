@@ -31,7 +31,8 @@ a a† = b b† with b = G v, G the adjoint matrix of U = U1† U2† (see verif
 
 Each step is one function over a stack of rows, one row per piece; decompose_terms
 and verify_plans chain the steps over all pieces at once, and decompose_term and
-verify_plan are their one-row case.
+verify_plan are their one-row case.  A generator cannot change, so it is
+decomposed once: spectral_split and decompose_generator keep their results on it.
 """
 
 import math
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .numerics import dagger
+from .numerics import dagger, frozen_copy
 from .lindblad import GksGenerator, gks_spectrum
 from .sud import GellMannBasis
 
@@ -59,14 +60,14 @@ def _require_weight(lam):
 
 @dataclass(frozen=True)
 class RankOneTerm:
-    """One spectral component lambda * a a† of a GKS matrix."""
+    """One spectral component lambda * a a† of a GKS matrix; a is a read-only copy."""
 
     lam: float
     a: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         _require_weight(self.lam)
-        a = np.asarray(self.a, dtype=complex)
+        a = frozen_copy(self.a)
         if abs(np.linalg.norm(a) - 1.0) > 1e-12:
             raise DecomposeError("rank-one direction is not a unit vector")
         object.__setattr__(self, "a", a)
@@ -84,7 +85,8 @@ class UniversalParams:
 
 @dataclass(frozen=True)
 class ConjugationPlan:
-    """Unitary plus universal parameters realizing one rank-one piece."""
+    """Unitary plus universal parameters realizing one rank-one piece; U is a
+    read-only copy."""
 
     lam: float
     U: np.ndarray = field(repr=False)
@@ -92,11 +94,19 @@ class ConjugationPlan:
 
     def __post_init__(self):
         _require_weight(self.lam)
+        object.__setattr__(self, "U", frozen_copy(self.U))
 
 
 def spectral_split(g: GksGenerator) -> list[RankOneTerm]:
-    """Spectral decomposition A = sum_k lambda_k a_k a_k†, descending."""
-    return [RankOneTerm(lam=lam, a=a) for lam, a in gks_spectrum(g)]
+    """Spectral decomposition A = sum_k lambda_k a_k a_k†, descending.
+
+    g cannot change, so the terms are computed on its first call and kept on
+    it; each call returns a new list of the same frozen terms.
+    """
+    kept = g._decomposition
+    if "terms" not in kept:
+        kept["terms"] = tuple(RankOneTerm(lam=lam, a=a) for lam, a in gks_spectrum(g))
+    return list(kept["terms"])
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -357,8 +367,13 @@ def decompose_generator(g: GksGenerator) -> list[ConjugationPlan]:
 
     The Liouvillian of g equals the Liouvillian of g.H plus sum_k lam_k
     times the Liouvillian of the k-th plan's GKS matrix b_k b_k† (verify_plan).
+    Like spectral_split, the plans are computed on g's first call and kept on
+    it; each call returns a new list of the same frozen plans.
     """
-    return decompose_terms(spectral_split(g), g.basis)
+    kept = g._decomposition
+    if "plans" not in kept:
+        kept["plans"] = tuple(decompose_terms(spectral_split(g), g.basis))
+    return list(kept["plans"])
 
 
 def verify_plans(plans, terms, basis: GellMannBasis) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .numerics import dagger, expm, frobenius, trace_norm
+from .numerics import dagger, expm, frobenius, frozen_copy, trace_norm
 from .sud import GellMannBasis, gell_mann_basis
 
 
@@ -59,16 +59,23 @@ def positivity_spectrum(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GksGenerator:
-    """Generator data (H, A) over a fixed Gell-Mann basis."""
+    """Generator data (H, A) over a fixed Gell-Mann basis.
+
+    A generator cannot change: H and A are read-only copies of the arrays it
+    is given, and the basis matrices are read-only.  What derives from (H, A)
+    alone, its spectral terms and conjugation plans, is computed on first use
+    and kept in _decomposition (decompose.spectral_split,
+    decompose.decompose_generator).
+    """
 
     basis: GellMannBasis
     H: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
+    _decomposition: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         d, n = self.basis.d, self.basis.n
-        H = np.asarray(self.H, dtype=complex)
-        A = np.asarray(self.A, dtype=complex)
+        H, A = frozen_copy(self.H), frozen_copy(self.A)
         if H.shape != (d, d):
             raise LindbladError(f"H must be {d}x{d}, got {H.shape}")
         if A.shape != (n, n):
@@ -200,10 +207,13 @@ def dissipator_superoperator(A: np.ndarray, ops: np.ndarray) -> np.ndarray:
     d = F.shape[-1]
     # F_l rho F_k†  ->  kron(conj F_k, F_l); with the column-stacked index
     # (col*d + row) the row axes are (a=out col, i=out row) and the column
-    # axes (b=in col, j=in row).
-    B = np.einsum("lk,...kab->...lab", np.asarray(A, dtype=complex), np.conj(F))
-    S = np.einsum("...lab,...lij->...aibj", B, F)
-    Phi = np.einsum("...lai,...laj->...ij", B, F)  # sum_lk A_lk F_k† F_l
+    # axes (b=in col, j=in row).  Both contractions are BLAS products over the
+    # operators flattened to rows of d^2: B = A conj(F), then B^T F, whose
+    # (a b),(i j) entries are reordered to (a i),(b j).
+    flat = F.reshape(*F.shape[:-2], d * d)
+    B = np.asarray(A, dtype=complex) @ np.conj(flat)
+    S = (np.swapaxes(B, -1, -2) @ flat).reshape(*F.shape[:-3], d, d, d, d).swapaxes(-3, -2)
+    Phi = np.einsum("...lai,...laj->...ij", B.reshape(F.shape), F)  # sum_lk A_lk F_k† F_l
     # kron(Phi^T, I) + kron(I, Phi), through the diagonal views i = j and a = b
     anti = np.zeros(S.shape, dtype=complex)
     np.einsum("...aiaj->...aij", anti)[...] += Phi[..., None, :, :]

@@ -58,15 +58,25 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
+def frozen_copy(m) -> np.ndarray:
+    """A read-only complex copy of m."""
+    out = np.array(m, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
 def frobenius(m):
     """Frobenius norm of a matrix, or array of them for a stack (..., n, n), which
-    overflows only when the norm itself does: each matrix is first scaled by
-    a power of two, which is exact, to entries of modulus below 1."""
+    overflows or underflows only when the norm itself does: each matrix is first
+    scaled by a power of two 2^-e, which is exact, so that its largest entry
+    modulus lies in [1/2, 1)."""
     a = np.asarray(m)
-    top = np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=0.0)
-    unit = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))
-    scaled = a * unit[..., None, None]  # np.linalg.norm's Frobenius sum, without its dispatch
-    norm = np.sqrt(np.add.reduce((scaled.conj() * scaled).real, axis=(-2, -1))) / unit
+    e = np.frexp(np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=0.0))[1]
+    # 2^-e as two factors, neither of which overflows when the entries are subnormal
+    half = e // 2
+    scaled = a * np.ldexp(1.0, -half)[..., None, None] * np.ldexp(1.0, half - e)[..., None, None]
+    # np.linalg.norm's Frobenius sum, without its dispatch
+    norm = np.ldexp(np.sqrt(np.add.reduce((scaled.conj() * scaled).real, axis=(-2, -1))), e)
     return float(norm) if norm.ndim == 0 else norm
 
 

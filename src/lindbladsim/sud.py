@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import is_unitary
+from .numerics import frozen_copy, is_unitary
 
 
 class SudError(ValueError):
@@ -44,10 +44,14 @@ def pair_index(d: int, j: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class GellMannBasis:
-    """Ordered orthonormal Hermitian traceless basis of d x d matrices."""
+    """Ordered orthonormal Hermitian traceless basis of d x d matrices, kept as a
+    read-only copy."""
 
     d: int
     matrices: np.ndarray = field(repr=False)  # shape (d^2 - 1, d, d)
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrices", frozen_copy(self.matrices))
 
     @property
     def n(self) -> int:

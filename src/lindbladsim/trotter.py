@@ -452,14 +452,13 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
 
 
 def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
-    """Decompose, plan, and run; returns (state, plan, components)."""
-    return simulate_plans(g, decompose_generator(g), rho0, t, eps)
+    """Decompose, plan, and run; returns (state, plan, components).
 
-
-def simulate_plans(g: GksGenerator, plans, rho0: QuantumState, t: float, eps: float):
-    """Plan and run g with its conjugation plans; returns (state, plan, components)."""
+    The decomposition is g's own (decompose_generator): computed on g's first
+    run and reused by every later one, whatever its t and eps.
+    """
     if rho0.d != g.d:
         raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")
-    components = prepare_components(g, plans)
+    components = prepare_components(g, decompose_generator(g))
     plan = build_plan(components, eps, t)
     return run_plan(plan, components, rho0), plan, components

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from lindbladsim import decompose
 from lindbladsim.cli import lambda_atom_generator
 from lindbladsim.decompose import universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal, gks_spectrum,
@@ -303,3 +305,16 @@ def serial_one_one_norm(S):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240915)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts of the calls into gks_spectrum and decompose_terms, the two steps
+    that decomposing a generator runs, from the test's start."""
+    calls = Counter()
+    for name in ("gks_spectrum", "decompose_terms"):
+        def counted(*args, fn=getattr(decompose, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(decompose, name, counted)
+    return calls

@@ -272,6 +272,23 @@ def simulation_request(tmp_path, g, rho, t, eps, mode):
     return path
 
 
+@pytest.mark.parametrize("command, counts", [
+    ("validate", {"gks_spectrum": 1}),
+    ("decompose", {"gks_spectrum": 1, "decompose_terms": 1}),
+    ("simulate", {"gks_spectrum": 1, "decompose_terms": 1}),
+    ("example-lambda", {"gks_spectrum": 1, "decompose_terms": 1}),
+])
+def test_each_subcommand_decomposes_its_generator_once(tmp_path, decompositions, command,
+                                                       counts):
+    path = (simulation_request(tmp_path, lambda_atom(), maximally_mixed(3).rho, 1.0, 1e-3,
+                               "trotter") if command == "simulate" else lambda_doc(tmp_path))
+    out = ["--out", str(tmp_path / "out.json")]
+    argv = {"validate": ["validate", str(path)], "decompose": ["decompose", str(path), *out],
+            "simulate": ["simulate", str(path), *out], "example-lambda": ["example-lambda", *out]}
+    assert main(argv[command]) == 0
+    assert decompositions == counts
+
+
 def test_simulate_time_zero_echoes_state(tmp_path):
     g = lambda_atom()
     rho = maximally_mixed(3).rho

@@ -475,9 +475,12 @@ def test_stack_equals_its_rows(d):
 
 
 def test_plans_deterministic(rng):
+    # two generators built from equal data, so that each one decomposes on its own
     g = random_gks(3, rng)
-    plans1 = decompose_generator(g)
-    plans2 = decompose_generator(g)
+    plans1 = decompose_generator(GksGenerator(basis=g.basis, H=g.H, A=g.A))
+    plans2 = decompose_generator(GksGenerator(basis=gell_mann_basis(3), H=g.H.copy(),
+                                              A=g.A.copy()))
+    assert len(plans1) == len(plans2) > 0 and plans1[0] is not plans2[0]
     for p1, p2 in zip(plans1, plans2):
         assert np.array_equal(p1.U, p2.U)
         assert p1.params == p2.params
@@ -511,3 +514,42 @@ def test_d2_always_fixed_vectors(rng):
         assert np.array_equal(rR, np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(rI, np.array([0.0, 1.0, 0.0]))
         assert verify_plan(plan, term, b) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# a generator is immutable and decomposes once
+# ---------------------------------------------------------------------------
+
+def test_caller_arrays_do_not_reach_the_generator(rng):
+    b = gell_mann_basis(3)
+    H, A = np.array(random_gks(3, rng).H), random_psd(b.n, rng)
+    H0, A0 = H.copy(), A.copy()
+    before = GksGenerator(basis=b, H=H, A=A)
+    plans = decompose_generator(before)
+    after = GksGenerator(basis=b, H=H, A=A)
+    H += 1.0
+    A *= 2.0
+    for g in (before, after):
+        assert np.array_equal(g.H, H0) and np.array_equal(g.A, A0)
+    fresh = decompose_generator(GksGenerator(basis=b, H=H0, A=A0))
+    for p, q, r in zip(plans, decompose_generator(after), fresh, strict=True):
+        assert np.array_equal(p.U, r.U) and np.array_equal(q.U, r.U)
+        assert p.params == q.params == r.params and p.lam == q.lam == r.lam
+
+
+@pytest.mark.parametrize("target", ["H", "A", "basis", "U", "a"])
+def test_generator_and_its_decomposition_are_read_only(target):
+    g = lambda_atom(1.0, 0.25)
+    arrays = {"H": lambda: g.H, "A": lambda: g.A, "basis": lambda: g.basis.matrices,
+              "U": lambda: decompose_generator(g)[0].U, "a": lambda: spectral_split(g)[0].a}
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[target]()[0] = 1.0
+
+
+def test_returned_lists_are_the_callers_own(rng):
+    g = random_gks(3, rng)
+    terms, plans = spectral_split(g), decompose_generator(g)
+    terms.clear()
+    plans.append(plans[0])
+    assert len(spectral_split(g)) == len(plans) - 1 == len(decompose_generator(g))
+    assert all(p is q for p, q in zip(decompose_generator(g), plans))

@@ -173,6 +173,21 @@ def test_eigh_rejects_non_hermitian():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigh_rejects_a_tiny_non_hermitian_matrix():
+    # its norm once underflowed to 0, so it passed the check with eigenvalues (0, 0)
+    with pytest.raises(NumericsError, match="not Hermitian"):
+        eigh(np.array([[0.0, 1e-200], [0.0, 0.0]]))
+
+
+def test_frobenius_neither_underflows_nor_overflows_before_the_norm():
+    # entries below ~1e-154 once squared to 0 and gave a norm of 0.0
+    assert frobenius([[3e-170, 4e-170], [0.0, 0.0]]) == 5e-170
+    assert frobenius([[3e170, 4e170], [0.0, 0.0]]) == 5e170
+    assert frobenius([[5e-324, 0.0], [0.0, 0.0]]) == 5e-324  # subnormal
+    stack = np.array([[[3e-170j, 4e-170], [0.0, 0.0]], np.zeros((2, 2)), [[3.0, 0.0], [0.0, 4.0]]])
+    assert frobenius(stack).tolist() == [5e-170, 0.0, 5.0]
+
+
 def test_trace_norm_diagonal():
     assert trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0, abs=1e-12)
 

@@ -9,15 +9,16 @@ from conftest import (NORM_SAFETY, column_stacked, criterion_4_instances, dephas
                       random_gks, random_mixed_state, serial_one_one_norm, vec)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
-from lindbladsim.lindblad import (DiagonalGenerator, QuantumState, apply_exact, from_diagonal,
-                                  liouvillian_matrix, maximally_mixed, real_map, trace_distance)
+from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
+                                  from_diagonal, liouvillian_matrix, maximally_mixed, real_map,
+                                  trace_distance)
 from lindbladsim.numerics import expm, frobenius
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import (TrotterError, TrotterPlan, block_superoperator, build_plan,
                                  merge_adjacent, nexp_bound_closed_form, nexp_bound_res,
                                  nexp_report, paper_plan, prepare_components, run_plan,
                                  s2_schedule, s2k_schedule, segments_per_block, select_order,
-                                 simulate, simulate_plans, step_count, suzuki_p)
+                                 simulate, step_count, suzuki_p)
 
 E = math.e
 
@@ -383,6 +384,21 @@ def test_build_plan_empty_is_the_zero_plan():
         simulate(lambda_atom(), maximally_mixed(3), 0.0, -1.0)
 
 
+def test_a_generator_decomposes_once(decompositions):
+    g = random_gks(4, np.random.default_rng(4))
+    rho0 = maximally_mixed(4)
+    once = {"gks_spectrum": 1, "decompose_terms": 1}
+    simulate(g, rho0, 1.0, 1e-3)
+    assert decompositions == once
+    decompositions.clear()
+    state, plan, _ = simulate(g, rho0, 2.0, 1e-6)  # another t and eps: the same plans
+    assert not decompositions
+    fresh = GksGenerator(basis=gell_mann_basis(4), H=g.H.copy(), A=g.A.copy())
+    fresh_state, fresh_plan, _ = simulate(fresh, rho0, 2.0, 1e-6)
+    assert decompositions == once
+    assert state.rho.tobytes() == fresh_state.rho.tobytes() and plan == fresh_plan
+
+
 @pytest.mark.parametrize("g", [lambda_atom(), lambda_atom(0.0, 0.0)], ids=["lambda", "zero"])
 def test_simulate_rejects_dimension_mismatch(g):
     # the zero generator has no component, so its run would be the trivial plan
@@ -392,12 +408,12 @@ def test_simulate_rejects_dimension_mismatch(g):
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
-def test_simulate_plans_refuses_a_bad_weight(lam):
+def test_prepare_components_never_sees_a_bad_weight(lam):
     # preparation drops plans by their weight, so a bad one must be refused before it
     g = lambda_atom(1.0, 0.25)
     with pytest.raises(DecomposeError, match="weight must be finite and non-negative"):
         plans = [dataclasses.replace(p, lam=lam) for p in decompose_generator(g)]
-        simulate_plans(g, plans, maximally_mixed(3), 1.0, 1e-3)
+        prepare_components(g, plans)
 
 
 def test_nexp_per_block_m2_k1():
