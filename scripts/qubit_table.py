@@ -8,7 +8,9 @@ at t = 1 and eps = 1e-3 and 1e-6, it prints one Markdown row per case: m,
 the component count (2n + 1 at d = 2^n), next to d^2 - 1, the dissipative
 count of a generic generator; the merged exponential count of the paper's
 plan (paper_plan) and of the plan simulate runs; that plan's certificate
-(empty for the paper's fallback plan); and two wall times of simulate.  The
+and the certificate its leading error term predicted (both empty for the
+paper's fallback plan), and the blocks the certificate search built; and
+two wall times of simulate.  The
 first call is on a generator not yet decomposed, so it includes the
 decomposition; the repeat time is the best of two more calls on the same
 generator, which reuse it.  Both include the certificate search.  The
@@ -30,9 +32,9 @@ T = 1.0
 
 def main():
     print("| n | d | m | d²−1 | eps | paper N_exp | certified N_exp | certificate "
-          "| first s | repeat s |")
+          "| predicted | builds | first s | repeat s |")
     print("| - | - | - | ---- | --- | ----------- | --------------- | ----------- "
-          "| ------- | -------- |")
+          "| --------- | ------ | ------- | -------- |")
     for n in range(1, 6):
         chain = n_qubit_generator(n)
         for eps in (1e-3, 1e-6):
@@ -44,10 +46,12 @@ def main():
                 _, plan, comps = simulate(g, maximally_mixed(g.d), T, eps)
                 walls.append(time.perf_counter() - start)
             paper = paper_plan(comps, eps, T)
-            cert = "" if plan.certificate is None else f"{plan.certificate:.2e}"
+            cert, predicted = ("" if x is None else f"{x:.2e}"
+                               for x in (plan.certificate, plan.predicted_certificate))
             print(f"| {n} | {g.d} | {plan.m} | {g.basis.n} | {eps:g} "
                   f"| {paper.actual_exponentials()} | {plan.actual_exponentials()} | {cert} "
-                  f"| {walls[0]:.3f} | {min(walls[1:]):.3f} |", flush=True)
+                  f"| {predicted} | {plan.builds} | {walls[0]:.3f} | {min(walls[1:]):.3f} |",
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import serialize
 from .decompose import DecomposeError, decompose_generator, spectral_split, verify_plans
-from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, from_diagonal,
-                       maximally_mixed, positivity_spectrum, trace_distance)
+from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, eigenpairs,
+                       from_diagonal, maximally_mixed, trace_distance)
 from .numerics import NumericsError, dagger, frobenius
 from .sud import SudError, gell_mann_basis
 from .trotter import TrotterError, nexp_report, segments_per_block, simulate, step_count
@@ -126,7 +126,7 @@ def _trotter_run(g, rho0, t: float, eps: float) -> dict:
 def cmd_validate(args) -> int:
     g = _parse_generator_file(args.generator)
     herm = frobenius(g.H - dagger(g.H))
-    eigs = positivity_spectrum(g.A)
+    eigs = eigenpairs(g)[0]
     m = len(spectral_split(g))
     print(f"d = {g.d}")
     print(f"hermiticity residual of H = {herm:.3e}")

@@ -52,20 +52,16 @@ def _require_hermitian(X: np.ndarray, name: str) -> None:
         raise LindbladError(f"{name} is not Hermitian within tolerance")
 
 
-def positivity_spectrum(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of A, formed from halves so no sum overflows."""
-    return np.linalg.eigvalsh(0.5 * A + 0.5 * dagger(A))
-
-
 @dataclass(frozen=True)
 class GksGenerator:
     """Generator data (H, A) over a fixed Gell-Mann basis.
 
     A generator cannot change: H and A are read-only copies of the arrays it
     is given, and the basis matrices are read-only.  What derives from (H, A)
-    alone, its spectral terms and conjugation plans, is computed on first use
-    and kept in _decomposition (decompose.spectral_split,
-    decompose.decompose_generator).
+    alone is kept in _decomposition: the eigenpairs of A (eigenpairs), taken
+    once here, where their eigenvalues check that A is positive semidefinite,
+    and its spectral terms and conjugation plans, computed on first use
+    (decompose.spectral_split, decompose.decompose_generator).
     """
 
     basis: GellMannBasis
@@ -84,12 +80,15 @@ class GksGenerator:
             raise LindbladError("H and A must be finite")
         _require_hermitian(H, "H")
         _require_hermitian(A, "A")
-        w = positivity_spectrum(A)
+        w, v = numerics.eigh(A)
         scale = max(float(np.max(np.abs(w))), 1e-300)
         if w.min() < -1e-10 * scale:
             raise LindbladError(f"A is not positive semidefinite (min eigenvalue {w.min():.3e})")
+        w.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "A", A)
+        self._decomposition["eigh"] = (w, v)
 
     @property
     def d(self) -> int:
@@ -178,16 +177,21 @@ def from_diagonal(g: DiagonalGenerator, basis: GellMannBasis | None = None) -> G
     return GksGenerator(basis=basis, H=H, A=A)
 
 
+def eigenpairs(g: GksGenerator) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of g's A, descending, and its eigenvectors in the columns
+    of the second array (numerics.eigh), both read-only and taken once, when g
+    was built."""
+    return g._decomposition["eigh"]
+
+
 def gks_spectrum(g: GksGenerator) -> list[tuple[float, np.ndarray]]:
     """Eigenpairs (lam, v) of A in descending order, zeros dropped.
 
     An eigenvalue is kept when it is positive and above EIGEN_CUTOFF times
     the largest eigenvalue modulus.
     """
-    w, v = numerics.eigh(g.A)
+    w, v = eigenpairs(g)
     scale = float(np.max(np.abs(w)))
-    if w.min() < -1e-10 * max(scale, 1e-300):
-        raise LindbladError("GKS matrix is not positive semidefinite")
     return [(float(lam), v[:, i]) for i, lam in enumerate(w)
             if lam > EIGEN_CUTOFF * scale and lam > 0.0]
 
@@ -301,10 +305,12 @@ def one_one_norm(g: DiagonalGenerator) -> float:
     The result is a Python float, whose arithmetic overflows to inf without
     a warning.
     """
-    w = np.linalg.eigvalsh(g.H)
-    total = float(w[-1]) - float(w[0])
+    total = 0.0
+    if np.any(g.H):
+        w = np.linalg.eigvalsh(g.H)
+        total = float(w[-1]) - float(w[0])
     for gamma, L in g.terms:
-        s = float(np.linalg.norm(L, 2))
+        s = float(np.linalg.svd(L, compute_uv=False)[0])  # ||L||_op, as np.linalg.norm(L, 2)
         total += 2.0 * gamma * s * s
     return total
 

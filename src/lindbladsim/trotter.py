@@ -26,16 +26,22 @@ exact oracle in trace distance.
 
 That bound is loose by orders of magnitude at small d, so a run does not
 use its step count directly.  build_plan certifies the map that runs
-instead: at k = 1 it searches upward from n = ceil(t L1) for a repetition
-count whose map T_n, the n-th power of the block, satisfies
+instead: at k = 1 it searches for a repetition count whose map T_n, the
+n-th power of the block, satisfies
 
     sqrt(d) ||T_n - exp(t sum_j G_j)||_2 <= eps / 2,
 
 which bounds ||T_n - exp(tL)||_(1->1) by eps / 2, and the plan carries T_n
-and that certificate.  The block and its power are each projected onto
-trace-preserving maps (plan_map).  When the search stops first (certify
-lists when), the paper's plan (paper_plan) runs, uncertified, as the
-fallback; it is also what the cost subcommand reports.  step_count is the
+and that certificate.  The search is sized in closed form by the block's
+leading error term, the nested commutators of the component generators
+(leading_error; Childs, Su, Tran, Wiebe and Zhu, "Theory of Trotter error
+with commutator scaling", PRX 11, 011020 (2021)): T_n differs from
+exp(t sum_j G_j) by D / n^2 + O(n^-4), so the search starts at the smallest
+n that D certifies, and most runs build one block.  The block and its
+power are each projected onto trace-preserving maps (plan_map).  When the
+search stops first (certify lists when), the paper's plan (paper_plan)
+runs, uncertified, as the fallback; it is also what the cost subcommand
+reports.  step_count is the
 paper's planner, and select_order, its first step, holds the one check of
 the planner's inputs.  build_plan calls step_count once per run, through
 paper_plan; every plan it returns carries the two N_exp bounds that
@@ -235,12 +241,14 @@ def step_count(eps: float, t: float, m: int, L1: float, L2: float):
 @dataclass(frozen=True)
 class TrotterPlan:
     """Integrator order, repetition count, one block's schedule, the
-    planner's two N_exp bounds (None where they do not apply), and, for a
-    certified plan, its certificate and the map it certifies.
+    planner's two N_exp bounds (None where they do not apply), for a
+    certified plan its certificate, the certificate its leading error term
+    predicted and the map it certifies, and the blocks the certificate
+    search built, whichever plan it returned.
 
     r is the paper planner's block parameter, n_reps = ceil(r L1); a
     certified plan's n_reps comes from the search instead, and its r is
-    n_reps / L1.  Plans compare without their map.
+    n_reps / L1.  Plans compare without their map and build count.
     """
 
     k: int
@@ -253,6 +261,8 @@ class TrotterPlan:
     bound_closed_form: float | None = None
     certificate: float | None = None  # sqrt(d) ||total_map - e^(tL)||_2 <= eps / 2
     total_map: np.ndarray | None = field(default=None, compare=False, repr=False)
+    predicted_certificate: float | None = None  # lead / n_reps^2 (certify)
+    builds: int = field(default=0, compare=False)
 
     @property
     def n_exp(self) -> int:
@@ -279,55 +289,116 @@ def block_schedule(m: int, k: int, lam: float) -> tuple:
     return sched
 
 
-# the certificate search: at most this many block builds, each candidate n
-# overshooting the n^-2 law's prediction by this factor
+# the certificate search: at most this many block builds; a step that the leading
+# error term cannot size overshoots the n^-2 law's prediction by SEARCH_MARGIN
 MAX_BUILDS = 4
 SEARCH_MARGIN = 1.05
 
 
+def spectral_norm(X: np.ndarray) -> float:
+    """The largest singular value of X."""
+    return float(np.linalg.svd(X, compute_uv=False)[0])
+
+
+def leading_error(components: list[Component], t: float):
+    """e^(t sum_j G_j) and the leading error D of the k = 1 plan over the
+    components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4).
+
+    One symmetric block of step tau is e^(tau sum_j G_j + tau^3 E + O(tau^5)) with
+    E = sum_(i < m-1) (-(1/24) [G_i, [G_i, R_i]] - (1/12) [R_i, [G_i, R_i]]),
+    R_i = sum_(j > i) G_j, Strang's term applied once per component.  So
+    T_n = e^(t sum_j G_j + (t^3 / n^2) E + ...), and D is t^3 times the Frechet
+    derivative of exp at t sum_j G_j in the direction E.  That derivative is the
+    upper-right block of the exponential of [[t sum_j G_j, h E], [0, t sum_j G_j]],
+    divided by h, and is taken here in its complex-step form (Al-Mohy and Higham,
+    Numer. Algorithms 53 (2010) 133): the imaginary part of e^(t sum_j G_j + i h E),
+    divided by h, with the real part e^(t sum_j G_j).  A complex product carries the
+    block product's upper-right block in its imaginary part, at half the real
+    products, with no difference to cancel.  h is a power of two with
+    ||h E||_1 ~ 2^-60, so the terms of order h^2 fall far below the rounding of
+    either part, and the exponential takes the rung and squarings that
+    e^(t sum_j G_j) alone takes: numerics.expm refuses it only where it refuses
+    that one.  Row 0 of D, the trace, is zeroed, as trace_preserving zeroes it in
+    T_n.  Commuting components have E = 0 and D = 0, up to rounding in their
+    commutators.
+    """
+    G = [c.generator for c in components]
+    R, E = G[-1].copy(), np.zeros_like(G[-1])
+    # R = R_i on reaching g = G_i; one product at a time, which keeps the memory to a few
+    # d^2 x d^2 matrices and at small d is faster than stacked products
+    for g in reversed(G[:-1]):
+        C = g @ R - R @ g
+        S = g / 24.0 + R / 12.0  # the term is -[S, C]
+        E += C @ S - S @ C
+        R += g
+    A = t * R
+    norm_e = float(np.abs(E).sum(axis=0).max())
+    if not norm_e > 0.0:
+        return expm(A), np.zeros_like(A)
+    h = math.ldexp(1.0, -math.frexp(norm_e)[1] - 60)
+    X = expm(A + (1j * h) * E)
+    D = (t ** 3 / h) * X.imag
+    D[0] = 0.0
+    return X.real, D
+
+
 def certify(components: list[Component], eps: float, t: float,
-            paper: TrotterPlan) -> TrotterPlan | None:
+            paper: TrotterPlan) -> TrotterPlan:
     """The k = 1 plan, at the first repetition count the search reaches, whose
-    map T_n satisfies sqrt(d) ||T_n - e^(t sum_j G_j)||_2 <= eps / 2; None
-    when the search stops first.
+    map T_n satisfies sqrt(d) ||T_n - e^(t sum_j G_j)||_2 <= eps / 2; when the
+    search stops first, the paper's plan, carrying the search's build count.
 
     The (1->1) norm of a d^2 x d^2 map is at most sqrt(d) times its spectral
     norm, so T_n(rho) is within eps / 2 of the exact state in trace norm.
-    The search starts at one normalized time unit per block, n = ceil(t L1),
-    and steps by the k = 1 law err ~ n^-2.  It stops when a candidate would
-    need as many exponentials as the paper's plan, after MAX_BUILDS builds,
-    when T_n is not finite, when numerics.expm refuses t sum_j G_j, and at
-    the rounding floor: when the certificate falls by a factor less than
-    min(2, f / 2), f the fall the law predicted for the step.  The plan
-    carries the paper plan's two N_exp bounds.
+    The search is sized by the leading error term (leading_error): with
+    lead = sqrt(d) ||D||_2 the certificate is lead / n^2 up to O(n^-4) and the
+    rounding of the power, so it starts at n = ceil(sqrt(lead / (eps / 2))).
+    After a miss at n it steps to ceil(sqrt(lead / (eps / 2 - off))), with
+    off = certificate - lead / n^2 the part the term did not predict, or, when
+    off >= eps / 2 or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN.
+    It stops when even n = 1, or a candidate, would need as many exponentials
+    as the paper's plan, after MAX_BUILDS builds, when T_n or the term is not
+    finite, when numerics.expm refuses t sum_j G_j, and at the rounding floor:
+    when the certificate falls by a factor less than min(2, f / 2), f the fall
+    the law predicted for the step.  The plan carries the paper plan's two
+    N_exp bounds and the predicted certificate lead / n^2.
     """
     m, L1, d = len(components), components[0].norm, components[0].d
     budget = paper.actual_exponentials()
-    n = max(1, math.ceil(t * L1))
-    if merged_count(m, 1, n) >= budget:
-        return None
+    if merged_count(m, 1, 1) >= budget:
+        return paper
     try:
-        exact = expm(t * sum(c.generator for c in components))
+        exact, D = leading_error(components, t)
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
-        return None
+        return paper
+    lead = math.sqrt(d) * spectral_norm(D)
+    if not math.isfinite(lead):
+        return paper
     target, last, fall = 0.5 * eps, math.inf, math.inf
-    for _ in range(MAX_BUILDS):
+    n = max(1, math.ceil(math.sqrt(lead / target)))
+    for builds in range(1, MAX_BUILDS + 1):
+        if merged_count(m, 1, n) >= budget:
+            return replace(paper, builds=builds - 1)
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
                            m=m, L1=L1, bound_res=paper.bound_res,
                            bound_closed_form=paper.bound_closed_form)
         total = plan_map(plan, components)
         if not np.isfinite(total).all():
-            return None
-        cert = math.sqrt(d) * float(np.linalg.svd(total - exact, compute_uv=False)[0])
+            return replace(paper, builds=builds)
+        cert = math.sqrt(d) * spectral_norm(total - exact)
         if cert <= target:
-            return replace(plan, certificate=cert, total_map=total)
+            return replace(plan, certificate=cert, total_map=total, builds=builds,
+                           predicted_certificate=lead / n ** 2)
         if not cert * min(2.0, 0.5 * fall) <= last:
-            return None
-        step = max(n + 1, math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN))
-        if merged_count(m, 1, step) >= budget:
-            return None
+            return replace(paper, builds=builds)
+        off = cert - lead / n ** 2
+        if lead > 0.0 and off < target:
+            step = math.ceil(math.sqrt(lead / (target - off)))
+        else:
+            step = math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN)
+        step = max(n + 1, step)
         n, last, fall = step, cert, (step / n) ** 2
-    return None
+    return replace(paper, builds=MAX_BUILDS)
 
 
 def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
@@ -355,16 +426,17 @@ def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
 
 
 def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
-    """The certified plan for the component list (certify), or else the
-    paper's plan (paper_plan), which also bounds the search's cost.
+    """The certified plan for the component list (certify), sized by its
+    leading error term, or else the paper's plan (paper_plan), which also
+    bounds the search's cost.
 
     A plan with one component or no repetition is the paper's: it has
-    nothing to certify.
+    nothing to certify, and no block is built for it.
     """
     paper = paper_plan(components, eps, t)
     if paper.m < 2 or paper.n_reps == 0:
         return paper
-    return certify(components, eps, t, paper) or paper
+    return certify(components, eps, t, paper)
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -421,6 +493,8 @@ class CostReport:
     n_exp_bound_closed_form: float | None
     negative_segments: bool
     certificate: float | None
+    predicted_certificate: float | None
+    builds: int
 
     def to_dict(self) -> dict:
         return {
@@ -433,6 +507,8 @@ class CostReport:
             "N_exp_bound_closed_form": self.n_exp_bound_closed_form,
             "negative_segments": self.negative_segments,
             "certificate": self.certificate,
+            "predicted_certificate": self.predicted_certificate,
+            "builds": self.builds,
         }
 
 
@@ -448,6 +524,8 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
         n_exp_bound_closed_form=plan.bound_closed_form,
         negative_segments=plan.has_negative_segments(),
         certificate=plan.certificate,
+        predicted_certificate=plan.predicted_certificate,
+        builds=plan.builds,
     )
 
 

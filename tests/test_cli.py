@@ -289,6 +289,27 @@ def test_each_subcommand_decomposes_its_generator_once(tmp_path, decompositions,
     assert decompositions == counts
 
 
+@pytest.mark.parametrize("command", ["validate", "decompose", "simulate", "example-lambda"])
+def test_each_subcommand_diagonalizes_a_once(tmp_path, monkeypatch, command):
+    # the generator's one numerics.eigh of A serves the positivity check, validate's
+    # minimum eigenvalue and the spectral split; the lambda atom's A is 8 x 8
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, fn=getattr(np.linalg, name), name=name, **kwargs):
+            if np.shape(a)[-2:] == (8, 8):
+                calls.append(name)
+            return fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    path = (simulation_request(tmp_path, lambda_atom(), maximally_mixed(3).rho, 1.0, 1e-3,
+                               "trotter") if command == "simulate" else lambda_doc(tmp_path))
+    calls.clear()  # building the documents above diagonalized A too
+    out = ["--out", str(tmp_path / "out.json")]
+    argv = {"validate": ["validate", str(path)], "decompose": ["decompose", str(path), *out],
+            "simulate": ["simulate", str(path), *out], "example-lambda": ["example-lambda", *out]}
+    assert main(argv[command]) == 0
+    assert calls == ["eigh"]
+
+
 def test_simulate_time_zero_echoes_state(tmp_path):
     g = lambda_atom()
     rho = maximally_mixed(3).rho
@@ -308,6 +329,16 @@ def test_simulate_lambda_atom_trotter(tmp_path):
     assert doc["trace_distance_to_oracle"] <= 1e-3
     assert doc["cost"]["N_exp_actual"] <= doc["cost"]["N_exp_bound_res"]
     assert doc["cost"]["k"] == 1 and doc["cost"]["certificate"] <= 0.5e-3
+
+
+def test_simulate_reports_the_certificate_search(tmp_path):
+    req = simulation_request(tmp_path, lambda_atom(), maximally_mixed(3).rho, 1.0, 1e-6,
+                             "trotter")
+    out = tmp_path / "state.json"
+    assert main(["simulate", str(req), "--out", str(out)]) == 0
+    cost = json.loads(out.read_text())["cost"]
+    assert cost["builds"] == 1 and cost["certificate"] <= 0.5e-6
+    assert cost["predicted_certificate"] == pytest.approx(cost["certificate"], rel=0.1)
 
 
 def test_simulate_oracle_damping_fixed_point(tmp_path):

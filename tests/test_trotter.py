@@ -12,13 +12,13 @@ from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
                                   from_diagonal, liouvillian_matrix, maximally_mixed, real_map,
                                   trace_distance)
-from lindbladsim.numerics import expm, frobenius
+from lindbladsim.numerics import MAX_EXPM_NORM, expm, frobenius
 from lindbladsim.sud import gell_mann_basis
-from lindbladsim.trotter import (TrotterError, TrotterPlan, block_superoperator, build_plan,
-                                 merge_adjacent, nexp_bound_closed_form, nexp_bound_res,
-                                 nexp_report, paper_plan, prepare_components, run_plan,
-                                 s2_schedule, s2k_schedule, segments_per_block, select_order,
-                                 simulate, step_count, suzuki_p)
+from lindbladsim.trotter import (TrotterError, TrotterPlan, block_schedule,
+                                 block_superoperator, build_plan, leading_error, merge_adjacent,
+                                 nexp_bound_closed_form, nexp_bound_res, nexp_report, paper_plan,
+                                 prepare_components, run_plan, s2_schedule, s2k_schedule,
+                                 segments_per_block, select_order, simulate, step_count, suzuki_p)
 
 E = math.e
 
@@ -219,12 +219,19 @@ def test_long_runs_keep_the_trace(g, t, eps):
 
 @pytest.mark.parametrize("t", [1e6, 1e7])
 def test_long_certified_runs_keep_the_trace(t):
-    # certified at n_reps 2e6 and 2e7; the power's own rounding used to put the
-    # state's trace 1.0e-10 and 1.5e-9 off 1, past the 1e-10 check of QuantumState
-    g, rho0 = lambda_atom(), maximally_mixed(3)
-    out, plan, _ = simulate(g, rho0, t=t, eps=1e-3)
-    assert plan.certificate is not None and plan.n_reps >= 2 * t
-    assert trace_distance(out.rho, apply_exact(g, rho0, t).rho) <= 1e-3
+    # the k = 1 plan at n_reps = 2t, where the certificate search used to stop: the
+    # power's own rounding put the state's trace 1.0e-10 and 1.5e-9 off 1, past the
+    # 1e-10 check of QuantumState.  The leading error term certifies a handful of
+    # repetitions here, and that run must be within eps too
+    g, rho0, eps = lambda_atom(), maximally_mixed(3), 1e-3
+    exact = apply_exact(g, rho0, t)
+    out, plan, comps = simulate(g, rho0, t=t, eps=eps)
+    assert plan.certificate is not None and plan.certificate <= eps / 2
+    assert trace_distance(out.rho, exact.rho) <= eps
+    m, L1, n = plan.m, plan.L1, int(2 * t)
+    long = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
+                       m=m, L1=L1)
+    assert trace_distance(run_plan(long, comps, rho0).rho, exact.rho) <= eps
 
 
 def test_long_paper_plans_keep_a_valid_state():
@@ -505,6 +512,70 @@ def test_eps_floor_is_closed(d):
             assert_certified(g, comps, plan, t, eps)
 
 
+def test_leading_error_predicts_the_certificate():
+    # lead / n^2 is the certificate up to O(n^-4) and rounding; at n = 400 it was
+    # within 2.3e-5 of it, relative, on these instances
+    t, n = 1.0, 400
+    cases = [random_gks(d, np.random.default_rng(s)) for d in range(2, 7) for s in (1, 2, 3)]
+    for g in cases + [lambda_atom()]:
+        comps = components_for(g)
+        m, L1 = len(comps), comps[0].norm
+        plan = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
+                           m=m, L1=L1)
+        exact = expm(t * sum(c.generator for c in comps))
+        cert = math.sqrt(g.d) * np.linalg.norm(trotter.plan_map(plan, comps) - exact, 2)
+        lead = math.sqrt(g.d) * np.linalg.norm(leading_error(comps, t)[1], 2)
+        assert lead / n ** 2 == pytest.approx(cert, rel=1e-3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_commuting_components_certify_in_one_block(d):
+    # diagonal H and diagonal Lindblad operators: every component commutes with every
+    # other, so the k = 1 block is exact and one repetition certifies.  D is zero up
+    # to rounding in the commutators: 0 at d = 2, at most 1.9e-17 at d = 3 and 4
+    rng = np.random.default_rng(d)
+    terms = tuple((float(rng.uniform(0.5, 2.0)),
+                   np.diag(rng.normal(size=d) + 1j * rng.normal(size=d))) for _ in range(2))
+    g = from_diagonal(DiagonalGenerator(d=d, H=np.diag(rng.normal(size=d)), terms=terms),
+                      gell_mann_basis(d))
+    rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
+    eps = 1e-9
+    state, plan, comps = simulate(g, rho0, 1.0, eps)
+    assert len(comps) >= 2
+    assert np.abs(leading_error(comps, 1.0)[1]).max() <= 1e-15
+    assert (plan.n_reps, plan.builds) == (1, 1)
+    assert plan.predicted_certificate <= 1e-16
+    assert_certified(g, comps, plan, 1.0, eps)
+    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps
+
+
+# random_gks(d, default_rng(seed)), seeds 1..3, at t = 1: the n_reps that the search
+# certified when it probed n = ceil(t L1) and stepped by the n^-2 law, two builds each
+SEARCHED_N = {
+    1e-3: {2: (42, 41, 55), 3: (48, 58, 60), 4: (64, 101, 77), 5: (93, 111, 101),
+           6: (104, 95, 86)},
+    1e-6: {2: (1324, 1295, 1709), 3: (1500, 1808, 1870), 4: (2003, 3166, 2435),
+           5: (2921, 3489, 3168), 6: (3270, 3001, 2718)},
+}
+
+
+@pytest.mark.parametrize("eps", sorted(SEARCHED_N))
+def test_leading_error_certifies_in_one_block(eps):
+    # the search starts at the n that D predicts and certifies there, at no more
+    # repetitions than the probe-and-law search took
+    t = 1.0
+    for d, searched in SEARCHED_N[eps].items():
+        for seed, n in zip((1, 2, 3), searched):
+            g = random_gks(d, np.random.default_rng(seed))
+            rho0 = maximally_mixed(d)
+            state, plan, comps = simulate(g, rho0, t, eps)
+            assert plan.builds == 1 and plan.n_reps <= n
+            assert plan.predicted_certificate <= eps / 2
+            assert plan.predicted_certificate == pytest.approx(plan.certificate, rel=0.1)
+            assert_certified(g, comps, plan, t, eps)
+            assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
+
+
 @pytest.mark.parametrize("eps", [1e-11, 1e-12])
 def test_search_stops_at_the_rounding_floor(eps):
     # k = 1 certificates stall between 1e-11 and 1e-10 at d = 6: the search stops when one
@@ -520,14 +591,14 @@ def test_search_stops_at_the_rounding_floor(eps):
 
 
 def test_search_skips_a_probe_that_costs_the_paper_plan(monkeypatch):
-    # at eps = 1e4 the paper's plan is one k = 1 block of 3 exponentials, and the
-    # probe n = ceil(t L1) = 2 would need 5
+    # at eps = 1e4 the paper's plan is one k = 1 block of 3 exponentials, as many as
+    # the smallest candidate, n = 1, would need: the search computes nothing
     comps = components_for(lambda_atom())
     with monkeypatch.context() as patch:
         patch.setattr(trotter, "plan_map", None)  # no block is built
-        patch.setattr(trotter, "expm", None)  # and no e^(t sum_j G_j)
+        patch.setattr(trotter, "expm", None)  # and neither D nor e^(t sum_j G_j)
         plan = build_plan(comps, eps=1e4, t=1.0)
-    assert plan.certificate is None
+    assert plan.certificate is None and plan.builds == 0
     assert (plan.k, plan.n_reps, plan.actual_exponentials()) == (1, 1, 3)
 
 
@@ -549,58 +620,96 @@ def test_search_gives_up_when_expm_refuses_the_generator():
     assert plan.certificate is None and plan == paper_plan(comps, 1e-3, 1e8)
 
 
+def scripted_plan_map(exact, certificates, eps, built):
+    """A plan_map whose maps have the given certificates, as multiples of eps / 2, in
+    order; it records the n_reps of each plan it is asked for in built."""
+    scripted = iter(certificates)
+
+    def plan_map(plan, components):
+        built.append(plan.n_reps)
+        off = np.zeros_like(exact)
+        off[1, 1] = next(scripted) * 0.5 * eps / math.sqrt(3)  # the offset's spectral norm
+        return exact + off
+
+    return plan_map
+
+
+def test_search_certifies_up_to_the_exponentials_domain():
+    # at ||t sum_j G_j||_1 = 0.6 MAX_EXPM_NORM the exponential that carries D takes the
+    # squarings of e^(t sum_j G_j) and is not refused; had its norm doubled, the paper's
+    # plan would run at n_reps 1.1e11, where the search certifies 6
+    g, rho0, eps = lambda_atom(), maximally_mixed(3), 1e-3
+    comps = components_for(g)
+    t = 0.6 * MAX_EXPM_NORM / np.abs(sum(c.generator for c in comps)).sum(axis=0).max()
+    state, plan, _ = simulate(g, rho0, t, eps)
+    assert plan.certificate is not None and plan.n_reps <= 10
+    assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
+
+
 def test_search_builds_at_most_max_builds_blocks(monkeypatch):
+    # every scripted map misses eps / 2 and falls by more than the rounding floor asks,
+    # so only MAX_BUILDS stops the search; one build more would certify
     g = lambda_atom()
     comps = components_for(g)
-    builds = []
-    plan_map = trotter.plan_map
-
-    def counted(plan, components):
-        builds.append(plan.n_reps)
-        return plan_map(plan, components)
-
-    monkeypatch.setattr(trotter, "plan_map", counted)
-    assert build_plan(comps, eps=1e-6, t=1.0).certificate is not None
-    assert len(builds) == 2
-    builds.clear()
-    monkeypatch.setattr(trotter, "MAX_BUILDS", 1)
-    plan = build_plan(comps, eps=1e-6, t=1.0)
-    assert len(builds) == 1 and plan.certificate is None
-    assert plan == paper_plan(comps, 1e-6, 1.0)
+    t, eps = 1.0, 1e-6
+    exact = leading_error(comps, t)[0]
+    certificates = [8.0, 3.0, 1.2, 1.1, 0.5]
+    for cap, builds, certified in ((trotter.MAX_BUILDS, 4, False), (5, 5, True), (1, 1, False)):
+        built = []
+        monkeypatch.setattr(trotter, "plan_map", scripted_plan_map(exact, certificates, eps, built))
+        monkeypatch.setattr(trotter, "MAX_BUILDS", cap)
+        plan = build_plan(comps, eps, t)
+        assert len(built) == builds == plan.builds
+        assert built == sorted(set(built))
+        if certified:
+            assert plan.n_reps == built[-1] and plan.certificate == pytest.approx(0.25 * eps)
+        else:
+            assert plan.certificate is None and plan == paper_plan(comps, eps, t)
+    monkeypatch.undo()
     rho0 = maximally_mixed(3)
     assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-6
 
 
 @pytest.mark.parametrize("certificates, builds, certified", [
-    # from 1.5 times the target the law asks for a step of fall 1.65; landing at 1.05
-    # times it falls by 1.43, less than 2 but more than half of 1.65: the search goes on
+    # the leading term predicts 0.99 times the target at the first n; landing at 1.5
+    # times it, the unpredicted 0.51 asks for a step of fall 2.0; landing at 1.05 times
+    # the target falls by 1.43, less than 2 but more than half of 2.0: the search goes on
     ([1.5, 1.05, 0.9, 0.1], 3, True),
-    # from 100 times the target the law predicts a fall of about 110; one of 100/60
-    # is less than 2: the rounding floor, so the paper's plan runs
+    # at 100 times the target the unpredicted part alone is past it, so the n^-2 law
+    # predicts a fall of about 110; one of 100/60 is less than 2: the rounding floor,
+    # so the paper's plan runs
     ([100.0, 60.0, 0.1], 2, False),
 ], ids=["small-step-lands-above-the-target", "fall-short-of-the-law"])
 def test_search_stop_rule(monkeypatch, certificates, builds, certified):
-    # plan_map is replaced by maps whose certificates are the given multiples of
-    # eps / 2, in order
     comps = components_for(lambda_atom())
     t, eps = 1.0, 1e-6
-    exact = expm(t * sum(c.generator for c in comps))
-    scripted, built = iter(certificates), []
-
-    def plan_map(plan, components):
-        built.append(plan.n_reps)
-        off = np.zeros_like(exact)
-        off[0, 0] = next(scripted) * 0.5 * eps / math.sqrt(3)  # the offset's spectral norm
-        return exact + off
-
-    monkeypatch.setattr(trotter, "plan_map", plan_map)
+    built = []
+    exact = leading_error(comps, t)[0]
+    monkeypatch.setattr(trotter, "plan_map", scripted_plan_map(exact, certificates, eps, built))
     plan = build_plan(comps, eps, t)
-    assert len(built) == builds
+    assert len(built) == builds == plan.builds
     if certified:
         assert plan.n_reps == built[-1]
         assert plan.certificate == pytest.approx(certificates[builds - 1] * 0.5 * eps)
     else:
         assert plan.certificate is None and plan == paper_plan(comps, eps, t)
+
+
+def test_cost_report_names_the_search(monkeypatch):
+    comps = components_for(lambda_atom())
+    t, eps = 1.0, 1e-6
+    rep = nexp_report(build_plan(comps, eps, t)).to_dict()
+    assert rep["builds"] == 1
+    assert rep["predicted_certificate"] == pytest.approx(rep["certificate"], rel=0.1)
+    # the fallback reports the blocks its search built, and predicts nothing
+    built = []
+    exact = leading_error(comps, t)[0]
+    monkeypatch.setattr(trotter, "plan_map", scripted_plan_map(exact, [100.0, 60.0], eps, built))
+    rep = nexp_report(build_plan(comps, eps, t)).to_dict()
+    assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (2, None, None)
+    # a single component has no search
+    rep = nexp_report(build_plan(components_for(damping_generator()), eps, t)).to_dict()
+    assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (0, None, None)
 
 
 def test_run_plan_applies_the_certified_map(monkeypatch):
