@@ -7,10 +7,10 @@ For the chain generator n_qubit_generator(n) of tests/conftest.py, n = 1..5,
 at t = 1 and eps = 1e-3 and 1e-6, it prints one Markdown row per case: m,
 the component count (2n + 1 at d = 2^n), next to d^2 - 1, the dissipative
 count of a generic generator; the merged exponential count of the paper's
-plan (paper_plan) and of the plan simulate runs; that plan's certificate
-and the certificate its leading error term predicted (both empty for the
-paper's fallback plan), and the blocks the certificate search built; and
-two wall times of simulate.  The
+plan (paper_plan) and of the plan simulate runs, with that plan's product
+formula; its certificate and the certificate its leading error term
+predicted (both empty for the paper's fallback plan), and the blocks the
+certificate search built; and two wall times of simulate.  The
 first call is on a generator not yet decomposed, so it includes the
 decomposition; the repeat time is the best of two more calls on the same
 generator, which reuse it.  Both include the certificate search.  The
@@ -31,9 +31,9 @@ T = 1.0
 
 
 def main():
-    print("| n | d | m | d²−1 | eps | paper N_exp | certified N_exp | certificate "
+    print("| n | d | m | d²−1 | eps | paper N_exp | certified N_exp | formula | certificate "
           "| predicted | builds | first s | repeat s |")
-    print("| - | - | - | ---- | --- | ----------- | --------------- | ----------- "
+    print("| - | - | - | ---- | --- | ----------- | --------------- | ------- | ----------- "
           "| --------- | ------ | ------- | -------- |")
     for n in range(1, 6):
         chain = n_qubit_generator(n)
@@ -49,7 +49,8 @@ def main():
             cert, predicted = ("" if x is None else f"{x:.2e}"
                                for x in (plan.certificate, plan.predicted_certificate))
             print(f"| {n} | {g.d} | {plan.m} | {g.basis.n} | {eps:g} "
-                  f"| {paper.actual_exponentials()} | {plan.actual_exponentials()} | {cert} "
+                  f"| {paper.actual_exponentials()} | {plan.actual_exponentials()} "
+                  f"| {plan.formula} | {cert} "
                   f"| {predicted} | {plan.builds} | {walls[0]:.3f} | {min(walls[1:]):.3f} |",
                   flush=True)
 

@@ -59,8 +59,9 @@ class GksGenerator:
     A generator cannot change: H and A are read-only copies of the arrays it
     is given, and the basis matrices are read-only.  What derives from (H, A)
     alone is kept in _decomposition: the eigenpairs of A (eigenpairs), taken
-    once here, where their eigenvalues check that A is positive semidefinite,
-    and its spectral terms and conjugation plans, computed on first use
+    once here, where numerics.eigh's own check is A's one Hermiticity check
+    and their eigenvalues check that A is positive semidefinite, and its
+    spectral terms and conjugation plans, computed on first use
     (decompose.spectral_split, decompose.decompose_generator).
     """
 
@@ -79,8 +80,10 @@ class GksGenerator:
         if not (np.isfinite(H).all() and np.isfinite(A).all()):
             raise LindbladError("H and A must be finite")
         _require_hermitian(H, "H")
-        _require_hermitian(A, "A")
-        w, v = numerics.eigh(A)
+        try:
+            w, v = numerics.eigh(A)
+        except numerics.NumericsError:
+            raise LindbladError("A is not Hermitian within tolerance") from None
         scale = max(float(np.max(np.abs(w))), 1e-300)
         if w.min() < -1e-10 * scale:
             raise LindbladError(f"A is not positive semidefinite (min eigenvalue {w.min():.3e})")

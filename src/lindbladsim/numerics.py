@@ -212,8 +212,10 @@ def eigh(m):
     bit-identical and keeps downstream decompositions deterministic.
     """
     a = _square_stack(m).astype(complex, copy=False)
-    residual, norm = frobenius(np.stack([a - dagger(a), a]))
-    if (residual > 1e-10 * np.maximum(norm, 1e-300)).any():
+    # ||a - a†||_F <= 1e-10 ||a||_F, with the difference formed from halves, which cannot
+    # overflow
+    residual, norm = frobenius(np.stack([0.5 * a - 0.5 * dagger(a), a]))
+    if (residual > 0.5e-10 * np.maximum(norm, 1e-300)).any():
         raise NumericsError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
     # LAPACK returns w ascending, so w reversed is w descending; the columns of v take

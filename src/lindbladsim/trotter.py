@@ -37,15 +37,33 @@ leading error term, the nested commutators of the component generators
 (leading_error; Childs, Su, Tran, Wiebe and Zhu, "Theory of Trotter error
 with commutator scaling", PRX 11, 011020 (2021)): T_n differs from
 exp(t sum_j G_j) by D / n^2 + O(n^-4), so the search starts at the smallest
-n that D certifies, and most runs build one block.  The block and its
-power are each projected onto trace-preserving maps (plan_map).  When the
-search stops first (certify lists when), the paper's plan (paper_plan)
-runs, uncertified, as the fallback; it is also what the cost subcommand
-reports.  step_count is the
-paper's planner, and select_order, its first step, holds the one check of
-the planner's inputs.  build_plan calls step_count once per run, through
-paper_plan; every plan it returns carries the two N_exp bounds that
-nexp_report prints.
+n that D certifies, and most runs build one block.
+
+The search sizes two k = 1 formulas and runs the one whose predicted n
+needs fewer exponentials, the fixed-order block on a tie.  The first is
+the symmetric block above, in one component order.  The second flips a
+fair coin per block (Childs, Ostrander and Su, "Faster quantum simulation
+by randomization", Quantum 3, 182 (2019)): it runs that block or the block
+in the reversed component order, component j as m - 1 - j.  Every
+duration is positive, so both are products of channels of the universal
+family, and n independent coins apply exactly M^n, M the mean of the two
+blocks.  The classical run computes M^n itself, with no random numbers, so
+the output is deterministic and the certificate above covers the device's
+state as it covers a fixed-order run.  The two orders' third-order terms
+differ by a commutator that cancels in M, so M's leading term is smaller,
+and it comes from the fixed block's with two products more (leading_error).
+n blocks cost n (2m - 2) + 1 exponentials in one order and at most
+n (2m - 1) in the mixture, where neighbouring blocks merge only when their
+coins agree.  The mixture runs on the random generators at d = 2..6 and on
+the qubit chains; the two-component lambda atom keeps the fixed block.
+
+The block and its power are each projected onto trace-preserving maps
+(plan_map).  When the search stops first (certify lists when), the paper's
+plan (paper_plan) runs, uncertified, as the fallback; it is also what the
+cost subcommand reports.  step_count is the paper's planner, and
+select_order, its first step, holds the one check of the planner's inputs.
+build_plan calls step_count once per run, through paper_plan; every plan it
+returns carries the two N_exp bounds that nexp_report prints.
 
 A component is its d^2 x d^2 generator G_j: i[., H] for the Hamiltonian,
 lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece, each built
@@ -63,6 +81,7 @@ intermediate durations appear in the recursion for k >= 2, where the matrix
 exponential is applied for any sign and the cost report flags them.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -180,6 +199,21 @@ def merged_count(m: int, k: int, n_reps: int) -> int:
     return n_reps * segments_per_block(m, k) - (n_reps - 1)
 
 
+# the product formulas a plan runs: the S_2k block in its one component order, or at
+# k = 1 a fair coin per block between that order and the reversed one (certify)
+SUZUKI, COIN_FLIP = "suzuki", "coin-flip"
+
+
+def formula_count(formula: str, m: int, k: int, n_reps: int) -> int:
+    """Exponentials in n_reps blocks of the formula: merged_count for the
+    fixed-order block; for the coin-flip mixture the worst case over coin
+    sequences, n_reps (2m - 1), since two neighbouring blocks share a
+    component only when their coins agree."""
+    if formula == COIN_FLIP:
+        return n_reps * segments_per_block(m, k)
+    return merged_count(m, k, n_reps)
+
+
 def select_order(eps: float, t: float, m: int, L1: float, L2: float):
     """Half-order k and block parameter r from the cost-bound formulas.
 
@@ -243,12 +277,15 @@ class TrotterPlan:
     """Integrator order, repetition count, one block's schedule, the
     planner's two N_exp bounds (None where they do not apply), for a
     certified plan its certificate, the certificate its leading error term
-    predicted and the map it certifies, and the blocks the certificate
-    search built, whichever plan it returned.
+    predicted and the map it certifies, the blocks the certificate search
+    built, whichever plan it returned, and the product formula.
 
     r is the paper planner's block parameter, n_reps = ceil(r L1); a
     certified plan's n_reps comes from the search instead, and its r is
-    n_reps / L1.  Plans compare without their map and build count.
+    n_reps / L1.  Under the coin-flip formula each repetition runs the
+    schedule or, with probability 1/2, the schedule with component j
+    replaced by m - 1 - j.  Plans compare without their map and build
+    count.
     """
 
     k: int
@@ -263,6 +300,7 @@ class TrotterPlan:
     total_map: np.ndarray | None = field(default=None, compare=False, repr=False)
     predicted_certificate: float | None = None  # lead / n_reps^2 (certify)
     builds: int = field(default=0, compare=False)
+    formula: str = SUZUKI
 
     @property
     def n_exp(self) -> int:
@@ -270,8 +308,9 @@ class TrotterPlan:
         return segments_per_block(self.m, self.k) * self.n_reps
 
     def actual_exponentials(self) -> int:
-        """Segment count after merging across repetition boundaries."""
-        return merged_count(self.m, self.k, self.n_reps) if self.schedule else 0
+        """Segment count after merging across repetition boundaries, for the
+        coin-flip formula in its worst case (formula_count)."""
+        return formula_count(self.formula, self.m, self.k, self.n_reps) if self.schedule else 0
 
     def has_negative_segments(self) -> bool:
         return any(seg.duration < 0 for seg in self.schedule)
@@ -301,8 +340,9 @@ def spectral_norm(X: np.ndarray) -> float:
 
 
 def leading_error(components: list[Component], t: float):
-    """e^(t sum_j G_j) and the leading error D of the k = 1 plan over the
-    components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4).
+    """e^(t sum_j G_j) and the leading error terms D of the k = 1 formulas over
+    the components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4),
+    for the fixed-order block and for the coin-flip mixture, in that order.
 
     One symmetric block of step tau is e^(tau sum_j G_j + tau^3 E + O(tau^5)) with
     E = sum_(i < m-1) (-(1/24) [G_i, [G_i, R_i]] - (1/12) [R_i, [G_i, R_i]]),
@@ -318,28 +358,39 @@ def leading_error(components: list[Component], t: float):
     ||h E||_1 ~ 2^-60, so the terms of order h^2 fall far below the rounding of
     either part, and the exponential takes the rung and squarings that
     e^(t sum_j G_j) alone takes: numerics.expm refuses it only where it refuses
-    that one.  Row 0 of D, the trace, is zeroed, as trace_preserving zeroes it in
-    T_n.  Commuting components have E = 0 and D = 0, up to rounding in their
+    that one.
+
+    The first-order product that the block's first half sweeps has the log
+    tau sum_j G_j + tau^2 H2 + tau^3 H3 + ..., with H2 = -(1/2) sum_i [G_i, R_i].
+    The block's E is H3 / 4 + [sum_j G_j, H2] / 8, the reversed-order block's
+    H3 / 4 - [sum_j G_j, H2] / 8, so their mean, the mixture's, is H3 / 4.  The
+    derivative of exp takes [A, X] to [e^A, X], so the mixture's term is
+    D - (t^2 / 8) [e^(t sum_j G_j), H2]: two products more.  Row 0 of each D,
+    the trace, is zeroed, as trace_preserving zeroes it in T_n.  Commuting
+    components have E = H2 = 0 and both terms 0, up to rounding in their
     commutators.
     """
     G = [c.generator for c in components]
-    R, E = G[-1].copy(), np.zeros_like(G[-1])
-    # R = R_i on reaching g = G_i; one product at a time, which keeps the memory to a few
-    # d^2 x d^2 matrices and at small d is faster than stacked products
+    R, E, C = G[-1].copy(), np.zeros_like(G[-1]), np.zeros_like(G[-1])
+    # R = R_i on reaching g = G_i, and C sums [G_i, R_i]; one product at a time, which keeps
+    # the memory to a few d^2 x d^2 matrices and at small d is faster than stacked products
     for g in reversed(G[:-1]):
-        C = g @ R - R @ g
-        S = g / 24.0 + R / 12.0  # the term is -[S, C]
-        E += C @ S - S @ C
+        C_i = g @ R - R @ g
+        S = g / 24.0 + R / 12.0  # the term is -[S, C_i]
+        E += C_i @ S - S @ C_i
+        C += C_i
         R += g
     A = t * R
     norm_e = float(np.abs(E).sum(axis=0).max())
-    if not norm_e > 0.0:
-        return expm(A), np.zeros_like(A)
-    h = math.ldexp(1.0, -math.frexp(norm_e)[1] - 60)
-    X = expm(A + (1j * h) * E)
-    D = (t ** 3 / h) * X.imag
-    D[0] = 0.0
-    return X.real, D
+    if norm_e > 0.0:
+        h = math.ldexp(1.0, -math.frexp(norm_e)[1] - 60)
+        X = expm(A + (1j * h) * E)
+        exact, D = X.real, (t ** 3 / h) * X.imag
+    else:
+        exact, D = expm(A), np.zeros_like(A)
+    mixed = D + (t * t / 16.0) * (exact @ C - C @ exact)  # H2 = -C / 2
+    D[0] = mixed[0] = 0.0
+    return exact, D, mixed
 
 
 def certify(components: list[Component], eps: float, t: float,
@@ -349,15 +400,21 @@ def certify(components: list[Component], eps: float, t: float,
     search stops first, the paper's plan, carrying the search's build count.
 
     The (1->1) norm of a d^2 x d^2 map is at most sqrt(d) times its spectral
-    norm, so T_n(rho) is within eps / 2 of the exact state in trace norm.
-    The search is sized by the leading error term (leading_error): with
+    norm, so T_n(rho) is within eps / 2 of the exact state in trace norm.  A
+    coin-flip plan's T_n is M^n, M the mean of the two orders' blocks: n fair
+    coins apply each block sequence with its probability, so the device's
+    output state is T_n(rho), and the certificate covers it as it covers a
+    fixed-order run.
+    The search is sized by the leading error terms (leading_error): with
     lead = sqrt(d) ||D||_2 the certificate is lead / n^2 up to O(n^-4) and the
-    rounding of the power, so it starts at n = ceil(sqrt(lead / (eps / 2))).
+    rounding of the power, so each formula's search would start at
+    n = ceil(sqrt(lead / (eps / 2))).  The formula whose start needs fewer
+    exponentials (formula_count) is searched, the fixed-order block on a tie.
     After a miss at n it steps to ceil(sqrt(lead / (eps / 2 - off))), with
     off = certificate - lead / n^2 the part the term did not predict, or, when
     off >= eps / 2 or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN.
     It stops when even n = 1, or a candidate, would need as many exponentials
-    as the paper's plan, after MAX_BUILDS builds, when T_n or the term is not
+    as the paper's plan, after MAX_BUILDS builds, when T_n or a term is not
     finite, when numerics.expm refuses t sum_j G_j, and at the rounding floor:
     when the certificate falls by a factor less than min(2, f / 2), f the fall
     the law predicted for the step.  The plan carries the paper plan's two
@@ -368,20 +425,22 @@ def certify(components: list[Component], eps: float, t: float,
     if merged_count(m, 1, 1) >= budget:
         return paper
     try:
-        exact, D = leading_error(components, t)
+        exact, *terms = leading_error(components, t)
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
         return paper
-    lead = math.sqrt(d) * spectral_norm(D)
-    if not math.isfinite(lead):
+    leads = [math.sqrt(d) * spectral_norm(D) for D in terms]
+    if not all(map(math.isfinite, leads)):
         return paper
     target, last, fall = 0.5 * eps, math.inf, math.inf
-    n = max(1, math.ceil(math.sqrt(lead / target)))
+    starts = [(formula, lead, max(1, math.ceil(math.sqrt(lead / target))))
+              for formula, lead in zip((SUZUKI, COIN_FLIP), leads)]
+    formula, lead, n = min(starts, key=lambda s: formula_count(s[0], m, 1, s[2]))
     for builds in range(1, MAX_BUILDS + 1):
-        if merged_count(m, 1, n) >= budget:
+        if formula_count(formula, m, 1, n) >= budget:
             return replace(paper, builds=builds - 1)
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
                            m=m, L1=L1, bound_res=paper.bound_res,
-                           bound_closed_form=paper.bound_closed_form)
+                           bound_closed_form=paper.bound_closed_form, formula=formula)
         total = plan_map(plan, components)
         if not np.isfinite(total).all():
             return replace(paper, builds=builds)
@@ -440,8 +499,22 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
-    """Channel matrix of one S_2k block (segments applied left to right)."""
+    """Channel matrix of one S_2k block (segments applied left to right), or
+    for the coin-flip formula the mean of its two orders' blocks.
+
+    At k = 1 the block is B F, with F = e^(tau G_(m-1)) ... e^(tau G_0) its first
+    sweep at the half step tau and B = e^(tau G_0) ... e^(tau G_(m-1)) its second;
+    the reversed order's block is F B.  So the mixture takes m half-step
+    channels and 2m products, where the fixed block's merged schedule takes
+    2m - 2.
+    """
     d = components[0].d
+    if plan.formula == COIN_FLIP:
+        tau = plan.schedule[0].duration / plan.L1
+        half = [comp.channel([tau])[0] for comp in components]
+        forward = functools.reduce(lambda out, c: c @ out, half)  # F
+        backward = functools.reduce(np.matmul, half)  # B
+        return 0.5 * (backward @ forward + forward @ backward)
     taus: list[list[float]] = [[] for _ in components]  # distinct durations per component
     for i, tau in dict.fromkeys((seg.index, seg.duration) for seg in plan.schedule):
         taus[i].append(tau)
@@ -484,6 +557,7 @@ def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState)
 
 @dataclass(frozen=True)
 class CostReport:
+    formula: str
     k: int
     r: float
     n_reps: int
@@ -498,6 +572,7 @@ class CostReport:
 
     def to_dict(self) -> dict:
         return {
+            "formula": self.formula,
             "k": self.k,
             "r": self.r,
             "n_reps": self.n_reps,
@@ -515,6 +590,7 @@ class CostReport:
 def nexp_report(plan: TrotterPlan) -> CostReport:
     """Actual exponential counts next to the plan's two cost bounds."""
     return CostReport(
+        formula=plan.formula,
         k=plan.k,
         r=plan.r,
         n_reps=plan.n_reps,

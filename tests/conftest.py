@@ -1,11 +1,13 @@
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
-from lindbladsim import decompose
+from lindbladsim import decompose, trotter
 from lindbladsim.cli import lambda_atom_generator
 from lindbladsim.decompose import universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal, gks_spectrum,
@@ -248,6 +250,44 @@ def plan_gks_matrix(plan, basis):
     """
     G = adjoint_matrix(plan.U, basis)
     return G @ universal_gks_matrix(plan.params, basis) @ G.T
+
+
+def first_order_terms(generators):
+    """(H2, H3) of the first-order product e^(tau G_(m-1)) ... e^(tau G_0), whose log
+    is tau sum_j G_j + tau^2 H2 + tau^3 H3 + O(tau^4), by the Baker-Campbell-Hausdorff
+    series log(e^X e^Y) = X + Y + [X, Y] / 2 + ([X, [X, Y]] + [Y, [Y, X]]) / 12 + ...,
+    taken one factor at a time with X = tau G_j and Y the log so far, as the
+    coefficients of tau, tau^2 and tau^3."""
+    def bracket(a, b):
+        return a @ b - b @ a
+
+    Y1, Y2, Y3 = generators[0], np.zeros_like(generators[0]), np.zeros_like(generators[0])
+    for G in generators[1:]:
+        Y1, Y2, Y3 = (G + Y1, Y2 + bracket(G, Y1) / 2,
+                      Y3 + bracket(G, Y2) / 2
+                      + (bracket(G, bracket(G, Y1)) + bracket(Y1, bracket(Y1, G))) / 12)
+    return Y2, Y3
+
+
+def exp_derivative(A, X):
+    """The Frechet derivative of exp at A in the direction X, in its complex-step form
+    Im exp(A + i h X) / h with scipy's exponential; h ||X||_1 = 2^-60."""
+    h = math.ldexp(1.0, -math.frexp(float(np.abs(X).sum(axis=0).max()))[1] - 60)
+    return scipy.linalg.expm(A + (1j * h) * X).imag / h
+
+
+def predicted_plan(components, t, eps, formula):
+    """The k = 1 plan of the formula at the n that its own leading error term predicts,
+    n = ceil(sqrt(lead / (eps / 2))), with its map and certificate."""
+    exact, *terms = trotter.leading_error(components, t)
+    D = terms[(trotter.SUZUKI, trotter.COIN_FLIP).index(formula)]
+    d, m, L1 = components[0].d, len(components), components[0].norm
+    n = max(1, math.ceil(math.sqrt(math.sqrt(d) * np.linalg.norm(D, 2) / (0.5 * eps))))
+    plan = trotter.TrotterPlan(k=1, r=n / L1, n_reps=n, m=m, L1=L1, formula=formula,
+                               schedule=trotter.block_schedule(m, 1, t * L1 / n))
+    total = trotter.plan_map(plan, components)
+    return dataclasses.replace(plan, total_map=total,
+                               certificate=math.sqrt(d) * np.linalg.norm(total - exact, 2))
 
 
 def serial_one_one_norm(S):

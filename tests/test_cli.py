@@ -329,6 +329,23 @@ def test_simulate_lambda_atom_trotter(tmp_path):
     assert doc["trace_distance_to_oracle"] <= 1e-3
     assert doc["cost"]["N_exp_actual"] <= doc["cost"]["N_exp_bound_res"]
     assert doc["cost"]["k"] == 1 and doc["cost"]["certificate"] <= 0.5e-3
+    assert doc["cost"]["formula"] == "suzuki"  # two components: the fixed block is cheaper
+
+
+def test_simulate_names_the_coin_flip_formula_and_repeats_its_bytes(tmp_path):
+    # every call parses a new generator; the mixture's map is computed, not sampled, so
+    # the output is the same bytes on every run
+    g = random_gks(4, np.random.default_rng(4))
+    req = simulation_request(tmp_path, g, maximally_mixed(4).rho, 1.0, 1e-3, "trotter")
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        assert main(["simulate", str(req), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    cost = doc["cost"]
+    assert cost["formula"] == "coin-flip" and doc["trace_distance_to_oracle"] <= 1e-3
+    # the worst case over coin sequences: no two of the n_reps blocks merge
+    assert cost["N_exp_actual"] == cost["N_exp_unmerged"]
 
 
 def test_simulate_reports_the_certificate_search(tmp_path):

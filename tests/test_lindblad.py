@@ -402,3 +402,21 @@ def test_hermiticity_tolerance_is_scale_free():
         DiagonalGenerator(d=2, H=scale * np.array([[0, 1], [1 + 1e-11, 0]]))
         with pytest.raises(LindbladError, match="H is not Hermitian"):
             DiagonalGenerator(d=2, H=scale * np.array([[0, 1], [1 + 1e-9, 0]]))
+
+
+def test_a_has_one_hermiticity_check():
+    # A's one check is numerics.eigh's, ||A - A†||_F <= 1e-10 ||A||_F; below ||A||_F = 1
+    # it is stricter than H's, which allows 1e-10 max(1, ||H||_F) and would pass this A
+    # (8.2e-10 relative).  It is refused as a generator error, not a numerics one
+    b = gell_mann_basis(2)
+    A = 1e-4 * np.eye(3)
+    A[0, 1] = 1e-13
+    with pytest.raises(LindbladError, match="^A is not Hermitian within tolerance$"):
+        GksGenerator(basis=b, H=np.zeros((2, 2)), A=A)
+    A[0, 1] = 1e-15  # 8.2e-12 relative
+    GksGenerator(basis=b, H=np.zeros((2, 2)), A=A)
+    # A - A† overflows unless it is formed from halves; a warning would raise here
+    huge = np.zeros((3, 3))
+    huge[0, 1], huge[1, 0] = 1e308, -1e308
+    with pytest.raises(LindbladError, match="^A is not Hermitian within tolerance$"):
+        GksGenerator(basis=b, H=np.zeros((2, 2)), A=huge)

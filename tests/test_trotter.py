@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (NORM_SAFETY, column_stacked, criterion_4_instances, dephasing_gks, frame,
-                      lambda_atom, n_qubit_generator, pure_hamiltonian, random_diagonal,
-                      random_gks, random_mixed_state, serial_one_one_norm, vec)
+from conftest import (NORM_SAFETY, column_stacked, criterion_4_instances, dephasing_gks,
+                      exp_derivative, first_order_terms, frame, lambda_atom, n_qubit_generator,
+                      predicted_plan, pure_hamiltonian, random_diagonal, random_gks,
+                      random_mixed_state, serial_one_one_norm, vec)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
@@ -14,7 +15,7 @@ from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState,
                                   trace_distance)
 from lindbladsim.numerics import MAX_EXPM_NORM, expm, frobenius
 from lindbladsim.sud import gell_mann_basis
-from lindbladsim.trotter import (TrotterError, TrotterPlan, block_schedule,
+from lindbladsim.trotter import (COIN_FLIP, SUZUKI, TrotterError, TrotterPlan, block_schedule,
                                  block_superoperator, build_plan, leading_error, merge_adjacent,
                                  nexp_bound_closed_form, nexp_bound_res, nexp_report, paper_plan,
                                  prepare_components, run_plan, s2_schedule, s2k_schedule,
@@ -404,6 +405,7 @@ def test_a_generator_decomposes_once(decompositions):
     fresh_state, fresh_plan, _ = simulate(fresh, rho0, 2.0, 1e-6)
     assert decompositions == once
     assert state.rho.tobytes() == fresh_state.rho.tobytes() and plan == fresh_plan
+    assert plan.formula == COIN_FLIP  # a run of the mixture is as deterministic
 
 
 @pytest.mark.parametrize("g", [lambda_atom(), lambda_atom(0.0, 0.0)], ids=["lambda", "zero"])
@@ -542,8 +544,9 @@ def test_commuting_components_certify_in_one_block(d):
     eps = 1e-9
     state, plan, comps = simulate(g, rho0, 1.0, eps)
     assert len(comps) >= 2
-    assert np.abs(leading_error(comps, 1.0)[1]).max() <= 1e-15
-    assert (plan.n_reps, plan.builds) == (1, 1)
+    assert np.abs(leading_error(comps, 1.0)[1:]).max() <= 1e-15
+    # both formulas start at n = 1, where they cost the same: the tie keeps the fixed block
+    assert (plan.n_reps, plan.builds, plan.formula) == (1, 1, SUZUKI)
     assert plan.predicted_certificate <= 1e-16
     assert_certified(g, comps, plan, 1.0, eps)
     assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps
@@ -699,8 +702,13 @@ def test_cost_report_names_the_search(monkeypatch):
     comps = components_for(lambda_atom())
     t, eps = 1.0, 1e-6
     rep = nexp_report(build_plan(comps, eps, t)).to_dict()
-    assert rep["builds"] == 1
+    assert rep["builds"] == 1 and rep["formula"] == "suzuki"
     assert rep["predicted_certificate"] == pytest.approx(rep["certificate"], rel=0.1)
+    # the mixture's N_exp is its worst case over coin sequences: no two blocks merge
+    mixed = build_plan(components_for(random_gks(3, np.random.default_rng(1))), eps, t)
+    rep = nexp_report(mixed).to_dict()
+    assert rep["formula"] == "coin-flip"
+    assert rep["N_exp_actual"] == rep["N_exp_unmerged"] == mixed.n_reps * (2 * mixed.m - 1)
     # the fallback reports the blocks its search built, and predicts nothing
     built = []
     exact = leading_error(comps, t)[0]
@@ -723,3 +731,66 @@ def test_run_plan_applies_the_certified_map(monkeypatch):
     T = frame(3)
     expected = (plan.total_map @ (T @ vec(rho0.rho)).real) @ T
     assert np.array_equal(state.rho, expected.reshape(3, 3))
+
+
+# ---------------------------------------------------------------------------
+# the coin-flip mixture
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_leading_terms_are_derivatives_along_the_bch_terms(d):
+    # with H2 and H3 the second- and third-order terms of the first-order product, the
+    # mixture's term is t^3 times the derivative of exp along H3 / 4, and the fixed
+    # block's along H3 / 4 + [sum_j G_j, H2] / 8; both read within 1e-14 of it, relative
+    for seed, t in ((1, 1.0), (2, 4.0)):
+        comps = components_for(random_gks(d, np.random.default_rng(seed)))
+        G = [c.generator for c in comps]
+        S = sum(G)
+        H2, H3 = first_order_terms(G)
+        _, fixed, mixed = leading_error(comps, t)
+        for D, X in ((mixed, H3 / 4), (fixed, H3 / 4 + (S @ H2 - H2 @ S) / 8)):
+            expected = t ** 3 * exp_derivative(t * S, X)
+            expected[0] = 0.0  # the trace row, which every T_n keeps exactly
+            assert frobenius(D - expected) <= 1e-12 * frobenius(expected)
+
+
+def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
+    comps = components_for(random_gks(3, np.random.default_rng(1)))
+    m, L1, n = len(comps), comps[0].norm, 7
+    fixed = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, L1 / n), m=m,
+                        L1=L1)
+    mixed = dataclasses.replace(fixed, formula=COIN_FLIP)
+    # the fixed block over the reversed component list runs component m - 1 - j as j
+    expected = 0.5 * (block_superoperator(fixed, comps) + block_superoperator(fixed, comps[::-1]))
+    calls = []
+    channel = trotter.Component.channel
+    monkeypatch.setattr(trotter.Component, "channel",
+                        lambda c, taus: calls.append(len(taus)) or channel(c, taus))
+    block = block_superoperator(mixed, comps)
+    assert np.abs(block - expected).max() <= 1e-15
+    assert calls == [1] * m  # one half-step channel per component
+    assert (fixed.actual_exponentials(), mixed.actual_exponentials()) == (
+        n * (2 * m - 2) + 1, n * (2 * m - 1))
+    assert fixed.n_exp == mixed.n_exp and fixed != mixed
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_both_formulas_certify_at_their_predicted_n(eps):
+    # each formula's own leading term sizes a plan that certifies; the search runs the
+    # cheaper one, which never needs more exponentials than the fixed block at its n
+    t, formulas = 1.0, set()
+    cases = [random_gks(d, np.random.default_rng(s)) for d in range(2, 7) for s in (1, 2, 3)]
+    for g in cases + [lambda_atom()]:
+        comps = components_for(g)
+        rho0 = maximally_mixed(g.d)
+        exact = apply_exact(g, rho0, t)
+        fixed, mixed = (predicted_plan(comps, t, eps, f) for f in (SUZUKI, COIN_FLIP))
+        for plan in (fixed, mixed):
+            assert_certified(g, comps, plan, t, eps)
+            assert trace_distance(run_plan(plan, comps, rho0).rho, exact.rho) <= eps
+        cheaper = mixed if mixed.actual_exponentials() < fixed.actual_exponentials() else fixed
+        run = build_plan(comps, eps, t)
+        assert (run.formula, run.n_reps, run.builds) == (cheaper.formula, cheaper.n_reps, 1)
+        assert run.actual_exponentials() <= fixed.actual_exponentials()
+        formulas.add(run.formula)
+    assert formulas == {SUZUKI, COIN_FLIP}
