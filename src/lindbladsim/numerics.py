@@ -6,16 +6,14 @@ deterministic ordering/phase convention, and the trace norm.  All functions
 are pure and operate on plain ``numpy`` arrays, and all run on numpy's BLAS
 and LAPACK alone.  A real matrix stays real.
 
-The exponential takes the lowest rung of one ladder that covers ||A||_1.
-Up to theta_16 = 0.78 the rungs are Taylor polynomials of degree m in
+The exponential is one ladder of Taylor polynomials of degree m in
 {2, 4, 6, 9, 12, 16}, with the bounds theta_m of Al-Mohy and Higham,
 "Computing the action of the matrix exponential", SIAM J. Sci. Comput. 33
 (2011) 488, Table 3.1, each evaluated by Paterson-Stockmeyer in 1 to 6
-products and no solve.  Above it are the [q/q] Pade rungs q in {7, 9, 13}
-of Higham, "The scaling and squaring method for the matrix exponential
-revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179; beyond theta_13 the
-matrix is scaled by 2^-s, s = ceil(log2(||A||_1 / theta_13)), and the
-approximant squared s times.
+products and no solve.  A matrix takes the lowest rung whose theta_m covers
+||A||_1; beyond theta_16 = 0.78 it is scaled by 2^-s,
+s = ceil(log2(||A||_1 / theta_16)), onto the degree-16 rung, and the
+polynomial squared s times.
 """
 
 import math
@@ -85,22 +83,13 @@ def frobenius(m):
 # c_k the series coefficients of log(e^-x T_m(x)) (Al-Mohy and Higham 2011, Table 3.1)
 TAYLOR_THETA = ((2, 2.580956802e-8), (4, 3.397168839e-4), (6, 9.065656407e-3),
                 (9, 8.957760203e-2), (12, 2.996158913e-1), (16, 7.802874256e-1))
-# (q, theta_q): the same for the [q/q] Pade approximant (Higham 2005); the rungs below
-# theta_16 are Taylor's, which need no solve
-PADE_THETA = ((7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152e0))
-PADE_COEFFS = {
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
-        110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-# more squarings than this, ||A||_1 > 2^24 theta_13 ~ 9.0e7, are refused: each squaring
-# can double the rounding error.  Against a 60-digit reference, amplitude damping's
-# channel came out 1.9e-9 off at ||A||_1 = 8e7, 3e-8 at 1.2e9 and 6 % at 2e15
-MAX_SQUARINGS = 24
-MAX_EXPM_NORM = 2.0 ** MAX_SQUARINGS * PADE_THETA[-1][1]
+# ||A||_1 above 2^24 theta_13 ~ 9.01e7, with theta_13 = 5.37 Higham's bound for the [13/13]
+# Pade approximant (SIAM J. Matrix Anal. Appl. 26 (2005) 1179), is refused: up to there
+# theta_16 needs at most 27 squarings, and each can double the rounding error.  Against
+# a 60-digit reference, the real Liouvillian of random_gks(3, default_rng(3)) scaled to
+# ||A||_1 = 8e7 came out 6.3e-10 off, at 1.2e9 9.5e-9 and at 2e15 1.6 %; amplitude
+# damping's real channel 1.6e-16 at all three
+MAX_EXPM_NORM = 2.0 ** 24 * 5.371920351148152
 
 
 def _taylor_chunks(m: int) -> np.ndarray:
@@ -133,47 +122,22 @@ def _taylor(a: np.ndarray, m: int) -> np.ndarray:
     return p + np.eye(a.shape[-1])
 
 
-def _pade(a: np.ndarray, q: int) -> np.ndarray:
-    """[q/q] Pade approximant of exp on a stack of matrices: (V - U)^-1 (V + U),
-    with U the odd and V the even part of the numerator."""
-    b = PADE_COEFFS[q]
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    if q == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 \
-            + b[0] * eye
-    else:
-        powers = [eye, a2]  # A^0, A^2, ..., A^(q-1)
-        while len(powers) <= q // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
-        v = sum(b[2 * j] * p for j, p in enumerate(powers))
-    return np.linalg.solve(v - u, v + u)
-
-
-# the rungs (core, degree, theta) in ascending theta
-RUNGS = tuple((_taylor, m, theta) for m, theta in TAYLOR_THETA) + tuple(
-    (_pade, q, theta) for q, theta in PADE_THETA)
-
-
 def _rung_and_squarings(norm: float):
-    """Core, degree and squaring count s for a matrix of 1-norm norm."""
-    for core, degree, theta in RUNGS:
+    """Taylor degree and squaring count s for a matrix of 1-norm norm."""
+    for degree, theta in TAYLOR_THETA:
         if norm <= theta:
-            return core, degree, 0
+            return degree, 0
     if not norm <= MAX_EXPM_NORM:
         raise NumericsError(f"matrix exponential needs ||A||_1 <= {MAX_EXPM_NORM:.2e}, "
                             f"got {norm:.3e}")
-    return _pade, 13, math.ceil(math.log2(norm / PADE_THETA[-1][1]))
+    degree, theta = TAYLOR_THETA[-1]
+    return degree, math.ceil(math.log2(norm / theta))
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential: a Taylor rung for ||A||_1 <= theta_16, else Pade with
-    scaling and squaring (Higham 2005).
+    """Matrix exponential: the lowest Taylor rung that covers ||A||_1, past
+    theta_16 the degree-16 rung with scaling and squaring (Al-Mohy and Higham
+    2011).
 
     Accepts one square real or complex matrix with finite entries, or a stack
     of them of shape (..., n, n), and returns a real result for a real input;
@@ -189,8 +153,9 @@ def expm(m) -> np.ndarray:
         for i, norm in enumerate(np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)):
             groups[_rung_and_squarings(float(norm))].append(i)
         whole = len(groups) == 1  # one rung and s for every slice: no gather and scatter copies
-        for (core, degree, s), slices in groups.items():
-            x = core(np.multiply(stack if whole else stack[slices], 2.0 ** -s, order="C"), degree)
+        for (degree, s), slices in groups.items():
+            x = _taylor(np.multiply(stack if whole else stack[slices], 2.0 ** -s, order="C"),
+                        degree)
             for _ in range(s):
                 x = x @ x
             if whole:

@@ -467,7 +467,9 @@ def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
     Components must already be ordered by descending norm.  A single
     component needs no splitting: one exact segment.  With no component,
     no nonzero norm or no time the dynamics is trivial: the plan has no
-    segment and n_reps = 0.  Every path needs finite t >= 0 and eps > 0.
+    segment and n_reps = 0.  Every path needs finite t >= 0 and eps > 0, and a
+    plan of more than 2^53 exponentials, the cap select_order puts on m, is
+    refused.
     """
     if not (0 <= t < math.inf and 0 < eps < math.inf):  # written so that NaN fails too
         raise TrotterError("need finite t >= 0 and eps > 0")
@@ -480,6 +482,10 @@ def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
         return TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=m, L1=L1)
     # one component has no L2; L1 stands in, and the planner ignores it for m = 1
     k, r, n_reps, bound_res, bound_closed = step_count(eps, t, m, L1, norms[1] if m > 1 else L1)
+    # checked before the block of 2(m - 1) 5^(k - 1) + 1 segments is built: k grows without
+    # bound as eps falls, and the lambda atom's block at eps = 1e-300 has 4.9e8 segments
+    if merged_count(m, k, n_reps) > 2 ** 53:
+        raise TrotterError("the paper's plan needs more than 2^53 exponentials")
     return TrotterPlan(k=k, r=r, n_reps=n_reps, schedule=block_schedule(m, k, t * L1 / n_reps),
                        m=m, L1=L1, bound_res=bound_res, bound_closed_form=bound_closed)
 

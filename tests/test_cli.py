@@ -392,6 +392,13 @@ def test_simulate_rejects_bad_request(tmp_path):
     assert main(["simulate", str(path)]) == 1
 
 
+def test_simulate_refuses_an_eps_whose_paper_plan_cannot_be_built(tmp_path, capsys):
+    req = simulation_request(tmp_path, lambda_atom(), maximally_mixed(3).rho, 1.0, 1e-3,
+                             "trotter")
+    assert main(["simulate", str(req), "--eps", "1e-300"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # cost
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_dissipator_contracts_any_operator_stack(d, seed):
         assert_entries_close(c.generator, real_map(p.lam * (K @ universal @ dagger(K))))
     H = random_hermitian(d, rng)
     (c,) = prepare_components(GksGenerator(basis=g.basis, H=H, A=np.zeros_like(g.A)), [])
-    tau = 20.0 / c.norm  # ||tau G||_1 >= 20, past the Pade cores: expm squares
+    tau = 20.0 / c.norm  # ||tau G||_1 >= 20, past theta_16: expm scales and squares
     assert_entries_close(c.channel([tau])[0],
                          real_map(conjugation_superoperator(expm(-1j * tau * H))))
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gks
-from lindbladsim.lindblad import liouvillian_matrix
+from lindbladsim.lindblad import (dissipator_superoperator, hamiltonian_superoperator,
+                                  liouvillian_matrix, real_map)
 from lindbladsim.numerics import (MAX_EXPM_NORM, TAYLOR_THETA, NumericsError, dagger, eigh, expm,
                                   frobenius, is_unitary, trace_norm)
 
@@ -76,7 +77,8 @@ def scaled_to_one_norm(m, norm):
     return m * (norm / np.max(np.sum(np.abs(m), axis=0)))
 
 
-# log10 of ||A||_1 from -3 to 3 runs every Pade degree, unscaled and with squarings
+# log10 of ||A||_1 from -3 to 3 runs the Taylor rungs of degree 6 to 16, unscaled and with
+# up to 11 squarings
 @settings(max_examples=60)
 @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
 def test_expm_matches_scipy_on_liouvillians(d, log_norm, seed):
@@ -97,7 +99,7 @@ def test_expm_matches_scipy_on_anti_hermitian(n, log_norm, seed):
 
 
 def test_expm_stack_equals_its_slices(rng):
-    # norms from 1e-3 to 1e3: slices of different Pade degrees and squaring counts
+    # norms from 1e-3 to 1e3: slices of different Taylor degrees and squaring counts
     norms = 10.0 ** np.arange(-3.0, 3.5, 0.5)
     stack = np.stack([scaled_to_one_norm(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)),
                                          x) for x in np.concatenate([norms, norms[::-1]])])
@@ -114,6 +116,42 @@ def test_expm_refuses_norms_beyond_the_squaring_limit(rng):
     assert frobenius(dagger(u) @ u - np.eye(4)) <= 2e-15 * MAX_EXPM_NORM
     with pytest.raises(NumericsError, match="needs"):
         expm(scaled_to_one_norm(m, 1.001 * MAX_EXPM_NORM))
+
+
+def damping_channel(t):
+    """Column-stacked exp(tL) of amplitude damping, H = diag(1/2, -1/2) and jump |0><1| at
+    rate 1, in closed form: rho_11 relaxes as e^-t into rho_00, and rho_01 as e^(-t/2 - it)."""
+    S = np.zeros((4, 4), dtype=complex)  # vec index: column * 2 + row
+    S[0, 0], S[0, 3], S[3, 3] = 1.0, -math.expm1(-t), math.exp(-t)
+    S[2, 2] = np.exp(complex(-t / 2, -t))
+    S[1, 1] = S[2, 2].conjugate()
+    return S
+
+
+@pytest.mark.parametrize("norm", [3.0, 1e3, 1e5, 1e7, 8e7, 0.9 * MAX_EXPM_NORM])
+def test_expm_is_exact_to_the_edge_of_its_domain(norm):
+    # up to 27 squarings, each of which can double the rounding, yet damping's channel
+    # stays within 4e-16 of its closed form up to MAX_EXPM_NORM
+    L = np.array([[0.0, 1.0], [0.0, 0.0]])
+    R = real_map(hamiltonian_superoperator(np.diag([0.5, -0.5]))
+                 + dissipator_superoperator(np.array([[1.0]]), L[None]))
+    t = norm / np.abs(R).sum(axis=0).max()
+    ref = real_map(damping_channel(t))
+    assert frobenius(expm(t * R) - ref) <= 1e-13 * frobenius(ref)
+
+
+def test_expm_never_solves(monkeypatch, rng):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("expm called np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    liouvillian = liouvillian_matrix(random_gks(3, rng))
+    norms = np.geomspace(1e-9, 0.999 * MAX_EXPM_NORM, 35)
+    for m in (1j * (h + dagger(h)), liouvillian, real_map(liouvillian)):
+        stack = np.stack([scaled_to_one_norm(m, x) for x in norms])
+        assert np.isfinite(expm(stack)).all()
+        assert all(np.isfinite(expm(a)).all() for a in stack)
 
 
 @pytest.mark.parametrize("m", [800.0 * np.eye(3), 1e300 * np.ones((3, 3))],
@@ -244,8 +282,8 @@ def test_taylor_thetas_are_the_backward_error_bounds():
         assert lo * (1.0 - 1e-6) <= theta <= lo
 
 
-# log10 of ||A||_1 from -9 to -3 runs the Taylor rungs of degree 2, 4 and 6, which the
-# property tests above, from 1e-3 up, never reach
+# log10 of ||A||_1 from -9 to -3 runs the Taylor rungs of degree 2 and 4, which the
+# property tests above, from 1e-3 up, never reach, and of degree 6
 @settings(max_examples=60)
 @given(st.integers(1, 36), st.floats(-9.0, -3.0), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_expm_matches_scipy_at_small_norms(n, log_norm, seed, real):
@@ -261,9 +299,7 @@ def real_stack(rng, norms):
 
 
 def test_expm_keeps_a_real_stack_real(rng):
-    # norms from 1e-9 to 1e2: every Taylor rung, the Pade rungs and up to 5 squarings.
-    # Further up e^A is ill-conditioned: the real and complex products round apart by
-    # 1.6e-14 of ||e^A|| at ||A||_1 = 316, both within its conditioning
+    # norms from 1e-9 to 1e2: every Taylor rung, unscaled and with up to 8 squarings
     stack = real_stack(rng, 10.0 ** np.arange(-9.0, 2.5, 0.5))
     out = expm(stack)
     assert out.dtype == np.float64

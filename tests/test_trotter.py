@@ -392,6 +392,22 @@ def test_build_plan_empty_is_the_zero_plan():
         simulate(lambda_atom(), maximally_mixed(3), 0.0, -1.0)
 
 
+def test_a_plan_past_2_to_the_53_exponentials_is_refused_before_its_block(monkeypatch):
+    # at eps = 1e-300 the paper's block is k = 13, 488281251 segments, too many to hold
+    # in memory: the plan is refused before any schedule is built
+    comps = components_for(lambda_atom())
+    k, _, n_reps, _, _ = step_count(1e-300, 1.0, 2, comps[0].norm, comps[1].norm)
+    assert (k, segments_per_block(2, k)) == (13, 488281251)
+    assert trotter.merged_count(2, k, n_reps) > 2 ** 53
+
+    def no_schedule(*args):
+        raise AssertionError("a schedule was built")
+
+    monkeypatch.setattr(trotter, "s2k_schedule", no_schedule)
+    with pytest.raises(TrotterError, match="2\\^53"):
+        build_plan(comps, eps=1e-300, t=1.0)
+
+
 def test_a_generator_decomposes_once(decompositions):
     g = random_gks(4, np.random.default_rng(4))
     rho0 = maximally_mixed(4)
