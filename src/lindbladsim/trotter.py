@@ -29,15 +29,20 @@ use its step count directly.  build_plan certifies the map that runs
 instead: at k = 1 it searches for a repetition count whose map T_n, the
 n-th power of the block, satisfies
 
-    sqrt(d) ||T_n - exp(t sum_j G_j)||_2 <= eps / 2,
+    diamond_bound(T_n - exp(t sum_j G_j)) <= eps / 2,
 
-which bounds ||T_n - exp(tL)||_(1->1) by eps / 2, and the plan carries T_n
-and that certificate.  The search is sized in closed form by the block's
-leading error term, the nested commutators of the component generators
-(leading_error; Childs, Su, Tran, Wiebe and Zhu, "Theory of Trotter error
-with commutator scaling", PRX 11, 011020 (2021)): T_n differs from
-exp(t sum_j G_j) by D / n^2 + O(n^-4), so the search starts at the smallest
-n that D certifies, and most runs build one block.
+where diamond_bound(X) = ||Tr_out J_+||_inf + ||Tr_out J_-||_inf splits the
+Choi matrix J of X into its positive and negative parts.  It bounds the
+diamond norm, so ||T_n - exp(tL)||_(1->1) <= eps / 2, and it is exact for
+completely positive maps: at d = 6 it reads about a third of
+sqrt(d) ||.||_2, the (1->1) bound the spectral norm gives.  The plan carries
+T_n and that certificate.
+The search is sized in closed form by the block's leading error term, the
+nested commutators of the component generators (leading_error; Childs, Su,
+Tran, Wiebe and Zhu, "Theory of Trotter error with commutator scaling",
+PRX 11, 011020 (2021)): T_n differs from exp(t sum_j G_j) by
+D / n^2 + O(n^-4), so the search starts at the smallest n that D
+certifies, and most runs build one block.
 
 The search sizes two k = 1 formulas and runs the one whose predicted n
 needs fewer exponentials, the fixed-order block on a tie.  The first is
@@ -73,9 +78,9 @@ dissipative, is realized as exp(t~ G_j), with the physical duration t~
 carrying the component's weight.  A block asks each component once for the
 channels of all its distinct durations, which one stacked numerics.expm
 call computes, on a Taylor rung with no solve at a block's small norms.
-The block, its power, exp(t sum_j G_j) and the certificate's SVD are all
-real; the 2-norm is the same in either basis, since the change of basis
-is unitary.  At k = 1 every duration is positive, so every
+The block, its power and exp(t sum_j G_j) are all real, and the
+certificate's Choi matrix is formed from the real map and the basis stack
+directly.  At k = 1 every duration is positive, so every
 factor is a unitary channel or a channel of the universal family; negative
 intermediate durations appear in the recursion for k >= 2, where the matrix
 exponential is applied for any sign and the cost report flags them.
@@ -89,8 +94,8 @@ import numpy as np
 
 from .decompose import decompose_generator, universal_operators
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, dissipator_superoperator,
-                       evolve, hamiltonian_superoperator, one_one_norm, real_map,
-                       trace_preserving)
+                       evolve, hamiltonian_superoperator, hermitian_basis, one_one_norm,
+                       real_map, trace_preserving)
 from .numerics import NumericsError, dagger, expm
 
 
@@ -296,7 +301,7 @@ class TrotterPlan:
     L1: float
     bound_res: float | None = None
     bound_closed_form: float | None = None
-    certificate: float | None = None  # sqrt(d) ||total_map - e^(tL)||_2 <= eps / 2
+    certificate: float | None = None  # diamond_bound(total_map - e^(tL)) <= eps / 2
     total_map: np.ndarray | None = field(default=None, compare=False, repr=False)
     predicted_certificate: float | None = None  # lead / n_reps^2 (certify)
     builds: int = field(default=0, compare=False)
@@ -329,14 +334,37 @@ def block_schedule(m: int, k: int, lam: float) -> tuple:
 
 
 # the certificate search: at most this many block builds; a step that the leading
-# error term cannot size overshoots the n^-2 law's prediction by SEARCH_MARGIN
+# error term cannot size overshoots the n^-2 law's prediction by SEARCH_MARGIN, and
+# no step grows n by less
 MAX_BUILDS = 4
 SEARCH_MARGIN = 1.05
 
 
-def spectral_norm(X: np.ndarray) -> float:
-    """The largest singular value of X."""
-    return float(np.linalg.svd(X, compute_uv=False)[0])
+def diamond_bound(X: np.ndarray) -> np.ndarray:
+    """||Tr_out J_+||_inf + ||Tr_out J_-||_inf for a real d^2 x d^2 map X, or for each of
+    a stack (..., d^2, d^2): an upper bound on its diamond norm, and so on its (1->1)
+    norm, that is exact for completely positive maps.
+
+    J = sum_kl X_kl B_l^T kron B_k, B = hermitian_basis(d), is the Choi matrix of the
+    map that sends B_l to sum_k X_kl B_k, input factor first.  It is Hermitian, and one
+    eigh splits it as J_+ - J_-, two positive parts: the Choi matrices of two
+    completely positive maps Phi_+ and Phi_- whose difference is X.  A completely
+    positive map has ||Phi||_diamond = ||Tr_out J(Phi)||_inf (Watrous, "The Theory of
+    Quantum Information", CUP 2018, ch. 3), so the triangle inequality bounds
+    ||X||_diamond >= ||X||_(1->1) by the sum; a channel reads 1.  Tr_out J_+ is
+    P P^dagger, with P the eigenvectors of positive eigenvalue, each weighted by the
+    root of its eigenvalue and read as a d x d matrix, side by side.
+    """
+    d = math.isqrt(X.shape[-1])
+    F = hermitian_basis(d).reshape(d * d, d * d)  # row l is B_l, read row by row
+    stack = X.shape[:-2]
+    # (F^T X^T F)[(c a), (b e)] = sum_l (B_l)_ca (sum_k X_kl B_k)_be = J[(a b), (c e)]
+    J = (F.T @ (np.swapaxes(X, -1, -2) @ F)).reshape(-1, d, d, d, d).transpose(0, 2, 3, 1, 4)
+    w, V = np.linalg.eigh(J.reshape(X.shape))
+    roots = np.sqrt(np.maximum(np.multiply.outer((1.0, -1.0), w), 0.0))  # J_+, J_-
+    P = (V.reshape(*stack, d, d, d * d) * roots[..., None, None, :]).reshape(2, *stack, d, -1)
+    tops = np.linalg.eigvalsh(P @ np.conj(np.swapaxes(P, -1, -2)))[..., -1]
+    return tops[0] + tops[1]
 
 
 def leading_error(components: list[Component], t: float):
@@ -368,7 +396,9 @@ def leading_error(components: list[Component], t: float):
     D - (t^2 / 8) [e^(t sum_j G_j), H2]: two products more.  Row 0 of each D,
     the trace, is zeroed, as trace_preserving zeroes it in T_n.  Commuting
     components have E = H2 = 0 and both terms 0, up to rounding in their
-    commutators.
+    commutators.  certify measures D with the certificate's own bound:
+    diamond_bound(D) / n^2 predicts diamond_bound(T_n - e^(t sum_j G_j)) up to
+    O(n^-4), since the bound is continuous and takes c X to |c| times X's.
     """
     G = [c.generator for c in components]
     R, E, C = G[-1].copy(), np.zeros_like(G[-1]), np.zeros_like(G[-1])
@@ -396,31 +426,35 @@ def leading_error(components: list[Component], t: float):
 def certify(components: list[Component], eps: float, t: float,
             paper: TrotterPlan) -> TrotterPlan:
     """The k = 1 plan, at the first repetition count the search reaches, whose
-    map T_n satisfies sqrt(d) ||T_n - e^(t sum_j G_j)||_2 <= eps / 2; when the
+    map T_n satisfies diamond_bound(T_n - e^(t sum_j G_j)) <= eps / 2; when the
     search stops first, the paper's plan, carrying the search's build count.
 
-    The (1->1) norm of a d^2 x d^2 map is at most sqrt(d) times its spectral
-    norm, so T_n(rho) is within eps / 2 of the exact state in trace norm.  A
-    coin-flip plan's T_n is M^n, M the mean of the two orders' blocks: n fair
-    coins apply each block sequence with its probability, so the device's
-    output state is T_n(rho), and the certificate covers it as it covers a
-    fixed-order run.
+    diamond_bound bounds the (1->1) norm, so T_n(rho) is within eps / 2 of the
+    exact state in trace norm, for a state of the system alone or entangled
+    with another.  A coin-flip plan's T_n is M^n, M the mean of the two
+    orders' blocks: n fair coins apply each block sequence with its
+    probability, so the device's output state is T_n(rho), and the
+    certificate covers it as it covers a fixed-order run.
     The search is sized by the leading error terms (leading_error): with
-    lead = sqrt(d) ||D||_2 the certificate is lead / n^2 up to O(n^-4) and the
-    rounding of the power, so each formula's search would start at
-    n = ceil(sqrt(lead / (eps / 2))).  The formula whose start needs fewer
-    exponentials (formula_count) is searched, the fixed-order block on a tie.
+    lead = diamond_bound(D), both taken in one stacked call, the certificate
+    is lead / n^2 up to O(n^-4) and the rounding of the power, so each
+    formula's search would start at n = ceil(sqrt(lead / (eps / 2))).  The
+    formula whose start needs fewer exponentials (formula_count) is searched,
+    the fixed-order block on a tie.
     After a miss at n it steps to ceil(sqrt(lead / (eps / 2 - off))), with
     off = certificate - lead / n^2 the part the term did not predict, or, when
-    off >= eps / 2 or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN.
-    It stops when even n = 1, or a candidate, would need as many exponentials
-    as the paper's plan, after MAX_BUILDS builds, when T_n or a term is not
-    finite, when numerics.expm refuses t sum_j G_j, and at the rounding floor:
-    when the certificate falls by a factor less than min(2, f / 2), f the fall
-    the law predicted for the step.  The plan carries the paper plan's two
-    N_exp bounds and the predicted certificate lead / n^2.
+    off >= eps / 2 or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN;
+    either way by a factor of at least SEARCH_MARGIN, since near the rounding
+    floor off moves by about 1 % of eps / 2 from one n to the next, and a
+    step that aims at eps / 2 itself misses again.  It stops when even n = 1,
+    or a candidate, would need as many exponentials as the paper's plan, after
+    MAX_BUILDS builds, when T_n or a term is not finite, when numerics.expm
+    refuses t sum_j G_j, and at the rounding floor: when the certificate falls
+    by a factor less than min(2, f / 2), f the fall the law predicted for the
+    step.  The plan carries the paper plan's two N_exp bounds and the
+    predicted certificate lead / n^2.
     """
-    m, L1, d = len(components), components[0].norm, components[0].d
+    m, L1 = len(components), components[0].norm
     budget = paper.actual_exponentials()
     if merged_count(m, 1, 1) >= budget:
         return paper
@@ -428,7 +462,10 @@ def certify(components: list[Component], eps: float, t: float,
         exact, *terms = leading_error(components, t)
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
         return paper
-    leads = [math.sqrt(d) * spectral_norm(D) for D in terms]
+    terms = np.stack(terms)
+    if not np.isfinite(terms).all():
+        return paper
+    leads = diamond_bound(terms).tolist()
     if not all(map(math.isfinite, leads)):
         return paper
     target, last, fall = 0.5 * eps, math.inf, math.inf
@@ -444,7 +481,7 @@ def certify(components: list[Component], eps: float, t: float,
         total = plan_map(plan, components)
         if not np.isfinite(total).all():
             return replace(paper, builds=builds)
-        cert = math.sqrt(d) * spectral_norm(total - exact)
+        cert = float(diamond_bound(total - exact))
         if cert <= target:
             return replace(plan, certificate=cert, total_map=total, builds=builds,
                            predicted_certificate=lead / n ** 2)
@@ -455,7 +492,7 @@ def certify(components: list[Component], eps: float, t: float,
             step = math.ceil(math.sqrt(lead / (target - off)))
         else:
             step = math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN)
-        step = max(n + 1, step)
+        step = max(math.ceil(n * SEARCH_MARGIN), step)
         n, last, fall = step, cert, (step / n) ** 2
     return replace(paper, builds=MAX_BUILDS)
 

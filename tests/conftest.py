@@ -66,6 +66,28 @@ def column_stacked(R):
     return dagger(T) @ R @ T
 
 
+def choi_split_bound(S):
+    """||Tr_out J_+||_inf + ||Tr_out J_-||_inf for a column-stacked d^2 x d^2 map S that
+    keeps matrices Hermitian: an upper bound on its diamond norm, and so on its (1->1)
+    norm, exact for a completely positive map.  J = sum_ij E_ij kron S(E_ij) is its Choi
+    matrix, input factor first, split into positive and negative parts J_+ - J_- by one
+    np.linalg.eigh, and Tr_out traces out the second factor."""
+    M = np.asarray(S, dtype=complex)
+    d = math.isqrt(M.shape[0])
+    J = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            E = np.zeros((d, d))
+            E[i, j] = 1.0
+            J += np.kron(E, unvec(M @ vec(E), d))
+    w, V = np.linalg.eigh(J)
+    total = 0.0
+    for part in (np.maximum(w, 0.0), np.maximum(-w, 0.0)):
+        reduced = np.trace(((V * part) @ dagger(V)).reshape(d, d, d, d), axis1=1, axis2=3)
+        total += float(np.linalg.eigvalsh(reduced)[-1])
+    return total
+
+
 def random_hermitian(d, rng, scale=1.0):
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * 0.5 * (h + dagger(h))
@@ -278,16 +300,17 @@ def exp_derivative(A, X):
 
 def predicted_plan(components, t, eps, formula):
     """The k = 1 plan of the formula at the n that its own leading error term predicts,
-    n = ceil(sqrt(lead / (eps / 2))), with its map and certificate."""
+    n = ceil(sqrt(lead / (eps / 2))), with its map and certificate, both bounds taken by
+    choi_split_bound."""
     exact, *terms = trotter.leading_error(components, t)
     D = terms[(trotter.SUZUKI, trotter.COIN_FLIP).index(formula)]
-    d, m, L1 = components[0].d, len(components), components[0].norm
-    n = max(1, math.ceil(math.sqrt(math.sqrt(d) * np.linalg.norm(D, 2) / (0.5 * eps))))
+    m, L1 = len(components), components[0].norm
+    n = max(1, math.ceil(math.sqrt(choi_split_bound(column_stacked(D)) / (0.5 * eps))))
     plan = trotter.TrotterPlan(k=1, r=n / L1, n_reps=n, m=m, L1=L1, formula=formula,
                                schedule=trotter.block_schedule(m, 1, t * L1 / n))
     total = trotter.plan_map(plan, components)
     return dataclasses.replace(plan, total_map=total,
-                               certificate=math.sqrt(d) * np.linalg.norm(total - exact, 2))
+                               certificate=choi_split_bound(column_stacked(total - exact)))
 
 
 def serial_one_one_norm(S):
