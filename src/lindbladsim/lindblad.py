@@ -47,7 +47,11 @@ EIGEN_CUTOFF = 1e-12
 
 def _require_hermitian(X: np.ndarray, name: str) -> None:
     """Refuse X unless ||X - X†||_F <= 1e-10 max(1, ||X||_F); the difference
-    is formed from halves, which cannot overflow."""
+    is formed from halves, which cannot overflow.  An X that equals X† entry by
+    entry passes without the two norms; NaN never equals itself, so it takes the
+    norms, and the callers refuse non-finite X first."""
+    if (X == dagger(X)).all():
+        return
     if 2.0 * frobenius(0.5 * X - 0.5 * dagger(X)) > 1e-10 * max(1.0, frobenius(X)):
         raise LindbladError(f"{name} is not Hermitian within tolerance")
 
@@ -221,11 +225,18 @@ def dissipator_superoperator(A: np.ndarray, ops: np.ndarray) -> np.ndarray:
     B = np.asarray(A, dtype=complex) @ np.conj(flat)
     S = (np.swapaxes(B, -1, -2) @ flat).reshape(*F.shape[:-3], d, d, d, d).swapaxes(-3, -2)
     Phi = np.einsum("...lai,...laj->...ij", B.reshape(F.shape), F)  # sum_lk A_lk F_k† F_l
-    # kron(Phi^T, I) + kron(I, Phi), through the diagonal views i = j and a = b
-    anti = np.zeros(S.shape, dtype=complex)
-    np.einsum("...aiaj->...aij", anti)[...] += Phi[..., None, :, :]
-    np.einsum("...aibi->...abi", anti)[...] += np.swapaxes(Phi, -1, -2)[..., :, :, None]
-    return (S - 0.5 * anti).reshape(*F.shape[:-3], d * d, d * d)
+    # minus (1/2) (kron(Phi^T, I) + kron(I, Phi)), which lives on the diagonal views a = b
+    # and i = j: kron(I, Phi) on a = b, where i = j adds Phi_aa, and kron(Phi^T, I) on the
+    # rest of i = j.  Each entry is S minus half the sum 0 + Phi_.. (+ Phi_..) that a zeroed
+    # d^4 anticommutator array would hold there, down to the sign of a zero, without it
+    out = np.ascontiguousarray(S)
+    on_a = np.broadcast_to(Phi[..., None, :, :], (*Phi.shape[:-2], d, d, d)) + 0.0
+    np.einsum("...aii->...ai", on_a)[...] += np.einsum("...aa->...a", Phi)[..., None]
+    np.einsum("...aiaj->...aij", out)[...] -= 0.5 * on_a
+    off_a = np.swapaxes(Phi, -1, -2) + 0.0
+    np.einsum("...aa->...a", off_a)[...] = 0.0
+    np.einsum("...aibi->...abi", out)[...] -= 0.5 * off_a[..., None]
+    return out.reshape(*F.shape[:-3], d * d, d * d)
 
 
 def liouvillian_matrix(g: GksGenerator) -> np.ndarray:

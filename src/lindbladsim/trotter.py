@@ -44,23 +44,33 @@ PRX 11, 011020 (2021)): T_n differs from exp(t sum_j G_j) by
 D / n^2 + O(n^-4), so the search starts at the smallest n that D
 certifies, and most runs build one block.
 
-The search sizes two k = 1 formulas and runs the one whose predicted n
-needs fewer exponentials, the fixed-order block on a tie.  The first is
-the symmetric block above, in one component order.  The second flips a
-fair coin per block (Childs, Ostrander and Su, "Faster quantum simulation
-by randomization", Quantum 3, 182 (2019)): it runs that block or the block
-in the reversed component order, component j as m - 1 - j.  Every
-duration is positive, so both are products of channels of the universal
-family, and n independent coins apply exactly M^n, M the mean of the two
+The search sizes three k = 1 formulas (FORMULAS) and runs the one whose
+predicted n needs the fewest exponentials, the one of fewer component
+orders on a tie.  The first is the symmetric block above, in one
+component order.  The other two are mixtures that draw each block
+uniformly from pairs of component orders, each an order and its reverse
+(Childs, Ostrander and Su, "Faster quantum simulation by randomization",
+Quantum 3, 182 (2019)).  The coin flip has one pair: it runs the block
+above or the block in the reversed component order, component j as
+m - 1 - j.  The mixed-orders formula has the MIX_PAIRS pairs of
+component_orders(m), the norm order's and three drawn from a fixed
+splitmix64 shuffle, or all m! / 2 when there are fewer (one at m = 2,
+where it is the coin flip and is not searched).  Every duration is
+positive, so every block is a product of channels of the universal
+family, and n independent draws apply exactly M^n, M the mean of the
 blocks.  The classical run computes M^n itself, with no random numbers, so
 the output is deterministic and the certificate above covers the device's
-state as it covers a fixed-order run.  The two orders' third-order terms
-differ by a commutator that cancels in M, so M's leading term is smaller,
-and it comes from the fixed block's with two products more (leading_error).
-n blocks cost n (2m - 2) + 1 exponentials in one order and at most
-n (2m - 1) in the mixture, where neighbouring blocks merge only when their
-coins agree.  The mixture runs on the random generators at d = 2..6 and on
-the qubit chains; the two-component lambda atom keeps the fixed block.
+state as it covers a fixed-order run.  An order's and its reverse's
+third-order terms differ by a commutator that cancels in M, and averaging
+over more orders shrinks the rest, so a mixture's leading term is smaller;
+each comes from the same commutator loop, run over every order at once,
+and one more stacked exponential (leading_error).  n blocks cost
+n (2m - 2) + 1 exponentials in one order and at most n (2m - 1) in a
+mixture, where neighbouring blocks merge only when they meet on the same
+component.  On random d = 6 generators the mixed orders need about 30 %
+fewer exponentials than the coin flip; the coin flip stays a candidate,
+since on some generators (random d = 3, the qubit chains) it reads lower,
+and the two-component lambda atom keeps the fixed block.
 
 The block and its power are each projected onto trace-preserving maps
 (plan_map).  When the search stops first (certify lists when), the paper's
@@ -205,18 +215,55 @@ def merged_count(m: int, k: int, n_reps: int) -> int:
 
 
 # the product formulas a plan runs: the S_2k block in its one component order, or at
-# k = 1 a fair coin per block between that order and the reversed one (certify)
-SUZUKI, COIN_FLIP = "suzuki", "coin-flip"
+# k = 1 a mixture that picks its block per repetition, uniformly among pairs of component
+# orders, each an order and its reverse: the coin flip over the norm order's pair, or the
+# mixture over every pair of component_orders (certify)
+SUZUKI, COIN_FLIP, MIXED_ORDERS = FORMULAS = "suzuki", "coin-flip", "mixed-orders"
+# the mixture's pairs: the norm order's and MIX_PAIRS - 1 shuffled ones, fewer when m! / 2,
+# the count of distinct pairs, is smaller
+MIX_PAIRS = 4
+MASK64 = 2 ** 64 - 1
+
+
+def _splitmix64(state: int):
+    """One step of splitmix64 (Steele, Lea and Flood, OOPSLA 2014): the next state and
+    its 64-bit output, in Python integers, so the stream never depends on a library."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
+@functools.cache
+def component_orders(m: int) -> np.ndarray:
+    """The mixed-orders formula's component orders over m components, one row per pair:
+    row 0 is the norm order 0..m-1, and each later row a Fisher-Yates shuffle drawn from
+    one splitmix64 stream seeded with m, kept when neither it nor its reverse is already
+    a row.  min(MIX_PAIRS, m! / 2) rows, at least one; read-only, built on first use for
+    each m.  Row p's pair runs the block in that order or in the reversed one."""
+    pairs = max(1, min(MIX_PAIRS, math.factorial(m) // 2))
+    orders, state = [tuple(range(m))], m
+    while len(orders) < pairs:
+        order = list(range(m))
+        for i in range(m - 1, 0, -1):
+            state, z = _splitmix64(state)
+            j = z % (i + 1)
+            order[i], order[j] = order[j], order[i]
+        if not any(tuple(order) in (o, o[::-1]) for o in orders):
+            orders.append(tuple(order))
+    table = np.array(orders)
+    table.setflags(write=False)
+    return table
 
 
 def formula_count(formula: str, m: int, k: int, n_reps: int) -> int:
     """Exponentials in n_reps blocks of the formula: merged_count for the
-    fixed-order block; for the coin-flip mixture the worst case over coin
-    sequences, n_reps (2m - 1), since two neighbouring blocks share a
-    component only when their coins agree."""
-    if formula == COIN_FLIP:
-        return n_reps * segments_per_block(m, k)
-    return merged_count(m, k, n_reps)
+    fixed-order block; for a mixture the worst case over the blocks drawn,
+    n_reps (2m - 1), since two neighbouring blocks share a component only
+    when they end and start on the same one."""
+    if formula == SUZUKI:
+        return merged_count(m, k, n_reps)
+    return n_reps * segments_per_block(m, k)
 
 
 def select_order(eps: float, t: float, m: int, L1: float, L2: float):
@@ -287,10 +334,12 @@ class TrotterPlan:
 
     r is the paper planner's block parameter, n_reps = ceil(r L1); a
     certified plan's n_reps comes from the search instead, and its r is
-    n_reps / L1.  Under the coin-flip formula each repetition runs the
-    schedule or, with probability 1/2, the schedule with component j
-    replaced by m - 1 - j.  Plans compare without their map and build
-    count.
+    n_reps / L1.  A k = 1 mixture draws each repetition's block uniformly
+    from 2 * pairs blocks: each of the first pairs rows of component_orders(m)
+    run as the symmetric block in that order or in the reversed one, at the
+    schedule's half step.  The coin flip's one pair is the norm order's, whose
+    reverse runs component j as m - 1 - j.  Plans compare without their map and
+    build count.
     """
 
     k: int
@@ -308,13 +357,22 @@ class TrotterPlan:
     formula: str = SUZUKI
 
     @property
+    def pairs(self) -> int:
+        """The order pairs a k = 1 mixture draws its blocks from: the rows of
+        component_orders(m) for the mixed-orders formula, 1 for the coin flip, 0 for
+        a fixed-order block."""
+        if self.formula == MIXED_ORDERS:
+            return len(component_orders(self.m))
+        return int(self.formula == COIN_FLIP)
+
+    @property
     def n_exp(self) -> int:
         """Unmerged exponential count (2(m-1)5^(k-1)+1) * n_reps."""
         return segments_per_block(self.m, self.k) * self.n_reps
 
     def actual_exponentials(self) -> int:
-        """Segment count after merging across repetition boundaries, for the
-        coin-flip formula in its worst case (formula_count)."""
+        """Segment count after merging across repetition boundaries, for a
+        mixture in its worst case (formula_count)."""
         return formula_count(self.formula, self.m, self.k, self.n_reps) if self.schedule else 0
 
     def has_negative_segments(self) -> bool:
@@ -354,23 +412,36 @@ def diamond_bound(X: np.ndarray) -> np.ndarray:
     ||X||_diamond >= ||X||_(1->1) by the sum; a channel reads 1.  Tr_out J_+ is
     P P^dagger, with P the eigenvectors of positive eigenvalue, each weighted by the
     root of its eigenvalue and read as a d x d matrix, side by side.
+
+    The maps are first scaled by one power of four 4^-q, which is exact, so that the
+    largest entry modulus lies in [1/4, 1): the Choi matrix's products cannot
+    overflow on a finite map, and the bound, which takes c X to |c| times X's, is
+    scaled back by 4^q; it is inf only where the bound itself overflows.  A power of
+    four keeps the square roots of the eigenvalues exact under the scaling, so a map
+    reads the same bound alone and in a stack.
     """
     d = math.isqrt(X.shape[-1])
     F = hermitian_basis(d).reshape(d * d, d * d)  # row l is B_l, read row by row
     stack = X.shape[:-2]
+    e = math.frexp(float(np.abs(X).max()))[1]
+    e += e % 2
+    X = X * math.ldexp(1.0, -e)
     # (F^T X^T F)[(c a), (b e)] = sum_l (B_l)_ca (sum_k X_kl B_k)_be = J[(a b), (c e)]
     J = (F.T @ (np.swapaxes(X, -1, -2) @ F)).reshape(-1, d, d, d, d).transpose(0, 2, 3, 1, 4)
     w, V = np.linalg.eigh(J.reshape(X.shape))
     roots = np.sqrt(np.maximum(np.multiply.outer((1.0, -1.0), w), 0.0))  # J_+, J_-
     P = (V.reshape(*stack, d, d, d * d) * roots[..., None, None, :]).reshape(2, *stack, d, -1)
     tops = np.linalg.eigvalsh(P @ np.conj(np.swapaxes(P, -1, -2)))[..., -1]
-    return tops[0] + tops[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(tops[0] + tops[1], e)
 
 
 def leading_error(components: list[Component], t: float):
     """e^(t sum_j G_j) and the leading error terms D of the k = 1 formulas over
     the components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4),
-    for the fixed-order block and for the coin-flip mixture, in that order.
+    stacked in FORMULAS order: the fixed-order block, the coin flip and, when
+    component_orders has more than one pair, the mixed-orders formula (at m = 2
+    the coin flip is that mixture, and there are two terms).
 
     One symmetric block of step tau is e^(tau sum_j G_j + tau^3 E + O(tau^5)) with
     E = sum_(i < m-1) (-(1/24) [G_i, [G_i, R_i]] - (1/12) [R_i, [G_i, R_i]]),
@@ -391,36 +462,48 @@ def leading_error(components: list[Component], t: float):
     The first-order product that the block's first half sweeps has the log
     tau sum_j G_j + tau^2 H2 + tau^3 H3 + ..., with H2 = -(1/2) sum_i [G_i, R_i].
     The block's E is H3 / 4 + [sum_j G_j, H2] / 8, the reversed-order block's
-    H3 / 4 - [sum_j G_j, H2] / 8, so their mean, the mixture's, is H3 / 4.  The
-    derivative of exp takes [A, X] to [e^A, X], so the mixture's term is
-    D - (t^2 / 8) [e^(t sum_j G_j), H2]: two products more.  Row 0 of each D,
-    the trace, is zeroed, as trace_preserving zeroes it in T_n.  Commuting
-    components have E = H2 = 0 and both terms 0, up to rounding in their
-    commutators.  certify measures D with the certificate's own bound:
-    diamond_bound(D) / n^2 predicts diamond_bound(T_n - e^(t sum_j G_j)) up to
-    O(n^-4), since the bound is continuous and takes c X to |c| times X's.
+    H3 / 4 - [sum_j G_j, H2] / 8, so their mean, the coin flip's, is H3 / 4.  The
+    derivative of exp takes [A, X] to [e^A, X], so the coin flip's term is
+    D - (t^2 / 8) [e^(t sum_j G_j), H2]: two products more.  A mixture of blocks
+    e^(tau sum_j G_j + tau^3 E_o + ...) is e^(tau sum_j G_j + tau^3 mean_o E_o + ...)
+    up to O(tau^6), and the derivative is linear in its direction, so the
+    mixed-orders term is t^3 times the derivative along the mean of the orders' E,
+    plus (t^2 / 16) [e^(t sum_j G_j), mean_o sum_i [G_i, R_i]].  The commutator loop
+    runs every row of component_orders at once, as stacked products, and both
+    directions go through one stacked expm.  Row 0 of each D, the trace, is zeroed,
+    as trace_preserving zeroes it in T_n.  Commuting components have E = H2 = 0 and
+    every term 0, up to rounding in their commutators.  certify measures D with the
+    certificate's own bound: diamond_bound(D) / n^2 predicts
+    diamond_bound(T_n - e^(t sum_j G_j)) up to O(n^-4), since the bound is
+    continuous and takes c X to |c| times X's.
     """
-    G = [c.generator for c in components]
-    R, E, C = G[-1].copy(), np.zeros_like(G[-1]), np.zeros_like(G[-1])
-    # R = R_i on reaching g = G_i, and C sums [G_i, R_i]; one product at a time, which keeps
-    # the memory to a few d^2 x d^2 matrices and at small d is faster than stacked products
-    for g in reversed(G[:-1]):
-        C_i = g @ R - R @ g
-        S = g / 24.0 + R / 12.0  # the term is -[S, C_i]
+    G, orders = [c.generator for c in components], component_orders(len(components))
+    R = np.stack([G[j] for j in orders[:, -1]])
+    E, C = np.zeros_like(R), np.zeros_like(R)
+    # per order, R = R_i on reaching g = G_i, and C sums [G_i, R_i]; one stacked product at
+    # a time, which keeps the memory to a few stacks of the orders' d^2 x d^2 matrices
+    for column in orders.T[-2::-1]:
+        g = np.stack([G[j] for j in column])
+        C_i = g @ R
+        C_i -= R @ g
+        S = g / 24.0
+        S += R / 12.0  # the term is -[S, C_i]
         E += C_i @ S - S @ C_i
         C += C_i
         R += g
-    A = t * R
-    norm_e = float(np.abs(E).sum(axis=0).max())
-    if norm_e > 0.0:
-        h = math.ldexp(1.0, -math.frexp(norm_e)[1] - 60)
-        X = expm(A + (1j * h) * E)
-        exact, D = X.real, (t ** 3 / h) * X.imag
+    A = t * R[0]
+    if len(orders) > 1:  # the norm order's sums, then the means over the orders
+        E, C = np.stack([E[0], E.mean(axis=0)]), np.stack([C[0], C.mean(axis=0)])
+    norms = np.abs(E).sum(axis=-2).max(axis=-1).tolist()
+    if max(norms) > 0.0:
+        h = np.array([math.ldexp(1.0, -math.frexp(x)[1] - 60) for x in norms])
+        X = expm(A + (1j * h)[:, None, None] * E)
+        exact, D = X[0].real, (t ** 3 / h)[:, None, None] * X.imag
     else:
-        exact, D = expm(A), np.zeros_like(A)
-    mixed = D + (t * t / 16.0) * (exact @ C - C @ exact)  # H2 = -C / 2
-    D[0] = mixed[0] = 0.0
-    return exact, D, mixed
+        exact, D = expm(A), np.zeros_like(E)
+    terms = np.concatenate([D[:1], D + (t * t / 16.0) * (exact @ C - C @ exact)])  # H2 = -C / 2
+    terms[:, 0] = 0.0
+    return exact, terms
 
 
 def certify(components: list[Component], eps: float, t: float,
@@ -431,17 +514,23 @@ def certify(components: list[Component], eps: float, t: float,
 
     diamond_bound bounds the (1->1) norm, so T_n(rho) is within eps / 2 of the
     exact state in trace norm, for a state of the system alone or entangled
-    with another.  A coin-flip plan's T_n is M^n, M the mean of the two
-    orders' blocks: n fair coins apply each block sequence with its
-    probability, so the device's output state is T_n(rho), and the
-    certificate covers it as it covers a fixed-order run.
+    with another.  A mixture's T_n is M^n, M the mean of its blocks (the
+    coin flip's two, the mixed orders' 2 MIX_PAIRS): n independent uniform
+    draws apply each block sequence with its probability, so the device's
+    output state is T_n(rho), and the certificate covers it as it covers a
+    fixed-order run.
     The search is sized by the leading error terms (leading_error): with
-    lead = diamond_bound(D), both taken in one stacked call, the certificate
-    is lead / n^2 up to O(n^-4) and the rounding of the power, so each
-    formula's search would start at n = ceil(sqrt(lead / (eps / 2))).  The
-    formula whose start needs fewer exponentials (formula_count) is searched,
-    the fixed-order block on a tie.
-    After a miss at n it steps to ceil(sqrt(lead / (eps / 2 - off))), with
+    lead = diamond_bound(D), every formula's taken in one stacked call, the
+    certificate is lead / n^2 up to O(n^-4) and the rounding of the power, so
+    each formula's search would start at n = ceil(sqrt(lead / (eps / 2))).
+    Every build runs the formula whose next n needs the fewest exponentials
+    (formula_count), the one of fewer orders on a tie: the fixed block, then
+    the coin flip, then the mixed orders.  So the search starts with the
+    cheapest start, and a formula whose step after a miss costs more than
+    another's untried start gives way to it: a near miss of the mixed orders
+    at 0.5 % fewer exponentials than the coin flip would otherwise step past
+    the coin flip's certified count.
+    After a miss at n a formula steps to ceil(sqrt(lead / (eps / 2 - off))), with
     off = certificate - lead / n^2 the part the term did not predict, or, when
     off >= eps / 2 or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN;
     either way by a factor of at least SEARCH_MARGIN, since near the rounding
@@ -450,8 +539,8 @@ def certify(components: list[Component], eps: float, t: float,
     or a candidate, would need as many exponentials as the paper's plan, after
     MAX_BUILDS builds, when T_n or a term is not finite, when numerics.expm
     refuses t sum_j G_j, and at the rounding floor: when the certificate falls
-    by a factor less than min(2, f / 2), f the fall the law predicted for the
-    step.  The plan carries the paper plan's two N_exp bounds and the
+    by a factor less than min(2, f / 2) from the same formula's last build, f
+    the fall the law predicted for the step.  The plan carries the paper plan's two N_exp bounds and the
     predicted certificate lead / n^2.
     """
     m, L1 = len(components), components[0].norm
@@ -459,20 +548,23 @@ def certify(components: list[Component], eps: float, t: float,
     if merged_count(m, 1, 1) >= budget:
         return paper
     try:
-        exact, *terms = leading_error(components, t)
+        exact, terms = leading_error(components, t)
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
         return paper
-    terms = np.stack(terms)
     if not np.isfinite(terms).all():
         return paper
     leads = diamond_bound(terms).tolist()
     if not all(map(math.isfinite, leads)):
         return paper
-    target, last, fall = 0.5 * eps, math.inf, math.inf
-    starts = [(formula, lead, max(1, math.ceil(math.sqrt(lead / target))))
-              for formula, lead in zip((SUZUKI, COIN_FLIP), leads)]
-    formula, lead, n = min(starts, key=lambda s: formula_count(s[0], m, 1, s[2]))
+    target = 0.5 * eps
+    # each formula's next n, its certificate at its last build and the fall the n^-2 law
+    # predicted for the step to n; in FORMULAS order, from fewer orders to more
+    search = {formula: (lead, max(1, math.ceil(math.sqrt(lead / target))), math.inf, math.inf)
+              for formula, lead in zip(FORMULAS, leads)}
     for builds in range(1, MAX_BUILDS + 1):
+        # min keeps the first of equal counts
+        formula = min(search, key=lambda f: formula_count(f, m, 1, search[f][1]))
+        lead, n, last, fall = search[formula]
         if formula_count(formula, m, 1, n) >= budget:
             return replace(paper, builds=builds - 1)
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
@@ -493,7 +585,7 @@ def certify(components: list[Component], eps: float, t: float,
         else:
             step = math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN)
         step = max(math.ceil(n * SEARCH_MARGIN), step)
-        n, last, fall = step, cert, (step / n) ** 2
+        search[formula] = lead, step, cert, (step / n) ** 2
     return replace(paper, builds=MAX_BUILDS)
 
 
@@ -543,21 +635,25 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
     """Channel matrix of one S_2k block (segments applied left to right), or
-    for the coin-flip formula the mean of its two orders' blocks.
+    for a k = 1 mixture the mean of its 2 * plan.pairs blocks.
 
-    At k = 1 the block is B F, with F = e^(tau G_(m-1)) ... e^(tau G_0) its first
-    sweep at the half step tau and B = e^(tau G_0) ... e^(tau G_(m-1)) its second;
-    the reversed order's block is F B.  So the mixture takes m half-step
-    channels and 2m products, where the fixed block's merged schedule takes
-    2m - 2.
+    At k = 1 the block in order o is B F, with F = e^(tau G_(o_(m-1))) ...
+    e^(tau G_(o_0)) its first sweep at the half step tau and
+    B = e^(tau G_(o_0)) ... e^(tau G_(o_(m-1))) its second; the reversed order's
+    block is F B.  So a mixture shares m half-step channels among its orders and
+    takes 2m stacked products over its pairs, where the fixed block's merged
+    schedule takes 2m - 2 products.
     """
     d = components[0].d
-    if plan.formula == COIN_FLIP:
+    if plan.pairs:
+        orders = component_orders(plan.m)[:plan.pairs]
         tau = plan.schedule[0].duration / plan.L1
-        half = [comp.channel([tau])[0] for comp in components]
-        forward = functools.reduce(lambda out, c: c @ out, half)  # F
-        backward = functools.reduce(np.matmul, half)  # B
-        return 0.5 * (backward @ forward + forward @ backward)
+        half = np.stack([comp.channel([tau])[0] for comp in components])
+        forward = backward = half[orders[:, 0]]  # F and B of each pair, stacked
+        for column in orders.T[1:]:
+            h = half[column]
+            forward, backward = h @ forward, backward @ h
+        return 0.5 * (backward @ forward + forward @ backward).mean(axis=0)
     taus: list[list[float]] = [[] for _ in components]  # distinct durations per component
     for i, tau in dict.fromkeys((seg.index, seg.duration) for seg in plan.schedule):
         taus[i].append(tau)
@@ -601,6 +697,7 @@ def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState)
 @dataclass(frozen=True)
 class CostReport:
     formula: str
+    pairs: int
     k: int
     r: float
     n_reps: int
@@ -616,6 +713,7 @@ class CostReport:
     def to_dict(self) -> dict:
         return {
             "formula": self.formula,
+            "pairs": self.pairs,
             "k": self.k,
             "r": self.r,
             "n_reps": self.n_reps,
@@ -634,6 +732,7 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
     """Actual exponential counts next to the plan's two cost bounds."""
     return CostReport(
         formula=plan.formula,
+        pairs=plan.pairs,
         k=plan.k,
         r=plan.r,
         n_reps=plan.n_reps,

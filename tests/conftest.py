@@ -302,8 +302,8 @@ def predicted_plan(components, t, eps, formula):
     """The k = 1 plan of the formula at the n that its own leading error term predicts,
     n = ceil(sqrt(lead / (eps / 2))), with its map and certificate, both bounds taken by
     choi_split_bound."""
-    exact, *terms = trotter.leading_error(components, t)
-    D = terms[(trotter.SUZUKI, trotter.COIN_FLIP).index(formula)]
+    exact, terms = trotter.leading_error(components, t)
+    D = terms[trotter.FORMULAS.index(formula)]
     m, L1 = len(components), components[0].norm
     n = max(1, math.ceil(math.sqrt(choi_split_bound(column_stacked(D)) / (0.5 * eps))))
     plan = trotter.TrotterPlan(k=1, r=n / L1, n_reps=n, m=m, L1=L1, formula=formula,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, random_diagonal, random_gks
-from lindbladsim import serialize
+from lindbladsim import serialize, trotter
 from lindbladsim.cli import main
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix, maximally_mixed
@@ -333,19 +333,22 @@ def test_simulate_lambda_atom_trotter(tmp_path):
 
 
 def test_simulate_names_the_coin_flip_formula_and_repeats_its_bytes(tmp_path):
-    # every call parses a new generator; the mixture's map is computed, not sampled, so
+    # every call parses a new generator; a mixture's map is computed, not sampled, so
     # the output is the same bytes on every run
-    g = random_gks(4, np.random.default_rng(4))
-    req = simulation_request(tmp_path, g, maximally_mixed(4).rho, 1.0, 1e-3, "trotter")
-    outs = [tmp_path / "first.json", tmp_path / "second.json"]
-    for out in outs:
-        assert main(["simulate", str(req), "--out", str(out)]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    doc = json.loads(outs[0].read_text())
-    cost = doc["cost"]
-    assert cost["formula"] == "coin-flip" and doc["trace_distance_to_oracle"] <= 1e-3
-    # the worst case over coin sequences: no two of the n_reps blocks merge
-    assert cost["N_exp_actual"] == cost["N_exp_unmerged"]
+    cases = ((3, 3, "coin-flip", 1), (4, 4, "mixed-orders", trotter.MIX_PAIRS))
+    for d, seed, formula, pairs in cases:
+        g = random_gks(d, np.random.default_rng(seed))
+        req = simulation_request(tmp_path, g, maximally_mixed(g.d).rho, 1.0, 1e-3, "trotter")
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        for out in outs:
+            assert main(["simulate", str(req), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        doc = json.loads(outs[0].read_text())
+        cost = doc["cost"]
+        assert (cost["formula"], cost["pairs"]) == (formula, pairs)
+        assert doc["trace_distance_to_oracle"] <= 1e-3
+        # the worst case over the blocks drawn: no two of the n_reps blocks merge
+        assert cost["N_exp_actual"] == cost["N_exp_unmerged"]
 
 
 def test_simulate_reports_the_certificate_search(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import (SQRT3, column_stacked, conjugation_superoperator, frame, lambda_atom,
                       liouvillian_of_diagonal, pure_hamiltonian, random_diagonal, random_gks,
                       random_hermitian, random_mixed_state, to_diagonal, unvec, vec)
+from lindbladsim import lindblad
 from lindbladsim.decompose import decompose_generator, universal_operators, universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
                                   QuantumState, apply_exact, dissipator_superoperator, evolve,
@@ -402,6 +403,20 @@ def test_hermiticity_tolerance_is_scale_free():
         DiagonalGenerator(d=2, H=scale * np.array([[0, 1], [1 + 1e-11, 0]]))
         with pytest.raises(LindbladError, match="H is not Hermitian"):
             DiagonalGenerator(d=2, H=scale * np.array([[0, 1], [1 + 1e-9, 0]]))
+
+
+def test_an_exactly_hermitian_h_skips_the_norms(monkeypatch):
+    # H equal to H† entry by entry passes without the two scaled norms; a nearly
+    # Hermitian H still takes them, and NaN, which equals nothing, is refused as
+    # non-finite before the check
+    calls = []
+    monkeypatch.setattr(lindblad, "frobenius", lambda x: calls.append(1) or frobenius(x))
+    DiagonalGenerator(d=4, H=random_hermitian(4, np.random.default_rng(1)))
+    assert calls == []
+    DiagonalGenerator(d=2, H=np.array([[0, 1], [1 + 1e-11, 0]]))
+    assert len(calls) == 2
+    with pytest.raises(LindbladError, match="H must be finite"):
+        DiagonalGenerator(d=2, H=np.array([[np.nan, 0], [0, 0]]))
 
 
 def test_a_has_one_hermiticity_check():

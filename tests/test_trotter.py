@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -19,8 +20,9 @@ from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState,
                                   trace_distance)
 from lindbladsim.numerics import MAX_EXPM_NORM, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
-from lindbladsim.trotter import (COIN_FLIP, SUZUKI, TrotterError, TrotterPlan, block_schedule,
-                                 block_superoperator, build_plan, diamond_bound, leading_error,
+from lindbladsim.trotter import (COIN_FLIP, FORMULAS, MIX_PAIRS, MIXED_ORDERS, SUZUKI,
+                                 TrotterError, TrotterPlan, block_schedule, block_superoperator,
+                                 build_plan, component_orders, diamond_bound, leading_error,
                                  merge_adjacent, nexp_bound_closed_form, nexp_bound_res,
                                  nexp_report, paper_plan, prepare_components, run_plan,
                                  s2_schedule, s2k_schedule, segments_per_block, select_order,
@@ -426,7 +428,7 @@ def test_a_generator_decomposes_once(decompositions):
     fresh_state, fresh_plan, _ = simulate(fresh, rho0, 2.0, 1e-6)
     assert decompositions == once
     assert state.rho.tobytes() == fresh_state.rho.tobytes() and plan == fresh_plan
-    assert plan.formula == COIN_FLIP  # a run of the mixture is as deterministic
+    assert plan.formula == MIXED_ORDERS  # a run of the mixture is as deterministic
 
 
 @pytest.mark.parametrize("g", [lambda_atom(), lambda_atom(0.0, 0.0)], ids=["lambda", "zero"])
@@ -492,15 +494,15 @@ def test_n_qubit_generator_runs_within_eps(n):
 @functools.cache
 def bounded_maps(d, seed):
     """Real maps of random_gks(d, default_rng(seed)) that diamond_bound must dominate:
-    differences of its component channels, T_n - e^(t sum_j G_j) for both formulas at
-    n = 3, and leading_error's two terms, at t = 1."""
+    differences of its component channels, T_n - e^(t sum_j G_j) for every formula at
+    n = 3, and leading_error's terms, at t = 1."""
     comps = components_for(random_gks(d, np.random.default_rng(seed)))
-    exact, *terms = leading_error(comps, 1.0)
+    exact, terms = leading_error(comps, 1.0)
     m, L1 = len(comps), comps[0].norm
     plan = TrotterPlan(k=1, r=3 / L1, n_reps=3, schedule=block_schedule(m, 1, L1 / 3), m=m,
                        L1=L1)
-    runs = [trotter.plan_map(p, comps) - exact
-            for p in (plan, dataclasses.replace(plan, formula=COIN_FLIP))]
+    runs = [trotter.plan_map(dataclasses.replace(plan, formula=f), comps) - exact
+            for f in FORMULAS]
     a, b = comps[0].channel([0.1, 0.7]), comps[-1].channel([0.4])[0]
     return [a[0] - a[1], a[1] - b, *runs, *terms]
 
@@ -514,8 +516,8 @@ def test_diamond_bound_reads_one_on_channels(d):
     plan = TrotterPlan(k=1, r=5 / L1, n_reps=5, schedule=block_schedule(m, 1, L1 / 5), m=m,
                        L1=L1)
     channels = [*(c.channel([0.05, 0.6]) for c in comps),
-                [block_superoperator(p, comps)
-                 for p in (plan, dataclasses.replace(plan, formula=COIN_FLIP))],
+                [block_superoperator(dataclasses.replace(plan, formula=f), comps)
+                 for f in FORMULAS],
                 [real_map(expm(t * liouvillian_matrix(g))) for t in (0.3, 2.0)]]
     bounds = diamond_bound(np.concatenate(channels))
     assert np.abs(bounds - 1.0).max() <= 1e-12
@@ -548,6 +550,20 @@ def test_diamond_bound_of_a_stack_equals_its_slices():
     for d in range(2, 7):
         maps = np.stack(bounded_maps(d, 1))
         assert np.array_equal(diamond_bound(maps), [diamond_bound(X) for X in maps])
+
+
+def test_diamond_bound_scales_a_huge_map_first():
+    # the Choi matrix's products of a finite map near the largest double would overflow
+    # into a LinAlgError unless the map is scaled by a power of four first.  A map filled
+    # with 1.7e308 has a bound 11.37 times that, which is inf, with no warning or exception
+    assert diamond_bound(np.full((9, 9), 1.7e308)) == np.inf
+    ones = float(diamond_bound(np.ones((9, 9))))
+    assert float(diamond_bound(np.full((9, 9), 1.5e307))) == pytest.approx(1.5e307 * ones,
+                                                                           rel=1e-14)
+    # a power of four scales the bound exactly, as long as neither overflows nor underflows
+    for X in bounded_maps(3, 1):
+        for q in (-500, 500):
+            assert diamond_bound(np.ldexp(X, q)) == np.ldexp(diamond_bound(X), q)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
@@ -629,7 +645,7 @@ def test_leading_error_predicts_the_certificate():
                            m=m, L1=L1)
         exact = expm(t * sum(c.generator for c in comps))
         cert = choi_split_bound(column_stacked(trotter.plan_map(plan, comps) - exact))
-        lead = choi_split_bound(column_stacked(leading_error(comps, t)[1]))
+        lead = choi_split_bound(column_stacked(leading_error(comps, t)[1][0]))
         assert lead / n ** 2 == pytest.approx(cert, rel=1e-3)
 
 
@@ -647,8 +663,8 @@ def test_commuting_components_certify_in_one_block(d):
     eps = 1e-9
     state, plan, comps = simulate(g, rho0, 1.0, eps)
     assert len(comps) >= 2
-    assert np.abs(leading_error(comps, 1.0)[1:]).max() <= 1e-15
-    # both formulas start at n = 1, where they cost the same: the tie keeps the fixed block
+    assert np.abs(leading_error(comps, 1.0)[1]).max() <= 1e-15
+    # every formula starts at n = 1, where the fixed block costs the least
     assert (plan.n_reps, plan.builds, plan.formula) == (1, 1, SUZUKI)
     assert plan.predicted_certificate <= 1e-16
     assert_certified(g, comps, plan, 1.0, eps)
@@ -682,11 +698,11 @@ def test_leading_error_certifies_in_one_block(eps):
             assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
 
 
-@pytest.mark.parametrize("eps", [1e-11, 1e-12])
+@pytest.mark.parametrize("eps", [1e-12, 1e-13])
 def test_search_stops_at_the_rounding_floor(eps):
-    # k = 1 certificates stall between 1e-11 and 1e-10 at d = 6: the search stops when one
+    # k = 1 certificates stall between 1e-12 and 1e-11 at d = 6: the search stops when one
     # falls short of the n^-2 law and runs the paper's plan, with no overflow warning or
-    # LinAlgError.  That plan's state is itself 4.0e-11 and 4.2e-11 from the oracle here,
+    # LinAlgError.  That plan's state is itself 4.2e-11 and 7.4e-11 from the oracle here,
     # the paper plan's own floor, so only the state's checks are asserted
     g = random_gks(6, np.random.default_rng(1))
     rho0 = maximally_mixed(6)
@@ -694,6 +710,27 @@ def test_search_stops_at_the_rounding_floor(eps):
     assert plan.certificate is None and plan.total_map is None
     assert plan == paper_plan(comps, eps, 1.0)
     assert np.array_equal(state.rho, run_plan(plan, comps, rho0).rho)
+
+
+def test_mixed_orders_certify_above_the_rounding_floor():
+    # the mixture's smaller n rounds less: at eps = 1e-11, where the coin flip stalled,
+    # random d = 6 certifies, and its state lies within eps / 4 of the oracle
+    eps, rho0 = 1e-11, maximally_mixed(6)
+    g = random_gks(6, np.random.default_rng(1))
+    state, plan, comps = simulate(g, rho0, 1.0, eps)
+    assert plan.formula == MIXED_ORDERS and plan.certificate <= eps / 2
+    assert_certified(g, comps, plan, 1.0, eps)
+    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps / 4
+
+
+def test_a_near_miss_gives_way_to_a_cheaper_start():
+    # n_qubit_generator(1) at eps = 1e-9: the mixed orders start 0.5 % cheaper than the
+    # coin flip and miss by 0.2 %; their next n would cost 4.5 % more than the coin flip's
+    # start, so the coin flip builds next, and certifies there
+    comps = components_for(n_qubit_generator(1))
+    plan = build_plan(comps, 1e-9, 1.0)
+    coin_flip = predicted_plan(comps, 1.0, 1e-9, COIN_FLIP)
+    assert (plan.formula, plan.builds, plan.n_reps) == (COIN_FLIP, 2, coin_flip.n_reps)
 
 
 def test_search_skips_a_probe_that_costs_the_paper_plan(monkeypatch):
@@ -716,11 +753,11 @@ def test_search_gives_up_on_a_non_finite_map(monkeypatch):
         plan = build_plan(comps, eps=1e-3, t=1.0)
     assert plan.certificate is None and plan == paper_plan(comps, 1e-3, 1.0)
     # a non-finite leading term is refused before its bound, whose eigh cannot take it
-    exact, fixed, _ = leading_error(comps, 1.0)
+    exact, terms = leading_error(comps, 1.0)
     for bad in (np.nan, np.inf):
+        bad_terms = np.concatenate([terms[:-1], np.full_like(terms[-1:], bad)])
         with monkeypatch.context() as patch:
-            patch.setattr(trotter, "leading_error",
-                          lambda components, t: (exact, fixed, np.full_like(fixed, bad)))
+            patch.setattr(trotter, "leading_error", lambda components, t: (exact, bad_terms))
             assert build_plan(comps, eps=1e-3, t=1.0) == paper_plan(comps, 1e-3, 1.0)
     rho0 = maximally_mixed(3)
     assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-3
@@ -791,9 +828,11 @@ def test_search_builds_at_most_max_builds_blocks(monkeypatch):
     # the target falls by 1.43, less than 2 but more than half of 2.0: the search goes on
     ([1.5, 1.05, 0.9, 0.1], 3, True),
     # at 100 times the target the unpredicted part alone is past it, so the n^-2 law
-    # predicts a fall of about 110; one of 100/60 is less than 2: the rounding floor,
-    # so the paper's plan runs
-    ([100.0, 60.0, 0.1], 2, False),
+    # predicts a fall of about 110 for the fixed block's next n, which then costs more
+    # than the coin flip's first n.  The coin flip runs, at 60 times the target, and its
+    # own next n costs more than the fixed block's.  The fixed block runs again, and one
+    # fall of 100/60 is less than 2: the rounding floor, so the paper's plan runs
+    ([100.0, 60.0, 60.0, 0.1], 3, False),
 ], ids=["small-step-lands-above-the-target", "fall-short-of-the-law"])
 def test_search_stop_rule(monkeypatch, certificates, builds, certified):
     comps = components_for(lambda_atom())
@@ -814,19 +853,21 @@ def test_cost_report_names_the_search(monkeypatch):
     comps = components_for(lambda_atom())
     t, eps = 1.0, 1e-6
     rep = nexp_report(build_plan(comps, eps, t)).to_dict()
-    assert rep["builds"] == 1 and rep["formula"] == "suzuki"
+    assert (rep["builds"], rep["formula"], rep["pairs"]) == (1, "suzuki", 0)
     assert rep["predicted_certificate"] == pytest.approx(rep["certificate"], rel=0.1)
-    # the mixture's N_exp is its worst case over coin sequences: no two blocks merge
-    mixed = build_plan(components_for(random_gks(3, np.random.default_rng(1))), eps, t)
-    rep = nexp_report(mixed).to_dict()
-    assert rep["formula"] == "coin-flip"
-    assert rep["N_exp_actual"] == rep["N_exp_unmerged"] == mixed.n_reps * (2 * mixed.m - 1)
+    # a mixture's N_exp is its worst case over the blocks drawn: no two blocks merge
+    for seed, formula, pairs in ((1, "mixed-orders", MIX_PAIRS), (3, "coin-flip", 1)):
+        mixed = build_plan(components_for(random_gks(3, np.random.default_rng(seed))), eps, t)
+        rep = nexp_report(mixed).to_dict()
+        assert (rep["formula"], rep["pairs"]) == (formula, pairs)
+        assert rep["N_exp_actual"] == rep["N_exp_unmerged"] == mixed.n_reps * (2 * mixed.m - 1)
     # the fallback reports the blocks its search built, and predicts nothing
     built = []
     exact = leading_error(comps, t)[0]
-    monkeypatch.setattr(trotter, "plan_map", scripted_plan_map(exact, [100.0, 60.0], eps, built))
+    scripted = scripted_plan_map(exact, [100.0, 60.0, 60.0], eps, built)
+    monkeypatch.setattr(trotter, "plan_map", scripted)
     rep = nexp_report(build_plan(comps, eps, t)).to_dict()
-    assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (2, None, None)
+    assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (3, None, None)
     # a single component has no search
     rep = nexp_report(build_plan(components_for(damping_generator()), eps, t)).to_dict()
     assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (0, None, None)
@@ -846,24 +887,69 @@ def test_run_plan_applies_the_certified_map(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the coin-flip mixture
+# the k = 1 mixtures: the coin flip and the mixed orders
 # ---------------------------------------------------------------------------
+
+def test_splitmix64_matches_its_reference_outputs():
+    # the first output from seed 0, and the first five from seed 1234567, of the
+    # reference implementation (Vigna, splitmix64.c)
+    assert trotter._splitmix64(0)[1] == 0xE220A8397B1DCDAF
+    state, outputs = 1234567, []
+    for _ in range(5):
+        state, z = trotter._splitmix64(state)
+        outputs.append(z)
+    assert outputs == [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                       4593380528125082431, 16408922859458223821]
+
+
+def test_component_orders_are_pinned():
+    # the mixture's orders are part of what a plan runs: they must not move between
+    # versions of numpy or of Python
+    assert component_orders(2).tolist() == [[0, 1]]
+    assert component_orders(3).tolist() == [[0, 1, 2], [1, 2, 0], [1, 0, 2]]
+    assert component_orders(4).tolist() == [[0, 1, 2, 3], [0, 3, 1, 2], [0, 1, 3, 2],
+                                            [0, 3, 2, 1]]
+    digest = hashlib.sha256(component_orders(36).astype("<i8").tobytes()).hexdigest()
+    assert digest == "f76e645b19a7978eff761da40e688fa445c3cacd5c28d29b6e5b0ef6b973bfcc"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 9, 36])
+def test_component_orders_are_distinct_pairs(m):
+    orders = component_orders(m)
+    assert orders.shape == (min(MIX_PAIRS, math.factorial(m) // 2), m)  # 1 at m = 2, 3 at 3
+    assert orders[0].tolist() == list(range(m))  # the norm order
+    assert all(sorted(order) == list(range(m)) for order in orders.tolist())
+    # no order is another's, or another's reverse
+    assert len({min(tuple(o), tuple(o[::-1])) for o in orders.tolist()}) == len(orders)
+    assert not orders.flags.writeable and component_orders(m) is orders
+
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_leading_terms_are_derivatives_along_the_bch_terms(d):
-    # with H2 and H3 the second- and third-order terms of the first-order product, the
-    # mixture's term is t^3 times the derivative of exp along H3 / 4, and the fixed
-    # block's along H3 / 4 + [sum_j G_j, H2] / 8; both read within 1e-14 of it, relative
+    # with H2 and H3 the second- and third-order terms of the first-order product in an
+    # order, the fixed block's term is t^3 times the derivative of exp along
+    # H3 / 4 + [sum_j G_j, H2] / 8 in the norm order, the coin flip's along H3 / 4, and
+    # the mixed orders' along the mean of H3 / 4 over the rows of component_orders;
+    # each reads within 1e-12 of it, relative
     for seed, t in ((1, 1.0), (2, 4.0)):
         comps = components_for(random_gks(d, np.random.default_rng(seed)))
-        G = [c.generator for c in comps]
+        G = np.stack([c.generator for c in comps])
         S = sum(G)
         H2, H3 = first_order_terms(G)
-        _, fixed, mixed = leading_error(comps, t)
-        for D, X in ((mixed, H3 / 4), (fixed, H3 / 4 + (S @ H2 - H2 @ S) / 8)):
+        mean_H3 = np.mean([first_order_terms(G[o])[1] for o in component_orders(len(G))], axis=0)
+        _, terms = leading_error(comps, t)
+        directions = (H3 / 4 + (S @ H2 - H2 @ S) / 8, H3 / 4, mean_H3 / 4)
+        assert len(terms) == len(directions)
+        for D, X in zip(terms, directions):
             expected = t ** 3 * exp_derivative(t * S, X)
             expected[0] = 0.0  # the trace row, which every T_n keeps exactly
             assert frobenius(D - expected) <= 1e-12 * frobenius(expected)
+
+
+def test_two_components_have_no_mixed_orders_term():
+    # at m = 2 the norm order's pair is the only one: the coin flip is the mixture
+    _, terms = leading_error(components_for(lambda_atom()), 1.0)
+    assert len(component_orders(2)) == 1 and len(terms) == 2
 
 
 def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
@@ -871,38 +957,48 @@ def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
     m, L1, n = len(comps), comps[0].norm, 7
     fixed = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, L1 / n), m=m,
                         L1=L1)
-    mixed = dataclasses.replace(fixed, formula=COIN_FLIP)
-    # the fixed block over the reversed component list runs component m - 1 - j as j
-    expected = 0.5 * (block_superoperator(fixed, comps) + block_superoperator(fixed, comps[::-1]))
+    mixtures = [dataclasses.replace(fixed, formula=f) for f in (COIN_FLIP, MIXED_ORDERS)]
+    assert [p.pairs for p in (fixed, *mixtures)] == [0, 1, MIX_PAIRS]
+    # the fixed block over a permuted component list runs component o_j as j; each of a
+    # mixture's pairs runs its order and the reverse
+    expected = []
+    for mixed in mixtures:
+        orders = component_orders(m)[:mixed.pairs]
+        expected.append(np.mean([block_superoperator(fixed, [comps[j] for j in order])
+                                 for order in (*orders, *orders[:, ::-1])], axis=0))
     calls = []
     channel = trotter.Component.channel
     monkeypatch.setattr(trotter.Component, "channel",
                         lambda c, taus: calls.append(len(taus)) or channel(c, taus))
-    block = block_superoperator(mixed, comps)
-    assert np.abs(block - expected).max() <= 1e-15
-    assert calls == [1] * m  # one half-step channel per component
-    assert (fixed.actual_exponentials(), mixed.actual_exponentials()) == (
-        n * (2 * m - 2) + 1, n * (2 * m - 1))
-    assert fixed.n_exp == mixed.n_exp and fixed != mixed
+    for mixed, mean in zip(mixtures, expected):
+        calls.clear()
+        block = block_superoperator(mixed, comps)
+        assert np.abs(block - mean).max() <= 1e-15
+        assert calls == [1] * m  # one half-step channel per component
+        assert mixed.actual_exponentials() == n * (2 * m - 1)
+        assert fixed.n_exp == mixed.n_exp and fixed != mixed
+    assert fixed.actual_exponentials() == n * (2 * m - 2) + 1
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
 def test_both_formulas_certify_at_their_predicted_n(eps):
     # each formula's own leading term sizes a plan that certifies; the search runs the
-    # cheaper one, which never needs more exponentials than the fixed block at its n
-    t, formulas = 1.0, set()
+    # cheapest, the one of fewer orders on a tie, which never needs more exponentials
+    # than the fixed block at its n
+    t, chosen = 1.0, set()
     cases = [random_gks(d, np.random.default_rng(s)) for d in range(2, 7) for s in (1, 2, 3)]
     for g in cases + [lambda_atom()]:
         comps = components_for(g)
         rho0 = maximally_mixed(g.d)
         exact = apply_exact(g, rho0, t)
-        fixed, mixed = (predicted_plan(comps, t, eps, f) for f in (SUZUKI, COIN_FLIP))
-        for plan in (fixed, mixed):
+        formulas = FORMULAS if len(comps) > 2 else FORMULAS[:2]  # m = 2: one pair
+        plans = [predicted_plan(comps, t, eps, f) for f in formulas]
+        for plan in plans:
             assert_certified(g, comps, plan, t, eps)
             assert trace_distance(run_plan(plan, comps, rho0).rho, exact.rho) <= eps
-        cheaper = mixed if mixed.actual_exponentials() < fixed.actual_exponentials() else fixed
+        cheapest = min(plans, key=TrotterPlan.actual_exponentials)
         run = build_plan(comps, eps, t)
-        assert (run.formula, run.n_reps, run.builds) == (cheaper.formula, cheaper.n_reps, 1)
-        assert run.actual_exponentials() <= fixed.actual_exponentials()
-        formulas.add(run.formula)
-    assert formulas == {SUZUKI, COIN_FLIP}
+        assert (run.formula, run.n_reps, run.builds) == (cheapest.formula, cheapest.n_reps, 1)
+        assert run.actual_exponentials() <= plans[0].actual_exponentials()
+        chosen.add(run.formula)
+    assert chosen == set(FORMULAS)
