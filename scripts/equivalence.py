@@ -1,0 +1,151 @@
+"""The equivalence set: one simulate run per instance, recorded so that two
+checkouts can be compared plan by plan and state by state.
+
+    PYTHONPATH=src python3 scripts/equivalence.py > runs.jsonl
+    PYTHONPATH=src python3 scripts/equivalence.py --compare parent.jsonl change.jsonl
+
+The set has 269 instances.  Two hundred are the benchmark's own, built by its
+instance builders in bench/workloads.py: seeds 1-10 of random-d6 (4 generators
+each) and of lambda-trajectory (16 times and tolerances each).  The other 69
+come from tests/conftest.py, at eps 1e-3, 1e-6 and 1e-9 with the maximally
+mixed state: random_gks(d, default_rng(s)) for d = 2..6 and s = 1..3 at t = 1,
+n_qubit_generator(n) for n = 1..4 at t = 1, and lambda_atom() at t = 0.5, 1, 4
+and 16.  Both files are only read.
+
+Each run is written as one serialize.dumps line: the case id, t and eps; the
+plan's formula, k, n_reps, builds and actual_exponentials(); its certificate
+and predicted certificate (null for the paper's fallback plan); dist / eps,
+the trace distance to lindblad.apply_exact over eps; the SHA-256 of the
+state's bytes; and the state itself, as [re, im] pairs row by row.  A run that
+raises is written with its error in place of the plan.
+
+--compare reads two such files, the first the reference, and prints the plans
+that moved (formula, k, n_reps, builds or exponentials), each with the
+reference's certificate over eps / 2; the runs whose exponentials rose; the
+certified runs that fall back; how many states are bit-identical and the
+largest entry difference, per workload; and the worst dist / eps of a
+certified run in each file.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "bench")]
+
+from conftest import lambda_atom, n_qubit_generator, random_gks  # noqa: E402
+from lindbladsim import serialize  # noqa: E402
+from lindbladsim.lindblad import apply_exact, maximally_mixed, trace_distance  # noqa: E402
+from lindbladsim.trotter import simulate  # noqa: E402
+from workloads import lambda_trajectory, random_d6  # noqa: E402
+
+SEEDS = range(1, 11)
+EPS = (1e-3, 1e-6, 1e-9)
+LAMBDA_TIMES = (0.5, 1.0, 4.0, 16.0)
+PLAN_FIELDS = ("formula", "k", "n_reps", "builds", "actual_exponentials")
+
+
+def instances():
+    """(case id, generator, initial state, t, eps), in a fixed order."""
+    for name, build in (("random-d6", random_d6), ("lambda-trajectory", lambda_trajectory)):
+        for seed in SEEDS:
+            for i, call in enumerate(build(seed, None, None)):
+                yield f"{name}/s{seed}/{i}", call.g, call.rho0, call.t, call.eps
+    generators = [(f"random-d{d}-s{s}", random_gks(d, np.random.default_rng(s)), 1.0)
+                  for d in range(2, 7) for s in (1, 2, 3)]
+    generators += [(f"qubits-{n}", n_qubit_generator(n), 1.0) for n in range(1, 5)]
+    generators += [(f"lambda-t{t:g}", lambda_atom(), t) for t in LAMBDA_TIMES]
+    for name, g, t in generators:
+        for eps in EPS:
+            yield f"{name}/eps{eps:g}", g, maximally_mixed(g.d), t, eps
+
+
+def record(case, g, rho0, t, eps) -> dict:
+    out = {"id": case, "t": t, "eps": eps}
+    try:
+        state, plan, _ = simulate(g, rho0, t, eps)
+    except Exception as exc:  # recorded, so that a refusal shows in the comparison
+        return {**out, "error": f"{type(exc).__name__}: {exc}"}
+    rho = np.ascontiguousarray(state.rho)
+    return {**out, "formula": plan.formula, "k": plan.k, "n_reps": plan.n_reps,
+            "builds": plan.builds, "actual_exponentials": plan.actual_exponentials(),
+            "certificate": plan.certificate,
+            "predicted_certificate": plan.predicted_certificate,
+            "dist_over_eps": trace_distance(rho, apply_exact(g, rho0, t).rho) / eps,
+            "sha256": hashlib.sha256(rho.tobytes()).hexdigest(),
+            "state": [serialize.complex_to_json(z) for z in rho.ravel()]}
+
+
+def load(path) -> dict:
+    with open(path) as fh:
+        return {run["id"]: run for run in map(json.loads, fh)}
+
+
+def workload(case: str) -> str:
+    name = case.split("/")[0]
+    return name if name in ("random-d6", "lambda-trajectory") else "elsewhere"
+
+
+def compare(path_a, path_b):
+    a, b = load(path_a), load(path_b)
+    if a.keys() != b.keys():
+        print(f"case ids differ: {sorted(a.keys() ^ b.keys())}")
+    cases = [c for c in a if c in b]
+    moved, rose, fell_back, errors = [], [], [], []
+    same, largest = {}, {}
+    for c in cases:
+        x, y = a[c], b[c]
+        if "error" in x or "error" in y:
+            if x.get("error") != y.get("error"):
+                errors.append(f"{c}: {x.get('error')} -> {y.get('error')}")
+            continue
+        if any(x[f] != y[f] for f in PLAN_FIELDS):
+            ratio = x["certificate"] / (0.5 * x["eps"]) if x["certificate"] is not None else None
+            moved.append(f"{c}: " + ", ".join(f"{f} {x[f]} -> {y[f]}" for f in PLAN_FIELDS
+                                               if x[f] != y[f])
+                         + f"; reference certificate / (eps/2) = {ratio}")
+        if y["actual_exponentials"] > x["actual_exponentials"]:
+            rose.append(c)
+        if x["certificate"] is not None and y["certificate"] is None:
+            fell_back.append(c)
+        w = workload(c)
+        n_same, n_all = same.get(w, (0, 0))
+        same[w] = n_same + (x["sha256"] == y["sha256"]), n_all + 1
+        diff = float(np.abs(np.array(x["state"]) - np.array(y["state"])).max())
+        if diff >= largest.get(w, (-1.0, ""))[0]:
+            largest[w] = diff, c
+    print(f"{len(cases)} runs compared")
+    for title, lines in (("plans that moved", moved), ("exponentials rose", rose),
+                         ("certified, now falls back", fell_back), ("errors changed", errors)):
+        print(f"{title}: {len(lines)}")
+        for line in lines:
+            print(f"  {line}")
+    for w in sorted(same):
+        diff, c = largest[w]
+        print(f"{w}: {same[w][0]} of {same[w][1]} states bit-identical; "
+              f"largest entry difference {diff:.3g} ({c})")
+    for path, runs in ((path_a, a), (path_b, b)):
+        certified = [r for r in runs.values() if r.get("certificate") is not None]
+        worst = max(certified, key=lambda r: r["dist_over_eps"])
+        print(f"{path}: {len(certified)} certified runs, worst dist / eps "
+              f"{worst['dist_over_eps']:.4f} ({worst['id']})")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("REFERENCE", "OTHER"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return
+    for case in instances():
+        print(serialize.dumps(record(*case)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

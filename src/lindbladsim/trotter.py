@@ -85,9 +85,15 @@ lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece, each built
 column-stacked and taken by lindblad.real_map into the orthonormal Hermitian
 basis, where it is a real matrix.  Every segment, Hamiltonian or
 dissipative, is realized as exp(t~ G_j), with the physical duration t~
-carrying the component's weight.  A block asks each component once for the
-channels of all its distinct durations, which one stacked numerics.expm
-call computes, on a Taylor rung with no solve at a block's small norms.
+carrying the component's weight.  A plan carries its block's length lam,
+not its schedule, and one builder makes every block (block_superoperator).
+Suzuki's recursion unrolls into 2^(k-1) symmetric S_2 leaves, one at k = 1,
+and each component is asked once for its channels at every leaf's half step,
+which one stacked numerics.expm call computes, on a Taylor rung with no solve
+at a block's small norms.  The forward and backward sweeps run over the
+leaves and, for a mixture, over its component orders at once; the fixed
+block's leaves fold level by level into S_2k.  No run builds the merged
+schedule (block_schedule): a plan's schedule property unrolls it on demand.
 The block, its power and exp(t sum_j G_j) are all real, and the
 certificate's Choi matrix is formed from the real map and the basis stack
 directly.  At k = 1 every duration is positive, so every
@@ -326,7 +332,7 @@ def step_count(eps: float, t: float, m: int, L1: float, L2: float):
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Integrator order, repetition count, one block's schedule, the
+    """Integrator order, repetition count, normalized block length, the
     planner's two N_exp bounds (None where they do not apply), for a
     certified plan its certificate, the certificate its leading error term
     predicted and the map it certifies, the blocks the certificate search
@@ -334,18 +340,21 @@ class TrotterPlan:
 
     r is the paper planner's block parameter, n_reps = ceil(r L1); a
     certified plan's n_reps comes from the search instead, and its r is
-    n_reps / L1.  A k = 1 mixture draws each repetition's block uniformly
-    from 2 * pairs blocks: each of the first pairs rows of component_orders(m)
-    run as the symmetric block in that order or in the reversed one, at the
-    schedule's half step.  The coin flip's one pair is the norm order's, whose
-    reverse runs component j as m - 1 - j.  Plans compare without their map and
-    build count.
+    n_reps / L1.  lam = t L1 / n_reps is one block's length in units of 1 / L1,
+    0.0 for a trivial plan of no repetition.  The plan stores no schedule:
+    block_superoperator builds the block from (k, lam) and the formula, and
+    the schedule property unrolls it on demand.  A k = 1 mixture draws each
+    repetition's block uniformly from 2 * pairs blocks: each of the first pairs
+    rows of component_orders(m) run as the symmetric block in that order or in
+    the reversed one, at the half step lam / 2.  The coin flip's one pair is the
+    norm order's, whose reverse runs component j as m - 1 - j.  Plans compare
+    without their map and build count.
     """
 
     k: int
     r: float
     n_reps: int
-    schedule: tuple  # of Segment, one repetition block
+    lam: float
     m: int
     L1: float
     bound_res: float | None = None
@@ -366,6 +375,12 @@ class TrotterPlan:
         return int(self.formula == COIN_FLIP)
 
     @property
+    def schedule(self) -> tuple:
+        """One block's merged segments, block_schedule(m, k, lam), or () for a
+        plan of no repetition; built on each read, and by no run."""
+        return block_schedule(self.m, self.k, self.lam) if self.n_reps else ()
+
+    @property
     def n_exp(self) -> int:
         """Unmerged exponential count (2(m-1)5^(k-1)+1) * n_reps."""
         return segments_per_block(self.m, self.k) * self.n_reps
@@ -373,10 +388,15 @@ class TrotterPlan:
     def actual_exponentials(self) -> int:
         """Segment count after merging across repetition boundaries, for a
         mixture in its worst case (formula_count)."""
-        return formula_count(self.formula, self.m, self.k, self.n_reps) if self.schedule else 0
+        return formula_count(self.formula, self.m, self.k, self.n_reps) if self.n_reps else 0
 
     def has_negative_segments(self) -> bool:
-        return any(seg.duration < 0 for seg in self.schedule)
+        """Whether the schedule has a segment of negative duration, read without
+        building it.  From k = 2 on, the recursion has a leaf S_2(mu) of negative
+        length mu = lam (1 - 4 p_k) p_(k-1) ... p_2, and for m >= 2 the leaf runs
+        component m - 1 for mu in one segment that merges with no other.  At k = 1
+        every duration is positive, and one component's block is one segment."""
+        return self.k >= 2 and self.m >= 2 and self.n_reps > 0
 
 
 def block_schedule(m: int, k: int, lam: float) -> tuple:
@@ -515,7 +535,8 @@ def certify(components: list[Component], eps: float, t: float,
     diamond_bound bounds the (1->1) norm, so T_n(rho) is within eps / 2 of the
     exact state in trace norm, for a state of the system alone or entangled
     with another.  A mixture's T_n is M^n, M the mean of its blocks (the
-    coin flip's two, the mixed orders' 2 MIX_PAIRS): n independent uniform
+    coin flip's two, the mixed orders' two per row of component_orders(m):
+    2 MIX_PAIRS from m = 4 on, 6 at m = 3): n independent uniform
     draws apply each block sequence with its probability, so the device's
     output state is T_n(rho), and the certificate covers it as it covers a
     fixed-order run.
@@ -567,9 +588,9 @@ def certify(components: list[Component], eps: float, t: float,
         lead, n, last, fall = search[formula]
         if formula_count(formula, m, 1, n) >= budget:
             return replace(paper, builds=builds - 1)
-        plan = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
-                           m=m, L1=L1, bound_res=paper.bound_res,
-                           bound_closed_form=paper.bound_closed_form, formula=formula)
+        plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1,
+                           bound_res=paper.bound_res, bound_closed_form=paper.bound_closed_form,
+                           formula=formula)
         total = plan_map(plan, components)
         if not np.isfinite(total).all():
             return replace(paper, builds=builds)
@@ -591,14 +612,15 @@ def certify(components: list[Component], eps: float, t: float,
 
 def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
     """The paper planner's plan for the component list: step_count's
-    (k, n_reps) and bounds, and the order-2k block.
+    (k, n_reps) and bounds, and the order-2k block's length lam = t L1 / n_reps.
 
     Components must already be ordered by descending norm.  A single
     component needs no splitting: one exact segment.  With no component,
     no nonzero norm or no time the dynamics is trivial: the plan has no
-    segment and n_reps = 0.  Every path needs finite t >= 0 and eps > 0, and a
-    plan of more than 2^53 exponentials, the cap select_order puts on m, is
-    refused.
+    segment, n_reps = 0 and lam = 0.0.  Every path needs finite t >= 0 and
+    eps > 0, and a plan of more than 2^53 exponentials, the cap select_order puts
+    on m, is refused.  No schedule is built: the block's 2(m - 1) 5^(k - 1) + 1
+    segments are only counted.
     """
     if not (0 <= t < math.inf and 0 < eps < math.inf):  # written so that NaN fails too
         raise TrotterError("need finite t >= 0 and eps > 0")
@@ -608,15 +630,15 @@ def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
     m = len(components)
     L1 = norms[0] if norms else 0.0
     if t == 0.0 or L1 == 0.0:
-        return TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(), m=m, L1=L1)
+        return TrotterPlan(k=1, r=0.0, n_reps=0, lam=0.0, m=m, L1=L1)
     # one component has no L2; L1 stands in, and the planner ignores it for m = 1
     k, r, n_reps, bound_res, bound_closed = step_count(eps, t, m, L1, norms[1] if m > 1 else L1)
-    # checked before the block of 2(m - 1) 5^(k - 1) + 1 segments is built: k grows without
+    # checked before any block of 2(m - 1) 5^(k - 1) + 1 segments is built: k grows without
     # bound as eps falls, and the lambda atom's block at eps = 1e-300 has 4.9e8 segments
     if merged_count(m, k, n_reps) > 2 ** 53:
         raise TrotterError("the paper's plan needs more than 2^53 exponentials")
-    return TrotterPlan(k=k, r=r, n_reps=n_reps, schedule=block_schedule(m, k, t * L1 / n_reps),
-                       m=m, L1=L1, bound_res=bound_res, bound_closed_form=bound_closed)
+    return TrotterPlan(k=k, r=r, n_reps=n_reps, lam=t * L1 / n_reps, m=m, L1=L1,
+                       bound_res=bound_res, bound_closed_form=bound_closed)
 
 
 def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
@@ -634,37 +656,38 @@ def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
-    """Channel matrix of one S_2k block (segments applied left to right), or
-    for a k = 1 mixture the mean of its 2 * plan.pairs blocks.
+    """Channel matrix of one S_2k block, or for a k = 1 mixture the mean of its
+    2 * plan.pairs blocks.
 
-    At k = 1 the block in order o is B F, with F = e^(tau G_(o_(m-1))) ...
-    e^(tau G_(o_0)) its first sweep at the half step tau and
-    B = e^(tau G_(o_0)) ... e^(tau G_(o_(m-1))) its second; the reversed order's
-    block is F B.  So a mixture shares m half-step channels among its orders and
-    takes 2m stacked products over its pairs, where the fixed block's merged
-    schedule takes 2m - 2 products.
+    Suzuki's recursion unrolls into 2^(k-1) leaves, symmetric blocks S_2 of
+    normalized lengths lam prod_j f_j, f_j in {p_j, 1 - 4 p_j} for j = 2..k: one
+    leaf, lam itself, at k = 1.  Each component is asked once, in one
+    Component.channel call, for its channels at the leaves' half steps tau.  A leaf
+    in order o is B F, with F = e^(tau G_(o_(m-1))) ... e^(tau G_(o_0)) its first
+    sweep and B = e^(tau G_(o_0)) ... e^(tau G_(o_(m-1))) its second; the reversed
+    order's is F B.  Both sweeps run over the first max(1, pairs) rows of
+    component_orders(m), stacked over rows and leaves, in 2(m - 1) products.
+    The fixed block is row 0's B F, folded at k >= 2 one level at a time, innermost
+    first, as S = (A A) M (A A), A the leaf or fold of factor p_j and M that of
+    1 - 4 p_j.  A mixture is the mean of (B F + F B) / 2 over its rows.
     """
-    d = components[0].d
+    lengths = np.array(plan.lam)  # one axis per recursion level, j = k first, j = 2 last
+    for j in range(plan.k, 1, -1):
+        p = suzuki_p(j)
+        lengths = np.multiply.outer(lengths, (p, 1.0 - 4.0 * p))
+    half = np.stack([comp.channel(lengths.ravel() / 2.0 / plan.L1) for comp in components])
+    orders = component_orders(plan.m)[:max(1, plan.pairs)]
+    forward = backward = half[orders[:, 0]]  # F and B of each row and leaf, stacked
+    for column in orders.T[1:]:
+        h = half[column]
+        forward, backward = h @ forward, backward @ h
     if plan.pairs:
-        orders = component_orders(plan.m)[:plan.pairs]
-        tau = plan.schedule[0].duration / plan.L1
-        half = np.stack([comp.channel([tau])[0] for comp in components])
-        forward = backward = half[orders[:, 0]]  # F and B of each pair, stacked
-        for column in orders.T[1:]:
-            h = half[column]
-            forward, backward = h @ forward, backward @ h
-        return 0.5 * (backward @ forward + forward @ backward).mean(axis=0)
-    taus: list[list[float]] = [[] for _ in components]  # distinct durations per component
-    for i, tau in dict.fromkeys((seg.index, seg.duration) for seg in plan.schedule):
-        taus[i].append(tau)
-    channels: dict[tuple[int, float], np.ndarray] = {}
-    for j, comp in enumerate(components):
-        for tau, channel in zip(taus[j], comp.channel(np.array(taus[j]) / plan.L1)):
-            channels[j, tau] = channel
-    out = np.eye(d * d)
-    for seg in plan.schedule:
-        out = channels[seg.index, seg.duration] @ out
-    return out
+        return 0.5 * (backward @ forward + forward @ backward).mean(axis=0)[0]
+    block = (backward @ forward)[0].reshape(lengths.shape + half.shape[-2:])
+    while block.ndim > 2:
+        A = block[..., 0, :, :] @ block[..., 0, :, :]
+        block = A @ block[..., 1, :, :] @ A
+    return block
 
 
 def plan_map(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -688,7 +711,7 @@ def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState)
         raise TrotterError("component list does not match the plan")
     if components and components[0].d != rho0.d:
         raise TrotterError("state dimension does not match the components")
-    if plan.n_reps == 0 or not plan.schedule:
+    if plan.n_reps == 0:
         return rho0
     total = plan.total_map if plan.total_map is not None else plan_map(plan, components)
     return evolve(total, rho0)

@@ -306,11 +306,30 @@ def predicted_plan(components, t, eps, formula):
     D = terms[trotter.FORMULAS.index(formula)]
     m, L1 = len(components), components[0].norm
     n = max(1, math.ceil(math.sqrt(choi_split_bound(column_stacked(D)) / (0.5 * eps))))
-    plan = trotter.TrotterPlan(k=1, r=n / L1, n_reps=n, m=m, L1=L1, formula=formula,
-                               schedule=trotter.block_schedule(m, 1, t * L1 / n))
+    plan = trotter.TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1,
+                               formula=formula)
     total = trotter.plan_map(plan, components)
     return dataclasses.replace(plan, total_map=total,
                                certificate=choi_split_bound(column_stacked(total - exact)))
+
+
+def walked_block(plan, components):
+    """The reference for trotter.block_superoperator: the product of scipy's
+    exp((duration / L1) G_j) over plan.schedule, segments applied left to right, one
+    exponential per merged segment.  For a k = 1 mixture, the mean of that product over
+    each of its first plan.pairs rows o of component_orders and over each row's
+    reverse, with the component list permuted to run component o_j as j."""
+    def walk(comps):
+        block = np.eye(comps[0].generator.shape[0])
+        for seg in plan.schedule:
+            block = scipy.linalg.expm((seg.duration / plan.L1) * comps[seg.index].generator) @ block
+        return block
+
+    if not plan.pairs:
+        return walk(components)
+    orders = trotter.component_orders(plan.m)[:plan.pairs]
+    return np.mean([walk([components[j] for j in order])
+                    for order in (*orders, *orders[:, ::-1])], axis=0)
 
 
 def serial_one_one_norm(S):

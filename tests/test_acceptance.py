@@ -240,13 +240,12 @@ def test_criterion_8_convergence_order():
     L1 = comps[0].norm
     rho0 = maximally_mixed(2)
     exact = apply_exact(g, rho0, t)
-    from lindbladsim.trotter import TrotterPlan, s2k_schedule
+    from lindbladsim.trotter import TrotterPlan
 
     lams, errs = [], []
     for n in (8, 14, 24, 44, 80):  # one decade of step sizes
         lam = t * L1 / n
-        plan = TrotterPlan(k=1, r=0.0, n_reps=n, schedule=tuple(s2k_schedule(m, 1, lam)),
-                           m=m, L1=L1)
+        plan = TrotterPlan(k=1, r=0.0, n_reps=n, lam=lam, m=m, L1=L1)
         out = run_plan(plan, comps, rho0)
         lams.append(lam)
         errs.append(trace_distance(out.rho, exact.rho))

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import (NORM_SAFETY, choi_split_bound, column_stacked, criterion_4_instances,
                       dephasing_gks, exp_derivative, first_order_terms, frame, lambda_atom,
                       n_qubit_generator, predicted_plan, pure_hamiltonian, random_diagonal,
-                      random_gks, random_mixed_state, serial_one_one_norm, unvec, vec)
+                      random_gks, random_mixed_state, serial_one_one_norm, unvec, vec,
+                      walked_block)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
@@ -101,6 +102,11 @@ def test_s2k_palindromic_and_duration_preserving():
 def test_s2k_has_negative_durations_beyond_first_order():
     assert all(s.duration > 0 for s in s2k_schedule(2, 1, 1.0))
     assert any(s.duration < 0 for s in s2k_schedule(2, 2, 1.0))
+    # the plan reads the sign without building its schedule
+    for m, k, n_reps in ((m, k, n) for m in range(1, 5) for k in range(1, 4) for n in (0, 2)):
+        plan = TrotterPlan(k=k, r=0.0, n_reps=n_reps, lam=0.7 * n_reps, m=m, L1=1.0)
+        negative = any(seg.duration < 0 for seg in plan.schedule)
+        assert plan.has_negative_segments() == negative == (k >= 2 and m >= 2 and n_reps > 0)
 
 
 def test_s2k_rejects_bad_order():
@@ -237,8 +243,7 @@ def test_long_certified_runs_keep_the_trace(t):
     assert plan.certificate is not None and plan.certificate <= eps / 2
     assert trace_distance(out.rho, exact.rho) <= eps
     m, L1, n = plan.m, plan.L1, int(2 * t)
-    long = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
-                       m=m, L1=L1)
+    long = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1)
     assert trace_distance(run_plan(long, comps, rho0).rho, exact.rho) <= eps
 
 
@@ -317,8 +322,7 @@ def test_convergence_is_second_order_at_k1(rng):
     errs, lams = [], []
     for n in (8, 16, 32, 64, 80):
         lam = t * L1 / n
-        plan = TrotterPlan(k=1, r=0.0, n_reps=n, schedule=tuple(s2k_schedule(m, 1, lam)),
-                           m=m, L1=L1)
+        plan = TrotterPlan(k=1, r=0.0, n_reps=n, lam=lam, m=m, L1=L1)
         rho0 = maximally_mixed(2)
         out = run_plan(plan, comps, rho0)
         exact = apply_exact(g, rho0, t)
@@ -336,8 +340,7 @@ def test_one_step_error_is_third_order(rng):
     S = sum(c.generator for c in comps)
 
     def one_step_error(lam):
-        plan = TrotterPlan(k=1, r=0.0, n_reps=1, schedule=tuple(s2k_schedule(m, 1, lam)),
-                           m=m, L1=L1)
+        plan = TrotterPlan(k=1, r=0.0, n_reps=1, lam=lam, m=m, L1=L1)
         return frobenius(block_superoperator(plan, comps) - expm((lam / L1) * S))
 
     lam = 0.05
@@ -385,7 +388,7 @@ def test_bounds_are_none_outside_their_regime():
 
 def test_build_plan_empty_is_the_zero_plan():
     comps = components_for(lambda_atom())
-    assert build_plan([], eps=1e-3, t=1.0) == TrotterPlan(k=1, r=0.0, n_reps=0, schedule=(),
+    assert build_plan([], eps=1e-3, t=1.0) == TrotterPlan(k=1, r=0.0, n_reps=0, lam=0.0,
                                                            m=0, L1=0.0)
     zero = build_plan(comps, eps=1e-3, t=0.0)
     assert (zero.n_reps, zero.schedule, zero.bound_res) == (0, (), None)
@@ -499,8 +502,7 @@ def bounded_maps(d, seed):
     comps = components_for(random_gks(d, np.random.default_rng(seed)))
     exact, terms = leading_error(comps, 1.0)
     m, L1 = len(comps), comps[0].norm
-    plan = TrotterPlan(k=1, r=3 / L1, n_reps=3, schedule=block_schedule(m, 1, L1 / 3), m=m,
-                       L1=L1)
+    plan = TrotterPlan(k=1, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1)
     runs = [trotter.plan_map(dataclasses.replace(plan, formula=f), comps) - exact
             for f in FORMULAS]
     a, b = comps[0].channel([0.1, 0.7]), comps[-1].channel([0.4])[0]
@@ -513,8 +515,7 @@ def test_diamond_bound_reads_one_on_channels(d):
     g = random_gks(d, np.random.default_rng(d))
     comps = components_for(g)
     m, L1 = len(comps), comps[0].norm
-    plan = TrotterPlan(k=1, r=5 / L1, n_reps=5, schedule=block_schedule(m, 1, L1 / 5), m=m,
-                       L1=L1)
+    plan = TrotterPlan(k=1, r=5 / L1, n_reps=5, lam=L1 / 5, m=m, L1=L1)
     channels = [*(c.channel([0.05, 0.6]) for c in comps),
                 [block_superoperator(dataclasses.replace(plan, formula=f), comps)
                  for f in FORMULAS],
@@ -641,8 +642,7 @@ def test_leading_error_predicts_the_certificate():
     for g in cases + [lambda_atom()]:
         comps = components_for(g)
         m, L1 = len(comps), comps[0].norm
-        plan = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, t * L1 / n),
-                           m=m, L1=L1)
+        plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1)
         exact = expm(t * sum(c.generator for c in comps))
         cert = choi_split_bound(column_stacked(trotter.plan_map(plan, comps) - exact))
         lead = choi_split_bound(column_stacked(leading_error(comps, t)[1][0]))
@@ -955,16 +955,15 @@ def test_two_components_have_no_mixed_orders_term():
 def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
     comps = components_for(random_gks(3, np.random.default_rng(1)))
     m, L1, n = len(comps), comps[0].norm, 7
-    fixed = TrotterPlan(k=1, r=n / L1, n_reps=n, schedule=block_schedule(m, 1, L1 / n), m=m,
-                        L1=L1)
+    fixed = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=L1 / n, m=m, L1=L1)
     mixtures = [dataclasses.replace(fixed, formula=f) for f in (COIN_FLIP, MIXED_ORDERS)]
     assert [p.pairs for p in (fixed, *mixtures)] == [0, 1, MIX_PAIRS]
-    # the fixed block over a permuted component list runs component o_j as j; each of a
-    # mixture's pairs runs its order and the reverse
+    # the walked fixed block over a permuted component list runs component o_j as j; each
+    # of a mixture's pairs runs its order and the reverse
     expected = []
     for mixed in mixtures:
         orders = component_orders(m)[:mixed.pairs]
-        expected.append(np.mean([block_superoperator(fixed, [comps[j] for j in order])
+        expected.append(np.mean([walked_block(fixed, [comps[j] for j in order])
                                  for order in (*orders, *orders[:, ::-1])], axis=0))
     calls = []
     channel = trotter.Component.channel
@@ -978,6 +977,55 @@ def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
         assert mixed.actual_exponentials() == n * (2 * m - 1)
         assert fixed.n_exp == mixed.n_exp and fixed != mixed
     assert fixed.actual_exponentials() == n * (2 * m - 2) + 1
+
+
+@pytest.mark.parametrize("k, formula", [(1, SUZUKI), (1, COIN_FLIP), (1, MIXED_ORDERS),
+                                        (2, SUZUKI), (3, SUZUKI)])
+def test_block_superoperator_matches_the_walked_schedule(k, formula, monkeypatch):
+    # the one block builder against the merged schedule's walk, and one channel call per
+    # component per block, at the 2^(k-1) half steps of the recursion's leaves: the
+    # benchmark's channel_reuse, segments per channel call, reads >= 1 on it
+    calls = []
+    channel = trotter.Component.channel
+    monkeypatch.setattr(trotter.Component, "channel",
+                        lambda c, taus: calls.append(len(taus)) or channel(c, taus))
+    for g in (random_gks(3, np.random.default_rng(1)), random_gks(4, np.random.default_rng(2)),
+              lambda_atom()):
+        comps = components_for(g)
+        m, L1 = len(comps), comps[0].norm
+        plan = TrotterPlan(k=k, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1, formula=formula)
+        calls.clear()
+        block = block_superoperator(plan, comps)
+        assert calls == [2 ** (k - 1)] * m
+        expected = walked_block(plan, comps)
+        assert frobenius(block - expected) <= 1e-13 * frobenius(expected)
+
+
+def test_a_run_builds_no_schedule(monkeypatch):
+    # a plan carries its block length, not its schedule: neither the search, the run nor
+    # the cost report of a certified plan or of the paper's plan unrolls one, and the
+    # schedule property unrolls the plan's own block
+    comps = components_for(random_gks(6, np.random.default_rng(1)))
+    rho0 = maximally_mixed(6)
+
+    def no_schedule(*args):
+        raise AssertionError("a schedule was built")
+
+    monkeypatch.setattr(trotter, "s2k_schedule", no_schedule)
+    plans = []
+    for eps in (1e-3, 1e-6):
+        plans.append(build_plan(comps, eps, 1.0))
+        assert plans[-1].certificate is not None
+        run_plan(plans[-1], comps, rho0)
+    plans.append(paper_plan(comps, 1e-3, 1.0))
+    run_plan(plans[-1], comps, rho0)
+    reports = [nexp_report(plan) for plan in plans]
+    monkeypatch.undo()
+    assert plans[-1].k == 2 and [r.negative_segments for r in reports] == [False, False, True]
+    for plan in plans:
+        assert plan.lam == 1.0 * plan.L1 / plan.n_reps
+        assert plan.schedule == block_schedule(plan.m, plan.k, plan.lam)
+        assert len(plan.schedule) == segments_per_block(plan.m, plan.k)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
