@@ -19,18 +19,27 @@ the trace distance to lindblad.apply_exact over eps; the SHA-256 of the
 state's bytes; and the state itself, as [re, im] pairs row by row.  A run that
 raises is written with its error in place of the plan.
 
+After the runs come the CLI's documents: every call of the cli-roundtrip
+workload's instances (bench/workloads.py, seeds 1-10) runs through cli.main in
+a temporary directory, and each text it writes, to stdout or to its --out
+file, is one line with an id, the subcommand, the exit code, the byte count
+and the SHA-256 of the bytes.
+
 --compare reads two such files, the first the reference, and prints the plans
 that moved (formula, k, n_reps, builds or exponentials), each with the
 reference's certificate over eps / 2; the runs whose exponentials rose; the
 certified runs that fall back; how many states are bit-identical and the
 largest entry difference, per workload; and the worst dist / eps of a
-certified run in each file.
+certified run in each file; and the CLI documents whose exit code or bytes
+moved.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +51,7 @@ from conftest import lambda_atom, n_qubit_generator, random_gks  # noqa: E402
 from lindbladsim import serialize  # noqa: E402
 from lindbladsim.lindblad import apply_exact, maximally_mixed, trace_distance  # noqa: E402
 from lindbladsim.trotter import simulate  # noqa: E402
-from workloads import lambda_trajectory, random_d6  # noqa: E402
+from workloads import cli_roundtrip, lambda_trajectory, random_d6  # noqa: E402
 
 SEEDS = range(1, 11)
 EPS = (1e-3, 1e-6, 1e-9)
@@ -78,7 +87,27 @@ def record(case, g, rho0, t, eps) -> dict:
             "predicted_certificate": plan.predicted_certificate,
             "dist_over_eps": trace_distance(rho, apply_exact(g, rho0, t).rho) / eps,
             "sha256": hashlib.sha256(rho.tobytes()).hexdigest(),
-            "state": [serialize.complex_to_json(z) for z in rho.ravel()]}
+            "state": serialize.vector_to_json(rho.ravel())}
+
+
+def cli_documents():
+    """One record per text that a cli-roundtrip call writes, to stdout or --out."""
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as workdir:
+            for i, call in enumerate(cli_roundtrip(seed, workdir, None)):
+                result = call.call()  # (exit code, stdout), or the exception raised
+                if isinstance(result, Exception):
+                    raise result
+                code, stdout = result
+                texts = {"stdout": stdout.encode()}
+                if "--out" in call.argv:
+                    out = call.argv[call.argv.index("--out") + 1]
+                    texts["out"] = Path(out).read_bytes()
+                    os.remove(out)
+                for stream, text in texts.items():
+                    yield {"id": f"cli-roundtrip/s{seed}/{i}/{stream}", "command": call.argv[0],
+                           "exit": code, "bytes": len(text),
+                           "document_sha256": hashlib.sha256(text).hexdigest()}
 
 
 def load(path) -> dict:
@@ -95,7 +124,8 @@ def compare(path_a, path_b):
     a, b = load(path_a), load(path_b)
     if a.keys() != b.keys():
         print(f"case ids differ: {sorted(a.keys() ^ b.keys())}")
-    cases = [c for c in a if c in b]
+    documents = [c for c in a if c in b and "document_sha256" in a[c]]
+    cases = [c for c in a if c in b and "document_sha256" not in a[c]]
     moved, rose, fell_back, errors = [], [], [], []
     same, largest = {}, {}
     for c in cases:
@@ -134,6 +164,13 @@ def compare(path_a, path_b):
         worst = max(certified, key=lambda r: r["dist_over_eps"])
         print(f"{path}: {len(certified)} certified runs, worst dist / eps "
               f"{worst['dist_over_eps']:.4f} ({worst['id']})")
+    moved = [f"{c} ({a[c]['command']}): exit {a[c]['exit']} -> {b[c]['exit']}, "
+             f"{a[c]['bytes']} -> {b[c]['bytes']} bytes"
+             for c in documents
+             if (a[c]["exit"], a[c]["document_sha256"]) != (b[c]["exit"], b[c]["document_sha256"])]
+    print(f"{len(documents)} CLI documents compared; bytes or exit code moved: {len(moved)}")
+    for line in moved:
+        print(f"  {line}")
 
 
 def main(argv=None):
@@ -145,6 +182,8 @@ def main(argv=None):
         return
     for case in instances():
         print(serialize.dumps(record(*case)), flush=True)
+    for document in cli_documents():
+        print(serialize.dumps(document), flush=True)
 
 
 if __name__ == "__main__":

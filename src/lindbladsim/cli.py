@@ -14,6 +14,7 @@ parse error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,12 +44,16 @@ class CliError(Exception):
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: {exc}", EXIT_IO)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}", EXIT_IO)
+    except RecursionError:
+        raise CliError(f"malformed JSON in {path}: nested too deeply", EXIT_IO) from None
 
 
 def _emit(doc, path: str | None):
@@ -228,19 +233,19 @@ def cmd_example_lambda(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="lindbladsim",
                                      description="decompose and simulate Markovian generators")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a generator file")
     p.add_argument("generator")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("decompose", help="write conjugation plans")
     p.add_argument("generator")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("simulate", help="run a simulation request")
     p.add_argument("request")
@@ -248,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--mode", choices=("trotter", "oracle"), default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cost", help="evaluate step-count formulas")
     p.add_argument("--m", type=int, required=True)
@@ -257,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L1", type=float, required=True)
     p.add_argument("--L2", type=float, required=True)
     p.add_argument("--sweep", default=None, help="comma-separated epsilon list (CSV output)")
-    p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("example-lambda", help="three-level lambda-atom example bundle")
     p.add_argument("--gamma1", type=float, default=1.0)
@@ -268,15 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_example_lambda)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at each call, so that a rebound cmd_* global is the one that runs
+    handler = {"validate": cmd_validate, "decompose": cmd_decompose, "simulate": cmd_simulate,
+               "cost": cmd_cost, "example-lambda": cmd_example_lambda}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

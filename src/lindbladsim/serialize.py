@@ -6,8 +6,9 @@ no insignificant whitespace is produced, so parse -> emit is byte-stable
 on files this module wrote.
 """
 
-import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -20,37 +21,68 @@ class SerializeError(ValueError):
     pass
 
 
-def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise SerializeError(f"cannot encode non-finite float {x}")
-    return format(float(x), ".17g")
+def _float(x) -> str:
+    value = float(x)
+    if not math.isfinite(value):
+        raise SerializeError(f"cannot encode non-finite float {value}")
+    return format(value, ".17g")
+
+
+def _int(x) -> str:
+    return str(int(x))
+
+
+def _dict(obj: dict) -> str:
+    items = (f"{encode_basestring_ascii(str(k))}:{_encode(v)}" for k, v in sorted(obj.items()))
+    return "{" + ",".join(items) + "}"
+
+
+def _sequence(obj) -> str:
+    if len(obj) == 2:  # an [re, im] pair of finite floats is formatted in one step
+        re, im = obj
+        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+            return f"[{re:.17g},{im:.17g}]"
+    return "[" + ",".join(map(_encode, obj)) + "]"
+
+
+_ENCODERS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: _int,
+    float: _float,
+    str: encode_basestring_ascii,  # what json.dumps does with a str
+    dict: _dict,
+    list: _sequence,
+    tuple: _sequence,
+}
+
+
+def _base_type(obj) -> type:
+    """The type among _ENCODERS whose encoding obj gets: numpy scalars and arrays,
+    and subclasses (bool, which has none, is dispatched on its exact type)."""
+    if isinstance(obj, (int, np.integer)):
+        return int
+    if isinstance(obj, (float, np.floating)):
+        return float
+    if isinstance(obj, str):
+        return str
+    if isinstance(obj, dict):
+        return dict
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return list
+    raise SerializeError(f"cannot encode object of type {type(obj)!r}")
+
+
+def _encode(obj) -> str:
+    encoder = _ENCODERS.get(type(obj))
+    if encoder is None:
+        encoder = _ENCODERS[_base_type(obj)]
+    return encoder(obj)
 
 
 def dumps(obj) -> str:
     """Canonical JSON text: sorted keys, fixed float format, compact."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}:{dumps(v)}" for k, v in sorted(obj.items()))
-        return "{" + ",".join(items) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
-    raise SerializeError(f"cannot encode object of type {type(obj)!r}")
-
-
-def complex_to_json(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+    return _encode(obj)
 
 
 def number(x, what: str) -> float:
@@ -85,20 +117,38 @@ def json_to_complex(obj) -> complex:
 
 
 def matrix_to_json(m) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in a]
+    """The entries of a complex matrix (or vector) as [re, im] pairs of floats."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
+
+
+vector_to_json = matrix_to_json
+
+_PAIR_TYPES = {list, tuple}
+_PART_TYPES = {int, float}  # JSON numbers; bool, text and numpy scalars take the walk
 
 
 def json_to_matrix(obj) -> np.ndarray:
+    """The complex matrix of a list of rows of [re, im] pairs of finite numbers."""
     if not isinstance(obj, list) or not obj:
         raise SerializeError("expected a non-empty list of rows")
     if not all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj):
         raise SerializeError("expected rows that are lists of equal length")
-    return np.array([[json_to_complex(z) for z in row] for row in obj], dtype=complex)
-
-
-def vector_to_json(v) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
+    shape = (len(obj), len(obj[0]))
+    entries = list(chain.from_iterable(obj))
+    try:
+        a = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # refused entry by entry below
+        a = None
+    if not (a is not None and a.shape == (*shape, 2) and np.isfinite(a).all()
+            and _PAIR_TYPES.issuperset(map(type, entries))
+            and _PART_TYPES.issuperset(map(type, chain.from_iterable(entries)))):
+        for z in entries:  # words the first entry's refusal
+            json_to_complex(z)
+        # every entry passed: numpy scalars, subclasses or empty rows
+        a = np.array(obj, dtype=float).reshape(*shape, 2)
+    # a view of the float pairs, so that a -0.0 part keeps its sign
+    return a.view(complex).reshape(shape)
 
 
 def generator_to_json(g) -> dict:

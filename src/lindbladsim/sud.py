@@ -19,6 +19,7 @@ constant matrices: for U = exp(i sum_g r_g F_g),  G(U) = exp(sum_g r_g K_g)
 with (K_g)_ab = f_gab.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,9 @@ class GellMannBasis:
         return self.d - 1 + self.d * (self.d - 1) // 2 + pair_index(self.d, j, k)
 
 
+@functools.cache
 def gell_mann_basis(d: int) -> GellMannBasis:
+    """The basis of dimension d, one read-only instance per d."""
     if d < 2:
         raise SudError(f"dimension must be >= 2, got {d}")
     mats = []

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import settings
 
-from lindbladsim import decompose, trotter
+from lindbladsim import decompose, serialize, trotter
 from lindbladsim.cli import lambda_atom_generator
 from lindbladsim.decompose import universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal, gks_spectrum,
@@ -330,6 +331,42 @@ def walked_block(plan, components):
     orders = trotter.component_orders(plan.m)[:plan.pairs]
     return np.mean([walk([components[j] for j in order])
                     for order in (*orders, *orders[:, ::-1])], axis=0)
+
+
+def reference_dumps(obj) -> str:
+    """The reference for serialize.dumps: the canonical encoder written scalar by
+    scalar, with json.dumps for text and one float format for every number."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x or x in (float("inf"), float("-inf")):
+            raise serialize.SerializeError(f"cannot encode non-finite float {obj}")
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}:{reference_dumps(v)}" for k, v in sorted(obj.items()))
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(reference_dumps(v) for v in obj) + "]"
+    raise serialize.SerializeError(f"cannot encode object of type {type(obj)!r}")
+
+
+def reference_json_to_matrix(obj):
+    """The reference for serialize.json_to_matrix: the matrix built entry by entry
+    with serialize.json_to_complex, which words each entry's refusal."""
+    if not isinstance(obj, list) or not obj:
+        raise serialize.SerializeError("expected a non-empty list of rows")
+    if not all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj):
+        raise serialize.SerializeError("expected rows that are lists of equal length")
+    return np.array([[serialize.json_to_complex(z) for z in row] for row in obj], dtype=complex)
 
 
 def serial_one_one_norm(S):

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, random_diagonal, random_gks
-from lindbladsim import serialize, trotter
+from conftest import (GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, random_diagonal, random_gks,
+                      reference_dumps, reference_json_to_matrix)
+from lindbladsim import cli, serialize, trotter
 from lindbladsim.cli import main
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix, maximally_mixed
@@ -123,32 +124,51 @@ def test_simulate_refuses_dimension_mismatch(tmp_path, capsys, mode, g1):
     assert err == "error: state has d = 2 but the generator has d = 3\n"
 
 
+def with_entry(entry):
+    """A 2 x 2 zero matrix whose first entry is `entry`."""
+    return [[entry, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+# malformed matrices, each refused by serialize.json_to_matrix; the last six are
+# the entries that one np.array(..., float) conversion would misread or trip on
+MALFORMED_MATRICES = {
+    "text-entry": [[[0.0, 0.0], "x"], [[0.0, 0.0], [0.0, 0.0]]],
+    "ragged-h": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+    "nan-h": with_entry([float("nan"), 0.0]),
+    # only JSON numbers are numbers: no numeric text, no booleans
+    "numeric-text-entry": with_entry(["0.5", 0.0]),
+    "bool-entry": with_entry([True, 0.0]),
+    "bool-imaginary-part": with_entry([0.0, False]),
+    "400-digit-entry": with_entry([0.0, 10 ** 400]),
+    "1e400-entry": json.loads("[[[1e400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"),
+    "bare-numbers": [[0.0, 0.0], [0.0, 0.0]],
+    "three-part-pair": with_entry([0.0, 0.0, 0.0]),
+}
+
+
 def test_validate_rejects_malformed_json(tmp_path):
     zero2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     jump = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     term = {"gamma": 1.0, "L": jump}
     documents = {
         "broken": "{not json",
+        "not-utf8": b'{"d": 2, "H": "\xff"}',
+        "too-deep": "[" * 100000,
         "no-gamma": {"d": 2, "H": zero2, "terms": [{"L": jump}]},
         "string-gamma": {"d": 2, "H": zero2, "terms": [{**term, "gamma": "x"}]},
         "string-d": {"d": "two", "H": zero2, "terms": [term]},
         "float-d": {"d": 2.5, "H": zero2, "terms": [term]},
-        "text-entry": {"d": 2, "H": [[[0.0, 0.0], "x"], [[0.0, 0.0], [0.0, 0.0]]], "terms": []},
-        "ragged-h": {"d": 2, "H": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "terms": []},
         "terms-number": {"d": 2, "H": zero2, "terms": 5},
-        "nan-h": {"d": 2, "H": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-                  "terms": [term]},
-        # only JSON numbers are numbers: no numeric text, no booleans
-        "numeric-text-entry": {"d": 2, "H": [[["0.5", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-                               "terms": [term]},
-        "bool-entry": {"d": 2, "H": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-                       "terms": [term]},
         "numeric-text-d": {"d": "2", "H": zero2, "terms": [term]},
         "numeric-text-gamma": {"d": 2, "H": zero2, "terms": [{**term, "gamma": "1"}]},
+        **{name: {"d": 2, "H": H, "terms": [term]} for name, H in MALFORMED_MATRICES.items()},
     }
     for name, doc in documents.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         for command in ("validate", "decompose"):
             assert main([command, str(path)]) == 2, (name, command)
 
@@ -387,6 +407,11 @@ def test_simulate_rejects_bad_request(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == 2, name
+    for name, text in (("not-utf8", json.dumps(doc).encode() + b"\xff"),
+                       ("too-deep", b'{"generator": ' + b"[" * 100000)):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text)
+        assert main(["simulate", str(path)]) == 2, name
     path = tmp_path / "nan-eps.json"
     path.write_text(json.dumps({**doc, "t": 1.0, "epsilon": float("nan"), "mode": "trotter"}))
     assert main(["simulate", str(path)]) == 1
@@ -570,3 +595,90 @@ def test_console_entry_point(tmp_path):
 def test_float_formatting_17_digits():
     assert serialize.dumps(1 / 3) == "0.33333333333333331"
     assert float(serialize.dumps(0.1)) == 0.1
+
+
+def emitted_documents(tmp_path, monkeypatch):
+    """Every (object, text) pair that serialize.dumps encodes while the test writes
+    random_gks(d, ·) and random_diagonal(d, d, ·), d = 2..6, with their requests, and
+    the CLI runs decompose and simulate on each, then cost and example-lambda."""
+    seen = []
+
+    def recording(obj, dumps=serialize.dumps):
+        seen.append((obj, dumps(obj)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(serialize, "dumps", recording)
+    rng = np.random.default_rng(7)
+    for d in range(2, 7):
+        for g in (random_gks(d, rng), random_diagonal(d, d, rng)):
+            path = tmp_path / "gen.json"
+            write_generator(path, g)
+            assert main(["decompose", str(path), "--out", str(tmp_path / "plans.json")]) == 0
+            assert main(["decompose", str(path)]) == 0
+            for mode in ("oracle", "trotter"):
+                req = simulation_request(tmp_path, g, maximally_mixed(d).rho, 0.5, 1e-3, mode)
+                assert main(["simulate", str(req), "--out", str(tmp_path / "out.json")]) == 0
+    cost = ["cost", "--m", "3", "--t", "1.0", "--L1", "2.0", "--L2", "0.5"]
+    assert main(cost) == 0
+    assert main([*cost, "--sweep", "1e-3,1e-6,100"]) == 0
+    assert main(["example-lambda", "--out", str(tmp_path / "bundle.json")]) == 0
+    return seen
+
+
+def test_dumps_matches_the_per_scalar_reference(tmp_path, monkeypatch, capsys):
+    seen = emitted_documents(tmp_path, monkeypatch)
+    assert len(seen) > 40
+    for obj, text in seen:
+        assert text == reference_dumps(obj)
+    scalars = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 0, -7, 10 ** 30,
+               np.float64(-0.0), np.float64(0.1), np.float32(0.1), np.int64(-3), np.int32(5),
+               None, True, False, "", "text é \"quoted\"\n", [], (), {},
+               [-0.0, 5e-324], (0.25, -1.5), [1, 2.0], [0.5, np.float64(2.0)], [True, 1.0],
+               np.array([[1.5, -0.0]]), {"b": [{"a": (1, 2.5)}, None], "a": {"z": -0.0, "3": {}}}, {2: "x", 1: [0.5, 0.25]}]
+    for obj in scalars:
+        assert serialize.dumps(obj) == reference_dumps(obj), obj
+    for bad in (float("nan"), float("inf"), -np.inf, np.float32("nan")):
+        for obj in (bad, [bad, 0.0], [0.0, bad], [[[0.0, bad]]], {"a": {"b": (1.0, bad)}},
+                    np.array([1.0, bad])):
+            with pytest.raises(serialize.SerializeError) as new:
+                serialize.dumps(obj)
+            with pytest.raises(serialize.SerializeError) as ref:
+                reference_dumps(obj)
+            assert str(new.value) == str(ref.value)
+    for bad in (1j, np.complex128(1), np.bool_(True), object(), {1, 2}):
+        with pytest.raises(serialize.SerializeError) as new:
+            serialize.dumps([bad])
+        with pytest.raises(serialize.SerializeError) as ref:
+            reference_dumps([bad])
+        assert str(new.value) == str(ref.value)
+
+
+def test_json_to_matrix_matches_the_per_entry_reference(rng):
+    def bits(a):
+        return a.dtype, a.shape, a.tobytes()
+
+    valid = [with_entry([-0.0, 0.0]), with_entry([0.0, -0.0]), with_entry([-0.0, -0.0]),
+             with_entry([1, -2]), with_entry([2 ** 63 + 1, 10 ** 300 + 1]),
+             with_entry((0.5, 1.5)), with_entry([np.float64(0.5), np.int64(3)]),
+             [[[5e-324, 1.7976931348623157e308]]], [[]], [[], []]]
+    valid += [serialize.matrix_to_json(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+              for d in range(1, 7)]
+    for obj in valid:
+        assert bits(serialize.json_to_matrix(obj)) == bits(reference_json_to_matrix(obj))
+    malformed = [*MALFORMED_MATRICES.values(), [], {}, "x", [[]] + [[[0.0, 0.0]]],
+                 [[[0.0, 0.0]], "row"], with_entry({"re": 0.0}), with_entry(np.zeros(2)),
+                 with_entry([[0.0, 0.0], 0.0]), with_entry([0.0]), with_entry(None)]
+    for obj in malformed:
+        with pytest.raises(serialize.SerializeError) as new:
+            serialize.json_to_matrix(obj)
+        with pytest.raises(serialize.SerializeError) as ref:
+            reference_json_to_matrix(obj)
+        assert str(new.value) == str(ref.value)
+
+
+def test_main_builds_its_parser_once_and_runs_the_bound_handler(tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.generator) or 5)
+    assert main(["validate", "x.json"]) == 5
+    assert calls == ["x.json"]

@@ -69,6 +69,12 @@ def test_basis_rejects_small_d():
         gell_mann_basis(1)
 
 
+def test_basis_is_built_once_per_dimension():
+    b = gell_mann_basis(4)
+    assert gell_mann_basis(4) is b and gell_mann_basis(5) is not b
+    assert not b.matrices.flags.writeable
+
+
 def brute_force_constant(b, g, a, c):
     F = b.matrices
     comm = F[g] @ F[a] - F[a] @ F[g]
