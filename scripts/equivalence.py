@@ -28,10 +28,11 @@ and the SHA-256 of the bytes.
 --compare reads two such files, the first the reference, and prints the plans
 that moved (formula, k, n_reps, builds or exponentials), each with the
 reference's certificate over eps / 2; the runs whose exponentials rose; the
-certified runs that fall back; how many states are bit-identical and the
-largest entry difference, per workload; and the worst dist / eps of a
-certified run in each file; and the CLI documents whose exit code or bytes
-moved.
+certified runs that fall back; per workload, how many states are
+bit-identical, the largest entry difference, the largest relative change of
+a certificate that both files carry and the largest change of dist / eps;
+the worst dist / eps of a certified run in each file; and the CLI documents
+whose exit code or bytes moved.
 """
 
 import argparse
@@ -127,7 +128,7 @@ def compare(path_a, path_b):
     documents = [c for c in a if c in b and "document_sha256" in a[c]]
     cases = [c for c in a if c in b and "document_sha256" not in a[c]]
     moved, rose, fell_back, errors = [], [], [], []
-    same, largest = {}, {}
+    same, largest, certificates, ratios = {}, {}, {}, {}
     for c in cases:
         x, y = a[c], b[c]
         if "error" in x or "error" in y:
@@ -149,6 +150,13 @@ def compare(path_a, path_b):
         diff = float(np.abs(np.array(x["state"]) - np.array(y["state"])).max())
         if diff >= largest.get(w, (-1.0, ""))[0]:
             largest[w] = diff, c
+        if x["certificate"] is not None and y["certificate"] is not None:
+            change = abs(y["certificate"] - x["certificate"]) / x["certificate"]
+            if change >= certificates.get(w, (-1.0, ""))[0]:
+                certificates[w] = change, c
+        change = abs(y["dist_over_eps"] - x["dist_over_eps"])
+        if change >= ratios.get(w, (-1.0, ""))[0]:
+            ratios[w] = change, c
     print(f"{len(cases)} runs compared")
     for title, lines in (("plans that moved", moved), ("exponentials rose", rose),
                          ("certified, now falls back", fell_back), ("errors changed", errors)):
@@ -159,6 +167,9 @@ def compare(path_a, path_b):
         diff, c = largest[w]
         print(f"{w}: {same[w][0]} of {same[w][1]} states bit-identical; "
               f"largest entry difference {diff:.3g} ({c})")
+        if w in certificates:
+            print("  largest certificate change {:.3g} relative ({})".format(*certificates[w]))
+        print("  largest dist / eps change {:.3g} ({})".format(*ratios[w]))
     for path, runs in ((path_a, a), (path_b, b)):
         certified = [r for r in runs.values() if r.get("certificate") is not None]
         worst = max(certified, key=lambda r: r["dist_over_eps"])

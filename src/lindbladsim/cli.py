@@ -160,7 +160,9 @@ def cmd_simulate(args) -> int:
         rho0 = serialize.parse_state(doc["rho0"])
         t = serialize.number(doc["t"] if args.t is None else args.t, "'t'")
         eps = serialize.number(doc["epsilon"] if args.eps is None else args.eps, "'epsilon'")
-        mode = str(doc.get("mode", "trotter") if args.mode is None else args.mode)
+        mode = doc.get("mode", "trotter") if args.mode is None else args.mode
+        if not isinstance(mode, str):
+            raise serialize.SerializeError(f"'mode' must be a string, got {serialize.quoted(mode)}")
     except KeyError as exc:
         raise CliError(f"simulation request is missing {exc}", EXIT_IO)
     except serialize.SerializeError as exc:
@@ -176,7 +178,7 @@ def cmd_simulate(args) -> int:
     elif mode == "trotter":
         out.update(_trotter_run(g, rho0, t, eps))
     else:
-        raise CliError(f"unknown mode {mode!r}", EXIT_INVALID)
+        raise CliError(f"unknown mode {serialize.quoted(mode)}", EXIT_INVALID)
     _emit(out, args.out)
     if "trace_distance_to_oracle" in out:
         print(f"trace distance to oracle = {out['trace_distance_to_oracle']:.3e}",

@@ -43,7 +43,7 @@ import numpy as np
 from . import numerics
 from .numerics import dagger, frozen_copy
 from .lindblad import GksGenerator, gks_spectrum
-from .sud import GellMannBasis
+from .sud import GellMannBasis, gell_mann_basis
 
 
 class DecomposeError(ValueError):
@@ -91,10 +91,18 @@ class ConjugationPlan:
     lam: float
     U: np.ndarray = field(repr=False)
     params: UniversalParams
+    _operator: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_weight(self.lam)
         object.__setattr__(self, "U", frozen_copy(self.U))
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The read-only universal_operators of params, built once (plan_operators)."""
+        if self._operator is None:
+            plan_operators([self])
+        return self._operator
 
 
 def spectral_split(g: GksGenerator) -> list[RankOneTerm]:
@@ -321,6 +329,18 @@ def universal_operators(params, basis: GellMannBasis) -> np.ndarray:
     return np.einsum("ma,aij->mij", universal_vectors(params, basis)[2], basis.matrices)
 
 
+def plan_operators(plans) -> np.ndarray:
+    """Stack of the plans' operators; those not yet built come from one universal_operators
+    call over the Gell-Mann basis, each row from its plan's own params, and are kept."""
+    todo = [p for p in plans if p._operator is None]
+    if todo:
+        L = universal_operators([p.params for p in todo], gell_mann_basis(todo[0].params.d))
+        L.setflags(write=False)
+        for p, l in zip(todo, L):
+            object.__setattr__(p, "_operator", l)
+    return np.array([p._operator for p in plans])
+
+
 def _coordinates(X: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     """Coordinates x_a = Im tr(F_a X) of each su(d) element X = i sum_a x_a F_a."""
     return np.einsum("gij,mji->mg", basis.matrices, X).imag
@@ -381,8 +401,8 @@ def verify_plans(plans, terms, basis: GellMannBasis) -> np.ndarray:
     if len(plans) != len(terms):
         raise DecomposeError(f"{len(plans)} plans for {len(terms)} terms")
     U = np.array([p.U for p in plans]).reshape(-1, basis.d, basis.d)
-    b = np.einsum("gij,mji->mg", basis.matrices,
-                  U @ universal_operators([p.params for p in plans], basis) @ dagger(U))
+    L = plan_operators(plans).reshape(U.shape)
+    b = np.einsum("gij,mji->mg", basis.matrices, U @ L @ dagger(U))
     a = np.array([t.a for t in terms]).reshape(-1, basis.n)
     # rephased so that a† b is real, a a† - b b† = (p q† + q p†) / 2 with p, q = a -+ b has the
     # squared norm (|p|^2 |q|^2 + (|a|^2 - |b|^2)^2) / 2: no cancellation, no n x n matrices
@@ -393,5 +413,5 @@ def verify_plans(plans, terms, basis: GellMannBasis) -> np.ndarray:
 
 def verify_plan(plan: ConjugationPlan, term: RankOneTerm, basis: GellMannBasis) -> float:
     """Frobenius residual ||a a† - b b†|| with b_a = tr(F_a U L U†) = (G(U) v)_a, where
-    L = universal_operators([plan.params])[0] is the operator the plan's component runs."""
+    L = plan.operator is the operator the plan's component runs."""
     return float(verify_plans([plan], [term], basis)[0])

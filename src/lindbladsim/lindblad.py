@@ -12,18 +12,17 @@ channel exp(tL) (the oracle all approximate simulations are judged
 against), and gives the closed-form upper bound on the (1->1)
 superoperator norm that drives product-formula step selection.
 
-The one dissipator construction, dissipator_superoperator, contracts a
-coefficient matrix over any stack of operators: the Gell-Mann matrices
-under A for the oracle, or a single Lindblad operator L under [[1]] for a
-rank-one component.
-
 The constructors (hamiltonian_superoperator, dissipator_superoperator,
 liouvillian_matrix) column-stack: vec(X rho Y) = (Y^T kron X) vec(rho).
-Every map that is exponentiated, multiplied, projected or applied is first
-taken by real_map into the orthonormal Hermitian basis
-B = (I / sqrt(d), F_1, ..., F_{d^2-1}) of hermitian_basis, where a map that
-keeps matrices Hermitian is a real matrix R: it sends the coordinates
-x_k = tr(B_k rho) of rho to those of its image.
+dissipator_superoperator contracts a coefficient matrix over a stack of
+operators, for the oracle the Gell-Mann matrices under A.  Every map that is
+exponentiated, multiplied, projected or applied is a real matrix R in the
+orthonormal Hermitian basis B = (I / sqrt(d), F_1, ..., F_{d^2-1}) of
+hermitian_basis, R_kl = tr(B_k S(B_l)) for a map S that keeps matrices
+Hermitian: it sends the coordinates x_k = tr(B_k rho) of rho to those of its
+image.  The oracle takes its column-stacked matrix there by real_map; the
+product formula's components are built in B directly
+(trotter.prepare_components).
 """
 
 import functools
@@ -213,30 +212,30 @@ def hamiltonian_superoperator(H: np.ndarray) -> np.ndarray:
 
 def dissipator_superoperator(A: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Matrix of rho -> sum_lk A_lk (F_l rho F_k† - (1/2){F_k† F_l, rho}) over the operator
-    stack ops = (F_1, ..., F_n) of shape (n, d, d), or one per leading index of (..., n, d, d)."""
+    stack ops = (F_1, ..., F_n) of shape (n, d, d)."""
     F = np.asarray(ops, dtype=complex)
-    d = F.shape[-1]
+    n, d = F.shape[0], F.shape[-1]
     # F_l rho F_k†  ->  kron(conj F_k, F_l); with the column-stacked index
     # (col*d + row) the row axes are (a=out col, i=out row) and the column
     # axes (b=in col, j=in row).  Both contractions are BLAS products over the
     # operators flattened to rows of d^2: B = A conj(F), then B^T F, whose
     # (a b),(i j) entries are reordered to (a i),(b j).
-    flat = F.reshape(*F.shape[:-2], d * d)
+    flat = F.reshape(n, d * d)
     B = np.asarray(A, dtype=complex) @ np.conj(flat)
-    S = (np.swapaxes(B, -1, -2) @ flat).reshape(*F.shape[:-3], d, d, d, d).swapaxes(-3, -2)
-    Phi = np.einsum("...lai,...laj->...ij", B.reshape(F.shape), F)  # sum_lk A_lk F_k† F_l
+    S = (B.T @ flat).reshape(d, d, d, d).swapaxes(1, 2)
+    Phi = np.einsum("lai,laj->ij", B.reshape(F.shape), F)  # sum_lk A_lk F_k† F_l
     # minus (1/2) (kron(Phi^T, I) + kron(I, Phi)), which lives on the diagonal views a = b
     # and i = j: kron(I, Phi) on a = b, where i = j adds Phi_aa, and kron(Phi^T, I) on the
     # rest of i = j.  Each entry is S minus half the sum 0 + Phi_.. (+ Phi_..) that a zeroed
     # d^4 anticommutator array would hold there, down to the sign of a zero, without it
     out = np.ascontiguousarray(S)
-    on_a = np.broadcast_to(Phi[..., None, :, :], (*Phi.shape[:-2], d, d, d)) + 0.0
-    np.einsum("...aii->...ai", on_a)[...] += np.einsum("...aa->...a", Phi)[..., None]
-    np.einsum("...aiaj->...aij", out)[...] -= 0.5 * on_a
-    off_a = np.swapaxes(Phi, -1, -2) + 0.0
-    np.einsum("...aa->...a", off_a)[...] = 0.0
-    np.einsum("...aibi->...abi", out)[...] -= 0.5 * off_a[..., None]
-    return out.reshape(*F.shape[:-3], d * d, d * d)
+    on_a = np.broadcast_to(Phi, (d, d, d)) + 0.0
+    np.einsum("aii->ai", on_a)[...] += np.diag(Phi)[:, None]
+    np.einsum("aiaj->aij", out)[...] -= 0.5 * on_a
+    off_a = Phi.T + 0.0
+    np.fill_diagonal(off_a, 0.0)
+    np.einsum("aibi->abi", out)[...] -= 0.5 * off_a[..., None]
+    return out.reshape(d * d, d * d)
 
 
 def liouvillian_matrix(g: GksGenerator) -> np.ndarray:

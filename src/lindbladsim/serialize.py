@@ -85,34 +85,40 @@ def dumps(obj) -> str:
     return _encode(obj)
 
 
+def quoted(x, limit: int = 80) -> str:
+    """repr(x) for an error message, cut to limit characters with an ellipsis."""
+    text = repr(x)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def number(x, what: str) -> float:
     """x as a float when it is a JSON number (an int or a float, numpy
     scalars included); text and booleans are refused."""
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise SerializeError(f"{what} must be a number, got {x!r}")
+        raise SerializeError(f"{what} must be a number, got {quoted(x)}")
     try:
         return float(x)
     except OverflowError:
-        raise SerializeError(f"{what} must be a number, got {x!r}") from None
+        raise SerializeError(f"{what} must be a number, got {quoted(x)}") from None
 
 
 def _finite(x, what: str) -> float:
     value = number(x, what)
     if not math.isfinite(value):
-        raise SerializeError(f"{what} must be finite, got {x!r}")
+        raise SerializeError(f"{what} must be finite, got {quoted(x)}")
     return value
 
 
 def _dimension(x) -> int:
     d = _finite(x, "'d'")
     if not d.is_integer():
-        raise SerializeError(f"'d' must be an integer, got {x!r}")
+        raise SerializeError(f"'d' must be an integer, got {quoted(x)}")
     return int(d)
 
 
 def json_to_complex(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise SerializeError(f"expected a [re, im] pair, got {obj!r}")
+        raise SerializeError(f"expected a [re, im] pair, got {quoted(obj)}")
     return complex(_finite(obj[0], "real part"), _finite(obj[1], "imaginary part"))
 
 

@@ -81,12 +81,13 @@ build_plan calls step_count once per run, through paper_plan; every plan it
 returns carries the two N_exp bounds that nexp_report prints.
 
 A component is its d^2 x d^2 generator G_j: i[., H] for the Hamiltonian,
-lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece, each built
-column-stacked and taken by lindblad.real_map into the orthonormal Hermitian
-basis, where it is a real matrix.  Every segment, Hamiltonian or
-dissipative, is realized as exp(t~ G_j), with the physical duration t~
-carrying the component's weight.  A plan carries its block's length lam,
-not its schedule, and one builder makes every block (block_superoperator).
+lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece, L the plan's
+operator, each built as a real matrix in the orthonormal Hermitian basis
+directly, with no column-stacked map (prepare_components).  Every segment,
+Hamiltonian or dissipative, is realized as exp(t~ G_j), with the physical
+duration t~ carrying the component's weight.  A plan carries its block's
+length lam, not its schedule, and one builder makes every block
+(block_superoperator).
 Suzuki's recursion unrolls into 2^(k-1) symmetric S_2 leaves, one at k = 1,
 and each component is asked once for its channels at every leaf's half step,
 which one stacked numerics.expm call computes, on a Taylor rung with no solve
@@ -108,10 +109,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decompose import decompose_generator, universal_operators
-from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, dissipator_superoperator,
-                       evolve, hamiltonian_superoperator, hermitian_basis, one_one_norm,
-                       real_map, trace_preserving)
+from .decompose import decompose_generator, plan_operators
+from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, evolve, hermitian_basis,
+                       one_one_norm, trace_preserving)
 from .numerics import NumericsError, dagger, expm
 
 
@@ -133,8 +133,8 @@ class Segment:
 @dataclass(frozen=True)
 class Component:
     """One summand of the generator: its real d^2 x d^2 matrix G_j in the Hermitian
-    basis (lindblad.real_map), whose exponentials exp(t G_j) are its channels, and a
-    (1->1) norm bound."""
+    basis (lindblad.hermitian_basis), whose exponentials exp(t G_j) are its channels,
+    and a (1->1) norm bound."""
 
     d: int
     norm: float
@@ -151,24 +151,44 @@ def prepare_components(g: GksGenerator, plans) -> list[Component]:
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan of
     positive weight gives lam U [L . L† - (1/2){L†L, .}] U†, the dissipator
-    of U L U† with L = sum_a v_a F_a, all built as one stack; conjugation by
-    U leaves the (1->1) norm unchanged, so L's bound is the component's.
-    The column-stacked generators go through one lindblad.real_map.  Each
-    norm comes from one one_one_norm call.  Components of zero norm are
-    dropped; the rest are sorted by descending norm, with stable ties, which
-    fixes the product order deterministically.
+    of L' = U L U† with L = plan.operator; conjugation by U leaves the (1->1)
+    norm unchanged, so L's bound is the component's, from one one_one_norm
+    call.  Each real map is built in the Hermitian basis B directly, row k
+    from the adjoint map's image Y_k of B_k, R_kl = Re tr(Y_k B_l), where the
+    halves of an anticommutator have conjugate traces: Y_k = 2i H B_k for the
+    Hamiltonian and lam (L'† B_k L' - L'†L' B_k) for a dissipator.  Components
+    of zero norm are dropped; the rest are sorted by descending norm, with
+    stable ties, which fixes the product order deterministically.
     """
     d, zero = g.d, np.zeros((g.d, g.d))
     plans = [p for p in plans if p.lam > 0.0]
-    L = universal_operators([p.params for p in plans], g.basis)
-    U = np.array([p.U for p in plans]).reshape(-1, d, d)
+    L = plan_operators(plans).reshape(-1, d, d)
+    U = np.array([p.U for p in plans]).reshape(L.shape)
     lam = np.array([p.lam for p in plans]).reshape(-1, 1, 1)
-    G = lam * dissipator_superoperator(np.ones((1, 1)), (U @ L @ dagger(U))[:, None])
     norms = [one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))) for p, l in zip(plans, L)]
+    Lc = U @ L @ dagger(U)
+    left = lam * (dagger(Lc) @ Lc)  # the factors in front of B_k alone: 2i H first, if any
     if np.max(np.abs(g.H)) > 0.0:
-        G = np.concatenate([hamiltonian_superoperator(g.H)[None], G])
+        left = np.concatenate([2j * g.H[None], left])
         norms.insert(0, one_one_norm(DiagonalGenerator(d, g.H)))
-    comps = [Component(d, norm, R) for norm, R in zip(norms, real_map(G))]
+    B = hermitian_basis(d)
+    side = B.transpose(1, 0, 2).reshape(d, d ** 3)  # B_k side by side
+
+    def times_basis(X):  # X_j B_k for each X_j of the stack X, at [j, :, k]
+        return (X.reshape(-1, d) @ side).reshape(len(X), d, d * d, d)
+
+    n, m = len(norms), len(plans)
+    Y = np.empty((n, d * d, d, d), dtype=complex)
+    Yt = Y.transpose(0, 2, 1, 3)  # Y[j, k] = Yt[j, :, k]
+    sandwiched = times_basis(lam * dagger(Lc)).reshape(m, d ** 3, d) @ Lc
+    one_sided = times_basis(left)
+    Yt[:n - m] = one_sided[:n - m]  # the Hamiltonian's, if any
+    np.subtract(sandwiched.reshape(m, d, d * d, d), one_sided[n - m:], out=Yt[n - m:])
+    del sandwiched, one_sided  # d^4 complex entries a component each, freed before R exists
+    # Re tr(Y_k B_l) = Re sum_ab (Y_k)_ab conj(B_l)_ab: the dot product of the float views
+    real = B.reshape(d * d, d * d).view(float)
+    R = (Y.reshape(n * d * d, d * d).view(float) @ real.T).reshape(n, d * d, d * d)
+    comps = [Component(d, norm, r) for norm, r in zip(norms, R)]
     return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
 
 

@@ -10,9 +10,10 @@ from hypothesis import settings
 
 from lindbladsim import decompose, serialize, trotter
 from lindbladsim.cli import lambda_atom_generator
-from lindbladsim.decompose import universal_vectors
-from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, from_diagonal, gks_spectrum,
-                                  hamiltonian_superoperator)
+from lindbladsim.decompose import universal_operators, universal_vectors
+from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, dissipator_superoperator,
+                                  from_diagonal, gks_spectrum, hamiltonian_superoperator,
+                                  one_one_norm, real_map)
 from lindbladsim.numerics import dagger, frobenius
 from lindbladsim.sud import SudError, adjoint_matrix, gell_mann_basis, pair_index
 
@@ -206,6 +207,25 @@ def conjugation_superoperator(u):
     d = U.shape[-1]
     outer = np.conj(U)[..., :, None, :, None] * U[..., None, :, None, :]
     return outer.reshape(*U.shape[:-2], d * d, d * d)
+
+
+def reference_components(g, plans):
+    """The reference for trotter.prepare_components: each component built column-stacked,
+    hamiltonian_superoperator of H or dissipator_superoperator over the one operator
+    U L U† of a plan of positive weight, and taken into the Hermitian basis by
+    lindblad.real_map.  The norms, the dropped zeros and the order are
+    prepare_components' own."""
+    d, zero = g.d, np.zeros((g.d, g.d))
+    comps = []
+    if np.max(np.abs(g.H)) > 0.0:
+        comps.append(trotter.Component(d, one_one_norm(DiagonalGenerator(d, g.H)),
+                                       real_map(hamiltonian_superoperator(g.H))))
+    for p in (p for p in plans if p.lam > 0.0):
+        (L,) = universal_operators([p.params], g.basis)
+        S = dissipator_superoperator([[p.lam]], (p.U @ L @ dagger(p.U))[None])
+        norm = one_one_norm(DiagonalGenerator(d, zero, ((p.lam, L),)))
+        comps.append(trotter.Component(d, norm, real_map(S)))
+    return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)
 
 
 def sigma_x_slot(basis, j, k):

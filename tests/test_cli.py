@@ -173,6 +173,30 @@ def test_validate_rejects_malformed_json(tmp_path):
             assert main([command, str(path)]) == 2, (name, command)
 
 
+def test_refusals_quote_at_most_80_characters(tmp_path, capsys):
+    """A refused entry or mode is quoted in at most 80 characters, however large it is."""
+    deep = json.loads("[" * 500 + "1" + "]" * 500)
+    zero2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    term = {"gamma": 1.0, "L": zero2}
+    g = lambda_atom()
+    req = json.loads(simulation_request(tmp_path, g, maximally_mixed(3).rho, 1.0, 1e-3,
+                                        "oracle").read_text())
+    cases = [("validate", {"d": 2, "H": with_entry(deep), "terms": [term]}, 2),
+             ("validate", {"d": 2, "H": with_entry([0.0, 10 ** 400]), "terms": [term]}, 2),
+             ("validate", {"d": 2, "H": zero2, "terms": [{**term, "gamma": "x" * 1000}]}, 2),
+             ("simulate", {**req, "mode": [[0] * 1000]}, 2),
+             ("simulate", {**req, "mode": "x" * 1000}, 1)]
+    for i, (command, doc, code) in enumerate(cases):
+        path = tmp_path / f"long-{i}.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(path)]) == code, i
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith("...") and len(line) <= 80 + 60, (i, line)
+    assert serialize.quoted("x" * 78) == repr("x" * 78)
+    assert serialize.quoted("x" * 79) == "'" + "x" * 76 + "..."
+
+
 def test_validate_missing_file():
     assert main(["validate", "/nonexistent/path.json"]) == 2
 
@@ -403,10 +427,17 @@ def test_simulate_rejects_bad_request(tmp_path):
                       ("text-d", {**doc, "rho0": {"d": "x", "rho": doc["rho0"]}}),
                       ("float-d", {**doc, "rho0": {"d": 3.7, "rho": doc["rho0"]}}),
                       ("numeric-text-t", {**doc, "t": "1"}),
-                      ("bool-eps", {**doc, "t": 1.0, "epsilon": True})):
+                      ("bool-eps", {**doc, "t": 1.0, "epsilon": True}),
+                      # a mode that is not text is mistyped like any other field
+                      ("number-mode", {**doc, "t": 1.0, "mode": 5}),
+                      ("null-mode", {**doc, "t": 1.0, "mode": None}),
+                      ("list-mode", {**doc, "t": 1.0, "mode": [1]})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         assert main(["simulate", str(path)]) == 2, name
+    path = tmp_path / "unknown-mode.json"
+    path.write_text(json.dumps({**doc, "t": 1.0, "mode": "fast"}))
+    assert main(["simulate", str(path)]) == 1
     for name, text in (("not-utf8", json.dumps(doc).encode() + b"\xff"),
                        ("too-deep", b'{"generator": ' + b"[" * 100000)):
         path = tmp_path / f"{name}.json"

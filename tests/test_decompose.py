@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,17 @@ from hypothesis import strategies as st
 from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, THETA2, dephasing_gks,
                       from_vector, lambda_atom, plan_gks_matrix, random_gks, random_psd,
                       sigma_x_slot, to_vector)
+from lindbladsim import decompose
 from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
                                    UniversalParams, canonical_phases, decompose_generator,
                                    decompose_term, decompose_terms, diagonalizing_unitaries,
                                    extract_params, phase_eliminations, sigma_y_zero_slots,
-                                   spectral_split, universal_support, universal_vectors,
-                                   verify_plan, verify_plans)
-from lindbladsim.lindblad import GksGenerator, liouvillian_matrix
+                                   spectral_split, universal_operators, universal_support,
+                                   universal_vectors, verify_plan, verify_plans)
+from lindbladsim.lindblad import GksGenerator, liouvillian_matrix, maximally_mixed
 from lindbladsim.numerics import dagger, expm, frobenius
 from lindbladsim.sud import adjoint_matrix, gell_mann_basis
+from lindbladsim.trotter import simulate
 
 B3 = gell_mann_basis(3)
 A1_LITERAL = (AHAT1_R + 1j * AHAT1_I) / np.sqrt(2.0)
@@ -377,6 +380,32 @@ def test_verify_plans_refuses_lists_of_different_lengths():
     g = lambda_atom(1.0, 0.25)
     with pytest.raises(DecomposeError, match="2 plans for 1 terms"):
         verify_plans(decompose_generator(g), spectral_split(g)[:1], g.basis)
+
+
+def test_a_plan_builds_its_operator_once(monkeypatch):
+    """Two simulate calls and a verify_plans on one generator build its plans'
+    operators in one universal_operators call; each plan's operator is read-only and
+    bit for bit universal_operators of its own params, and a copy builds its own."""
+    g = random_gks(4, np.random.default_rng(1))
+    built = []
+
+    def counted(params, basis, fn=decompose.universal_operators):
+        built.append(len(params))
+        return fn(params, basis)
+
+    monkeypatch.setattr(decompose, "universal_operators", counted)
+    for t in (0.5, 1.0):
+        simulate(g, maximally_mixed(4), t, 1e-3)
+    plans = decompose_generator(g)
+    verify_plans(plans, spectral_split(g), g.basis)
+    assert built == [len(plans)]
+    monkeypatch.undo()
+    for p in plans:
+        (L,) = universal_operators([p.params], g.basis)
+        assert not p.operator.flags.writeable
+        assert p.operator.tobytes() == L.tobytes()
+        copy = dataclasses.replace(p, lam=2.0 * p.lam)
+        assert copy.operator is not p.operator and copy.operator.tobytes() == L.tobytes()
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])

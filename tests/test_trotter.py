@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import (NORM_SAFETY, choi_split_bound, column_stacked, criterion_4_instances,
                       dephasing_gks, exp_derivative, first_order_terms, frame, lambda_atom,
                       n_qubit_generator, predicted_plan, pure_hamiltonian, random_diagonal,
-                      random_gks, random_mixed_state, serial_one_one_norm, unvec, vec,
-                      walked_block)
+                      random_gks, random_mixed_state, reference_components,
+                      serial_one_one_norm, unvec, vec, walked_block)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
@@ -129,6 +129,56 @@ def test_component_norms_match_serial_estimator():
         for c in prepare_components(g, decompose_generator(g)[:n_plans]):
             oracle = serial_one_one_norm(column_stacked(c.generator)) / NORM_SAFETY
             assert c.norm >= oracle * (1.0 - 1e-12)
+
+
+def assert_components_match_the_reference(g, plans):
+    """prepare_components against the column-stacked reference: the same norms in the same
+    order, bit for bit, and maps within 1e-14 in the Frobenius norm, relative."""
+    new, ref = prepare_components(g, plans), reference_components(g, plans)
+    assert [c.norm for c in new] == [c.norm for c in ref]
+    for c, r in zip(new, ref):
+        assert c.generator.dtype == np.float64 and c.generator.flags.c_contiguous
+        assert frobenius(c.generator - r.generator) <= 1e-14 * frobenius(r.generator)
+
+
+def rank_deficient(d, seed):
+    """random_gks(d, default_rng(seed)) with A cut to its two leading eigenpairs."""
+    g = random_gks(d, np.random.default_rng(seed))
+    w, v = np.linalg.eigh(g.A)
+    return GksGenerator(basis=g.basis, H=g.H, A=(v[:, -2:] * w[-2:]) @ v[:, -2:].conj().T)
+
+
+COMPONENT_CASES = {
+    **{f"random-d{d}-s{s}": lambda d=d, s=s: random_gks(d, np.random.default_rng(s))
+       for d in range(2, 7) for s in (1, 2, 3)},
+    **{f"qubits-{n}": functools.partial(n_qubit_generator, n) for n in range(1, 5)},
+    **{f"dephasing-d{d}": lambda d=d: dephasing_gks(d, np.random.default_rng(d))
+       for d in (2, 3, 5)},
+    **{f"no-h-d{d}": lambda d=d: random_gks(d, np.random.default_rng(d), with_h=False)
+       for d in (2, 4)},
+    **{f"rank-2-d{d}": functools.partial(rank_deficient, d, d) for d in (3, 6)},
+    "hamiltonian-only": functools.partial(pure_hamiltonian, 4),
+    "lambda-atom": lambda_atom,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
+def test_components_match_the_column_stacked_reference(case):
+    g = COMPONENT_CASES[case]()
+    plans = decompose_generator(g)
+    assert_components_match_the_reference(g, plans)
+    # plans of zero weight give no component, wherever they stand
+    zeroed = [dataclasses.replace(p, lam=0.0) if i % 2 else p for i, p in enumerate(plans)]
+    assert_components_match_the_reference(g, zeroed)
+    assert_components_match_the_reference(g, [dataclasses.replace(p, lam=0.0) for p in plans])
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@settings(max_examples=10)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3))
+def test_components_match_the_reference_on_any_generator(d, seed, scale):
+    g = random_gks(d, np.random.default_rng(seed), scale=scale)
+    assert_components_match_the_reference(g, decompose_generator(g))
 
 
 # ---------------------------------------------------------------------------
