@@ -32,7 +32,9 @@ certified runs that fall back; per workload, how many states are
 bit-identical, the largest entry difference, the largest relative change of
 a certificate that both files carry and the largest change of dist / eps;
 the worst dist / eps of a certified run in each file; and the CLI documents
-whose exit code or bytes moved.
+whose exit code or bytes moved.  It exits 1 when the case ids differ, a plan
+moved, exponentials rose, a certified run falls back, an error changed or a
+CLI exit code moved, and 0 otherwise: moved bytes alone do not fail it.
 """
 
 import argparse
@@ -121,7 +123,8 @@ def workload(case: str) -> str:
     return name if name in ("random-d6", "lambda-trajectory") else "elsewhere"
 
 
-def compare(path_a, path_b):
+def compare(path_a, path_b) -> bool:
+    """Print the comparison; True when it fails (see the module docstring)."""
     a, b = load(path_a), load(path_b)
     if a.keys() != b.keys():
         print(f"case ids differ: {sorted(a.keys() ^ b.keys())}")
@@ -175,13 +178,16 @@ def compare(path_a, path_b):
         worst = max(certified, key=lambda r: r["dist_over_eps"])
         print(f"{path}: {len(certified)} certified runs, worst dist / eps "
               f"{worst['dist_over_eps']:.4f} ({worst['id']})")
-    moved = [f"{c} ({a[c]['command']}): exit {a[c]['exit']} -> {b[c]['exit']}, "
-             f"{a[c]['bytes']} -> {b[c]['bytes']} bytes"
-             for c in documents
-             if (a[c]["exit"], a[c]["document_sha256"]) != (b[c]["exit"], b[c]["document_sha256"])]
-    print(f"{len(documents)} CLI documents compared; bytes or exit code moved: {len(moved)}")
-    for line in moved:
+    changed = [f"{c} ({a[c]['command']}): exit {a[c]['exit']} -> {b[c]['exit']}, "
+               f"{a[c]['bytes']} -> {b[c]['bytes']} bytes"
+               for c in documents
+               if (a[c]["exit"], a[c]["document_sha256"]) != (b[c]["exit"], b[c]["document_sha256"])]
+    print(f"{len(documents)} CLI documents compared; bytes or exit code moved: {len(changed)}")
+    for line in changed:
         print(f"  {line}")
+    exits = [c for c in documents if a[c]["exit"] != b[c]["exit"]]
+    print(f"CLI exit codes moved: {len(exits)}")
+    return bool(a.keys() != b.keys() or moved or rose or fell_back or errors or exits)
 
 
 def main(argv=None):
@@ -189,8 +195,7 @@ def main(argv=None):
     parser.add_argument("--compare", nargs=2, metavar=("REFERENCE", "OTHER"))
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return
+        return int(compare(*args.compare))
     for case in instances():
         print(serialize.dumps(record(*case)), flush=True)
     for document in cli_documents():
@@ -198,4 +203,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

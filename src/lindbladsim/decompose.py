@@ -58,7 +58,7 @@ def _require_weight(lam):
         raise DecomposeError(f"weight must be finite and non-negative, got {lam}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOneTerm:
     """One spectral component lambda * a a† of a GKS matrix; a is a read-only copy."""
 
@@ -83,7 +83,7 @@ class UniversalParams:
     alphaI: tuple  # d^2-d-1 angles; empty for d = 2 (fixed vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugationPlan:
     """Unitary plus universal parameters realizing one rank-one piece; U is a
     read-only copy."""
@@ -91,7 +91,7 @@ class ConjugationPlan:
     lam: float
     U: np.ndarray = field(repr=False)
     params: UniversalParams
-    _operator: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _operator: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _require_weight(self.lam)

@@ -15,7 +15,9 @@ superoperator norm that drives product-formula step selection.
 The constructors (hamiltonian_superoperator, dissipator_superoperator,
 liouvillian_matrix) column-stack: vec(X rho Y) = (Y^T kron X) vec(rho).
 dissipator_superoperator contracts a coefficient matrix over a stack of
-operators, for the oracle the Gell-Mann matrices under A.  Every map that is
+operators, for the oracle the Gell-Mann matrices under A, in two BLAS
+products, and subtracts the anticommutator half as two Kronecker products of
+Phi = sum_lk A_lk F_k† F_l with the identity.  Every map that is
 exponentiated, multiplied, projected or applied is a real matrix R in the
 orthonormal Hermitian basis B = (I / sqrt(d), F_1, ..., F_{d^2-1}) of
 hermitian_basis, R_kl = tr(B_k S(B_l)) for a map S that keeps matrices
@@ -55,7 +57,7 @@ def _require_hermitian(X: np.ndarray, name: str) -> None:
         raise LindbladError(f"{name} is not Hermitian within tolerance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GksGenerator:
     """Generator data (H, A) over a fixed Gell-Mann basis.
 
@@ -71,7 +73,7 @@ class GksGenerator:
     basis: GellMannBasis
     H: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
-    _decomposition: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _decomposition: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         d, n = self.basis.d, self.basis.n
@@ -101,7 +103,7 @@ class GksGenerator:
         return self.basis.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalGenerator:
     """Generator data H plus rate/operator pairs (gamma_k, L_k)."""
 
@@ -130,7 +132,7 @@ class DiagonalGenerator:
         object.__setattr__(self, "terms", tuple(terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     d: int
     rho: np.ndarray = field(repr=False)
@@ -222,20 +224,10 @@ def dissipator_superoperator(A: np.ndarray, ops: np.ndarray) -> np.ndarray:
     # (a b),(i j) entries are reordered to (a i),(b j).
     flat = F.reshape(n, d * d)
     B = np.asarray(A, dtype=complex) @ np.conj(flat)
-    S = (B.T @ flat).reshape(d, d, d, d).swapaxes(1, 2)
+    S = (B.T @ flat).reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
     Phi = np.einsum("lai,laj->ij", B.reshape(F.shape), F)  # sum_lk A_lk F_k† F_l
-    # minus (1/2) (kron(Phi^T, I) + kron(I, Phi)), which lives on the diagonal views a = b
-    # and i = j: kron(I, Phi) on a = b, where i = j adds Phi_aa, and kron(Phi^T, I) on the
-    # rest of i = j.  Each entry is S minus half the sum 0 + Phi_.. (+ Phi_..) that a zeroed
-    # d^4 anticommutator array would hold there, down to the sign of a zero, without it
-    out = np.ascontiguousarray(S)
-    on_a = np.broadcast_to(Phi, (d, d, d)) + 0.0
-    np.einsum("aii->ai", on_a)[...] += np.diag(Phi)[:, None]
-    np.einsum("aiaj->aij", out)[...] -= 0.5 * on_a
-    off_a = Phi.T + 0.0
-    np.fill_diagonal(off_a, 0.0)
-    np.einsum("aibi->abi", out)[...] -= 0.5 * off_a[..., None]
-    return out.reshape(d * d, d * d)
+    eye = np.eye(d)  # {Phi, rho} -> kron(Phi^T, I) + kron(I, Phi)
+    return S - 0.5 * (np.kron(Phi.T, eye) + np.kron(eye, Phi))
 
 
 def liouvillian_matrix(g: GksGenerator) -> np.ndarray:

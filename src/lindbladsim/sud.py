@@ -43,7 +43,7 @@ def pair_index(d: int, j: int, k: int) -> int:
     return (j - 1) * (2 * d - j) // 2 + (k - j - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GellMannBasis:
     """Ordered orthonormal Hermitian traceless basis of d x d matrices, kept as a
     read-only copy."""

@@ -88,13 +88,14 @@ Hamiltonian or dissipative, is realized as exp(t~ G_j), with the physical
 duration t~ carrying the component's weight.  A plan carries its block's
 length lam, not its schedule, and one builder makes every block
 (block_superoperator).
-Suzuki's recursion unrolls into 2^(k-1) symmetric S_2 leaves, one at k = 1,
-and each component is asked once for its channels at every leaf's half step,
-which one stacked numerics.expm call computes, on a Taylor rung with no solve
-at a block's small norms.  The forward and backward sweeps run over the
-leaves and, for a mixture, over its component orders at once; the fixed
-block's leaves fold level by level into S_2k.  No run builds the merged
-schedule (block_schedule): a plan's schedule property unrolls it on demand.
+Suzuki's recursion unrolls into 2^(k-1) distinct symmetric S_2 leaves, one at
+k = 1, whose lengths leaf_lengths gives, and each component is asked once for
+its channels at every leaf's half step, which one stacked numerics.expm call
+computes, on a Taylor rung with no solve at a block's small norms.  The forward
+and backward sweeps run over the leaves and, for a mixture, over its component
+orders at once; the fixed block's leaves fold level by level into S_2k.  No
+run builds the merged schedule: a plan's schedule property unrolls it on
+demand, in closed form from the same leaves (block_schedule).
 The block, its power and exp(t sum_j G_j) are all real, and the
 certificate's Choi matrix is formed from the real map and the basis stack
 directly.  At k = 1 every duration is positive, so every
@@ -105,7 +106,7 @@ exponential is applied for any sign and the cost report flags them.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -130,7 +131,7 @@ class Segment:
     duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Component:
     """One summand of the generator: its real d^2 x d^2 matrix G_j in the Hermitian
     basis (lindblad.hermitian_basis), whose exponentials exp(t G_j) are its channels,
@@ -192,52 +193,25 @@ def prepare_components(g: GksGenerator, plans) -> list[Component]:
     return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
 
 
-def s2_schedule(m: int, lam: float) -> list[Segment]:
-    """Basic symmetric split: forward sweep then reverse sweep, lam/2 each."""
-    if m < 1:
-        raise TrotterError(f"need at least one component, got {m}")
-    fwd = [Segment(index=j, duration=lam / 2.0) for j in range(m)]
-    bwd = [Segment(index=j, duration=lam / 2.0) for j in reversed(range(m))]
-    return fwd + bwd
-
-
 def suzuki_p(k: int) -> float:
     """Recursion coefficient p_k = 1 / (4 - 4^(1/(2k-1)))."""
     return 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
 
 
-def merge_adjacent(segments) -> list[Segment]:
-    """Fuse neighboring segments with equal component index."""
-    out: list[Segment] = []
-    for seg in segments:
-        if out and out[-1].index == seg.index:
-            out[-1] = Segment(index=seg.index, duration=out[-1].duration + seg.duration)
-        else:
-            out.append(seg)
-    return out
-
-
-def s2k_schedule(m: int, k: int, lam: float) -> list[Segment]:
-    """Order-2k Suzuki schedule with adjacent equal-index factors merged."""
-    if k < 1:
-        raise TrotterError(f"half-order must be >= 1, got {k}")
-    if k == 1:
-        return merge_adjacent(s2_schedule(m, lam))
-    p = suzuki_p(k)
-    outer = s2k_schedule(m, k - 1, p * lam)
-    middle = s2k_schedule(m, k - 1, (1.0 - 4.0 * p) * lam)
-    return merge_adjacent(outer + outer + middle + outer + outer)
+def leaf_lengths(k: int, lam: float) -> np.ndarray:
+    """The lengths lam prod_j f_j, f_j in {p_j, 1 - 4 p_j} for j = k..2, of the 2^(k-1)
+    distinct symmetric S_2 leaves that Suzuki's recursion unrolls into: one axis per
+    level, j = k first, and lam itself, a 0-d array, at k = 1."""
+    lengths = np.array(lam)
+    for j in range(k, 1, -1):
+        p = suzuki_p(j)
+        lengths = np.multiply.outer(lengths, (p, 1.0 - 4.0 * p))
+    return lengths
 
 
 def segments_per_block(m: int, k: int) -> int:
     """Factor count of one merged S_2k block: 2(m-1) 5^(k-1) + 1."""
     return 2 * (m - 1) * 5 ** (k - 1) + 1
-
-
-def merged_count(m: int, k: int, n_reps: int) -> int:
-    """Exponentials in n_reps merged S_2k blocks over m components: each
-    block starts and ends on component 0, so neighbouring blocks share one."""
-    return n_reps * segments_per_block(m, k) - (n_reps - 1)
 
 
 # the product formulas a plan runs: the S_2k block in its one component order, or at
@@ -283,13 +257,13 @@ def component_orders(m: int) -> np.ndarray:
 
 
 def formula_count(formula: str, m: int, k: int, n_reps: int) -> int:
-    """Exponentials in n_reps blocks of the formula: merged_count for the
-    fixed-order block; for a mixture the worst case over the blocks drawn,
-    n_reps (2m - 1), since two neighbouring blocks share a component only
-    when they end and start on the same one."""
-    if formula == SUZUKI:
-        return merged_count(m, k, n_reps)
-    return n_reps * segments_per_block(m, k)
+    """Exponentials in n_reps blocks of the formula.  Every fixed-order block
+    starts and ends on component 0, so neighbouring blocks share one; a mixture
+    counts its worst case over the blocks drawn, n_reps (2m - 1), since two
+    neighbouring blocks share a component only when they end and start on the
+    same one."""
+    shared = n_reps - 1 if formula == SUZUKI else 0
+    return n_reps * segments_per_block(m, k) - shared
 
 
 def select_order(eps: float, t: float, m: int, L1: float, L2: float):
@@ -420,9 +394,31 @@ class TrotterPlan:
 
 
 def block_schedule(m: int, k: int, lam: float) -> tuple:
-    """The order-2k block of normalized length lam, checked to give every
-    component the whole length."""
-    sched = tuple(s2k_schedule(m, k, lam))
+    """The merged order-2k block of normalized length lam, unrolled from its leaves,
+    checked to give every component the whole length.
+
+    The recursion runs its leaves (leaf_lengths) in the pattern p, p, 1 - 4p, p, p at
+    every level.  A leaf mu runs components 0..m-2 at mu / 2, component m - 1 at mu and
+    components m-2..0 at mu / 2; neighbouring leaves merge on component 0, so one
+    component's block is one segment.
+    """
+    if m < 1:
+        raise TrotterError(f"need at least one component, got {m}")
+    if k < 1:
+        raise TrotterError(f"half-order must be >= 1, got {k}")
+    mu = leaf_lengths(k, lam)[np.ix_(*[(0, 0, 1, 0, 0)] * (k - 1))].ravel()
+    if m == 1:
+        sched = (Segment(0, float(mu.sum())),)
+    else:
+        half = mu / 2.0
+        # a leaf's segments after its first, components 1..m-1..0, its last merged with
+        # the next leaf's first
+        rows = np.repeat(half[:, None], 2 * m - 2, axis=1)
+        rows[:, m - 2] = mu
+        rows[:-1, -1] += half[1:]
+        index = [*range(1, m), *range(m - 2, -1, -1)]
+        sched = (Segment(0, float(half[0])),) + tuple(
+            Segment(j, x) for row in rows.tolist() for j, x in zip(index, row))
     totals = [0.0] * m  # one pass, each sum in schedule order
     for seg in sched:
         totals[seg.index] += seg.duration
@@ -586,7 +582,7 @@ def certify(components: list[Component], eps: float, t: float,
     """
     m, L1 = len(components), components[0].norm
     budget = paper.actual_exponentials()
-    if merged_count(m, 1, 1) >= budget:
+    if formula_count(SUZUKI, m, 1, 1) >= budget:
         return paper
     try:
         exact, terms = leading_error(components, t)
@@ -655,7 +651,7 @@ def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
     k, r, n_reps, bound_res, bound_closed = step_count(eps, t, m, L1, norms[1] if m > 1 else L1)
     # checked before any block of 2(m - 1) 5^(k - 1) + 1 segments is built: k grows without
     # bound as eps falls, and the lambda atom's block at eps = 1e-300 has 4.9e8 segments
-    if merged_count(m, k, n_reps) > 2 ** 53:
+    if formula_count(SUZUKI, m, k, n_reps) > 2 ** 53:
         raise TrotterError("the paper's plan needs more than 2^53 exponentials")
     return TrotterPlan(k=k, r=r, n_reps=n_reps, lam=t * L1 / n_reps, m=m, L1=L1,
                        bound_res=bound_res, bound_closed_form=bound_closed)
@@ -691,10 +687,7 @@ def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.nd
     first, as S = (A A) M (A A), A the leaf or fold of factor p_j and M that of
     1 - 4 p_j.  A mixture is the mean of (B F + F B) / 2 over its rows.
     """
-    lengths = np.array(plan.lam)  # one axis per recursion level, j = k first, j = 2 last
-    for j in range(plan.k, 1, -1):
-        p = suzuki_p(j)
-        lengths = np.multiply.outer(lengths, (p, 1.0 - 4.0 * p))
+    lengths = leaf_lengths(plan.k, plan.lam)
     half = np.stack([comp.channel(lengths.ravel() / 2.0 / plan.L1) for comp in components])
     orders = component_orders(plan.m)[:max(1, plan.pairs)]
     forward = backward = half[orders[:, 0]]  # F and B of each row and leaf, stacked
@@ -754,21 +747,8 @@ class CostReport:
     builds: int
 
     def to_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "pairs": self.pairs,
-            "k": self.k,
-            "r": self.r,
-            "n_reps": self.n_reps,
-            "N_exp_actual": self.n_exp_actual,
-            "N_exp_unmerged": self.n_exp_unmerged,
-            "N_exp_bound_res": self.n_exp_bound_res,
-            "N_exp_bound_closed_form": self.n_exp_bound_closed_form,
-            "negative_segments": self.negative_segments,
-            "certificate": self.certificate,
-            "predicted_certificate": self.predicted_certificate,
-            "builds": self.builds,
-        }
+        """The fields by name, each n_exp written N_exp."""
+        return {f.name.replace("n_exp", "N_exp"): getattr(self, f.name) for f in fields(self)}
 
 
 def nexp_report(plan: TrotterPlan) -> CostReport:

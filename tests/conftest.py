@@ -334,15 +334,41 @@ def predicted_plan(components, t, eps, formula):
                                certificate=choi_split_bound(column_stacked(total - exact)))
 
 
+def merge_adjacent(segments) -> list:
+    """Neighbouring segments of one component fused into one."""
+    out = []
+    for seg in segments:
+        if out and out[-1].index == seg.index:
+            out[-1] = trotter.Segment(seg.index, out[-1].duration + seg.duration)
+        else:
+            out.append(seg)
+    return out
+
+
+def reference_schedule(m, k, lam) -> list:
+    """The reference for trotter.block_schedule: Suzuki's list recursion.  The symmetric
+    split S_2(lam) runs components 0..m-1 at lam / 2 and then m-1..0 at lam / 2, and
+    S_2k(lam) = [S_2k-2(p_k lam)]^2 S_2k-2((1 - 4 p_k) lam) [S_2k-2(p_k lam)]^2, with
+    p_k = 1 / (4 - 4^(1/(2k-1))); neighbouring segments of one component merge at every
+    level."""
+    if k == 1:
+        sweep = [trotter.Segment(j, lam / 2.0) for j in range(m)]
+        return merge_adjacent(sweep + sweep[::-1])
+    p = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
+    outer = reference_schedule(m, k - 1, p * lam)
+    middle = reference_schedule(m, k - 1, (1.0 - 4.0 * p) * lam)
+    return merge_adjacent(outer + outer + middle + outer + outer)
+
+
 def walked_block(plan, components):
     """The reference for trotter.block_superoperator: the product of scipy's
-    exp((duration / L1) G_j) over plan.schedule, segments applied left to right, one
-    exponential per merged segment.  For a k = 1 mixture, the mean of that product over
+    exp((duration / L1) G_j) over reference_schedule(m, k, lam), segments applied left
+    to right, one exponential per merged segment.  For a k = 1 mixture, the mean of that product over
     each of its first plan.pairs rows o of component_orders and over each row's
     reverse, with the component list permuted to run component o_j as j."""
     def walk(comps):
         block = np.eye(comps[0].generator.shape[0])
-        for seg in plan.schedule:
+        for seg in reference_schedule(plan.m, plan.k, plan.lam):
             block = scipy.linalg.expm((seg.duration / plan.L1) * comps[seg.index].generator) @ block
         return block
 

@@ -16,10 +16,11 @@ from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
                                    extract_params, phase_eliminations, sigma_y_zero_slots,
                                    spectral_split, universal_operators, universal_support,
                                    universal_vectors, verify_plan, verify_plans)
-from lindbladsim.lindblad import GksGenerator, liouvillian_matrix, maximally_mixed
+from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, liouvillian_matrix,
+                                  maximally_mixed)
 from lindbladsim.numerics import dagger, expm, frobenius
-from lindbladsim.sud import adjoint_matrix, gell_mann_basis
-from lindbladsim.trotter import simulate
+from lindbladsim.sud import GellMannBasis, adjoint_matrix, gell_mann_basis
+from lindbladsim.trotter import build_plan, prepare_components, simulate
 
 B3 = gell_mann_basis(3)
 A1_LITERAL = (AHAT1_R + 1j * AHAT1_I) / np.sqrt(2.0)
@@ -406,6 +407,27 @@ def test_a_plan_builds_its_operator_once(monkeypatch):
         assert p.operator.tobytes() == L.tobytes()
         copy = dataclasses.replace(p, lam=2.0 * p.lam)
         assert copy.operator is not p.operator and copy.operator.tobytes() == L.tobytes()
+
+
+def test_objects_that_hold_arrays_compare_by_identity():
+    # == on two equal generators or two copies of a plan compared their arrays and raised;
+    # an object that holds an array now equals itself alone, and hashes
+    g, twin = (random_gks(2, np.random.default_rng(1)) for _ in range(2))
+    term = spectral_split(g)[0]
+    plan = decompose_generator(g)[0]
+    basis = gell_mann_basis(2)
+    pairs = [(g, twin), (term, dataclasses.replace(term)), (plan, dataclasses.replace(plan)),
+             (basis, GellMannBasis(2, basis.matrices)),
+             (DiagonalGenerator(2, g.H), DiagonalGenerator(2, g.H)),
+             (maximally_mixed(2), maximally_mixed(2)),
+             tuple(prepare_components(g, [plan])[0] for _ in range(2))]
+    for obj, copy in pairs:
+        assert obj == obj and obj != copy and not obj == copy
+        assert len({obj, copy}) == 2
+    # the plans and parameters that hold no array keep value equality
+    assert plan.params == dataclasses.replace(plan.params)
+    trotter_plan = build_plan(prepare_components(g, decompose_generator(g)), 1e-3, 1.0)
+    assert trotter_plan == dataclasses.replace(trotter_plan, total_map=None)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])

@@ -13,7 +13,7 @@ from conftest import (NORM_SAFETY, choi_split_bound, column_stacked, criterion_4
                       dephasing_gks, exp_derivative, first_order_terms, frame, lambda_atom,
                       n_qubit_generator, predicted_plan, pure_hamiltonian, random_diagonal,
                       random_gks, random_mixed_state, reference_components,
-                      serial_one_one_norm, unvec, vec, walked_block)
+                      reference_schedule, serial_one_one_norm, unvec, vec, walked_block)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
@@ -22,11 +22,11 @@ from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState,
 from lindbladsim.numerics import MAX_EXPM_NORM, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import (COIN_FLIP, FORMULAS, MIX_PAIRS, MIXED_ORDERS, SUZUKI,
-                                 TrotterError, TrotterPlan, block_schedule, block_superoperator,
-                                 build_plan, component_orders, diamond_bound, leading_error,
-                                 merge_adjacent, nexp_bound_closed_form, nexp_bound_res,
-                                 nexp_report, paper_plan, prepare_components, run_plan,
-                                 s2_schedule, s2k_schedule, segments_per_block, select_order,
+                                 Segment, TrotterError, TrotterPlan, block_schedule,
+                                 block_superoperator, build_plan, component_orders,
+                                 diamond_bound, formula_count, leading_error,
+                                 nexp_bound_closed_form, nexp_bound_res, nexp_report, paper_plan,
+                                 prepare_components, run_plan, segments_per_block, select_order,
                                  simulate, step_count, suzuki_p)
 
 E = math.e
@@ -48,30 +48,58 @@ def damping_generator(gamma=1.0):
 # ---------------------------------------------------------------------------
 
 def test_s2_single_component():
-    sched = s2_schedule(1, 0.8)
-    assert [s.index for s in sched] == [0, 0]
-    assert sum(s.duration for s in sched) == pytest.approx(0.8, abs=0)
+    # one component's block is one segment of the whole length, at every order
+    assert block_schedule(1, 1, 0.8) == (Segment(0, 0.8),)
+    for k in (2, 3, 4):
+        (seg,) = block_schedule(1, k, 0.8)
+        assert seg.index == 0 and seg.duration == pytest.approx(0.8, rel=1e-12)
 
 
 def test_s2_two_components_unrolled():
-    sched = s2_schedule(2, 1.0)
-    assert [(s.index, s.duration) for s in sched] == [(0, 0.5), (1, 0.5), (1, 0.5), (0, 0.5)]
+    sched = block_schedule(2, 1, 1.0)
+    assert [(s.index, s.duration) for s in sched] == [(0, 0.5), (1, 1.0), (0, 0.5)]
 
 
 def test_s2_three_components_palindromic():
-    sched = s2_schedule(3, 1.0)
-    idx = [s.index for s in sched]
-    assert len(idx) == 6
-    assert idx == idx[::-1]
+    sched = block_schedule(3, 1, 1.0)
+    assert [(s.index, s.duration) for s in sched] == [(0, 0.5), (1, 0.5), (2, 1.0), (1, 0.5),
+                                                      (0, 0.5)]
 
 
 def test_s2_rejects_empty():
-    with pytest.raises(TrotterError):
-        s2_schedule(0, 1.0)
+    for k in (1, 2):
+        with pytest.raises(TrotterError, match="at least one component"):
+            block_schedule(0, k, 1.0)
 
 
 def test_s2k_base_is_merged_s2():
-    assert s2k_schedule(3, 1, 0.7) == merge_adjacent(s2_schedule(3, 0.7))
+    assert block_schedule(3, 1, 0.7) == tuple(reference_schedule(3, 1, 0.7))
+
+
+def test_block_schedule_matches_the_reference_bit_for_bit():
+    # the closed form against Suzuki's list recursion, signs and last bits included; one
+    # component's block sums its leaves in another order, within 1e-12 lam
+    def bits(sched):
+        return [(s.index, s.duration.hex()) for s in sched]
+
+    for lam in (0.7, 1.0, 1e-3, 3.3, 123.456, 0.1):
+        for k in range(1, 5):
+            for m in range(2, 9):
+                expected = bits(reference_schedule(m, k, lam))
+                assert bits(block_schedule(m, k, lam)) == expected
+                plan = TrotterPlan(k=k, r=0.0, n_reps=1, lam=lam, m=m, L1=1.0)
+                assert bits(plan.schedule) == expected
+            (seg,), (ref,) = block_schedule(1, k, lam), reference_schedule(1, k, lam)
+            assert seg.index == ref.index == 0
+            assert abs(seg.duration - ref.duration) <= 1e-12 * lam
+
+
+def test_block_schedule_refuses_durations_that_miss_the_length(monkeypatch):
+    leaf_lengths = trotter.leaf_lengths
+    monkeypatch.setattr(trotter, "leaf_lengths", lambda k, lam: 1.01 * leaf_lengths(k, lam))
+    for m, k in ((1, 1), (3, 1), (2, 3)):
+        with pytest.raises(TrotterError, match="do not sum to the block length"):
+            block_schedule(m, k, 0.9)
 
 
 def test_suzuki_p2_value():
@@ -83,25 +111,31 @@ def test_suzuki_p2_value():
 
 def test_s2k_block_counts():
     assert segments_per_block(2, 2) == 11
-    assert len(s2k_schedule(2, 2, 1.0)) == 11
-    for m, k in ((2, 1), (3, 2), (4, 3)):
-        assert len(s2k_schedule(m, k, 0.3)) == segments_per_block(m, k)
+    assert len(block_schedule(2, 2, 1.0)) == 11
+    for m, k in ((1, 1), (1, 3), (2, 1), (3, 2), (4, 3), (5, 4)):
+        assert len(block_schedule(m, k, 0.3)) == segments_per_block(m, k)
+        assert formula_count(SUZUKI, m, k, 1) == segments_per_block(m, k)
+    # neighbouring fixed blocks share component 0; mixed blocks share nothing
+    assert formula_count(SUZUKI, 3, 2, 4) == 4 * 21 - 3
+    assert formula_count(COIN_FLIP, 3, 1, 4) == formula_count(MIXED_ORDERS, 3, 1, 4) == 4 * 5
 
 
 def test_s2k_palindromic_and_duration_preserving():
-    for m, k in ((2, 1), (3, 2), (2, 3)):
+    for m, k in ((2, 1), (3, 2), (2, 3), (5, 2), (4, 4)):
         lam = 0.9
-        sched = s2k_schedule(m, k, lam)
+        sched = block_schedule(m, k, lam)
         idx = [s.index for s in sched]
         assert idx == idx[::-1]
+        assert [s.duration for s in sched] == [s.duration for s in reversed(sched)]
+        assert sched[0].index == sched[-1].index == 0
         for j in range(m):
             total = sum(s.duration for s in sched if s.index == j)
             assert total == pytest.approx(lam, abs=1e-12)
 
 
 def test_s2k_has_negative_durations_beyond_first_order():
-    assert all(s.duration > 0 for s in s2k_schedule(2, 1, 1.0))
-    assert any(s.duration < 0 for s in s2k_schedule(2, 2, 1.0))
+    assert all(s.duration > 0 for s in block_schedule(2, 1, 1.0))
+    assert any(s.duration < 0 for s in block_schedule(2, 2, 1.0))
     # the plan reads the sign without building its schedule
     for m, k, n_reps in ((m, k, n) for m in range(1, 5) for k in range(1, 4) for n in (0, 2)):
         plan = TrotterPlan(k=k, r=0.0, n_reps=n_reps, lam=0.7 * n_reps, m=m, L1=1.0)
@@ -110,8 +144,9 @@ def test_s2k_has_negative_durations_beyond_first_order():
 
 
 def test_s2k_rejects_bad_order():
-    with pytest.raises(TrotterError):
-        s2k_schedule(2, 0, 1.0)
+    for k in (0, -1):
+        with pytest.raises(TrotterError, match="half-order"):
+            block_schedule(2, k, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +493,12 @@ def test_a_plan_past_2_to_the_53_exponentials_is_refused_before_its_block(monkey
     comps = components_for(lambda_atom())
     k, _, n_reps, _, _ = step_count(1e-300, 1.0, 2, comps[0].norm, comps[1].norm)
     assert (k, segments_per_block(2, k)) == (13, 488281251)
-    assert trotter.merged_count(2, k, n_reps) > 2 ** 53
+    assert formula_count(SUZUKI, 2, k, n_reps) > 2 ** 53
 
     def no_schedule(*args):
         raise AssertionError("a schedule was built")
 
-    monkeypatch.setattr(trotter, "s2k_schedule", no_schedule)
+    monkeypatch.setattr(trotter, "block_schedule", no_schedule)
     with pytest.raises(TrotterError, match="2\\^53"):
         build_plan(comps, eps=1e-300, t=1.0)
 
@@ -1061,7 +1096,7 @@ def test_a_run_builds_no_schedule(monkeypatch):
     def no_schedule(*args):
         raise AssertionError("a schedule was built")
 
-    monkeypatch.setattr(trotter, "s2k_schedule", no_schedule)
+    monkeypatch.setattr(trotter, "block_schedule", no_schedule)
     plans = []
     for eps in (1e-3, 1e-6):
         plans.append(build_plan(comps, eps, 1.0))
