@@ -13,8 +13,9 @@ n_qubit_generator(n) for n = 1..4 at t = 1, and lambda_atom() at t = 0.5, 1, 4
 and 16.  Both files are only read.
 
 Each run is written as one serialize.dumps line: the case id, t and eps; the
-plan's formula, k, n_reps, builds and actual_exponentials(); its certificate
-and predicted certificate (null for the paper's fallback plan); dist / eps,
+plan's formula, k, n_reps, builds and actual_exponentials(); its certificate,
+predicted certificate, residual bound t r, rounding allowance delta and
+target eps - t r - delta (each null for the paper's fallback plan); dist / eps,
 the trace distance to lindblad.apply_exact over eps; the SHA-256 of the
 state's bytes; and the state itself, as [re, im] pairs row by row.  A run that
 raises is written with its error in place of the plan.
@@ -27,7 +28,8 @@ and the SHA-256 of the bytes.
 
 --compare reads two such files, the first the reference, and prints the plans
 that moved (formula, k, n_reps, builds or exponentials), each with the
-reference's certificate over eps / 2; the runs whose exponentials rose; the
+reference's certificate over that run's own target (eps / 2 for a file
+written before runs recorded their target); the runs whose exponentials rose; the
 certified runs that fall back; per workload, how many states are
 bit-identical, the largest entry difference, the largest relative change of
 a certificate that both files carry and the largest change of dist / eps;
@@ -88,6 +90,9 @@ def record(case, g, rho0, t, eps) -> dict:
             "builds": plan.builds, "actual_exponentials": plan.actual_exponentials(),
             "certificate": plan.certificate,
             "predicted_certificate": plan.predicted_certificate,
+            "residual_bound": plan.residual_bound,
+            "rounding_allowance": plan.rounding_allowance,
+            "target": plan.target,
             "dist_over_eps": trace_distance(rho, apply_exact(g, rho0, t).rho) / eps,
             "sha256": hashlib.sha256(rho.tobytes()).hexdigest(),
             "state": serialize.vector_to_json(rho.ravel())}
@@ -139,10 +144,12 @@ def compare(path_a, path_b) -> bool:
                 errors.append(f"{c}: {x.get('error')} -> {y.get('error')}")
             continue
         if any(x[f] != y[f] for f in PLAN_FIELDS):
-            ratio = x["certificate"] / (0.5 * x["eps"]) if x["certificate"] is not None else None
+            ratio = None
+            if x["certificate"] is not None:
+                ratio = x["certificate"] / x.get("target", 0.5 * x["eps"])
             moved.append(f"{c}: " + ", ".join(f"{f} {x[f]} -> {y[f]}" for f in PLAN_FIELDS
                                                if x[f] != y[f])
-                         + f"; reference certificate / (eps/2) = {ratio}")
+                         + f"; reference certificate / target = {ratio}")
         if y["actual_exponentials"] > x["actual_exponentials"]:
             rose.append(c)
         if x["certificate"] is not None and y["certificate"] is None:

@@ -65,9 +65,10 @@ class GksGenerator:
     is given, and the basis matrices are read-only.  What derives from (H, A)
     alone is kept in _decomposition: the eigenpairs of A (eigenpairs), taken
     once here, where numerics.eigh's own check is A's one Hermiticity check
-    and their eigenvalues check that A is positive semidefinite, and its
+    and their eigenvalues check that A is positive semidefinite, its
     spectral terms and conjugation plans, computed on first use
-    (decompose.spectral_split, decompose.decompose_generator).
+    (decompose.spectral_split, decompose.decompose_generator), and the residual
+    of the components of those plans (trotter.prepare_components).
     """
 
     basis: GellMannBasis

@@ -29,14 +29,21 @@ use its step count directly.  build_plan certifies the map that runs
 instead: at k = 1 it searches for a repetition count whose map T_n, the
 n-th power of the block, satisfies
 
-    diamond_bound(T_n - exp(t sum_j G_j)) <= eps / 2,
+    diamond_bound(T_n - exp(t sum_j G_j)) <= eps - t r - delta,
 
 where diamond_bound(X) = ||Tr_out J_+||_inf + ||Tr_out J_-||_inf splits the
 Choi matrix J of X into its positive and negative parts.  It bounds the
-diamond norm, so ||T_n - exp(tL)||_(1->1) <= eps / 2, and it is exact for
-completely positive maps: at d = 6 it reads about a third of
-sqrt(d) ||.||_2, the (1->1) bound the spectral norm gives.  The plan carries
-T_n and that certificate.
+diamond norm, and it is exact for completely positive maps: at d = 6 it
+reads about a third of sqrt(d) ||.||_2, the (1->1) bound the spectral norm
+gives.  The rest of eps covers the two other differences between T_n and
+exp(tL).  r = diamond_bound(L - sum_j G_j) bounds the decomposition's
+residual, and for two GKSL generators Duhamel's formula gives
+||exp(tL) - exp(t sum_j G_j)||_diamond <= t r, both semigroups being CPTP;
+prepare_components computes r once per generator (Components).  delta
+allows for the rounding in the computed exp(t sum_j G_j) (expm_rounding).
+So ||T_n - exp(tL)||_(1->1) <= eps, and a run's state lies within eps / 2
+of the exact one in trace distance.  The plan carries T_n, that certificate,
+t r, delta and the target.
 The search is sized in closed form by the block's leading error term, the
 nested commutators of the component generators (leading_error; Childs, Su,
 Tran, Wiebe and Zhu, "Theory of Trotter error with commutator scaling",
@@ -112,7 +119,7 @@ import numpy as np
 
 from .decompose import decompose_generator, plan_operators
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, evolve, hermitian_basis,
-                       one_one_norm, trace_preserving)
+                       liouvillian_matrix, one_one_norm, real_map, trace_preserving)
 from .numerics import NumericsError, dagger, expm
 
 
@@ -147,8 +154,20 @@ class Component:
         return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator)
 
 
-def prepare_components(g: GksGenerator, plans) -> list[Component]:
-    """The components of g, given its conjugation plans, norm-ordered.
+class Components(list):
+    """A generator's components, norm-ordered, as prepare_components returns them, and
+    residual: r = diamond_bound(L - sum_j G_j), L the generator's real map, which bounds
+    ||exp(tL) - exp(t sum_j G_j)||_diamond by t r.  certify takes t r out of eps, so a
+    component list is certified only with the residual of the generator it splits."""
+
+    def __init__(self, components, residual: float):
+        super().__init__(components)
+        self.residual = residual
+
+
+def prepare_components(g: GksGenerator, plans) -> Components:
+    """The components of g, given its conjugation plans, norm-ordered, with their
+    residual r against g (Components).
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan of
     positive weight gives lam U [L . L† - (1/2){L†L, .}] U†, the dissipator
@@ -159,7 +178,9 @@ def prepare_components(g: GksGenerator, plans) -> list[Component]:
     halves of an anticommutator have conjugate traces: Y_k = 2i H B_k for the
     Hamiltonian and lam (L'† B_k L' - L'†L' B_k) for a dissipator.  Components
     of zero norm are dropped; the rest are sorted by descending norm, with
-    stable ties, which fixes the product order deterministically.
+    stable ties, which fixes the product order deterministically.  r is computed
+    on each call, except for g's own plans (decompose.decompose_generator), whose r
+    is computed on first use and kept on g.
     """
     d, zero = g.d, np.zeros((g.d, g.d))
     plans = [p for p in plans if p.lam > 0.0]
@@ -190,7 +211,15 @@ def prepare_components(g: GksGenerator, plans) -> list[Component]:
     real = B.reshape(d * d, d * d).view(float)
     R = (Y.reshape(n * d * d, d * d).view(float) @ real.T).reshape(n, d * d, d * d)
     comps = [Component(d, norm, r) for norm, r in zip(norms, R)]
-    return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
+    comps = sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
+    own = tuple(plans) == g._decomposition.get("plans")  # plans compare by identity
+    residual = g._decomposition.get("residual") if own else None
+    if residual is None:
+        residual = float(diamond_bound(real_map(liouvillian_matrix(g))
+                                       - sum(c.generator for c in comps)))
+        if own:
+            g._decomposition["residual"] = residual
+    return Components(comps, residual)
 
 
 def suzuki_p(k: int) -> float:
@@ -329,8 +358,10 @@ class TrotterPlan:
     """Integrator order, repetition count, normalized block length, the
     planner's two N_exp bounds (None where they do not apply), for a
     certified plan its certificate, the certificate its leading error term
-    predicted and the map it certifies, the blocks the certificate search
-    built, whichever plan it returned, and the product formula.
+    predicted, the map it certifies and the parts of eps the certificate
+    leaves to the residual (t r) and to rounding (delta), with the target
+    eps - t r - delta, the blocks the certificate search built, whichever
+    plan it returned, and the product formula.
 
     r is the paper planner's block parameter, n_reps = ceil(r L1); a
     certified plan's n_reps comes from the search instead, and its r is
@@ -353,9 +384,13 @@ class TrotterPlan:
     L1: float
     bound_res: float | None = None
     bound_closed_form: float | None = None
-    certificate: float | None = None  # diamond_bound(total_map - e^(tL)) <= eps / 2
+    # diamond_bound(total_map - e^(t sum_j G_j)) <= target = eps - t r - delta
+    certificate: float | None = None
     total_map: np.ndarray | None = field(default=None, compare=False, repr=False)
     predicted_certificate: float | None = None  # lead / n_reps^2 (certify)
+    residual_bound: float | None = None  # t r, r the components' residual (Components)
+    rounding_allowance: float | None = None  # delta (expm_rounding)
+    target: float | None = None
     builds: int = field(default=0, compare=False)
     formula: str = SUZUKI
 
@@ -406,6 +441,8 @@ def block_schedule(m: int, k: int, lam: float) -> tuple:
         raise TrotterError(f"need at least one component, got {m}")
     if k < 1:
         raise TrotterError(f"half-order must be >= 1, got {k}")
+    if not math.isfinite(lam):
+        raise TrotterError(f"the block length must be finite, got {lam}")
     mu = leaf_lengths(k, lam)[np.ix_(*[(0, 0, 1, 0, 0)] * (k - 1))].ravel()
     if m == 1:
         sched = (Segment(0, float(mu.sum())),)
@@ -427,6 +464,12 @@ def block_schedule(m: int, k: int, lam: float) -> tuple:
     return sched
 
 
+# delta, the allowance for the rounding in the computed e^(t sum_j G_j), in units of
+# d (1 + ||t sum_j G_j||_1) u, u = 2^-53 (expm_rounding).  Against a 40-digit mpmath.expm,
+# read with diamond_bound, leading_error's e^(t sum_j G_j) was at most 0.49 units off on
+# random_gks(d), d = 2, 3, seeds 1-3, and the lambda atom, at t = 0.25..32, and 0.92 and
+# 1.23 units off on n_qubit_generator(2) and (3) (d = 4, 8) at t = 0.25 and 1
+ROUNDING_ULPS = 16
 # the certificate search: at most this many block builds; a step that the leading
 # error term cannot size overshoots the n^-2 law's prediction by SEARCH_MARGIN, and
 # no step grows n by less
@@ -542,15 +585,31 @@ def leading_error(components: list[Component], t: float):
     return exact, terms
 
 
-def certify(components: list[Component], eps: float, t: float,
+def expm_rounding(components: list[Component], t: float) -> float:
+    """delta = ROUNDING_ULPS d (1 + ||t sum_j G_j||_1) u, u = 2^-53: the allowance
+    certify takes out of eps for the rounding in its computed e^(t sum_j G_j).
+
+    Scaling and squaring's rounding grows with the norm, as each squaring can double
+    what the last one left (numerics.MAX_EXPM_NORM): at ||A||_1 = 8e7 the rounding
+    numerics measured is 0.024 of this unit at d = 3.  Its growth with d is the
+    measured one (ROUNDING_ULPS)."""
+    norm = t * max(np.abs(sum(c.generator for c in components)).sum(axis=0).tolist())
+    return ROUNDING_ULPS * components[0].d * (1.0 + norm) * 2.0 ** -53
+
+
+def certify(components: Components, eps: float, t: float,
             paper: TrotterPlan) -> TrotterPlan:
     """The k = 1 plan, at the first repetition count the search reaches, whose
-    map T_n satisfies diamond_bound(T_n - e^(t sum_j G_j)) <= eps / 2; when the
+    map T_n satisfies diamond_bound(T_n - e^(t sum_j G_j)) <= target; when the
     search stops first, the paper's plan, carrying the search's build count.
 
-    diamond_bound bounds the (1->1) norm, so T_n(rho) is within eps / 2 of the
-    exact state in trace norm, for a state of the system alone or entangled
-    with another.  A mixture's T_n is M^n, M the mean of its blocks (the
+    The target is eps - t r - delta: r is the components' residual
+    (Components.residual), which bounds ||e^(tL) - e^(t sum_j G_j)||_diamond by
+    t r, and delta (expm_rounding) allows for the rounding in the computed
+    e^(t sum_j G_j).  diamond_bound bounds the (1->1) norm, so T_n(rho) is within
+    eps of the exact state e^(tL)(rho) in trace norm, for a state of the system
+    alone or entangled with another.  When the target is not positive the
+    search does not start.  A mixture's T_n is M^n, M the mean of its blocks (the
     coin flip's two, the mixed orders' two per row of component_orders(m):
     2 MIX_PAIRS from m = 4 on, 6 at m = 3): n independent uniform
     draws apply each block sequence with its probability, so the device's
@@ -559,30 +618,38 @@ def certify(components: list[Component], eps: float, t: float,
     The search is sized by the leading error terms (leading_error): with
     lead = diamond_bound(D), every formula's taken in one stacked call, the
     certificate is lead / n^2 up to O(n^-4) and the rounding of the power, so
-    each formula's search would start at n = ceil(sqrt(lead / (eps / 2))).
+    each formula's search would start at n = ceil(sqrt(lead / target)).
     Every build runs the formula whose next n needs the fewest exponentials
     (formula_count), the one of fewer orders on a tie: the fixed block, then
     the coin flip, then the mixed orders.  So the search starts with the
     cheapest start, and a formula whose step after a miss costs more than
-    another's untried start gives way to it: a near miss of the mixed orders
-    at 0.5 % fewer exponentials than the coin flip would otherwise step past
-    the coin flip's certified count.
-    After a miss at n a formula steps to ceil(sqrt(lead / (eps / 2 - off))), with
+    another's untried start gives way to it: a near miss of the coin flip at
+    0.5 % fewer exponentials than the mixed orders would otherwise step past
+    the mixed orders' certified count.
+    After a miss at n a formula steps to ceil(sqrt(lead / (target - off))), with
     off = certificate - lead / n^2 the part the term did not predict, or, when
-    off >= eps / 2 or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN;
+    off >= target or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN;
     either way by a factor of at least SEARCH_MARGIN, since near the rounding
-    floor off moves by about 1 % of eps / 2 from one n to the next, and a
-    step that aims at eps / 2 itself misses again.  It stops when even n = 1,
+    floor off moves by about 1 % of the target from one n to the next, and a
+    step that aims at the target itself misses again.  It stops when even n = 1,
     or a candidate, would need as many exponentials as the paper's plan, after
     MAX_BUILDS builds, when T_n or a term is not finite, when numerics.expm
     refuses t sum_j G_j, and at the rounding floor: when the certificate falls
     by a factor less than min(2, f / 2) from the same formula's last build, f
-    the fall the law predicted for the step.  The plan carries the paper plan's two N_exp bounds and the
-    predicted certificate lead / n^2.
+    the fall the law predicted for the step.  The plan carries the paper plan's
+    two N_exp bounds, the predicted certificate lead / n^2, and t r, delta and
+    the target.
     """
+    if not isinstance(components, Components):
+        raise TrotterError("a plan is certified against its generator: take the components, "
+                           "with their residual, from prepare_components")
     m, L1 = len(components), components[0].norm
     budget = paper.actual_exponentials()
     if formula_count(SUZUKI, m, 1, 1) >= budget:
+        return paper
+    residual, rounding = t * components.residual, expm_rounding(components, t)
+    target = eps - residual - rounding
+    if not target > 0.0:
         return paper
     try:
         exact, terms = leading_error(components, t)
@@ -593,7 +660,6 @@ def certify(components: list[Component], eps: float, t: float,
     leads = diamond_bound(terms).tolist()
     if not all(map(math.isfinite, leads)):
         return paper
-    target = 0.5 * eps
     # each formula's next n, its certificate at its last build and the fall the n^-2 law
     # predicted for the step to n; in FORMULAS order, from fewer orders to more
     search = {formula: (lead, max(1, math.ceil(math.sqrt(lead / target))), math.inf, math.inf)
@@ -613,7 +679,8 @@ def certify(components: list[Component], eps: float, t: float,
         cert = float(diamond_bound(total - exact))
         if cert <= target:
             return replace(plan, certificate=cert, total_map=total, builds=builds,
-                           predicted_certificate=lead / n ** 2)
+                           predicted_certificate=lead / n ** 2, residual_bound=residual,
+                           rounding_allowance=rounding, target=target)
         if not cert * min(2.0, 0.5 * fall) <= last:
             return replace(paper, builds=builds)
         off = cert - lead / n ** 2
@@ -657,13 +724,14 @@ def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
                        bound_res=bound_res, bound_closed_form=bound_closed)
 
 
-def build_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
-    """The certified plan for the component list (certify), sized by its
-    leading error term, or else the paper's plan (paper_plan), which also
-    bounds the search's cost.
+def build_plan(components: Components, eps: float, t: float) -> TrotterPlan:
+    """The certified plan for the components (certify), sized by their leading
+    error term and certified against their residual, or else the paper's plan
+    (paper_plan), which also bounds the search's cost.
 
     A plan with one component or no repetition is the paper's: it has
-    nothing to certify, and no block is built for it.
+    nothing to certify, and no block is built for it.  Any other plan needs
+    the components' residual, so a plain list of them is refused.
     """
     paper = paper_plan(components, eps, t)
     if paper.m < 2 or paper.n_reps == 0:
@@ -744,6 +812,9 @@ class CostReport:
     negative_segments: bool
     certificate: float | None
     predicted_certificate: float | None
+    residual_bound: float | None
+    rounding_allowance: float | None
+    target: float | None
     builds: int
 
     def to_dict(self) -> dict:
@@ -766,6 +837,9 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
         negative_segments=plan.has_negative_segments(),
         certificate=plan.certificate,
         predicted_certificate=plan.predicted_certificate,
+        residual_bound=plan.residual_bound,
+        rounding_allowance=plan.rounding_allowance,
+        target=plan.target,
         builds=plan.builds,
     )
 

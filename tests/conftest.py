@@ -321,14 +321,18 @@ def exp_derivative(A, X):
 
 def predicted_plan(components, t, eps, formula):
     """The k = 1 plan of the formula at the n that its own leading error term predicts,
-    n = ceil(sqrt(lead / (eps / 2))), with its map and certificate, both bounds taken by
+    n = ceil(sqrt(lead / target)) with certify's target eps - t r - delta, carrying that
+    target, its parts, its map and its certificate, both bounds taken by
     choi_split_bound."""
     exact, terms = trotter.leading_error(components, t)
     D = terms[trotter.FORMULAS.index(formula)]
     m, L1 = len(components), components[0].norm
-    n = max(1, math.ceil(math.sqrt(choi_split_bound(column_stacked(D)) / (0.5 * eps))))
+    residual, rounding = t * components.residual, trotter.expm_rounding(components, t)
+    target = eps - residual - rounding
+    n = max(1, math.ceil(math.sqrt(choi_split_bound(column_stacked(D)) / target)))
     plan = trotter.TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1,
-                               formula=formula)
+                               formula=formula, residual_bound=residual,
+                               rounding_allowance=rounding, target=target)
     total = trotter.plan_map(plan, components)
     return dataclasses.replace(plan, total_map=total,
                                certificate=choi_split_bound(column_stacked(total - exact)))

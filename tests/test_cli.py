@@ -370,10 +370,14 @@ def test_simulate_lambda_atom_trotter(tmp_path):
     out = tmp_path / "state.json"
     assert main(["simulate", str(req), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
+    cost = doc["cost"]
     assert doc["trace_distance_to_oracle"] <= 1e-3
-    assert doc["cost"]["N_exp_actual"] <= doc["cost"]["N_exp_bound_res"]
-    assert doc["cost"]["k"] == 1 and doc["cost"]["certificate"] <= 0.5e-3
-    assert doc["cost"]["formula"] == "suzuki"  # two components: the fixed block is cheaper
+    assert cost["N_exp_actual"] <= cost["N_exp_bound_res"]
+    assert cost["k"] == 1 and cost["certificate"] <= cost["target"]
+    # the target is eps less the residual's and the rounding's parts, both positive
+    assert cost["target"] == 1e-3 - cost["residual_bound"] - cost["rounding_allowance"]
+    assert 0.0 < cost["residual_bound"] < 1e-13 and 0.0 < cost["rounding_allowance"] < 1e-13
+    assert cost["formula"] == "suzuki"  # two components: the fixed block is cheaper
 
 
 def test_simulate_names_the_coin_flip_formula_and_repeats_its_bytes(tmp_path):
@@ -401,7 +405,8 @@ def test_simulate_reports_the_certificate_search(tmp_path):
     out = tmp_path / "state.json"
     assert main(["simulate", str(req), "--out", str(out)]) == 0
     cost = json.loads(out.read_text())["cost"]
-    assert cost["builds"] == 1 and cost["certificate"] <= 0.5e-6
+    assert cost["builds"] == 1 and cost["certificate"] <= cost["target"]
+    assert cost["target"] == 1e-6 - cost["residual_bound"] - cost["rounding_allowance"]
     assert cost["predicted_certificate"] == pytest.approx(cost["certificate"], rel=0.1)
 
 

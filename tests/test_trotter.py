@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,7 @@ from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import (COIN_FLIP, FORMULAS, MIX_PAIRS, MIXED_ORDERS, SUZUKI,
                                  Segment, TrotterError, TrotterPlan, block_schedule,
                                  block_superoperator, build_plan, component_orders,
-                                 diamond_bound, formula_count, leading_error,
+                                 diamond_bound, expm_rounding, formula_count, leading_error,
                                  nexp_bound_closed_form, nexp_bound_res, nexp_report, paper_plan,
                                  prepare_components, run_plan, segments_per_block, select_order,
                                  simulate, step_count, suzuki_p)
@@ -100,6 +101,19 @@ def test_block_schedule_refuses_durations_that_miss_the_length(monkeypatch):
     for m, k in ((1, 1), (3, 1), (2, 3)):
         with pytest.raises(TrotterError, match="do not sum to the block length"):
             block_schedule(m, k, 0.9)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_block_schedule_refuses_a_non_finite_length(lam):
+    # a NaN difference never exceeds the sum check's tolerance, so block_schedule(2, 1, nan)
+    # returned NaN segments, and block_schedule(2, 2, inf) infinite ones after a numpy
+    # "invalid value" warning, which filterwarnings = error would raise in its place
+    for m, k in ((1, 1), (2, 1), (2, 2), (3, 3)):
+        with pytest.raises(TrotterError, match="block length must be finite"):
+            block_schedule(m, k, lam)
+        plan = TrotterPlan(k=k, r=1.0, n_reps=1, lam=lam, m=m, L1=1.0)
+        with pytest.raises(TrotterError, match="block length must be finite"):
+            plan.schedule
 
 
 def test_suzuki_p2_value():
@@ -325,7 +339,7 @@ def test_long_certified_runs_keep_the_trace(t):
     g, rho0, eps = lambda_atom(), maximally_mixed(3), 1e-3
     exact = apply_exact(g, rho0, t)
     out, plan, comps = simulate(g, rho0, t=t, eps=eps)
-    assert plan.certificate is not None and plan.certificate <= eps / 2
+    assert plan.certificate is not None and plan.certificate <= plan.target
     assert trace_distance(out.rho, exact.rho) <= eps
     m, L1, n = plan.m, plan.L1, int(2 * t)
     long = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1)
@@ -673,8 +687,12 @@ def test_certified_states_lie_within_half_the_certificate(eps):
 # ---------------------------------------------------------------------------
 
 def assert_certified(g, comps, plan, t, eps):
-    """What a certified plan promises, checked against the oracle's own matrix."""
-    assert plan.certificate is not None and plan.certificate <= eps / 2
+    """What a certified plan promises, checked against the oracle's own matrix: its
+    certificate within the target eps - t r - delta, which it carries with its parts."""
+    assert plan.certificate is not None and plan.certificate <= plan.target
+    assert plan.residual_bound == t * comps.residual
+    assert plan.rounding_allowance == expm_rounding(comps, t)
+    assert plan.target == eps - plan.residual_bound - plan.rounding_allowance
     exact = real_map(expm(t * liouvillian_matrix(g)))
     assert choi_split_bound(column_stacked(plan.total_map - exact)) <= eps
     rep = nexp_report(plan)
@@ -703,19 +721,105 @@ def test_certificates_are_the_column_stacked_distances():
             assert plan.certificate == pytest.approx(cert, rel=1e-6)
 
 
+def test_every_certified_plan_carries_its_residual_and_rounding():
+    # certificate <= eps - t r - delta on every run that certifies: r is the generator's
+    # residual, delta the rounding allowance, and the plan and its report carry both
+    cases = [(random_gks(d, np.random.default_rng(1)), 1.0) for d in range(2, 7)]
+    cases += [(lambda_atom(), t) for t in (0.25, 1.0, 32.0)] + [(n_qubit_generator(2), 1.0)]
+    for g, t in cases:
+        L = real_map(liouvillian_matrix(g))
+        for eps in (1e-3, 1e-6):
+            _, plan, comps = simulate(g, maximally_mixed(g.d), t, eps)
+            r = float(diamond_bound(L - sum(c.generator for c in comps)))
+            delta = expm_rounding(comps, t)
+            assert comps.residual == r and 0.0 <= t * r < 1e-11
+            assert plan.certificate is not None and plan.certificate <= eps - t * r - delta
+            parts = (plan.residual_bound, plan.rounding_allowance, plan.target)
+            assert parts == (t * r, delta, eps - t * r - delta)
+            rep = nexp_report(plan).to_dict()
+            assert (rep["residual_bound"], rep["rounding_allowance"], rep["target"]) == parts
+
+
+@pytest.mark.parametrize("g", [*(random_gks(d, np.random.default_rng(s))
+                                 for d in (2, 3) for s in (1, 2, 3)), lambda_atom()],
+                         ids=[*(f"d{d}-s{s}" for d in (2, 3) for s in (1, 2, 3)), "lambda"])
+def test_the_rounding_allowance_is_ten_times_the_exponentials_rounding(g):
+    # leading_error's e^(t sum_j G_j) against a 40-digit mpmath.expm of the same matrix,
+    # read with diamond_bound: it was at most 0.49 of delta's unit d (1 + ||t sum_j G_j||_1) u
+    # here, and delta has ROUNDING_ULPS = 16 of them
+    comps = components_for(g)
+    S = sum(c.generator for c in comps)
+    for t in (0.25, 1.0, 4.0, 32.0):
+        with mpmath.workdps(40):
+            reference = np.array(mpmath.expm(mpmath.matrix((t * S).tolist())).tolist(),
+                                 dtype=float)
+        error = float(diamond_bound(leading_error(comps, t)[0] - reference))
+        assert error <= expm_rounding(comps, t) / 10
+
+
+def test_a_generator_keeps_its_residual(monkeypatch):
+    # r is computed once for g's own plans, on first use, and kept on g; other plans get
+    # their own, and a decomposition whose weights are off shows in it
+    g = random_gks(3, np.random.default_rng(1))
+    calls, liouvillian = [], trotter.liouvillian_matrix
+    monkeypatch.setattr(trotter, "liouvillian_matrix", lambda g: calls.append(g) or liouvillian(g))
+    own = components_for(g)
+    simulate(g, maximally_mixed(3), 1.0, 1e-3)
+    simulate(g, maximally_mixed(3), 2.0, 1e-6)
+    assert calls == [g] and components_for(g).residual == own.residual
+    plans = [dataclasses.replace(p, lam=p.lam * (1.0 + 1e-6)) for p in decompose_generator(g)]
+    off = [prepare_components(g, plans) for _ in range(2)]
+    assert len(calls) == 3 and off[0].residual == off[1].residual
+    S = column_stacked(sum(c.generator for c in off[0]))
+    assert off[0].residual == pytest.approx(choi_split_bound(liouvillian(g) - S), rel=1e-6)
+    assert off[0].residual > 1e6 * own.residual
+
+
+def test_a_target_that_is_not_positive_starts_no_search(monkeypatch):
+    # weights 10 % off leave t r past eps: the allowances use up eps, so neither a term
+    # nor a block is computed, and the paper's plan runs
+    g = lambda_atom()
+    comps = prepare_components(g, [dataclasses.replace(p, lam=1.1 * p.lam)
+                                   for p in decompose_generator(g)])
+    assert comps.residual > 1e-3
+    with monkeypatch.context() as patch:
+        patch.setattr(trotter, "leading_error", None)
+        patch.setattr(trotter, "plan_map", None)
+        plan = build_plan(comps, 1e-3, 1.0)
+    assert plan == paper_plan(comps, 1e-3, 1.0) and plan.builds == 0
+
+
+def test_components_without_a_residual_are_not_certified():
+    # a plain list carries no residual, and none is assumed for it
+    comps = components_for(lambda_atom())
+    for eps in (1e-3, 1e4):
+        with pytest.raises(TrotterError, match="certified against its generator"):
+            build_plan(list(comps), eps, 1.0)
+
+
+# random_gks(d, default_rng(seed)) that sit on the rounding floor at eps = 1e-11: the
+# search runs near n = 1.2e5, where the power's rounding, about n u = 1.3e-11, is past the
+# target, so whether a build certifies turns on the target's last bits
+FLOOR_AT_1E_11 = {(2, 2)}
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_eps_floor_is_closed(d):
     # the paper's plans read dist/eps 2.4..5.5 at eps = 1e-9 and d = 5, 6: rounding in
     # their 1e5-fold block power; every case certifies at k = 1 with far fewer
-    # repetitions, at eps = 1e-10 too, where the worst state reads dist/eps 0.249: up to
-    # 0.25 by design, since the certificate bounds the (1->1) distance by eps / 2
+    # repetitions, at eps = 1e-10 and, but for FLOOR_AT_1E_11, 1e-11 too, where the worst
+    # state reads dist/eps 0.475: up to 0.5 by design, since the certificate bounds the
+    # (1->1) distance by eps.  The case on the floor falls back at 1e-11 and reads 0.457
     t = 1.0
-    for eps in (1e-9, 1e-10):
+    for eps in (1e-9, 1e-10, 1e-11):
         for seed in (1, 2, 3):
             g = random_gks(d, np.random.default_rng(seed))
             rho0 = maximally_mixed(d)
             state, plan, comps = simulate(g, rho0, t, eps)
             assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
+            if plan.certificate is None and eps == 1e-11 and (d, seed) in FLOOR_AT_1E_11:
+                assert plan == paper_plan(comps, eps, t)
+                continue
             assert_certified(g, comps, plan, t, eps)
 
 
@@ -777,7 +881,7 @@ def test_leading_error_certifies_in_one_block(eps):
             rho0 = maximally_mixed(d)
             state, plan, comps = simulate(g, rho0, t, eps)
             assert plan.builds == 1 and plan.n_reps <= n
-            assert plan.predicted_certificate <= eps / 2
+            assert plan.predicted_certificate <= plan.target
             assert plan.predicted_certificate == pytest.approx(plan.certificate, rel=0.1)
             assert_certified(g, comps, plan, t, eps)
             assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
@@ -799,23 +903,26 @@ def test_search_stops_at_the_rounding_floor(eps):
 
 def test_mixed_orders_certify_above_the_rounding_floor():
     # the mixture's smaller n rounds less: at eps = 1e-11, where the coin flip stalled,
-    # random d = 6 certifies, and its state lies within eps / 4 of the oracle
+    # random d = 6 certifies, and its state lies within eps / 2 of the oracle
     eps, rho0 = 1e-11, maximally_mixed(6)
     g = random_gks(6, np.random.default_rng(1))
     state, plan, comps = simulate(g, rho0, 1.0, eps)
-    assert plan.formula == MIXED_ORDERS and plan.certificate <= eps / 2
+    assert plan.formula == MIXED_ORDERS and plan.certificate <= plan.target
     assert_certified(g, comps, plan, 1.0, eps)
-    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps / 4
+    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps / 2
 
 
 def test_a_near_miss_gives_way_to_a_cheaper_start():
-    # n_qubit_generator(1) at eps = 1e-9: the mixed orders start 0.5 % cheaper than the
-    # coin flip and miss by 0.2 %; their next n would cost 4.5 % more than the coin flip's
-    # start, so the coin flip builds next, and certifies there
-    comps = components_for(n_qubit_generator(1))
-    plan = build_plan(comps, 1e-9, 1.0)
-    coin_flip = predicted_plan(comps, 1.0, 1e-9, COIN_FLIP)
-    assert (plan.formula, plan.builds, plan.n_reps) == (COIN_FLIP, 2, coin_flip.n_reps)
+    # n_qubit_generator(2) at eps = 1e-10: the coin flip starts 0.5 % cheaper than the
+    # mixed orders and misses by 1.7 %; its next n would cost at least SEARCH_MARGIN
+    # more than its start, more than the mixed orders' start, so the mixed orders
+    # build next, and certify there
+    comps = components_for(n_qubit_generator(2))
+    plan = build_plan(comps, 1e-10, 1.0)
+    coin_flip, mixed = (predicted_plan(comps, 1.0, 1e-10, f) for f in (COIN_FLIP, MIXED_ORDERS))
+    assert coin_flip.actual_exponentials() < mixed.actual_exponentials()
+    assert coin_flip.certificate > coin_flip.target
+    assert (plan.formula, plan.builds, plan.n_reps) == (MIXED_ORDERS, 2, mixed.n_reps)
 
 
 def test_search_skips_a_probe_that_costs_the_paper_plan(monkeypatch):
@@ -855,14 +962,19 @@ def test_search_gives_up_when_expm_refuses_the_generator():
     assert plan.certificate is None and plan == paper_plan(comps, 1e-3, 1e8)
 
 
-def scripted_plan_map(exact, certificates, eps, built):
-    """A plan_map whose maps have the given certificates, as multiples of eps / 2, in
+def search_target(comps, eps, t):
+    """The target certify forms, eps - t r - delta."""
+    return eps - t * comps.residual - expm_rounding(comps, t)
+
+
+def scripted_plan_map(exact, certificates, target, built):
+    """A plan_map whose maps have the given certificates, as multiples of the target, in
     order; it records the n_reps of each plan it is asked for in built."""
     scripted = iter(certificates)
 
     unit = np.zeros_like(exact)
     unit[1, 1] = 1.0
-    scale = 0.5 * eps / choi_split_bound(column_stacked(unit))  # the offset's own bound
+    scale = target / choi_split_bound(column_stacked(unit))  # the offset's own bound
 
     def plan_map(plan, components):
         built.append(plan.n_reps)
@@ -884,22 +996,23 @@ def test_search_certifies_up_to_the_exponentials_domain():
 
 
 def test_search_builds_at_most_max_builds_blocks(monkeypatch):
-    # every scripted map misses eps / 2 and falls by more than the rounding floor asks,
-    # so only MAX_BUILDS stops the search; one build more would certify
+    # every scripted map misses the target and falls by more than the rounding floor
+    # asks, so only MAX_BUILDS stops the search; one build more would certify
     g = lambda_atom()
     comps = components_for(g)
     t, eps = 1.0, 1e-6
-    exact = leading_error(comps, t)[0]
+    exact, target = leading_error(comps, t)[0], search_target(comps, eps, t)
     certificates = [8.0, 3.0, 1.2, 1.1, 0.5]
     for cap, builds, certified in ((trotter.MAX_BUILDS, 4, False), (5, 5, True), (1, 1, False)):
         built = []
-        monkeypatch.setattr(trotter, "plan_map", scripted_plan_map(exact, certificates, eps, built))
+        scripted = scripted_plan_map(exact, certificates, target, built)
+        monkeypatch.setattr(trotter, "plan_map", scripted)
         monkeypatch.setattr(trotter, "MAX_BUILDS", cap)
         plan = build_plan(comps, eps, t)
         assert len(built) == builds == plan.builds
         assert built == sorted(set(built))
         if certified:
-            assert plan.n_reps == built[-1] and plan.certificate == pytest.approx(0.25 * eps)
+            assert plan.n_reps == built[-1] and plan.certificate == pytest.approx(0.5 * target)
         else:
             assert plan.certificate is None and plan == paper_plan(comps, eps, t)
     monkeypatch.undo()
@@ -908,8 +1021,8 @@ def test_search_builds_at_most_max_builds_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("certificates, builds, certified", [
-    # the leading term predicts 0.99 times the target at the first n; landing at 1.5
-    # times it, the unpredicted 0.51 asks for a step of fall 2.0; landing at 1.05 times
+    # the leading term predicts 0.98 times the target at the first n; landing at 1.5
+    # times it, the unpredicted 0.52 asks for a step of fall 2.0; landing at 1.05 times
     # the target falls by 1.43, less than 2 but more than half of 2.0: the search goes on
     ([1.5, 1.05, 0.9, 0.1], 3, True),
     # at 100 times the target the unpredicted part alone is past it, so the n^-2 law
@@ -923,13 +1036,13 @@ def test_search_stop_rule(monkeypatch, certificates, builds, certified):
     comps = components_for(lambda_atom())
     t, eps = 1.0, 1e-6
     built = []
-    exact = leading_error(comps, t)[0]
-    monkeypatch.setattr(trotter, "plan_map", scripted_plan_map(exact, certificates, eps, built))
+    exact, target = leading_error(comps, t)[0], search_target(comps, eps, t)
+    monkeypatch.setattr(trotter, "plan_map", scripted_plan_map(exact, certificates, target, built))
     plan = build_plan(comps, eps, t)
     assert len(built) == builds == plan.builds
     if certified:
         assert plan.n_reps == built[-1]
-        assert plan.certificate == pytest.approx(certificates[builds - 1] * 0.5 * eps)
+        assert plan.certificate == pytest.approx(certificates[builds - 1] * target)
     else:
         assert plan.certificate is None and plan == paper_plan(comps, eps, t)
 
@@ -949,7 +1062,7 @@ def test_cost_report_names_the_search(monkeypatch):
     # the fallback reports the blocks its search built, and predicts nothing
     built = []
     exact = leading_error(comps, t)[0]
-    scripted = scripted_plan_map(exact, [100.0, 60.0, 60.0], eps, built)
+    scripted = scripted_plan_map(exact, [100.0, 60.0, 60.0], search_target(comps, eps, t), built)
     monkeypatch.setattr(trotter, "plan_map", scripted)
     rep = nexp_report(build_plan(comps, eps, t)).to_dict()
     assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (3, None, None)
