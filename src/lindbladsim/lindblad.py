@@ -67,8 +67,10 @@ class GksGenerator:
     once here, where numerics.eigh's own check is A's one Hermiticity check
     and their eigenvalues check that A is positive semidefinite, its
     spectral terms and conjugation plans, computed on first use
-    (decompose.spectral_split, decompose.decompose_generator), and the residual
-    of the components of those plans (trotter.prepare_components).
+    (decompose.spectral_split, decompose.decompose_generator), and what derives
+    from the components of those plans alone (trotter.Components): their
+    residual and ||sum_j G_j||_1, computed by trotter.prepare_components, and
+    their commutator sums, on the first trotter.leading_error.
     """
 
     basis: GellMannBasis

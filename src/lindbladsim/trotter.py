@@ -70,8 +70,10 @@ the output is deterministic and the certificate above covers the device's
 state as it covers a fixed-order run.  An order's and its reverse's
 third-order terms differ by a commutator that cancels in M, and averaging
 over more orders shrinks the rest, so a mixture's leading term is smaller;
-each comes from the same commutator loop, run over every order at once,
-and one more stacked exponential (leading_error).  n blocks cost
+each comes from the same commutator loop, run over every order at once
+and once per generator, since its sums do not depend on t or eps
+(commutator_sums, kept with the Components), and one more stacked
+exponential per call (leading_error).  n blocks cost
 n (2m - 2) + 1 exponentials in one order and at most n (2m - 1) in a
 mixture, where neighbouring blocks merge only when they meet on the same
 component.  On random d = 6 generators the mixed orders need about 30 %
@@ -154,15 +156,35 @@ class Component:
         return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator)
 
 
-class Components(list):
+class Components(tuple):
     """A generator's components, norm-ordered, as prepare_components returns them, and
-    residual: r = diamond_bound(L - sum_j G_j), L the generator's real map, which bounds
-    ||exp(tL) - exp(t sum_j G_j)||_diamond by t r.  certify takes t r out of eps, so a
-    component list is certified only with the residual of the generator it splits."""
+    what derives from them alone: residual, r = diamond_bound(L - sum_j G_j), L the
+    generator's real map, which bounds ||exp(tL) - exp(t sum_j G_j)||_diamond by t r;
+    one_norm, ||sum_j G_j||_1 (expm_rounding); and sums, leading_error's commutator sums
+    (commutator_sums), computed on first use.  All three live in the dict kept, which for
+    a generator's own plans is the generator's _decomposition.  certify takes t r out of
+    eps, so a component sequence is certified only with the residual of the generator it
+    splits.  A tuple, so that no component can be added, removed or moved after r and
+    the sums are taken; a slice or a join is a plain tuple, which certify refuses."""
 
-    def __init__(self, components, residual: float):
-        super().__init__(components)
-        self.residual = residual
+    def __new__(cls, components, kept: dict):
+        self = super().__new__(cls, components)
+        self._kept = kept
+        return self
+
+    @property
+    def residual(self) -> float:
+        return self._kept["residual"]
+
+    @property
+    def one_norm(self) -> float:
+        return self._kept["one_norm"]
+
+    @property
+    def sums(self) -> tuple:
+        if "commutator_sums" not in self._kept:
+            self._kept["commutator_sums"] = commutator_sums(self)
+        return self._kept["commutator_sums"]
 
 
 def prepare_components(g: GksGenerator, plans) -> Components:
@@ -178,9 +200,10 @@ def prepare_components(g: GksGenerator, plans) -> Components:
     halves of an anticommutator have conjugate traces: Y_k = 2i H B_k for the
     Hamiltonian and lam (L'† B_k L' - L'†L' B_k) for a dissipator.  Components
     of zero norm are dropped; the rest are sorted by descending norm, with
-    stable ties, which fixes the product order deterministically.  r is computed
-    on each call, except for g's own plans (decompose.decompose_generator), whose r
-    is computed on first use and kept on g.
+    stable ties, which fixes the product order deterministically.  r and
+    ||sum_j G_j||_1 are computed here and the commutator sums on first use, anew
+    for each call, except for g's own plans (decompose.decompose_generator):
+    theirs are computed once and kept on g.
     """
     d, zero = g.d, np.zeros((g.d, g.d))
     plans = [p for p in plans if p.lam > 0.0]
@@ -213,13 +236,12 @@ def prepare_components(g: GksGenerator, plans) -> Components:
     comps = [Component(d, norm, r) for norm, r in zip(norms, R)]
     comps = sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
     own = tuple(plans) == g._decomposition.get("plans")  # plans compare by identity
-    residual = g._decomposition.get("residual") if own else None
-    if residual is None:
-        residual = float(diamond_bound(real_map(liouvillian_matrix(g))
-                                       - sum(c.generator for c in comps)))
-        if own:
-            g._decomposition["residual"] = residual
-    return Components(comps, residual)
+    kept = g._decomposition if own else {}
+    if "residual" not in kept:
+        total = sum(c.generator for c in comps)
+        kept["residual"] = float(diamond_bound(real_map(liouvillian_matrix(g)) - total))
+        kept["one_norm"] = max(np.abs(total).sum(axis=0).tolist()) if comps else 0.0
+    return Components(comps, kept)
 
 
 def suzuki_p(k: int) -> float:
@@ -515,7 +537,7 @@ def diamond_bound(X: np.ndarray) -> np.ndarray:
         return np.ldexp(tops[0] + tops[1], e)
 
 
-def leading_error(components: list[Component], t: float):
+def leading_error(components: Components, t: float):
     """e^(t sum_j G_j) and the leading error terms D of the k = 1 formulas over
     the components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4),
     stacked in FORMULAS order: the fixed-order block, the coin flip and, when
@@ -555,6 +577,31 @@ def leading_error(components: list[Component], t: float):
     certificate's own bound: diamond_bound(D) / n^2 predicts
     diamond_bound(T_n - e^(t sum_j G_j)) up to O(n^-4), since the bound is
     continuous and takes c X to |c| times X's.
+
+    Everything but t enters through the components' commutator sums
+    (Components.sums), kept with them, so a call forms only the stacked
+    exponential and the two commutators with e^(t sum_j G_j).
+    """
+    total, E, C, h = components.sums
+    A = t * total
+    if h is not None:
+        X = expm(A + (1j * h)[:, None, None] * E)
+        exact, D = X[0].real, (t ** 3 / h)[:, None, None] * X.imag
+    else:
+        exact, D = expm(A), np.zeros_like(E)
+    terms = np.concatenate([D[:1], D + (t * t / 16.0) * (exact @ C - C @ exact)])  # H2 = -C / 2
+    terms[:, 0] = 0.0
+    return exact, terms
+
+
+def commutator_sums(components) -> tuple:
+    """The t-independent part of leading_error, each array read-only: (sum_j G_j, E, C,
+    h).  E and C stack the norm order's sums, E of leading_error's docstring and
+    C = sum_i [G_i, R_i], on their means over the rows of component_orders, or hold
+    the norm order's alone when it is the one row.  h is each E's complex step, a power
+    of two with ||h E||_1 ~ 2^-60, or None when every E is 0.  sum_j G_j is the loop's
+    own sum, from the last component to the first.  One loop runs every order at once,
+    in m - 1 stacked steps.
     """
     G, orders = [c.generator for c in components], component_orders(len(components))
     R = np.stack([G[j] for j in orders[:, -1]])
@@ -570,31 +617,29 @@ def leading_error(components: list[Component], t: float):
         E += C_i @ S - S @ C_i
         C += C_i
         R += g
-    A = t * R[0]
     if len(orders) > 1:  # the norm order's sums, then the means over the orders
         E, C = np.stack([E[0], E.mean(axis=0)]), np.stack([C[0], C.mean(axis=0)])
     norms = np.abs(E).sum(axis=-2).max(axis=-1).tolist()
+    h = None
     if max(norms) > 0.0:
         h = np.array([math.ldexp(1.0, -math.frexp(x)[1] - 60) for x in norms])
-        X = expm(A + (1j * h)[:, None, None] * E)
-        exact, D = X[0].real, (t ** 3 / h)[:, None, None] * X.imag
-    else:
-        exact, D = expm(A), np.zeros_like(E)
-    terms = np.concatenate([D[:1], D + (t * t / 16.0) * (exact @ C - C @ exact)])  # H2 = -C / 2
-    terms[:, 0] = 0.0
-    return exact, terms
+        h.setflags(write=False)
+    sums = R[0].copy(), E, C  # R[0] alone, not the stack of every order's R
+    for a in sums:
+        a.setflags(write=False)
+    return (*sums, h)
 
 
-def expm_rounding(components: list[Component], t: float) -> float:
+def expm_rounding(components: Components, t: float) -> float:
     """delta = ROUNDING_ULPS d (1 + ||t sum_j G_j||_1) u, u = 2^-53: the allowance
     certify takes out of eps for the rounding in its computed e^(t sum_j G_j).
 
     Scaling and squaring's rounding grows with the norm, as each squaring can double
     what the last one left (numerics.MAX_EXPM_NORM): at ||A||_1 = 8e7 the rounding
     numerics measured is 0.024 of this unit at d = 3.  Its growth with d is the
-    measured one (ROUNDING_ULPS)."""
-    norm = t * max(np.abs(sum(c.generator for c in components)).sum(axis=0).tolist())
-    return ROUNDING_ULPS * components[0].d * (1.0 + norm) * 2.0 ** -53
+    measured one (ROUNDING_ULPS).  ||sum_j G_j||_1 is the components' kept
+    Components.one_norm."""
+    return ROUNDING_ULPS * components[0].d * (1.0 + t * components.one_norm) * 2.0 ** -53
 
 
 def certify(components: Components, eps: float, t: float,
@@ -731,7 +776,7 @@ def build_plan(components: Components, eps: float, t: float) -> TrotterPlan:
 
     A plan with one component or no repetition is the paper's: it has
     nothing to certify, and no block is built for it.  Any other plan needs
-    the components' residual, so a plain list of them is refused.
+    the components' residual, so a plain list or tuple of them is refused.
     """
     paper = paper_plan(components, eps, t)
     if paper.m < 2 or paper.n_reps == 0:

@@ -797,6 +797,93 @@ def test_components_without_a_residual_are_not_certified():
             build_plan(list(comps), eps, 1.0)
 
 
+def test_components_cannot_change_in_place():
+    # a component list changed in place kept the residual of the list as it was built:
+    # here, at eps = 1e-3, del comps[1] gave a plan certified at 9.2e-4 whose state read
+    # dist/eps 139, and del comps[4] one that read 25.6.  Components is a tuple, so nothing
+    # is removed, added or moved in place, and what slicing or joining makes is a plain
+    # tuple, which certify refuses
+    g, rho0, eps = random_gks(3, np.random.default_rng(1)), maximally_mixed(3), 1e-3
+    comps = components_for(g)
+    for i in (1, 4):
+        with pytest.raises(TypeError):
+            del comps[i]
+    with pytest.raises(TypeError):
+        comps[0], comps[1] = comps[1], comps[0]
+    with pytest.raises(AttributeError):
+        comps.residual = 0.0
+    assert not any(hasattr(comps, name) for name in
+                   ("append", "extend", "insert", "pop", "remove", "reverse", "sort", "clear"))
+    for changed in (comps[:1] + comps[2:], comps[:4] + comps[5:], comps + comps[-1:]):
+        assert type(changed) is tuple
+        with pytest.raises(TrotterError, match="certified against its generator"):
+            build_plan(changed, eps, 1.0)
+    plan = build_plan(comps, eps, 1.0)
+    assert plan.certificate <= plan.target and len(comps) == plan.m
+    state = run_plan(plan, comps, rho0)
+    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps
+
+
+def test_a_generator_keeps_its_commutator_sums(monkeypatch):
+    # leading_error's commutator loop runs once for g's own components, on first use,
+    # whatever the t and eps of later calls; the kept arrays are read-only, and other
+    # plans get sums of their own that leave g's as they were
+    g, rho0 = random_gks(3, np.random.default_rng(1)), maximally_mixed(3)
+    calls, commutator_sums = [], trotter.commutator_sums
+    monkeypatch.setattr(trotter, "commutator_sums",
+                        lambda comps: calls.append(comps) or commutator_sums(comps))
+    _, first, own = simulate(g, rho0, 1.0, 1e-3)
+    _, repeat, _ = simulate(g, rho0, 2.0, 1e-6)
+    assert len(calls) == 1 and None not in (first.certificate, repeat.certificate)
+    kept = own.sums
+    assert components_for(g).sums is kept and len(calls) == 1
+    for a in kept:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept[1][0, 0, 0] = 1.0
+    before = [a.copy() for a in kept]
+    plans = [dataclasses.replace(p, lam=p.lam * (1.0 + 1e-6)) for p in decompose_generator(g)]
+    off = prepare_components(g, plans)
+    build_plan(off, 1e-3, 1.0)
+    assert len(calls) == 2 and off.sums is not kept and calls[1] is off
+    assert not np.array_equal(off.sums[1], kept[1])
+    prepare_components(g, plans).sums
+    assert len(calls) == 3
+    assert components_for(g).sums is kept
+    assert all(np.array_equal(a, b) for a, b in zip(kept, before))
+
+
+@pytest.mark.parametrize("case", ["random-d4-s2", "qubits-2", "lambda-atom"])
+def test_kept_sums_give_the_terms_of_a_fresh_generator(case):
+    # the sums kept from an earlier call give leading_error's terms and delta bit for bit
+    # as a generator of equal H and A does on its first call
+    g = COMPONENT_CASES[case]()
+    comps = components_for(g)
+    simulate(g, maximally_mixed(g.d), 1.0, 1e-3)
+    for t in (0.25, 1.0, 4.0):
+        fresh = components_for(GksGenerator(basis=g.basis, H=g.H, A=g.A))
+        for kept, new in zip(leading_error(comps, t), leading_error(fresh, t)):
+            assert kept.tobytes() == new.tobytes()
+        assert expm_rounding(comps, t) == expm_rounding(fresh, t)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1), st.floats(0.25, 4.0),
+       st.sampled_from([1e-3, 1e-6]))
+def test_runs_are_deterministic(d, seed, t, eps):
+    # a first call and a repeat call on one generator, and a first call on an equal
+    # fresh one, run equal plans to the same bytes
+    rng = np.random.default_rng(seed)
+    g = random_gks(d, rng)
+    rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
+    runs = [simulate(g, rho0, t, eps), simulate(g, rho0, t, eps),
+            simulate(GksGenerator(basis=g.basis, H=g.H, A=g.A), rho0, t, eps)]
+    (state, plan, _), *others = runs
+    for other_state, other_plan, _ in others:
+        assert other_plan == plan and other_plan.builds == plan.builds
+        assert other_state.rho.tobytes() == state.rho.tobytes()
+
+
 # random_gks(d, default_rng(seed)) that sit on the rounding floor at eps = 1e-11: the
 # search runs near n = 1.2e5, where the power's rounding, about n u = 1.3e-11, is past the
 # target, so whether a build certifies turns on the target's last bits
