@@ -20,11 +20,16 @@ the trace distance to lindblad.apply_exact over eps; the SHA-256 of the
 state's bytes; and the state itself, as [re, im] pairs row by row.  A run that
 raises is written with its error in place of the plan.
 
-After the runs come the CLI's documents: every call of the cli-roundtrip
-workload's instances (bench/workloads.py, seeds 1-10) runs through cli.main in
-a temporary directory, and each text it writes, to stdout or to its --out
-file, is one line with an id, the subcommand, the exit code, the byte count
-and the SHA-256 of the bytes.
+After the runs come the CLI's documents.  Every call of the cli-roundtrip
+workload's instances (bench/workloads.py, seeds 1-10; 43 calls each) runs
+through cli.main in this process, in a temporary directory, and so do nine
+calls on fixed malformed inputs (malformed_requests): validate and decompose
+on a document that serialize refuses and on one whose A is not positive
+semidefinite, and simulate on a request that misses a key, one that is not an
+object, one with a numeric mode, one with t = NaN and one whose generator is
+refused.  Each text a call writes, to stdout, to its --out file or to stderr,
+is one line with an id, the subcommand, the exit code, the byte count and the
+SHA-256 of the bytes: 1088 lines, 1070 of them from cli-roundtrip.
 
 --compare reads two such files, the first the reference, and prints the plans
 that moved (formula, k, n_reps, builds or exponentials), each with the
@@ -34,17 +39,21 @@ certified runs that fall back; per workload, how many states are
 bit-identical, the largest entry difference, the largest relative change of
 a certificate that both files carry and the largest change of dist / eps;
 the worst dist / eps of a certified run in each file; and the CLI documents
-whose exit code or bytes moved.  It exits 1 when the case ids differ, a plan
-moved, exponentials rose, a certified run falls back, an error changed or a
-CLI exit code moved, and 0 otherwise: moved bytes alone do not fail it.
+(stderr included) whose exit code or bytes moved.  It exits 1 when the case
+ids differ, a plan moved, exponentials rose, a certified run falls back, an
+error changed or a CLI exit code moved, and 0 otherwise: moved bytes alone do
+not fail it.
 """
 
 import argparse
 import hashlib
+import io
 import json
+import math
 import os
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +62,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "bench")]
 
 from conftest import lambda_atom, n_qubit_generator, random_gks  # noqa: E402
-from lindbladsim import serialize  # noqa: E402
+from lindbladsim import cli, serialize  # noqa: E402
 from lindbladsim.lindblad import apply_exact, maximally_mixed, trace_distance  # noqa: E402
 from lindbladsim.trotter import simulate  # noqa: E402
 from workloads import cli_roundtrip, lambda_trajectory, random_d6  # noqa: E402
@@ -95,27 +104,64 @@ def record(case, g, rho0, t, eps) -> dict:
             "target": plan.target,
             "dist_over_eps": trace_distance(rho, apply_exact(g, rho0, t).rho) / eps,
             "sha256": hashlib.sha256(rho.tobytes()).hexdigest(),
-            "state": serialize.vector_to_json(rho.ravel())}
+            "state": serialize.matrix_to_json(rho.ravel())}
+
+
+def malformed_requests() -> dict:
+    """Fixed inputs, each refused on one error path of validate, decompose or
+    simulate: name -> (subcommands, JSON document)."""
+    good = serialize.generator_to_json(lambda_atom())
+    not_psd = {**good, "A": serialize.matrix_to_json(-np.eye(8))}
+    request = {"generator": good, "rho0": serialize.matrix_to_json(maximally_mixed(3).rho),
+               "t": 1.0, "epsilon": 1e-3}
+    generator_commands = ("validate", "decompose")
+    return {
+        "float-d": (generator_commands, {**good, "d": 2.5}),  # serialize refuses it
+        "a-not-psd": (generator_commands, not_psd),  # GksGenerator refuses it
+        "missing-epsilon": (("simulate",), {k: v for k, v in request.items() if k != "epsilon"}),
+        "not-an-object": (("simulate",), [request]),
+        "number-mode": (("simulate",), {**request, "mode": 5}),
+        "nan-t": (("simulate",), {**request, "t": math.nan}),
+        "request-a-not-psd": (("simulate",), {**request, "generator": not_psd}),
+    }
+
+
+def run_cli(argv):
+    """cli.main(argv) in this process: the exit code and the stdout and stderr bytes."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue().encode(), stderr.getvalue().encode()
+
+
+def cli_calls(workdir):
+    """(case id, argv) for every call of the cli-roundtrip workload's instances,
+    then for the malformed inputs, whose files are written to workdir."""
+    for seed in SEEDS:
+        for i, call in enumerate(cli_roundtrip(seed, workdir, None)):
+            yield f"cli-roundtrip/s{seed}/{i}", call.argv
+    for name, (commands, doc) in malformed_requests().items():
+        path = os.path.join(workdir, f"malformed-{name}.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in commands:
+            yield f"cli-malformed/{name}/{command}", [command, path]
 
 
 def cli_documents():
-    """One record per text that a cli-roundtrip call writes, to stdout or --out."""
-    for seed in SEEDS:
-        with tempfile.TemporaryDirectory() as workdir:
-            for i, call in enumerate(cli_roundtrip(seed, workdir, None)):
-                result = call.call()  # (exit code, stdout), or the exception raised
-                if isinstance(result, Exception):
-                    raise result
-                code, stdout = result
-                texts = {"stdout": stdout.encode()}
-                if "--out" in call.argv:
-                    out = call.argv[call.argv.index("--out") + 1]
-                    texts["out"] = Path(out).read_bytes()
-                    os.remove(out)
-                for stream, text in texts.items():
-                    yield {"id": f"cli-roundtrip/s{seed}/{i}/{stream}", "command": call.argv[0],
-                           "exit": code, "bytes": len(text),
-                           "document_sha256": hashlib.sha256(text).hexdigest()}
+    """One record per text that a CLI call writes, to stdout, --out or stderr."""
+    with tempfile.TemporaryDirectory() as workdir:
+        for case, argv in cli_calls(workdir):
+            code, stdout, stderr = run_cli(argv)
+            texts = {"stdout": stdout}
+            if "--out" in argv:
+                out = argv[argv.index("--out") + 1]
+                texts["out"] = Path(out).read_bytes()
+                os.remove(out)
+            texts["stderr"] = stderr
+            for stream, text in texts.items():
+                yield {"id": f"{case}/{stream}", "command": argv[0], "exit": code,
+                       "bytes": len(text), "document_sha256": hashlib.sha256(text).hexdigest()}
 
 
 def load(path) -> dict:

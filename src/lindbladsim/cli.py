@@ -10,7 +10,8 @@ Subcommands:
 
 All file I/O is JSON with [re, im] complex scalars (CSV rows for cost
 sweeps).  Exit codes: 0 success, 1 domain invariant violation, 2 I/O or
-parse error.
+parse error.  Commands raise; main alone maps each error to its exit code
+(a CliError's own, 2 for serialize.SerializeError, 1 for DOMAIN_ERRORS).
 """
 
 import argparse
@@ -69,16 +70,6 @@ def _emit(doc, path: str | None):
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
 
 
-def _parse_generator_file(path: str):
-    doc = _load_json(path)
-    try:
-        return serialize.parse_generator(doc)
-    except serialize.SerializeError as exc:
-        raise CliError(str(exc), EXIT_IO)
-    except DOMAIN_ERRORS as exc:
-        raise CliError(str(exc), EXIT_INVALID)
-
-
 def lambda_atom_generator(gamma1: float, gamma2: float, phi: float, eta: float, alpha: float):
     """Three-level atom in the lambda configuration.
 
@@ -129,7 +120,7 @@ def _trotter_run(g, rho0, t: float, eps: float) -> dict:
 
 
 def cmd_validate(args) -> int:
-    g = _parse_generator_file(args.generator)
+    g = serialize.parse_generator(_load_json(args.generator))
     herm = frobenius(g.H - dagger(g.H))
     eigs = eigenpairs(g)[0]
     m = len(spectral_split(g))
@@ -141,7 +132,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _parse_generator_file(args.generator)
+    g = serialize.parse_generator(_load_json(args.generator))
     _, plans, residuals = _decompose(g)
     doc = serialize.plans_to_json(g.H, plans, residuals)
     _emit(doc, args.out)
@@ -165,11 +156,7 @@ def cmd_simulate(args) -> int:
             raise serialize.SerializeError(f"'mode' must be a string, got {serialize.quoted(mode)}")
     except KeyError as exc:
         raise CliError(f"simulation request is missing {exc}", EXIT_IO)
-    except serialize.SerializeError as exc:
-        raise CliError(str(exc), EXIT_IO)
-    except DOMAIN_ERRORS as exc:
-        raise CliError(str(exc), EXIT_INVALID)
-    except (TypeError, ValueError) as exc:  # a request that is not an object
+    except TypeError as exc:  # a request that is not an object
         raise CliError(f"malformed simulation request: {exc}", EXIT_IO)
     _check_run(t, eps)
     out = {"d": g.d, "t": t, "epsilon": eps, "mode": mode}
@@ -223,7 +210,7 @@ def cmd_example_lambda(args) -> int:
     rho0 = maximally_mixed(3)
     bundle = {
         "generator": serialize.generator_to_json(g),
-        "spectral": [{"lambda": t.lam, "a": serialize.vector_to_json(t.a)} for t in terms],
+        "spectral": [{"lambda": t.lam, "a": serialize.matrix_to_json(t.a)} for t in terms],
         "plans": serialize.plans_to_json(g.H, plans, residuals),
         "simulation": {"t": args.t, "epsilon": args.eps, "rho0": serialize.matrix_to_json(rho0.rho),
                        **_trotter_run(g, rho0, args.t, args.eps)},
@@ -283,12 +270,11 @@ def main(argv=None) -> int:
                "cost": cmd_cost, "example-lambda": cmd_example_lambda}[args.command]
     try:
         return handler(args)
-    except CliError as exc:
+    except (CliError, serialize.SerializeError, *DOMAIN_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        if isinstance(exc, CliError):
+            return exc.code
+        return EXIT_IO if isinstance(exc, serialize.SerializeError) else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -146,11 +146,15 @@ class QuantumState:
             raise LindbladError(f"state must be {self.d}x{self.d}, got {rho.shape}")
         if not np.isfinite(rho).all():
             raise LindbladError("state must be finite")
-        if frobenius(rho - dagger(rho)) > 1e-10:
+        # formed from halves, which cannot overflow; a Python sum of the diagonal
+        # overflows to inf or NaN without a warning, and the trace check refuses both
+        half = 0.5 * rho
+        if 2.0 * frobenius(half - dagger(half)) > 1e-10:
             raise LindbladError("state is not Hermitian within tolerance")
-        if abs(np.trace(rho) - 1.0) > 1e-10:
-            raise LindbladError(f"state trace {np.trace(rho)} is not 1")
-        wmin = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
+        trace = sum(rho.diagonal().tolist())
+        if abs(trace - 1.0) > 1e-10:
+            raise LindbladError(f"state trace {trace} is not 1")
+        wmin = float(np.linalg.eigvalsh(half + dagger(half)).min())
         if wmin < -1e-9:
             raise LindbladError(f"state has negative eigenvalue {wmin:.3e}")
         object.__setattr__(self, "rho", rho)
@@ -158,11 +162,6 @@ class QuantumState:
 
 def maximally_mixed(d: int) -> QuantumState:
     return QuantumState(d=d, rho=np.eye(d, dtype=complex) / d)
-
-
-def _traceless_split(L: np.ndarray, d: int):
-    c0 = np.trace(L) / d
-    return L - c0 * np.eye(d), c0
 
 
 def from_diagonal(g: DiagonalGenerator, basis: GellMannBasis | None = None) -> GksGenerator:
@@ -179,12 +178,14 @@ def from_diagonal(g: DiagonalGenerator, basis: GellMannBasis | None = None) -> G
     n = basis.n
     A = np.zeros((n, n), dtype=complex)
     H = np.array(g.H, dtype=complex)
-    for gamma, L in g.terms:
-        Ltl, c0 = _traceless_split(L, g.d)
-        coeff = np.einsum("gij,ji->g", basis.matrices, Ltl)
-        A += gamma * np.outer(coeff, np.conj(coeff))
-        if abs(c0) > 0.0:
-            H += (1j * gamma / 2.0) * (np.conj(c0) * Ltl - c0 * dagger(Ltl))
+    with np.errstate(over="ignore", invalid="ignore"):  # GksGenerator refuses what overflows
+        for gamma, L in g.terms:
+            c0 = np.trace(L) / g.d
+            Ltl = L - c0 * np.eye(g.d)
+            coeff = np.einsum("gij,ji->g", basis.matrices, Ltl)
+            A += gamma * np.outer(coeff, np.conj(coeff))
+            if abs(c0) > 0.0:
+                H += (1j * gamma / 2.0) * (np.conj(c0) * Ltl - c0 * dagger(Ltl))
     return GksGenerator(basis=basis, H=H, A=A)
 
 
@@ -284,7 +285,9 @@ def apply_exact(g: GksGenerator, rho0: QuantumState, t: float) -> QuantumState:
         raise LindbladError(f"time must be finite and non-negative, got {t}")
     if rho0.d != g.d:
         raise LindbladError(f"state has d = {rho0.d} but the generator has d = {g.d}")
-    return evolve(trace_preserving(expm(t * real_map(liouvillian_matrix(g)))), rho0)
+    with np.errstate(over="ignore"):  # expm refuses the non-finite entries of an overflow
+        tL = t * real_map(liouvillian_matrix(g))
+    return evolve(trace_preserving(expm(tL)), rho0)
 
 
 def trace_preserving(R: np.ndarray) -> np.ndarray:

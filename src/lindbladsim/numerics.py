@@ -73,8 +73,9 @@ def frobenius(m):
     # 2^-e as two factors, neither of which overflows when the entries are subnormal
     half = e // 2
     scaled = a * np.ldexp(1.0, -half)[..., None, None] * np.ldexp(1.0, half - e)[..., None, None]
-    # np.linalg.norm's Frobenius sum, without its dispatch
-    norm = np.ldexp(np.sqrt(np.add.reduce((scaled.conj() * scaled).real, axis=(-2, -1))), e)
+    # np.linalg.norm's Frobenius sum, without its dispatch; a norm that overflows reads inf
+    with np.errstate(over="ignore"):
+        norm = np.ldexp(np.sqrt(np.add.reduce((scaled.conj() * scaled).real, axis=(-2, -1))), e)
     return float(norm) if norm.ndim == 0 else norm
 
 

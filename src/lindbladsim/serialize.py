@@ -128,8 +128,6 @@ def matrix_to_json(m) -> list:
     return a.view(float).reshape(*a.shape, 2).tolist()
 
 
-vector_to_json = matrix_to_json
-
 _PAIR_TYPES = {list, tuple}
 _PART_TYPES = {int, float}  # JSON numbers; bool, text and numpy scalars take the walk
 

@@ -526,7 +526,7 @@ def diamond_bound(X: np.ndarray) -> np.ndarray:
     stack = X.shape[:-2]
     e = math.frexp(float(np.abs(X).max()))[1]
     e += e % 2
-    X = X * math.ldexp(1.0, -e)
+    X = np.ldexp(X, -e)  # 2^-e alone overflows when X's largest entry is subnormal
     # (F^T X^T F)[(c a), (b e)] = sum_l (B_l)_ca (sum_k X_kl B_k)_be = J[(a b), (c e)]
     J = (F.T @ (np.swapaxes(X, -1, -2) @ F)).reshape(-1, d, d, d, d).transpose(0, 2, 3, 1, 4)
     w, V = np.linalg.eigh(J.reshape(X.shape))

@@ -159,6 +159,42 @@ def random_mixed_state(d, rng):
     return rho / np.trace(rho)
 
 
+DIRECTIONS = ("real", "balanced", "basis", "sparse", "degenerate-diagonal", "near-real",
+              "near-balanced", "generic")
+
+
+def edge_direction(kind, basis, rng):
+    """Unit direction a in C^(d^2-1) of the given kind, times a random global phase.
+
+    real and balanced have canonical angle theta = 0 and pi/4, near-real and
+    near-balanced lie 1e-15..1e-6 inside; basis is one coordinate vector and
+    sparse has two nonzero entries; degenerate-diagonal has aR on the diagonal
+    block, with M_R = sum_a aR_a F_a holding a repeated eigenvalue when d >= 3.
+    """
+    n, d = basis.n, basis.d
+    if kind in ("basis", "sparse", "generic"):
+        a = np.zeros(n, dtype=complex)
+        slots = {"basis": 1, "sparse": 2, "generic": n}[kind]
+        idx = rng.choice(n, slots, replace=False)
+        a[idx] = rng.normal(size=slots) + 1j * rng.normal(size=slots)
+    else:
+        u, w = np.linalg.qr(rng.normal(size=(n, 2)))[0].T
+        if kind == "degenerate-diagonal":
+            x = np.zeros(d)
+            x[: rng.integers(1, d)] = 1.0  # two levels: one repeats once d >= 3
+            x = rng.permutation(x - x.mean())
+            u = np.einsum("gij,ji->g", basis.matrices, np.diag(x)).real
+            u /= np.linalg.norm(u)
+            w -= (u @ w) * u
+            w /= np.linalg.norm(w)
+        tiny = 10.0 ** rng.uniform(-15.0, -6.0)
+        theta = {"real": 0.0, "balanced": math.pi / 4, "near-real": tiny,
+                 "near-balanced": math.pi / 4 - tiny,
+                 "degenerate-diagonal": rng.uniform(0.0, math.pi / 4)}[kind]
+        a = math.cos(theta) * u + 1j * math.sin(theta) * w
+    return np.exp(2j * math.pi * rng.uniform()) * a / np.linalg.norm(a)
+
+
 def criterion_4_instances():
     """The (d, generator, state seed) cases of acceptance criterion 4: 50 at d = 2
     and 20 at d = 3, each a Hamiltonian plus one to three Lindblad terms."""

@@ -1,10 +1,15 @@
+import copy
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, random_diagonal, random_gks,
                       reference_dumps, reference_json_to_matrix)
@@ -718,3 +723,141 @@ def test_main_builds_its_parser_once_and_runs_the_bound_handler(tmp_path, monkey
     monkeypatch.setattr(cli, "cmd_validate", lambda args: calls.append(args.generator) or 5)
     assert main(["validate", "x.json"]) == 5
     assert calls == ["x.json"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every invocation exits 0, 1 or 2, and no exception escapes main
+# ---------------------------------------------------------------------------
+
+FUZZ_NUMBERS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(),
+                         st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]))
+FUZZ_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), FUZZ_NUMBERS, st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+DAMPING_DOC = {"d": 2, "H": [[[0.5, 0.0], [0.0, -0.25]], [[0.0, 0.25], [-0.5, 0.0]]],
+               "terms": [{"gamma": 1.0, "L": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}]}
+LAMBDA_DOC = serialize.generator_to_json(lambda_atom())
+FUZZ_REQUESTS = [
+    {"generator": DAMPING_DOC, "rho0": {"d": 2, "rho": serialize.matrix_to_json(np.eye(2) / 2)},
+     "t": 0.5, "epsilon": 1e-3, "mode": "trotter"},
+    {"generator": LAMBDA_DOC, "rho0": serialize.matrix_to_json(maximally_mixed(3).rho),
+     "t": 1.0, "epsilon": 1e-6, "mode": "oracle"},
+]
+
+
+def mutated(draw, doc):
+    """A copy of doc with one value, at any depth, replaced by a drawn value or dropped."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    # descends into a drawn child three times in four, so that leaves are reached too
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        parent = node
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    value = draw(st.one_of(FUZZ_NUMBERS, FUZZ_VALUES))
+    if parent is None:
+        return value
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+@st.composite
+def document_invocations(draw):
+    """(document, argv lists with None for its path): validate and decompose on a
+    generator document, or simulate in the request's own mode and in both --mode
+    values; one or two values of the document are replaced or dropped."""
+    if draw(st.booleans()):
+        doc = draw(st.sampled_from([DAMPING_DOC, LAMBDA_DOC]))
+        argvs = [["validate", None], ["decompose", None]]
+    else:
+        doc = draw(st.sampled_from(FUZZ_REQUESTS))
+        argvs = [["simulate", None], ["simulate", None, "--mode", "oracle"],
+                 ["simulate", None, "--mode", "trotter"]]
+    for _ in range(draw(st.integers(1, 2))):
+        doc = mutated(draw, doc)
+    return doc, argvs
+
+
+@st.composite
+def number_invocations(draw):
+    """(None, [argv]): cost or example-lambda with extreme, negative and non-finite
+    numbers, each passed as --name=value, since argparse reads --t -inf as a
+    missing value."""
+    numbers = FUZZ_NUMBERS.map(repr)
+    if draw(st.booleans()):
+        argv = ["cost", f"--m={draw(st.integers(-2, 2 ** 70))}"]
+        argv += [f"--{name}={draw(numbers)}" for name in ("t", "L1", "L2")]
+        if draw(st.booleans()):
+            argv.append(f"--eps={draw(numbers)}")
+        if draw(st.booleans()):
+            argv.append(f"--sweep={','.join(draw(st.lists(numbers, max_size=3)))}")
+    else:
+        names = ("gamma1", "gamma2", "phi", "eta", "alpha", "t", "eps")
+        argv = ["example-lambda"] + [f"--{name}={draw(numbers)}"
+                                     for name in draw(st.lists(st.sampled_from(names),
+                                                               unique=True))]
+    return None, [argv]
+
+
+def run_main(argv):
+    """main(argv) with its output captured: the exit code and the stderr text."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(st.one_of(document_invocations(), number_invocations()))
+def test_fuzzed_invocations_exit_0_1_or_2(fuzz_dir, invocation):
+    """Mutated generator documents and simulation requests, and cost and
+    example-lambda with extreme numbers: main returns 0, 1 or 2, raises nothing,
+    and an exit 2 comes with an error line."""
+    doc, argvs = invocation
+    path = fuzz_dir / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in argvs:
+        argv = [str(path) if arg is None else arg for arg in argv]
+        code, err = run_main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the residual's bound of maps near the smallest subnormal raised OverflowError
+    (["example-lambda", "--gamma1=5e-324", "--gamma2=5e-324", "--alpha=-838050"], 0),
+    # the oracle's t L overflowed with a warning before expm refused it
+    (["example-lambda", "--gamma2=1e308", "--t=28216541"], 1),
+], ids=["subnormal-rates", "overflowing-tL"])
+def test_extreme_lambda_rates_exit_cleanly(tmp_path, argv, code):
+    exit_code, err = run_main([*argv, "--out", str(tmp_path / "bundle.json")])
+    assert exit_code == code
+    assert err.startswith("error: ") == (code == 1)
+
+
+@pytest.mark.parametrize("doc", [
+    # one overflowing entry of L overflowed A with a warning
+    {**DAMPING_DOC, "terms": [{"gamma": 1.0, "L": with_entry([1e308, 0.0])}]},
+    # a state with eigenvalues 0.5 +- 1e308 was accepted
+    {**FUZZ_REQUESTS[0], "rho0": [[[0.5, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.5, 0.0]]]},
+], ids=["overflowing-L", "huge-rho0"])
+def test_overflowing_documents_exit_1(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in ([["simulate", str(path)]] if "rho0" in doc
+                 else [["validate", str(path)], ["decompose", str(path)]]):
+        code, err = run_main(argv)
+        assert code == 1, argv
+        assert err.startswith("error: "), argv

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, THETA2, dephasing_gks,
-                      from_vector, lambda_atom, plan_gks_matrix, random_gks, random_psd,
-                      sigma_x_slot, to_vector)
+from conftest import (AHAT1_R, AHAT1_I, DIRECTIONS, GOLDEN_ALPHA_I, SECONDVEC, THETA2,
+                      dephasing_gks, edge_direction, from_vector, lambda_atom, plan_gks_matrix,
+                      random_gks, random_psd, sigma_x_slot, to_vector)
 from lindbladsim import decompose
 from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
                                    UniversalParams, canonical_phases, decompose_generator,
@@ -440,42 +440,6 @@ def test_weight_must_be_finite_and_non_negative(lam):
     # a zero weight stays allowed: preparation drops such plans by design
     RankOneTerm(lam=0.0, a=A1_LITERAL)
     ConjugationPlan(lam=0.0, U=plan.U, params=plan.params)
-
-
-DIRECTIONS = ("real", "balanced", "basis", "sparse", "degenerate-diagonal", "near-real",
-              "near-balanced", "generic")
-
-
-def edge_direction(kind, basis, rng):
-    """Unit direction a in C^(d^2-1) of the given kind, times a random global phase.
-
-    real and balanced have canonical angle theta = 0 and pi/4, near-real and
-    near-balanced lie 1e-15..1e-6 inside; basis is one coordinate vector and
-    sparse has two nonzero entries; degenerate-diagonal has aR on the diagonal
-    block, with M_R = sum_a aR_a F_a holding a repeated eigenvalue when d >= 3.
-    """
-    n, d = basis.n, basis.d
-    if kind in ("basis", "sparse", "generic"):
-        a = np.zeros(n, dtype=complex)
-        slots = {"basis": 1, "sparse": 2, "generic": n}[kind]
-        idx = rng.choice(n, slots, replace=False)
-        a[idx] = rng.normal(size=slots) + 1j * rng.normal(size=slots)
-    else:
-        u, w = np.linalg.qr(rng.normal(size=(n, 2)))[0].T
-        if kind == "degenerate-diagonal":
-            x = np.zeros(d)
-            x[: rng.integers(1, d)] = 1.0  # two levels: one repeats once d >= 3
-            x = rng.permutation(x - x.mean())
-            u = np.einsum("gij,ji->g", basis.matrices, np.diag(x)).real
-            u /= np.linalg.norm(u)
-            w -= (u @ w) * u
-            w /= np.linalg.norm(w)
-        tiny = 10.0 ** rng.uniform(-15.0, -6.0)
-        theta = {"real": 0.0, "balanced": math.pi / 4, "near-real": tiny,
-                 "near-balanced": math.pi / 4 - tiny,
-                 "degenerate-diagonal": rng.uniform(0.0, math.pi / 4)}[kind]
-        a = math.cos(theta) * u + 1j * math.sin(theta) * w
-    return np.exp(2j * math.pi * rng.uniform()) * a / np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("d", range(2, 7))

@@ -16,7 +16,7 @@ from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError
                                   from_diagonal, hamiltonian_superoperator, liouvillian_matrix,
                                   maximally_mixed, one_one_norm, real_map, trace_distance,
                                   trace_preserving)
-from lindbladsim.numerics import dagger, expm, frobenius, trace_norm
+from lindbladsim.numerics import NumericsError, dagger, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import prepare_components
 
@@ -387,6 +387,25 @@ def test_generator_validation_errors():
         QuantumState(d=2, rho=np.diag([0.9, 0.3]))
     with pytest.raises(LindbladError):
         QuantumState(d=2, rho=np.diag([np.nan, 0.5]))
+
+
+def test_huge_entries_are_refused_without_overflow():
+    # the checks' own sums must not overflow into a warning, or into an inf or NaN that
+    # passes them: the first state here, with eigenvalues 0.5 +- 1e308, was accepted
+    big = 1e308
+    states = {"negative eigenvalue -1.000e\\+308": [[0.5, big], [big, 0.5]],
+              "trace \\(inf": np.diag([big, big, -big]),
+              "not Hermitian": [[big, big], [-big, 0.0]]}
+    for message, rho in states.items():
+        with pytest.raises(LindbladError, match=message):
+            QuantumState(d=len(rho), rho=np.array(rho, dtype=complex))
+    for L in ([[0.0, 1.0], [big, 0.0]], [[0.0, 1.0], [0.0, big]]):  # A overflows
+        with pytest.raises(LindbladError, match="H and A must be finite"):
+            from_diagonal(DiagonalGenerator(d=2, H=np.zeros((2, 2)), terms=((1.0, np.array(L)),)))
+    g = from_diagonal(DiagonalGenerator(d=2, H=np.zeros((2, 2)),
+                                        terms=((1e300, np.array([[0.0, 1.0], [0.0, 0.0]])),)))
+    with pytest.raises(NumericsError, match="non-finite"):  # L is finite, t L is not
+        apply_exact(g, maximally_mixed(2), 1e10)
 
 
 def test_trace_distance_basic():

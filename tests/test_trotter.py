@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (NORM_SAFETY, choi_split_bound, column_stacked, criterion_4_instances,
-                      dephasing_gks, exp_derivative, first_order_terms, frame, lambda_atom,
-                      n_qubit_generator, predicted_plan, pure_hamiltonian, random_diagonal,
-                      random_gks, random_mixed_state, reference_components,
-                      reference_schedule, serial_one_one_norm, unvec, vec, walked_block)
+from conftest import (DIRECTIONS, NORM_SAFETY, choi_split_bound, column_stacked,
+                      criterion_4_instances, dephasing_gks, edge_direction, exp_derivative,
+                      first_order_terms, frame, lambda_atom, n_qubit_generator, predicted_plan,
+                      pure_hamiltonian, random_diagonal, random_gks, random_hermitian,
+                      random_mixed_state, reference_components, reference_schedule,
+                      serial_one_one_norm, unvec, vec, walked_block)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
@@ -666,6 +667,12 @@ def test_diamond_bound_scales_a_huge_map_first():
             assert diamond_bound(np.ldexp(X, q)) == np.ldexp(diamond_bound(X), q)
 
 
+def test_diamond_bound_scales_a_subnormal_map_first():
+    # the scaling 2^1072 of a map whose largest entry is the smallest subnormal is past
+    # the largest double, so it is applied entry by entry; the bound is that of 0.25 I
+    assert diamond_bound(5e-324 * np.eye(4)) == np.ldexp(diamond_bound(0.25 * np.eye(4)), -1072)
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
 def test_certified_states_lie_within_half_the_certificate(eps):
     # the certificate bounds ||T_n - e^(tL)||_(1->1), so a pure input state, the hardest
@@ -882,6 +889,27 @@ def test_runs_are_deterministic(d, seed, t, eps):
     for other_state, other_plan, _ in others:
         assert other_plan == plan and other_plan.builds == plan.builds
         assert other_state.rho.tobytes() == state.rho.tobytes()
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 6), st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=3),
+       st.booleans(), st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([1e-3, 1e-6]),
+       st.integers(0, 2 ** 32 - 1))
+def test_edge_generators_run_within_eps(d, kinds, with_h, t, eps, seed):
+    # end to end on the decomposition's edge cases: A a weighted sum of one to three
+    # rank-one pieces along edge directions, H zero or random.  The state is valid (a
+    # QuantumState checks itself) and lies within eps / 2 of the oracle when the plan
+    # is certified, within eps otherwise
+    rng = np.random.default_rng(seed)
+    basis = gell_mann_basis(d)
+    A = sum(rng.uniform(0.1, 1.0) * np.outer(a, np.conj(a))
+            for a in (edge_direction(kind, basis, rng) for kind in kinds))
+    H = random_hermitian(d, rng) if with_h else np.zeros((d, d))
+    g = GksGenerator(basis=basis, H=H, A=A)
+    rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
+    state, plan, _ = simulate(g, rho0, t, eps)
+    bound = 0.5 * eps if plan.certificate is not None else eps
+    assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= bound
 
 
 # random_gks(d, default_rng(seed)) that sit on the rounding floor at eps = 1e-11: the
