@@ -13,7 +13,8 @@ n_qubit_generator(n) for n = 1..4 at t = 1, and lambda_atom() at t = 0.5, 1, 4
 and 16.  Both files are only read.
 
 Each run is written as one serialize.dumps line: the case id, t and eps; the
-plan's formula, k, n_reps, builds and actual_exponentials(); its certificate,
+plan's formula, rows (a mixture's rows of component_orders(m)), k, n_reps,
+builds and actual_exponentials(); its certificate,
 predicted certificate, residual bound t r, rounding allowance delta and
 target eps - t r - delta (each null for the paper's fallback plan); dist / eps,
 the trace distance to lindblad.apply_exact over eps; the SHA-256 of the
@@ -32,10 +33,11 @@ is one line with an id, the subcommand, the exit code, the byte count and the
 SHA-256 of the bytes: 1088 lines, 1070 of them from cli-roundtrip.
 
 --compare reads two such files, the first the reference, and prints the plans
-that moved (formula, k, n_reps, builds or exponentials), each with the
+that moved (formula, rows, k, n_reps, builds or exponentials), each with the
 reference's certificate over that run's own target (eps / 2 for a file
-written before runs recorded their target); the runs whose exponentials rose; the
-certified runs that fall back; per workload, how many states are
+written before runs recorded their target, and the rows its formula drew for a
+file written before runs recorded them, legacy_rows); the runs whose exponentials
+rose; the certified runs that fall back; per workload, how many states are
 bit-identical, the largest entry difference, the largest relative change of
 a certificate that both files carry and the largest change of dist / eps;
 the worst dist / eps of a certified run in each file; and the CLI documents
@@ -70,7 +72,7 @@ from workloads import cli_roundtrip, lambda_trajectory, random_d6  # noqa: E402
 SEEDS = range(1, 11)
 EPS = (1e-3, 1e-6, 1e-9)
 LAMBDA_TIMES = (0.5, 1.0, 4.0, 16.0)
-PLAN_FIELDS = ("formula", "k", "n_reps", "builds", "actual_exponentials")
+PLAN_FIELDS = ("formula", "rows", "k", "n_reps", "builds", "actual_exponentials")
 
 
 def instances():
@@ -95,7 +97,8 @@ def record(case, g, rho0, t, eps) -> dict:
     except Exception as exc:  # recorded, so that a refusal shows in the comparison
         return {**out, "error": f"{type(exc).__name__}: {exc}"}
     rho = np.ascontiguousarray(state.rho)
-    return {**out, "formula": plan.formula, "k": plan.k, "n_reps": plan.n_reps,
+    return {**out, "formula": plan.formula, "rows": list(plan.rows), "k": plan.k,
+            "n_reps": plan.n_reps,
             "builds": plan.builds, "actual_exponentials": plan.actual_exponentials(),
             "certificate": plan.certificate,
             "predicted_certificate": plan.predicted_certificate,
@@ -166,7 +169,24 @@ def cli_documents():
 
 def load(path) -> dict:
     with open(path) as fh:
-        return {run["id"]: run for run in map(json.loads, fh)}
+        runs = {run["id"]: run for run in map(json.loads, fh)}
+    for run in runs.values():
+        if "formula" in run and "rows" not in run:
+            run.update(legacy_rows(run))
+    return runs
+
+
+def legacy_rows(run) -> dict:
+    """The formula and rows of a run written before runs recorded their rows: the coin
+    flip was the mixture of row 0, and the mixed orders drew from the first
+    min(4, m! / 2) rows of component_orders(m), m from the mixture's count
+    n_reps (2m - 1)."""
+    if run["formula"] == "suzuki":
+        return {"rows": []}
+    if run["formula"] == "coin-flip":
+        return {"formula": "mixed-orders", "rows": [0]}
+    m = (run["actual_exponentials"] // run["n_reps"] + 1) // 2
+    return {"rows": list(range(min(4, math.factorial(m) // 2)))}
 
 
 def workload(case: str) -> str:

@@ -8,7 +8,8 @@ at t = 1 and eps = 1e-3 and 1e-6, it prints one Markdown row per case: m,
 the component count (2n + 1 at d = 2^n), next to d^2 - 1, the dissipative
 count of a generic generator; the merged exponential count of the paper's
 plan (paper_plan) and of the plan simulate runs, with that plan's product
-formula and, for a mixture, in parentheses the order pairs it draws from;
+formula and, for a mixture, in parentheses its rows of component_orders(m),
+(0) for the coin flip;
 its certificate and the certificate its leading error term
 predicted (both empty for the paper's fallback plan), and the blocks the
 certificate search built; and two wall times of simulate.  The
@@ -49,7 +50,8 @@ def main():
             paper = paper_plan(comps, eps, T)
             cert, predicted = ("" if x is None else f"{x:.2e}"
                                for x in (plan.certificate, plan.predicted_certificate))
-            formula = f"{plan.formula} ({plan.pairs})" if plan.pairs else plan.formula
+            rows = ", ".join(map(str, plan.rows))
+            formula = f"{plan.formula} ({rows})" if plan.rows else plan.formula
             print(f"| {n} | {g.d} | {plan.m} | {g.basis.n} | {eps:g} "
                   f"| {paper.actual_exponentials()} | {plan.actual_exponentials()} "
                   f"| {formula} | {cert} "

@@ -106,10 +106,11 @@ def _taylor_chunks(m: int) -> np.ndarray:
 TAYLOR_CHUNKS = {m: _taylor_chunks(m) for m, _ in TAYLOR_THETA}
 
 
-def _taylor(a: np.ndarray, m: int) -> np.ndarray:
+def _taylor(a: np.ndarray, m: int, offset: bool = False) -> np.ndarray:
     """Degree-m Taylor polynomial of exp on a stack of matrices, by Paterson-Stockmeyer:
     I plus Horner's rule in A^s over the chunks sum_i c_qi A^i of TAYLOR_CHUNKS[m], all
-    formed by one product with the powers A..A^s, in s - 1 + floor((m - 1) / s) products."""
+    formed by one product with the powers A..A^s, in s - 1 + floor((m - 1) / s) products;
+    with offset, the polynomial less its constant I."""
     coeffs = TAYLOR_CHUNKS[m]
     s = coeffs.shape[1]
     powers = np.empty((s, *a.shape), dtype=a.dtype)
@@ -120,7 +121,7 @@ def _taylor(a: np.ndarray, m: int) -> np.ndarray:
     p = chunks[-1]
     for chunk in chunks[-2::-1]:
         p = chunk + powers[-1] @ p
-    return p + np.eye(a.shape[-1])
+    return p if offset else p + np.eye(a.shape[-1])
 
 
 def _rung_and_squarings(norm: float):
@@ -135,7 +136,7 @@ def _rung_and_squarings(norm: float):
     return degree, math.ceil(math.log2(norm / theta))
 
 
-def expm(m) -> np.ndarray:
+def expm(m, offset: bool = False) -> np.ndarray:
     """Matrix exponential: the lowest Taylor rung that covers ||A||_1, past
     theta_16 the degree-16 rung with scaling and squaring (Al-Mohy and Higham
     2011).
@@ -144,7 +145,10 @@ def expm(m) -> np.ndarray:
     of them of shape (..., n, n), and returns a real result for a real input;
     the slices that share a rung and squaring count are computed together.
     A matrix with ||A||_1 above MAX_EXPM_NORM, and a result that overflows,
-    raise NumericsError.
+    raise NumericsError.  With offset it returns e^A - I, formed without I: the
+    rung less its constant, each squaring of e^A = I + Y as 2 Y + Y^2.  Near the
+    identity, where I would round Y's entries to a unit of 1, they keep their
+    own relative precision (Higham, "Functions of Matrices", SIAM 2008).
     """
     a = _square_stack(m)
     stack = a.reshape(-1, *a.shape[-2:])
@@ -156,9 +160,9 @@ def expm(m) -> np.ndarray:
         whole = len(groups) == 1  # one rung and s for every slice: no gather and scatter copies
         for (degree, s), slices in groups.items():
             x = _taylor(np.multiply(stack if whole else stack[slices], 2.0 ** -s, order="C"),
-                        degree)
+                        degree, offset)
             for _ in range(s):
-                x = x @ x
+                x = 2.0 * x + x @ x if offset else x @ x
             if whole:
                 out = x
             else:

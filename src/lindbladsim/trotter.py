@@ -51,43 +51,57 @@ PRX 11, 011020 (2021)): T_n differs from exp(t sum_j G_j) by
 D / n^2 + O(n^-4), so the search starts at the smallest n that D
 certifies, and most runs build one block.
 
-The search sizes three k = 1 formulas (FORMULAS) and runs the one whose
-predicted n needs the fewest exponentials, the one of fewer component
-orders on a tie.  The first is the symmetric block above, in one
-component order.  The other two are mixtures that draw each block
-uniformly from pairs of component orders, each an order and its reverse
-(Childs, Ostrander and Su, "Faster quantum simulation by randomization",
-Quantum 3, 182 (2019)).  The coin flip has one pair: it runs the block
-above or the block in the reversed component order, component j as
-m - 1 - j.  The mixed-orders formula has the MIX_PAIRS pairs of
-component_orders(m), the norm order's and three drawn from a fixed
-splitmix64 shuffle, or all m! / 2 when there are fewer (one at m = 2,
-where it is the coin flip and is not searched).  Every duration is
-positive, so every block is a product of channels of the universal
-family, and n independent draws apply exactly M^n, M the mean of the
-blocks.  The classical run computes M^n itself, with no random numbers, so
-the output is deterministic and the certificate above covers the device's
-state as it covers a fixed-order run.  An order's and its reverse's
-third-order terms differ by a commutator that cancels in M, and averaging
-over more orders shrinks the rest, so a mixture's leading term is smaller;
-each comes from the same commutator loop, run over every order at once
-and once per generator, since its sums do not depend on t or eps
-(commutator_sums, kept with the Components), and one more stacked
-exponential per call (leading_error).  n blocks cost
-n (2m - 2) + 1 exponentials in one order and at most n (2m - 1) in a
-mixture, where neighbouring blocks merge only when they meet on the same
-component.  On random d = 6 generators the mixed orders need about 30 %
-fewer exponentials than the coin flip; the coin flip stays a candidate,
-since on some generators (random d = 3, the qubit chains) it reads lower,
-and the two-component lambda atom keeps the fixed block.
+The search sizes three k = 1 candidates and runs the one whose predicted n
+needs the fewest exponentials, the one of fewer component orders on a tie.
+The first is the symmetric block above, in one component order (SUZUKI).
+The other two are mixtures (MIXED_ORDERS) that draw each block uniformly
+from pairs of component orders, each an order and its reverse (Childs,
+Ostrander and Su, "Faster quantum simulation by randomization", Quantum 3,
+182 (2019)); a plan carries its pairs as rows of component_orders(m).  The
+coin flip is the mixture of row 0 alone, the norm order's pair: it runs the
+block above or the block in the reversed component order, component j as
+m - 1 - j.  The third candidate is the mixture of up to MIX_PAIRS rows chosen
+for the run from a pool of component orders, the first pool_size(m, d) rows of
+component_orders(m), drawn from one splitmix64 stream keyed by m: at most
+POOL = 32, and fewer where the pool's commutator loop would pass the work of
+random d = 6 (one from d = 16 up, where the coin flip is the only mixture).
+Every duration is positive, so every block is a product of channels of the
+universal family, and n independent draws apply exactly M^n, M the mean of
+the blocks.  The classical run computes M^n itself, with no random numbers,
+so the output is deterministic and the certificate above covers the device's
+state as it covers a fixed-order run.
+
+A mixture's leading term is the mean of its pairs' terms, and an order's
+and its reverse's third-order terms differ by a commutator that cancels in
+the pair, so pairs can be chosen by their terms (Tranter, Love, Mintert,
+Wiebe and Coveney, "Ordering of Trotterization", Entropy 21, 1218 (2019)).
+Once per generator, since none of it depends on t or eps, one commutator
+loop over every pool row gives each pair's direction, and one eig of
+sum_j G_j takes them to its eigenbasis (commutator_sums, kept with the
+Components).  In that basis each pair's term at t is elementwise, the
+divided differences of exp times the direction, and two stacked products
+take the terms back (_pair_terms); a greedy pass over their Frobenius Gram
+matrix chooses the rows (mixture_rows).  The eig only chooses rows: every
+candidate's leading term is an exact complex-step derivative, one stacked
+exponential per call (leading_error), and every plan that runs is
+certified by its own map.  n blocks cost n (2m - 2) + 1 exponentials in one
+order and at most n (2m - 1) in a mixture, where neighbouring blocks merge
+only when they meet on the same component.  On the benchmark's random d = 6
+generators the chosen mixtures need about 21 % fewer exponentials than the
+first four rows of component_orders, which every mixture drew before; on the
+qubit chains the coin flip wins, and the two-component lambda atom keeps the
+fixed block.
 
 The block and its power are each projected onto trace-preserving maps
-(plan_map).  When the search stops first (certify lists when), the paper's
-plan (paper_plan) runs, uncertified, as the fallback; it is also what the
-cost subcommand reports.  step_count is the paper's planner, and
-select_order, its first step, holds the one check of the planner's inputs.
-build_plan calls step_count once per run, through paper_plan; every plan it
-returns carries the two N_exp bounds that nexp_report prints.
+(plan_map); a mixture's are formed as offsets from the identity, so that n
+repetitions add up no rounding of the identity's unit, and its certificate
+follows its leading term down to delta.  When the search stops first
+(certify lists when), the paper's plan (paper_plan) runs, uncertified, as the
+fallback; it is also what the cost subcommand reports.  step_count is the
+paper's planner, and select_order, its first step, holds the one check of the
+planner's inputs.  build_plan calls step_count once per run, through
+paper_plan; every plan it returns carries the two N_exp bounds that
+nexp_report prints.
 
 A component is its d^2 x d^2 generator G_j: i[., H] for the Hamiltonian,
 lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece, L the plan's
@@ -150,10 +164,11 @@ class Component:
     norm: float
     generator: np.ndarray = field(repr=False)
 
-    def channel(self, t_phys) -> np.ndarray:
+    def channel(self, t_phys, offset: bool = False) -> np.ndarray:
         """Exact channel matrices exp(t * G_j), one per physical duration t in
-        t_phys, stacked in its order and taken from one expm call."""
-        return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator)
+        t_phys, stacked in its order and taken from one expm call; with offset,
+        each less the identity (numerics.expm)."""
+        return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator, offset)
 
 
 class Components(tuple):
@@ -162,7 +177,8 @@ class Components(tuple):
     generator's real map, which bounds ||exp(tL) - exp(t sum_j G_j)||_diamond by t r;
     one_norm, ||sum_j G_j||_1 (expm_rounding); and sums, leading_error's commutator sums
     (commutator_sums), computed on first use.  All three live in the dict kept, which for
-    a generator's own plans is the generator's _decomposition.  certify takes t r out of
+    a generator's own plans is the generator's _decomposition, as do the mixture rows
+    last chosen and their t (mixture_rows).  certify takes t r out of
     eps, so a component sequence is certified only with the residual of the generator it
     splits.  A tuple, so that no component can be added, removed or moved after r and
     the sums are taken; a slice or a join is a plain tuple, which certify refuses."""
@@ -267,12 +283,14 @@ def segments_per_block(m: int, k: int) -> int:
 
 # the product formulas a plan runs: the S_2k block in its one component order, or at
 # k = 1 a mixture that picks its block per repetition, uniformly among pairs of component
-# orders, each an order and its reverse: the coin flip over the norm order's pair, or the
-# mixture over every pair of component_orders (certify)
-SUZUKI, COIN_FLIP, MIXED_ORDERS = FORMULAS = "suzuki", "coin-flip", "mixed-orders"
-# the mixture's pairs: the norm order's and MIX_PAIRS - 1 shuffled ones, fewer when m! / 2,
-# the count of distinct pairs, is smaller
+# orders, each an order and its reverse, the pairs a plan's rows of component_orders(m)
+SUZUKI, MIXED_ORDERS = "suzuki", "mixed-orders"
+# a mixture draws from at most MIX_PAIRS rows of its generator's pool: the first POOL rows
+# of component_orders(m), fewer where P m d^6, the commutator loop's work over P rows,
+# would pass POOL_WORK, that of random d = 6 (m = 36) at POOL rows (pool_size)
 MIX_PAIRS = 4
+POOL = 32
+POOL_WORK = POOL * 36 * 6 ** 6
 MASK64 = 2 ** 64 - 1
 
 
@@ -287,12 +305,12 @@ def _splitmix64(state: int):
 
 @functools.cache
 def component_orders(m: int) -> np.ndarray:
-    """The mixed-orders formula's component orders over m components, one row per pair:
-    row 0 is the norm order 0..m-1, and each later row a Fisher-Yates shuffle drawn from
-    one splitmix64 stream seeded with m, kept when neither it nor its reverse is already
-    a row.  min(MIX_PAIRS, m! / 2) rows, at least one; read-only, built on first use for
-    each m.  Row p's pair runs the block in that order or in the reversed one."""
-    pairs = max(1, min(MIX_PAIRS, math.factorial(m) // 2))
+    """The component orders over m components that a mixture's pairs come from, one row
+    per pair: row 0 is the norm order 0..m-1, and each later row a Fisher-Yates shuffle
+    drawn from one splitmix64 stream seeded with m, kept when neither it nor its reverse
+    is already a row.  min(POOL, m! / 2) rows, at least one; read-only, built on first use
+    for each m.  Row p's pair runs the block in that order or in the reversed one."""
+    pairs = max(1, min(POOL, math.factorial(m) // 2))
     orders, state = [tuple(range(m))], m
     while len(orders) < pairs:
         order = list(range(m))
@@ -305,6 +323,13 @@ def component_orders(m: int) -> np.ndarray:
     table = np.array(orders)
     table.setflags(write=False)
     return table
+
+
+def pool_size(m: int, d: int) -> int:
+    """The rows of component_orders(m) that m components of dimension d choose a mixture
+    from: as many as P m d^6 <= POOL_WORK allows, at least one (29 for the 7 components of
+    a d = 8 qubit chain, and 1 from d = 16 up)."""
+    return max(1, min(len(component_orders(m)), POOL_WORK // (m * d ** 6)))
 
 
 def formula_count(formula: str, m: int, k: int, n_reps: int) -> int:
@@ -383,19 +408,21 @@ class TrotterPlan:
     predicted, the map it certifies and the parts of eps the certificate
     leaves to the residual (t r) and to rounding (delta), with the target
     eps - t r - delta, the blocks the certificate search built, whichever
-    plan it returned, and the product formula.
+    plan it returned, and a k = 1 mixture's rows of component_orders(m).
 
     r is the paper planner's block parameter, n_reps = ceil(r L1); a
     certified plan's n_reps comes from the search instead, and its r is
     n_reps / L1.  lam = t L1 / n_reps is one block's length in units of 1 / L1,
     0.0 for a trivial plan of no repetition.  The plan stores no schedule:
-    block_superoperator builds the block from (k, lam) and the formula, and
-    the schedule property unrolls it on demand.  A k = 1 mixture draws each
-    repetition's block uniformly from 2 * pairs blocks: each of the first pairs
-    rows of component_orders(m) run as the symmetric block in that order or in
-    the reversed one, at the half step lam / 2.  The coin flip's one pair is the
-    norm order's, whose reverse runs component j as m - 1 - j.  Plans compare
-    without their map and build count.
+    block_superoperator builds the block from (k, lam) and the rows, and the
+    schedule property unrolls it on demand.  With no rows the plan runs the
+    S_2k block in the norm order (formula SUZUKI).  A k = 1 mixture (formula
+    MIXED_ORDERS) draws each repetition's block uniformly from 2 * pairs blocks,
+    pairs = len(rows): each of its rows of component_orders(m) runs as the
+    symmetric block in that order or in the reversed one, at the half step
+    lam / 2.  The coin flip, rows (0,), is the norm order's pair, whose reverse
+    runs component j as m - 1 - j.  Plans compare without their map and build
+    count.
     """
 
     k: int
@@ -414,16 +441,17 @@ class TrotterPlan:
     rounding_allowance: float | None = None  # delta (expm_rounding)
     target: float | None = None
     builds: int = field(default=0, compare=False)
-    formula: str = SUZUKI
+    rows: tuple = ()  # a k = 1 mixture's rows of component_orders(m), () for one order
+
+    @property
+    def formula(self) -> str:
+        """MIXED_ORDERS for a k = 1 mixture, SUZUKI for the block in one order."""
+        return MIXED_ORDERS if self.rows else SUZUKI
 
     @property
     def pairs(self) -> int:
-        """The order pairs a k = 1 mixture draws its blocks from: the rows of
-        component_orders(m) for the mixed-orders formula, 1 for the coin flip, 0 for
-        a fixed-order block."""
-        if self.formula == MIXED_ORDERS:
-            return len(component_orders(self.m))
-        return int(self.formula == COIN_FLIP)
+        """The order pairs a k = 1 mixture draws its blocks from, 0 for one order."""
+        return len(self.rows)
 
     @property
     def schedule(self) -> tuple:
@@ -537,12 +565,12 @@ def diamond_bound(X: np.ndarray) -> np.ndarray:
         return np.ldexp(tops[0] + tops[1], e)
 
 
-def leading_error(components: Components, t: float):
-    """e^(t sum_j G_j) and the leading error terms D of the k = 1 formulas over
-    the components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4),
-    stacked in FORMULAS order: the fixed-order block, the coin flip and, when
-    component_orders has more than one pair, the mixed-orders formula (at m = 2
-    the coin flip is that mixture, and there are two terms).
+def leading_error(components: Components, t: float, rows: tuple | None = None):
+    """e^(t sum_j G_j) and the leading error terms D of the k = 1 candidates over the
+    components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4), stacked as
+    certify's candidates: the fixed-order block, the coin flip (the mixture of row 0 of
+    component_orders alone) and, unless rows is (0,), the mixture of rows, by default
+    mixture_rows(components, t).
 
     One symmetric block of step tau is e^(tau sum_j G_j + tau^3 E + O(tau^5)) with
     E = sum_(i < m-1) (-(1/24) [G_i, [G_i, R_i]] - (1/12) [R_i, [G_i, R_i]]),
@@ -563,47 +591,54 @@ def leading_error(components: Components, t: float):
     The first-order product that the block's first half sweeps has the log
     tau sum_j G_j + tau^2 H2 + tau^3 H3 + ..., with H2 = -(1/2) sum_i [G_i, R_i].
     The block's E is H3 / 4 + [sum_j G_j, H2] / 8, the reversed-order block's
-    H3 / 4 - [sum_j G_j, H2] / 8, so their mean, the coin flip's, is H3 / 4.  The
+    H3 / 4 - [sum_j G_j, H2] / 8, so their mean, an order's pair's, is H3 / 4.  The
     derivative of exp takes [A, X] to [e^A, X], so the coin flip's term is
     D - (t^2 / 8) [e^(t sum_j G_j), H2]: two products more.  A mixture of blocks
     e^(tau sum_j G_j + tau^3 E_o + ...) is e^(tau sum_j G_j + tau^3 mean_o E_o + ...)
-    up to O(tau^6), and the derivative is linear in its direction, so the
-    mixed-orders term is t^3 times the derivative along the mean of the orders' E,
-    plus (t^2 / 16) [e^(t sum_j G_j), mean_o sum_i [G_i, R_i]].  The commutator loop
-    runs every row of component_orders at once, as stacked products, and both
-    directions go through one stacked expm.  Row 0 of each D, the trace, is zeroed,
-    as trace_preserving zeroes it in T_n.  Commuting components have E = H2 = 0 and
-    every term 0, up to rounding in their commutators.  certify measures D with the
-    certificate's own bound: diamond_bound(D) / n^2 predicts
-    diamond_bound(T_n - e^(t sum_j G_j)) up to O(n^-4), since the bound is
+    up to O(tau^6), and the derivative is linear in its direction, so the mixture's
+    term is t^3 times the derivative along the mean of its rows' H3 / 4, kept per row
+    (commutator_sums); that direction shares the stacked exponential with E.  Row 0
+    of each D, the trace, is zeroed, as trace_preserving zeroes it in T_n.  Commuting
+    components have E = H2 = 0 and every term 0, up to rounding in their commutators.
+    certify measures D with the certificate's own bound: diamond_bound(D) / n^2
+    predicts diamond_bound(T_n - e^(t sum_j G_j)) up to O(n^-4), since the bound is
     continuous and takes c X to |c| times X's.
 
-    Everything but t enters through the components' commutator sums
-    (Components.sums), kept with them, so a call forms only the stacked
-    exponential and the two commutators with e^(t sum_j G_j).
+    Everything but t and the rows enters through the components' commutator sums
+    (Components.sums), kept with them, so a call forms only the stacked exponential,
+    the two commutators with e^(t sum_j G_j) and, by default, the choice of rows.
     """
-    total, E, C, h = components.sums
+    total, E, C, pairs, _ = components.sums
+    if rows is None:
+        rows = mixture_rows(components, t)
+    if rows != (0,):
+        E = np.concatenate([E, pairs[list(rows)].mean(axis=0, keepdims=True)])
+    norms = np.abs(E).sum(axis=-2).max(axis=-1).tolist()
     A = t * total
-    if h is not None:
+    if max(norms) > 0.0:
+        h = np.array([math.ldexp(1.0, -math.frexp(x)[1] - 60) for x in norms])
         X = expm(A + (1j * h)[:, None, None] * E)
         exact, D = X[0].real, (t ** 3 / h)[:, None, None] * X.imag
     else:
         exact, D = expm(A), np.zeros_like(E)
-    terms = np.concatenate([D[:1], D + (t * t / 16.0) * (exact @ C - C @ exact)])  # H2 = -C / 2
+    coin_flip = D[:1] + (t * t / 16.0) * (exact @ C - C @ exact)  # H2 = -C / 2
+    terms = np.concatenate([D[:1], coin_flip, D[1:]])
     terms[:, 0] = 0.0
     return exact, terms
 
 
 def commutator_sums(components) -> tuple:
-    """The t-independent part of leading_error, each array read-only: (sum_j G_j, E, C,
-    h).  E and C stack the norm order's sums, E of leading_error's docstring and
-    C = sum_i [G_i, R_i], on their means over the rows of component_orders, or hold
-    the norm order's alone when it is the one row.  h is each E's complex step, a power
-    of two with ||h E||_1 ~ 2^-60, or None when every E is 0.  sum_j G_j is the loop's
-    own sum, from the last component to the first.  One loop runs every order at once,
-    in m - 1 stacked steps.
+    """The t-independent part of leading_error and of mixture_rows, each array
+    read-only: (sum_j G_j, E, C, pairs, eigenbasis).  E and C, each a stack of one, are
+    the norm order's sums, E of leading_error's docstring and C = sum_i [G_i, R_i];
+    pairs stacks the pool's directions, H3 / 4 = E_o + [sum_j G_j, C_o] / 16 for each
+    order o of the first pool_size(m, d) rows of component_orders(m).  sum_j G_j is the
+    loop's own sum in the norm order, from the last component to the first.  One loop
+    runs every order at once, in m - 1 stacked steps.  eigenbasis is _eigenbasis's, or
+    None for a pool of one row, which leaves nothing to choose.
     """
-    G, orders = [c.generator for c in components], component_orders(len(components))
+    G, d = [c.generator for c in components], components[0].d
+    orders = component_orders(len(G))[:pool_size(len(G), d)]
     R = np.stack([G[j] for j in orders[:, -1]])
     E, C = np.zeros_like(R), np.zeros_like(R)
     # per order, R = R_i on reaching g = G_i, and C sums [G_i, R_i]; one stacked product at
@@ -617,17 +652,114 @@ def commutator_sums(components) -> tuple:
         E += C_i @ S - S @ C_i
         C += C_i
         R += g
-    if len(orders) > 1:  # the norm order's sums, then the means over the orders
-        E, C = np.stack([E[0], E.mean(axis=0)]), np.stack([C[0], C.mean(axis=0)])
-    norms = np.abs(E).sum(axis=-2).max(axis=-1).tolist()
-    h = None
-    if max(norms) > 0.0:
-        h = np.array([math.ldexp(1.0, -math.frexp(x)[1] - 60) for x in norms])
-        h.setflags(write=False)
-    sums = R[0].copy(), E, C  # R[0] alone, not the stack of every order's R
+    total = R[0].copy()  # R[0] alone, not the stack of every order's R
+    del R
+    pairs = total @ C
+    pairs -= C @ total
+    pairs /= 16.0
+    pairs += E
+    sums = total, E[:1].copy(), C[:1].copy(), pairs
     for a in sums:
         a.setflags(write=False)
-    return (*sums, h)
+    return (*sums, _eigenbasis(total, pairs) if len(orders) > 1 else None)
+
+
+def _eigenbasis(total: np.ndarray, pairs: np.ndarray):
+    """(lam, V, W_J, Y_J), each read-only, from one eig of the real sum_j G_j =
+    V diag(lam) W, W = V^-1; None when eig or the inverse fails or gives a value that
+    is not finite.  The eigenbasis only chooses a mixture's rows, so its accuracy does
+    not touch a certificate.
+
+    lam's non-real eigenvalues come in conjugate pairs with conjugate eigenvectors, and
+    every direction X of pairs is real, so V^-1 X V takes conjugate values at the
+    conjugate pair of indices, and so does Phi o V^-1 X V (_pair_terms).  A product
+    V Z W of such a Z is then real and reads Re(V Z_J W_J), J the eigenvalues of
+    non-negative imaginary part and Z_J its columns J, those of a conjugate pair
+    counted twice: half of each product.  Y_J holds (V^-1 X V)_J for every direction,
+    with those weights, as a (d^2, P, |J|) stack in single precision, which keeps each
+    term of _pair_terms within 7e-7 of its complex-step term on random d <= 6 at half
+    the memory (the real pairs, kept too, give the leads).  W_J is W's rows J, their
+    real and negated imaginary parts interleaved row by row, so that the real part of
+    a product with W_J is one real product with the float view of its left factor.
+    """
+    try:
+        lam, V = np.linalg.eig(total)
+        W = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(lam).all() and np.isfinite(V).all() and np.isfinite(W).all()):
+        return None
+    J = lam.imag >= 0.0
+    Y = (W @ pairs @ V[:, J]) * np.where(lam.imag[J] > 0.0, 2.0, 1.0)
+    W_J = np.stack([W[J].real, -W[J].imag], axis=1).reshape(-1, len(W))
+    basis = lam, V.astype(complex), W_J, np.ascontiguousarray(Y.swapaxes(0, 1), np.complex64)
+    for a in basis:
+        a.setflags(write=False)
+    return basis
+
+
+def _pair_terms(basis: tuple, t: float) -> np.ndarray:
+    """Each pool row's leading term without its factor t^3: L(t sum_j G_j, pairs_o),
+    which t^3 takes to leading_error's term for the mixture of that row alone, from the
+    components' eigenbasis, with row i of direction o's term at [i, o] and row 0, the
+    trace, zeroed.  With
+    A = t sum_j G_j = V diag(a) V^-1, the derivative along X is V (Phi o V^-1 X V) V^-1,
+    Phi_ij the divided difference (e^a_i - e^a_j) / (a_i - a_j), e^a_i where a_i = a_j.
+    Phi is taken as e^a_p expm1(z) / z, a_p the one of larger real part and z the other
+    minus a_p, which neither overflows nor cancels for close eigenvalues.  Two products,
+    each over the whole pool at once, take the terms back, in their halves J
+    (_eigenbasis)."""
+    lam, V, W, Y = basis
+    n, pool, half = Y.shape
+    a = t * lam
+    ai, aj = a[:, None], a[None, lam.imag >= 0.0]
+    first = ai.real >= aj.real
+    z = np.where(first, aj - ai, ai - aj)
+    with np.errstate(all="ignore"):
+        ratio = np.where(z == 0.0, 1.0, np.expm1(z) / np.where(z == 0.0, 1.0, z))
+        phi = np.exp(np.where(first, ai, aj)) * ratio
+        # row (i, o) of VZ holds row i of V Z_o for direction o
+        VZ = (V @ (Y * phi[:, None, :]).reshape(n, pool * half)).reshape(n * pool, half)
+        terms = (VZ.view(float) @ W).reshape(n, pool, n)
+    terms[0] = 0.0
+    return terms
+
+
+def mixture_rows(components: Components, t: float) -> tuple:
+    """The rows of component_orders whose mixture certify runs as its third candidate:
+    the prefix of at most MIX_PAIRS rows of a greedy pass over the pool that makes the
+    Frobenius norm of the mean of their terms (_pair_terms) smallest, ties to the lower
+    row and to the shorter prefix, in ascending order.  (0,), the coin flip, when the
+    pool has one row or its terms or their Gram matrix are not finite.  The choice
+    depends on the generator and t, not on eps, and the components keep the last t's,
+    so that a repeat call at that t does not choose again."""
+    last = components._kept.get("mixture_rows")
+    if last is None or last[0] != t:
+        last = components._kept["mixture_rows"] = t, _choose_rows(components.sums[4], t)
+    return last[1]
+
+
+def _choose_rows(basis, t: float) -> tuple:
+    """mixture_rows's choice from the components' eigenbasis, (0,) when it is None."""
+    if basis is None:
+        return (0,)
+    terms = _pair_terms(basis, t)  # the common factor t^3 moves no choice
+    flat = terms.transpose(1, 0, 2).reshape(terms.shape[1], -1)
+    gram = flat @ flat.T
+    if not np.isfinite(gram).all():
+        return (0,)
+    # with S the rows so far, ||sum_S terms||_F^2 is sumsq and sum_(s in S) gram[s] is row
+    chosen, best, smallest = [], (0,), math.inf
+    sumsq, row = 0.0, np.zeros(len(gram))
+    for size in range(1, min(MIX_PAIRS, len(gram)) + 1):
+        grown = sumsq + 2.0 * row + np.diagonal(gram)
+        grown[chosen] = math.inf
+        pick = int(np.argmin(grown))  # the first of equal values: the lower row
+        chosen.append(pick)
+        sumsq, row = float(grown[pick]), row + gram[pick]
+        if sumsq / size ** 2 < smallest:
+            smallest, best = sumsq / size ** 2, tuple(sorted(chosen))
+    return best
 
 
 def expm_rounding(components: Components, t: float) -> float:
@@ -654,24 +786,26 @@ def certify(components: Components, eps: float, t: float,
     e^(t sum_j G_j).  diamond_bound bounds the (1->1) norm, so T_n(rho) is within
     eps of the exact state e^(tL)(rho) in trace norm, for a state of the system
     alone or entangled with another.  When the target is not positive the
-    search does not start.  A mixture's T_n is M^n, M the mean of its blocks (the
-    coin flip's two, the mixed orders' two per row of component_orders(m):
-    2 MIX_PAIRS from m = 4 on, 6 at m = 3): n independent uniform
+    search does not start.  A mixture's T_n is M^n, M the mean of its blocks, two
+    per row of component_orders(m) that the plan carries: n independent uniform
     draws apply each block sequence with its probability, so the device's
     output state is T_n(rho), and the certificate covers it as it covers a
     fixed-order run.
-    The search is sized by the leading error terms (leading_error): with
-    lead = diamond_bound(D), every formula's taken in one stacked call, the
+    There are three candidates: the fixed block, the coin flip (row 0 alone)
+    and the mixture of the rows mixture_rows chooses for the components and t,
+    which depend on neither eps nor the search; two when those rows are (0,).
+    The search is sized by their leading error terms (leading_error): with
+    lead = diamond_bound(D), every candidate's taken in one stacked call, the
     certificate is lead / n^2 up to O(n^-4) and the rounding of the power, so
-    each formula's search would start at n = ceil(sqrt(lead / target)).
-    Every build runs the formula whose next n needs the fewest exponentials
+    each candidate's search would start at n = ceil(sqrt(lead / target)).
+    Every build runs the candidate whose next n needs the fewest exponentials
     (formula_count), the one of fewer orders on a tie: the fixed block, then
-    the coin flip, then the mixed orders.  So the search starts with the
-    cheapest start, and a formula whose step after a miss costs more than
+    the coin flip, then the chosen mixture.  So the search starts with the
+    cheapest start, and a candidate whose step after a miss costs more than
     another's untried start gives way to it: a near miss of the coin flip at
-    0.5 % fewer exponentials than the mixed orders would otherwise step past
-    the mixed orders' certified count.
-    After a miss at n a formula steps to ceil(sqrt(lead / (target - off))), with
+    0.9 % fewer exponentials than the mixture would otherwise step past the
+    mixture's certified count.
+    After a miss at n a candidate steps to ceil(sqrt(lead / (target - off))), with
     off = certificate - lead / n^2 the part the term did not predict, or, when
     off >= target or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN;
     either way by a factor of at least SEARCH_MARGIN, since near the rounding
@@ -680,7 +814,7 @@ def certify(components: Components, eps: float, t: float,
     or a candidate, would need as many exponentials as the paper's plan, after
     MAX_BUILDS builds, when T_n or a term is not finite, when numerics.expm
     refuses t sum_j G_j, and at the rounding floor: when the certificate falls
-    by a factor less than min(2, f / 2) from the same formula's last build, f
+    by a factor less than min(2, f / 2) from the same candidate's last build, f
     the fall the law predicted for the step.  The plan carries the paper plan's
     two N_exp bounds, the predicted certificate lead / n^2, and t r, delta and
     the target.
@@ -696,8 +830,9 @@ def certify(components: Components, eps: float, t: float,
     target = eps - residual - rounding
     if not target > 0.0:
         return paper
+    rows = mixture_rows(components, t)
     try:
-        exact, terms = leading_error(components, t)
+        exact, terms = leading_error(components, t, rows)
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
         return paper
     if not np.isfinite(terms).all():
@@ -705,19 +840,23 @@ def certify(components: Components, eps: float, t: float,
     leads = diamond_bound(terms).tolist()
     if not all(map(math.isfinite, leads)):
         return paper
-    # each formula's next n, its certificate at its last build and the fall the n^-2 law
-    # predicted for the step to n; in FORMULAS order, from fewer orders to more
-    search = {formula: (lead, max(1, math.ceil(math.sqrt(lead / target))), math.inf, math.inf)
-              for formula, lead in zip(FORMULAS, leads)}
+
+    def count(rows, n):
+        return formula_count(MIXED_ORDERS if rows else SUZUKI, m, 1, n)
+
+    # each candidate's next n, its certificate at its last build and the fall the n^-2 law
+    # predicted for the step to n, keyed by its rows, from fewer orders to more
+    search = {rows: (lead, max(1, math.ceil(math.sqrt(lead / target))), math.inf, math.inf)
+              for rows, lead in zip(((), (0,), rows), leads)}
     for builds in range(1, MAX_BUILDS + 1):
         # min keeps the first of equal counts
-        formula = min(search, key=lambda f: formula_count(f, m, 1, search[f][1]))
-        lead, n, last, fall = search[formula]
-        if formula_count(formula, m, 1, n) >= budget:
+        rows = min(search, key=lambda r: count(r, search[r][1]))
+        lead, n, last, fall = search[rows]
+        if count(rows, n) >= budget:
             return replace(paper, builds=builds - 1)
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1,
                            bound_res=paper.bound_res, bound_closed_form=paper.bound_closed_form,
-                           formula=formula)
+                           rows=rows)
         total = plan_map(plan, components)
         if not np.isfinite(total).all():
             return replace(paper, builds=builds)
@@ -734,7 +873,7 @@ def certify(components: Components, eps: float, t: float,
         else:
             step = math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN)
         step = max(math.ceil(n * SEARCH_MARGIN), step)
-        search[formula] = lead, step, cert, (step / n) ** 2
+        search[rows] = lead, step, cert, (step / n) ** 2
     return replace(paper, builds=MAX_BUILDS)
 
 
@@ -784,9 +923,10 @@ def build_plan(components: Components, eps: float, t: float) -> TrotterPlan:
     return certify(components, eps, t, paper)
 
 
-def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
+def block_superoperator(plan: TrotterPlan, components: list[Component],
+                        offset: bool = False) -> np.ndarray:
     """Channel matrix of one S_2k block, or for a k = 1 mixture the mean of its
-    2 * plan.pairs blocks.
+    2 * plan.pairs blocks; with offset, that matrix less the identity.
 
     Suzuki's recursion unrolls into 2^(k-1) leaves, symmetric blocks S_2 of
     normalized lengths lam prod_j f_j, f_j in {p_j, 1 - 4 p_j} for j = 2..k: one
@@ -794,26 +934,47 @@ def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.nd
     Component.channel call, for its channels at the leaves' half steps tau.  A leaf
     in order o is B F, with F = e^(tau G_(o_(m-1))) ... e^(tau G_(o_0)) its first
     sweep and B = e^(tau G_(o_0)) ... e^(tau G_(o_(m-1))) its second; the reversed
-    order's is F B.  Both sweeps run over the first max(1, pairs) rows of
-    component_orders(m), stacked over rows and leaves, in 2(m - 1) products.
+    order's is F B.  Both sweeps run over the plan's rows of component_orders(m),
+    row 0 for the fixed block, stacked over rows and leaves, in 2(m - 1) products.
     The fixed block is row 0's B F, folded at k >= 2 one level at a time, innermost
     first, as S = (A A) M (A A), A the leaf or fold of factor p_j and M that of
     1 - 4 p_j.  A mixture is the mean of (B F + F B) / 2 over its rows.
+
+    A mixture is built in offsets from the identity (numerics.expm): each channel
+    as e^(tau G_j) - I, each product as (I + Y)(I + X) - I = X + Y + Y X, so that
+    the block's entries carry no rounding to a unit of the identity's, which
+    n_reps repetitions would add up (plan_map).  The fixed block keeps the
+    channels themselves.
     """
     lengths = leaf_lengths(plan.k, plan.lam)
-    half = np.stack([comp.channel(lengths.ravel() / 2.0 / plan.L1) for comp in components])
-    orders = component_orders(plan.m)[:max(1, plan.pairs)]
+    half = np.stack([comp.channel(lengths.ravel() / 2.0 / plan.L1, plan.pairs > 0)
+                     for comp in components])
+    orders = component_orders(plan.m)[list(plan.rows) or [0]]
     forward = backward = half[orders[:, 0]]  # F and B of each row and leaf, stacked
+    if plan.pairs:
+        for column in orders.T[1:]:
+            h = half[column]
+            f, b = h @ forward, backward @ h
+            f += forward
+            f += h
+            b += backward
+            b += h
+            forward, backward = f, b
+        Y = backward @ forward
+        Y += forward @ backward
+        Y *= 0.5
+        Y += forward
+        Y += backward
+        Y = Y.mean(axis=0)[0]
+        return Y if offset else np.eye(len(Y)) + Y
     for column in orders.T[1:]:
         h = half[column]
         forward, backward = h @ forward, backward @ h
-    if plan.pairs:
-        return 0.5 * (backward @ forward + forward @ backward).mean(axis=0)[0]
     block = (backward @ forward)[0].reshape(lengths.shape + half.shape[-2:])
     while block.ndim > 2:
         A = block[..., 0, :, :] @ block[..., 0, :, :]
         block = A @ block[..., 1, :, :] @ A
-    return block
+    return block - np.eye(len(block)) if offset else block
 
 
 def plan_map(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -822,12 +983,34 @@ def plan_map(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
     The block and its power are each projected onto trace-preserving maps
     (lindblad.trace_preserving): the block so that the rounding error in
     its trace does not grow with n_reps inside the power, and the power for
-    the rounding the power adds itself.  A power that overflows comes back
-    with non-finite entries, not a warning.
+    the rounding the power adds itself.  A mixture's block M = I + Y comes as its
+    offset Y (block_superoperator), and its power as (I + Y)^n - I
+    (_offset_power), so that neither carries a rounding of the identity that grows
+    with n_reps: on random d = 3 at eps = 1e-11 the certificate then reads what
+    its leading term predicts to 1e-5, where the map itself missed by up to 30 %
+    of the target.  A power that overflows comes back with non-finite entries,
+    not a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        if plan.pairs:
+            Y = block_superoperator(plan, components, offset=True)
+            Y[0] = 0.0  # trace_preserving's row 0, e0^T, less the identity's
+            return np.eye(len(Y)) + _offset_power(Y, plan.n_reps)
         block = trace_preserving(block_superoperator(plan, components))
         return trace_preserving(np.linalg.matrix_power(block, plan.n_reps))
+
+
+def _offset_power(Y: np.ndarray, n: int) -> np.ndarray:
+    """(I + Y)^n - I by binary powering in offsets: a product as
+    (I + Y)(I + X) - I = X + Y + Y X, a square as 2 Y + Y^2."""
+    power = np.zeros_like(Y)
+    while n:
+        if n & 1:
+            power = power + Y + Y @ power
+        n >>= 1
+        if n:
+            Y = 2.0 * Y + Y @ Y
+    return power
 
 
 def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState) -> QuantumState:

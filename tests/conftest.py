@@ -355,23 +355,34 @@ def exp_derivative(A, X):
     return scipy.linalg.expm(A + (1j * h) * X).imag / h
 
 
-def predicted_plan(components, t, eps, formula):
-    """The k = 1 plan of the formula at the n that its own leading error term predicts,
-    n = ceil(sqrt(lead / target)) with certify's target eps - t r - delta, carrying that
-    target, its parts, its map and its certificate, both bounds taken by
+def predicted_plan(components, t, eps, rows):
+    """The k = 1 plan of the candidate that runs these rows of component_orders, () for
+    the fixed block and (0,) for the coin flip, at the n that its own leading error term
+    predicts, n = ceil(sqrt(lead / target)) with certify's target eps - t r - delta,
+    carrying that target, its parts, its map and its certificate, both bounds taken by
     choi_split_bound."""
-    exact, terms = trotter.leading_error(components, t)
-    D = terms[trotter.FORMULAS.index(formula)]
+    exact, terms = trotter.leading_error(components, t, rows or (0,))
+    D = terms[{(): 0, (0,): 1}.get(rows, 2)]
     m, L1 = len(components), components[0].norm
     residual, rounding = t * components.residual, trotter.expm_rounding(components, t)
     target = eps - residual - rounding
     n = max(1, math.ceil(math.sqrt(choi_split_bound(column_stacked(D)) / target)))
     plan = trotter.TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1,
-                               formula=formula, residual_bound=residual,
+                               rows=rows, residual_bound=residual,
                                rounding_allowance=rounding, target=target)
     total = trotter.plan_map(plan, components)
     return dataclasses.replace(plan, total_map=total,
                                certificate=choi_split_bound(column_stacked(total - exact)))
+
+
+def pair_terms(components, t):
+    """Each pool row's leading term t^3 L(t sum_j G_j, pairs_o), from the components'
+    eigenbasis as trotter.mixture_rows chooses by them, stacked by row; None when the
+    components have no eigenbasis."""
+    basis = components.sums[4]
+    if basis is None:
+        return None
+    return trotter._pair_terms(basis, t).transpose(1, 0, 2) * t ** 3
 
 
 def merge_adjacent(segments) -> list:
@@ -403,8 +414,8 @@ def reference_schedule(m, k, lam) -> list:
 def walked_block(plan, components):
     """The reference for trotter.block_superoperator: the product of scipy's
     exp((duration / L1) G_j) over reference_schedule(m, k, lam), segments applied left
-    to right, one exponential per merged segment.  For a k = 1 mixture, the mean of that product over
-    each of its first plan.pairs rows o of component_orders and over each row's
+    to right, one exponential per merged segment.  For a k = 1 mixture, the mean of that
+    product over each of its rows o of component_orders (plan.rows) and over each row's
     reverse, with the component list permuted to run component o_j as j."""
     def walk(comps):
         block = np.eye(comps[0].generator.shape[0])
@@ -412,9 +423,9 @@ def walked_block(plan, components):
             block = scipy.linalg.expm((seg.duration / plan.L1) * comps[seg.index].generator) @ block
         return block
 
-    if not plan.pairs:
+    if not plan.rows:
         return walk(components)
-    orders = trotter.component_orders(plan.m)[:plan.pairs]
+    orders = trotter.component_orders(plan.m)[list(plan.rows)]
     return np.mean([walk([components[j] for j in order])
                     for order in (*orders, *orders[:, ::-1])], axis=0)
 

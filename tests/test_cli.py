@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, random_diagonal, random_gks,
-                      reference_dumps, reference_json_to_matrix)
-from lindbladsim import cli, serialize, trotter
+from conftest import (GOLDEN_ALPHA_I, SQRT3, THETA2, lambda_atom, n_qubit_generator,
+                      random_diagonal, random_gks, reference_dumps, reference_json_to_matrix)
+from lindbladsim import cli, serialize
 from lindbladsim.cli import main
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix, maximally_mixed
@@ -387,10 +387,10 @@ def test_simulate_lambda_atom_trotter(tmp_path):
 
 def test_simulate_names_the_coin_flip_formula_and_repeats_its_bytes(tmp_path):
     # every call parses a new generator; a mixture's map is computed, not sampled, so
-    # the output is the same bytes on every run
-    cases = ((3, 3, "coin-flip", 1), (4, 4, "mixed-orders", trotter.MIX_PAIRS))
-    for d, seed, formula, pairs in cases:
-        g = random_gks(d, np.random.default_rng(seed))
+    # the output is the same bytes on every run.  The coin flip is the mixture of one
+    # pair, the norm order's; on random d = 4 the run draws from four chosen pairs
+    cases = ((n_qubit_generator(2), 1), (random_gks(4, np.random.default_rng(4)), 4))
+    for g, pairs in cases:
         req = simulation_request(tmp_path, g, maximally_mixed(g.d).rho, 1.0, 1e-3, "trotter")
         outs = [tmp_path / "first.json", tmp_path / "second.json"]
         for out in outs:
@@ -398,7 +398,7 @@ def test_simulate_names_the_coin_flip_formula_and_repeats_its_bytes(tmp_path):
         assert outs[0].read_bytes() == outs[1].read_bytes()
         doc = json.loads(outs[0].read_text())
         cost = doc["cost"]
-        assert (cost["formula"], cost["pairs"]) == (formula, pairs)
+        assert (cost["formula"], cost["pairs"]) == ("mixed-orders", pairs)
         assert doc["trace_distance_to_oracle"] <= 1e-3
         # the worst case over the blocks drawn: no two of the n_reps blocks merge
         assert cost["N_exp_actual"] == cost["N_exp_unmerged"]

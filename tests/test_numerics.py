@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -292,6 +293,22 @@ def test_expm_matches_scipy_at_small_norms(n, log_norm, seed, real):
     m = scaled_to_one_norm(m, 10.0 ** log_norm)
     ref = scipy.linalg.expm(m)
     assert frobenius(expm(m) - ref) <= 1e-12 * frobenius(ref)
+
+
+@pytest.mark.parametrize("norm", [1e-9, 1e-5, 1e-2, 0.5, 3.0, 100.0])
+def test_expm_offset_keeps_its_relative_precision(norm, rng):
+    # e^A - I is formed without I: near the identity its entries keep their own relative
+    # precision, where e^A less I keeps a unit of I's, 1e-7 of it at ||A||_1 = 1e-9; the
+    # squarings of 2 Y + Y^2 keep it too
+    m = scaled_to_one_norm(rng.normal(size=(6, 6)), norm)
+    with mpmath.workdps(40):
+        ref = mpmath.expm(mpmath.matrix(m.tolist())) - mpmath.eye(6)
+        ref = np.array(ref.tolist(), dtype=float)
+    offset = expm(m, offset=True)
+    assert frobenius(offset - ref) <= 1e-14 * frobenius(ref)
+    assert np.array_equal(expm(np.stack([m, 2.0 * m]), offset=True)[0], offset)
+    if norm == 1e-9:
+        assert frobenius(expm(m) - np.eye(6) - ref) > 1e-9 * frobenius(ref)
 
 
 def real_stack(rng, norms):

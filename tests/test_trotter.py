@@ -12,22 +12,22 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (DIRECTIONS, NORM_SAFETY, choi_split_bound, column_stacked,
                       criterion_4_instances, dephasing_gks, edge_direction, exp_derivative,
-                      first_order_terms, frame, lambda_atom, n_qubit_generator, predicted_plan,
-                      pure_hamiltonian, random_diagonal, random_gks, random_hermitian,
-                      random_mixed_state, reference_components, reference_schedule,
-                      serial_one_one_norm, unvec, vec, walked_block)
+                      first_order_terms, frame, lambda_atom, n_qubit_generator, pair_terms,
+                      predicted_plan, pure_hamiltonian, random_diagonal, random_gks,
+                      random_hermitian, random_mixed_state, reference_components,
+                      reference_schedule, serial_one_one_norm, unvec, vec, walked_block)
 from lindbladsim import trotter
 from lindbladsim.decompose import DecomposeError, decompose_generator
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
                                   from_diagonal, liouvillian_matrix, maximally_mixed, real_map,
-                                  trace_distance)
+                                  trace_distance, trace_preserving)
 from lindbladsim.numerics import MAX_EXPM_NORM, expm, frobenius, trace_norm
 from lindbladsim.sud import gell_mann_basis
-from lindbladsim.trotter import (COIN_FLIP, FORMULAS, MIX_PAIRS, MIXED_ORDERS, SUZUKI,
-                                 Segment, TrotterError, TrotterPlan, block_schedule,
-                                 block_superoperator, build_plan, component_orders,
-                                 diamond_bound, expm_rounding, formula_count, leading_error,
-                                 nexp_bound_closed_form, nexp_bound_res, nexp_report, paper_plan,
+from lindbladsim.trotter import (MIXED_ORDERS, POOL, SUZUKI, Segment, TrotterError, TrotterPlan,
+                                 block_schedule, block_superoperator, build_plan,
+                                 component_orders, diamond_bound, expm_rounding, formula_count,
+                                 leading_error, mixture_rows, nexp_bound_closed_form,
+                                 nexp_bound_res, nexp_report, paper_plan, pool_size,
                                  prepare_components, run_plan, segments_per_block, select_order,
                                  simulate, step_count, suzuki_p)
 
@@ -132,7 +132,7 @@ def test_s2k_block_counts():
         assert formula_count(SUZUKI, m, k, 1) == segments_per_block(m, k)
     # neighbouring fixed blocks share component 0; mixed blocks share nothing
     assert formula_count(SUZUKI, 3, 2, 4) == 4 * 21 - 3
-    assert formula_count(COIN_FLIP, 3, 1, 4) == formula_count(MIXED_ORDERS, 3, 1, 4) == 4 * 5
+    assert formula_count(MIXED_ORDERS, 3, 1, 4) == 4 * 5
 
 
 def test_s2k_palindromic_and_duration_preserving():
@@ -597,14 +597,14 @@ def test_n_qubit_generator_runs_within_eps(n):
 @functools.cache
 def bounded_maps(d, seed):
     """Real maps of random_gks(d, default_rng(seed)) that diamond_bound must dominate:
-    differences of its component channels, T_n - e^(t sum_j G_j) for every formula at
-    n = 3, and leading_error's terms, at t = 1."""
+    differences of its component channels, T_n - e^(t sum_j G_j) for each of certify's
+    candidates at n = 3, and leading_error's terms, at t = 1."""
     comps = components_for(random_gks(d, np.random.default_rng(seed)))
     exact, terms = leading_error(comps, 1.0)
     m, L1 = len(comps), comps[0].norm
     plan = TrotterPlan(k=1, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1)
-    runs = [trotter.plan_map(dataclasses.replace(plan, formula=f), comps) - exact
-            for f in FORMULAS]
+    runs = [trotter.plan_map(dataclasses.replace(plan, rows=rows), comps) - exact
+            for rows in ((), (0,), mixture_rows(comps, 1.0))]
     a, b = comps[0].channel([0.1, 0.7]), comps[-1].channel([0.4])[0]
     return [a[0] - a[1], a[1] - b, *runs, *terms]
 
@@ -617,8 +617,8 @@ def test_diamond_bound_reads_one_on_channels(d):
     m, L1 = len(comps), comps[0].norm
     plan = TrotterPlan(k=1, r=5 / L1, n_reps=5, lam=L1 / 5, m=m, L1=L1)
     channels = [*(c.channel([0.05, 0.6]) for c in comps),
-                [block_superoperator(dataclasses.replace(plan, formula=f), comps)
-                 for f in FORMULAS],
+                [block_superoperator(dataclasses.replace(plan, rows=rows), comps)
+                 for rows in ((), (0,), mixture_rows(comps, 1.0))],
                 [real_map(expm(t * liouvillian_matrix(g))) for t in (0.3, 2.0)]]
     bounds = diamond_bound(np.concatenate(channels))
     assert np.abs(bounds - 1.0).max() <= 1e-12
@@ -844,11 +844,12 @@ def test_a_generator_keeps_its_commutator_sums(monkeypatch):
     assert len(calls) == 1 and None not in (first.certificate, repeat.certificate)
     kept = own.sums
     assert components_for(g).sums is kept and len(calls) == 1
-    for a in kept:
+    arrays = [*kept[:4], *kept[4]]  # the sums, then the pool's eigenbasis
+    for a in arrays:
         assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         kept[1][0, 0, 0] = 1.0
-    before = [a.copy() for a in kept]
+    before = [a.copy() for a in arrays]
     plans = [dataclasses.replace(p, lam=p.lam * (1.0 + 1e-6)) for p in decompose_generator(g)]
     off = prepare_components(g, plans)
     build_plan(off, 1e-3, 1.0)
@@ -857,7 +858,7 @@ def test_a_generator_keeps_its_commutator_sums(monkeypatch):
     prepare_components(g, plans).sums
     assert len(calls) == 3
     assert components_for(g).sums is kept
-    assert all(np.array_equal(a, b) for a, b in zip(kept, before))
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
 
 @pytest.mark.parametrize("case", ["random-d4-s2", "qubits-2", "lambda-atom"])
@@ -912,29 +913,21 @@ def test_edge_generators_run_within_eps(d, kinds, with_h, t, eps, seed):
     assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= bound
 
 
-# random_gks(d, default_rng(seed)) that sit on the rounding floor at eps = 1e-11: the
-# search runs near n = 1.2e5, where the power's rounding, about n u = 1.3e-11, is past the
-# target, so whether a build certifies turns on the target's last bits
-FLOOR_AT_1E_11 = {(2, 2)}
-
-
 @pytest.mark.parametrize("d", range(2, 7))
 def test_eps_floor_is_closed(d):
     # the paper's plans read dist/eps 2.4..5.5 at eps = 1e-9 and d = 5, 6: rounding in
     # their 1e5-fold block power; every case certifies at k = 1 with far fewer
-    # repetitions, at eps = 1e-10 and, but for FLOOR_AT_1E_11, 1e-11 too, where the worst
-    # state reads dist/eps 0.475: up to 0.5 by design, since the certificate bounds the
-    # (1->1) distance by eps.  The case on the floor falls back at 1e-11 and reads 0.457
+    # repetitions, at eps = 1e-10 and 1e-11 too, where a mixture's n ~ 1e5 repetitions
+    # would add up about n u = 1.1e-11 of rounding were it not built in offsets from the
+    # identity.  The worst state reads dist/eps 0.4997: up to 0.5 by design, since the
+    # certificate bounds the (1->1) distance by eps
     t = 1.0
     for eps in (1e-9, 1e-10, 1e-11):
         for seed in (1, 2, 3):
             g = random_gks(d, np.random.default_rng(seed))
             rho0 = maximally_mixed(d)
             state, plan, comps = simulate(g, rho0, t, eps)
-            assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
-            if plan.certificate is None and eps == 1e-11 and (d, seed) in FLOOR_AT_1E_11:
-                assert plan == paper_plan(comps, eps, t)
-                continue
+            assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps / 2
             assert_certified(g, comps, plan, t, eps)
 
 
@@ -1004,12 +997,14 @@ def test_leading_error_certifies_in_one_block(eps):
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-13])
 def test_search_stops_at_the_rounding_floor(eps):
-    # k = 1 certificates stall between 1e-12 and 1e-11 at d = 6: the search stops when one
-    # falls short of the n^-2 law and runs the paper's plan, with no overflow warning or
-    # LinAlgError.  That plan's state is itself 4.2e-11 and 7.4e-11 from the oracle here,
-    # the paper plan's own floor, so only the state's checks are asserted
-    g = random_gks(6, np.random.default_rng(1))
-    rho0 = maximally_mixed(6)
+    # the fixed block is built from the channels themselves, whose rounding to a unit of
+    # the identity n_reps repetitions add up: on the lambda atom at eps = 1e-12 its
+    # certificate reads 18.5 times the target at the n its term predicts, and at 1e-13 no
+    # candidate starts below the paper plan's count.  The search stops and runs the
+    # paper's plan, with no overflow warning or LinAlgError; that plan has a floor of its
+    # own, so only the state's checks are asserted
+    g = lambda_atom()
+    rho0 = maximally_mixed(3)
     state, plan, comps = simulate(g, rho0, 1.0, eps)
     assert plan.certificate is None and plan.total_map is None
     assert plan == paper_plan(comps, eps, 1.0)
@@ -1017,27 +1012,39 @@ def test_search_stops_at_the_rounding_floor(eps):
 
 
 def test_mixed_orders_certify_above_the_rounding_floor():
-    # the mixture's smaller n rounds less: at eps = 1e-11, where the coin flip stalled,
-    # random d = 6 certifies, and its state lies within eps / 2 of the oracle
-    eps, rho0 = 1e-11, maximally_mixed(6)
+    # a mixture is built and powered in offsets from the identity, so its certificate
+    # has no rounding floor above the allowance delta: random d = 6 certifies at each
+    # eps down to 5e-13, where its target, eps - t r - delta, is 6.5e-14, and its state
+    # lies within eps / 2 of the oracle
+    rho0 = maximally_mixed(6)
     g = random_gks(6, np.random.default_rng(1))
-    state, plan, comps = simulate(g, rho0, 1.0, eps)
-    assert plan.formula == MIXED_ORDERS and plan.certificate <= plan.target
-    assert_certified(g, comps, plan, 1.0, eps)
-    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps / 2
+    exact = apply_exact(g, rho0, 1.0)
+    for eps in (1e-11, 1e-12, 5e-13):
+        state, plan, comps = simulate(g, rho0, 1.0, eps)
+        assert plan.formula == MIXED_ORDERS and plan.certificate <= plan.target
+        assert_certified(g, comps, plan, 1.0, eps)
+        assert trace_distance(state.rho, exact.rho) <= eps / 2
 
 
-def test_a_near_miss_gives_way_to_a_cheaper_start():
-    # n_qubit_generator(2) at eps = 1e-10: the coin flip starts 0.5 % cheaper than the
-    # mixed orders and misses by 1.7 %; its next n would cost at least SEARCH_MARGIN
-    # more than its start, more than the mixed orders' start, so the mixed orders
-    # build next, and certify there
+def test_a_near_miss_gives_way_to_a_cheaper_start(monkeypatch):
+    # n_qubit_generator(2) at eps = 1e-10: the coin flip starts 0.9 % cheaper than the
+    # chosen mixture.  Scripted to miss there by 1.7 %, its next n would cost at least
+    # SEARCH_MARGIN more than its start, more than the mixture's start, so the mixture
+    # builds next, and certifies there
     comps = components_for(n_qubit_generator(2))
-    plan = build_plan(comps, 1e-10, 1.0)
-    coin_flip, mixed = (predicted_plan(comps, 1.0, 1e-10, f) for f in (COIN_FLIP, MIXED_ORDERS))
-    assert coin_flip.actual_exponentials() < mixed.actual_exponentials()
-    assert coin_flip.certificate > coin_flip.target
-    assert (plan.formula, plan.builds, plan.n_reps) == (MIXED_ORDERS, 2, mixed.n_reps)
+    t, eps = 1.0, 1e-10
+    rows = mixture_rows(comps, t)
+    coin_flip, mixed = (predicted_plan(comps, t, eps, r) for r in ((0,), rows))
+    cheaper = coin_flip.actual_exponentials()
+    assert cheaper < mixed.actual_exponentials() < cheaper * trotter.SEARCH_MARGIN
+    built, ran = [], []
+    exact, target = leading_error(comps, t)[0], search_target(comps, eps, t)
+    scripted = scripted_plan_map(exact, [1.017, 0.99], target, built)
+    monkeypatch.setattr(trotter, "plan_map", lambda plan, components: (
+        ran.append(plan.rows) or scripted(plan, components)))
+    plan = build_plan(comps, eps, t)
+    assert list(zip(ran, built)) == [((0,), coin_flip.n_reps), (rows, mixed.n_reps)]
+    assert (plan.rows, plan.n_reps, plan.builds) == (rows, mixed.n_reps, 2)
 
 
 def test_search_skips_a_probe_that_costs_the_paper_plan(monkeypatch):
@@ -1064,7 +1071,7 @@ def test_search_gives_up_on_a_non_finite_map(monkeypatch):
     for bad in (np.nan, np.inf):
         bad_terms = np.concatenate([terms[:-1], np.full_like(terms[-1:], bad)])
         with monkeypatch.context() as patch:
-            patch.setattr(trotter, "leading_error", lambda components, t: (exact, bad_terms))
+            patch.setattr(trotter, "leading_error", lambda components, t, rows: (exact, bad_terms))
             assert build_plan(comps, eps=1e-3, t=1.0) == paper_plan(comps, 1e-3, 1.0)
     rho0 = maximally_mixed(3)
     assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-3
@@ -1168,11 +1175,12 @@ def test_cost_report_names_the_search(monkeypatch):
     rep = nexp_report(build_plan(comps, eps, t)).to_dict()
     assert (rep["builds"], rep["formula"], rep["pairs"]) == (1, "suzuki", 0)
     assert rep["predicted_certificate"] == pytest.approx(rep["certificate"], rel=0.1)
-    # a mixture's N_exp is its worst case over the blocks drawn: no two blocks merge
-    for seed, formula, pairs in ((1, "mixed-orders", MIX_PAIRS), (3, "coin-flip", 1)):
-        mixed = build_plan(components_for(random_gks(3, np.random.default_rng(seed))), eps, t)
+    # a mixture's N_exp is its worst case over the blocks drawn: no two blocks merge.  The
+    # coin flip is the mixture of the norm order's pair alone
+    for g, pairs in ((random_gks(3, np.random.default_rng(1)), 2), (n_qubit_generator(2), 1)):
+        mixed = build_plan(components_for(g), eps, t)
         rep = nexp_report(mixed).to_dict()
-        assert (rep["formula"], rep["pairs"]) == (formula, pairs)
+        assert (rep["formula"], rep["pairs"]) == ("mixed-orders", pairs)
         assert rep["N_exp_actual"] == rep["N_exp_unmerged"] == mixed.n_reps * (2 * mixed.m - 1)
     # the fallback reports the blocks its search built, and predicts nothing
     built = []
@@ -1200,7 +1208,7 @@ def test_run_plan_applies_the_certified_map(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the k = 1 mixtures: the coin flip and the mixed orders
+# the k = 1 mixtures: the coin flip and the chosen pairs
 # ---------------------------------------------------------------------------
 
 def test_splitmix64_matches_its_reference_outputs():
@@ -1217,19 +1225,24 @@ def test_splitmix64_matches_its_reference_outputs():
 
 def test_component_orders_are_pinned():
     # the mixture's orders are part of what a plan runs: they must not move between
-    # versions of numpy or of Python
+    # versions of numpy or of Python.  The pool extends the stream of the four fixed
+    # rows a mixture drew before, so its rows 0-3 are those rows
     assert component_orders(2).tolist() == [[0, 1]]
     assert component_orders(3).tolist() == [[0, 1, 2], [1, 2, 0], [1, 0, 2]]
     assert component_orders(4).tolist() == [[0, 1, 2, 3], [0, 3, 1, 2], [0, 1, 3, 2],
-                                            [0, 3, 2, 1]]
+                                            [0, 3, 2, 1], [3, 2, 0, 1], [3, 0, 1, 2],
+                                            [0, 2, 3, 1], [0, 2, 1, 3], [1, 2, 0, 3],
+                                            [2, 0, 3, 1], [2, 0, 1, 3], [2, 3, 0, 1]]
+    first = hashlib.sha256(component_orders(36)[:4].astype("<i8").tobytes()).hexdigest()
+    assert first == "f76e645b19a7978eff761da40e688fa445c3cacd5c28d29b6e5b0ef6b973bfcc"
     digest = hashlib.sha256(component_orders(36).astype("<i8").tobytes()).hexdigest()
-    assert digest == "f76e645b19a7978eff761da40e688fa445c3cacd5c28d29b6e5b0ef6b973bfcc"
+    assert digest == "c6f8b564830c553a858fdc9f05ac68c9e687f618e6f169902a966d5016c0ead4"
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 9, 36])
 def test_component_orders_are_distinct_pairs(m):
     orders = component_orders(m)
-    assert orders.shape == (min(MIX_PAIRS, math.factorial(m) // 2), m)  # 1 at m = 2, 3 at 3
+    assert orders.shape == (min(POOL, math.factorial(m) // 2), m)  # 1 at m = 2, 3 at 3
     assert orders[0].tolist() == list(range(m))  # the norm order
     assert all(sorted(order) == list(range(m)) for order in orders.tolist())
     # no order is another's, or another's reverse
@@ -1242,14 +1255,17 @@ def test_leading_terms_are_derivatives_along_the_bch_terms(d):
     # with H2 and H3 the second- and third-order terms of the first-order product in an
     # order, the fixed block's term is t^3 times the derivative of exp along
     # H3 / 4 + [sum_j G_j, H2] / 8 in the norm order, the coin flip's along H3 / 4, and
-    # the mixed orders' along the mean of H3 / 4 over the rows of component_orders;
+    # the chosen mixture's along the mean of H3 / 4 over its rows of component_orders;
     # each reads within 1e-12 of it, relative
     for seed, t in ((1, 1.0), (2, 4.0)):
         comps = components_for(random_gks(d, np.random.default_rng(seed)))
         G = np.stack([c.generator for c in comps])
         S = sum(G)
         H2, H3 = first_order_terms(G)
-        mean_H3 = np.mean([first_order_terms(G[o])[1] for o in component_orders(len(G))], axis=0)
+        rows = mixture_rows(comps, t)
+        assert rows != (0,)  # the chosen mixture is a third term
+        orders = component_orders(len(G))[list(rows)]
+        mean_H3 = np.mean([first_order_terms(G[o])[1] for o in orders], axis=0)
         _, terms = leading_error(comps, t)
         directions = (H3 / 4 + (S @ H2 - H2 @ S) / 8, H3 / 4, mean_H3 / 4)
         assert len(terms) == len(directions)
@@ -1259,29 +1275,131 @@ def test_leading_terms_are_derivatives_along_the_bch_terms(d):
             assert frobenius(D - expected) <= 1e-12 * frobenius(expected)
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_pair_terms_match_the_complex_step_terms(d):
+    # each pool row's term from the eigenbasis against leading_error's complex-step term
+    # of the mixture of that row alone (the coin flip's, for row 0): within 1e-6, relative;
+    # the worst of these reads 1.1e-7
+    for seed, t in ((1, 1.0), (2, 4.0)):
+        comps = components_for(random_gks(d, np.random.default_rng(seed)))
+        terms = pair_terms(comps, t)
+        assert len(terms) == pool_size(len(comps), d) > 1
+        for row, term in enumerate(terms):
+            expected = leading_error(comps, t, (row,))[1][-1]
+            assert frobenius(term - expected) <= 1e-6 * frobenius(expected)
+
+
+def test_chosen_mixtures_lead_below_the_first_four_rows():
+    # rows 0-3 of component_orders are the pairs every mixture drew before its rows were
+    # chosen: on random d = 3..6 the chosen rows' leading term reads 0.30-0.81 of theirs
+    for d in range(3, 7):
+        for seed in (1, 2, 3):
+            comps = components_for(random_gks(d, np.random.default_rng(seed)))
+            rows = mixture_rows(comps, 1.0)
+            chosen, first_four = (diamond_bound(leading_error(comps, 1.0, r)[1][2])
+                                  for r in (rows, (0, 1, 2, 3)))
+            assert chosen < first_four
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_chosen_rows_do_not_depend_on_eps(eps):
+    # the rows depend on the generator and t alone; each eps runs the same mixture
+    g = random_gks(4, np.random.default_rng(2))
+    plan = build_plan(components_for(g), eps, 1.0)
+    assert plan.rows == mixture_rows(components_for(g), 1.0) == (5, 6, 16, 26)
+
+
+@pytest.mark.parametrize("broken", ["raises", "nan"])
+def test_a_failed_eigenbasis_falls_back_to_the_coin_flip(broken, monkeypatch):
+    # the eigenbasis only chooses the mixture's rows: when eig raises or gives NaN, the
+    # mixture is row 0's pair, the coin flip, nothing is raised, and the run certifies
+    eig = np.linalg.eig
+
+    def broken_eig(a):
+        if broken == "raises":
+            raise np.linalg.LinAlgError("eig did not converge")
+        w, v = eig(a)
+        return w, np.full_like(v, np.nan)
+
+    monkeypatch.setattr(np.linalg, "eig", broken_eig)
+    g, rho0, eps = random_gks(4, np.random.default_rng(2)), maximally_mixed(4), 1e-6
+    state, plan, comps = simulate(g, rho0, 1.0, eps)
+    assert comps.sums[4] is None and mixture_rows(comps, 1.0) == (0,)
+    assert plan.rows in ((), (0,)) and len(leading_error(comps, 1.0)[1]) == 2
+    assert_certified(g, comps, plan, 1.0, eps)
+    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps / 2
+
+
+def test_the_pool_is_capped_by_work():
+    # P m d^6 <= 32 * 36 * 6^6: the whole pool on random d = 6, 29 orders on the qubit
+    # chain at d = 8, and one from d = 16 up, where the run has no eigenbasis and two terms
+    assert pool_size(36, 6) == POOL == 32 and pool_size(7, 8) == 29
+    assert pool_size(9, 16) == pool_size(11, 32) == 1
+    assert (pool_size(2, 3), pool_size(3, 2), pool_size(4, 2)) == (1, 3, 12)  # m! / 2
+    comps = components_for(n_qubit_generator(4))
+    assert len(comps.sums[3]) == 1 and comps.sums[4] is None
+    assert len(leading_error(comps, 1.0)[1]) == 2
+
+
+def test_a_mixture_is_powered_in_offsets():
+    # random d = 3, seed 2, at eps = 1e-11: the chosen mixture runs n = 102252 blocks.  A
+    # block of the channels themselves (walked_block), powered as it is, adds up the
+    # rounding of its entries to a unit of the identity's and misses the target by 4 %;
+    # built and powered in offsets, the certificate reads what the leading term
+    # predicts, to 1e-4, and certifies
+    comps = components_for(random_gks(3, np.random.default_rng(2)))
+    t, eps = 1.0, 1e-11
+    plan = build_plan(comps, eps, t)
+    assert plan.builds == 1 and plan.rows == (3, 14, 26) and plan.n_reps == 102252
+    assert plan.certificate == pytest.approx(plan.predicted_certificate, rel=1e-4)
+    block = trace_preserving(walked_block(plan, comps))
+    plain = trace_preserving(np.linalg.matrix_power(block, plan.n_reps))
+    assert diamond_bound(plain - leading_error(comps, t)[0]) > plan.target
+    assert np.abs(plain - plan.total_map).max() <= 1e-10
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.floats(0.25, 4.0),
+       st.sampled_from([1e-3, 1e-6]))
+def test_full_rank_generators_run_within_eps(d, seed, t, eps):
+    # random full-rank A, so m = d^2 components and the whole pool at d <= 6: the state
+    # is valid, and within eps / 2 of the oracle when the plan is certified
+    rng = np.random.default_rng(seed)
+    g = random_gks(d, rng)
+    rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
+    state, plan, _ = simulate(g, rho0, t, eps)
+    QuantumState(d=d, rho=state.rho)
+    bound = 0.5 * eps if plan.certificate is not None else eps
+    assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= bound
+
+
 def test_two_components_have_no_mixed_orders_term():
     # at m = 2 the norm order's pair is the only one: the coin flip is the mixture
-    _, terms = leading_error(components_for(lambda_atom()), 1.0)
+    comps = components_for(lambda_atom())
+    _, terms = leading_error(comps, 1.0)
     assert len(component_orders(2)) == 1 and len(terms) == 2
+    assert comps.sums[4] is None and mixture_rows(comps, 1.0) == (0,)
 
 
 def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
     comps = components_for(random_gks(3, np.random.default_rng(1)))
     m, L1, n = len(comps), comps[0].norm, 7
     fixed = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=L1 / n, m=m, L1=L1)
-    mixtures = [dataclasses.replace(fixed, formula=f) for f in (COIN_FLIP, MIXED_ORDERS)]
-    assert [p.pairs for p in (fixed, *mixtures)] == [0, 1, MIX_PAIRS]
+    rows = mixture_rows(comps, 1.0)
+    mixtures = [dataclasses.replace(fixed, rows=r) for r in ((0,), rows)]
+    assert [p.pairs for p in (fixed, *mixtures)] == [0, 1, len(rows)] and len(rows) > 1
+    assert [p.formula for p in (fixed, *mixtures)] == [SUZUKI, MIXED_ORDERS, MIXED_ORDERS]
     # the walked fixed block over a permuted component list runs component o_j as j; each
     # of a mixture's pairs runs its order and the reverse
     expected = []
     for mixed in mixtures:
-        orders = component_orders(m)[:mixed.pairs]
+        orders = component_orders(m)[list(mixed.rows)]
         expected.append(np.mean([walked_block(fixed, [comps[j] for j in order])
                                  for order in (*orders, *orders[:, ::-1])], axis=0))
     calls = []
     channel = trotter.Component.channel
-    monkeypatch.setattr(trotter.Component, "channel",
-                        lambda c, taus: calls.append(len(taus)) or channel(c, taus))
+    monkeypatch.setattr(trotter.Component, "channel", lambda c, taus, *offset: (
+        calls.append(len(taus)) or channel(c, taus, *offset)))
     for mixed, mean in zip(mixtures, expected):
         calls.clear()
         block = block_superoperator(mixed, comps)
@@ -1292,21 +1410,25 @@ def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
     assert fixed.actual_exponentials() == n * (2 * m - 2) + 1
 
 
-@pytest.mark.parametrize("k, formula", [(1, SUZUKI), (1, COIN_FLIP), (1, MIXED_ORDERS),
-                                        (2, SUZUKI), (3, SUZUKI)])
-def test_block_superoperator_matches_the_walked_schedule(k, formula, monkeypatch):
+@pytest.mark.parametrize("k, rows", [(1, ()), (1, (0,)), (1, None), (2, ()), (3, ())],
+                         ids=["1-suzuki", "1-coin-flip", "1-mixed-orders", "2-suzuki",
+                              "3-suzuki"])
+def test_block_superoperator_matches_the_walked_schedule(k, rows, monkeypatch):
     # the one block builder against the merged schedule's walk, and one channel call per
     # component per block, at the 2^(k-1) half steps of the recursion's leaves: the
-    # benchmark's channel_reuse, segments per channel call, reads >= 1 on it
+    # benchmark's channel_reuse, segments per channel call, reads >= 1 on it.  rows None
+    # is the mixture that mixture_rows chooses at t = 1, which walked_block reads off the
+    # plan
     calls = []
     channel = trotter.Component.channel
-    monkeypatch.setattr(trotter.Component, "channel",
-                        lambda c, taus: calls.append(len(taus)) or channel(c, taus))
+    monkeypatch.setattr(trotter.Component, "channel", lambda c, taus, *offset: (
+        calls.append(len(taus)) or channel(c, taus, *offset)))
     for g in (random_gks(3, np.random.default_rng(1)), random_gks(4, np.random.default_rng(2)),
               lambda_atom()):
         comps = components_for(g)
         m, L1 = len(comps), comps[0].norm
-        plan = TrotterPlan(k=k, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1, formula=formula)
+        plan = TrotterPlan(k=k, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1,
+                           rows=mixture_rows(comps, 1.0) if rows is None else rows)
         calls.clear()
         block = block_superoperator(plan, comps)
         assert calls == [2 ** (k - 1)] * m
@@ -1343,23 +1465,24 @@ def test_a_run_builds_no_schedule(monkeypatch):
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6])
 def test_both_formulas_certify_at_their_predicted_n(eps):
-    # each formula's own leading term sizes a plan that certifies; the search runs the
+    # each candidate's own leading term sizes a plan that certifies; the search runs the
     # cheapest, the one of fewer orders on a tie, which never needs more exponentials
-    # than the fixed block at its n
+    # than the fixed block at its n.  The candidates are the fixed block, the coin flip
+    # and the chosen mixture, when it is not the coin flip (at m = 2 the pool is one pair)
     t, chosen = 1.0, set()
     cases = [random_gks(d, np.random.default_rng(s)) for d in range(2, 7) for s in (1, 2, 3)]
-    for g in cases + [lambda_atom()]:
+    for g in cases + [lambda_atom(), n_qubit_generator(2)]:
         comps = components_for(g)
         rho0 = maximally_mixed(g.d)
         exact = apply_exact(g, rho0, t)
-        formulas = FORMULAS if len(comps) > 2 else FORMULAS[:2]  # m = 2: one pair
-        plans = [predicted_plan(comps, t, eps, f) for f in formulas]
+        candidates = dict.fromkeys([(), (0,), mixture_rows(comps, t)])
+        plans = [predicted_plan(comps, t, eps, rows) for rows in candidates]
         for plan in plans:
             assert_certified(g, comps, plan, t, eps)
             assert trace_distance(run_plan(plan, comps, rho0).rho, exact.rho) <= eps
         cheapest = min(plans, key=TrotterPlan.actual_exponentials)
         run = build_plan(comps, eps, t)
-        assert (run.formula, run.n_reps, run.builds) == (cheapest.formula, cheapest.n_reps, 1)
+        assert (run.rows, run.n_reps, run.builds) == (cheapest.rows, cheapest.n_reps, 1)
         assert run.actual_exponentials() <= plans[0].actual_exponentials()
-        chosen.add(run.formula)
-    assert chosen == set(FORMULAS)
+        chosen.add("fixed" if not run.rows else "coin flip" if run.rows == (0,) else "chosen")
+    assert chosen == {"fixed", "coin flip", "chosen"}
