@@ -92,16 +92,15 @@ first four rows of component_orders, which every mixture drew before; on the
 qubit chains the coin flip wins, and the two-component lambda atom keeps the
 fixed block.
 
-The block and its power are each projected onto trace-preserving maps
-(plan_map); a mixture's are formed as offsets from the identity, so that n
-repetitions add up no rounding of the identity's unit, and its certificate
-follows its leading term down to delta.  When the search stops first
-(certify lists when), the paper's plan (paper_plan) runs, uncertified, as the
-fallback; it is also what the cost subcommand reports.  step_count is the
-paper's planner, and select_order, its first step, holds the one check of the
-planner's inputs.  build_plan calls step_count once per run, through
-paper_plan; every plan it returns carries the two N_exp bounds that
-nexp_report prints.
+Every block and its power are formed as offsets from the identity and
+projected onto trace-preserving maps (plan_map), so that n repetitions add up
+no rounding of the identity's unit, and a certificate follows its leading term
+down to delta.  When the search stops first (certify lists when), the paper's
+plan (paper_plan) runs, uncertified, as the fallback; it is also what the cost
+subcommand reports.  step_count is the paper's planner, and select_order, its
+first step, holds the one check of the planner's inputs.  build_plan calls
+step_count once per run, through paper_plan; every plan it returns carries the
+two N_exp bounds that nexp_report prints.
 
 A component is its d^2 x d^2 generator G_j: i[., H] for the Hamiltonian,
 lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece, L the plan's
@@ -113,12 +112,12 @@ length lam, not its schedule, and one builder makes every block
 (block_superoperator).
 Suzuki's recursion unrolls into 2^(k-1) distinct symmetric S_2 leaves, one at
 k = 1, whose lengths leaf_lengths gives, and each component is asked once for
-its channels at every leaf's half step, which one stacked numerics.expm call
-computes, on a Taylor rung with no solve at a block's small norms.  The forward
-and backward sweeps run over the leaves and, for a mixture, over its component
-orders at once; the fixed block's leaves fold level by level into S_2k.  No
-run builds the merged schedule: a plan's schedule property unrolls it on
-demand, in closed form from the same leaves (block_schedule).
+its channels at every leaf's half step, each less the identity, which one
+stacked numerics.expm call computes, on a Taylor rung with no solve at a block's
+small norms.  One forward and one backward sweep run over the leaves and the
+plan's component orders at once; the fixed block's leaves fold level by level
+into S_2k.  No run builds the merged schedule: a plan's schedule property
+unrolls it on demand, in closed form from the same leaves (block_schedule).
 The block, its power and exp(t sum_j G_j) are all real, and the
 certificate's Choi matrix is formed from the real map and the basis stack
 directly.  At k = 1 every duration is positive, so every
@@ -135,7 +134,7 @@ import numpy as np
 
 from .decompose import decompose_generator, plan_operators
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, evolve, hermitian_basis,
-                       liouvillian_matrix, one_one_norm, real_map, trace_preserving)
+                       liouvillian_matrix, one_one_norm, real_map)
 from .numerics import NumericsError, dagger, expm
 
 
@@ -164,11 +163,11 @@ class Component:
     norm: float
     generator: np.ndarray = field(repr=False)
 
-    def channel(self, t_phys, offset: bool = False) -> np.ndarray:
-        """Exact channel matrices exp(t * G_j), one per physical duration t in
-        t_phys, stacked in its order and taken from one expm call; with offset,
-        each less the identity (numerics.expm)."""
-        return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator, offset)
+    def channel(self, t_phys) -> np.ndarray:
+        """Exact channel matrices exp(t * G_j), each less the identity, one per
+        physical duration t in t_phys, stacked in its order and taken from one
+        numerics.expm call in offsets."""
+        return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator, offset=True)
 
 
 class Components(tuple):
@@ -923,10 +922,9 @@ def build_plan(components: Components, eps: float, t: float) -> TrotterPlan:
     return certify(components, eps, t, paper)
 
 
-def block_superoperator(plan: TrotterPlan, components: list[Component],
-                        offset: bool = False) -> np.ndarray:
-    """Channel matrix of one S_2k block, or for a k = 1 mixture the mean of its
-    2 * plan.pairs blocks; with offset, that matrix less the identity.
+def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
+    """One S_2k block less the identity, or for a k = 1 mixture the mean of its
+    2 * plan.pairs blocks less the identity.
 
     Suzuki's recursion unrolls into 2^(k-1) leaves, symmetric blocks S_2 of
     normalized lengths lam prod_j f_j, f_j in {p_j, 1 - 4 p_j} for j = 2..k: one
@@ -940,76 +938,69 @@ def block_superoperator(plan: TrotterPlan, components: list[Component],
     first, as S = (A A) M (A A), A the leaf or fold of factor p_j and M that of
     1 - 4 p_j.  A mixture is the mean of (B F + F B) / 2 over its rows.
 
-    A mixture is built in offsets from the identity (numerics.expm): each channel
-    as e^(tau G_j) - I, each product as (I + Y)(I + X) - I = X + Y + Y X, so that
-    the block's entries carry no rounding to a unit of the identity's, which
-    n_reps repetitions would add up (plan_map).  The fixed block keeps the
-    channels themselves.
+    Every map is an offset from the identity (numerics.expm): each channel as
+    e^(tau G_j) - I, each product as (I + Y)(I + X) - I = X + Y + Y X, so that the
+    block's entries carry no rounding to a unit of the identity's, which n_reps
+    repetitions would add up (plan_map).
     """
     lengths = leaf_lengths(plan.k, plan.lam)
-    half = np.stack([comp.channel(lengths.ravel() / 2.0 / plan.L1, plan.pairs > 0)
-                     for comp in components])
+    half = np.stack([comp.channel(lengths.ravel() / 2.0 / plan.L1) for comp in components])
     orders = component_orders(plan.m)[list(plan.rows) or [0]]
     forward = backward = half[orders[:, 0]]  # F and B of each row and leaf, stacked
-    if plan.pairs:
-        for column in orders.T[1:]:
-            h = half[column]
-            f, b = h @ forward, backward @ h
-            f += forward
-            f += h
-            b += backward
-            b += h
-            forward, backward = f, b
-        Y = backward @ forward
-        Y += forward @ backward
-        Y *= 0.5
-        Y += forward
-        Y += backward
-        Y = Y.mean(axis=0)[0]
-        return Y if offset else np.eye(len(Y)) + Y
     for column in orders.T[1:]:
         h = half[column]
-        forward, backward = h @ forward, backward @ h
-    block = (backward @ forward)[0].reshape(lengths.shape + half.shape[-2:])
+        f, b = h @ forward, backward @ h
+        f += forward
+        f += h
+        b += backward
+        b += h
+        forward, backward = f, b
+    Y = backward @ forward
+    if plan.pairs:  # the mean of B F and F B
+        Y += forward @ backward
+        Y *= 0.5
+    Y += forward
+    Y += backward
+    block = Y.mean(axis=0).reshape(lengths.shape + Y.shape[-2:])
     while block.ndim > 2:
-        A = block[..., 0, :, :] @ block[..., 0, :, :]
-        block = A @ block[..., 1, :, :] @ A
-    return block - np.eye(len(block)) if offset else block
+        A = _offset_product(block[..., 0, :, :], block[..., 0, :, :])
+        block = _offset_product(_offset_product(A, block[..., 1, :, :]), A)
+    return block
 
 
 def plan_map(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
     """The full product [block]^n_reps as one d^2 x d^2 map.
 
-    The block and its power are each projected onto trace-preserving maps
-    (lindblad.trace_preserving): the block so that the rounding error in
-    its trace does not grow with n_reps inside the power, and the power for
-    the rounding the power adds itself.  A mixture's block M = I + Y comes as its
-    offset Y (block_superoperator), and its power as (I + Y)^n - I
-    (_offset_power), so that neither carries a rounding of the identity that grows
-    with n_reps: on random d = 3 at eps = 1e-11 the certificate then reads what
-    its leading term predicts to 1e-5, where the map itself missed by up to 30 %
-    of the target.  A power that overflows comes back with non-finite entries,
-    not a warning.
+    The block M = I + Y comes as its offset Y (block_superoperator), projected onto
+    trace-preserving maps (lindblad.trace_preserving) by zeroing its row 0, so that
+    the rounding error in its trace does not grow with n_reps inside the power.  The
+    power is (I + Y)^n - I (_offset_power), whose row 0 stays zero, so the map is
+    trace-preserving too, and neither carries a rounding of the identity that grows
+    with n_reps: on random d = 3 at eps = 1e-11, and on the lambda atom at 1e-12,
+    the certificate then reads what its leading term predicts to 1e-5 and 1.3e-4,
+    where the map itself missed by up to 30 % of the target and by 18.5 times it.  A
+    power that overflows comes back with non-finite entries, not a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if plan.pairs:
-            Y = block_superoperator(plan, components, offset=True)
-            Y[0] = 0.0  # trace_preserving's row 0, e0^T, less the identity's
-            return np.eye(len(Y)) + _offset_power(Y, plan.n_reps)
-        block = trace_preserving(block_superoperator(plan, components))
-        return trace_preserving(np.linalg.matrix_power(block, plan.n_reps))
+        Y = block_superoperator(plan, components)
+        Y[0] = 0.0  # trace_preserving's row 0, e0^T, less the identity's
+        return np.eye(len(Y)) + _offset_power(Y, plan.n_reps)
+
+
+def _offset_product(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(I + Y)(I + X) - I = X + Y + Y X: the product of two maps given as offsets."""
+    return X + Y + Y @ X
 
 
 def _offset_power(Y: np.ndarray, n: int) -> np.ndarray:
-    """(I + Y)^n - I by binary powering in offsets: a product as
-    (I + Y)(I + X) - I = X + Y + Y X, a square as 2 Y + Y^2."""
+    """(I + Y)^n - I by binary powering in offsets (_offset_product)."""
     power = np.zeros_like(Y)
     while n:
         if n & 1:
-            power = power + Y + Y @ power
+            power = _offset_product(Y, power)
         n >>= 1
         if n:
-            Y = 2.0 * Y + Y @ Y
+            Y = _offset_product(Y, Y)
     return power
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (AHAT1_R, AHAT1_I, DIRECTIONS, GOLDEN_ALPHA_I, SECONDVEC, THETA2,
@@ -168,6 +168,39 @@ def test_diagonalizing_unitary_random_d4(rng):
         off = diag - np.diag(np.diag(diag))
         assert np.max(np.abs(off)) < 1e-10
         assert np.linalg.det(u1) == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 6), st.integers(1, 3), st.booleans(),
+       st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]), st.integers(0, 2 ** 32 - 1))
+def test_diagonalizing_unitaries_on_degenerate_spectra(d, levels, zero_level, split, seed):
+    """M with a degenerate spectrum: +-pairs drawn from a few levels, one of them 0 when
+    zero_level, so that values, +- pairs and zeros repeat, each then split by a traceless
+    perturbation of relative size split.  U1 is special unitary and takes i M to the
+    diagonal of its eigenvalues, nonzero ones descending and the zeros last."""
+    b = gell_mann_basis(d)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=levels)
+    if zero_level:
+        values[0] = 0.0
+    half = values[rng.integers(0, levels, size=d // 2)]
+    x = np.concatenate([half, -half, np.zeros(d % 2)])
+    noise = rng.normal(size=d)
+    x = x + split * (noise - noise.mean())
+    assume(np.abs(x).max() > 1e-3)
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    aR = to_vector(1j * (q * x) @ dagger(q), b).real
+    aR /= np.linalg.norm(aR)
+    (u1,), (diag,) = diagonalizing_unitaries(aR[None], b)
+    assert np.abs(u1 @ dagger(u1) - np.eye(d)).max() < 1e-12
+    assert np.linalg.det(u1) == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(diag - np.diag(np.diag(diag))).max() < 1e-10
+    w = np.diag(diag).imag
+    M = -1j * from_vector(aR, b)
+    assert np.allclose(np.sort(w), np.linalg.eigvalsh(M), rtol=0.0, atol=1e-10)
+    nonzero = np.abs(w) > 1e-10 * np.abs(w).max()
+    count = int(nonzero.sum())
+    assert nonzero[:count].all() and np.all(np.diff(w[:count]) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

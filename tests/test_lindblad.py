@@ -117,7 +117,7 @@ def test_dissipator_contracts_any_operator_stack(d, seed):
     H = random_hermitian(d, rng)
     (c,) = prepare_components(GksGenerator(basis=g.basis, H=H, A=np.zeros_like(g.A)), [])
     tau = 20.0 / c.norm  # ||tau G||_1 >= 20, past theta_16: expm scales and squares
-    assert_entries_close(c.channel([tau])[0],
+    assert_entries_close(np.eye(d * d) + c.channel([tau])[0],  # channel gives e^(tau G) - I
                          real_map(conjugation_superoperator(expm(-1j * tau * H))))
 
 
