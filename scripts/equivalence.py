@@ -23,20 +23,19 @@ raises is written with its error in place of the plan.
 
 After the runs come the CLI's documents.  Every call of the cli-roundtrip
 workload's instances (bench/workloads.py, seeds 1-10; 43 calls each) runs
-through cli.main in this process, in a temporary directory, and so do nine
+through cli.main in this process, in a temporary directory, and so do twelve
 calls on fixed malformed inputs (malformed_requests): validate and decompose
-on a document that serialize refuses and on one whose A is not positive
-semidefinite, and simulate on a request that misses a key, one that is not an
-object, one with a numeric mode, one with t = NaN and one whose generator is
-refused.  Each text a call writes, to stdout, to its --out file or to stderr,
-is one line with an id, the subcommand, the exit code, the byte count and the
-SHA-256 of the bytes: 1088 lines, 1070 of them from cli-roundtrip.
+on a document that serialize refuses, on one whose A is not positive
+semidefinite and on one with d = 0, and simulate on a request that misses a
+key, one that is not an object, one with a numeric mode, one with t = NaN, one
+whose generator is refused and one whose state object misses 'rho'.  Each text
+a call writes, to stdout, to its --out file or to stderr, is one line with an
+id, the subcommand, the exit code, the byte count and the SHA-256 of the bytes:
+1094 lines, 1070 of them from cli-roundtrip.
 
 --compare reads two such files, the first the reference, and prints the plans
 that moved (formula, rows, k, n_reps, builds or exponentials), each with the
-reference's certificate over that run's own target (eps / 2 for a file
-written before runs recorded their target, and the rows its formula drew for a
-file written before runs recorded them, legacy_rows); the runs whose exponentials
+reference's certificate over that run's own target; the runs whose exponentials
 rose; the certified runs that fall back; per workload, how many states are
 bit-identical, the largest entry difference, the largest relative change of
 a certificate that both files carry and the largest change of dist / eps;
@@ -121,11 +120,13 @@ def malformed_requests() -> dict:
     return {
         "float-d": (generator_commands, {**good, "d": 2.5}),  # serialize refuses it
         "a-not-psd": (generator_commands, not_psd),  # GksGenerator refuses it
+        "d-zero": (generator_commands, {**good, "d": 0}),  # refused by its dimension
         "missing-epsilon": (("simulate",), {k: v for k, v in request.items() if k != "epsilon"}),
         "not-an-object": (("simulate",), [request]),
         "number-mode": (("simulate",), {**request, "mode": 5}),
         "nan-t": (("simulate",), {**request, "t": math.nan}),
         "request-a-not-psd": (("simulate",), {**request, "generator": not_psd}),
+        "state-missing-rho": (("simulate",), {**request, "rho0": {"d": 3}}),
     }
 
 
@@ -169,24 +170,7 @@ def cli_documents():
 
 def load(path) -> dict:
     with open(path) as fh:
-        runs = {run["id"]: run for run in map(json.loads, fh)}
-    for run in runs.values():
-        if "formula" in run and "rows" not in run:
-            run.update(legacy_rows(run))
-    return runs
-
-
-def legacy_rows(run) -> dict:
-    """The formula and rows of a run written before runs recorded their rows: the coin
-    flip was the mixture of row 0, and the mixed orders drew from the first
-    min(4, m! / 2) rows of component_orders(m), m from the mixture's count
-    n_reps (2m - 1)."""
-    if run["formula"] == "suzuki":
-        return {"rows": []}
-    if run["formula"] == "coin-flip":
-        return {"formula": "mixed-orders", "rows": [0]}
-    m = (run["actual_exponentials"] // run["n_reps"] + 1) // 2
-    return {"rows": list(range(min(4, math.factorial(m) // 2)))}
+        return {run["id"]: run for run in map(json.loads, fh)}
 
 
 def workload(case: str) -> str:
@@ -212,7 +196,7 @@ def compare(path_a, path_b) -> bool:
         if any(x[f] != y[f] for f in PLAN_FIELDS):
             ratio = None
             if x["certificate"] is not None:
-                ratio = x["certificate"] / x.get("target", 0.5 * x["eps"])
+                ratio = x["certificate"] / x["target"]
             moved.append(f"{c}: " + ", ".join(f"{f} {x[f]} -> {y[f]}" for f in PLAN_FIELDS
                                                if x[f] != y[f])
                          + f"; reference certificate / target = {ratio}")

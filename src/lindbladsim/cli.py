@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from . import serialize
-from .decompose import DecomposeError, decompose_generator, spectral_split, verify_plans
-from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, eigenpairs,
-                       from_diagonal, maximally_mixed, trace_distance)
+from .decompose import DecomposeError, decompose_terms, spectral_split, verify_plans
+from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, from_diagonal,
+                       maximally_mixed, trace_distance)
 from .numerics import NumericsError, dagger, frobenius
 from .sud import SudError, gell_mann_basis
 from .trotter import TrotterError, nexp_report, segments_per_block, simulate, step_count
@@ -94,12 +94,6 @@ def lambda_atom_generator(gamma1: float, gamma2: float, phi: float, eta: float, 
     return from_diagonal(diag, gell_mann_basis(3))
 
 
-def _decompose(g):
-    """Spectral terms of g, its conjugation plans, and the plans' residuals."""
-    terms, plans = spectral_split(g), decompose_generator(g)
-    return terms, plans, verify_plans(plans, terms, g.basis)
-
-
 def _check_run(t: float, eps: float):
     """A run needs finite t >= 0 and eps > 0; written so that NaN fails too."""
     if not 0 <= t < math.inf:
@@ -122,7 +116,7 @@ def _trotter_run(g, rho0, t: float, eps: float) -> dict:
 def cmd_validate(args) -> int:
     g = serialize.parse_generator(_load_json(args.generator))
     herm = frobenius(g.H - dagger(g.H))
-    eigs = eigenpairs(g)[0]
+    eigs = g.eigenpairs[0]
     m = len(spectral_split(g))
     print(f"d = {g.d}")
     print(f"hermiticity residual of H = {herm:.3e}")
@@ -133,7 +127,9 @@ def cmd_validate(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = serialize.parse_generator(_load_json(args.generator))
-    _, plans, residuals = _decompose(g)
+    terms = spectral_split(g)
+    plans = decompose_terms(terms, g.basis)
+    residuals = verify_plans(plans, terms, g.basis)
     doc = serialize.plans_to_json(g.H, plans, residuals)
     _emit(doc, args.out)
     for i, r in enumerate(residuals):
@@ -206,14 +202,16 @@ def cmd_cost(args) -> int:
 def cmd_example_lambda(args) -> int:
     _check_run(args.t, args.eps)
     g = lambda_atom_generator(args.gamma1, args.gamma2, args.phi, args.eta, args.alpha)
-    terms, plans, residuals = _decompose(g)
     rho0 = maximally_mixed(3)
+    run = _trotter_run(g, rho0, args.t, args.eps)
+    terms, plans = g.record.terms, g.record.plans  # the run's decomposition
+    residuals = verify_plans(plans, terms, g.basis)
     bundle = {
         "generator": serialize.generator_to_json(g),
         "spectral": [{"lambda": t.lam, "a": serialize.matrix_to_json(t.a)} for t in terms],
         "plans": serialize.plans_to_json(g.H, plans, residuals),
         "simulation": {"t": args.t, "epsilon": args.eps, "rho0": serialize.matrix_to_json(rho0.rho),
-                       **_trotter_run(g, rho0, args.t, args.eps)},
+                       **run},
     }
     _emit(bundle, args.out)
     for i, p in enumerate(plans):

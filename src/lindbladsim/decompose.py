@@ -31,8 +31,9 @@ a a† = b b† with b = G v, G the adjoint matrix of U = U1† U2† (see verif
 
 Each step is one function over a stack of rows, one row per piece; decompose_terms
 and verify_plans chain the steps over all pieces at once, and decompose_term and
-verify_plan are their one-row case.  A generator cannot change, so it is
-decomposed once: spectral_split and decompose_generator keep their results on it.
+verify_plan are their one-row case.  The functions keep nothing: a run's
+decomposition is kept with what else the run derives from its generator
+(trotter.Record).
 """
 
 import math
@@ -91,7 +92,6 @@ class ConjugationPlan:
     lam: float
     U: np.ndarray = field(repr=False)
     params: UniversalParams
-    _operator: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _require_weight(self.lam)
@@ -99,22 +99,13 @@ class ConjugationPlan:
 
     @property
     def operator(self) -> np.ndarray:
-        """The read-only universal_operators of params, built once (plan_operators)."""
-        if self._operator is None:
-            plan_operators([self])
-        return self._operator
+        """The universal-family operator of params (universal_operators), built on each read."""
+        return universal_operators([self.params], gell_mann_basis(self.params.d))[0]
 
 
 def spectral_split(g: GksGenerator) -> list[RankOneTerm]:
-    """Spectral decomposition A = sum_k lambda_k a_k a_k†, descending.
-
-    g cannot change, so the terms are computed on its first call and kept on
-    it; each call returns a new list of the same frozen terms.
-    """
-    kept = g._decomposition
-    if "terms" not in kept:
-        kept["terms"] = tuple(RankOneTerm(lam=lam, a=a) for lam, a in gks_spectrum(g))
-    return list(kept["terms"])
+    """Spectral decomposition A = sum_k lambda_k a_k a_k†, descending."""
+    return [RankOneTerm(lam=lam, a=a) for lam, a in gks_spectrum(g)]
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -329,18 +320,6 @@ def universal_operators(params, basis: GellMannBasis) -> np.ndarray:
     return np.einsum("ma,aij->mij", universal_vectors(params, basis)[2], basis.matrices)
 
 
-def plan_operators(plans) -> np.ndarray:
-    """Stack of the plans' operators; those not yet built come from one universal_operators
-    call over the Gell-Mann basis, each row from its plan's own params, and are kept."""
-    todo = [p for p in plans if p._operator is None]
-    if todo:
-        L = universal_operators([p.params for p in todo], gell_mann_basis(todo[0].params.d))
-        L.setflags(write=False)
-        for p, l in zip(todo, L):
-            object.__setattr__(p, "_operator", l)
-    return np.array([p._operator for p in plans])
-
-
 def _coordinates(X: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     """Coordinates x_a = Im tr(F_a X) of each su(d) element X = i sum_a x_a F_a."""
     return np.einsum("gij,mji->mg", basis.matrices, X).imag
@@ -387,13 +366,8 @@ def decompose_generator(g: GksGenerator) -> list[ConjugationPlan]:
 
     The Liouvillian of g equals the Liouvillian of g.H plus sum_k lam_k
     times the Liouvillian of the k-th plan's GKS matrix b_k b_k† (verify_plan).
-    Like spectral_split, the plans are computed on g's first call and kept on
-    it; each call returns a new list of the same frozen plans.
     """
-    kept = g._decomposition
-    if "plans" not in kept:
-        kept["plans"] = tuple(decompose_terms(spectral_split(g), g.basis))
-    return list(kept["plans"])
+    return decompose_terms(spectral_split(g), g.basis)
 
 
 def verify_plans(plans, terms, basis: GellMannBasis) -> np.ndarray:
@@ -401,7 +375,7 @@ def verify_plans(plans, terms, basis: GellMannBasis) -> np.ndarray:
     if len(plans) != len(terms):
         raise DecomposeError(f"{len(plans)} plans for {len(terms)} terms")
     U = np.array([p.U for p in plans]).reshape(-1, basis.d, basis.d)
-    L = plan_operators(plans).reshape(U.shape)
+    L = universal_operators([p.params for p in plans], basis).reshape(U.shape)
     b = np.einsum("gij,mji->mg", basis.matrices, U @ L @ dagger(U))
     a = np.array([t.a for t in terms]).reshape(-1, basis.n)
     # rephased so that a† b is real, a a† - b b† = (p q† + q p†) / 2 with p, q = a -+ b has the

@@ -61,22 +61,19 @@ def _require_hermitian(X: np.ndarray, name: str) -> None:
 class GksGenerator:
     """Generator data (H, A) over a fixed Gell-Mann basis.
 
-    A generator cannot change: H and A are read-only copies of the arrays it
-    is given, and the basis matrices are read-only.  What derives from (H, A)
-    alone is kept in _decomposition: the eigenpairs of A (eigenpairs), taken
-    once here, where numerics.eigh's own check is A's one Hermiticity check
-    and their eigenvalues check that A is positive semidefinite, its
-    spectral terms and conjugation plans, computed on first use
-    (decompose.spectral_split, decompose.decompose_generator), and what derives
-    from the components of those plans alone (trotter.Components): their
-    residual and ||sum_j G_j||_1, computed by trotter.prepare_components, and
-    their commutator sums, on the first trotter.leading_error.
+    A generator cannot change: H and A are read-only copies of the arrays it is given,
+    and the basis matrices are read-only.  eigenpairs holds A's eigenvalues, descending,
+    and its eigenvectors in the columns of the second array, both read-only, from the one
+    numerics.eigh taken here, whose own check is A's one Hermiticity check and whose
+    eigenvalues check that A is positive semidefinite.  record is a slot for what runs
+    derive from g (trotter.Record), None until its first trotter.prepare_components.
     """
 
     basis: GellMannBasis
     H: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
-    _decomposition: dict = field(init=False, repr=False, default_factory=dict)
+    eigenpairs: tuple = field(init=False, repr=False)
+    record: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d, n = self.basis.d, self.basis.n
@@ -99,7 +96,7 @@ class GksGenerator:
         v.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "A", A)
-        self._decomposition["eigh"] = (w, v)
+        object.__setattr__(self, "eigenpairs", (w, v))
 
     @property
     def d(self) -> int:
@@ -189,20 +186,13 @@ def from_diagonal(g: DiagonalGenerator, basis: GellMannBasis | None = None) -> G
     return GksGenerator(basis=basis, H=H, A=A)
 
 
-def eigenpairs(g: GksGenerator) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of g's A, descending, and its eigenvectors in the columns
-    of the second array (numerics.eigh), both read-only and taken once, when g
-    was built."""
-    return g._decomposition["eigh"]
-
-
 def gks_spectrum(g: GksGenerator) -> list[tuple[float, np.ndarray]]:
     """Eigenpairs (lam, v) of A in descending order, zeros dropped.
 
     An eigenvalue is kept when it is positive and above EIGEN_CUTOFF times
     the largest eigenvalue modulus.
     """
-    w, v = eigenpairs(g)
+    w, v = g.eigenpairs
     scale = float(np.max(np.abs(w)))
     return [(float(lam), v[:, i]) for i, lam in enumerate(w)
             if lam > EIGEN_CUTOFF * scale and lam > 0.0]

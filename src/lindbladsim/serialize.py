@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .lindblad import DiagonalGenerator, GksGenerator, LindbladError, QuantumState, from_diagonal
-from .sud import gell_mann_basis
+from .sud import SudError, gell_mann_basis
 from .decompose import ConjugationPlan
 
 
@@ -173,6 +173,8 @@ def parse_generator(doc: dict) -> GksGenerator:
             raise SerializeError(f"generator document is missing {key!r}")
     d = _dimension(doc["d"])
     H = json_to_matrix(doc["H"])
+    if d < 2:  # gell_mann_basis's refusal, ahead of H's shape, which would read 0x0
+        raise SudError(f"dimension must be >= 2, got {d}")
     if H.shape != (d, d):  # before the basis, whose size grows as d^4
         raise LindbladError(f"H must be {d}x{d}, got {H.shape}")
     has_a = "A" in doc
@@ -213,6 +215,9 @@ def plans_to_json(H, plans, residuals) -> dict:
 
 def parse_state(doc) -> QuantumState:
     if isinstance(doc, dict):
+        for key in ("d", "rho"):
+            if key not in doc:
+                raise SerializeError(f"state document is missing {key!r}")
         return QuantumState(d=_dimension(doc["d"]), rho=json_to_matrix(doc["rho"]))
     rho = json_to_matrix(doc)
     return QuantumState(d=rho.shape[0], rho=rho)

@@ -39,7 +39,7 @@ gives.  The rest of eps covers the two other differences between T_n and
 exp(tL).  r = diamond_bound(L - sum_j G_j) bounds the decomposition's
 residual, and for two GKSL generators Duhamel's formula gives
 ||exp(tL) - exp(t sum_j G_j)||_diamond <= t r, both semigroups being CPTP;
-prepare_components computes r once per generator (Components).  delta
+prepare_components computes r once per generator (Record).  delta
 allows for the rounding in the computed exp(t sum_j G_j) (expm_rounding).
 So ||T_n - exp(tL)||_(1->1) <= eps, and a run's state lies within eps / 2
 of the exact one in trace distance.  The plan carries T_n, that certificate,
@@ -77,8 +77,8 @@ the pair, so pairs can be chosen by their terms (Tranter, Love, Mintert,
 Wiebe and Coveney, "Ordering of Trotterization", Entropy 21, 1218 (2019)).
 Once per generator, since none of it depends on t or eps, one commutator
 loop over every pool row gives each pair's direction, and one eig of
-sum_j G_j takes them to its eigenbasis (commutator_sums, kept with the
-Components).  In that basis each pair's term at t is elementwise, the
+sum_j G_j takes them to its eigenbasis (commutator_sums, kept in the
+generator's Record).  In that basis each pair's term at t is elementwise, the
 divided differences of exp times the direction, and two stacked products
 take the terms back (_pair_terms); a greedy pass over their Frobenius Gram
 matrix chooses the rows (mixture_rows).  The eig only chooses rows: every
@@ -132,7 +132,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .decompose import decompose_generator, plan_operators
+from .decompose import decompose_terms, spectral_split, universal_operators
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, evolve, hermitian_basis,
                        liouvillian_matrix, one_one_norm, real_map)
 from .numerics import NumericsError, dagger, expm
@@ -170,59 +170,76 @@ class Component:
         return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator, offset=True)
 
 
-class Components(tuple):
-    """A generator's components, norm-ordered, as prepare_components returns them, and
-    what derives from them alone: residual, r = diamond_bound(L - sum_j G_j), L the
-    generator's real map, which bounds ||exp(tL) - exp(t sum_j G_j)||_diamond by t r;
-    one_norm, ||sum_j G_j||_1 (expm_rounding); and sums, leading_error's commutator sums
-    (commutator_sums), computed on first use.  All three live in the dict kept, which for
-    a generator's own plans is the generator's _decomposition, as do the mixture rows
-    last chosen and their t (mixture_rows).  certify takes t r out of
-    eps, so a component sequence is certified only with the residual of the generator it
-    splits.  A tuple, so that no component can be added, removed or moved after r and
-    the sums are taken; a slice or a join is a plain tuple, which certify refuses."""
+@dataclass(eq=False)
+class Record:
+    """What runs derive from one generator, kept in its slot (GksGenerator.record) from
+    its first prepare_components: its spectral terms, their conjugation plans and the
+    plans' universal-family operators, read-only; the residual r = diamond_bound(L -
+    sum_j G_j) of its components, L its real map, which bounds ||exp(tL) -
+    exp(t sum_j G_j)||_diamond by t r; and one_norm, ||sum_j G_j||_1 (expm_rounding).
+    Only sums, the commutator sums (commutator_sums), and rows, the last t and its
+    mixture rows (mixture_rows), are written later."""
 
-    def __new__(cls, components, kept: dict):
+    terms: tuple
+    plans: tuple
+    operators: np.ndarray = field(repr=False)
+    residual: float
+    one_norm: float
+    sums: tuple | None = field(default=None, repr=False)
+    rows: tuple | None = None
+
+
+class Components(tuple):
+    """A generator's components, norm-ordered, with its record (Record), whose residual,
+    one_norm and sums they read.  certify takes t r out of eps, so a component sequence
+    is certified only with the residual of the generator it splits.  A tuple, so that no
+    component can be added, removed or moved; a slice or a join is a plain tuple, which
+    certify refuses."""
+
+    def __new__(cls, components, record: Record):
         self = super().__new__(cls, components)
-        self._kept = kept
+        self.record = record
         return self
 
     @property
     def residual(self) -> float:
-        return self._kept["residual"]
+        return self.record.residual
 
     @property
     def one_norm(self) -> float:
-        return self._kept["one_norm"]
+        return self.record.one_norm
 
     @property
     def sums(self) -> tuple:
-        if "commutator_sums" not in self._kept:
-            self._kept["commutator_sums"] = commutator_sums(self)
-        return self._kept["commutator_sums"]
+        if self.record.sums is None:
+            self.record.sums = commutator_sums(self)
+        return self.record.sums
 
 
-def prepare_components(g: GksGenerator, plans) -> Components:
-    """The components of g, given its conjugation plans, norm-ordered, with their
-    residual r against g (Components).
+def prepare_components(g: GksGenerator) -> Components:
+    """The components of g, norm-ordered and built anew on each call, with g's record
+    (Record), which g's first call makes.
 
-    The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan of
-    positive weight gives lam U [L . L† - (1/2){L†L, .}] U†, the dissipator
-    of L' = U L U† with L = plan.operator; conjugation by U leaves the (1->1)
-    norm unchanged, so L's bound is the component's, from one one_one_norm
-    call.  Each real map is built in the Hermitian basis B directly, row k
-    from the adjoint map's image Y_k of B_k, R_kl = Re tr(Y_k B_l), where the
-    halves of an anticommutator have conjugate traces: Y_k = 2i H B_k for the
-    Hamiltonian and lam (L'† B_k L' - L'†L' B_k) for a dissipator.  Components
-    of zero norm are dropped; the rest are sorted by descending norm, with
-    stable ties, which fixes the product order deterministically.  r and
-    ||sum_j G_j||_1 are computed here and the commutator sums on first use, anew
-    for each call, except for g's own plans (decompose.decompose_generator):
-    theirs are computed once and kept on g.
+    The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan gives
+    lam U [L . L† - (1/2){L†L, .}] U†, the dissipator of L' = U L U† with L its
+    universal-family operator; conjugation by U leaves the (1->1) norm unchanged, so
+    L's bound is the component's, from one one_one_norm call.  Each real map is built
+    in the Hermitian basis B directly, row k from the adjoint map's image Y_k of B_k,
+    R_kl = Re tr(Y_k B_l), where the halves of an anticommutator have conjugate
+    traces: Y_k = 2i H B_k for the Hamiltonian and lam (L'† B_k L' - L'†L' B_k) for a
+    dissipator.  Components of zero norm are dropped; the rest are sorted by
+    descending norm, with stable ties, which fixes the product order
+    deterministically.
     """
+    record = g.record
+    if record is None:
+        terms = tuple(spectral_split(g))
+        plans = tuple(decompose_terms(terms, g.basis))
+        L = universal_operators([p.params for p in plans], g.basis)
+        L.setflags(write=False)
+    else:
+        plans, L = record.plans, record.operators
     d, zero = g.d, np.zeros((g.d, g.d))
-    plans = [p for p in plans if p.lam > 0.0]
-    L = plan_operators(plans).reshape(-1, d, d)
     U = np.array([p.U for p in plans]).reshape(L.shape)
     lam = np.array([p.lam for p in plans]).reshape(-1, 1, 1)
     norms = [one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))) for p, l in zip(plans, L)]
@@ -250,13 +267,13 @@ def prepare_components(g: GksGenerator, plans) -> Components:
     R = (Y.reshape(n * d * d, d * d).view(float) @ real.T).reshape(n, d * d, d * d)
     comps = [Component(d, norm, r) for norm, r in zip(norms, R)]
     comps = sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
-    own = tuple(plans) == g._decomposition.get("plans")  # plans compare by identity
-    kept = g._decomposition if own else {}
-    if "residual" not in kept:
+    if record is None:
         total = sum(c.generator for c in comps)
-        kept["residual"] = float(diamond_bound(real_map(liouvillian_matrix(g)) - total))
-        kept["one_norm"] = max(np.abs(total).sum(axis=0).tolist()) if comps else 0.0
-    return Components(comps, kept)
+        record = Record(terms, plans, L,
+                        float(diamond_bound(real_map(liouvillian_matrix(g)) - total)),
+                        max(np.abs(total).sum(axis=0).tolist()) if comps else 0.0)
+        object.__setattr__(g, "record", record)
+    return Components(comps, record)
 
 
 def suzuki_p(k: int) -> float:
@@ -603,9 +620,9 @@ def leading_error(components: Components, t: float, rows: tuple | None = None):
     predicts diamond_bound(T_n - e^(t sum_j G_j)) up to O(n^-4), since the bound is
     continuous and takes c X to |c| times X's.
 
-    Everything but t and the rows enters through the components' commutator sums
-    (Components.sums), kept with them, so a call forms only the stacked exponential,
-    the two commutators with e^(t sum_j G_j) and, by default, the choice of rows.
+    Everything but t and the rows enters through the commutator sums (Components.sums),
+    kept in the generator's record, so a call forms only the stacked exponential, the
+    two commutators with e^(t sum_j G_j) and, by default, the choice of rows.
     """
     total, E, C, pairs, _ = components.sums
     if rows is None:
@@ -730,12 +747,12 @@ def mixture_rows(components: Components, t: float) -> tuple:
     Frobenius norm of the mean of their terms (_pair_terms) smallest, ties to the lower
     row and to the shorter prefix, in ascending order.  (0,), the coin flip, when the
     pool has one row or its terms or their Gram matrix are not finite.  The choice
-    depends on the generator and t, not on eps, and the components keep the last t's,
-    so that a repeat call at that t does not choose again."""
-    last = components._kept.get("mixture_rows")
-    if last is None or last[0] != t:
-        last = components._kept["mixture_rows"] = t, _choose_rows(components.sums[4], t)
-    return last[1]
+    depends on the generator and t, not on eps, and its record keeps the last t's
+    (Record.rows), so that a repeat call at that t does not choose again."""
+    record = components.record
+    if record.rows is None or record.rows[0] != t:
+        record.rows = t, _choose_rows(components.sums[4], t)
+    return record.rows[1]
 
 
 def _choose_rows(basis, t: float) -> tuple:
@@ -1066,11 +1083,11 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
 def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
     """Decompose, plan, and run; returns (state, plan, components).
 
-    The decomposition is g's own (decompose_generator): computed on g's first
+    The decomposition is g's record's (prepare_components): made on g's first
     run and reused by every later one, whatever its t and eps.
     """
     if rho0.d != g.d:
         raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")
-    components = prepare_components(g, decompose_generator(g))
+    components = prepare_components(g)
     plan = build_plan(components, eps, t)
     return run_plan(plan, components, rho0), plan, components

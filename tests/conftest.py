@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import settings
 
-from lindbladsim import decompose, serialize, trotter
+from lindbladsim import cli, decompose, lindblad, serialize, trotter
 from lindbladsim.cli import lambda_atom_generator
 from lindbladsim.decompose import universal_operators, universal_vectors
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, dissipator_superoperator,
@@ -523,14 +523,24 @@ def rng():
     return np.random.default_rng(20240915)
 
 
+def count_calls(monkeypatch, names) -> Counter:
+    """Counts of the calls into each named function of the package from now on: every
+    module that binds the name to it has the binding replaced by a counting wrapper."""
+    calls, modules = Counter(), (lindblad, decompose, trotter, cli)
+    for name in names:
+        fn = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
     """Counts of the calls into gks_spectrum and decompose_terms, the two steps
     that decomposing a generator runs, from the test's start."""
-    calls = Counter()
-    for name in ("gks_spectrum", "decompose_terms"):
-        def counted(*args, fn=getattr(decompose, name), name=name):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(decompose, name, counted)
-    return calls
+    return count_calls(monkeypatch, ("gks_spectrum", "decompose_terms"))

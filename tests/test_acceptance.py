@@ -15,9 +15,8 @@ from conftest import (AHAT1_R, AHAT1_I, GOLDEN_ALPHA_I, SECONDVEC, SQRT3, THETA2
                       adjoint_generator, criterion_4_instances, from_vector, lambda_atom,
                       plan_gks_matrix, random_diagonal, random_mixed_state,
                       structure_constants)
-from lindbladsim.decompose import (canonical_phases, decompose_generator, decompose_term,
-                                   diagonalizing_unitaries, universal_vectors, RankOneTerm,
-                                   spectral_split, verify_plan)
+from lindbladsim.decompose import (canonical_phases, decompose_term, diagonalizing_unitaries,
+                                   universal_vectors, RankOneTerm, spectral_split, verify_plan)
 from lindbladsim.lindblad import (GksGenerator, QuantumState, apply_exact, from_diagonal,
                                   liouvillian_matrix, maximally_mixed, trace_distance)
 from lindbladsim.numerics import dagger, expm, frobenius
@@ -126,7 +125,7 @@ def test_criterion_4_trotter_error_bound():
     runs = 0
     for d, g, state_seed in criterion_4_instances():
         state_rng = np.random.default_rng(state_seed)
-        components = prepare_components(g, decompose_generator(g))
+        components = prepare_components(g)
         rho0 = QuantumState(d=d, rho=random_mixed_state(d, state_rng))
         for t in (0.5, 1.0, 2.0):
             oracle = apply_exact(g, rho0, t)
@@ -191,7 +190,7 @@ def test_criterion_6_cptp_properties():
             for _ in range(5):
                 g = from_diagonal(random_diagonal(d, 2, rng), gell_mann_basis(d))
                 rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
-                comps = prepare_components(g, decompose_generator(g))
+                comps = prepare_components(g)
                 for t, eps in ((1.0, 1e-2), (2.0, 1e-3)):
                     states.append(apply_exact(g, rho0, t).rho)
                     plan = build_plan(comps, eps, t)
@@ -233,7 +232,7 @@ def test_criterion_8_convergence_order():
     start = time.perf_counter()
     rng = np.random.default_rng(8)
     g = from_diagonal(random_diagonal(2, 2, rng), gell_mann_basis(2))  # H + 2 terms: m = 3
-    comps = prepare_components(g, decompose_generator(g))
+    comps = prepare_components(g)
     m = len(comps)
     assert m == 3
     t = 1.0

@@ -129,6 +129,33 @@ def test_simulate_refuses_dimension_mismatch(tmp_path, capsys, mode, g1):
     assert err == "error: state has d = 2 but the generator has d = 3\n"
 
 
+@pytest.mark.parametrize("key", ["d", "rho"])
+def test_a_state_object_missing_a_key_is_refused_as_a_state(tmp_path, capsys, key):
+    # the state document is blamed, not the request, which has its 'rho0'
+    state = {"d": 3, "rho": serialize.matrix_to_json(maximally_mixed(3).rho)}
+    del state[key]
+    doc = {"generator": LAMBDA_DOC, "rho0": state, "t": 1.0, "epsilon": 1e-3}
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: state document is missing {key!r}\n"
+
+
+@pytest.mark.parametrize("d", [0, 1, -3])
+def test_a_dimension_below_2_is_refused_by_its_dimension(tmp_path, capsys, d):
+    # d = 0 read "H must be 0x0, got (1, 1)" and d = -3 "H must be -3x-3, ..."
+    doc = {"d": d, "H": [[[0.0, 0.0]]], "terms": []}
+    path = tmp_path / "generator.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "decompose"):
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: dimension must be >= 2, got {d}\n"
+
+
 def with_entry(entry):
     """A 2 x 2 zero matrix whose first entry is `entry`."""
     return [[entry, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

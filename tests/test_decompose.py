@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import (AHAT1_R, AHAT1_I, DIRECTIONS, GOLDEN_ALPHA_I, SECONDVEC, THETA2,
                       dephasing_gks, edge_direction, from_vector, lambda_atom, plan_gks_matrix,
                       random_gks, random_psd, sigma_x_slot, to_vector)
-from lindbladsim import decompose
 from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
                                    UniversalParams, canonical_phases, decompose_generator,
                                    decompose_term, decompose_terms, diagonalizing_unitaries,
@@ -416,30 +415,15 @@ def test_verify_plans_refuses_lists_of_different_lengths():
         verify_plans(decompose_generator(g), spectral_split(g)[:1], g.basis)
 
 
-def test_a_plan_builds_its_operator_once(monkeypatch):
-    """Two simulate calls and a verify_plans on one generator build its plans'
-    operators in one universal_operators call; each plan's operator is read-only and
-    bit for bit universal_operators of its own params, and a copy builds its own."""
+def test_a_plans_operator_is_that_of_its_params():
+    """Each plan's operator, the record's row of it that runs use and a copy's operator
+    are bit for bit universal_operators of the plan's own params."""
     g = random_gks(4, np.random.default_rng(1))
-    built = []
-
-    def counted(params, basis, fn=decompose.universal_operators):
-        built.append(len(params))
-        return fn(params, basis)
-
-    monkeypatch.setattr(decompose, "universal_operators", counted)
-    for t in (0.5, 1.0):
-        simulate(g, maximally_mixed(4), t, 1e-3)
-    plans = decompose_generator(g)
-    verify_plans(plans, spectral_split(g), g.basis)
-    assert built == [len(plans)]
-    monkeypatch.undo()
-    for p in plans:
+    simulate(g, maximally_mixed(4), 1.0, 1e-3)
+    for p, kept in zip(g.record.plans, g.record.operators, strict=True):
         (L,) = universal_operators([p.params], g.basis)
-        assert not p.operator.flags.writeable
-        assert p.operator.tobytes() == L.tobytes()
         copy = dataclasses.replace(p, lam=2.0 * p.lam)
-        assert copy.operator is not p.operator and copy.operator.tobytes() == L.tobytes()
+        assert p.operator.tobytes() == kept.tobytes() == copy.operator.tobytes() == L.tobytes()
 
 
 def test_objects_that_hold_arrays_compare_by_identity():
@@ -453,13 +437,13 @@ def test_objects_that_hold_arrays_compare_by_identity():
              (basis, GellMannBasis(2, basis.matrices)),
              (DiagonalGenerator(2, g.H), DiagonalGenerator(2, g.H)),
              (maximally_mixed(2), maximally_mixed(2)),
-             tuple(prepare_components(g, [plan])[0] for _ in range(2))]
+             tuple(prepare_components(g)[0] for _ in range(2))]
     for obj, copy in pairs:
         assert obj == obj and obj != copy and not obj == copy
         assert len({obj, copy}) == 2
     # the plans and parameters that hold no array keep value equality
     assert plan.params == dataclasses.replace(plan.params)
-    trotter_plan = build_plan(prepare_components(g, decompose_generator(g)), 1e-3, 1.0)
+    trotter_plan = build_plan(prepare_components(g), 1e-3, 1.0)
     assert trotter_plan == dataclasses.replace(trotter_plan, total_map=None)
 
 
@@ -470,7 +454,7 @@ def test_weight_must_be_finite_and_non_negative(lam):
         RankOneTerm(lam=lam, a=A1_LITERAL)
     with pytest.raises(DecomposeError, match="weight must be finite and non-negative"):
         ConjugationPlan(lam=lam, U=plan.U, params=plan.params)
-    # a zero weight stays allowed: preparation drops such plans by design
+    # a zero weight stays allowed
     RankOneTerm(lam=0.0, a=A1_LITERAL)
     ConjugationPlan(lam=0.0, U=plan.U, params=plan.params)
 
@@ -600,4 +584,3 @@ def test_returned_lists_are_the_callers_own(rng):
     terms.clear()
     plans.append(plans[0])
     assert len(spectral_split(g)) == len(plans) - 1 == len(decompose_generator(g))
-    assert all(p is q for p, q in zip(decompose_generator(g), plans))

@@ -10,7 +10,8 @@ from conftest import (SQRT3, column_stacked, conjugation_superoperator, frame, l
                       liouvillian_of_diagonal, pure_hamiltonian, random_diagonal, random_gks,
                       random_hermitian, random_mixed_state, to_diagonal, unvec, vec)
 from lindbladsim import lindblad
-from lindbladsim.decompose import decompose_generator, universal_operators, universal_vectors
+from lindbladsim.decompose import (decompose_generator, spectral_split, universal_operators,
+                                   universal_vectors)
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, LindbladError,
                                   QuantumState, apply_exact, dissipator_superoperator, evolve,
                                   from_diagonal, hamiltonian_superoperator, liouvillian_matrix,
@@ -88,6 +89,16 @@ def test_diagonal_roundtrip_preserves_liouvillian(rng):
         assert np.max(np.abs(liouvillian_matrix(g2) - S)) < 1e-10
 
 
+def rank_one_pieces(g):
+    """(generator, plan) per spectral term of g: the generator has H = 0 and the term's
+    rank-one piece lam a a† for A, and the plan is the one it decomposes into."""
+    for term in spectral_split(g):
+        A = term.lam * np.outer(term.a, np.conj(term.a))
+        piece = GksGenerator(basis=g.basis, H=np.zeros((g.d, g.d)), A=A)
+        (plan,) = decompose_generator(piece)
+        yield piece, plan
+
+
 def assert_entries_close(S, expected):
     assert np.max(np.abs(S - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
 
@@ -108,14 +119,14 @@ def test_dissipator_contracts_any_operator_stack(d, seed):
     g = random_gks(d, rng, with_h=False)
     assert_entries_close(dissipator_superoperator(g.A, g.basis.matrices),
                          liouvillian_of_diagonal(to_diagonal(g)))
-    for p in decompose_generator(g):
-        (c,) = prepare_components(g, [p])
+    for piece, p in rank_one_pieces(g):
+        (c,) = prepare_components(piece)
         (v,) = universal_vectors([p.params], g.basis)[2]
         K = conjugation_superoperator(p.U)
         universal = dissipator_superoperator(np.outer(v, np.conj(v)), g.basis.matrices)
         assert_entries_close(c.generator, real_map(p.lam * (K @ universal @ dagger(K))))
     H = random_hermitian(d, rng)
-    (c,) = prepare_components(GksGenerator(basis=g.basis, H=H, A=np.zeros_like(g.A)), [])
+    (c,) = prepare_components(GksGenerator(basis=g.basis, H=H, A=np.zeros_like(g.A)))
     tau = 20.0 / c.norm  # ||tau G||_1 >= 20, past theta_16: expm scales and squares
     assert_entries_close(np.eye(d * d) + c.channel([tau])[0],  # channel gives e^(tau G) - I
                          real_map(conjugation_superoperator(expm(-1j * tau * H))))
@@ -130,14 +141,12 @@ def real_of(G):
 @pytest.mark.parametrize("d", range(2, 7))
 def test_component_generators_are_real_in_the_hermitian_basis(d):
     g = random_gks(d, np.random.default_rng(d))
-    dissipative = GksGenerator(basis=g.basis, H=np.zeros((d, d)), A=g.A)
-    plans = decompose_generator(g)
-    L = universal_operators([p.params for p in plans], g.basis)
-    cases = [(prepare_components(dissipative, [p]),
+    cases = [(prepare_components(piece),
               dissipator_superoperator([[p.lam]], (p.U @ l @ dagger(p.U))[None]))
-             for p, l in zip(plans, L)]
+             for piece, p in rank_one_pieces(g)
+             for l in universal_operators([p.params], g.basis)]
     hamiltonian = GksGenerator(basis=g.basis, H=g.H, A=np.zeros_like(g.A))
-    cases.append((prepare_components(hamiltonian, []), hamiltonian_superoperator(g.H)))
+    cases.append((prepare_components(hamiltonian), hamiltonian_superoperator(g.H)))
     for (c,), G in cases:
         assert c.generator.dtype == np.float64
         assert frobenius(c.generator - real_of(G)) <= 1e-14 * frobenius(G)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (DIRECTIONS, NORM_SAFETY, choi_split_bound, column_stacked,
-                      criterion_4_instances, dephasing_gks, edge_direction, exp_derivative,
-                      first_order_terms, frame, lambda_atom, n_qubit_generator, pair_terms,
-                      predicted_plan, pure_hamiltonian, random_diagonal, random_gks,
+                      count_calls, criterion_4_instances, dephasing_gks, edge_direction,
+                      exp_derivative, first_order_terms, frame, lambda_atom, n_qubit_generator,
+                      pair_terms, predicted_plan, pure_hamiltonian, random_diagonal, random_gks,
                       random_hermitian, random_mixed_state, reference_components,
                       reference_schedule, serial_one_one_norm, unvec, vec, walked_block)
 from lindbladsim import trotter
@@ -34,8 +34,13 @@ from lindbladsim.trotter import (MIXED_ORDERS, POOL, SUZUKI, Segment, TrotterErr
 E = math.e
 
 
-def components_for(g):
-    return prepare_components(g, decompose_generator(g))
+def scaled_weight_components(monkeypatch, g, factor):
+    """prepare_components of a fresh generator equal to g, whose split has every plan's
+    weight scaled by factor."""
+    decompose_terms = trotter.decompose_terms
+    monkeypatch.setattr(trotter, "decompose_terms", lambda terms, basis: [
+        dataclasses.replace(p, lam=factor * p.lam) for p in decompose_terms(terms, basis)])
+    return prepare_components(GksGenerator(basis=g.basis, H=g.H, A=g.A))
 
 
 def damping_generator(gamma=1.0):
@@ -174,17 +179,17 @@ def test_component_norms_match_serial_estimator():
     d = 6 a few components keep the oracle's cost (~45 ms each) down."""
     cases = [(lambda_atom(), None)] + [(random_gks(d, np.random.default_rng(1)), None)
                                        for d in range(2, 6)]
-    cases.append((random_gks(6, np.random.default_rng(1)), 2))
-    for g, n_plans in cases:
-        for c in prepare_components(g, decompose_generator(g)[:n_plans]):
+    cases.append((random_gks(6, np.random.default_rng(1)), 3))
+    for g, n_components in cases:
+        for c in prepare_components(g)[:n_components]:
             oracle = serial_one_one_norm(column_stacked(c.generator)) / NORM_SAFETY
             assert c.norm >= oracle * (1.0 - 1e-12)
 
 
-def assert_components_match_the_reference(g, plans):
-    """prepare_components against the column-stacked reference: the same norms in the same
-    order, bit for bit, and maps within 1e-14 in the Frobenius norm, relative."""
-    new, ref = prepare_components(g, plans), reference_components(g, plans)
+def assert_components_match_the_reference(g):
+    """prepare_components against the column-stacked reference of g's plans: the same norms
+    in the same order, bit for bit, and maps within 1e-14 in the Frobenius norm, relative."""
+    new, ref = prepare_components(g), reference_components(g, decompose_generator(g))
     assert [c.norm for c in new] == [c.norm for c in ref]
     for c, r in zip(new, ref):
         assert c.generator.dtype == np.float64 and c.generator.flags.c_contiguous
@@ -214,13 +219,7 @@ COMPONENT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
 def test_components_match_the_column_stacked_reference(case):
-    g = COMPONENT_CASES[case]()
-    plans = decompose_generator(g)
-    assert_components_match_the_reference(g, plans)
-    # plans of zero weight give no component, wherever they stand
-    zeroed = [dataclasses.replace(p, lam=0.0) if i % 2 else p for i, p in enumerate(plans)]
-    assert_components_match_the_reference(g, zeroed)
-    assert_components_match_the_reference(g, [dataclasses.replace(p, lam=0.0) for p in plans])
+    assert_components_match_the_reference(COMPONENT_CASES[case]())
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -228,7 +227,7 @@ def test_components_match_the_column_stacked_reference(case):
 @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3))
 def test_components_match_the_reference_on_any_generator(d, seed, scale):
     g = random_gks(d, np.random.default_rng(seed), scale=scale)
-    assert_components_match_the_reference(g, decompose_generator(g))
+    assert_components_match_the_reference(g)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,7 @@ def test_select_order_rejects_bad_args():
                          ids=["damping", "hamiltonian"])
 def test_build_plan_single_component_exact(g, rng):
     # one component needs no splitting: one segment of the whole length t
-    comps = components_for(g)
+    comps = prepare_components(g)
     assert len(comps) == 1
     plan = build_plan(comps, eps=1e-3, t=3.0)
     assert plan.n_reps == 1 and len(plan.schedule) == 1
@@ -303,7 +302,7 @@ def test_build_plan_single_component_exact(g, rng):
 
 def test_run_plan_zero_time(rng):
     g = lambda_atom(1.0, 0.5)
-    comps = components_for(g)
+    comps = prepare_components(g)
     plan = build_plan(comps, eps=1e-3, t=0.0)
     rho0 = QuantumState(d=3, rho=random_mixed_state(3, rng))
     out = run_plan(plan, comps, rho0)
@@ -352,7 +351,7 @@ def test_long_paper_plans_keep_a_valid_state():
     # complex arithmetic, left the state an eigenvalue of -2.1e-8, past the -1e-9 check
     # of QuantumState, so run_plan raised where the state must be within eps
     g, rho0, t, eps = lambda_atom(), maximally_mixed(3), 1e6, 1e-3
-    comps = components_for(g)
+    comps = prepare_components(g)
     plan = paper_plan(comps, eps, t)
     assert plan.n_reps >= 8e9
     state = run_plan(plan, comps, rho0)
@@ -387,7 +386,7 @@ def test_random_generators_meet_accuracy(rng):
 def test_accuracy_over_dense_state_sample(rng):
     # the (1->1) guarantee bounds the error uniformly over input states
     g = from_diagonal(random_diagonal(2, 3, rng), gell_mann_basis(2))
-    comps = components_for(g)
+    comps = prepare_components(g)
     t, eps = 1.0, 1e-2
     plan = build_plan(comps, eps, t)
     for _ in range(25):
@@ -399,7 +398,7 @@ def test_accuracy_over_dense_state_sample(rng):
 
 def test_plan_total_duration_invariant(rng):
     g = lambda_atom(0.8, 0.3)
-    comps = components_for(g)
+    comps = prepare_components(g)
     plan = build_plan(comps, eps=1e-2, t=1.7)
     per_block = sum(s.duration for s in plan.schedule if s.index == 0)
     assert plan.n_reps * per_block == pytest.approx(1.7 * plan.L1, rel=1e-12)
@@ -407,15 +406,15 @@ def test_plan_total_duration_invariant(rng):
 
 def test_plan_deterministic():
     g = lambda_atom(1.0, 0.5)
-    p1 = build_plan(components_for(g), eps=1e-3, t=1.0)
-    p2 = build_plan(components_for(g), eps=1e-3, t=1.0)
+    p1 = build_plan(prepare_components(g), eps=1e-3, t=1.0)
+    p2 = build_plan(prepare_components(g), eps=1e-3, t=1.0)
     assert p1 == p2
 
 
 def test_convergence_is_second_order_at_k1(rng):
     # realized error ~ C lambda^2 at fixed total time for the basic split
     g = from_diagonal(random_diagonal(2, 2, rng, scale=1.0), gell_mann_basis(2))
-    comps = components_for(g)
+    comps = prepare_components(g)
     m = len(comps)
     t = 1.0
     L1 = comps[0].norm
@@ -434,7 +433,7 @@ def test_convergence_is_second_order_at_k1(rng):
 
 def test_one_step_error_is_third_order(rng):
     g = from_diagonal(random_diagonal(2, 2, rng), gell_mann_basis(2))
-    comps = components_for(g)
+    comps = prepare_components(g)
     m = len(comps)
     L1 = comps[0].norm
     S = sum(c.generator for c in comps)
@@ -454,7 +453,7 @@ def test_one_step_error_is_third_order(rng):
 
 def test_nexp_report_m1_trivial():
     g = damping_generator()
-    comps = components_for(g)
+    comps = prepare_components(g)
     plan = build_plan(comps, eps=1e-3, t=1.0)
     rep = nexp_report(plan)
     assert rep.n_exp_actual == 1
@@ -487,7 +486,7 @@ def test_bounds_are_none_outside_their_regime():
 
 
 def test_build_plan_empty_is_the_zero_plan():
-    comps = components_for(lambda_atom())
+    comps = prepare_components(lambda_atom())
     assert build_plan([], eps=1e-3, t=1.0) == TrotterPlan(k=1, r=0.0, n_reps=0, lam=0.0,
                                                            m=0, L1=0.0)
     zero = build_plan(comps, eps=1e-3, t=0.0)
@@ -505,7 +504,7 @@ def test_build_plan_empty_is_the_zero_plan():
 def test_a_plan_past_2_to_the_53_exponentials_is_refused_before_its_block(monkeypatch):
     # at eps = 1e-300 the paper's block is k = 13, 488281251 segments, too many to hold
     # in memory: the plan is refused before any schedule is built
-    comps = components_for(lambda_atom())
+    comps = prepare_components(lambda_atom())
     k, _, n_reps, _, _ = step_count(1e-300, 1.0, 2, comps[0].norm, comps[1].norm)
     assert (k, segments_per_block(2, k)) == (13, 488281251)
     assert formula_count(SUZUKI, 2, k, n_reps) > 2 ** 53
@@ -543,12 +542,10 @@ def test_simulate_rejects_dimension_mismatch(g):
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
-def test_prepare_components_never_sees_a_bad_weight(lam):
-    # preparation drops plans by their weight, so a bad one must be refused before it
-    g = lambda_atom(1.0, 0.25)
+def test_prepare_components_never_sees_a_bad_weight(lam, monkeypatch):
+    # a split whose weights went bad is refused as its plans are made, before preparation
     with pytest.raises(DecomposeError, match="weight must be finite and non-negative"):
-        plans = [dataclasses.replace(p, lam=lam) for p in decompose_generator(g)]
-        prepare_components(g, plans)
+        scaled_weight_components(monkeypatch, lambda_atom(1.0, 0.25), lam)
 
 
 def test_nexp_per_block_m2_k1():
@@ -557,7 +554,7 @@ def test_nexp_per_block_m2_k1():
 
 def test_nexp_report_bounds_hold_across_eps():
     g = lambda_atom(1.0, 1.0)
-    comps = components_for(g)
+    comps = prepare_components(g)
     ks = set()
     for eps in (1e-2, 1e-3, 1e-4):
         for plan in (build_plan(comps, eps=eps, t=1.0), paper_plan(comps, eps=eps, t=1.0)):
@@ -599,7 +596,7 @@ def bounded_maps(d, seed):
     """Real maps of random_gks(d, default_rng(seed)) that diamond_bound must dominate:
     differences of its component channels, T_n - e^(t sum_j G_j) for each of certify's
     candidates at n = 3, and leading_error's terms, at t = 1."""
-    comps = components_for(random_gks(d, np.random.default_rng(seed)))
+    comps = prepare_components(random_gks(d, np.random.default_rng(seed)))
     exact, terms = leading_error(comps, 1.0)
     m, L1 = len(comps), comps[0].norm
     plan = TrotterPlan(k=1, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1)
@@ -614,7 +611,7 @@ def test_diamond_bound_reads_one_on_channels(d):
     # a channel's Choi matrix is positive with Tr_out J = I: its bound is its norm, 1.
     # channel and block_superoperator give offsets from the identity
     g = random_gks(d, np.random.default_rng(d))
-    comps = components_for(g)
+    comps = prepare_components(g)
     m, L1 = len(comps), comps[0].norm
     plan = TrotterPlan(k=1, r=5 / L1, n_reps=5, lam=L1 / 5, m=m, L1=L1)
     identity = np.eye(d * d)
@@ -712,7 +709,7 @@ def assert_certified(g, comps, plan, t, eps):
 
 def test_certified_plans_on_the_criterion_4_instances():
     for d, g, _ in criterion_4_instances():
-        comps = components_for(g)
+        comps = prepare_components(g)
         for t in (0.5, 1.0, 2.0):
             for eps in (1e-2, 1e-3):
                 assert_certified(g, comps, build_plan(comps, eps, t), t, eps)
@@ -722,7 +719,7 @@ def test_certificates_are_the_column_stacked_distances():
     # the certificate, taken on the real map's Choi matrix in the Hermitian basis, is the
     # bound the column-stacked T_n - e^(tL) reads on its own Choi matrix
     for d, g, _ in criterion_4_instances():
-        comps = components_for(g)
+        comps = prepare_components(g)
         exact = expm(liouvillian_matrix(g))
         for eps in (1e-2, 1e-3):
             plan = build_plan(comps, eps, 1.0)
@@ -756,7 +753,7 @@ def test_the_rounding_allowance_is_ten_times_the_exponentials_rounding(g):
     # leading_error's e^(t sum_j G_j) against a 40-digit mpmath.expm of the same matrix,
     # read with diamond_bound: it was at most 0.49 of delta's unit d (1 + ||t sum_j G_j||_1) u
     # here, and delta has ROUNDING_ULPS = 16 of them
-    comps = components_for(g)
+    comps = prepare_components(g)
     S = sum(c.generator for c in comps)
     for t in (0.25, 1.0, 4.0, 32.0):
         with mpmath.workdps(40):
@@ -766,30 +763,45 @@ def test_the_rounding_allowance_is_ten_times_the_exponentials_rounding(g):
         assert error <= expm_rounding(comps, t) / 10
 
 
-def test_a_generator_keeps_its_residual(monkeypatch):
-    # r is computed once for g's own plans, on first use, and kept on g; other plans get
-    # their own, and a decomposition whose weights are off shows in it
+def test_repeat_runs_derive_each_quantity_once(monkeypatch):
+    # g's first run makes its record, and every later run reads it, whatever its t and eps:
+    # the spectrum, the plans, their operators, the Liouvillian of the residual and the
+    # commutator sums are each computed once, and the record's arrays are read-only
+    g, rho0 = random_gks(3, np.random.default_rng(1)), maximally_mixed(3)
+    names = ("gks_spectrum", "decompose_terms", "universal_operators", "liouvillian_matrix",
+             "commutator_sums")
+    calls = count_calls(monkeypatch, names)
+    runs = [simulate(g, rho0, t, eps) for t, eps in ((1.0, 1e-3), (2.0, 1e-6), (1.0, 1e-6))]
+    assert calls == dict.fromkeys(names, 1)
+    record = g.record
+    for _, plan, comps in runs:
+        assert plan.certificate is not None
+        assert comps.record is record and comps.sums is record.sums
+    assert record.rows[0] == 1.0  # the last t's rows
+    arrays = [record.operators, *record.sums[:4], *record.sums[4],
+              *(term.a for term in record.terms), *(p.U for p in record.plans)]
+    assert all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        record.sums[1][0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        record.operators[0, 0, 0] = 1.0
+
+
+def test_off_weights_show_in_the_residual(monkeypatch):
+    # r bounds the decomposition's residual against g: a split whose weights are 1e-6 off
+    # reads the reference bound of its own components, a million times g's own r
     g = random_gks(3, np.random.default_rng(1))
-    calls, liouvillian = [], trotter.liouvillian_matrix
-    monkeypatch.setattr(trotter, "liouvillian_matrix", lambda g: calls.append(g) or liouvillian(g))
-    own = components_for(g)
-    simulate(g, maximally_mixed(3), 1.0, 1e-3)
-    simulate(g, maximally_mixed(3), 2.0, 1e-6)
-    assert calls == [g] and components_for(g).residual == own.residual
-    plans = [dataclasses.replace(p, lam=p.lam * (1.0 + 1e-6)) for p in decompose_generator(g)]
-    off = [prepare_components(g, plans) for _ in range(2)]
-    assert len(calls) == 3 and off[0].residual == off[1].residual
-    S = column_stacked(sum(c.generator for c in off[0]))
-    assert off[0].residual == pytest.approx(choi_split_bound(liouvillian(g) - S), rel=1e-6)
-    assert off[0].residual > 1e6 * own.residual
+    own = prepare_components(g)
+    off = scaled_weight_components(monkeypatch, g, 1.0 + 1e-6)
+    S = column_stacked(sum(c.generator for c in off))
+    assert off.residual == pytest.approx(choi_split_bound(liouvillian_matrix(g) - S), rel=1e-6)
+    assert off.residual > 1e6 * own.residual
 
 
 def test_a_target_that_is_not_positive_starts_no_search(monkeypatch):
     # weights 10 % off leave t r past eps: the allowances use up eps, so neither a term
     # nor a block is computed, and the paper's plan runs
-    g = lambda_atom()
-    comps = prepare_components(g, [dataclasses.replace(p, lam=1.1 * p.lam)
-                                   for p in decompose_generator(g)])
+    comps = scaled_weight_components(monkeypatch, lambda_atom(), 1.1)
     assert comps.residual > 1e-3
     with monkeypatch.context() as patch:
         patch.setattr(trotter, "leading_error", None)
@@ -800,7 +812,7 @@ def test_a_target_that_is_not_positive_starts_no_search(monkeypatch):
 
 def test_components_without_a_residual_are_not_certified():
     # a plain list carries no residual, and none is assumed for it
-    comps = components_for(lambda_atom())
+    comps = prepare_components(lambda_atom())
     for eps in (1e-3, 1e4):
         with pytest.raises(TrotterError, match="certified against its generator"):
             build_plan(list(comps), eps, 1.0)
@@ -813,7 +825,7 @@ def test_components_cannot_change_in_place():
     # is removed, added or moved in place, and what slicing or joining makes is a plain
     # tuple, which certify refuses
     g, rho0, eps = random_gks(3, np.random.default_rng(1)), maximally_mixed(3), 1e-3
-    comps = components_for(g)
+    comps = prepare_components(g)
     for i in (1, 4):
         with pytest.raises(TypeError):
             del comps[i]
@@ -833,45 +845,15 @@ def test_components_cannot_change_in_place():
     assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps
 
 
-def test_a_generator_keeps_its_commutator_sums(monkeypatch):
-    # leading_error's commutator loop runs once for g's own components, on first use,
-    # whatever the t and eps of later calls; the kept arrays are read-only, and other
-    # plans get sums of their own that leave g's as they were
-    g, rho0 = random_gks(3, np.random.default_rng(1)), maximally_mixed(3)
-    calls, commutator_sums = [], trotter.commutator_sums
-    monkeypatch.setattr(trotter, "commutator_sums",
-                        lambda comps: calls.append(comps) or commutator_sums(comps))
-    _, first, own = simulate(g, rho0, 1.0, 1e-3)
-    _, repeat, _ = simulate(g, rho0, 2.0, 1e-6)
-    assert len(calls) == 1 and None not in (first.certificate, repeat.certificate)
-    kept = own.sums
-    assert components_for(g).sums is kept and len(calls) == 1
-    arrays = [*kept[:4], *kept[4]]  # the sums, then the pool's eigenbasis
-    for a in arrays:
-        assert not a.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        kept[1][0, 0, 0] = 1.0
-    before = [a.copy() for a in arrays]
-    plans = [dataclasses.replace(p, lam=p.lam * (1.0 + 1e-6)) for p in decompose_generator(g)]
-    off = prepare_components(g, plans)
-    build_plan(off, 1e-3, 1.0)
-    assert len(calls) == 2 and off.sums is not kept and calls[1] is off
-    assert not np.array_equal(off.sums[1], kept[1])
-    prepare_components(g, plans).sums
-    assert len(calls) == 3
-    assert components_for(g).sums is kept
-    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
-
-
 @pytest.mark.parametrize("case", ["random-d4-s2", "qubits-2", "lambda-atom"])
 def test_kept_sums_give_the_terms_of_a_fresh_generator(case):
     # the sums kept from an earlier call give leading_error's terms and delta bit for bit
     # as a generator of equal H and A does on its first call
     g = COMPONENT_CASES[case]()
-    comps = components_for(g)
+    comps = prepare_components(g)
     simulate(g, maximally_mixed(g.d), 1.0, 1e-3)
     for t in (0.25, 1.0, 4.0):
-        fresh = components_for(GksGenerator(basis=g.basis, H=g.H, A=g.A))
+        fresh = prepare_components(GksGenerator(basis=g.basis, H=g.H, A=g.A))
         for kept, new in zip(leading_error(comps, t), leading_error(fresh, t)):
             assert kept.tobytes() == new.tobytes()
         assert expm_rounding(comps, t) == expm_rounding(fresh, t)
@@ -964,7 +946,7 @@ def test_leading_error_predicts_the_certificate():
     t, n = 1.0, 400
     cases = [random_gks(d, np.random.default_rng(s)) for d in range(2, 7) for s in (1, 2, 3)]
     for g in cases + [lambda_atom()]:
-        comps = components_for(g)
+        comps = prepare_components(g)
         m, L1 = len(comps), comps[0].norm
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1)
         exact = expm(t * sum(c.generator for c in comps))
@@ -1074,7 +1056,7 @@ def test_a_near_miss_gives_way_to_a_cheaper_start(monkeypatch):
     # chosen mixture.  Scripted to miss there by 1.7 %, its next n would cost at least
     # SEARCH_MARGIN more than its start, more than the mixture's start, so the mixture
     # builds next, and certifies there
-    comps = components_for(n_qubit_generator(2))
+    comps = prepare_components(n_qubit_generator(2))
     t, eps = 1.0, 1e-10
     rows = mixture_rows(comps, t)
     coin_flip, mixed = (predicted_plan(comps, t, eps, r) for r in ((0,), rows))
@@ -1093,7 +1075,7 @@ def test_a_near_miss_gives_way_to_a_cheaper_start(monkeypatch):
 def test_search_skips_a_probe_that_costs_the_paper_plan(monkeypatch):
     # at eps = 1e4 the paper's plan is one k = 1 block of 3 exponentials, as many as
     # the smallest candidate, n = 1, would need: the search computes nothing
-    comps = components_for(lambda_atom())
+    comps = prepare_components(lambda_atom())
     with monkeypatch.context() as patch:
         patch.setattr(trotter, "plan_map", None)  # no block is built
         patch.setattr(trotter, "expm", None)  # and neither D nor e^(t sum_j G_j)
@@ -1104,7 +1086,7 @@ def test_search_skips_a_probe_that_costs_the_paper_plan(monkeypatch):
 
 def test_search_gives_up_on_a_non_finite_map(monkeypatch):
     g = lambda_atom()
-    comps = components_for(g)
+    comps = prepare_components(g)
     with monkeypatch.context() as patch:
         patch.setattr(trotter, "plan_map", lambda plan, components: np.full((9, 9), np.inf))
         plan = build_plan(comps, eps=1e-3, t=1.0)
@@ -1122,7 +1104,7 @@ def test_search_gives_up_on_a_non_finite_map(monkeypatch):
 
 def test_search_gives_up_when_expm_refuses_the_generator():
     # ||t sum_j G_j||_1 is past numerics.MAX_EXPM_NORM at t = 1e8: no certificate
-    comps = components_for(lambda_atom())
+    comps = prepare_components(lambda_atom())
     plan = build_plan(comps, eps=1e-3, t=1e8)
     assert plan.certificate is None and plan == paper_plan(comps, 1e-3, 1e8)
 
@@ -1153,7 +1135,7 @@ def test_search_certifies_up_to_the_exponentials_domain():
     # squarings of e^(t sum_j G_j) and is not refused; had its norm doubled, the paper's
     # plan would run at n_reps 1.1e11, where the search certifies 6
     g, rho0, eps = lambda_atom(), maximally_mixed(3), 1e-3
-    comps = components_for(g)
+    comps = prepare_components(g)
     t = 0.6 * MAX_EXPM_NORM / np.abs(sum(c.generator for c in comps)).sum(axis=0).max()
     state, plan, _ = simulate(g, rho0, t, eps)
     assert plan.certificate is not None and plan.n_reps <= 10
@@ -1164,7 +1146,7 @@ def test_search_builds_at_most_max_builds_blocks(monkeypatch):
     # every scripted map misses the target and falls by more than the rounding floor
     # asks, so only MAX_BUILDS stops the search; one build more would certify
     g = lambda_atom()
-    comps = components_for(g)
+    comps = prepare_components(g)
     t, eps = 1.0, 1e-6
     exact, target = leading_error(comps, t)[0], search_target(comps, eps, t)
     certificates = [8.0, 3.0, 1.2, 1.1, 0.5]
@@ -1198,7 +1180,7 @@ def test_search_builds_at_most_max_builds_blocks(monkeypatch):
     ([100.0, 60.0, 60.0, 0.1], 3, False),
 ], ids=["small-step-lands-above-the-target", "fall-short-of-the-law"])
 def test_search_stop_rule(monkeypatch, certificates, builds, certified):
-    comps = components_for(lambda_atom())
+    comps = prepare_components(lambda_atom())
     t, eps = 1.0, 1e-6
     built = []
     exact, target = leading_error(comps, t)[0], search_target(comps, eps, t)
@@ -1213,7 +1195,7 @@ def test_search_stop_rule(monkeypatch, certificates, builds, certified):
 
 
 def test_cost_report_names_the_search(monkeypatch):
-    comps = components_for(lambda_atom())
+    comps = prepare_components(lambda_atom())
     t, eps = 1.0, 1e-6
     rep = nexp_report(build_plan(comps, eps, t)).to_dict()
     assert (rep["builds"], rep["formula"], rep["pairs"]) == (1, "suzuki", 0)
@@ -1221,7 +1203,7 @@ def test_cost_report_names_the_search(monkeypatch):
     # a mixture's N_exp is its worst case over the blocks drawn: no two blocks merge.  The
     # coin flip is the mixture of the norm order's pair alone
     for g, pairs in ((random_gks(3, np.random.default_rng(1)), 2), (n_qubit_generator(2), 1)):
-        mixed = build_plan(components_for(g), eps, t)
+        mixed = build_plan(prepare_components(g), eps, t)
         rep = nexp_report(mixed).to_dict()
         assert (rep["formula"], rep["pairs"]) == ("mixed-orders", pairs)
         assert rep["N_exp_actual"] == rep["N_exp_unmerged"] == mixed.n_reps * (2 * mixed.m - 1)
@@ -1233,13 +1215,13 @@ def test_cost_report_names_the_search(monkeypatch):
     rep = nexp_report(build_plan(comps, eps, t)).to_dict()
     assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (3, None, None)
     # a single component has no search
-    rep = nexp_report(build_plan(components_for(damping_generator()), eps, t)).to_dict()
+    rep = nexp_report(build_plan(prepare_components(damping_generator()), eps, t)).to_dict()
     assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (0, None, None)
 
 
 def test_run_plan_applies_the_certified_map(monkeypatch):
     g = lambda_atom()
-    comps = components_for(g)
+    comps = prepare_components(g)
     plan = build_plan(comps, eps=1e-6, t=1.0)
     assert plan.certificate is not None and plan == dataclasses.replace(plan, total_map=None)
     monkeypatch.setattr(trotter, "block_superoperator", None)  # run_plan builds no block
@@ -1301,7 +1283,7 @@ def test_leading_terms_are_derivatives_along_the_bch_terms(d):
     # the chosen mixture's along the mean of H3 / 4 over its rows of component_orders;
     # each reads within 1e-12 of it, relative
     for seed, t in ((1, 1.0), (2, 4.0)):
-        comps = components_for(random_gks(d, np.random.default_rng(seed)))
+        comps = prepare_components(random_gks(d, np.random.default_rng(seed)))
         G = np.stack([c.generator for c in comps])
         S = sum(G)
         H2, H3 = first_order_terms(G)
@@ -1324,7 +1306,7 @@ def test_pair_terms_match_the_complex_step_terms(d):
     # of the mixture of that row alone (the coin flip's, for row 0): within 1e-6, relative;
     # the worst of these reads 1.1e-7
     for seed, t in ((1, 1.0), (2, 4.0)):
-        comps = components_for(random_gks(d, np.random.default_rng(seed)))
+        comps = prepare_components(random_gks(d, np.random.default_rng(seed)))
         terms = pair_terms(comps, t)
         assert len(terms) == pool_size(len(comps), d) > 1
         for row, term in enumerate(terms):
@@ -1337,7 +1319,7 @@ def test_chosen_mixtures_lead_below_the_first_four_rows():
     # chosen: on random d = 3..6 the chosen rows' leading term reads 0.30-0.81 of theirs
     for d in range(3, 7):
         for seed in (1, 2, 3):
-            comps = components_for(random_gks(d, np.random.default_rng(seed)))
+            comps = prepare_components(random_gks(d, np.random.default_rng(seed)))
             rows = mixture_rows(comps, 1.0)
             chosen, first_four = (diamond_bound(leading_error(comps, 1.0, r)[1][2])
                                   for r in (rows, (0, 1, 2, 3)))
@@ -1348,8 +1330,8 @@ def test_chosen_mixtures_lead_below_the_first_four_rows():
 def test_chosen_rows_do_not_depend_on_eps(eps):
     # the rows depend on the generator and t alone; each eps runs the same mixture
     g = random_gks(4, np.random.default_rng(2))
-    plan = build_plan(components_for(g), eps, 1.0)
-    assert plan.rows == mixture_rows(components_for(g), 1.0) == (5, 6, 16, 26)
+    plan = build_plan(prepare_components(g), eps, 1.0)
+    assert plan.rows == mixture_rows(prepare_components(g), 1.0) == (5, 6, 16, 26)
 
 
 @pytest.mark.parametrize("broken", ["raises", "nan"])
@@ -1379,7 +1361,7 @@ def test_the_pool_is_capped_by_work():
     assert pool_size(36, 6) == POOL == 32 and pool_size(7, 8) == 29
     assert pool_size(9, 16) == pool_size(11, 32) == 1
     assert (pool_size(2, 3), pool_size(3, 2), pool_size(4, 2)) == (1, 3, 12)  # m! / 2
-    comps = components_for(n_qubit_generator(4))
+    comps = prepare_components(n_qubit_generator(4))
     assert len(comps.sums[3]) == 1 and comps.sums[4] is None
     assert len(leading_error(comps, 1.0)[1]) == 2
 
@@ -1390,7 +1372,7 @@ def test_a_mixture_is_powered_in_offsets():
     # rounding of its entries to a unit of the identity's and misses the target by 4 %;
     # built and powered in offsets, the certificate reads what the leading term
     # predicts, to 1e-4, and certifies
-    comps = components_for(random_gks(3, np.random.default_rng(2)))
+    comps = prepare_components(random_gks(3, np.random.default_rng(2)))
     t, eps = 1.0, 1e-11
     plan = build_plan(comps, eps, t)
     assert plan.builds == 1 and plan.rows == (3, 14, 26) and plan.n_reps == 102252
@@ -1418,14 +1400,14 @@ def test_full_rank_generators_run_within_eps(d, seed, t, eps):
 
 def test_two_components_have_no_mixed_orders_term():
     # at m = 2 the norm order's pair is the only one: the coin flip is the mixture
-    comps = components_for(lambda_atom())
+    comps = prepare_components(lambda_atom())
     _, terms = leading_error(comps, 1.0)
     assert len(component_orders(2)) == 1 and len(terms) == 2
     assert comps.sums[4] is None and mixture_rows(comps, 1.0) == (0,)
 
 
 def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
-    comps = components_for(random_gks(3, np.random.default_rng(1)))
+    comps = prepare_components(random_gks(3, np.random.default_rng(1)))
     m, L1, n = len(comps), comps[0].norm, 7
     fixed = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=L1 / n, m=m, L1=L1)
     rows = mixture_rows(comps, 1.0)
@@ -1468,7 +1450,7 @@ def test_block_superoperator_matches_the_walked_schedule(k, rows, monkeypatch):
         calls.append(len(taus)) or channel(c, taus)))
     for g in (random_gks(3, np.random.default_rng(1)), random_gks(4, np.random.default_rng(2)),
               lambda_atom()):
-        comps = components_for(g)
+        comps = prepare_components(g)
         m, L1 = len(comps), comps[0].norm
         plan = TrotterPlan(k=k, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1,
                            rows=mixture_rows(comps, 1.0) if rows is None else rows)
@@ -1483,7 +1465,7 @@ def test_a_run_builds_no_schedule(monkeypatch):
     # a plan carries its block length, not its schedule: neither the search, the run nor
     # the cost report of a certified plan or of the paper's plan unrolls one, and the
     # schedule property unrolls the plan's own block
-    comps = components_for(random_gks(6, np.random.default_rng(1)))
+    comps = prepare_components(random_gks(6, np.random.default_rng(1)))
     rho0 = maximally_mixed(6)
 
     def no_schedule(*args):
@@ -1515,7 +1497,7 @@ def test_both_formulas_certify_at_their_predicted_n(eps):
     t, chosen = 1.0, set()
     cases = [random_gks(d, np.random.default_rng(s)) for d in range(2, 7) for s in (1, 2, 3)]
     for g in cases + [lambda_atom(), n_qubit_generator(2)]:
-        comps = components_for(g)
+        comps = prepare_components(g)
         rho0 = maximally_mixed(g.d)
         exact = apply_exact(g, rho0, t)
         candidates = dict.fromkeys([(), (0,), mixture_rows(comps, t)])
