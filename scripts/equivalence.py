@@ -13,7 +13,7 @@ n_qubit_generator(n) for n = 1..4 at t = 1, and lambda_atom() at t = 0.5, 1, 4
 and 16.  Both files are only read.
 
 Each run is written as one serialize.dumps line: the case id, t and eps; the
-plan's formula, rows (a mixture's rows of component_orders(m)), k, n_reps,
+plan's split of A, formula, rows (a mixture's rows of component_orders(m)), k, n_reps,
 builds and actual_exponentials(); its certificate,
 predicted certificate, residual bound t r, rounding allowance delta and
 target eps - t r - delta (each null for the paper's fallback plan); dist / eps,
@@ -34,7 +34,7 @@ id, the subcommand, the exit code, the byte count and the SHA-256 of the bytes:
 1094 lines, 1070 of them from cli-roundtrip.
 
 --compare reads two such files, the first the reference, and prints the plans
-that moved (formula, rows, k, n_reps, builds or exponentials), each with the
+that moved (split, formula, rows, k, n_reps, builds or exponentials), each with the
 reference's certificate over that run's own target; the runs whose exponentials
 rose; the certified runs that fall back; per workload, how many states are
 bit-identical, the largest entry difference, the largest relative change of
@@ -71,7 +71,7 @@ from workloads import cli_roundtrip, lambda_trajectory, random_d6  # noqa: E402
 SEEDS = range(1, 11)
 EPS = (1e-3, 1e-6, 1e-9)
 LAMBDA_TIMES = (0.5, 1.0, 4.0, 16.0)
-PLAN_FIELDS = ("formula", "rows", "k", "n_reps", "builds", "actual_exponentials")
+PLAN_FIELDS = ("split", "formula", "rows", "k", "n_reps", "builds", "actual_exponentials")
 
 
 def instances():
@@ -96,7 +96,8 @@ def record(case, g, rho0, t, eps) -> dict:
     except Exception as exc:  # recorded, so that a refusal shows in the comparison
         return {**out, "error": f"{type(exc).__name__}: {exc}"}
     rho = np.ascontiguousarray(state.rho)
-    return {**out, "formula": plan.formula, "rows": list(plan.rows), "k": plan.k,
+    return {**out, "split": plan.split, "formula": plan.formula, "rows": list(plan.rows),
+            "k": plan.k,
             "n_reps": plan.n_reps,
             "builds": plan.builds, "actual_exponentials": plan.actual_exponentials(),
             "certificate": plan.certificate,

@@ -204,7 +204,8 @@ def cmd_example_lambda(args) -> int:
     g = lambda_atom_generator(args.gamma1, args.gamma2, args.phi, args.eta, args.alpha)
     rho0 = maximally_mixed(3)
     run = _trotter_run(g, rho0, args.t, args.eps)
-    terms, plans = g.record.terms, g.record.plans  # the run's decomposition
+    spectral = g.splits.records[0]  # the spectral split, which the decompose subcommand writes
+    terms, plans = spectral.terms, spectral.plans
     residuals = verify_plans(plans, terms, g.basis)
     bundle = {
         "generator": serialize.generator_to_json(g),

@@ -29,6 +29,10 @@ of d^2 - d coordinates (all but the sigma_y^(j,d) slots), parametrized by
 hyperspherical angles.  The original rank-one piece is recovered as
 a a† = b b† with b = G v, G the adjoint matrix of U = U1† U2† (see verify_plan).
 
+Any other factorization A = W W† gives rank-one pieces w w† that the same steps
+carry onto the family: cholesky_split and dft_split give two that runs try beside
+the spectral split (trotter.Record).
+
 Each step is one function over a stack of rows, one row per piece; decompose_terms
 and verify_plans chain the steps over all pieces at once, and decompose_term and
 verify_plan are their one-row case.  The functions keep nothing: a run's
@@ -106,6 +110,40 @@ class ConjugationPlan:
 def spectral_split(g: GksGenerator) -> list[RankOneTerm]:
     """Spectral decomposition A = sum_k lambda_k a_k a_k†, descending."""
     return [RankOneTerm(lam=lam, a=a) for lam, a in gks_spectrum(g)]
+
+
+def _pieces(w: np.ndarray) -> list[RankOneTerm]:
+    """The rank-one terms |w|^2 (w / |w|)(w / |w|)† of the rows w of a factor."""
+    lam = np.vecdot(w, w).real
+    return [RankOneTerm(lam=float(x), a=v) for x, v in zip(lam, w / np.sqrt(lam)[:, None])]
+
+
+def cholesky_split(g: GksGenerator, rank: int) -> list[RankOneTerm]:
+    """A = W W† from at most rank steps of Cholesky with diagonal pivoting, one term per
+    column w of W.  Each step takes the largest remaining diagonal entry R_pp, the first of
+    equal ones, as w = R e_p / sqrt(R_pp), and leaves R - w w†; it stops early at a pivot
+    that is not positive.  It reads A's entries alone, so no choice of eigenbasis inside a
+    degenerate eigenspace of A moves it."""
+    R, W = np.array(g.A, dtype=complex), []
+    for _ in range(rank):
+        diagonal = R.diagonal().real
+        p = int(np.argmax(diagonal))
+        if not diagonal[p] > 0.0:
+            break
+        W.append(R[:, p] / math.sqrt(diagonal[p]))
+        R -= np.outer(W[-1], np.conj(W[-1]))
+    return _pieces(np.array(W).reshape(-1, g.basis.n))
+
+
+def dft_split(terms) -> list[RankOneTerm]:
+    """The spectral factor rotated by the K-point DFT, K = len(terms): with v_k =
+    sqrt(lambda_k) a_k, the terms of w_j = sum_k Q_kj v_k, Q_kj = e^(2 pi i jk / K) / sqrt(K).
+    Q is unitary, so sum_j w_j w_j† = sum_k v_k v_k†, and every |Q_kj|^2 is 1 / K, so every
+    term has the weight sum_k lambda_k / K."""
+    K = len(terms)
+    k = np.arange(K)
+    Q = np.exp(2j * math.pi * (np.outer(k, k) % K) / K) / math.sqrt(K)
+    return _pieces(Q.T @ np.array([math.sqrt(t.lam) * t.a for t in terms]))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

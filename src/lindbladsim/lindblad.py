@@ -65,15 +65,16 @@ class GksGenerator:
     and the basis matrices are read-only.  eigenpairs holds A's eigenvalues, descending,
     and its eigenvectors in the columns of the second array, both read-only, from the one
     numerics.eigh taken here, whose own check is A's one Hermiticity check and whose
-    eigenvalues check that A is positive semidefinite.  record is a slot for what runs
-    derive from g (trotter.Record), None until its first trotter.prepare_components.
+    eigenvalues check that A is positive semidefinite.  splits is a slot for what runs
+    derive from g, one trotter.Record per split of A (trotter.Splits), None until its
+    first trotter.prepare_components.
     """
 
     basis: GellMannBasis
     H: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
     eigenpairs: tuple = field(init=False, repr=False)
-    record: object = field(default=None, init=False, repr=False)
+    splits: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d, n = self.basis.d, self.basis.n

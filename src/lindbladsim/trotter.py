@@ -39,13 +39,13 @@ gives.  The rest of eps covers the two other differences between T_n and
 exp(tL).  r = diamond_bound(L - sum_j G_j) bounds the decomposition's
 residual, and for two GKSL generators Duhamel's formula gives
 ||exp(tL) - exp(t sum_j G_j)||_diamond <= t r, both semigroups being CPTP;
-prepare_components computes r once per generator (Record).  delta
+r is computed once per split of A (Record, below).  delta
 allows for the rounding in the computed exp(t sum_j G_j) (expm_rounding).
 So ||T_n - exp(tL)||_(1->1) <= eps, and a run's state lies within eps / 2
 of the exact one in trace distance.  The plan carries T_n, that certificate,
 t r, delta and the target.
 The search is sized in closed form by the block's leading error term, the
-nested commutators of the component generators (leading_error; Childs, Su,
+nested commutators of the component generators (leading_terms; Childs, Su,
 Tran, Wiebe and Zhu, "Theory of Trotter error with commutator scaling",
 PRX 11, 011020 (2021)): T_n differs from exp(t sum_j G_j) by
 D / n^2 + O(n^-4), so the search starts at the smallest n that D
@@ -83,7 +83,7 @@ divided differences of exp times the direction, and two stacked products
 take the terms back (_pair_terms); a greedy pass over their Frobenius Gram
 matrix chooses the rows (mixture_rows).  The eig only chooses rows: every
 candidate's leading term is an exact complex-step derivative, one stacked
-exponential per call (leading_error), and every plan that runs is
+exponential per call (leading_terms), and every plan that runs is
 certified by its own map.  n blocks cost n (2m - 2) + 1 exponentials in one
 order and at most n (2m - 1) in a mixture, where neighbouring blocks merge
 only when they meet on the same component.  On the benchmark's random d = 6
@@ -91,6 +91,28 @@ generators the chosen mixtures need about 21 % fewer exponentials than the
 first four rows of component_orders, which every mixture drew before; on the
 qubit chains the coin flip wins, and the two-component lambda atom keeps the
 fixed block.
+
+The split of A into rank-one pieces is a choice too.  The paper splits A spectrally,
+A = sum_k lam_k a_k a_k†, but any factorization A = W W† gives pieces w_j w_j† that
+decompose_terms carries onto the universal family alike, and it mixes the Lindblad
+operators by a unitary, which leaves the Liouvillian unchanged (Gorini, Kossakowski
+and Sudarshan, J. Math. Phys. 17, 821 (1976)).  What changes is the commutators
+between the pieces, and so the leading terms.  A generator's first run makes up to
+three candidate splits (_make_splits), each kept in its own Record: the spectral one,
+always first, and, when A has rank K >= 2 and d < SPLIT_DIM, a pivoted Cholesky
+factor of A (decompose.cholesky_split) and the spectral factor rotated by the K-point
+DFT (decompose.dft_split).  A candidate whose pieces equal an earlier one's is
+dropped: the lambda atom's Cholesky split is its spectral split.  The best split
+depends on t, so each call chooses: it takes every split's leading terms at t in one
+stacked exponential and one stacked diamond_bound (split_leads), kept with the last t
+in the generator's memo (Splits.memo), and certify builds only the split whose best
+formula predicts the fewest exponentials at eps, handing over to another split after
+a miss as it does between formulas.  Each split is certified against its own residual
+r.  On the benchmark's random d = 6 generators the chosen splits need about 20 % fewer
+exponentials than the spectral split; on the lambda atom the DFT split wins at small
+t (6 exponentials where the spectral split needs 9 at t = 1, eps = 1e-3), and the
+spectral split at t >= 4 (735 at t = 32, eps = 1e-6, where the DFT split would need
+5667).  The paper's plan, which bounds and ends every search, is the spectral split's.
 
 Every block and its power are formed as offsets from the identity and
 projected onto trace-preserving maps (plan_map), so that n repetitions add up
@@ -132,7 +154,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .decompose import decompose_terms, spectral_split, universal_operators
+from .decompose import (DecomposeError, cholesky_split, decompose_terms, dft_split,
+                        spectral_split, universal_operators)
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, evolve, hermitian_basis,
                        liouvillian_matrix, one_one_norm, real_map)
 from .numerics import NumericsError, dagger, expm
@@ -170,36 +193,66 @@ class Component:
         return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator, offset=True)
 
 
+# the candidate splits of A (_make_splits): always the spectral split, and from rank 2 up,
+# below dimension SPLIT_DIM, a pivoted Cholesky factor and the DFT-rotated spectral factor
+SPECTRAL, CHOLESKY, DFT = "spectral", "cholesky", "dft"
+SPLIT_DIM = 16
+
+
 @dataclass(eq=False)
 class Record:
-    """What runs derive from one generator, kept in its slot (GksGenerator.record) from
-    its first prepare_components: its spectral terms, their conjugation plans and the
-    plans' universal-family operators, read-only; the residual r = diamond_bound(L -
-    sum_j G_j) of its components, L its real map, which bounds ||exp(tL) -
-    exp(t sum_j G_j)||_diamond by t r; and one_norm, ||sum_j G_j||_1 (expm_rounding).
-    Only sums, the commutator sums (commutator_sums), and rows, the last t and its
-    mixture rows (mixture_rows), are written later."""
+    """What runs derive from one split of a generator's A into rank-one terms: its name
+    (SPECTRAL, CHOLESKY or DFT), its terms, their conjugation plans and the plans'
+    universal-family operators, read-only; the residual r = diamond_bound(L - sum_j G_j)
+    of its components, L the generator's real map, which bounds ||exp(tL) -
+    exp(t sum_j G_j)||_diamond by t r; one_norm, ||sum_j G_j||_1 (expm_rounding); and
+    norms, its components' norm bounds in product order, which size the paper's plan and
+    a candidate's blocks before its components are built.  Only sums, the commutator sums
+    (commutator_sums), is written later.  A record keeps no component."""
 
+    split: str
     terms: tuple
     plans: tuple
     operators: np.ndarray = field(repr=False)
     residual: float
     one_norm: float
+    norms: tuple
     sums: tuple | None = field(default=None, repr=False)
-    rows: tuple | None = None
+
+    @property
+    def d(self) -> int:
+        return self.operators.shape[-1]
+
+
+@dataclass(eq=False)
+class Splits:
+    """The splits of a generator's A that its runs may take, one Record each, spectral
+    first, kept in its slot (GksGenerator.splits).  g's first prepare_components makes the
+    spectral record; its first simulate, or prepare_components of another split, adds the
+    other candidates (complete).  memo holds
+    the last t with each split's mixture rows, e^(t sum_j G_j) and leads (split_leads), so
+    that a repeat run at that t computes no leading term."""
+
+    records: tuple
+    complete: bool = False
+    memo: tuple | None = None
 
 
 class Components(tuple):
-    """A generator's components, norm-ordered, with its record (Record), whose residual,
+    """A split's components, norm-ordered, with its record (Record), whose residual,
     one_norm and sums they read.  certify takes t r out of eps, so a component sequence
-    is certified only with the residual of the generator it splits.  A tuple, so that no
+    is certified only with the residual of the split it comes from.  A tuple, so that no
     component can be added, removed or moved; a slice or a join is a plain tuple, which
-    certify refuses."""
+    build_plan refuses."""
 
     def __new__(cls, components, record: Record):
         self = super().__new__(cls, components)
         self.record = record
         return self
+
+    @property
+    def d(self) -> int:
+        return self.record.d
 
     @property
     def residual(self) -> float:
@@ -216,9 +269,33 @@ class Components(tuple):
         return self.record.sums
 
 
-def prepare_components(g: GksGenerator) -> Components:
-    """The components of g, norm-ordered and built anew on each call, with g's record
-    (Record), which g's first call makes.
+class Candidates:
+    """The splits one run may take: a Splits and the components of each split, built on
+    first use (prepare_components) and kept for the run alone."""
+
+    def __init__(self, splits: Splits, built: dict, g: GksGenerator | None = None):
+        self.splits, self.built, self.g = splits, built, g
+
+    def __getitem__(self, split: str) -> Components:
+        if split not in self.built:
+            self.built[split] = prepare_components(self.g, split)
+        return self.built[split]
+
+    def leads(self, t: float) -> list:
+        """split_leads of every split at t, from the memo when it holds t."""
+        memo = self.splits.memo
+        if memo is None or memo[0] != t:
+            for record in self.splits.records:
+                if record.sums is None:
+                    self[record.split].sums  # computes and keeps them
+            memo = self.splits.memo = t, split_leads(self.splits.records, t)
+        return memo[1]
+
+
+def prepare_components(g: GksGenerator, split: str = SPECTRAL) -> Components:
+    """The components of g's split (SPECTRAL by default), norm-ordered and built anew on
+    each call, with the split's record (Record), which g's first call makes; another
+    split makes g's candidates first (_make_splits).
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan gives
     lam U [L . L† - (1/2){L†L, .}] U†, the dissipator of L' = U L U† with L its
@@ -231,14 +308,84 @@ def prepare_components(g: GksGenerator) -> Components:
     descending norm, with stable ties, which fixes the product order
     deterministically.
     """
-    record = g.record
+    built = _make_splits(g, split != SPECTRAL)
+    if split in built:
+        return built[split]
+    record = next((r for r in g.splits.records if r.split == split), None)
     if record is None:
-        terms = tuple(spectral_split(g))
-        plans = tuple(decompose_terms(terms, g.basis))
-        L = universal_operators([p.params for p in plans], g.basis)
-        L.setflags(write=False)
-    else:
-        plans, L = record.plans, record.operators
+        raise TrotterError(f"the generator has no {split} split")
+    return Components(_components(g, record.plans, record.operators), record)
+
+
+def _make_splits(g: GksGenerator, complete: bool) -> dict:
+    """Make g's Splits with its spectral record, or with complete add the other
+    candidates, where they are missing; the components built on the way, by split.
+
+    The candidates are the spectral split, then, when A has rank K >= 2 and d < SPLIT_DIM,
+    cholesky_split and dft_split: each A = W W†, whose rank-one pieces the same SU(d)
+    conjugation carries onto the universal family, and which mixes the Lindblad operators
+    by a unitary, so each leaves the Liouvillian unchanged (Gorini, Kossakowski and
+    Sudarshan, J. Math. Phys. 17, 821 (1976)).  A candidate whose pieces equal an earlier
+    one's (_same_pieces), or that decompose_terms refuses, is dropped.  Each new record
+    gets its own residual against the generator's one real map, and a new candidate its
+    commutator sums while its components exist."""
+    splits = g.splits
+    if splits is not None and (splits.complete or not complete):
+        return {}
+    liouvillian = real_map(liouvillian_matrix(g))
+    built, records = {}, list(splits.records) if splits else []
+    if not records:
+        built[SPECTRAL] = _new_split(g, SPECTRAL, tuple(spectral_split(g)), liouvillian)
+        records.append(built[SPECTRAL].record)
+    spectral = records[0].terms
+    if complete and len(spectral) >= 2 and g.d < SPLIT_DIM:
+        for name, terms in ((CHOLESKY, cholesky_split(g, len(spectral))),
+                            (DFT, dft_split(spectral))):
+            if any(_same_pieces(terms, r.terms) for r in records):
+                continue
+            try:
+                comps = _new_split(g, name, tuple(terms), liouvillian)
+            except DecomposeError:  # a piece that decompose_terms refuses: no candidate
+                continue
+            comps.sums  # computes and keeps them; the components go with this loop
+            records.append(comps.record)
+    object.__setattr__(g, "splits", Splits(tuple(records), complete))
+    return built
+
+
+def _same_pieces(terms, others) -> bool:
+    """Whether two splits have the same pieces lam a a†, in some order: each term's
+    direction within 1e-9 of one other's, up to its phase, at a weight within 1e-9 of
+    the largest."""
+    if len(terms) != len(others):
+        return False
+    a, b = (np.array([x.a for x in s]).reshape(len(s), -1) for s in (terms, others))
+    overlap = np.conj(a) @ b.T
+    j = np.argmax(np.abs(overlap), axis=1)
+    phases = np.exp(1j * np.angle(overlap[np.arange(len(j)), j]))
+    lam, mu = (np.array([x.lam for x in s]) for s in (terms, others))
+    return (len(set(j.tolist())) == len(j)
+            and bool((np.linalg.norm(a - np.conj(phases)[:, None] * b[j], axis=1) <= 1e-9).all())
+            and bool((np.abs(lam - mu[j]) <= 1e-9 * max(lam.max(), mu.max())).all()))
+
+
+def _new_split(g: GksGenerator, split: str, terms: tuple, liouvillian) -> Components:
+    """The components of a new split of g, with its record, r taken against liouvillian,
+    g's real map."""
+    plans = tuple(decompose_terms(terms, g.basis))
+    L = universal_operators([p.params for p in plans], g.basis)
+    L.setflags(write=False)
+    comps = _components(g, plans, L)
+    total = sum(c.generator for c in comps)
+    record = Record(split, terms, plans, L, float(diamond_bound(liouvillian - total)),
+                    max(np.abs(total).sum(axis=0).tolist()) if comps else 0.0,
+                    tuple(c.norm for c in comps))
+    return Components(comps, record)
+
+
+def _components(g: GksGenerator, plans: tuple, L: np.ndarray) -> list:
+    """The components of g's Hamiltonian and of the plans, L their operators, norm-ordered
+    (prepare_components)."""
     d, zero = g.d, np.zeros((g.d, g.d))
     U = np.array([p.U for p in plans]).reshape(L.shape)
     lam = np.array([p.lam for p in plans]).reshape(-1, 1, 1)
@@ -266,14 +413,7 @@ def prepare_components(g: GksGenerator) -> Components:
     real = B.reshape(d * d, d * d).view(float)
     R = (Y.reshape(n * d * d, d * d).view(float) @ real.T).reshape(n, d * d, d * d)
     comps = [Component(d, norm, r) for norm, r in zip(norms, R)]
-    comps = sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
-    if record is None:
-        total = sum(c.generator for c in comps)
-        record = Record(terms, plans, L,
-                        float(diamond_bound(real_map(liouvillian_matrix(g)) - total)),
-                        max(np.abs(total).sum(axis=0).tolist()) if comps else 0.0)
-        object.__setattr__(g, "record", record)
-    return Components(comps, record)
+    return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
 
 
 def suzuki_p(k: int) -> float:
@@ -307,6 +447,7 @@ SUZUKI, MIXED_ORDERS = "suzuki", "mixed-orders"
 MIX_PAIRS = 4
 POOL = 32
 POOL_WORK = POOL * 36 * 6 ** 6
+SUMS_CHUNK = 8  # the orders commutator_sums's loop runs at once
 MASK64 = 2 ** 64 - 1
 
 
@@ -424,7 +565,8 @@ class TrotterPlan:
     predicted, the map it certifies and the parts of eps the certificate
     leaves to the residual (t r) and to rounding (delta), with the target
     eps - t r - delta, the blocks the certificate search built, whichever
-    plan it returned, and a k = 1 mixture's rows of component_orders(m).
+    plan it returned, a k = 1 mixture's rows of component_orders(m), and the
+    split of A whose components run it (SPECTRAL for the paper's plan).
 
     r is the paper planner's block parameter, n_reps = ceil(r L1); a
     certified plan's n_reps comes from the search instead, and its r is
@@ -458,6 +600,7 @@ class TrotterPlan:
     target: float | None = None
     builds: int = field(default=0, compare=False)
     rows: tuple = ()  # a k = 1 mixture's rows of component_orders(m), () for one order
+    split: str = SPECTRAL  # the split of A whose components run the plan (Record.split)
 
     @property
     def formula(self) -> str:
@@ -532,7 +675,7 @@ def block_schedule(m: int, k: int, lam: float) -> tuple:
 
 # delta, the allowance for the rounding in the computed e^(t sum_j G_j), in units of
 # d (1 + ||t sum_j G_j||_1) u, u = 2^-53 (expm_rounding).  Against a 40-digit mpmath.expm,
-# read with diamond_bound, leading_error's e^(t sum_j G_j) was at most 0.49 units off on
+# read with diamond_bound, leading_terms's e^(t sum_j G_j) was at most 0.49 units off on
 # random_gks(d), d = 2, 3, seeds 1-3, and the lambda atom, at t = 0.25..32, and 0.92 and
 # 1.23 units off on n_qubit_generator(2) and (3) (d = 4, 8) at t = 0.25 and 1
 ROUNDING_ULPS = 16
@@ -541,6 +684,10 @@ ROUNDING_ULPS = 16
 # no step grows n by less
 MAX_BUILDS = 4
 SEARCH_MARGIN = 1.05
+# a step that the leading error term sizes grows n by at least NEAR_STEP: since the
+# offsets a build's certificate reads its term's prediction to about 1e-4, so a near miss
+# needs a step of that order, not SEARCH_MARGIN's
+NEAR_STEP = 1.001
 
 
 def diamond_bound(X: np.ndarray) -> np.ndarray:
@@ -581,12 +728,12 @@ def diamond_bound(X: np.ndarray) -> np.ndarray:
         return np.ldexp(tops[0] + tops[1], e)
 
 
-def leading_error(components: Components, t: float, rows: tuple | None = None):
-    """e^(t sum_j G_j) and the leading error terms D of the k = 1 candidates over the
+def leading_terms(splits, t: float, rows) -> list:
+    """For each of several splits, each a Record or its Components, with its rows:
+    e^(t sum_j G_j) and the leading error terms D of the k = 1 candidates over its
     components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4), stacked as
     certify's candidates: the fixed-order block, the coin flip (the mixture of row 0 of
-    component_orders alone) and, unless rows is (0,), the mixture of rows, by default
-    mixture_rows(components, t).
+    component_orders alone) and, unless its rows are (0,), the mixture of its rows.
 
     One symmetric block of step tau is e^(tau sum_j G_j + tau^3 E + O(tau^5)) with
     E = sum_(i < m-1) (-(1/24) [G_i, [G_i, R_i]] - (1/12) [R_i, [G_i, R_i]]),
@@ -621,32 +768,54 @@ def leading_error(components: Components, t: float, rows: tuple | None = None):
     continuous and takes c X to |c| times X's.
 
     Everything but t and the rows enters through the commutator sums (Components.sums),
-    kept in the generator's record, so a call forms only the stacked exponential, the
-    two commutators with e^(t sum_j G_j) and, by default, the choice of rows.
+    kept in the split's record, so a call forms only the exponential, one stacked over
+    every split's directions, and the two commutators with e^(t sum_j G_j).
     """
-    total, E, C, pairs, _ = components.sums
-    if rows is None:
-        rows = mixture_rows(components, t)
-    if rows != (0,):
-        E = np.concatenate([E, pairs[list(rows)].mean(axis=0, keepdims=True)])
-    norms = np.abs(E).sum(axis=-2).max(axis=-1).tolist()
-    A = t * total
-    if max(norms) > 0.0:
-        h = np.array([math.ldexp(1.0, -math.frexp(x)[1] - 60) for x in norms])
-        X = expm(A + (1j * h)[:, None, None] * E)
-        exact, D = X[0].real, (t ** 3 / h)[:, None, None] * X.imag
-    else:
-        exact, D = expm(A), np.zeros_like(E)
-    coin_flip = D[:1] + (t * t / 16.0) * (exact @ C - C @ exact)  # H2 = -C / 2
-    terms = np.concatenate([D[:1], coin_flip, D[1:]])
-    terms[:, 0] = 0.0
-    return exact, terms
+    A, E, h = [], [], []
+    for split, r in zip(splits, rows):
+        total, E_s, _, pairs, _ = split.sums
+        if r != (0,):
+            E_s = np.concatenate([E_s, pairs[list(r)].mean(axis=0, keepdims=True)])
+        # h is a power of two with ||h E||_1 ~ 2^-60; a zero direction takes h = 1
+        h += [math.ldexp(1.0, -math.frexp(x)[1] - 60) if x > 0.0 else 1.0
+              for x in np.abs(E_s).sum(axis=-2).max(axis=-1).tolist()]
+        A += [t * total] * len(E_s)
+        E.append(E_s)
+    h = np.array(h)
+    X = expm(np.array(A) + (1j * h)[:, None, None] * np.concatenate(E))
+    D = (t ** 3 / h)[:, None, None] * X.imag
+    out, i = [], 0
+    for split, E_s in zip(splits, E):
+        exact, C = X[i].real, split.sums[2]
+        coin_flip = D[i:i + 1] + (t * t / 16.0) * (exact @ C - C @ exact)  # H2 = -C / 2
+        terms = np.concatenate([D[i:i + 1], coin_flip, D[i + 1:i + len(E_s)]])
+        terms[:, 0] = 0.0
+        out.append((exact, terms))
+        i += len(E_s)
+    return out
+
+
+def split_leads(records, t: float) -> list:
+    """Each split's (rows, e^(t sum_j G_j), leads) at t: its mixture rows (mixture_rows),
+    and its candidates' leads, diamond_bound of leading_terms's terms, every split's in
+    one stacked call; None for a split whose terms or leads are not finite.  Raises
+    NumericsError when numerics.expm refuses a t sum_j G_j."""
+    rows = [mixture_rows(r, t) for r in records]
+    found = leading_terms(records, t, rows)
+    finite = [np.isfinite(terms).all() for _, terms in found]
+    stack = [terms for (_, terms), ok in zip(found, finite) if ok]
+    leads = iter(diamond_bound(np.concatenate(stack)).tolist() if stack else ())
+    out = []
+    for r, (exact, terms), ok in zip(rows, found, finite):
+        bounds = [next(leads) for _ in terms] if ok else [math.nan]
+        out.append((r, exact, bounds) if all(map(math.isfinite, bounds)) else None)
+    return out
 
 
 def commutator_sums(components) -> tuple:
-    """The t-independent part of leading_error and of mixture_rows, each array
+    """The t-independent part of leading_terms and of mixture_rows, each array
     read-only: (sum_j G_j, E, C, pairs, eigenbasis).  E and C, each a stack of one, are
-    the norm order's sums, E of leading_error's docstring and C = sum_i [G_i, R_i];
+    the norm order's sums, E of leading_terms's docstring and C = sum_i [G_i, R_i];
     pairs stacks the pool's directions, H3 / 4 = E_o + [sum_j G_j, C_o] / 16 for each
     order o of the first pool_size(m, d) rows of component_orders(m).  sum_j G_j is the
     loop's own sum in the norm order, from the last component to the first.  One loop
@@ -655,26 +824,32 @@ def commutator_sums(components) -> tuple:
     """
     G, d = [c.generator for c in components], components[0].d
     orders = component_orders(len(G))[:pool_size(len(G), d)]
-    R = np.stack([G[j] for j in orders[:, -1]])
-    E, C = np.zeros_like(R), np.zeros_like(R)
-    # per order, R = R_i on reaching g = G_i, and C sums [G_i, R_i]; one stacked product at
-    # a time, which keeps the memory to a few stacks of the orders' d^2 x d^2 matrices
-    for column in orders.T[-2::-1]:
-        g = np.stack([G[j] for j in column])
-        C_i = g @ R
-        C_i -= R @ g
-        S = g / 24.0
-        S += R / 12.0  # the term is -[S, C_i]
-        E += C_i @ S - S @ C_i
-        C += C_i
-        R += g
-    total = R[0].copy()  # R[0] alone, not the stack of every order's R
-    del R
-    pairs = total @ C
-    pairs -= C @ total
-    pairs /= 16.0
-    pairs += E
-    sums = total, E[:1].copy(), C[:1].copy(), pairs
+    pairs = np.empty((len(orders), d * d, d * d))
+    # the loop runs SUMS_CHUNK orders at a time, which keeps its memory to a few stacks of
+    # that many d^2 x d^2 matrices; the first chunk holds the norm order's sums
+    for start in range(0, len(orders), SUMS_CHUNK):
+        chunk = orders[start:start + SUMS_CHUNK]
+        R = np.stack([G[j] for j in chunk[:, -1]])
+        E, C = np.zeros_like(R), np.zeros_like(R)
+        # per order, R = R_i on reaching g = G_i, and C sums [G_i, R_i]
+        for column in chunk.T[-2::-1]:
+            g = np.stack([G[j] for j in column])
+            C_i = g @ R
+            C_i -= R @ g
+            S = g / 24.0
+            S += R / 12.0  # the term is -[S, C_i]
+            E += C_i @ S - S @ C_i
+            C += C_i
+            R += g
+        if start == 0:
+            total, norm_order = R[0].copy(), (E[:1].copy(), C[:1].copy())
+        del R
+        part = pairs[start:start + len(chunk)]
+        np.matmul(total, C, out=part)
+        part -= C @ total
+        part /= 16.0
+        part += E
+    sums = total, *norm_order, pairs
     for a in sums:
         a.setflags(write=False)
     return (*sums, _eigenbasis(total, pairs) if len(orders) > 1 else None)
@@ -716,7 +891,7 @@ def _eigenbasis(total: np.ndarray, pairs: np.ndarray):
 
 def _pair_terms(basis: tuple, t: float) -> np.ndarray:
     """Each pool row's leading term without its factor t^3: L(t sum_j G_j, pairs_o),
-    which t^3 takes to leading_error's term for the mixture of that row alone, from the
+    which t^3 takes to leading_terms's term for the mixture of that row alone, from the
     components' eigenbasis, with row i of direction o's term at [i, o] and row 0, the
     trace, zeroed.  With
     A = t sum_j G_j = V diag(a) V^-1, the derivative along X is V (Phi o V^-1 X V) V^-1,
@@ -741,22 +916,16 @@ def _pair_terms(basis: tuple, t: float) -> np.ndarray:
     return terms
 
 
-def mixture_rows(components: Components, t: float) -> tuple:
-    """The rows of component_orders whose mixture certify runs as its third candidate:
-    the prefix of at most MIX_PAIRS rows of a greedy pass over the pool that makes the
-    Frobenius norm of the mean of their terms (_pair_terms) smallest, ties to the lower
-    row and to the shorter prefix, in ascending order.  (0,), the coin flip, when the
-    pool has one row or its terms or their Gram matrix are not finite.  The choice
-    depends on the generator and t, not on eps, and its record keeps the last t's
-    (Record.rows), so that a repeat call at that t does not choose again."""
-    record = components.record
-    if record.rows is None or record.rows[0] != t:
-        record.rows = t, _choose_rows(components.sums[4], t)
-    return record.rows[1]
-
-
-def _choose_rows(basis, t: float) -> tuple:
-    """mixture_rows's choice from the components' eigenbasis, (0,) when it is None."""
+def mixture_rows(split, t: float) -> tuple:
+    """The rows of component_orders whose mixture certify runs as a split's third
+    candidate, the split a Record or its Components: the prefix of at most MIX_PAIRS
+    rows of a greedy pass over the pool that makes the Frobenius norm of the mean of
+    their terms (_pair_terms) smallest, ties to the lower row and to the shorter prefix,
+    in ascending order.  (0,), the coin flip, when the pool has one row, so that the
+    split's eigenbasis is None, or its terms or their Gram matrix are not finite.  The
+    choice depends on the split and t, not on eps; a run takes it from its generator's
+    memo (Splits.memo, split_leads) at the t it saw last."""
+    basis = split.sums[4]
     if basis is None:
         return (0,)
     terms = _pair_terms(basis, t)  # the common factor t^3 moves no choice
@@ -778,124 +947,131 @@ def _choose_rows(basis, t: float) -> tuple:
     return best
 
 
-def expm_rounding(components: Components, t: float) -> float:
+def expm_rounding(components, t: float) -> float:
     """delta = ROUNDING_ULPS d (1 + ||t sum_j G_j||_1) u, u = 2^-53: the allowance
     certify takes out of eps for the rounding in its computed e^(t sum_j G_j).
 
     Scaling and squaring's rounding grows with the norm, as each squaring can double
     what the last one left (numerics.MAX_EXPM_NORM): at ||A||_1 = 8e7 the rounding
     numerics measured is 0.024 of this unit at d = 3.  Its growth with d is the
-    measured one (ROUNDING_ULPS).  ||sum_j G_j||_1 is the components' kept
-    Components.one_norm."""
-    return ROUNDING_ULPS * components[0].d * (1.0 + t * components.one_norm) * 2.0 ** -53
+    measured one (ROUNDING_ULPS).  ||sum_j G_j||_1 is the split's kept one_norm, read
+    from its Components or its Record."""
+    return ROUNDING_ULPS * components.d * (1.0 + t * components.one_norm) * 2.0 ** -53
 
 
-def certify(components: Components, eps: float, t: float,
+def certify(candidates: Candidates, eps: float, t: float,
             paper: TrotterPlan) -> TrotterPlan:
     """The k = 1 plan, at the first repetition count the search reaches, whose
-    map T_n satisfies diamond_bound(T_n - e^(t sum_j G_j)) <= target; when the
-    search stops first, the paper's plan, carrying the search's build count.
+    map T_n on one candidate split's components satisfies
+    diamond_bound(T_n - e^(t sum_j G_j)) <= target, that split's; when the search
+    stops first, the paper's plan, carrying the search's build count.
 
-    The target is eps - t r - delta: r is the components' residual
-    (Components.residual), which bounds ||e^(tL) - e^(t sum_j G_j)||_diamond by
-    t r, and delta (expm_rounding) allows for the rounding in the computed
-    e^(t sum_j G_j).  diamond_bound bounds the (1->1) norm, so T_n(rho) is within
-    eps of the exact state e^(tL)(rho) in trace norm, for a state of the system
-    alone or entangled with another.  When the target is not positive the
+    A split's target is eps - t r - delta: r is its residual (Record.residual), which
+    bounds ||e^(tL) - e^(t sum_j G_j)||_diamond by t r, and delta (expm_rounding)
+    allows for the rounding in the computed e^(t sum_j G_j).  diamond_bound bounds
+    the (1->1) norm, so T_n(rho) is within eps of the exact state e^(tL)(rho) in
+    trace norm, for a state of the system alone or entangled with another.  A split
+    whose target is not positive is not searched, and when no split's is, the
     search does not start.  A mixture's T_n is M^n, M the mean of its blocks, two
     per row of component_orders(m) that the plan carries: n independent uniform
     draws apply each block sequence with its probability, so the device's
     output state is T_n(rho), and the certificate covers it as it covers a
     fixed-order run.
-    There are three candidates: the fixed block, the coin flip (row 0 alone)
-    and the mixture of the rows mixture_rows chooses for the components and t,
+    Each split has three candidates: the fixed block, the coin flip (row 0 alone)
+    and the mixture of the rows mixture_rows chooses for its components and t,
     which depend on neither eps nor the search; two when those rows are (0,).
-    The search is sized by their leading error terms (leading_error): with
-    lead = diamond_bound(D), every candidate's taken in one stacked call, the
-    certificate is lead / n^2 up to O(n^-4) and the rounding of the power, so
-    each candidate's search would start at n = ceil(sqrt(lead / target)).
+    The search is sized by their leading error terms: with lead = diamond_bound(D),
+    every split's candidates' taken at once (split_leads, kept with the last t in
+    the generator's memo), the certificate is lead / n^2 up to O(n^-4) and the
+    rounding of the power, so each candidate's search would start at
+    n = ceil(sqrt(lead / target)).  A split whose terms are not finite is dropped.
     Every build runs the candidate whose next n needs the fewest exponentials
-    (formula_count), the one of fewer orders on a tie: the fixed block, then
-    the coin flip, then the chosen mixture.  So the search starts with the
-    cheapest start, and a candidate whose step after a miss costs more than
-    another's untried start gives way to it: a near miss of the coin flip at
-    0.9 % fewer exponentials than the mixture would otherwise step past the
-    mixture's certified count.
+    (formula_count), on a tie the earlier split, spectral first, and then the one of
+    fewer orders: the fixed block, then the coin flip, then the chosen mixture.  So
+    the search starts with the cheapest start, and a candidate whose step after a
+    miss costs more than another's untried start, of its own split or another, gives
+    way to it: a near miss of the coin flip at 0.9 % fewer exponentials than the
+    mixture would otherwise step past the mixture's certified count.  Only the
+    splits that build have their components built (Candidates).
     After a miss at n a candidate steps to ceil(sqrt(lead / (target - off))), with
-    off = certificate - lead / n^2 the part the term did not predict, or, when
-    off >= target or lead = 0, by the k = 1 law err ~ n^-2 with SEARCH_MARGIN;
-    either way by a factor of at least SEARCH_MARGIN, since near the rounding
-    floor off moves by about 1 % of the target from one n to the next, and a
-    step that aims at the target itself misses again.  It stops when even n = 1,
-    or a candidate, would need as many exponentials as the paper's plan, after
-    MAX_BUILDS builds, when T_n or a term is not finite, when numerics.expm
-    refuses t sum_j G_j, and at the rounding floor: when the certificate falls
-    by a factor less than min(2, f / 2) from the same candidate's last build, f
-    the fall the law predicted for the step.  The plan carries the paper plan's
-    two N_exp bounds, the predicted certificate lead / n^2, and t r, delta and
-    the target.
+    off = certificate - lead / n^2 the part the term did not predict, by a factor of
+    at least NEAR_STEP; or, when off >= target or lead = 0, by the k = 1 law
+    err ~ n^-2 with SEARCH_MARGIN, and by a factor of at least SEARCH_MARGIN, since
+    near the rounding floor off moves by about 1 % of the target from one n to the
+    next, and a step that aims at the target itself misses again.  It stops when
+    even n = 1, or a candidate, would need as many exponentials as the paper's plan,
+    after MAX_BUILDS builds, when T_n or every split's terms are not finite, when
+    numerics.expm refuses t sum_j G_j, and at the rounding floor: when the
+    certificate falls by a factor less than min(2, f / 2) from the same candidate's
+    last build, f the fall the law predicted for the step.  The plan carries the
+    paper plan's two N_exp bounds, its split, the predicted certificate lead / n^2,
+    and t r, delta and the target.
     """
-    if not isinstance(components, Components):
-        raise TrotterError("a plan is certified against its generator: take the components, "
-                           "with their residual, from prepare_components")
-    m, L1 = len(components), components[0].norm
     budget = paper.actual_exponentials()
-    if formula_count(SUZUKI, m, 1, 1) >= budget:
+    records = {r.split: r for r in candidates.splits.records}
+    targets = {}
+    for name, record in records.items():
+        target = eps - t * record.residual - expm_rounding(record, t)
+        if formula_count(SUZUKI, len(record.norms), 1, 1) < budget and target > 0.0:
+            targets[name] = target
+    if not targets:
         return paper
-    residual, rounding = t * components.residual, expm_rounding(components, t)
-    target = eps - residual - rounding
-    if not target > 0.0:
-        return paper
-    rows = mixture_rows(components, t)
     try:
-        exact, terms = leading_error(components, t, rows)
+        leads = dict(zip(records, candidates.leads(t)))
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
         return paper
-    if not np.isfinite(terms).all():
-        return paper
-    leads = diamond_bound(terms).tolist()
-    if not all(map(math.isfinite, leads)):
-        return paper
 
-    def count(rows, n):
-        return formula_count(MIXED_ORDERS if rows else SUZUKI, m, 1, n)
+    def count(key, n):
+        return formula_count(MIXED_ORDERS if key[1] else SUZUKI, len(records[key[0]].norms), 1, n)
 
     # each candidate's next n, its certificate at its last build and the fall the n^-2 law
-    # predicted for the step to n, keyed by its rows, from fewer orders to more
-    search = {rows: (lead, max(1, math.ceil(math.sqrt(lead / target))), math.inf, math.inf)
-              for rows, lead in zip(((), (0,), rows), leads)}
+    # predicted for the step to n, keyed by its split and rows, split by split from fewer
+    # orders to more
+    search = {}
+    for name, target in targets.items():
+        if leads[name] is not None:
+            rows, _, bounds = leads[name]
+            search.update(((name, r), (lead, max(1, math.ceil(math.sqrt(lead / target))),
+                                       math.inf, math.inf))
+                          for r, lead in zip(((), (0,), rows), bounds))
+    if not search:
+        return paper
     for builds in range(1, MAX_BUILDS + 1):
         # min keeps the first of equal counts
-        rows = min(search, key=lambda r: count(r, search[r][1]))
-        lead, n, last, fall = search[rows]
-        if count(rows, n) >= budget:
+        key = min(search, key=lambda k: count(k, search[k][1]))
+        (name, rows), (lead, n, last, fall) = key, search[key]
+        if count(key, n) >= budget:
             return replace(paper, builds=builds - 1)
-        plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1,
+        components, target = candidates[name], targets[name]
+        L1 = components[0].norm
+        plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=len(components), L1=L1,
                            bound_res=paper.bound_res, bound_closed_form=paper.bound_closed_form,
-                           rows=rows)
+                           rows=rows, split=name)
         total = plan_map(plan, components)
         if not np.isfinite(total).all():
             return replace(paper, builds=builds)
-        cert = float(diamond_bound(total - exact))
+        cert = float(diamond_bound(total - leads[name][1]))
         if cert <= target:
             return replace(plan, certificate=cert, total_map=total, builds=builds,
-                           predicted_certificate=lead / n ** 2, residual_bound=residual,
-                           rounding_allowance=rounding, target=target)
+                           predicted_certificate=lead / n ** 2,
+                           residual_bound=t * components.residual,
+                           rounding_allowance=expm_rounding(components, t), target=target)
         if not cert * min(2.0, 0.5 * fall) <= last:
             return replace(paper, builds=builds)
         off = cert - lead / n ** 2
         if lead > 0.0 and off < target:
-            step = math.ceil(math.sqrt(lead / (target - off)))
+            step = max(math.ceil(n * NEAR_STEP), math.ceil(math.sqrt(lead / (target - off))))
         else:
-            step = math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN)
-        step = max(math.ceil(n * SEARCH_MARGIN), step)
-        search[rows] = lead, step, cert, (step / n) ** 2
+            step = max(math.ceil(n * SEARCH_MARGIN),
+                       math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN))
+        search[key] = lead, step, cert, (step / n) ** 2
     return replace(paper, builds=MAX_BUILDS)
 
 
-def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan:
-    """The paper planner's plan for the component list: step_count's
-    (k, n_reps) and bounds, and the order-2k block's length lam = t L1 / n_reps.
+def paper_plan(components, eps: float, t: float) -> TrotterPlan:
+    """The paper planner's plan for the component list, or for the components a split's
+    Record keeps the norms of: step_count's (k, n_reps) and bounds, and the order-2k
+    block's length lam = t L1 / n_reps.
 
     Components must already be ordered by descending norm.  A single
     component needs no splitting: one exact segment.  With no component,
@@ -907,10 +1083,10 @@ def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
     """
     if not (0 <= t < math.inf and 0 < eps < math.inf):  # written so that NaN fails too
         raise TrotterError("need finite t >= 0 and eps > 0")
-    norms = [c.norm for c in components]
+    norms = components.norms if isinstance(components, Record) else [c.norm for c in components]
     if any(norms[i] < norms[i + 1] for i in range(len(norms) - 1)):
         raise TrotterError("components must be ordered by descending norm")
-    m = len(components)
+    m = len(norms)
     L1 = norms[0] if norms else 0.0
     if t == 0.0 or L1 == 0.0:
         return TrotterPlan(k=1, r=0.0, n_reps=0, lam=0.0, m=m, L1=L1)
@@ -924,19 +1100,30 @@ def paper_plan(components: list[Component], eps: float, t: float) -> TrotterPlan
                        bound_res=bound_res, bound_closed_form=bound_closed)
 
 
-def build_plan(components: Components, eps: float, t: float) -> TrotterPlan:
-    """The certified plan for the components (certify), sized by their leading
-    error term and certified against their residual, or else the paper's plan
-    (paper_plan), which also bounds the search's cost.
+def build_plan(components, eps: float, t: float) -> TrotterPlan:
+    """The certified plan (certify) for the components of one split, or of the cheapest
+    of a run's Candidates, sized by their leading error terms and certified against
+    their split's residual, or else the paper's plan (paper_plan) of the components or
+    of the spectral split, which also bounds the search's cost.
 
     A plan with one component or no repetition is the paper's: it has
     nothing to certify, and no block is built for it.  Any other plan needs
     the components' residual, so a plain list or tuple of them is refused.
     """
+    if isinstance(components, Candidates):
+        candidates, components = components, components.splits.records[0]
+    else:
+        candidates = None
     paper = paper_plan(components, eps, t)
     if paper.m < 2 or paper.n_reps == 0:
         return paper
-    return certify(components, eps, t, paper)
+    if candidates is None:
+        if not isinstance(components, Components):
+            raise TrotterError("a plan is certified against its generator: take the "
+                               "components, with their residual, from prepare_components")
+        record = components.record
+        candidates = Candidates(Splits((record,), True), {record.split: components})
+    return certify(candidates, eps, t, paper)
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -1038,6 +1225,7 @@ def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState)
 class CostReport:
     formula: str
     pairs: int
+    split: str
     k: int
     r: float
     n_reps: int
@@ -1063,6 +1251,7 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
     return CostReport(
         formula=plan.formula,
         pairs=plan.pairs,
+        split=plan.split,
         k=plan.k,
         r=plan.r,
         n_reps=plan.n_reps,
@@ -1081,13 +1270,20 @@ def nexp_report(plan: TrotterPlan) -> CostReport:
 
 
 def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
-    """Decompose, plan, and run; returns (state, plan, components).
+    """Decompose, plan, and run; returns (state, plan, components), the components
+    those of the split the plan runs (plan.split).
 
-    The decomposition is g's record's (prepare_components): made on g's first
-    run and reused by every later one, whatever its t and eps.
+    g's first run makes its candidate splits of A (_make_splits), each kept in its own
+    Record in g's slot and reused by every later run, whatever its t and eps.  Each run
+    takes every split's leading terms at t (split_leads, kept with the last t), and
+    builds and certifies the split whose best formula predicts the fewest exponentials
+    at eps, handing over to another split when a miss makes it cost more (certify); only
+    the components of the splits it builds are built, and none is kept.
     """
     if rho0.d != g.d:
         raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")
-    components = prepare_components(g)
-    plan = build_plan(components, eps, t)
+    built = _make_splits(g, True)
+    candidates = Candidates(g.splits, built, g)
+    plan = build_plan(candidates, eps, t)
+    components = candidates[plan.split]
     return run_plan(plan, components, rho0), plan, components

@@ -355,13 +355,20 @@ def exp_derivative(A, X):
     return scipy.linalg.expm(A + (1j * h) * X).imag / h
 
 
+def leading_error(components, t, rows=None):
+    """trotter.leading_terms of one split's components: e^(t sum_j G_j) and its
+    candidates' leading terms, the mixture's of rows, by default of its mixture_rows at t."""
+    rows = trotter.mixture_rows(components, t) if rows is None else rows
+    return trotter.leading_terms([components], t, [rows])[0]
+
+
 def predicted_plan(components, t, eps, rows):
     """The k = 1 plan of the candidate that runs these rows of component_orders, () for
     the fixed block and (0,) for the coin flip, at the n that its own leading error term
     predicts, n = ceil(sqrt(lead / target)) with certify's target eps - t r - delta,
     carrying that target, its parts, its map and its certificate, both bounds taken by
     choi_split_bound."""
-    exact, terms = trotter.leading_error(components, t, rows or (0,))
+    exact, terms = leading_error(components, t, rows or (0,))
     D = terms[{(): 0, (0,): 1}.get(rows, 2)]
     m, L1 = len(components), components[0].norm
     residual, rounding = t * components.residual, trotter.expm_rounding(components, t)

@@ -351,16 +351,23 @@ def simulation_request(tmp_path, g, rho, t, eps, mode):
 @pytest.mark.parametrize("command, counts", [
     ("validate", {"gks_spectrum": 1}),
     ("decompose", {"gks_spectrum": 1, "decompose_terms": 1}),
-    ("simulate", {"gks_spectrum": 1, "decompose_terms": 1}),
-    ("example-lambda", {"gks_spectrum": 1, "decompose_terms": 1}),
+    # a Trotter run decomposes each candidate split once: the lambda atom's spectral and
+    # DFT splits (its Cholesky split is its spectral split)
+    ("simulate", {"gks_spectrum": 1, "decompose_terms": 2}),
+    ("example-lambda", {"gks_spectrum": 1, "decompose_terms": 2}),
+    ("oracle", {}),  # no split at all
 ])
 def test_each_subcommand_decomposes_its_generator_once(tmp_path, decompositions, command,
                                                        counts):
     path = (simulation_request(tmp_path, lambda_atom(), maximally_mixed(3).rho, 1.0, 1e-3,
                                "trotter") if command == "simulate" else lambda_doc(tmp_path))
     out = ["--out", str(tmp_path / "out.json")]
+    if command == "oracle":
+        path = simulation_request(tmp_path, lambda_atom(), maximally_mixed(3).rho, 1.0, 1e-3,
+                                  "oracle")
     argv = {"validate": ["validate", str(path)], "decompose": ["decompose", str(path), *out],
-            "simulate": ["simulate", str(path), *out], "example-lambda": ["example-lambda", *out]}
+            "simulate": ["simulate", str(path), *out], "example-lambda": ["example-lambda", *out],
+            "oracle": ["simulate", str(path), *out]}
     assert main(argv[command]) == 0
     assert decompositions == counts
 
@@ -409,7 +416,9 @@ def test_simulate_lambda_atom_trotter(tmp_path):
     # the target is eps less the residual's and the rounding's parts, both positive
     assert cost["target"] == 1e-3 - cost["residual_bound"] - cost["rounding_allowance"]
     assert 0.0 < cost["residual_bound"] < 1e-13 and 0.0 < cost["rounding_allowance"] < 1e-13
-    assert cost["formula"] == "suzuki"  # two components: the fixed block is cheaper
+    # the DFT split's coin flip, 6 exponentials, where the spectral split's fixed block,
+    # the cheapest of its candidates, needs 9
+    assert (cost["split"], cost["formula"], cost["N_exp_actual"]) == ("dft", "mixed-orders", 6)
 
 
 def test_simulate_names_the_coin_flip_formula_and_repeats_its_bytes(tmp_path):

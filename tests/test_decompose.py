@@ -416,14 +416,18 @@ def test_verify_plans_refuses_lists_of_different_lengths():
 
 
 def test_a_plans_operator_is_that_of_its_params():
-    """Each plan's operator, the record's row of it that runs use and a copy's operator
-    are bit for bit universal_operators of the plan's own params."""
+    """Each plan's operator, the row of it that runs use in its split's record and a
+    copy's operator are bit for bit universal_operators of the plan's own params, in
+    every candidate split."""
     g = random_gks(4, np.random.default_rng(1))
     simulate(g, maximally_mixed(4), 1.0, 1e-3)
-    for p, kept in zip(g.record.plans, g.record.operators, strict=True):
-        (L,) = universal_operators([p.params], g.basis)
-        copy = dataclasses.replace(p, lam=2.0 * p.lam)
-        assert p.operator.tobytes() == kept.tobytes() == copy.operator.tobytes() == L.tobytes()
+    assert len(g.splits.records) == 3
+    for record in g.splits.records:
+        for p, kept in zip(record.plans, record.operators, strict=True):
+            (L,) = universal_operators([p.params], g.basis)
+            copy = dataclasses.replace(p, lam=2.0 * p.lam)
+            assert (p.operator.tobytes() == kept.tobytes() == copy.operator.tobytes()
+                    == L.tobytes())
 
 
 def test_objects_that_hold_arrays_compare_by_identity():

@@ -12,12 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (DIRECTIONS, NORM_SAFETY, choi_split_bound, column_stacked,
                       count_calls, criterion_4_instances, dephasing_gks, edge_direction,
-                      exp_derivative, first_order_terms, frame, lambda_atom, n_qubit_generator,
+                      exp_derivative, first_order_terms, frame, lambda_atom, leading_error,
+                      n_qubit_generator,
                       pair_terms, predicted_plan, pure_hamiltonian, random_diagonal, random_gks,
                       random_hermitian, random_mixed_state, reference_components,
                       reference_schedule, serial_one_one_norm, unvec, vec, walked_block)
 from lindbladsim import trotter
-from lindbladsim.decompose import DecomposeError, decompose_generator
+from lindbladsim.decompose import DecomposeError, decompose_generator, verify_plans
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, QuantumState, apply_exact,
                                   from_diagonal, liouvillian_matrix, maximally_mixed, real_map,
                                   trace_distance, trace_preserving)
@@ -26,7 +27,7 @@ from lindbladsim.sud import gell_mann_basis
 from lindbladsim.trotter import (MIXED_ORDERS, POOL, SUZUKI, Segment, TrotterError, TrotterPlan,
                                  block_schedule, block_superoperator, build_plan,
                                  component_orders, diamond_bound, expm_rounding, formula_count,
-                                 leading_error, mixture_rows, nexp_bound_closed_form,
+                                 mixture_rows, nexp_bound_closed_form,
                                  nexp_bound_res, nexp_report, paper_plan, pool_size,
                                  prepare_components, run_plan, segments_per_block, select_order,
                                  simulate, step_count, suzuki_p)
@@ -323,9 +324,10 @@ def test_long_runs_keep_the_trace(g, t, eps):
     rho0 = maximally_mixed(g.d)
     oracle = apply_exact(g, rho0, t)
     out, plan, comps = simulate(g, rho0, t=t, eps=eps)
-    paper = paper_plan(comps, eps, t)
+    spectral = prepare_components(g)  # the paper's plan is the spectral split's
+    paper = paper_plan(spectral, eps, t)
     assert paper.n_reps >= 6000
-    for state in (out, run_plan(paper, comps, rho0)):
+    for state in (out, run_plan(paper, spectral, rho0)):
         QuantumState(d=g.d, rho=state.rho)
         assert trace_distance(state.rho, oracle.rho) <= eps
 
@@ -518,9 +520,10 @@ def test_a_plan_past_2_to_the_53_exponentials_is_refused_before_its_block(monkey
 
 
 def test_a_generator_decomposes_once(decompositions):
+    # one spectrum, and one decompose_terms per candidate split: spectral, Cholesky, DFT
     g = random_gks(4, np.random.default_rng(4))
     rho0 = maximally_mixed(4)
-    once = {"gks_spectrum": 1, "decompose_terms": 1}
+    once = {"gks_spectrum": 1, "decompose_terms": 3}
     simulate(g, rho0, 1.0, 1e-3)
     assert decompositions == once
     decompositions.clear()
@@ -764,27 +767,39 @@ def test_the_rounding_allowance_is_ten_times_the_exponentials_rounding(g):
 
 
 def test_repeat_runs_derive_each_quantity_once(monkeypatch):
-    # g's first run makes its record, and every later run reads it, whatever its t and eps:
-    # the spectrum, the plans, their operators, the Liouvillian of the residual and the
-    # commutator sums are each computed once, and the record's arrays are read-only
+    # g's first run makes its candidate splits, each in its own record, and every later run
+    # reads them, whatever its t and eps: the spectrum and the Liouvillian of the residuals
+    # are computed once, and each candidate's plans, operators and commutator sums once.  A
+    # repeat run at the last t takes every split's leading terms from the memo and builds
+    # the components of the split it runs alone.  The records' arrays are read-only
     g, rho0 = random_gks(3, np.random.default_rng(1)), maximally_mixed(3)
     names = ("gks_spectrum", "decompose_terms", "universal_operators", "liouvillian_matrix",
-             "commutator_sums")
+             "commutator_sums", "leading_terms", "one_one_norm")
     calls = count_calls(monkeypatch, names)
     runs = [simulate(g, rho0, t, eps) for t, eps in ((1.0, 1e-3), (2.0, 1e-6), (1.0, 1e-6))]
-    assert calls == dict.fromkeys(names, 1)
-    record = g.record
+    records = g.splits.records
+    assert [r.split for r in records] == [trotter.SPECTRAL, trotter.CHOLESKY, trotter.DFT]
+    per_split = ("decompose_terms", "universal_operators", "commutator_sums")
+    assert {name: calls[name] for name in per_split} == dict.fromkeys(per_split, 3)
+    assert calls["gks_spectrum"] == calls["liouvillian_matrix"] == 1
+    assert calls["leading_terms"] == 3  # one stacked call for each new t
     for _, plan, comps in runs:
         assert plan.certificate is not None
-        assert comps.record is record and comps.sums is record.sums
-    assert record.rows[0] == 1.0  # the last t's rows
-    arrays = [record.operators, *record.sums[:4], *record.sums[4],
-              *(term.a for term in record.terms), *(p.U for p in record.plans)]
+        assert comps.record.split == plan.split and comps.record in records
+        assert comps.sums is comps.record.sums
+    assert g.splits.memo[0] == 1.0  # the last t's leads
+    calls.clear()
+    state, plan, comps = simulate(g, rho0, 1.0, 1e-3)
+    assert calls == {"one_one_norm": len(comps)}
+    assert plan == runs[0][1] and state.rho.tobytes() == runs[0][0].rho.tobytes()
+    arrays = [a for r in records for a in (r.operators, *r.sums[:4], *r.sums[4],
+                                           *(term.a for term in r.terms),
+                                           *(p.U for p in r.plans))]
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
-        record.sums[1][0, 0, 0] = 1.0
+        records[1].sums[1][0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        record.operators[0, 0, 0] = 1.0
+        records[2].operators[0, 0, 0] = 1.0
 
 
 def test_off_weights_show_in_the_residual(monkeypatch):
@@ -804,7 +819,7 @@ def test_a_target_that_is_not_positive_starts_no_search(monkeypatch):
     comps = scaled_weight_components(monkeypatch, lambda_atom(), 1.1)
     assert comps.residual > 1e-3
     with monkeypatch.context() as patch:
-        patch.setattr(trotter, "leading_error", None)
+        patch.setattr(trotter, "leading_terms", None)
         patch.setattr(trotter, "plan_map", None)
         plan = build_plan(comps, 1e-3, 1.0)
     assert plan == paper_plan(comps, 1e-3, 1.0) and plan.builds == 0
@@ -996,7 +1011,9 @@ def test_leading_error_certifies_in_one_block(eps):
         for seed, n in zip((1, 2, 3), searched):
             g = random_gks(d, np.random.default_rng(seed))
             rho0 = maximally_mixed(d)
-            state, plan, comps = simulate(g, rho0, t, eps)
+            comps = prepare_components(g)  # the spectral split, which the table measured
+            plan = build_plan(comps, eps, t)
+            state = run_plan(plan, comps, rho0)
             assert plan.builds == 1 and plan.n_reps <= n
             assert plan.predicted_certificate <= plan.target
             assert plan.predicted_certificate == pytest.approx(plan.certificate, rel=0.1)
@@ -1027,10 +1044,13 @@ def test_the_fixed_block_certifies_above_the_rounding_floor(eps):
     # on the lambda atom, whose one pair leaves the fixed block the cheapest candidate, it
     # certifies at eps = 1e-12..5e-13 with dist/eps about 0.15.  Built from the channels
     # themselves its certificate missed by 18.5 times the target at 1e-12, and the paper's
-    # k = 3 fallback read dist/eps 0.98, 3.29 and 1.13
+    # k = 3 fallback read dist/eps 0.98, 3.29 and 1.13.  On the spectral split: a run
+    # takes the DFT split's coin flip here
     g = lambda_atom()
     rho0 = maximally_mixed(3)
-    state, plan, comps = simulate(g, rho0, 1.0, eps)
+    comps = prepare_components(g)
+    plan = build_plan(comps, eps, 1.0)
+    state = run_plan(plan, comps, rho0)
     assert plan.formula == SUZUKI
     assert_certified(g, comps, plan, 1.0, eps)
     assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps / 2
@@ -1053,8 +1073,8 @@ def test_mixed_orders_certify_above_the_rounding_floor():
 
 def test_a_near_miss_gives_way_to_a_cheaper_start(monkeypatch):
     # n_qubit_generator(2) at eps = 1e-10: the coin flip starts 0.9 % cheaper than the
-    # chosen mixture.  Scripted to miss there by 1.7 %, its next n would cost at least
-    # SEARCH_MARGIN more than its start, more than the mixture's start, so the mixture
+    # chosen mixture.  Scripted to miss there by 5 %, its next n, the one its term sizes,
+    # would cost 2.6 % more than its start, more than the mixture's start, so the mixture
     # builds next, and certifies there
     comps = prepare_components(n_qubit_generator(2))
     t, eps = 1.0, 1e-10
@@ -1064,7 +1084,7 @@ def test_a_near_miss_gives_way_to_a_cheaper_start(monkeypatch):
     assert cheaper < mixed.actual_exponentials() < cheaper * trotter.SEARCH_MARGIN
     built, ran = [], []
     exact, target = leading_error(comps, t)[0], search_target(comps, eps, t)
-    scripted = scripted_plan_map(exact, [1.017, 0.99], target, built)
+    scripted = scripted_plan_map(exact, [1.05, 0.99], target, built)
     monkeypatch.setattr(trotter, "plan_map", lambda plan, components: (
         ran.append(plan.rows) or scripted(plan, components)))
     plan = build_plan(comps, eps, t)
@@ -1096,7 +1116,7 @@ def test_search_gives_up_on_a_non_finite_map(monkeypatch):
     for bad in (np.nan, np.inf):
         bad_terms = np.concatenate([terms[:-1], np.full_like(terms[-1:], bad)])
         with monkeypatch.context() as patch:
-            patch.setattr(trotter, "leading_error", lambda components, t, rows: (exact, bad_terms))
+            patch.setattr(trotter, "leading_terms", lambda splits, t, rows: [(exact, bad_terms)])
             assert build_plan(comps, eps=1e-3, t=1.0) == paper_plan(comps, 1e-3, 1.0)
     rho0 = maximally_mixed(3)
     assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-3
@@ -1511,3 +1531,156 @@ def test_both_formulas_certify_at_their_predicted_n(eps):
         assert run.actual_exponentials() <= plans[0].actual_exponentials()
         chosen.add("fixed" if not run.rows else "coin flip" if run.rows == (0,) else "chosen")
     assert chosen == {"fixed", "coin flip", "chosen"}
+
+
+# ---------------------------------------------------------------------------
+# candidate splits of A
+# ---------------------------------------------------------------------------
+
+def candidate_records(g):
+    """g's candidate splits, made by a run at t = 0, which builds no block."""
+    simulate(g, maximally_mixed(g.d), 0.0, 1e-3)
+    return g.splits.records
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 6),
+       st.sampled_from(["edge", "full-rank", "projector", "identity", "zero"]),
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), st.integers(0, 2 ** 32 - 1))
+def test_every_candidate_factors_a(d, kind, split, seed):
+    # the edge, full-rank, degenerate, rank-deficient and zero A of the run tests above:
+    # every candidate's pieces sum to A, each piece decomposes and verifies, a rank-one A
+    # has the spectral split alone, and two candidates never share their pieces.  Every
+    # split has as many pieces as A has eigenvalues above EIGEN_CUTOFF, so none can hold
+    # the rest, tail; Cholesky's last Schur complement grows it, by up to 4.3 times in
+    # 1500 draws, all at split = 1e-12, where an eigenvalue sits at the cutoff
+    rng = np.random.default_rng(seed)
+    basis = gell_mann_basis(d)
+    n = basis.n
+    if kind == "edge":
+        A = sum(rng.uniform(0.1, 1.0) * np.outer(a, np.conj(a))
+                for a in (edge_direction(k, basis, rng)
+                          for k in rng.choice(DIRECTIONS, rng.integers(1, 4))))
+    elif kind == "full-rank":
+        A = random_gks(d, rng).A
+    else:
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        rank = {"zero": 0, "projector": int(rng.integers(1, n)), "identity": n}[kind]
+        P = np.eye(n) if kind == "identity" else q[:, :rank] @ np.conj(q[:, :rank]).T
+        A = rng.uniform(0.1, 1.0) * (P + split * np.outer(q[:, -1], np.conj(q[:, -1])))
+    g = GksGenerator(basis=basis, H=np.zeros((d, d)), A=A)
+    records = candidate_records(g)
+    assert records[0].split == trotter.SPECTRAL
+    assert len({r.split for r in records}) == len(records)
+    K = len(records[0].terms)
+    if K < 2:
+        assert len(records) == 1
+    def pieces(record):
+        return sum((t.lam * np.outer(t.a, np.conj(t.a)) for t in record.terms),
+                   np.zeros((n, n)))
+
+    tail = np.linalg.norm(A - pieces(records[0]))
+    assert tail <= 1e-12 * max(np.linalg.norm(A), 1e-300)
+    for record in records:
+        assert np.linalg.norm(pieces(record) - A) <= 1e-12 * np.linalg.norm(A) + 8.0 * tail
+        if record.terms:
+            assert verify_plans(record.plans, record.terms, basis).max() <= 1e-8
+    for i, record in enumerate(records):
+        assert not any(trotter._same_pieces(record.terms, r.terms) for r in records[:i])
+
+
+def test_a_rank_one_a_has_one_candidate():
+    # the README's amplitude damping, and one rank-one piece at d = 3..6
+    rng = np.random.default_rng(7)
+    L = np.array([[0, 1], [0, 0]], dtype=complex)
+    cases = [from_diagonal(DiagonalGenerator(d=2, H=np.eye(2), terms=((1.0, L),)),
+                           gell_mann_basis(2))]
+    for d in range(3, 7):
+        a = edge_direction("generic", gell_mann_basis(d), rng)
+        cases.append(GksGenerator(basis=gell_mann_basis(d), H=np.zeros((d, d)),
+                                  A=np.outer(a, np.conj(a))))
+    for g in cases:
+        assert [r.split for r in candidate_records(g)] == [trotter.SPECTRAL]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_cholesky_split_ignores_the_eigenbasis(d):
+    # A's first eigenvalue is rank-fold degenerate; a generator whose eigenbasis is turned
+    # by a random unitary inside that eigenspace gets other spectral and DFT pieces, and
+    # the same Cholesky split to the bit: it reads A's entries alone
+    rng = np.random.default_rng(d)
+    basis = gell_mann_basis(d)
+    n, rank = basis.n, basis.n - 1
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    A = 0.7 * q[:, :rank] @ np.conj(q[:, :rank]).T
+    g, turned = (GksGenerator(basis=basis, H=np.zeros((d, d)), A=A) for _ in range(2))
+    w, v = turned.eigenpairs
+    u = np.linalg.qr(rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank)))[0]
+    v = v.copy()
+    v[:, :rank] = v[:, :rank] @ u
+    object.__setattr__(turned, "eigenpairs", (w, v))
+    splits = [{r.split: r for r in candidate_records(h)} for h in (g, turned)]
+    assert all(list(s) == [trotter.SPECTRAL, trotter.CHOLESKY, trotter.DFT] for s in splits)
+    (ours, theirs) = (s[trotter.CHOLESKY] for s in splits)
+    assert [t.lam for t in ours.terms] == [t.lam for t in theirs.terms]
+    assert all(t.a.tobytes() == u.a.tobytes() for t, u in zip(ours.terms, theirs.terms))
+    assert all(p.U.tobytes() == u.U.tobytes() and p.params == u.params
+               for p, u in zip(ours.plans, theirs.plans))
+    first, other = (s[trotter.SPECTRAL].terms[0].a for s in splits)
+    assert abs(abs(np.vdot(first, other)) - 1.0) > 1e-6  # the spectral split did turn
+
+
+def test_the_lambda_atoms_cholesky_split_is_its_spectral_split():
+    assert [r.split for r in candidate_records(lambda_atom())] == [trotter.SPECTRAL, trotter.DFT]
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_a_run_takes_the_cheapest_split_at_each_t(eps):
+    # over the lambda trajectory no run needs more exponentials than the spectral split's
+    # plan; the DFT split wins at small t, 6 exponentials where the spectral split needs 9
+    # at t = 1, eps = 1e-3, and loses at t = 32, where it would need 181 and 5667
+    g, rho0 = lambda_atom(), maximally_mixed(3)
+    spectral = prepare_components(g)
+    for t in (0.25 * 2.0 ** k for k in range(8)):
+        state, plan, comps = simulate(g, rho0, t, eps)
+        own = build_plan(spectral, eps, t)
+        assert plan.certificate is not None
+        assert plan.actual_exponentials() <= own.actual_exponentials()
+        assert comps.record.split == plan.split
+        assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps / 2
+        if t == 1.0 and eps == 1e-3:
+            assert (plan.split, plan.actual_exponentials(), own.actual_exponentials()) == (
+                trotter.DFT, 6, 9)
+        if t == 32.0:
+            assert plan == own and plan.split == trotter.SPECTRAL
+
+
+def test_the_choice_on_the_qubit_chains_and_the_quick_start():
+    # the quick start's rank-one A has no other split, and n_qubit_generator(4), at d = 16,
+    # makes none: their plans are the spectral split's.  On the smaller chains a run never
+    # needs more exponentials than the spectral split's plan; the DFT split takes the
+    # single qubit at eps = 1e-3 with 25 exponentials, where the spectral split needs 30
+    L = np.array([[0, 1], [0, 0]], dtype=complex)
+    H = np.array([[0.5, 0.2], [0.2, -0.5]], dtype=complex)
+    quick = from_diagonal(DiagonalGenerator(d=2, H=H, terms=((1.0, L),)), gell_mann_basis(2))
+    for g in [quick] + [n_qubit_generator(n) for n in range(1, 5)]:
+        for eps in (1e-3, 1e-6):
+            _, plan, _ = simulate(g, maximally_mixed(g.d), 1.0, eps)
+            own = build_plan(prepare_components(g), eps, 1.0)
+            assert plan.actual_exponentials() <= own.actual_exponentials()
+            if g is quick or g.d == 16:
+                assert plan == own and plan.split == trotter.SPECTRAL
+    _, plan, _ = simulate(quick, maximally_mixed(2), 1.0, 1e-3)
+    assert (plan.k, plan.n_reps, plan.formula, plan.rows) == (1, 3, MIXED_ORDERS, (0,))
+    _, plan, _ = simulate(n_qubit_generator(1), maximally_mixed(2), 1.0, 1e-3)
+    assert (plan.split, plan.actual_exponentials()) == (trotter.DFT, 25)
+
+
+def test_a_near_miss_steps_by_near_step():
+    # the lambda atom at t = 4, eps = 1e-11 misses its target at the predicted n = 60559 by
+    # 2e-6 of it; a step floored at SEARCH_MARGIN ran 127175 exponentials, one floored at
+    # NEAR_STEP runs 121241
+    g = lambda_atom()
+    _, plan, _ = simulate(g, maximally_mixed(3), 4.0, 1e-11)
+    assert plan.certificate is not None and plan.builds == 2
+    assert plan.actual_exponentials() <= 122331
