@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import n_qubit_generator  # noqa: E402
 from lindbladsim.lindblad import GksGenerator, maximally_mixed  # noqa: E402
-from lindbladsim.trotter import paper_plan, simulate  # noqa: E402
+from lindbladsim.trotter import SPECTRAL, paper_plan, prepare_components, simulate  # noqa: E402
 
 T = 1.0
 
@@ -45,9 +45,10 @@ def main():
             walls = []
             for _ in range(3):
                 start = time.perf_counter()
-                _, plan, _ = simulate(g, maximally_mixed(g.d), T, eps)
+                _, plan, comps = simulate(g, maximally_mixed(g.d), T, eps)
                 walls.append(time.perf_counter() - start)
-            paper = paper_plan(g.splits.records[0], eps, T)
+            spectral = comps if plan.split == SPECTRAL else prepare_components(g)
+            paper = paper_plan(spectral, eps, T)
             cert, predicted = ("" if x is None else f"{x:.2e}"
                                for x in (plan.certificate, plan.predicted_certificate))
             rows = ", ".join(map(str, plan.rows))

@@ -99,9 +99,12 @@ operators by a unitary, which leaves the Liouvillian unchanged (Gorini, Kossakow
 and Sudarshan, J. Math. Phys. 17, 821 (1976)).  What changes is the commutators
 between the pieces, and so the leading terms.  A generator's first run makes up to
 three candidate splits (_make_splits), each kept in its own Record: the spectral one,
-always first, and, when A has rank K >= 2 and d < SPLIT_DIM, a pivoted Cholesky
-factor of A (decompose.cholesky_split) and the spectral factor rotated by the K-point
-DFT (decompose.dft_split).  A candidate whose pieces equal an earlier one's is
+always first, and a pivoted Cholesky factor of A (decompose.cholesky_split) and the
+spectral factor rotated by the K-point DFT (decompose.dft_split).  The other two are
+made when A has rank K >= 2, their commutator loops fit the pool's work budget
+(POOL_WORK, up to d = 8 for a generic generator), and some two spectral pieces'
+dissipators do not commute (_may_mix): the qubit chains, whose local dissipators all
+commute, keep the spectral split.  A candidate whose pieces equal an earlier one's is
 dropped: the lambda atom's Cholesky split is its spectral split.  The best split
 depends on t, so each call chooses: it takes every split's leading terms at t in one
 stacked exponential and one stacked diamond_bound (split_leads), kept with the last t
@@ -156,8 +159,8 @@ import numpy as np
 
 from .decompose import (DecomposeError, cholesky_split, decompose_terms, dft_split,
                         spectral_split, universal_operators)
-from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, evolve, hermitian_basis,
-                       liouvillian_matrix, one_one_norm, real_map)
+from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, dissipator_superoperator,
+                       evolve, hermitian_basis, liouvillian_matrix, one_one_norm, real_map)
 from .numerics import NumericsError, dagger, expm
 
 
@@ -193,10 +196,9 @@ class Component:
         return expm(np.asarray(t_phys, dtype=float)[:, None, None] * self.generator, offset=True)
 
 
-# the candidate splits of A (_make_splits): always the spectral split, and from rank 2 up,
-# below dimension SPLIT_DIM, a pivoted Cholesky factor and the DFT-rotated spectral factor
+# the candidate splits of A (_make_splits): always the spectral split, and where they may
+# pay, a pivoted Cholesky factor and the DFT-rotated spectral factor
 SPECTRAL, CHOLESKY, DFT = "spectral", "cholesky", "dft"
-SPLIT_DIM = 16
 
 
 @dataclass(eq=False)
@@ -207,7 +209,7 @@ class Record:
     of its components, L the generator's real map, which bounds ||exp(tL) -
     exp(t sum_j G_j)||_diamond by t r; one_norm, ||sum_j G_j||_1 (expm_rounding); and
     norms, its components' norm bounds in product order, which size the paper's plan and
-    a candidate's blocks before its components are built.  Only sums, the commutator sums
+    a split's candidates before its components are built.  Only sums, the commutator sums
     (commutator_sums), is written later.  A record keeps no component."""
 
     split: str
@@ -228,10 +230,9 @@ class Record:
 class Splits:
     """The splits of a generator's A that its runs may take, one Record each, spectral
     first, kept in its slot (GksGenerator.splits).  g's first prepare_components makes the
-    spectral record; its first simulate, or prepare_components of another split, adds the
-    other candidates (complete).  memo holds
-    the last t with each split's mixture rows, e^(t sum_j G_j) and leads (split_leads), so
-    that a repeat run at that t computes no leading term."""
+    spectral record, and its first simulate the other candidates (complete).  memo holds
+    the last t that simulate saw with each split's mixture rows, e^(t sum_j G_j) and leads
+    (split_leads), so that a repeat run at that t computes no leading term."""
 
     records: tuple
     complete: bool = False
@@ -269,33 +270,9 @@ class Components(tuple):
         return self.record.sums
 
 
-class Candidates:
-    """The splits one run may take: a Splits and the components of each split, built on
-    first use (prepare_components) and kept for the run alone."""
-
-    def __init__(self, splits: Splits, built: dict, g: GksGenerator | None = None):
-        self.splits, self.built, self.g = splits, built, g
-
-    def __getitem__(self, split: str) -> Components:
-        if split not in self.built:
-            self.built[split] = prepare_components(self.g, split)
-        return self.built[split]
-
-    def leads(self, t: float) -> list:
-        """split_leads of every split at t, from the memo when it holds t."""
-        memo = self.splits.memo
-        if memo is None or memo[0] != t:
-            for record in self.splits.records:
-                if record.sums is None:
-                    self[record.split].sums  # computes and keeps them
-            memo = self.splits.memo = t, split_leads(self.splits.records, t)
-        return memo[1]
-
-
-def prepare_components(g: GksGenerator, split: str = SPECTRAL) -> Components:
-    """The components of g's split (SPECTRAL by default), norm-ordered and built anew on
-    each call, with the split's record (Record), which g's first call makes; another
-    split makes g's candidates first (_make_splits).
+def prepare_components(g: GksGenerator) -> Components:
+    """The components of g's spectral split, norm-ordered and built anew on each call,
+    with the split's record (Record), which g's first call makes (_make_splits).
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan gives
     lam U [L . L† - (1/2){L†L, .}] U†, the dissipator of L' = U L U† with L its
@@ -308,12 +285,12 @@ def prepare_components(g: GksGenerator, split: str = SPECTRAL) -> Components:
     descending norm, with stable ties, which fixes the product order
     deterministically.
     """
-    built = _make_splits(g, split != SPECTRAL)
-    if split in built:
-        return built[split]
-    record = next((r for r in g.splits.records if r.split == split), None)
-    if record is None:
-        raise TrotterError(f"the generator has no {split} split")
+    built = _make_splits(g, False)
+    return built[SPECTRAL] if built else _split_components(g, g.splits.records[0])
+
+
+def _split_components(g: GksGenerator, record: Record) -> Components:
+    """The components of the split of g that record keeps, built anew."""
     return Components(_components(g, record.plans, record.operators), record)
 
 
@@ -321,14 +298,14 @@ def _make_splits(g: GksGenerator, complete: bool) -> dict:
     """Make g's Splits with its spectral record, or with complete add the other
     candidates, where they are missing; the components built on the way, by split.
 
-    The candidates are the spectral split, then, when A has rank K >= 2 and d < SPLIT_DIM,
-    cholesky_split and dft_split: each A = W W†, whose rank-one pieces the same SU(d)
-    conjugation carries onto the universal family, and which mixes the Lindblad operators
-    by a unitary, so each leaves the Liouvillian unchanged (Gorini, Kossakowski and
-    Sudarshan, J. Math. Phys. 17, 821 (1976)).  A candidate whose pieces equal an earlier
-    one's (_same_pieces), or that decompose_terms refuses, is dropped.  Each new record
-    gets its own residual against the generator's one real map, and a new candidate its
-    commutator sums while its components exist."""
+    The candidates are the spectral split, then cholesky_split and dft_split: each
+    A = W W†, whose rank-one pieces the same SU(d) conjugation carries onto the universal
+    family, and which mixes the Lindblad operators by a unitary, so each leaves the
+    Liouvillian unchanged (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 821
+    (1976)).  The other two are made only where _may_mix allows.  A candidate whose
+    pieces equal an earlier one's (_same_pieces), or that decompose_terms refuses, is
+    dropped.  Each new record gets its own residual against the generator's one real
+    map, and a new candidate its commutator sums while its components exist."""
     splits = g.splits
     if splits is not None and (splits.complete or not complete):
         return {}
@@ -337,10 +314,10 @@ def _make_splits(g: GksGenerator, complete: bool) -> dict:
     if not records:
         built[SPECTRAL] = _new_split(g, SPECTRAL, tuple(spectral_split(g)), liouvillian)
         records.append(built[SPECTRAL].record)
-    spectral = records[0].terms
-    if complete and len(spectral) >= 2 and g.d < SPLIT_DIM:
-        for name, terms in ((CHOLESKY, cholesky_split(g, len(spectral))),
-                            (DFT, dft_split(spectral))):
+    spectral = records[0]
+    if complete and _may_mix(g, spectral):
+        for name, terms in ((CHOLESKY, cholesky_split(g, len(spectral.terms))),
+                            (DFT, dft_split(spectral.terms))):
             if any(_same_pieces(terms, r.terms) for r in records):
                 continue
             try:
@@ -351,6 +328,29 @@ def _make_splits(g: GksGenerator, complete: bool) -> dict:
             records.append(comps.record)
     object.__setattr__(g, "splits", Splits(tuple(records), complete))
     return built
+
+
+def _may_mix(g: GksGenerator, spectral: Record) -> bool:
+    """Whether g gets the candidates that mix its spectral pieces: when A has rank K >= 2,
+    the two extra commutator loops, at one row of component_orders each, fit in POOL_WORK
+    (pool_size; up to d = 8 for a generic generator, none from d = 16), and some two of
+    the spectral pieces' dissipators do not commute: their commutator's Frobenius norm
+    passes 1e-10 of the product of theirs (the qubit chains' pairs read 3e-16
+    at most, the lambda atom's pair 0.18).  Where they all commute, as on a chain of
+    qubits with local noise, the only commutators of the spectral split are those with
+    H, and a mixture of the pieces adds commutators between them."""
+    m, d, terms = len(spectral.norms), g.d, spectral.terms
+    if len(terms) < 2 or 2 * m * d ** 6 > POOL_WORK:
+        return False
+    ops = np.einsum("ka,aij->kij", np.array([x.a for x in terms]), g.basis.matrices)
+    seen = []  # each piece is built when reached, so a generic A builds two
+    for x, op in zip(terms, ops):
+        D = dissipator_superoperator(np.array([[x.lam]]), op[None])
+        norm = np.linalg.norm(D)
+        if any(np.linalg.norm(D @ E - E @ D) > 1e-10 * norm * e for E, e in seen):
+            return True
+        seen.append((D, norm))
+    return False
 
 
 def _same_pieces(terms, others) -> bool:
@@ -959,10 +959,27 @@ def expm_rounding(components, t: float) -> float:
     return ROUNDING_ULPS * components.d * (1.0 + t * components.one_norm) * 2.0 ** -53
 
 
-def certify(candidates: Candidates, eps: float, t: float,
-            paper: TrotterPlan) -> TrotterPlan:
+def _leads(records: tuple, built: dict, t: float, g: GksGenerator | None) -> list:
+    """split_leads of the records at t, a record's sums computed from its components
+    where it has none, the components built from g where built lacks them; with g, whose
+    records they are, taken from its memo when that holds t, and kept there."""
+    memo = g.splits.memo if g is not None else None
+    if memo is None or memo[0] != t:
+        for record in records:
+            if record.sums is None:
+                if record.split not in built:
+                    built[record.split] = _split_components(g, record)
+                built[record.split].sums  # computes and keeps them
+        memo = t, split_leads(records, t)
+        if g is not None:
+            g.splits.memo = memo
+    return memo[1]
+
+
+def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPlan,
+            g: GksGenerator | None = None) -> TrotterPlan:
     """The k = 1 plan, at the first repetition count the search reaches, whose
-    map T_n on one candidate split's components satisfies
+    map T_n on the components of one of the records' splits satisfies
     diamond_bound(T_n - e^(t sum_j G_j)) <= target, that split's; when the search
     stops first, the paper's plan, carrying the search's build count.
 
@@ -981,9 +998,9 @@ def certify(candidates: Candidates, eps: float, t: float,
     and the mixture of the rows mixture_rows chooses for its components and t,
     which depend on neither eps nor the search; two when those rows are (0,).
     The search is sized by their leading error terms: with lead = diamond_bound(D),
-    every split's candidates' taken at once (split_leads, kept with the last t in
-    the generator's memo), the certificate is lead / n^2 up to O(n^-4) and the
-    rounding of the power, so each candidate's search would start at
+    every split's candidates' taken at once (split_leads; with g, whose records they
+    are, kept with the last t in its memo), the certificate is lead / n^2 up to
+    O(n^-4) and the rounding of the power, so each candidate's search would start at
     n = ceil(sqrt(lead / target)).  A split whose terms are not finite is dropped.
     Every build runs the candidate whose next n needs the fewest exponentials
     (formula_count), on a tie the earlier split, spectral first, and then the one of
@@ -991,8 +1008,9 @@ def certify(candidates: Candidates, eps: float, t: float,
     the search starts with the cheapest start, and a candidate whose step after a
     miss costs more than another's untried start, of its own split or another, gives
     way to it: a near miss of the coin flip at 0.9 % fewer exponentials than the
-    mixture would otherwise step past the mixture's certified count.  Only the
-    splits that build have their components built (Candidates).
+    mixture would otherwise step past the mixture's certified count.  built holds
+    the components of the splits built so far, by split; a split that builds and is
+    missing there has its components built from g and added to it.
     After a miss at n a candidate steps to ceil(sqrt(lead / (target - off))), with
     off = certificate - lead / n^2 the part the term did not predict, by a factor of
     at least NEAR_STEP; or, when off >= target or lead = 0, by the k = 1 law
@@ -1008,7 +1026,7 @@ def certify(candidates: Candidates, eps: float, t: float,
     and t r, delta and the target.
     """
     budget = paper.actual_exponentials()
-    records = {r.split: r for r in candidates.splits.records}
+    records = {r.split: r for r in records}
     targets = {}
     for name, record in records.items():
         target = eps - t * record.residual - expm_rounding(record, t)
@@ -1017,7 +1035,7 @@ def certify(candidates: Candidates, eps: float, t: float,
     if not targets:
         return paper
     try:
-        leads = dict(zip(records, candidates.leads(t)))
+        leads = dict(zip(records, _leads(tuple(records.values()), built, t, g)))
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
         return paper
 
@@ -1042,7 +1060,9 @@ def certify(candidates: Candidates, eps: float, t: float,
         (name, rows), (lead, n, last, fall) = key, search[key]
         if count(key, n) >= budget:
             return replace(paper, builds=builds - 1)
-        components, target = candidates[name], targets[name]
+        if name not in built:
+            built[name] = _split_components(g, records[name])
+        components, target = built[name], targets[name]
         L1 = components[0].norm
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=len(components), L1=L1,
                            bound_res=paper.bound_res, bound_closed_form=paper.bound_closed_form,
@@ -1069,9 +1089,7 @@ def certify(candidates: Candidates, eps: float, t: float,
 
 
 def paper_plan(components, eps: float, t: float) -> TrotterPlan:
-    """The paper planner's plan for the component list, or for the components a split's
-    Record keeps the norms of: step_count's (k, n_reps) and bounds, and the order-2k
-    block's length lam = t L1 / n_reps.
+    """The paper planner's plan for the component list (_paper_plan of its norms).
 
     Components must already be ordered by descending norm.  A single
     component needs no splitting: one exact segment.  With no component,
@@ -1081,9 +1099,14 @@ def paper_plan(components, eps: float, t: float) -> TrotterPlan:
     on m, is refused.  No schedule is built: the block's 2(m - 1) 5^(k - 1) + 1
     segments are only counted.
     """
+    return _paper_plan([c.norm for c in components], eps, t)
+
+
+def _paper_plan(norms, eps: float, t: float) -> TrotterPlan:
+    """step_count's (k, n_reps) and bounds for components of these norms, in product
+    order, and the order-2k block's length lam = t L1 / n_reps (paper_plan)."""
     if not (0 <= t < math.inf and 0 < eps < math.inf):  # written so that NaN fails too
         raise TrotterError("need finite t >= 0 and eps > 0")
-    norms = components.norms if isinstance(components, Record) else [c.norm for c in components]
     if any(norms[i] < norms[i + 1] for i in range(len(norms) - 1)):
         raise TrotterError("components must be ordered by descending norm")
     m = len(norms)
@@ -1100,30 +1123,31 @@ def paper_plan(components, eps: float, t: float) -> TrotterPlan:
                        bound_res=bound_res, bound_closed_form=bound_closed)
 
 
-def build_plan(components, eps: float, t: float) -> TrotterPlan:
-    """The certified plan (certify) for the components of one split, or of the cheapest
-    of a run's Candidates, sized by their leading error terms and certified against
-    their split's residual, or else the paper's plan (paper_plan) of the components or
-    of the spectral split, which also bounds the search's cost.
+def build_plan(components, eps: float, t: float, g: GksGenerator | None = None) -> TrotterPlan:
+    """The certified plan (certify) for one split's components, sized by their leading
+    error terms and certified against their split's residual, or else the paper's plan
+    (paper_plan), which also bounds the search's cost.  With g, components is instead a
+    dict, by split, of the components of g's splits built so far, which may be empty
+    (simulate): the plan may run any of g's splits (Splits), each split the search builds
+    is added to the dict, and the paper's plan is the spectral split's.
 
     A plan with one component or no repetition is the paper's: it has
     nothing to certify, and no block is built for it.  Any other plan needs
     the components' residual, so a plain list or tuple of them is refused.
     """
-    if isinstance(components, Candidates):
-        candidates, components = components, components.splits.records[0]
+    if g is not None:
+        records, built = g.splits.records, components
+        paper = _paper_plan(records[0].norms, eps, t)
     else:
-        candidates = None
-    paper = paper_plan(components, eps, t)
+        paper = paper_plan(components, eps, t)
     if paper.m < 2 or paper.n_reps == 0:
         return paper
-    if candidates is None:
+    if g is None:
         if not isinstance(components, Components):
             raise TrotterError("a plan is certified against its generator: take the "
                                "components, with their residual, from prepare_components")
-        record = components.record
-        candidates = Candidates(Splits((record,), True), {record.split: components})
-    return certify(candidates, eps, t, paper)
+        records, built = (components.record,), {components.record.split: components}
+    return certify(records, built, eps, t, paper, g)
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -1283,7 +1307,8 @@ def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
     if rho0.d != g.d:
         raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")
     built = _make_splits(g, True)
-    candidates = Candidates(g.splits, built, g)
-    plan = build_plan(candidates, eps, t)
-    components = candidates[plan.split]
+    plan = build_plan(built, eps, t, g)
+    if plan.split not in built:  # the paper's plan, which no search built
+        built[plan.split] = _split_components(g, g.splits.records[0])
+    components = built[plan.split]
     return run_plan(plan, components, rho0), plan, components

@@ -1004,21 +1004,28 @@ SEARCHED_N = {
 
 @pytest.mark.parametrize("eps", sorted(SEARCHED_N))
 def test_leading_error_certifies_in_one_block(eps):
-    # the search starts at the n that D predicts and certifies there, at no more
-    # repetitions than the probe-and-law search took
+    # on the spectral split, which the table measured, the search starts at the n that D
+    # predicts and certifies there, at no more repetitions than the probe-and-law search
+    # took.  A run may take another split: it certifies too, within eps of the oracle
     t = 1.0
     for d, searched in SEARCHED_N[eps].items():
         for seed, n in zip((1, 2, 3), searched):
             g = random_gks(d, np.random.default_rng(seed))
             rho0 = maximally_mixed(d)
-            comps = prepare_components(g)  # the spectral split, which the table measured
+            exact = apply_exact(g, rho0, t).rho
+            comps = prepare_components(g)
             plan = build_plan(comps, eps, t)
             state = run_plan(plan, comps, rho0)
             assert plan.builds == 1 and plan.n_reps <= n
             assert plan.predicted_certificate <= plan.target
             assert plan.predicted_certificate == pytest.approx(plan.certificate, rel=0.1)
             assert_certified(g, comps, plan, t, eps)
-            assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
+            assert trace_distance(state.rho, exact) <= eps
+            state, run, comps = simulate(g, rho0, t, eps)
+            assert run.certificate is not None
+            assert run.actual_exponentials() <= plan.actual_exponentials()
+            assert_certified(g, comps, run, t, eps)
+            assert trace_distance(state.rho, exact) <= eps
 
 
 @pytest.mark.parametrize("eps", [1e-13, 1e-14])
@@ -1044,16 +1051,23 @@ def test_the_fixed_block_certifies_above_the_rounding_floor(eps):
     # on the lambda atom, whose one pair leaves the fixed block the cheapest candidate, it
     # certifies at eps = 1e-12..5e-13 with dist/eps about 0.15.  Built from the channels
     # themselves its certificate missed by 18.5 times the target at 1e-12, and the paper's
-    # k = 3 fallback read dist/eps 0.98, 3.29 and 1.13.  On the spectral split: a run
-    # takes the DFT split's coin flip here
+    # k = 3 fallback read dist/eps 0.98, 3.29 and 1.13.  That is the spectral split's
+    # plan; a run takes the DFT split's coin flip here, and certifies as well
     g = lambda_atom()
     rho0 = maximally_mixed(3)
+    exact = apply_exact(g, rho0, 1.0).rho
     comps = prepare_components(g)
     plan = build_plan(comps, eps, 1.0)
     state = run_plan(plan, comps, rho0)
     assert plan.formula == SUZUKI
     assert_certified(g, comps, plan, 1.0, eps)
-    assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps / 2
+    assert trace_distance(state.rho, exact) <= eps / 2
+    state, run, comps = simulate(g, rho0, 1.0, eps)
+    assert run.certificate is not None
+    assert (run.split, run.rows) == (trotter.DFT, (0,))
+    assert run.actual_exponentials() <= plan.actual_exponentials()
+    assert_certified(g, comps, run, 1.0, eps)
+    assert trace_distance(state.rho, exact) <= eps / 2
 
 
 def test_mixed_orders_certify_above_the_rounding_floor():
@@ -1656,24 +1670,39 @@ def test_a_run_takes_the_cheapest_split_at_each_t(eps):
 
 
 def test_the_choice_on_the_qubit_chains_and_the_quick_start():
-    # the quick start's rank-one A has no other split, and n_qubit_generator(4), at d = 16,
-    # makes none: their plans are the spectral split's.  On the smaller chains a run never
-    # needs more exponentials than the spectral split's plan; the DFT split takes the
-    # single qubit at eps = 1e-3 with 25 exponentials, where the spectral split needs 30
+    # the quick start's rank-one A has no other split, and the chains' local dissipators
+    # commute pairwise, so that none is made for them either (n_qubit_generator(4), at
+    # d = 16, is past the work budget as well): their plans are the spectral split's
     L = np.array([[0, 1], [0, 0]], dtype=complex)
     H = np.array([[0.5, 0.2], [0.2, -0.5]], dtype=complex)
     quick = from_diagonal(DiagonalGenerator(d=2, H=H, terms=((1.0, L),)), gell_mann_basis(2))
     for g in [quick] + [n_qubit_generator(n) for n in range(1, 5)]:
         for eps in (1e-3, 1e-6):
             _, plan, _ = simulate(g, maximally_mixed(g.d), 1.0, eps)
-            own = build_plan(prepare_components(g), eps, 1.0)
-            assert plan.actual_exponentials() <= own.actual_exponentials()
-            if g is quick or g.d == 16:
-                assert plan == own and plan.split == trotter.SPECTRAL
+            assert plan == build_plan(prepare_components(g), eps, 1.0)
+            assert plan.split == trotter.SPECTRAL
+        assert [r.split for r in g.splits.records] == [trotter.SPECTRAL]
     _, plan, _ = simulate(quick, maximally_mixed(2), 1.0, 1e-3)
     assert (plan.k, plan.n_reps, plan.formula, plan.rows) == (1, 3, MIXED_ORDERS, (0,))
     _, plan, _ = simulate(n_qubit_generator(1), maximally_mixed(2), 1.0, 1e-3)
-    assert (plan.split, plan.actual_exponentials()) == (trotter.DFT, 25)
+    assert plan.actual_exponentials() == 30
+
+
+def test_only_pieces_that_do_not_commute_are_mixed():
+    # the chain's spectral pieces commute pairwise and make no candidate; the same
+    # pieces with one amplitude damping turned to act on both qubits do not commute, and
+    # make the Cholesky and DFT candidates
+    chain = n_qubit_generator(2)
+    spectral = prepare_components(chain).record
+    assert not trotter._may_mix(chain, spectral)
+    lower, Z = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0])
+    both = (np.kron(lower, np.eye(2)) + np.kron(np.eye(2), lower)) / math.sqrt(2.0)
+    terms = ((0.3, both), (0.2, np.kron(Z, np.eye(2))), (0.2, np.kron(np.eye(2), Z)),
+             (0.3, np.kron(np.eye(2), lower)))
+    mixed = from_diagonal(DiagonalGenerator(d=4, H=chain.H, terms=terms), gell_mann_basis(4))
+    assert trotter._may_mix(mixed, prepare_components(mixed).record)
+    assert [r.split for r in candidate_records(mixed)] == [
+        trotter.SPECTRAL, trotter.CHOLESKY, trotter.DFT]
 
 
 def test_a_near_miss_steps_by_near_step():
