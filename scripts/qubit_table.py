@@ -7,7 +7,7 @@ For the chain generator n_qubit_generator(n) of tests/conftest.py, n = 1..5,
 at t = 1 and eps = 1e-3 and 1e-6, it prints one Markdown row per case: m,
 the component count (2n + 1 at d = 2^n), next to d^2 - 1, the dissipative
 count of a generic generator; the merged exponential count of the paper's
-plan (paper_plan, the spectral split's) and of the plan simulate runs, with
+plan (paper_plan of the spectral record's norms) and of the plan simulate runs, with
 that plan's split of A and product formula and, for a mixture, in parentheses
 its rows of component_orders(m), (0) for the coin flip;
 its certificate and the certificate its leading error term
@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import n_qubit_generator  # noqa: E402
 from lindbladsim.lindblad import GksGenerator, maximally_mixed  # noqa: E402
-from lindbladsim.trotter import SPECTRAL, paper_plan, prepare_components, simulate  # noqa: E402
+from lindbladsim.trotter import paper_plan, simulate  # noqa: E402
 
 T = 1.0
 
@@ -45,10 +45,9 @@ def main():
             walls = []
             for _ in range(3):
                 start = time.perf_counter()
-                _, plan, comps = simulate(g, maximally_mixed(g.d), T, eps)
+                _, plan, _ = simulate(g, maximally_mixed(g.d), T, eps)
                 walls.append(time.perf_counter() - start)
-            spectral = comps if plan.split == SPECTRAL else prepare_components(g)
-            paper = paper_plan(spectral, eps, T)
+            paper = paper_plan(g.splits.records[0].norms, eps, T)
             cert, predicted = ("" if x is None else f"{x:.2e}"
                                for x in (plan.certificate, plan.predicted_certificate))
             rows = ", ".join(map(str, plan.rows))

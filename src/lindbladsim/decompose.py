@@ -317,6 +317,8 @@ def extract_params(aR: np.ndarray, aI: np.ndarray, theta, basis: GellMannBasis) 
             np.abs(aI[:, sigma_y_zero_slots(basis)]) > 1e-9)
     _refuse("aR is not a unit vector", np.abs(_norms(aR) - 1.0) > 1e-10)
     _refuse("aI is not a unit vector", np.abs(_norms(aI) - 1.0) > 1e-10)
+    # orthogonality also pins cos(alphaI_1) = -(sum_{j>=2} aR_j aI_j) / aR_1 whenever
+    # aR_1 != 0: that is this check divided by aR_1, so no other check is made of it
     _refuse("canonical vectors are not orthogonal", np.abs(np.vecdot(aR, aI)) > 1e-10)
     thetas = [float(t) for t in theta]
     if d == 2:
@@ -325,12 +327,6 @@ def extract_params(aR: np.ndarray, aI: np.ndarray, theta, basis: GellMannBasis) 
         return [UniversalParams(d=2, theta=t, alphaR=(), alphaI=()) for t in thetas]
     alphaR = _angles_from_unit(aR[:, : d - 1])
     alphaI = _angles_from_unit(aI[:, universal_support(basis)])
-    # orthogonality pins the leading aI component whenever aR_1 is nonzero:
-    # cos(alphaI_1) = -(sum_{j>=2} aR_j aI_j) / aR_1
-    pinned = np.abs(aR[:, 0]) > 1e-9
-    rhs = -np.vecdot(aR[:, 1: d - 1], aI[:, 1: d - 1]) / np.where(pinned, aR[:, 0], 1.0)
-    _refuse("orthogonality constraint on alphaI_1 violated",
-            pinned & (np.abs(np.cos(alphaI[:, 0]) - rhs) > 1e-10))
     return [UniversalParams(d=d, theta=t, alphaR=tuple(r), alphaI=tuple(i))
             for t, r, i in zip(thetas, alphaR.tolist(), alphaI.tolist())]
 

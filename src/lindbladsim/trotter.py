@@ -78,7 +78,7 @@ Wiebe and Coveney, "Ordering of Trotterization", Entropy 21, 1218 (2019)).
 Once per generator, since none of it depends on t or eps, one commutator
 loop over every pool row gives each pair's direction, and one eig of
 sum_j G_j takes them to its eigenbasis (commutator_sums, kept in the
-generator's Record).  In that basis each pair's term at t is elementwise, the
+split's Record).  In that basis each pair's term at t is elementwise, the
 divided differences of exp times the direction, and two stacked products
 take the terms back (_pair_terms); a greedy pass over their Frobenius Gram
 matrix chooses the rows (mixture_rows).  The eig only chooses rows: every
@@ -107,7 +107,7 @@ dissipators do not commute (_may_mix): the qubit chains, whose local dissipators
 commute, keep the spectral split.  A candidate whose pieces equal an earlier one's is
 dropped: the lambda atom's Cholesky split is its spectral split.  The best split
 depends on t, so each call chooses: it takes every split's leading terms at t in one
-stacked exponential and one stacked diamond_bound (split_leads), kept with the last t
+stacked exponential and one stacked diamond_bound (_leads), kept with the last t
 in the generator's memo (Splits.memo), and certify builds only the split whose best
 formula predicts the fewest exponentials at eps, handing over to another split after
 a miss as it does between formulas.  Each split is certified against its own residual
@@ -116,15 +116,20 @@ exponentials than the spectral split; on the lambda atom the DFT split wins at s
 t (6 exponentials where the spectral split needs 9 at t = 1, eps = 1e-3), and the
 spectral split at t >= 4 (735 at t = 32, eps = 1e-6, where the DFT split would need
 5667).  The paper's plan, which bounds and ends every search, is the spectral split's.
+A Record is frozen and whole when it is made: its split's components exist then, once,
+and everything the planner reads of a split, its residual, ||sum_j G_j||_1, norms and
+commutator sums, is computed from them there (_new_split).  The planner (leading_terms,
+mixture_rows, expm_rounding, certify) reads records alone, and builds a split's
+components again only to run its blocks.
 
 Every block and its power are formed as offsets from the identity and
 projected onto trace-preserving maps (plan_map), so that n repetitions add up
 no rounding of the identity's unit, and a certificate follows its leading term
 down to delta.  When the search stops first (certify lists when), the paper's
-plan (paper_plan) runs, uncertified, as the fallback; it is also what the cost
-subcommand reports.  step_count is the paper's planner, and select_order, its
-first step, holds the one check of the planner's inputs.  build_plan calls
-step_count once per run, through paper_plan; every plan it returns carries the
+plan (paper_plan of the spectral split's norms) runs, uncertified, as the fallback;
+it is also what the cost subcommand reports.  step_count is the paper's planner, and
+select_order, its first step, holds the one check of the planner's inputs.  build_plan
+calls step_count once per run, through paper_plan; every plan it returns carries the
 two N_exp bounds that nexp_report prints.
 
 A component is its d^2 x d^2 generator G_j: i[., H] for the Hamiltonian,
@@ -201,16 +206,18 @@ class Component:
 SPECTRAL, CHOLESKY, DFT = "spectral", "cholesky", "dft"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Record:
     """What runs derive from one split of a generator's A into rank-one terms: its name
     (SPECTRAL, CHOLESKY or DFT), its terms, their conjugation plans and the plans'
     universal-family operators, read-only; the residual r = diamond_bound(L - sum_j G_j)
     of its components, L the generator's real map, which bounds ||exp(tL) -
-    exp(t sum_j G_j)||_diamond by t r; one_norm, ||sum_j G_j||_1 (expm_rounding); and
-    norms, its components' norm bounds in product order, which size the paper's plan and
-    a split's candidates before its components are built.  Only sums, the commutator sums
-    (commutator_sums), is written later.  A record keeps no component."""
+    exp(t sum_j G_j)||_diamond by t r; one_norm, ||sum_j G_j||_1 (expm_rounding); norms,
+    its components' norm bounds in product order, which size the paper's plan and a
+    split's candidates; and sums, the components' commutator sums (commutator_sums),
+    read-only.  Frozen and whole when it is made (_new_split), from the split's
+    components, which it does not keep: certify subtracts t r from eps, so no field can
+    be written after the residual is taken."""
 
     split: str
     terms: tuple
@@ -219,7 +226,7 @@ class Record:
     residual: float
     one_norm: float
     norms: tuple
-    sums: tuple | None = field(default=None, repr=False)
+    sums: tuple = field(repr=False)
 
     @property
     def d(self) -> int:
@@ -231,8 +238,9 @@ class Splits:
     """The splits of a generator's A that its runs may take, one Record each, spectral
     first, kept in its slot (GksGenerator.splits).  g's first prepare_components makes the
     spectral record, and its first simulate the other candidates (complete).  memo holds
-    the last t that simulate saw with each split's mixture rows, e^(t sum_j G_j) and leads
-    (split_leads), so that a repeat run at that t computes no leading term."""
+    the last t that simulate saw with each split's mixture rows, e^(t sum_j G_j),
+    read-only, and leads (_leads), so that a repeat run at that t computes no leading
+    term."""
 
     records: tuple
     complete: bool = False
@@ -240,39 +248,28 @@ class Splits:
 
 
 class Components(tuple):
-    """A split's components, norm-ordered, with its record (Record), whose residual,
-    one_norm and sums they read.  certify takes t r out of eps, so a component sequence
-    is certified only with the residual of the split it comes from.  A tuple, so that no
-    component can be added, removed or moved; a slice or a join is a plain tuple, which
-    build_plan refuses."""
+    """A split's components, norm-ordered, with record, the split's Record, which the
+    planner reads.  certify takes t r out of eps, so a component sequence is certified
+    only with the record of the split it comes from.  A tuple, so that no component can
+    be added, removed or moved; a slice or a join is a plain tuple, which build_plan
+    refuses; and record can be neither rebound nor deleted, nor any attribute set."""
 
     def __new__(cls, components, record: Record):
         self = super().__new__(cls, components)
-        self.record = record
+        object.__setattr__(self, "record", record)
         return self
 
-    @property
-    def d(self) -> int:
-        return self.record.d
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Components cannot set {name!r}")
 
-    @property
-    def residual(self) -> float:
-        return self.record.residual
-
-    @property
-    def one_norm(self) -> float:
-        return self.record.one_norm
-
-    @property
-    def sums(self) -> tuple:
-        if self.record.sums is None:
-            self.record.sums = commutator_sums(self)
-        return self.record.sums
+    def __delattr__(self, name):
+        raise AttributeError(f"Components cannot delete {name!r}")
 
 
 def prepare_components(g: GksGenerator) -> Components:
     """The components of g's spectral split, norm-ordered and built anew on each call,
-    with the split's record (Record), which g's first call makes (_make_splits).
+    with the split's record (Record), which g's first call makes whole (_make_splits),
+    commutator sums included.
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan gives
     lam U [L . L† - (1/2){L†L, .}] U†, the dissipator of L' = U L U† with L its
@@ -305,7 +302,7 @@ def _make_splits(g: GksGenerator, complete: bool) -> dict:
     (1976)).  The other two are made only where _may_mix allows.  A candidate whose
     pieces equal an earlier one's (_same_pieces), or that decompose_terms refuses, is
     dropped.  Each new record gets its own residual against the generator's one real
-    map, and a new candidate its commutator sums while its components exist."""
+    map (_new_split)."""
     splits = g.splits
     if splits is not None and (splits.complete or not complete):
         return {}
@@ -321,11 +318,9 @@ def _make_splits(g: GksGenerator, complete: bool) -> dict:
             if any(_same_pieces(terms, r.terms) for r in records):
                 continue
             try:
-                comps = _new_split(g, name, tuple(terms), liouvillian)
+                records.append(_new_split(g, name, tuple(terms), liouvillian).record)
             except DecomposeError:  # a piece that decompose_terms refuses: no candidate
                 continue
-            comps.sums  # computes and keeps them; the components go with this loop
-            records.append(comps.record)
     object.__setattr__(g, "splits", Splits(tuple(records), complete))
     return built
 
@@ -370,8 +365,9 @@ def _same_pieces(terms, others) -> bool:
 
 
 def _new_split(g: GksGenerator, split: str, terms: tuple, liouvillian) -> Components:
-    """The components of a new split of g, with its record, r taken against liouvillian,
-    g's real map."""
+    """The components of a new split of g, with its record, whole: r taken against
+    liouvillian, g's real map, and the commutator sums of the components, which exist
+    only while this call or its caller holds them."""
     plans = tuple(decompose_terms(terms, g.basis))
     L = universal_operators([p.params for p in plans], g.basis)
     L.setflags(write=False)
@@ -379,7 +375,7 @@ def _new_split(g: GksGenerator, split: str, terms: tuple, liouvillian) -> Compon
     total = sum(c.generator for c in comps)
     record = Record(split, terms, plans, L, float(diamond_bound(liouvillian - total)),
                     max(np.abs(total).sum(axis=0).tolist()) if comps else 0.0,
-                    tuple(c.norm for c in comps))
+                    tuple(c.norm for c in comps), commutator_sums(comps, g.d))
     return Components(comps, record)
 
 
@@ -728,8 +724,8 @@ def diamond_bound(X: np.ndarray) -> np.ndarray:
         return np.ldexp(tops[0] + tops[1], e)
 
 
-def leading_terms(splits, t: float, rows) -> list:
-    """For each of several splits, each a Record or its Components, with its rows:
+def leading_terms(records, t: float, rows) -> list:
+    """For each of several splits' records, with its rows:
     e^(t sum_j G_j) and the leading error terms D of the k = 1 candidates over its
     components, in product order: T_n - e^(t sum_j G_j) = D / n^2 + O(n^-4), stacked as
     certify's candidates: the fixed-order block, the coin flip (the mixture of row 0 of
@@ -767,13 +763,13 @@ def leading_terms(splits, t: float, rows) -> list:
     predicts diamond_bound(T_n - e^(t sum_j G_j)) up to O(n^-4), since the bound is
     continuous and takes c X to |c| times X's.
 
-    Everything but t and the rows enters through the commutator sums (Components.sums),
-    kept in the split's record, so a call forms only the exponential, one stacked over
-    every split's directions, and the two commutators with e^(t sum_j G_j).
+    Everything but t and the rows enters through the record's commutator sums
+    (Record.sums), so a call forms only the exponential, one stacked over every split's
+    directions, and the two commutators with e^(t sum_j G_j).
     """
     A, E, h = [], [], []
-    for split, r in zip(splits, rows):
-        total, E_s, _, pairs, _ = split.sums
+    for record, r in zip(records, rows):
+        total, E_s, _, pairs, _ = record.sums
         if r != (0,):
             E_s = np.concatenate([E_s, pairs[list(r)].mean(axis=0, keepdims=True)])
         # h is a power of two with ||h E||_1 ~ 2^-60; a zero direction takes h = 1
@@ -785,8 +781,8 @@ def leading_terms(splits, t: float, rows) -> list:
     X = expm(np.array(A) + (1j * h)[:, None, None] * np.concatenate(E))
     D = (t ** 3 / h)[:, None, None] * X.imag
     out, i = [], 0
-    for split, E_s in zip(splits, E):
-        exact, C = X[i].real, split.sums[2]
+    for record, E_s in zip(records, E):
+        exact, C = X[i].real, record.sums[2]
         coin_flip = D[i:i + 1] + (t * t / 16.0) * (exact @ C - C @ exact)  # H2 = -C / 2
         terms = np.concatenate([D[i:i + 1], coin_flip, D[i + 1:i + len(E_s)]])
         terms[:, 0] = 0.0
@@ -795,34 +791,19 @@ def leading_terms(splits, t: float, rows) -> list:
     return out
 
 
-def split_leads(records, t: float) -> list:
-    """Each split's (rows, e^(t sum_j G_j), leads) at t: its mixture rows (mixture_rows),
-    and its candidates' leads, diamond_bound of leading_terms's terms, every split's in
-    one stacked call; None for a split whose terms or leads are not finite.  Raises
-    NumericsError when numerics.expm refuses a t sum_j G_j."""
-    rows = [mixture_rows(r, t) for r in records]
-    found = leading_terms(records, t, rows)
-    finite = [np.isfinite(terms).all() for _, terms in found]
-    stack = [terms for (_, terms), ok in zip(found, finite) if ok]
-    leads = iter(diamond_bound(np.concatenate(stack)).tolist() if stack else ())
-    out = []
-    for r, (exact, terms), ok in zip(rows, found, finite):
-        bounds = [next(leads) for _ in terms] if ok else [math.nan]
-        out.append((r, exact, bounds) if all(map(math.isfinite, bounds)) else None)
-    return out
-
-
-def commutator_sums(components) -> tuple:
-    """The t-independent part of leading_terms and of mixture_rows, each array
-    read-only: (sum_j G_j, E, C, pairs, eigenbasis).  E and C, each a stack of one, are
-    the norm order's sums, E of leading_terms's docstring and C = sum_i [G_i, R_i];
-    pairs stacks the pool's directions, H3 / 4 = E_o + [sum_j G_j, C_o] / 16 for each
-    order o of the first pool_size(m, d) rows of component_orders(m).  sum_j G_j is the
-    loop's own sum in the norm order, from the last component to the first.  One loop
-    runs every order at once, in m - 1 stacked steps.  eigenbasis is _eigenbasis's, or
-    None for a pool of one row, which leaves nothing to choose.
+def commutator_sums(components, d: int) -> tuple:
+    """The t-independent part of leading_terms and of mixture_rows for components of
+    dimension d, each array read-only: (sum_j G_j, E, C, pairs, eigenbasis); with no
+    component, those of one zero generator, every sum zero.  E and C, each a stack of
+    one, are the norm order's sums, E of leading_terms's docstring and
+    C = sum_i [G_i, R_i]; pairs stacks the pool's directions,
+    H3 / 4 = E_o + [sum_j G_j, C_o] / 16 for each order o of the first pool_size(m, d)
+    rows of component_orders(m).  sum_j G_j is the loop's own sum in the norm order,
+    from the last component to the first.  One loop runs every order at once, in m - 1
+    stacked steps.  eigenbasis is _eigenbasis's, or None for a pool of one row, which
+    leaves nothing to choose.
     """
-    G, d = [c.generator for c in components], components[0].d
+    G = [c.generator for c in components] or [np.zeros((d * d, d * d))]
     orders = component_orders(len(G))[:pool_size(len(G), d)]
     pairs = np.empty((len(orders), d * d, d * d))
     # the loop runs SUMS_CHUNK orders at a time, which keeps its memory to a few stacks of
@@ -916,16 +897,16 @@ def _pair_terms(basis: tuple, t: float) -> np.ndarray:
     return terms
 
 
-def mixture_rows(split, t: float) -> tuple:
-    """The rows of component_orders whose mixture certify runs as a split's third
-    candidate, the split a Record or its Components: the prefix of at most MIX_PAIRS
+def mixture_rows(record: Record, t: float) -> tuple:
+    """The rows of component_orders whose mixture certify runs as the third candidate of
+    the split whose record this is: the prefix of at most MIX_PAIRS
     rows of a greedy pass over the pool that makes the Frobenius norm of the mean of
     their terms (_pair_terms) smallest, ties to the lower row and to the shorter prefix,
     in ascending order.  (0,), the coin flip, when the pool has one row, so that the
     split's eigenbasis is None, or its terms or their Gram matrix are not finite.  The
     choice depends on the split and t, not on eps; a run takes it from its generator's
-    memo (Splits.memo, split_leads) at the t it saw last."""
-    basis = split.sums[4]
+    memo (Splits.memo, _leads) at the t it saw last."""
+    basis = record.sums[4]
     if basis is None:
         return (0,)
     terms = _pair_terms(basis, t)  # the common factor t^3 moves no choice
@@ -947,33 +928,40 @@ def mixture_rows(split, t: float) -> tuple:
     return best
 
 
-def expm_rounding(components, t: float) -> float:
+def expm_rounding(record: Record, t: float) -> float:
     """delta = ROUNDING_ULPS d (1 + ||t sum_j G_j||_1) u, u = 2^-53: the allowance
     certify takes out of eps for the rounding in its computed e^(t sum_j G_j).
 
     Scaling and squaring's rounding grows with the norm, as each squaring can double
     what the last one left (numerics.MAX_EXPM_NORM): at ||A||_1 = 8e7 the rounding
     numerics measured is 0.024 of this unit at d = 3.  Its growth with d is the
-    measured one (ROUNDING_ULPS).  ||sum_j G_j||_1 is the split's kept one_norm, read
-    from its Components or its Record."""
-    return ROUNDING_ULPS * components.d * (1.0 + t * components.one_norm) * 2.0 ** -53
+    measured one (ROUNDING_ULPS).  ||sum_j G_j||_1 is the record's one_norm."""
+    return ROUNDING_ULPS * record.d * (1.0 + t * record.one_norm) * 2.0 ** -53
 
 
-def _leads(records: tuple, built: dict, t: float, g: GksGenerator | None) -> list:
-    """split_leads of the records at t, a record's sums computed from its components
-    where it has none, the components built from g where built lacks them; with g, whose
-    records they are, taken from its memo when that holds t, and kept there."""
+def _leads(records: tuple, t: float, g: GksGenerator | None) -> list:
+    """Each record's (rows, e^(t sum_j G_j), leads) at t: its mixture rows (mixture_rows),
+    e^(t sum_j G_j), read-only, and its candidates' leads, diamond_bound of
+    leading_terms's terms, every split's in one stacked call; None for a split whose
+    terms or leads are not finite.  With g, whose records they are, taken from its memo
+    when that holds t, and kept there.  Raises NumericsError when numerics.expm refuses
+    a t sum_j G_j."""
     memo = g.splits.memo if g is not None else None
-    if memo is None or memo[0] != t:
-        for record in records:
-            if record.sums is None:
-                if record.split not in built:
-                    built[record.split] = _split_components(g, record)
-                built[record.split].sums  # computes and keeps them
-        memo = t, split_leads(records, t)
-        if g is not None:
-            g.splits.memo = memo
-    return memo[1]
+    if memo is not None and memo[0] == t:
+        return memo[1]
+    rows = [mixture_rows(r, t) for r in records]
+    found = leading_terms(records, t, rows)
+    finite = [np.isfinite(terms).all() for _, terms in found]
+    stack = [terms for (_, terms), ok in zip(found, finite) if ok]
+    leads = iter(diamond_bound(np.concatenate(stack)).tolist() if stack else ())
+    out = []
+    for r, (exact, terms), ok in zip(rows, found, finite):
+        exact.setflags(write=False)
+        bounds = [next(leads) for _ in terms] if ok else [math.nan]
+        out.append((r, exact, bounds) if all(map(math.isfinite, bounds)) else None)
+    if g is not None:
+        g.splits.memo = t, out
+    return out
 
 
 def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPlan,
@@ -995,22 +983,24 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     output state is T_n(rho), and the certificate covers it as it covers a
     fixed-order run.
     Each split has three candidates: the fixed block, the coin flip (row 0 alone)
-    and the mixture of the rows mixture_rows chooses for its components and t,
+    and the mixture of the rows mixture_rows chooses for its record and t,
     which depend on neither eps nor the search; two when those rows are (0,).
     The search is sized by their leading error terms: with lead = diamond_bound(D),
-    every split's candidates' taken at once (split_leads; with g, whose records they
-    are, kept with the last t in its memo), the certificate is lead / n^2 up to
-    O(n^-4) and the rounding of the power, so each candidate's search would start at
-    n = ceil(sqrt(lead / target)).  A split whose terms are not finite is dropped.
+    every split's candidates' taken at once from the records (_leads; with g, whose
+    records they are, kept with the last t in its memo), the certificate is lead / n^2
+    up to O(n^-4) and the rounding of the power, so each candidate's search would start
+    at n = ceil(sqrt(lead / target)).  A split whose terms are not finite is dropped.
     Every build runs the candidate whose next n needs the fewest exponentials
     (formula_count), on a tie the earlier split, spectral first, and then the one of
     fewer orders: the fixed block, then the coin flip, then the chosen mixture.  So
     the search starts with the cheapest start, and a candidate whose step after a
     miss costs more than another's untried start, of its own split or another, gives
     way to it: a near miss of the coin flip at 0.9 % fewer exponentials than the
-    mixture would otherwise step past the mixture's certified count.  built holds
-    the components of the splits built so far, by split; a split that builds and is
-    missing there has its components built from g and added to it.
+    mixture would otherwise step past the mixture's certified count.  Targets, leads
+    and the parts a plan carries are read from the records alone; built holds the
+    components of the splits built so far, by split, which only the blocks use, and a
+    split that builds and is missing there has its components built from g and added
+    to it.
     After a miss at n a candidate steps to ceil(sqrt(lead / (target - off))), with
     off = certificate - lead / n^2 the part the term did not predict, by a factor of
     at least NEAR_STEP; or, when off >= target or lead = 0, by the k = 1 law
@@ -1035,7 +1025,7 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     if not targets:
         return paper
     try:
-        leads = dict(zip(records, _leads(tuple(records.values()), built, t, g)))
+        leads = dict(zip(records, _leads(tuple(records.values()), t, g)))
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
         return paper
 
@@ -1062,7 +1052,7 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
             return replace(paper, builds=builds - 1)
         if name not in built:
             built[name] = _split_components(g, records[name])
-        components, target = built[name], targets[name]
+        components, record, target = built[name], records[name], targets[name]
         L1 = components[0].norm
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=len(components), L1=L1,
                            bound_res=paper.bound_res, bound_closed_form=paper.bound_closed_form,
@@ -1074,8 +1064,8 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
         if cert <= target:
             return replace(plan, certificate=cert, total_map=total, builds=builds,
                            predicted_certificate=lead / n ** 2,
-                           residual_bound=t * components.residual,
-                           rounding_allowance=expm_rounding(components, t), target=target)
+                           residual_bound=t * record.residual,
+                           rounding_allowance=expm_rounding(record, t), target=target)
         if not cert * min(2.0, 0.5 * fall) <= last:
             return replace(paper, builds=builds)
         off = cert - lead / n ** 2
@@ -1088,23 +1078,18 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     return replace(paper, builds=MAX_BUILDS)
 
 
-def paper_plan(components, eps: float, t: float) -> TrotterPlan:
-    """The paper planner's plan for the component list (_paper_plan of its norms).
+def paper_plan(norms, eps: float, t: float) -> TrotterPlan:
+    """The paper planner's plan for components of these norm bounds, in product order:
+    step_count's (k, n_reps) and bounds, and the order-2k block's length
+    lam = t L1 / n_reps.
 
-    Components must already be ordered by descending norm.  A single
-    component needs no splitting: one exact segment.  With no component,
-    no nonzero norm or no time the dynamics is trivial: the plan has no
-    segment, n_reps = 0 and lam = 0.0.  Every path needs finite t >= 0 and
-    eps > 0, and a plan of more than 2^53 exponentials, the cap select_order puts
-    on m, is refused.  No schedule is built: the block's 2(m - 1) 5^(k - 1) + 1
+    The norms must be in descending order.  A single component needs no splitting: one
+    exact segment.  With no component, no nonzero norm or no time the dynamics is
+    trivial: the plan has no segment, n_reps = 0 and lam = 0.0.  Every path needs finite
+    t >= 0 and eps > 0, and a plan of more than 2^53 exponentials, the cap select_order
+    puts on m, is refused.  No schedule is built: the block's 2(m - 1) 5^(k - 1) + 1
     segments are only counted.
     """
-    return _paper_plan([c.norm for c in components], eps, t)
-
-
-def _paper_plan(norms, eps: float, t: float) -> TrotterPlan:
-    """step_count's (k, n_reps) and bounds for components of these norms, in product
-    order, and the order-2k block's length lam = t L1 / n_reps (paper_plan)."""
     if not (0 <= t < math.inf and 0 < eps < math.inf):  # written so that NaN fails too
         raise TrotterError("need finite t >= 0 and eps > 0")
     if any(norms[i] < norms[i + 1] for i in range(len(norms) - 1)):
@@ -1124,22 +1109,23 @@ def _paper_plan(norms, eps: float, t: float) -> TrotterPlan:
 
 
 def build_plan(components, eps: float, t: float, g: GksGenerator | None = None) -> TrotterPlan:
-    """The certified plan (certify) for one split's components, sized by their leading
-    error terms and certified against their split's residual, or else the paper's plan
-    (paper_plan), which also bounds the search's cost.  With g, components is instead a
-    dict, by split, of the components of g's splits built so far, which may be empty
-    (simulate): the plan may run any of g's splits (Splits), each split the search builds
-    is added to the dict, and the paper's plan is the spectral split's.
+    """The certified plan (certify) for one split's components, sized by the leading
+    error terms of their record and certified against its residual, or else the paper's
+    plan (paper_plan of their norms), which also bounds the search's cost.  With g,
+    components is instead a dict, by split, of the components of g's splits built so
+    far, which may be empty (simulate): the plan may run any of g's splits (Splits), each
+    split the search builds is added to the dict, and the paper's plan is that of the
+    spectral record's norms.
 
     A plan with one component or no repetition is the paper's: it has
     nothing to certify, and no block is built for it.  Any other plan needs
-    the components' residual, so a plain list or tuple of them is refused.
+    the components' record, so a plain list or tuple of them is refused.
     """
     if g is not None:
         records, built = g.splits.records, components
-        paper = _paper_plan(records[0].norms, eps, t)
+        paper = paper_plan(records[0].norms, eps, t)
     else:
-        paper = paper_plan(components, eps, t)
+        paper = paper_plan([c.norm for c in components], eps, t)
     if paper.m < 2 or paper.n_reps == 0:
         return paper
     if g is None:
@@ -1299,10 +1285,10 @@ def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
 
     g's first run makes its candidate splits of A (_make_splits), each kept in its own
     Record in g's slot and reused by every later run, whatever its t and eps.  Each run
-    takes every split's leading terms at t (split_leads, kept with the last t), and
-    builds and certifies the split whose best formula predicts the fewest exponentials
-    at eps, handing over to another split when a miss makes it cost more (certify); only
-    the components of the splits it builds are built, and none is kept.
+    takes every split's leading terms at t from its record (_leads, kept with the last
+    t), and builds and certifies the split whose best formula predicts the fewest
+    exponentials at eps, handing over to another split when a miss makes it cost more
+    (certify); only the components of the splits it builds are built, and none is kept.
     """
     if rho0.d != g.d:
         raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")

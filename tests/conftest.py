@@ -358,8 +358,8 @@ def exp_derivative(A, X):
 def leading_error(components, t, rows=None):
     """trotter.leading_terms of one split's components: e^(t sum_j G_j) and its
     candidates' leading terms, the mixture's of rows, by default of its mixture_rows at t."""
-    rows = trotter.mixture_rows(components, t) if rows is None else rows
-    return trotter.leading_terms([components], t, [rows])[0]
+    rows = trotter.mixture_rows(components.record, t) if rows is None else rows
+    return trotter.leading_terms([components.record], t, [rows])[0]
 
 
 def predicted_plan(components, t, eps, rows):
@@ -371,7 +371,8 @@ def predicted_plan(components, t, eps, rows):
     exact, terms = leading_error(components, t, rows or (0,))
     D = terms[{(): 0, (0,): 1}.get(rows, 2)]
     m, L1 = len(components), components[0].norm
-    residual, rounding = t * components.residual, trotter.expm_rounding(components, t)
+    record = components.record
+    residual, rounding = t * record.residual, trotter.expm_rounding(record, t)
     target = eps - residual - rounding
     n = max(1, math.ceil(math.sqrt(choi_split_bound(column_stacked(D)) / target)))
     plan = trotter.TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=m, L1=L1,
@@ -386,7 +387,7 @@ def pair_terms(components, t):
     """Each pool row's leading term t^3 L(t sum_j G_j, pairs_o), from the components'
     eigenbasis as trotter.mixture_rows chooses by them, stacked by row; None when the
     components have no eigenbasis."""
-    basis = components.sums[4]
+    basis = components.record.sums[4]
     if basis is None:
         return None
     return trotter._pair_terms(basis, t).transpose(1, 0, 2) * t ** 3

@@ -132,7 +132,8 @@ def test_criterion_4_trotter_error_bound():
             _SIMULATED_STATES.append(oracle.rho)
             for eps in (1e-2, 1e-3):
                 # the plan a run uses, and the paper's plan, its fallback
-                for plan in (build_plan(components, eps, t), paper_plan(components, eps, t)):
+                norms = components.record.norms
+                for plan in (build_plan(components, eps, t), paper_plan(norms, eps, t)):
                     out = run_plan(plan, components, rho0)
                     _SIMULATED_STATES.append(out.rho)
                     dist = trace_distance(out.rho, oracle.rho)

@@ -10,9 +10,10 @@ from conftest import (AHAT1_R, AHAT1_I, DIRECTIONS, GOLDEN_ALPHA_I, SECONDVEC, T
                       dephasing_gks, edge_direction, from_vector, lambda_atom, plan_gks_matrix,
                       random_gks, random_psd, sigma_x_slot, to_vector)
 from lindbladsim.decompose import (ConjugationPlan, DecomposeError, RankOneTerm,
-                                   UniversalParams, canonical_phases, decompose_generator,
-                                   decompose_term, decompose_terms, diagonalizing_unitaries,
-                                   extract_params, phase_eliminations, sigma_y_zero_slots,
+                                   UniversalParams, canonical_phases, cholesky_split,
+                                   decompose_generator, decompose_term, decompose_terms,
+                                   diagonalizing_unitaries, extract_params,
+                                   phase_eliminations, sigma_y_zero_slots,
                                    spectral_split, universal_operators, universal_support,
                                    universal_vectors, verify_plan, verify_plans)
 from lindbladsim.lindblad import (DiagonalGenerator, GksGenerator, liouvillian_matrix,
@@ -324,6 +325,20 @@ def test_extract_params_orthogonality_constraint(rng):
         lhs = math.cos(p.alphaI[0])
         rhs = -float(aR[1:3] @ aI[1:3]) / float(aR[0])
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_near_identity_cholesky_pieces_decompose():
+    # A = lam (I + 1e-6 v v†) at d = 5, the near-identity A of the trotter tests'
+    # degenerate-dissipator strategy, seed 0: its third pivoted Cholesky piece has
+    # aR_1 = 4e-8 and aR . aI = 0, and a check of that product divided by aR_1 refused
+    # it (152 of 7200 such pieces over seeds 0-299); every piece decomposes exactly
+    rng = np.random.default_rng(0)
+    b = gell_mann_basis(5)
+    q = np.linalg.qr(rng.normal(size=(b.n, b.n)) + 1j * rng.normal(size=(b.n, b.n)))[0]
+    A = rng.uniform(0.1, 1.0) * (np.eye(b.n) + 1e-6 * np.outer(q[:, -1], np.conj(q[:, -1])))
+    terms = cholesky_split(GksGenerator(basis=b, H=np.zeros((5, 5)), A=A), b.n)
+    assert len(terms) == b.n
+    assert verify_plans(decompose_terms(terms, b), terms, b).max() <= 1e-12
 
 
 def test_extract_params_rejects_pattern_violation():

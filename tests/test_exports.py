@@ -2,6 +2,8 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import conftest
@@ -70,3 +72,26 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     used = {name for path in callers for name in names_used(path)}
     assert "simulate" in defined and "simulate" in used
     assert sorted(defined - used) == []
+
+
+# a fresh interpreter's import of the package and its CLI, and a first simulate at d = 2:
+# the start-up a user pays before any run, as the benchmark's setup_s times it
+FIRST_RUN = """
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+import lindbladsim, lindbladsim.cli
+from lindbladsim.lindblad import DiagonalGenerator, from_diagonal
+g = from_diagonal(DiagonalGenerator(d=2, H=np.zeros((2, 2)), terms=((1.0, [[0, 1], [0, 0]]),)))
+lindbladsim.simulate(g, lindbladsim.maximally_mixed(2), 0.5, 1e-3)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_first_run_loads_no_scipy():
+    # scipy is a test dependency only; importing scipy.linalg alone takes about three
+    # times what the import and first run above take without it
+    code = FIRST_RUN.format(src=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -325,7 +325,7 @@ def test_long_runs_keep_the_trace(g, t, eps):
     oracle = apply_exact(g, rho0, t)
     out, plan, comps = simulate(g, rho0, t=t, eps=eps)
     spectral = prepare_components(g)  # the paper's plan is the spectral split's
-    paper = paper_plan(spectral, eps, t)
+    paper = paper_plan(spectral.record.norms, eps, t)
     assert paper.n_reps >= 6000
     for state in (out, run_plan(paper, spectral, rho0)):
         QuantumState(d=g.d, rho=state.rho)
@@ -354,7 +354,7 @@ def test_long_paper_plans_keep_a_valid_state():
     # of QuantumState, so run_plan raised where the state must be within eps
     g, rho0, t, eps = lambda_atom(), maximally_mixed(3), 1e6, 1e-3
     comps = prepare_components(g)
-    plan = paper_plan(comps, eps, t)
+    plan = paper_plan(comps.record.norms, eps, t)
     assert plan.n_reps >= 8e9
     state = run_plan(plan, comps, rho0)
     assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps
@@ -560,7 +560,8 @@ def test_nexp_report_bounds_hold_across_eps():
     comps = prepare_components(g)
     ks = set()
     for eps in (1e-2, 1e-3, 1e-4):
-        for plan in (build_plan(comps, eps=eps, t=1.0), paper_plan(comps, eps=eps, t=1.0)):
+        for plan in (build_plan(comps, eps=eps, t=1.0),
+                     paper_plan(comps.record.norms, eps=eps, t=1.0)):
             rep = nexp_report(plan)
             assert rep.n_exp_actual <= rep.n_exp_unmerged
             assert rep.n_exp_actual <= rep.n_exp_bound_res
@@ -604,7 +605,7 @@ def bounded_maps(d, seed):
     m, L1 = len(comps), comps[0].norm
     plan = TrotterPlan(k=1, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1)
     runs = [trotter.plan_map(dataclasses.replace(plan, rows=rows), comps) - exact
-            for rows in ((), (0,), mixture_rows(comps, 1.0))]
+            for rows in ((), (0,), mixture_rows(comps.record, 1.0))]
     a, b = comps[0].channel([0.1, 0.7]), comps[-1].channel([0.4])[0]
     return [a[0] - a[1], a[1] - b, *runs, *terms]
 
@@ -620,7 +621,7 @@ def test_diamond_bound_reads_one_on_channels(d):
     identity = np.eye(d * d)
     channels = [*(identity + c.channel([0.05, 0.6]) for c in comps),
                 [identity + block_superoperator(dataclasses.replace(plan, rows=rows), comps)
-                 for rows in ((), (0,), mixture_rows(comps, 1.0))],
+                 for rows in ((), (0,), mixture_rows(comps.record, 1.0))],
                 [real_map(expm(t * liouvillian_matrix(g))) for t in (0.3, 2.0)]]
     bounds = diamond_bound(np.concatenate(channels))
     assert np.abs(bounds - 1.0).max() <= 1e-12
@@ -699,14 +700,14 @@ def assert_certified(g, comps, plan, t, eps):
     """What a certified plan promises, checked against the oracle's own matrix: its
     certificate within the target eps - t r - delta, which it carries with its parts."""
     assert plan.certificate is not None and plan.certificate <= plan.target
-    assert plan.residual_bound == t * comps.residual
-    assert plan.rounding_allowance == expm_rounding(comps, t)
+    assert plan.residual_bound == t * comps.record.residual
+    assert plan.rounding_allowance == expm_rounding(comps.record, t)
     assert plan.target == eps - plan.residual_bound - plan.rounding_allowance
     exact = real_map(expm(t * liouvillian_matrix(g)))
     assert choi_split_bound(column_stacked(plan.total_map - exact)) <= eps
     rep = nexp_report(plan)
     assert not rep.negative_segments
-    paper = paper_plan(comps, eps, t)
+    paper = paper_plan(comps.record.norms, eps, t)
     assert rep.n_exp_actual <= segments_per_block(plan.m, paper.k) * paper.n_reps
 
 
@@ -740,8 +741,8 @@ def test_every_certified_plan_carries_its_residual_and_rounding():
         for eps in (1e-3, 1e-6):
             _, plan, comps = simulate(g, maximally_mixed(g.d), t, eps)
             r = float(diamond_bound(L - sum(c.generator for c in comps)))
-            delta = expm_rounding(comps, t)
-            assert comps.residual == r and 0.0 <= t * r < 1e-11
+            delta = expm_rounding(comps.record, t)
+            assert comps.record.residual == r and 0.0 <= t * r < 1e-11
             assert plan.certificate is not None and plan.certificate <= eps - t * r - delta
             parts = (plan.residual_bound, plan.rounding_allowance, plan.target)
             assert parts == (t * r, delta, eps - t * r - delta)
@@ -763,7 +764,7 @@ def test_the_rounding_allowance_is_ten_times_the_exponentials_rounding(g):
             reference = np.array(mpmath.expm(mpmath.matrix((t * S).tolist())).tolist(),
                                  dtype=float)
         error = float(diamond_bound(leading_error(comps, t)[0] - reference))
-        assert error <= expm_rounding(comps, t) / 10
+        assert error <= expm_rounding(comps.record, t) / 10
 
 
 def test_repeat_runs_derive_each_quantity_once(monkeypatch):
@@ -771,7 +772,10 @@ def test_repeat_runs_derive_each_quantity_once(monkeypatch):
     # reads them, whatever its t and eps: the spectrum and the Liouvillian of the residuals
     # are computed once, and each candidate's plans, operators and commutator sums once.  A
     # repeat run at the last t takes every split's leading terms from the memo and builds
-    # the components of the split it runs alone.  The records' arrays are read-only
+    # the components of the split it runs alone.  The records' arrays and the memo's
+    # e^(t sum_j G_j), which certify subtracts from the block power, are read-only.  A
+    # split's commutator sums are computed when its record is made, once, whether
+    # prepare_components or simulate touches g first
     g, rho0 = random_gks(3, np.random.default_rng(1)), maximally_mixed(3)
     names = ("gks_spectrum", "decompose_terms", "universal_operators", "liouvillian_matrix",
              "commutator_sums", "leading_terms", "one_one_norm")
@@ -786,20 +790,28 @@ def test_repeat_runs_derive_each_quantity_once(monkeypatch):
     for _, plan, comps in runs:
         assert plan.certificate is not None
         assert comps.record.split == plan.split and comps.record in records
-        assert comps.sums is comps.record.sums
     assert g.splits.memo[0] == 1.0  # the last t's leads
     calls.clear()
     state, plan, comps = simulate(g, rho0, 1.0, 1e-3)
     assert calls == {"one_one_norm": len(comps)}
     assert plan == runs[0][1] and state.rho.tobytes() == runs[0][0].rho.tobytes()
+    exact = [lead[1] for lead in g.splits.memo[1]]
     arrays = [a for r in records for a in (r.operators, *r.sums[:4], *r.sums[4],
                                            *(term.a for term in r.terms),
                                            *(p.U for p in r.plans))]
-    assert all(not a.flags.writeable for a in arrays)
+    assert len(exact) == 3 and all(not a.flags.writeable for a in arrays + exact)
     with pytest.raises(ValueError, match="read-only"):
         records[1].sums[1][0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         records[2].operators[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        exact[0][0, 0] = 1.0
+    calls.clear()
+    fresh = GksGenerator(basis=g.basis, H=g.H, A=g.A)
+    spectral = prepare_components(fresh)
+    assert calls["commutator_sums"] == 1
+    simulate(fresh, rho0, 1.0, 1e-3)
+    assert calls["commutator_sums"] == 3 and fresh.splits.records[0] is spectral.record
 
 
 def test_off_weights_show_in_the_residual(monkeypatch):
@@ -809,20 +821,21 @@ def test_off_weights_show_in_the_residual(monkeypatch):
     own = prepare_components(g)
     off = scaled_weight_components(monkeypatch, g, 1.0 + 1e-6)
     S = column_stacked(sum(c.generator for c in off))
-    assert off.residual == pytest.approx(choi_split_bound(liouvillian_matrix(g) - S), rel=1e-6)
-    assert off.residual > 1e6 * own.residual
+    r = off.record.residual
+    assert r == pytest.approx(choi_split_bound(liouvillian_matrix(g) - S), rel=1e-6)
+    assert r > 1e6 * own.record.residual
 
 
 def test_a_target_that_is_not_positive_starts_no_search(monkeypatch):
     # weights 10 % off leave t r past eps: the allowances use up eps, so neither a term
     # nor a block is computed, and the paper's plan runs
     comps = scaled_weight_components(monkeypatch, lambda_atom(), 1.1)
-    assert comps.residual > 1e-3
+    assert comps.record.residual > 1e-3
     with monkeypatch.context() as patch:
         patch.setattr(trotter, "leading_terms", None)
         patch.setattr(trotter, "plan_map", None)
         plan = build_plan(comps, 1e-3, 1.0)
-    assert plan == paper_plan(comps, 1e-3, 1.0) and plan.builds == 0
+    assert plan == paper_plan(comps.record.norms, 1e-3, 1.0) and plan.builds == 0
 
 
 def test_components_without_a_residual_are_not_certified():
@@ -833,21 +846,32 @@ def test_components_without_a_residual_are_not_certified():
             build_plan(list(comps), eps, 1.0)
 
 
-def test_components_cannot_change_in_place():
+def test_components_cannot_change_in_place(monkeypatch):
     # a component list changed in place kept the residual of the list as it was built:
     # here, at eps = 1e-3, del comps[1] gave a plan certified at 9.2e-4 whose state read
     # dist/eps 139, and del comps[4] one that read 25.6.  Components is a tuple, so nothing
     # is removed, added or moved in place, and what slicing or joining makes is a plain
-    # tuple, which certify refuses
+    # tuple, which certify refuses.  Its record is frozen and cannot be swapped: on the
+    # lambda atom with weights 10 % off, an editable record's residual set to 0 gave a
+    # certified state at dist/eps 14.9
+    with monkeypatch.context() as patch:
+        off = scaled_weight_components(patch, lambda_atom(), 1.1)
+    for name, value in (("residual", 0.0), ("norms", ()), ("sums", None)):
+        with pytest.raises(AttributeError):
+            setattr(off.record, name, value)
     g, rho0, eps = random_gks(3, np.random.default_rng(1)), maximally_mixed(3), 1e-3
     comps = prepare_components(g)
+    for name, value in (("record", off.record), ("residual", 0.0)):
+        with pytest.raises(AttributeError):
+            setattr(comps, name, value)
+    with pytest.raises(AttributeError):
+        del comps.record
+    assert comps.record is g.splits.records[0]
     for i in (1, 4):
         with pytest.raises(TypeError):
             del comps[i]
     with pytest.raises(TypeError):
         comps[0], comps[1] = comps[1], comps[0]
-    with pytest.raises(AttributeError):
-        comps.residual = 0.0
     assert not any(hasattr(comps, name) for name in
                    ("append", "extend", "insert", "pop", "remove", "reverse", "sort", "clear"))
     for changed in (comps[:1] + comps[2:], comps[:4] + comps[5:], comps + comps[-1:]):
@@ -871,7 +895,7 @@ def test_kept_sums_give_the_terms_of_a_fresh_generator(case):
         fresh = prepare_components(GksGenerator(basis=g.basis, H=g.H, A=g.A))
         for kept, new in zip(leading_error(comps, t), leading_error(fresh, t)):
             assert kept.tobytes() == new.tobytes()
-        assert expm_rounding(comps, t) == expm_rounding(fresh, t)
+        assert expm_rounding(comps.record, t) == expm_rounding(fresh.record, t)
 
 
 @settings(max_examples=40)
@@ -1040,7 +1064,7 @@ def test_search_stops_at_the_rounding_floor(eps):
     rho0 = maximally_mixed(3)
     state, plan, comps = simulate(g, rho0, 1.0, eps)
     assert plan.certificate is None and plan.total_map is None and plan.builds == 0
-    assert plan == paper_plan(comps, eps, 1.0)
+    assert plan == paper_plan(comps.record.norms, eps, 1.0)
     assert np.array_equal(state.rho, run_plan(plan, comps, rho0).rho)
     assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps
 
@@ -1092,7 +1116,7 @@ def test_a_near_miss_gives_way_to_a_cheaper_start(monkeypatch):
     # builds next, and certifies there
     comps = prepare_components(n_qubit_generator(2))
     t, eps = 1.0, 1e-10
-    rows = mixture_rows(comps, t)
+    rows = mixture_rows(comps.record, t)
     coin_flip, mixed = (predicted_plan(comps, t, eps, r) for r in ((0,), rows))
     cheaper = coin_flip.actual_exponentials()
     assert cheaper < mixed.actual_exponentials() < cheaper * trotter.SEARCH_MARGIN
@@ -1124,14 +1148,14 @@ def test_search_gives_up_on_a_non_finite_map(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(trotter, "plan_map", lambda plan, components: np.full((9, 9), np.inf))
         plan = build_plan(comps, eps=1e-3, t=1.0)
-    assert plan.certificate is None and plan == paper_plan(comps, 1e-3, 1.0)
+    assert plan.certificate is None and plan == paper_plan(comps.record.norms, 1e-3, 1.0)
     # a non-finite leading term is refused before its bound, whose eigh cannot take it
     exact, terms = leading_error(comps, 1.0)
     for bad in (np.nan, np.inf):
         bad_terms = np.concatenate([terms[:-1], np.full_like(terms[-1:], bad)])
         with monkeypatch.context() as patch:
             patch.setattr(trotter, "leading_terms", lambda splits, t, rows: [(exact, bad_terms)])
-            assert build_plan(comps, eps=1e-3, t=1.0) == paper_plan(comps, 1e-3, 1.0)
+            assert build_plan(comps, eps=1e-3, t=1.0) == paper_plan(comps.record.norms, 1e-3, 1.0)
     rho0 = maximally_mixed(3)
     assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-3
 
@@ -1140,12 +1164,12 @@ def test_search_gives_up_when_expm_refuses_the_generator():
     # ||t sum_j G_j||_1 is past numerics.MAX_EXPM_NORM at t = 1e8: no certificate
     comps = prepare_components(lambda_atom())
     plan = build_plan(comps, eps=1e-3, t=1e8)
-    assert plan.certificate is None and plan == paper_plan(comps, 1e-3, 1e8)
+    assert plan.certificate is None and plan == paper_plan(comps.record.norms, 1e-3, 1e8)
 
 
 def search_target(comps, eps, t):
     """The target certify forms, eps - t r - delta."""
-    return eps - t * comps.residual - expm_rounding(comps, t)
+    return eps - t * comps.record.residual - expm_rounding(comps.record, t)
 
 
 def scripted_plan_map(exact, certificates, target, built):
@@ -1195,7 +1219,7 @@ def test_search_builds_at_most_max_builds_blocks(monkeypatch):
         if certified:
             assert plan.n_reps == built[-1] and plan.certificate == pytest.approx(0.5 * target)
         else:
-            assert plan.certificate is None and plan == paper_plan(comps, eps, t)
+            assert plan.certificate is None and plan == paper_plan(comps.record.norms, eps, t)
     monkeypatch.undo()
     rho0 = maximally_mixed(3)
     assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-6
@@ -1225,7 +1249,7 @@ def test_search_stop_rule(monkeypatch, certificates, builds, certified):
         assert plan.n_reps == built[-1]
         assert plan.certificate == pytest.approx(certificates[builds - 1] * target)
     else:
-        assert plan.certificate is None and plan == paper_plan(comps, eps, t)
+        assert plan.certificate is None and plan == paper_plan(comps.record.norms, eps, t)
 
 
 def test_cost_report_names_the_search(monkeypatch):
@@ -1321,7 +1345,7 @@ def test_leading_terms_are_derivatives_along_the_bch_terms(d):
         G = np.stack([c.generator for c in comps])
         S = sum(G)
         H2, H3 = first_order_terms(G)
-        rows = mixture_rows(comps, t)
+        rows = mixture_rows(comps.record, t)
         assert rows != (0,)  # the chosen mixture is a third term
         orders = component_orders(len(G))[list(rows)]
         mean_H3 = np.mean([first_order_terms(G[o])[1] for o in orders], axis=0)
@@ -1354,7 +1378,7 @@ def test_chosen_mixtures_lead_below_the_first_four_rows():
     for d in range(3, 7):
         for seed in (1, 2, 3):
             comps = prepare_components(random_gks(d, np.random.default_rng(seed)))
-            rows = mixture_rows(comps, 1.0)
+            rows = mixture_rows(comps.record, 1.0)
             chosen, first_four = (diamond_bound(leading_error(comps, 1.0, r)[1][2])
                                   for r in (rows, (0, 1, 2, 3)))
             assert chosen < first_four
@@ -1365,7 +1389,7 @@ def test_chosen_rows_do_not_depend_on_eps(eps):
     # the rows depend on the generator and t alone; each eps runs the same mixture
     g = random_gks(4, np.random.default_rng(2))
     plan = build_plan(prepare_components(g), eps, 1.0)
-    assert plan.rows == mixture_rows(prepare_components(g), 1.0) == (5, 6, 16, 26)
+    assert plan.rows == mixture_rows(prepare_components(g).record, 1.0) == (5, 6, 16, 26)
 
 
 @pytest.mark.parametrize("broken", ["raises", "nan"])
@@ -1383,7 +1407,7 @@ def test_a_failed_eigenbasis_falls_back_to_the_coin_flip(broken, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", broken_eig)
     g, rho0, eps = random_gks(4, np.random.default_rng(2)), maximally_mixed(4), 1e-6
     state, plan, comps = simulate(g, rho0, 1.0, eps)
-    assert comps.sums[4] is None and mixture_rows(comps, 1.0) == (0,)
+    assert comps.record.sums[4] is None and mixture_rows(comps.record, 1.0) == (0,)
     assert plan.rows in ((), (0,)) and len(leading_error(comps, 1.0)[1]) == 2
     assert_certified(g, comps, plan, 1.0, eps)
     assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps / 2
@@ -1396,7 +1420,7 @@ def test_the_pool_is_capped_by_work():
     assert pool_size(9, 16) == pool_size(11, 32) == 1
     assert (pool_size(2, 3), pool_size(3, 2), pool_size(4, 2)) == (1, 3, 12)  # m! / 2
     comps = prepare_components(n_qubit_generator(4))
-    assert len(comps.sums[3]) == 1 and comps.sums[4] is None
+    assert len(comps.record.sums[3]) == 1 and comps.record.sums[4] is None
     assert len(leading_error(comps, 1.0)[1]) == 2
 
 
@@ -1437,14 +1461,14 @@ def test_two_components_have_no_mixed_orders_term():
     comps = prepare_components(lambda_atom())
     _, terms = leading_error(comps, 1.0)
     assert len(component_orders(2)) == 1 and len(terms) == 2
-    assert comps.sums[4] is None and mixture_rows(comps, 1.0) == (0,)
+    assert comps.record.sums[4] is None and mixture_rows(comps.record, 1.0) == (0,)
 
 
 def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
     comps = prepare_components(random_gks(3, np.random.default_rng(1)))
     m, L1, n = len(comps), comps[0].norm, 7
     fixed = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=L1 / n, m=m, L1=L1)
-    rows = mixture_rows(comps, 1.0)
+    rows = mixture_rows(comps.record, 1.0)
     mixtures = [dataclasses.replace(fixed, rows=r) for r in ((0,), rows)]
     assert [p.pairs for p in (fixed, *mixtures)] == [0, 1, len(rows)] and len(rows) > 1
     assert [p.formula for p in (fixed, *mixtures)] == [SUZUKI, MIXED_ORDERS, MIXED_ORDERS]
@@ -1487,7 +1511,7 @@ def test_block_superoperator_matches_the_walked_schedule(k, rows, monkeypatch):
         comps = prepare_components(g)
         m, L1 = len(comps), comps[0].norm
         plan = TrotterPlan(k=k, r=3 / L1, n_reps=3, lam=L1 / 3, m=m, L1=L1,
-                           rows=mixture_rows(comps, 1.0) if rows is None else rows)
+                           rows=mixture_rows(comps.record, 1.0) if rows is None else rows)
         calls.clear()
         block = block_superoperator(plan, comps)
         assert calls == [2 ** (k - 1)] * m
@@ -1511,7 +1535,7 @@ def test_a_run_builds_no_schedule(monkeypatch):
         plans.append(build_plan(comps, eps, 1.0))
         assert plans[-1].certificate is not None
         run_plan(plans[-1], comps, rho0)
-    plans.append(paper_plan(comps, 1e-3, 1.0))
+    plans.append(paper_plan(comps.record.norms, 1e-3, 1.0))
     run_plan(plans[-1], comps, rho0)
     reports = [nexp_report(plan) for plan in plans]
     monkeypatch.undo()
@@ -1534,7 +1558,7 @@ def test_both_formulas_certify_at_their_predicted_n(eps):
         comps = prepare_components(g)
         rho0 = maximally_mixed(g.d)
         exact = apply_exact(g, rho0, t)
-        candidates = dict.fromkeys([(), (0,), mixture_rows(comps, t)])
+        candidates = dict.fromkeys([(), (0,), mixture_rows(comps.record, t)])
         plans = [predicted_plan(comps, t, eps, rows) for rows in candidates]
         for plan in plans:
             assert_certified(g, comps, plan, t, eps)
