@@ -67,7 +67,7 @@ class GksGenerator:
     numerics.eigh taken here, whose own check is A's one Hermiticity check and whose
     eigenvalues check that A is positive semidefinite.  splits is a slot for what runs
     derive from g, one trotter.Record per split of A (trotter.Splits), None until its
-    first trotter.prepare_components or trotter.simulate.
+    first trotter.prepare_components or trotter.simulate, which makes every split at once.
     """
 
     basis: GellMannBasis

@@ -97,8 +97,9 @@ A = sum_k lam_k a_k a_k†, but any factorization A = W W† gives pieces w_j w_
 decompose_terms carries onto the universal family alike, and it mixes the Lindblad
 operators by a unitary, which leaves the Liouvillian unchanged (Gorini, Kossakowski
 and Sudarshan, J. Math. Phys. 17, 821 (1976)).  What changes is the commutators
-between the pieces, and so the leading terms.  A generator's first run makes up to
-three candidate splits (_make_splits), each kept in its own Record: the spectral one,
+between the pieces, and so the leading terms.  A generator's first use, its first
+prepare_components or simulate, makes up to three candidate splits in one pass against
+one real Liouvillian (_make_splits), each kept in its own Record: the spectral one,
 always first, and a pivoted Cholesky factor of A (decompose.cholesky_split) and the
 spectral factor rotated by the K-point DFT (decompose.dft_split).  The other two are
 made when A has rank K >= 2, their commutator loops fit the pool's work budget
@@ -119,8 +120,8 @@ spectral split at t >= 4 (735 at t = 32, eps = 1e-6, where the DFT split would n
 A Record is frozen and whole when it is made: its split's components exist then, once,
 and everything the planner reads of a split, its residual, ||sum_j G_j||_1, norms and
 commutator sums, is computed from them there (_new_split).  The planner (leading_terms,
-mixture_rows, expm_rounding, certify) reads records alone, and builds a split's
-components again only to run its blocks.
+mixture_rows, expm_rounding, certify) reads records alone; a run builds each split's
+components at most once, g's first run with its records (_split_components).
 
 Every block and its power are formed as offsets from the identity and
 projected onto trace-preserving maps (plan_map), so that n repetitions add up
@@ -233,17 +234,15 @@ class Record:
         return self.operators.shape[-1]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Splits:
     """The splits of a generator's A that its runs may take, one Record each, spectral
-    first, kept in its slot (GksGenerator.splits).  g's first prepare_components makes the
-    spectral record, and its first simulate the other candidates (complete).  memo holds
-    the last t that simulate saw with each split's mixture rows, e^(t sum_j G_j),
-    read-only, and leads (_leads), so that a repeat run at that t computes no leading
-    term."""
+    first, kept in its slot (GksGenerator.splits), all made by g's first prepare_components
+    or simulate (_make_splits).  Frozen: memo, the last t that simulate saw with each
+    split's mixture rows, e^(t sum_j G_j), read-only, and leads, so that a repeat run at
+    that t computes no leading term, is written by _leads alone."""
 
     records: tuple
-    complete: bool = False
     memo: tuple | None = None
 
 
@@ -267,9 +266,8 @@ class Components(tuple):
 
 
 def prepare_components(g: GksGenerator) -> Components:
-    """The components of g's spectral split, norm-ordered and built anew on each call,
-    with the split's record (Record), which g's first call makes whole (_make_splits),
-    commutator sums included.
+    """The components of g's spectral split, norm-ordered, with the split's record (Record):
+    on g's first use those _make_splits made with every split, else built anew.
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan gives
     lam U [L . L† - (1/2){L†L, .}] U†, the dissipator of L' = U L U† with L its
@@ -282,18 +280,21 @@ def prepare_components(g: GksGenerator) -> Components:
     descending norm, with stable ties, which fixes the product order
     deterministically.
     """
-    built = _make_splits(g, False)
-    return built[SPECTRAL] if built else _split_components(g, g.splits.records[0])
+    return _split_components(g, _make_splits(g), SPECTRAL)
 
 
-def _split_components(g: GksGenerator, record: Record) -> Components:
-    """The components of the split of g that record keeps, built anew."""
-    return Components(_components(g, record.plans, record.operators), record)
+def _split_components(g: GksGenerator | None, built: dict, split: str) -> Components:
+    """The components of g's split named split: built's, by split, or else built anew from
+    the split's record and added to built."""
+    if split not in built:
+        record = next(r for r in g.splits.records if r.split == split)
+        built[split] = Components(_components(g, record.plans, record.operators), record)
+    return built[split]
 
 
-def _make_splits(g: GksGenerator, complete: bool) -> dict:
-    """Make g's Splits with its spectral record, or with complete add the other
-    candidates, where they are missing; the components built on the way, by split.
+def _make_splits(g: GksGenerator) -> dict:
+    """Make g's Splits, every one in one pass, on g's first use; the components of each
+    split made, by split, or {} once g has its splits.
 
     The candidates are the spectral split, then cholesky_split and dft_split: each
     A = W W†, whose rank-one pieces the same SU(d) conjugation carries onto the universal
@@ -301,27 +302,23 @@ def _make_splits(g: GksGenerator, complete: bool) -> dict:
     Liouvillian unchanged (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 821
     (1976)).  The other two are made only where _may_mix allows.  A candidate whose
     pieces equal an earlier one's (_same_pieces), or that decompose_terms refuses, is
-    dropped.  Each new record gets its own residual against the generator's one real
-    map (_new_split)."""
-    splits = g.splits
-    if splits is not None and (splits.complete or not complete):
+    dropped.  Each record gets its own residual against the generator's one real map
+    (_new_split), built here once."""
+    if g.splits is not None:
         return {}
     liouvillian = real_map(liouvillian_matrix(g))
-    built, records = {}, list(splits.records) if splits else []
-    if not records:
-        built[SPECTRAL] = _new_split(g, SPECTRAL, tuple(spectral_split(g)), liouvillian)
-        records.append(built[SPECTRAL].record)
-    spectral = records[0]
-    if complete and _may_mix(g, spectral):
-        for name, terms in ((CHOLESKY, cholesky_split(g, len(spectral.terms))),
-                            (DFT, dft_split(spectral.terms))):
-            if any(_same_pieces(terms, r.terms) for r in records):
+    spectral = _new_split(g, SPECTRAL, tuple(spectral_split(g)), liouvillian)
+    built = {SPECTRAL: spectral}
+    if _may_mix(g, spectral.record):
+        terms = spectral.record.terms
+        for name, pieces in ((CHOLESKY, cholesky_split(g, len(terms))), (DFT, dft_split(terms))):
+            if any(_same_pieces(pieces, c.record.terms) for c in built.values()):
                 continue
             try:
-                records.append(_new_split(g, name, tuple(terms), liouvillian).record)
+                built[name] = _new_split(g, name, tuple(pieces), liouvillian)
             except DecomposeError:  # a piece that decompose_terms refuses: no candidate
                 continue
-    object.__setattr__(g, "splits", Splits(tuple(records), complete))
+    object.__setattr__(g, "splits", Splits(tuple(c.record for c in built.values())))
     return built
 
 
@@ -400,11 +397,12 @@ def _components(g: GksGenerator, plans: tuple, L: np.ndarray) -> list:
     n, m = len(norms), len(plans)
     Y = np.empty((n, d * d, d, d), dtype=complex)
     Yt = Y.transpose(0, 2, 1, 3)  # Y[j, k] = Yt[j, :, k]
-    sandwiched = times_basis(lam * dagger(Lc)).reshape(m, d ** 3, d) @ Lc
+    # the sandwiched products straight into Y: two d^4 complex stacks alive at most
+    np.matmul(times_basis(lam * dagger(Lc)), Lc[:, None], out=Yt[n - m:])
     one_sided = times_basis(left)
     Yt[:n - m] = one_sided[:n - m]  # the Hamiltonian's, if any
-    np.subtract(sandwiched.reshape(m, d, d * d, d), one_sided[n - m:], out=Yt[n - m:])
-    del sandwiched, one_sided  # d^4 complex entries a component each, freed before R exists
+    Yt[n - m:] -= one_sided[n - m:]
+    del one_sided  # freed before R exists
     # Re tr(Y_k B_l) = Re sum_ab (Y_k)_ab conj(B_l)_ab: the dot product of the float views
     real = B.reshape(d * d, d * d).view(float)
     R = (Y.reshape(n * d * d, d * d).view(float) @ real.T).reshape(n, d * d, d * d)
@@ -960,7 +958,7 @@ def _leads(records: tuple, t: float, g: GksGenerator | None) -> list:
         bounds = [next(leads) for _ in terms] if ok else [math.nan]
         out.append((r, exact, bounds) if all(map(math.isfinite, bounds)) else None)
     if g is not None:
-        g.splits.memo = t, out
+        object.__setattr__(g.splits, "memo", (t, out))
     return out
 
 
@@ -998,9 +996,9 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     way to it: a near miss of the coin flip at 0.9 % fewer exponentials than the
     mixture would otherwise step past the mixture's certified count.  Targets, leads
     and the parts a plan carries are read from the records alone; built holds the
-    components of the splits built so far, by split, which only the blocks use, and a
-    split that builds and is missing there has its components built from g and added
-    to it.
+    components of the splits built so far, by split, which only the blocks use: all of
+    them on g's first run (_make_splits), and a split that builds and is missing there
+    has its components built from g and added to it (_split_components).
     After a miss at n a candidate steps to ceil(sqrt(lead / (target - off))), with
     off = certificate - lead / n^2 the part the term did not predict, by a factor of
     at least NEAR_STEP; or, when off >= target or lead = 0, by the k = 1 law
@@ -1050,9 +1048,8 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
         (name, rows), (lead, n, last, fall) = key, search[key]
         if count(key, n) >= budget:
             return replace(paper, builds=builds - 1)
-        if name not in built:
-            built[name] = _split_components(g, records[name])
-        components, record, target = built[name], records[name], targets[name]
+        components = _split_components(g, built, name)
+        record, target = records[name], targets[name]
         L1 = components[0].norm
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=len(components), L1=L1,
                            bound_res=paper.bound_res, bound_closed_form=paper.bound_closed_form,
@@ -1113,9 +1110,9 @@ def build_plan(components, eps: float, t: float, g: GksGenerator | None = None) 
     error terms of their record and certified against its residual, or else the paper's
     plan (paper_plan of their norms), which also bounds the search's cost.  With g,
     components is instead a dict, by split, of the components of g's splits built so
-    far, which may be empty (simulate): the plan may run any of g's splits (Splits), each
-    split the search builds is added to the dict, and the paper's plan is that of the
-    spectral record's norms.
+    far: all of them on g's first run, none on a later one (simulate, _make_splits).  The
+    plan may run any of g's splits (Splits), each split the search builds is added to the
+    dict, and the paper's plan is that of the spectral record's norms.
 
     A plan with one component or no repetition is the paper's: it has
     nothing to certify, and no block is built for it.  Any other plan needs
@@ -1283,18 +1280,17 @@ def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
     """Decompose, plan, and run; returns (state, plan, components), the components
     those of the split the plan runs (plan.split).
 
-    g's first run makes its candidate splits of A (_make_splits), each kept in its own
-    Record in g's slot and reused by every later run, whatever its t and eps.  Each run
-    takes every split's leading terms at t from its record (_leads, kept with the last
-    t), and builds and certifies the split whose best formula predicts the fewest
-    exponentials at eps, handing over to another split when a miss makes it cost more
-    (certify); only the components of the splits it builds are built, and none is kept.
+    g's first use, this or prepare_components, makes its candidate splits of A in one
+    pass (_make_splits), each kept in its own Record in g's slot and reused by every later
+    run, whatever its t and eps.  Each run takes every split's leading terms at t from its
+    record (_leads, kept with the last t), and builds and certifies the split whose best
+    formula predicts the fewest exponentials at eps, handing over to another split when a
+    miss makes it cost more (certify).  Each split's components are built once a run, on
+    g's first with the records (_split_components), and none is kept.
     """
     if rho0.d != g.d:
         raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")
-    built = _make_splits(g, True)
+    built = _make_splits(g)
     plan = build_plan(built, eps, t, g)
-    if plan.split not in built:  # the paper's plan, which no search built
-        built[plan.split] = _split_components(g, g.splits.records[0])
-    components = built[plan.split]
+    components = _split_components(g, built, plan.split)
     return run_plan(plan, components, rho0), plan, components

@@ -773,9 +773,9 @@ def test_repeat_runs_derive_each_quantity_once(monkeypatch):
     # are computed once, and each candidate's plans, operators and commutator sums once.  A
     # repeat run at the last t takes every split's leading terms from the memo and builds
     # the components of the split it runs alone.  The records' arrays and the memo's
-    # e^(t sum_j G_j), which certify subtracts from the block power, are read-only.  A
-    # split's commutator sums are computed when its record is made, once, whether
-    # prepare_components or simulate touches g first
+    # e^(t sum_j G_j), which certify subtracts from the block power, are read-only.  Every
+    # split is made on g's first use, in one pass against one real Liouvillian, whether
+    # prepare_components or simulate touches g first, and a later run makes none
     g, rho0 = random_gks(3, np.random.default_rng(1)), maximally_mixed(3)
     names = ("gks_spectrum", "decompose_terms", "universal_operators", "liouvillian_matrix",
              "commutator_sums", "leading_terms", "one_one_norm")
@@ -809,9 +809,32 @@ def test_repeat_runs_derive_each_quantity_once(monkeypatch):
     calls.clear()
     fresh = GksGenerator(basis=g.basis, H=g.H, A=g.A)
     spectral = prepare_components(fresh)
-    assert calls["commutator_sums"] == 1
+    assert calls["commutator_sums"] == 3 and calls["liouvillian_matrix"] == 1
+    assert ([(r.split, r.residual) for r in fresh.splits.records]
+            == [(r.split, r.residual) for r in records])
+    calls.clear()
     simulate(fresh, rho0, 1.0, 1e-3)
-    assert calls["commutator_sums"] == 3 and fresh.splits.records[0] is spectral.record
+    assert calls["commutator_sums"] == calls["liouvillian_matrix"] == 0
+    assert fresh.splits.records[0] is spectral.record
+
+
+@pytest.mark.parametrize("make", [lambda: random_gks(3, np.random.default_rng(1)), lambda_atom,
+                                  lambda: n_qubit_generator(2)],
+                         ids=["random-d3-s1", "lambda", "qubits-2"])
+def test_a_first_run_builds_each_split_once(monkeypatch, make):
+    # a first simulate builds each split's components once, in the pass that makes the
+    # splits, and neither the search nor the run builds them again: one one_one_norm call
+    # per component of every record, where two phases made 36 for 27 on random d = 3 and 6
+    # for 4 on the lambda atom.  It runs the plan and state of a twin generator that ran
+    # prepare_components first
+    g, twin = make(), make()
+    rho0 = maximally_mixed(g.d)
+    prepare_components(twin)
+    calls = count_calls(monkeypatch, ("one_one_norm",))
+    state, plan, _ = simulate(g, rho0, 1.0, 1e-3)
+    assert calls["one_one_norm"] == sum(len(r.norms) for r in g.splits.records)
+    twin_state, twin_plan, _ = simulate(twin, rho0, 1.0, 1e-3)
+    assert plan == twin_plan and state.rho.tobytes() == twin_state.rho.tobytes()
 
 
 def test_off_weights_show_in_the_residual(monkeypatch):
@@ -853,7 +876,9 @@ def test_components_cannot_change_in_place(monkeypatch):
     # is removed, added or moved in place, and what slicing or joining makes is a plain
     # tuple, which certify refuses.  Its record is frozen and cannot be swapped: on the
     # lambda atom with weights 10 % off, an editable record's residual set to 0 gave a
-    # certified state at dist/eps 14.9
+    # certified state at dist/eps 14.9.  Nor can a generator's splits be swapped: with the
+    # records of a generator of equal H and another A, an editable Splits gave a certified
+    # state 331 eps from g's oracle
     with monkeypatch.context() as patch:
         off = scaled_weight_components(patch, lambda_atom(), 1.1)
     for name, value in (("residual", 0.0), ("norms", ()), ("sums", None)):
@@ -867,6 +892,9 @@ def test_components_cannot_change_in_place(monkeypatch):
     with pytest.raises(AttributeError):
         del comps.record
     assert comps.record is g.splits.records[0]
+    for name, value in (("records", (off.record,)), ("memo", None)):
+        with pytest.raises(AttributeError):
+            setattr(g.splits, name, value)
     for i in (1, 4):
         with pytest.raises(TypeError):
             del comps[i]
