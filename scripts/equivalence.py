@@ -14,7 +14,9 @@ and 16.  Both files are only read.
 
 Each run is written as one serialize.dumps line: the case id, t and eps; the
 plan's split of A, formula, rows (a mixture's rows of component_orders(m)), k, n_reps,
-builds and actual_exponentials(); its certificate,
+builds and exponentials (actual_exponentials, read as nexp_report(plan).n_exp_actual,
+which older checkouts bind too, so that one copy of this script records both sides of
+a comparison); its certificate,
 predicted certificate, residual bound t r, rounding allowance delta and
 target eps - t r - delta (each null for the paper's fallback plan); dist / eps,
 the trace distance to lindblad.apply_exact over eps; the SHA-256 of the
@@ -65,7 +67,7 @@ sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "bench")]
 from conftest import lambda_atom, n_qubit_generator, random_gks  # noqa: E402
 from lindbladsim import cli, serialize  # noqa: E402
 from lindbladsim.lindblad import apply_exact, maximally_mixed, trace_distance  # noqa: E402
-from lindbladsim.trotter import simulate  # noqa: E402
+from lindbladsim.trotter import nexp_report, simulate  # noqa: E402
 from workloads import cli_roundtrip, lambda_trajectory, random_d6  # noqa: E402
 
 SEEDS = range(1, 11)
@@ -99,7 +101,7 @@ def record(case, g, rho0, t, eps) -> dict:
     return {**out, "split": plan.split, "formula": plan.formula, "rows": list(plan.rows),
             "k": plan.k,
             "n_reps": plan.n_reps,
-            "builds": plan.builds, "actual_exponentials": plan.actual_exponentials(),
+            "builds": plan.builds, "actual_exponentials": nexp_report(plan).n_exp_actual,
             "certificate": plan.certificate,
             "predicted_certificate": plan.predicted_certificate,
             "residual_bound": plan.residual_bound,

@@ -47,13 +47,13 @@ def main():
                 start = time.perf_counter()
                 _, plan, _ = simulate(g, maximally_mixed(g.d), T, eps)
                 walls.append(time.perf_counter() - start)
-            paper = paper_plan(g.splits.records[0].norms, eps, T)
+            paper = paper_plan(g.splits[0].norms, eps, T)
             cert, predicted = ("" if x is None else f"{x:.2e}"
                                for x in (plan.certificate, plan.predicted_certificate))
             rows = ", ".join(map(str, plan.rows))
             formula = f"{plan.formula} ({rows})" if plan.rows else plan.formula
             print(f"| {n} | {g.d} | {plan.m} | {g.basis.n} | {eps:g} "
-                  f"| {paper.actual_exponentials()} | {plan.actual_exponentials()} "
+                  f"| {paper.n_exp_actual} | {plan.n_exp_actual} "
                   f"| {plan.split} | {formula} | {cert} "
                   f"| {predicted} | {plan.builds} | {walls[0]:.3f} | {min(walls[1:]):.3f} |",
                   flush=True)

@@ -14,8 +14,7 @@ from .lindblad import (GksGenerator, DiagonalGenerator, QuantumState,
                        one_one_norm, trace_distance, maximally_mixed)
 from .decompose import (RankOneTerm, ConjugationPlan, UniversalParams, spectral_split,
                         decompose_generator, verify_plan)
-from .trotter import (TrotterPlan, CostReport, build_plan, run_plan, nexp_report,
-                      prepare_components, simulate)
+from .trotter import TrotterPlan, build_plan, run_plan, prepare_components, simulate
 
 __all__ = [
     "GellMannBasis", "gell_mann_basis", "adjoint_matrix",
@@ -24,8 +23,7 @@ __all__ = [
     "one_one_norm", "trace_distance", "maximally_mixed",
     "RankOneTerm", "ConjugationPlan", "UniversalParams", "spectral_split",
     "decompose_generator", "verify_plan",
-    "TrotterPlan", "CostReport", "build_plan", "run_plan", "nexp_report",
-    "prepare_components", "simulate",
+    "TrotterPlan", "build_plan", "run_plan", "prepare_components", "simulate",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .lindblad import (DiagonalGenerator, LindbladError, apply_exact, from_diago
                        maximally_mixed, trace_distance)
 from .numerics import NumericsError, dagger, frobenius
 from .sud import SudError, gell_mann_basis
-from .trotter import TrotterError, nexp_report, segments_per_block, simulate, step_count
+from .trotter import TrotterError, segments_per_block, simulate, step_count
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -108,7 +108,7 @@ def _trotter_run(g, rho0, t: float, eps: float) -> dict:
     state, plan, components = simulate(g, rho0, t, eps)
     return {
         "rho": serialize.matrix_to_json(state.rho),
-        "cost": nexp_report(plan).to_dict() if components else None,
+        "cost": plan.cost_report() if components else None,
         "trace_distance_to_oracle": trace_distance(state.rho, oracle.rho),
     }
 
@@ -204,7 +204,7 @@ def cmd_example_lambda(args) -> int:
     g = lambda_atom_generator(args.gamma1, args.gamma2, args.phi, args.eta, args.alpha)
     rho0 = maximally_mixed(3)
     run = _trotter_run(g, rho0, args.t, args.eps)
-    spectral = g.splits.records[0]  # the spectral split, which the decompose subcommand writes
+    spectral = g.splits[0]  # the spectral split, which the decompose subcommand writes
     terms, plans = spectral.terms, spectral.plans
     residuals = verify_plans(plans, terms, g.basis)
     bundle = {

@@ -48,7 +48,7 @@ import numpy as np
 from . import numerics
 from .numerics import dagger, frozen_copy
 from .lindblad import GksGenerator, gks_spectrum
-from .sud import GellMannBasis, gell_mann_basis
+from .sud import GellMannBasis
 
 
 class DecomposeError(ValueError):
@@ -100,11 +100,6 @@ class ConjugationPlan:
     def __post_init__(self):
         _require_weight(self.lam)
         object.__setattr__(self, "U", frozen_copy(self.U))
-
-    @property
-    def operator(self) -> np.ndarray:
-        """The universal-family operator of params (universal_operators), built on each read."""
-        return universal_operators([self.params], gell_mann_basis(self.params.d))[0]
 
 
 def spectral_split(g: GksGenerator) -> list[RankOneTerm]:
@@ -421,5 +416,6 @@ def verify_plans(plans, terms, basis: GellMannBasis) -> np.ndarray:
 
 def verify_plan(plan: ConjugationPlan, term: RankOneTerm, basis: GellMannBasis) -> float:
     """Frobenius residual ||a a† - b b†|| with b_a = tr(F_a U L U†) = (G(U) v)_a, where
-    L = plan.operator is the operator the plan's component runs."""
+    L = universal_operators([plan.params], basis)[0] is the operator the plan's component
+    runs."""
     return float(verify_plans([plan], [term], basis)[0])

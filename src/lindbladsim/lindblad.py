@@ -66,8 +66,9 @@ class GksGenerator:
     and its eigenvectors in the columns of the second array, both read-only, from the one
     numerics.eigh taken here, whose own check is A's one Hermiticity check and whose
     eigenvalues check that A is positive semidefinite.  splits is a slot for what runs
-    derive from g, one trotter.Record per split of A (trotter.Splits), None until its
-    first trotter.prepare_components or trotter.simulate, which makes every split at once.
+    derive from g, a tuple of one trotter.Record per split of A, spectral first, None
+    until its first trotter.prepare_components or trotter.simulate, which makes every
+    split at once.
     """
 
     basis: GellMannBasis

@@ -108,8 +108,8 @@ dissipators do not commute (_may_mix): the qubit chains, whose local dissipators
 commute, keep the spectral split.  A candidate whose pieces equal an earlier one's is
 dropped: the lambda atom's Cholesky split is its spectral split.  The best split
 depends on t, so each call chooses: it takes every split's leading terms at t in one
-stacked exponential and one stacked diamond_bound (_leads), kept with the last t
-in the generator's memo (Splits.memo), and certify builds only the split whose best
+stacked exponential and one stacked diamond_bound (_leads), each kept with the last t
+in its record's memo (Record.memo), and certify builds only the split whose best
 formula predicts the fewest exponentials at eps, handing over to another split after
 a miss as it does between formulas.  Each split is certified against its own residual
 r.  On the benchmark's random d = 6 generators the chosen splits need about 20 % fewer
@@ -117,11 +117,13 @@ exponentials than the spectral split; on the lambda atom the DFT split wins at s
 t (6 exponentials where the spectral split needs 9 at t = 1, eps = 1e-3), and the
 spectral split at t >= 4 (735 at t = 32, eps = 1e-6, where the DFT split would need
 5667).  The paper's plan, which bounds and ends every search, is the spectral split's.
-A Record is frozen and whole when it is made: its split's components exist then, once,
-and everything the planner reads of a split, its residual, ||sum_j G_j||_1, norms and
-commutator sums, is computed from them there (_new_split).  The planner (leading_terms,
-mixture_rows, expm_rounding, certify) reads records alone; a run builds each split's
-components at most once, g's first run with its records (_split_components).
+A Record is whole when it is made: its split's components exist then, once, and
+everything the planner reads of a split, its residual, ||sum_j G_j||_1, norms and
+commutator sums, is computed from them there (_new_split).  It keeps g's H and its
+split's operators, from which its components are built again (_split_components), so
+the planner (leading_terms, mixture_rows, expm_rounding, _leads, certify) reads records
+alone and takes no generator; a run builds each split's components at most once, g's
+first run with its records.
 
 Every block and its power are formed as offsets from the identity and
 projected onto trace-preserving maps (plan_map), so that n repetitions add up
@@ -131,7 +133,7 @@ plan (paper_plan of the spectral split's norms) runs, uncertified, as the fallba
 it is also what the cost subcommand reports.  step_count is the paper's planner, and
 select_order, its first step, holds the one check of the planner's inputs.  build_plan
 calls step_count once per run, through paper_plan; every plan it returns carries the
-two N_exp bounds that nexp_report prints.
+two N_exp bounds, which its cost report (TrotterPlan.cost_report) prints.
 
 A component is its d^2 x d^2 generator G_j: i[., H] for the Hamiltonian,
 lam U [L . L† - (1/2){L†L, .}] U† for a dissipative piece, L the plan's
@@ -159,7 +161,7 @@ exponential is applied for any sign and the cost report flags them.
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -211,39 +213,32 @@ SPECTRAL, CHOLESKY, DFT = "spectral", "cholesky", "dft"
 class Record:
     """What runs derive from one split of a generator's A into rank-one terms: its name
     (SPECTRAL, CHOLESKY or DFT), its terms, their conjugation plans and the plans'
-    universal-family operators, read-only; the residual r = diamond_bound(L - sum_j G_j)
-    of its components, L the generator's real map, which bounds ||exp(tL) -
-    exp(t sum_j G_j)||_diamond by t r; one_norm, ||sum_j G_j||_1 (expm_rounding); norms,
-    its components' norm bounds in product order, which size the paper's plan and a
-    split's candidates; and sums, the components' commutator sums (commutator_sums),
-    read-only.  Frozen and whole when it is made (_new_split), from the split's
-    components, which it does not keep: certify subtracts t r from eps, so no field can
-    be written after the residual is taken."""
+    universal-family operators, read-only; H, the generator's read-only H, which with the
+    operators builds the split's components (_split_components); the residual
+    r = diamond_bound(L - sum_j G_j) of its components, L the generator's real map, which
+    bounds ||exp(tL) - exp(t sum_j G_j)||_diamond by t r; one_norm, ||sum_j G_j||_1
+    (expm_rounding); norms, its components' norm bounds in product order, which size the
+    paper's plan and a split's candidates; and sums, the components' commutator sums
+    (commutator_sums), read-only.  Whole when it is made (_new_split), from the split's
+    components, which it does not keep, and frozen: certify subtracts t r from eps, so no
+    field can be written after the residual is taken.  memo, the last t a run saw with
+    the split's leads there, (t, (rows, e^(t sum_j G_j), leads)) or (t, None), so that a
+    repeat run at that t computes no leading term, is written by _leads alone."""
 
     split: str
     terms: tuple
     plans: tuple
     operators: np.ndarray = field(repr=False)
+    H: np.ndarray = field(repr=False)
     residual: float
     one_norm: float
     norms: tuple
     sums: tuple = field(repr=False)
+    memo: tuple | None = field(default=None, repr=False)
 
     @property
     def d(self) -> int:
         return self.operators.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class Splits:
-    """The splits of a generator's A that its runs may take, one Record each, spectral
-    first, kept in its slot (GksGenerator.splits), all made by g's first prepare_components
-    or simulate (_make_splits).  Frozen: memo, the last t that simulate saw with each
-    split's mixture rows, e^(t sum_j G_j), read-only, and leads, so that a repeat run at
-    that t computes no leading term, is written by _leads alone."""
-
-    records: tuple
-    memo: tuple | None = None
 
 
 class Components(tuple):
@@ -251,12 +246,16 @@ class Components(tuple):
     planner reads.  certify takes t r out of eps, so a component sequence is certified
     only with the record of the split it comes from.  A tuple, so that no component can
     be added, removed or moved; a slice or a join is a plain tuple, which build_plan
-    refuses; and record can be neither rebound nor deleted, nor any attribute set."""
+    refuses; and record can be neither rebound nor deleted, nor any attribute set.  A
+    copy, a deep copy or a pickle round trip keeps the record with the components."""
 
     def __new__(cls, components, record: Record):
         self = super().__new__(cls, components)
         object.__setattr__(self, "record", record)
         return self
+
+    def __reduce__(self):
+        return Components, (tuple(self), self.record)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Components cannot set {name!r}")
@@ -266,8 +265,8 @@ class Components(tuple):
 
 
 def prepare_components(g: GksGenerator) -> Components:
-    """The components of g's spectral split, norm-ordered, with the split's record (Record):
-    on g's first use those _make_splits made with every split, else built anew.
+    """The components of g's spectral split, norm-ordered, with the split's record, g.splits[0]
+    (Record): on g's first use those _make_splits made with every split, else built anew.
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan gives
     lam U [L . L† - (1/2){L†L, .}] U†, the dissipator of L' = U L U† with L its
@@ -280,21 +279,23 @@ def prepare_components(g: GksGenerator) -> Components:
     descending norm, with stable ties, which fixes the product order
     deterministically.
     """
-    return _split_components(g, _make_splits(g), SPECTRAL)
+    built = _make_splits(g)
+    return _split_components(built, g.splits[0])
 
 
-def _split_components(g: GksGenerator | None, built: dict, split: str) -> Components:
-    """The components of g's split named split: built's, by split, or else built anew from
-    the split's record and added to built."""
-    if split not in built:
-        record = next(r for r in g.splits.records if r.split == split)
-        built[split] = Components(_components(g, record.plans, record.operators), record)
-    return built[split]
+def _split_components(built: dict, record: Record) -> Components:
+    """The components of record's split: built's, by split, or else built anew from the
+    record's H and operators and added to built."""
+    if record.split not in built:
+        built[record.split] = Components(_components(record.H, record.plans, record.operators),
+                                         record)
+    return built[record.split]
 
 
 def _make_splits(g: GksGenerator) -> dict:
-    """Make g's Splits, every one in one pass, on g's first use; the components of each
-    split made, by split, or {} once g has its splits.
+    """Make g's splits, every one in one pass, on g's first use, and put their records in
+    g.splits, spectral first; the components of each split made, by split, or {} once g
+    has its splits.
 
     The candidates are the spectral split, then cholesky_split and dft_split: each
     A = W W†, whose rank-one pieces the same SU(d) conjugation carries onto the universal
@@ -318,7 +319,7 @@ def _make_splits(g: GksGenerator) -> dict:
                 built[name] = _new_split(g, name, tuple(pieces), liouvillian)
             except DecomposeError:  # a piece that decompose_terms refuses: no candidate
                 continue
-    object.__setattr__(g, "splits", Splits(tuple(c.record for c in built.values())))
+    object.__setattr__(g, "splits", tuple(c.record for c in built.values()))
     return built
 
 
@@ -368,26 +369,27 @@ def _new_split(g: GksGenerator, split: str, terms: tuple, liouvillian) -> Compon
     plans = tuple(decompose_terms(terms, g.basis))
     L = universal_operators([p.params for p in plans], g.basis)
     L.setflags(write=False)
-    comps = _components(g, plans, L)
+    comps = _components(g.H, plans, L)
     total = sum(c.generator for c in comps)
-    record = Record(split, terms, plans, L, float(diamond_bound(liouvillian - total)),
+    record = Record(split, terms, plans, L, g.H, float(diamond_bound(liouvillian - total)),
                     max(np.abs(total).sum(axis=0).tolist()) if comps else 0.0,
                     tuple(c.norm for c in comps), commutator_sums(comps, g.d))
     return Components(comps, record)
 
 
-def _components(g: GksGenerator, plans: tuple, L: np.ndarray) -> list:
-    """The components of g's Hamiltonian and of the plans, L their operators, norm-ordered
-    (prepare_components)."""
-    d, zero = g.d, np.zeros((g.d, g.d))
+def _components(H: np.ndarray, plans: tuple, L: np.ndarray) -> list:
+    """The components of the Hamiltonian H and of the plans, L their operators,
+    norm-ordered (prepare_components)."""
+    d = len(H)
+    zero = np.zeros((d, d))
     U = np.array([p.U for p in plans]).reshape(L.shape)
     lam = np.array([p.lam for p in plans]).reshape(-1, 1, 1)
     norms = [one_one_norm(DiagonalGenerator(d, zero, ((p.lam, l),))) for p, l in zip(plans, L)]
     Lc = U @ L @ dagger(U)
     left = lam * (dagger(Lc) @ Lc)  # the factors in front of B_k alone: 2i H first, if any
-    if np.max(np.abs(g.H)) > 0.0:
-        left = np.concatenate([2j * g.H[None], left])
-        norms.insert(0, one_one_norm(DiagonalGenerator(d, g.H)))
+    if np.max(np.abs(H)) > 0.0:
+        left = np.concatenate([2j * H[None], left])
+        norms.insert(0, one_one_norm(DiagonalGenerator(d, H)))
     B = hermitian_basis(d)
     side = B.transpose(1, 0, 2).reshape(d, d ** 3)  # B_k side by side
 
@@ -617,7 +619,8 @@ class TrotterPlan:
         """Unmerged exponential count (2(m-1)5^(k-1)+1) * n_reps."""
         return segments_per_block(self.m, self.k) * self.n_reps
 
-    def actual_exponentials(self) -> int:
+    @property
+    def n_exp_actual(self) -> int:
         """Segment count after merging across repetition boundaries, for a
         mixture in its worst case (formula_count)."""
         return formula_count(self.formula, self.m, self.k, self.n_reps) if self.n_reps else 0
@@ -629,6 +632,21 @@ class TrotterPlan:
         component m - 1 for mu in one segment that merges with no other.  At k = 1
         every duration is positive, and one component's block is one segment."""
         return self.k >= 2 and self.m >= 2 and self.n_reps > 0
+
+    def cost_report(self) -> dict:
+        """The cost object of a simulate document (cli): the exponentials actually
+        computed and unmerged next to the paper planner's two N_exp bounds, the
+        formula, its order pairs and split, and the certificate with its parts."""
+        return {"formula": self.formula, "pairs": self.pairs, "split": self.split, "k": self.k,
+                "r": self.r, "n_reps": self.n_reps, "N_exp_actual": self.n_exp_actual,
+                "N_exp_unmerged": self.n_exp, "N_exp_bound_res": self.bound_res,
+                "N_exp_bound_closed_form": self.bound_closed_form,
+                "negative_segments": self.has_negative_segments(),
+                "certificate": self.certificate,
+                "predicted_certificate": self.predicted_certificate,
+                "residual_bound": self.residual_bound,
+                "rounding_allowance": self.rounding_allowance, "target": self.target,
+                "builds": self.builds}
 
 
 def block_schedule(m: int, k: int, lam: float) -> tuple:
@@ -902,8 +920,8 @@ def mixture_rows(record: Record, t: float) -> tuple:
     their terms (_pair_terms) smallest, ties to the lower row and to the shorter prefix,
     in ascending order.  (0,), the coin flip, when the pool has one row, so that the
     split's eigenbasis is None, or its terms or their Gram matrix are not finite.  The
-    choice depends on the split and t, not on eps; a run takes it from its generator's
-    memo (Splits.memo, _leads) at the t it saw last."""
+    choice depends on the split and t, not on eps; a run takes it from the record's memo
+    (Record.memo, _leads) at the t it saw last."""
     basis = record.sums[4]
     if basis is None:
         return (0,)
@@ -937,33 +955,29 @@ def expm_rounding(record: Record, t: float) -> float:
     return ROUNDING_ULPS * record.d * (1.0 + t * record.one_norm) * 2.0 ** -53
 
 
-def _leads(records: tuple, t: float, g: GksGenerator | None) -> list:
+def _leads(records: tuple, t: float) -> list:
     """Each record's (rows, e^(t sum_j G_j), leads) at t: its mixture rows (mixture_rows),
     e^(t sum_j G_j), read-only, and its candidates' leads, diamond_bound of
-    leading_terms's terms, every split's in one stacked call; None for a split whose
-    terms or leads are not finite.  With g, whose records they are, taken from its memo
-    when that holds t, and kept there.  Raises NumericsError when numerics.expm refuses
-    a t sum_j G_j."""
-    memo = g.splits.memo if g is not None else None
-    if memo is not None and memo[0] == t:
-        return memo[1]
-    rows = [mixture_rows(r, t) for r in records]
-    found = leading_terms(records, t, rows)
-    finite = [np.isfinite(terms).all() for _, terms in found]
-    stack = [terms for (_, terms), ok in zip(found, finite) if ok]
-    leads = iter(diamond_bound(np.concatenate(stack)).tolist() if stack else ())
-    out = []
-    for r, (exact, terms), ok in zip(rows, found, finite):
-        exact.setflags(write=False)
-        bounds = [next(leads) for _ in terms] if ok else [math.nan]
-        out.append((r, exact, bounds) if all(map(math.isfinite, bounds)) else None)
-    if g is not None:
-        object.__setattr__(g.splits, "memo", (t, out))
-    return out
+    leading_terms's terms; None for a split whose terms or leads are not finite.  Read
+    from each record's memo (Record.memo) where it holds t; the other records' are taken
+    in one stacked leading_terms call and one stacked diamond_bound, and kept in their
+    memos.  Raises NumericsError when numerics.expm refuses a t sum_j G_j."""
+    new = [r for r in records if r.memo is None or r.memo[0] != t]
+    if new:
+        rows = [mixture_rows(r, t) for r in new]
+        found = leading_terms(new, t, rows)
+        finite = [np.isfinite(terms).all() for _, terms in found]
+        stack = [terms for (_, terms), ok in zip(found, finite) if ok]
+        leads = iter(diamond_bound(np.concatenate(stack)).tolist() if stack else ())
+        for record, r, (exact, terms), ok in zip(new, rows, found, finite):
+            exact.setflags(write=False)
+            bounds = [next(leads) for _ in terms] if ok else [math.nan]
+            memo = (r, exact, bounds) if all(map(math.isfinite, bounds)) else None
+            object.__setattr__(record, "memo", (t, memo))
+    return [r.memo[1] for r in records]
 
 
-def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPlan,
-            g: GksGenerator | None = None) -> TrotterPlan:
+def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPlan) -> TrotterPlan:
     """The k = 1 plan, at the first repetition count the search reaches, whose
     map T_n on the components of one of the records' splits satisfies
     diamond_bound(T_n - e^(t sum_j G_j)) <= target, that split's; when the search
@@ -984,8 +998,8 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     and the mixture of the rows mixture_rows chooses for its record and t,
     which depend on neither eps nor the search; two when those rows are (0,).
     The search is sized by their leading error terms: with lead = diamond_bound(D),
-    every split's candidates' taken at once from the records (_leads; with g, whose
-    records they are, kept with the last t in its memo), the certificate is lead / n^2
+    every split's candidates' taken at once from the records (_leads, each kept with
+    the last t in its record's memo), the certificate is lead / n^2
     up to O(n^-4) and the rounding of the power, so each candidate's search would start
     at n = ceil(sqrt(lead / target)).  A split whose terms are not finite is dropped.
     Every build runs the candidate whose next n needs the fewest exponentials
@@ -997,8 +1011,9 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     mixture would otherwise step past the mixture's certified count.  Targets, leads
     and the parts a plan carries are read from the records alone; built holds the
     components of the splits built so far, by split, which only the blocks use: all of
-    them on g's first run (_make_splits), and a split that builds and is missing there
-    has its components built from g and added to it (_split_components).
+    them on a generator's first run (_make_splits), and a split that builds and is
+    missing there has its components built from its record and added to it
+    (_split_components).
     After a miss at n a candidate steps to ceil(sqrt(lead / (target - off))), with
     off = certificate - lead / n^2 the part the term did not predict, by a factor of
     at least NEAR_STEP; or, when off >= target or lead = 0, by the k = 1 law
@@ -1013,7 +1028,7 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     paper plan's two N_exp bounds, its split, the predicted certificate lead / n^2,
     and t r, delta and the target.
     """
-    budget = paper.actual_exponentials()
+    budget = paper.n_exp_actual
     records = {r.split: r for r in records}
     targets = {}
     for name, record in records.items():
@@ -1023,7 +1038,7 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     if not targets:
         return paper
     try:
-        leads = dict(zip(records, _leads(tuple(records.values()), t, g)))
+        leads = dict(zip(records, _leads(tuple(records.values()), t)))
     except NumericsError:  # ||t sum_j G_j||_1 past MAX_EXPM_NORM
         return paper
 
@@ -1048,8 +1063,8 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
         (name, rows), (lead, n, last, fall) = key, search[key]
         if count(key, n) >= budget:
             return replace(paper, builds=builds - 1)
-        components = _split_components(g, built, name)
         record, target = records[name], targets[name]
+        components = _split_components(built, record)
         L1 = components[0].norm
         plan = TrotterPlan(k=1, r=n / L1, n_reps=n, lam=t * L1 / n, m=len(components), L1=L1,
                            bound_res=paper.bound_res, bound_closed_form=paper.bound_closed_form,
@@ -1111,15 +1126,17 @@ def build_plan(components, eps: float, t: float, g: GksGenerator | None = None) 
     plan (paper_plan of their norms), which also bounds the search's cost.  With g,
     components is instead a dict, by split, of the components of g's splits built so
     far: all of them on g's first run, none on a later one (simulate, _make_splits).  The
-    plan may run any of g's splits (Splits), each split the search builds is added to the
-    dict, and the paper's plan is that of the spectral record's norms.
+    plan may run any of g's splits (its records, g.splits), each split the search builds
+    is added to the dict, and the paper's plan is that of the spectral record's norms.
+    Either way a repeat call at the t a record saw last reads its leads from the
+    record's memo (_leads).
 
     A plan with one component or no repetition is the paper's: it has
     nothing to certify, and no block is built for it.  Any other plan needs
     the components' record, so a plain list or tuple of them is refused.
     """
     if g is not None:
-        records, built = g.splits.records, components
+        records, built = g.splits, components
         paper = paper_plan(records[0].norms, eps, t)
     else:
         paper = paper_plan([c.norm for c in components], eps, t)
@@ -1130,7 +1147,7 @@ def build_plan(components, eps: float, t: float, g: GksGenerator | None = None) 
             raise TrotterError("a plan is certified against its generator: take the "
                                "components, with their residual, from prepare_components")
         records, built = (components.record,), {components.record.split: components}
-    return certify(records, built, eps, t, paper, g)
+    return certify(records, built, eps, t, paper)
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -1228,52 +1245,10 @@ def run_plan(plan: TrotterPlan, components: list[Component], rho0: QuantumState)
     return evolve(total, rho0)
 
 
-@dataclass(frozen=True)
-class CostReport:
-    formula: str
-    pairs: int
-    split: str
-    k: int
-    r: float
-    n_reps: int
-    n_exp_actual: int
-    n_exp_unmerged: int
-    n_exp_bound_res: float | None
-    n_exp_bound_closed_form: float | None
-    negative_segments: bool
-    certificate: float | None
-    predicted_certificate: float | None
-    residual_bound: float | None
-    rounding_allowance: float | None
-    target: float | None
-    builds: int
-
-    def to_dict(self) -> dict:
-        """The fields by name, each n_exp written N_exp."""
-        return {f.name.replace("n_exp", "N_exp"): getattr(self, f.name) for f in fields(self)}
-
-
-def nexp_report(plan: TrotterPlan) -> CostReport:
-    """Actual exponential counts next to the plan's two cost bounds."""
-    return CostReport(
-        formula=plan.formula,
-        pairs=plan.pairs,
-        split=plan.split,
-        k=plan.k,
-        r=plan.r,
-        n_reps=plan.n_reps,
-        n_exp_actual=plan.actual_exponentials(),
-        n_exp_unmerged=plan.n_exp,
-        n_exp_bound_res=plan.bound_res,
-        n_exp_bound_closed_form=plan.bound_closed_form,
-        negative_segments=plan.has_negative_segments(),
-        certificate=plan.certificate,
-        predicted_certificate=plan.predicted_certificate,
-        residual_bound=plan.residual_bound,
-        rounding_allowance=plan.rounding_allowance,
-        target=plan.target,
-        builds=plan.builds,
-    )
+def nexp_report(plan: TrotterPlan) -> TrotterPlan:
+    """The plan itself, which is its own cost report (TrotterPlan.cost_report): kept for
+    the benchmark, which reads its exponential count as nexp_report(plan).n_exp_actual."""
+    return plan
 
 
 def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
@@ -1281,16 +1256,17 @@ def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
     those of the split the plan runs (plan.split).
 
     g's first use, this or prepare_components, makes its candidate splits of A in one
-    pass (_make_splits), each kept in its own Record in g's slot and reused by every later
+    pass (_make_splits), each kept in its own Record in g.splits and reused by every later
     run, whatever its t and eps.  Each run takes every split's leading terms at t from its
-    record (_leads, kept with the last t), and builds and certifies the split whose best
-    formula predicts the fewest exponentials at eps, handing over to another split when a
-    miss makes it cost more (certify).  Each split's components are built once a run, on
-    g's first with the records (_split_components), and none is kept.
+    record (_leads, kept with the last t in the record's memo), and builds and certifies
+    the split whose best formula predicts the fewest exponentials at eps, handing over to
+    another split when a miss makes it cost more (certify).  Each split's components are
+    built once a run, on g's first with the records (_split_components), and none is
+    kept.
     """
     if rho0.d != g.d:
         raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")
     built = _make_splits(g)
     plan = build_plan(built, eps, t, g)
-    components = _split_components(g, built, plan.split)
+    components = _split_components(built, next(r for r in g.splits if r.split == plan.split))
     return run_plan(plan, components, rho0), plan, components

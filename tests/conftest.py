@@ -245,6 +245,12 @@ def conjugation_superoperator(u):
     return outer.reshape(*U.shape[:-2], d * d, d * d)
 
 
+def plan_operator(plan):
+    """A conjugation plan's universal-family operator L = sum_a v_a F_a, built from its own
+    params alone (decompose.universal_operators)."""
+    return universal_operators([plan.params], gell_mann_basis(plan.params.d))[0]
+
+
 def reference_components(g, plans):
     """The reference for trotter.prepare_components: each component built column-stacked,
     hamiltonian_superoperator of H or dissipator_superoperator over the one operator

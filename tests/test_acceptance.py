@@ -21,8 +21,7 @@ from lindbladsim.lindblad import (GksGenerator, QuantumState, apply_exact, from_
                                   liouvillian_matrix, maximally_mixed, trace_distance)
 from lindbladsim.numerics import dagger, expm, frobenius
 from lindbladsim.sud import adjoint_matrix, gell_mann_basis
-from lindbladsim.trotter import (build_plan, nexp_report, paper_plan, prepare_components,
-                                 run_plan)
+from lindbladsim.trotter import build_plan, paper_plan, prepare_components, run_plan
 
 A1_LITERAL = (AHAT1_R + 1j * AHAT1_I) / np.sqrt(2.0)
 
@@ -138,10 +137,11 @@ def test_criterion_4_trotter_error_bound():
                     _SIMULATED_STATES.append(out.rho)
                     dist = trace_distance(out.rho, oracle.rho)
                     worst_ratio = max(worst_ratio, dist / eps)
-                    rep = nexp_report(plan)
-                    if rep.n_exp_bound_res is not None:
-                        bounds_ok = bounds_ok and rep.n_exp_actual <= rep.n_exp_bound_res
-                        bounds_ok = bounds_ok and rep.n_exp_actual <= rep.n_exp_bound_closed_form
+                    rep = plan.cost_report()
+                    actual = rep["N_exp_actual"]
+                    if rep["N_exp_bound_res"] is not None:
+                        bounds_ok = bounds_ok and actual <= rep["N_exp_bound_res"]
+                        bounds_ok = bounds_ok and actual <= rep["N_exp_bound_closed_form"]
                     runs += 1
     elapsed = time.perf_counter() - start
     ok = worst_ratio <= 1.0 and bounds_ok and elapsed < 300.0

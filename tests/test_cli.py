@@ -18,6 +18,7 @@ from lindbladsim.cli import main
 from lindbladsim.decompose import decompose_generator
 from lindbladsim.lindblad import GksGenerator, liouvillian_matrix, maximally_mixed
 from lindbladsim.sud import adjoint_matrix, gell_mann_basis
+from lindbladsim.trotter import simulate
 
 
 def write_generator(path, g):
@@ -419,6 +420,23 @@ def test_simulate_lambda_atom_trotter(tmp_path):
     # the DFT split's coin flip, 6 exponentials, where the spectral split's fixed block,
     # the cheapest of its candidates, needs 9
     assert (cost["split"], cost["formula"], cost["N_exp_actual"]) == ("dft", "mixed-orders", 6)
+
+
+COST_KEYS = {"formula", "pairs", "split", "k", "r", "n_reps", "N_exp_actual", "N_exp_unmerged",
+             "N_exp_bound_res", "N_exp_bound_closed_form", "negative_segments", "certificate",
+             "predicted_certificate", "residual_bound", "rounding_allowance", "target", "builds"}
+
+
+def test_the_cost_object_is_the_plans_cost_report(tmp_path):
+    # the CLI writes the plan's own cost report, whose keys are the 17 the README documents
+    g, rho0 = lambda_atom(), maximally_mixed(3)
+    req = simulation_request(tmp_path, g, rho0.rho, 1.0, 1e-3, "trotter")
+    out = tmp_path / "state.json"
+    assert main(["simulate", str(req), "--out", str(out)]) == 0
+    _, plan, _ = simulate(g, rho0, 1.0, 1e-3)
+    report = plan.cost_report()
+    assert report.keys() == COST_KEYS
+    assert report == json.loads(out.read_text())["cost"]
 
 
 def test_simulate_names_the_coin_flip_formula_and_repeats_its_bytes(tmp_path):

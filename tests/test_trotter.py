@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import hashlib
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -28,7 +30,7 @@ from lindbladsim.trotter import (MIXED_ORDERS, POOL, SUZUKI, Segment, TrotterErr
                                  block_schedule, block_superoperator, build_plan,
                                  component_orders, diamond_bound, expm_rounding, formula_count,
                                  mixture_rows, nexp_bound_closed_form,
-                                 nexp_bound_res, nexp_report, paper_plan, pool_size,
+                                 nexp_bound_res, paper_plan, pool_size,
                                  prepare_components, run_plan, segments_per_block, select_order,
                                  simulate, step_count, suzuki_p)
 
@@ -366,9 +368,9 @@ def test_lambda_atom_within_tolerance():
     out, plan, comps = simulate(g, rho0, t=1.0, eps=1e-3)
     oracle = apply_exact(g, rho0, 1.0)
     assert trace_distance(out.rho, oracle.rho) <= 1e-3
-    rep = nexp_report(plan)
-    assert rep.n_exp_actual <= rep.n_exp_bound_res
-    assert rep.n_exp_actual <= rep.n_exp_bound_closed_form
+    rep = plan.cost_report()
+    assert rep["N_exp_actual"] <= rep["N_exp_bound_res"]
+    assert rep["N_exp_actual"] <= rep["N_exp_bound_closed_form"]
 
 
 def test_random_generators_meet_accuracy(rng):
@@ -457,10 +459,10 @@ def test_nexp_report_m1_trivial():
     g = damping_generator()
     comps = prepare_components(g)
     plan = build_plan(comps, eps=1e-3, t=1.0)
-    rep = nexp_report(plan)
-    assert rep.n_exp_actual == 1
-    assert rep.n_exp_bound_res is None and rep.n_exp_bound_closed_form is None
-    assert not rep.negative_segments
+    rep = plan.cost_report()
+    assert rep["N_exp_actual"] == 1
+    assert rep["N_exp_bound_res"] is None and rep["N_exp_bound_closed_form"] is None
+    assert not rep["negative_segments"]
 
 
 def test_simulate_sizes_the_run_once(monkeypatch):
@@ -472,18 +474,18 @@ def test_simulate_sizes_the_run_once(monkeypatch):
 
     monkeypatch.setattr(trotter, "step_count", counted)
     _, plan, _ = simulate(lambda_atom(), maximally_mixed(3), t=1.0, eps=1e-3)
-    rep = nexp_report(plan)
+    rep = plan.cost_report()
     assert len(calls) == 1
-    assert (rep.n_exp_bound_res, rep.n_exp_bound_closed_form) == step_count(*calls[0])[3:]
+    assert (rep["N_exp_bound_res"], rep["N_exp_bound_closed_form"]) == step_count(*calls[0])[3:]
 
 
 def test_bounds_are_none_outside_their_regime():
     # x = 4 e m t L2 / eps < 1: neither bound holds, N_exp_bound_res would read 2.5e-4 here
     g = lambda_atom()
     out, plan, _ = simulate(g, maximally_mixed(3), t=1e-5, eps=1e-3)
-    rep = nexp_report(plan)
-    assert rep.n_exp_actual == 3
-    assert rep.n_exp_bound_res is None and rep.n_exp_bound_closed_form is None
+    rep = plan.cost_report()
+    assert rep["N_exp_actual"] == 3
+    assert rep["N_exp_bound_res"] is None and rep["N_exp_bound_closed_form"] is None
     assert trace_distance(out.rho, apply_exact(g, maximally_mixed(3), 1e-5).rho) <= 1e-3
 
 
@@ -562,11 +564,11 @@ def test_nexp_report_bounds_hold_across_eps():
     for eps in (1e-2, 1e-3, 1e-4):
         for plan in (build_plan(comps, eps=eps, t=1.0),
                      paper_plan(comps.record.norms, eps=eps, t=1.0)):
-            rep = nexp_report(plan)
-            assert rep.n_exp_actual <= rep.n_exp_unmerged
-            assert rep.n_exp_actual <= rep.n_exp_bound_res
-            assert rep.n_exp_actual <= rep.n_exp_bound_closed_form
-            assert rep.negative_segments == (plan.k >= 2)
+            rep = plan.cost_report()
+            assert rep["N_exp_actual"] <= rep["N_exp_unmerged"]
+            assert rep["N_exp_actual"] <= rep["N_exp_bound_res"]
+            assert rep["N_exp_actual"] <= rep["N_exp_bound_closed_form"]
+            assert rep["negative_segments"] == (plan.k >= 2)
             ks.add(plan.k)
     assert ks == {1, 2}
 
@@ -705,10 +707,10 @@ def assert_certified(g, comps, plan, t, eps):
     assert plan.target == eps - plan.residual_bound - plan.rounding_allowance
     exact = real_map(expm(t * liouvillian_matrix(g)))
     assert choi_split_bound(column_stacked(plan.total_map - exact)) <= eps
-    rep = nexp_report(plan)
-    assert not rep.negative_segments
+    rep = plan.cost_report()
+    assert not rep["negative_segments"]
     paper = paper_plan(comps.record.norms, eps, t)
-    assert rep.n_exp_actual <= segments_per_block(plan.m, paper.k) * paper.n_reps
+    assert rep["N_exp_actual"] <= segments_per_block(plan.m, paper.k) * paper.n_reps
 
 
 def test_certified_plans_on_the_criterion_4_instances():
@@ -746,7 +748,7 @@ def test_every_certified_plan_carries_its_residual_and_rounding():
             assert plan.certificate is not None and plan.certificate <= eps - t * r - delta
             parts = (plan.residual_bound, plan.rounding_allowance, plan.target)
             assert parts == (t * r, delta, eps - t * r - delta)
-            rep = nexp_report(plan).to_dict()
+            rep = plan.cost_report()
             assert (rep["residual_bound"], rep["rounding_allowance"], rep["target"]) == parts
 
 
@@ -781,7 +783,7 @@ def test_repeat_runs_derive_each_quantity_once(monkeypatch):
              "commutator_sums", "leading_terms", "one_one_norm")
     calls = count_calls(monkeypatch, names)
     runs = [simulate(g, rho0, t, eps) for t, eps in ((1.0, 1e-3), (2.0, 1e-6), (1.0, 1e-6))]
-    records = g.splits.records
+    records = g.splits
     assert [r.split for r in records] == [trotter.SPECTRAL, trotter.CHOLESKY, trotter.DFT]
     per_split = ("decompose_terms", "universal_operators", "commutator_sums")
     assert {name: calls[name] for name in per_split} == dict.fromkeys(per_split, 3)
@@ -790,12 +792,12 @@ def test_repeat_runs_derive_each_quantity_once(monkeypatch):
     for _, plan, comps in runs:
         assert plan.certificate is not None
         assert comps.record.split == plan.split and comps.record in records
-    assert g.splits.memo[0] == 1.0  # the last t's leads
+    assert [r.memo[0] for r in records] == [1.0] * 3  # the last t's leads
     calls.clear()
     state, plan, comps = simulate(g, rho0, 1.0, 1e-3)
     assert calls == {"one_one_norm": len(comps)}
     assert plan == runs[0][1] and state.rho.tobytes() == runs[0][0].rho.tobytes()
-    exact = [lead[1] for lead in g.splits.memo[1]]
+    exact = [r.memo[1][1] for r in records]
     arrays = [a for r in records for a in (r.operators, *r.sums[:4], *r.sums[4],
                                            *(term.a for term in r.terms),
                                            *(p.U for p in r.plans))]
@@ -810,12 +812,12 @@ def test_repeat_runs_derive_each_quantity_once(monkeypatch):
     fresh = GksGenerator(basis=g.basis, H=g.H, A=g.A)
     spectral = prepare_components(fresh)
     assert calls["commutator_sums"] == 3 and calls["liouvillian_matrix"] == 1
-    assert ([(r.split, r.residual) for r in fresh.splits.records]
+    assert ([(r.split, r.residual) for r in fresh.splits]
             == [(r.split, r.residual) for r in records])
     calls.clear()
     simulate(fresh, rho0, 1.0, 1e-3)
     assert calls["commutator_sums"] == calls["liouvillian_matrix"] == 0
-    assert fresh.splits.records[0] is spectral.record
+    assert fresh.splits[0] is spectral.record
 
 
 @pytest.mark.parametrize("make", [lambda: random_gks(3, np.random.default_rng(1)), lambda_atom,
@@ -832,7 +834,7 @@ def test_a_first_run_builds_each_split_once(monkeypatch, make):
     prepare_components(twin)
     calls = count_calls(monkeypatch, ("one_one_norm",))
     state, plan, _ = simulate(g, rho0, 1.0, 1e-3)
-    assert calls["one_one_norm"] == sum(len(r.norms) for r in g.splits.records)
+    assert calls["one_one_norm"] == sum(len(r.norms) for r in g.splits)
     twin_state, twin_plan, _ = simulate(twin, rho0, 1.0, 1e-3)
     assert plan == twin_plan and state.rho.tobytes() == twin_state.rho.tobytes()
 
@@ -877,11 +879,11 @@ def test_components_cannot_change_in_place(monkeypatch):
     # tuple, which certify refuses.  Its record is frozen and cannot be swapped: on the
     # lambda atom with weights 10 % off, an editable record's residual set to 0 gave a
     # certified state at dist/eps 14.9.  Nor can a generator's splits be swapped: with the
-    # records of a generator of equal H and another A, an editable Splits gave a certified
-    # state 331 eps from g's oracle
+    # records of a generator of equal H and another A, editable splits gave a certified
+    # state 331 eps from g's oracle.  A record's memo is written by _leads alone
     with monkeypatch.context() as patch:
         off = scaled_weight_components(patch, lambda_atom(), 1.1)
-    for name, value in (("residual", 0.0), ("norms", ()), ("sums", None)):
+    for name, value in (("residual", 0.0), ("norms", ()), ("sums", None), ("memo", None)):
         with pytest.raises(AttributeError):
             setattr(off.record, name, value)
     g, rho0, eps = random_gks(3, np.random.default_rng(1)), maximally_mixed(3), 1e-3
@@ -891,10 +893,9 @@ def test_components_cannot_change_in_place(monkeypatch):
             setattr(comps, name, value)
     with pytest.raises(AttributeError):
         del comps.record
-    assert comps.record is g.splits.records[0]
-    for name, value in (("records", (off.record,)), ("memo", None)):
-        with pytest.raises(AttributeError):
-            setattr(g.splits, name, value)
+    assert comps.record is g.splits[0]
+    with pytest.raises(AttributeError):
+        g.splits = (off.record,)
     for i in (1, 4):
         with pytest.raises(TypeError):
             del comps[i]
@@ -910,6 +911,33 @@ def test_components_cannot_change_in_place(monkeypatch):
     assert plan.certificate <= plan.target and len(comps) == plan.m
     state = run_plan(plan, comps, rho0)
     assert trace_distance(state.rho, apply_exact(g, rho0, 1.0).rho) <= eps
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                        lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_components_survive_a_copy_and_a_pickle(round_trip):
+    # tuple's reduce passed the components alone, and Components.__new__ needs the record
+    # too: each round trip raised TypeError.  The copy keeps a record, and plans the same
+    comps = prepare_components(random_gks(3, np.random.default_rng(1)))
+    twin = round_trip(comps)
+    assert type(twin) is trotter.Components and len(twin) == len(comps)
+    assert twin.record.split == comps.record.split
+    assert twin.record.residual == comps.record.residual
+    assert build_plan(twin, 1e-3, 1.0) == build_plan(comps, 1e-3, 1.0)
+
+
+def test_a_repeat_plan_at_the_same_t_reads_the_records_leads(monkeypatch):
+    # a single split's build_plan keeps its leads in its record's memo, as simulate does: a
+    # second call at the same t, whatever its eps, takes no leading term, and a new t does
+    comps = prepare_components(random_gks(3, np.random.default_rng(1)))
+    calls = count_calls(monkeypatch, ("leading_terms",))
+    first = build_plan(comps, 1e-3, 1.0)
+    assert build_plan(comps, 1e-3, 1.0) == first and calls["leading_terms"] == 1
+    build_plan(comps, 1e-6, 1.0)
+    assert calls["leading_terms"] == 1 and comps.record.memo[0] == 1.0
+    build_plan(comps, 1e-3, 2.0)
+    assert calls["leading_terms"] == 2 and comps.record.memo[0] == 2.0
 
 
 @pytest.mark.parametrize("case", ["random-d4-s2", "qubits-2", "lambda-atom"])
@@ -1075,7 +1103,7 @@ def test_leading_error_certifies_in_one_block(eps):
             assert trace_distance(state.rho, exact) <= eps
             state, run, comps = simulate(g, rho0, t, eps)
             assert run.certificate is not None
-            assert run.actual_exponentials() <= plan.actual_exponentials()
+            assert run.n_exp_actual <= plan.n_exp_actual
             assert_certified(g, comps, run, t, eps)
             assert trace_distance(state.rho, exact) <= eps
 
@@ -1117,7 +1145,7 @@ def test_the_fixed_block_certifies_above_the_rounding_floor(eps):
     state, run, comps = simulate(g, rho0, 1.0, eps)
     assert run.certificate is not None
     assert (run.split, run.rows) == (trotter.DFT, (0,))
-    assert run.actual_exponentials() <= plan.actual_exponentials()
+    assert run.n_exp_actual <= plan.n_exp_actual
     assert_certified(g, comps, run, 1.0, eps)
     assert trace_distance(state.rho, exact) <= eps / 2
 
@@ -1146,8 +1174,8 @@ def test_a_near_miss_gives_way_to_a_cheaper_start(monkeypatch):
     t, eps = 1.0, 1e-10
     rows = mixture_rows(comps.record, t)
     coin_flip, mixed = (predicted_plan(comps, t, eps, r) for r in ((0,), rows))
-    cheaper = coin_flip.actual_exponentials()
-    assert cheaper < mixed.actual_exponentials() < cheaper * trotter.SEARCH_MARGIN
+    cheaper = coin_flip.n_exp_actual
+    assert cheaper < mixed.n_exp_actual < cheaper * trotter.SEARCH_MARGIN
     built, ran = [], []
     exact, target = leading_error(comps, t)[0], search_target(comps, eps, t)
     scripted = scripted_plan_map(exact, [1.05, 0.99], target, built)
@@ -1167,7 +1195,7 @@ def test_search_skips_a_probe_that_costs_the_paper_plan(monkeypatch):
         patch.setattr(trotter, "expm", None)  # and neither D nor e^(t sum_j G_j)
         plan = build_plan(comps, eps=1e4, t=1.0)
     assert plan.certificate is None and plan.builds == 0
-    assert (plan.k, plan.n_reps, plan.actual_exponentials()) == (1, 1, 3)
+    assert (plan.k, plan.n_reps, plan.n_exp_actual) == (1, 1, 3)
 
 
 def test_search_gives_up_on_a_non_finite_map(monkeypatch):
@@ -1177,13 +1205,15 @@ def test_search_gives_up_on_a_non_finite_map(monkeypatch):
         patch.setattr(trotter, "plan_map", lambda plan, components: np.full((9, 9), np.inf))
         plan = build_plan(comps, eps=1e-3, t=1.0)
     assert plan.certificate is None and plan == paper_plan(comps.record.norms, 1e-3, 1.0)
-    # a non-finite leading term is refused before its bound, whose eigh cannot take it
+    # a non-finite leading term is refused before its bound, whose eigh cannot take it; each
+    # patched term goes to fresh components, since comps's record holds t = 1's leads
     exact, terms = leading_error(comps, 1.0)
     for bad in (np.nan, np.inf):
         bad_terms = np.concatenate([terms[:-1], np.full_like(terms[-1:], bad)])
+        fresh = prepare_components(lambda_atom())
         with monkeypatch.context() as patch:
             patch.setattr(trotter, "leading_terms", lambda splits, t, rows: [(exact, bad_terms)])
-            assert build_plan(comps, eps=1e-3, t=1.0) == paper_plan(comps.record.norms, 1e-3, 1.0)
+            assert build_plan(fresh, eps=1e-3, t=1.0) == paper_plan(fresh.record.norms, 1e-3, 1.0)
     rho0 = maximally_mixed(3)
     assert trace_distance(run_plan(plan, comps, rho0).rho, apply_exact(g, rho0, 1.0).rho) <= 1e-3
 
@@ -1283,14 +1313,14 @@ def test_search_stop_rule(monkeypatch, certificates, builds, certified):
 def test_cost_report_names_the_search(monkeypatch):
     comps = prepare_components(lambda_atom())
     t, eps = 1.0, 1e-6
-    rep = nexp_report(build_plan(comps, eps, t)).to_dict()
+    rep = build_plan(comps, eps, t).cost_report()
     assert (rep["builds"], rep["formula"], rep["pairs"]) == (1, "suzuki", 0)
     assert rep["predicted_certificate"] == pytest.approx(rep["certificate"], rel=0.1)
     # a mixture's N_exp is its worst case over the blocks drawn: no two blocks merge.  The
     # coin flip is the mixture of the norm order's pair alone
     for g, pairs in ((random_gks(3, np.random.default_rng(1)), 2), (n_qubit_generator(2), 1)):
         mixed = build_plan(prepare_components(g), eps, t)
-        rep = nexp_report(mixed).to_dict()
+        rep = mixed.cost_report()
         assert (rep["formula"], rep["pairs"]) == ("mixed-orders", pairs)
         assert rep["N_exp_actual"] == rep["N_exp_unmerged"] == mixed.n_reps * (2 * mixed.m - 1)
     # the fallback reports the blocks its search built, and predicts nothing
@@ -1298,10 +1328,10 @@ def test_cost_report_names_the_search(monkeypatch):
     exact = leading_error(comps, t)[0]
     scripted = scripted_plan_map(exact, [100.0, 60.0, 60.0], search_target(comps, eps, t), built)
     monkeypatch.setattr(trotter, "plan_map", scripted)
-    rep = nexp_report(build_plan(comps, eps, t)).to_dict()
+    rep = build_plan(comps, eps, t).cost_report()
     assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (3, None, None)
     # a single component has no search
-    rep = nexp_report(build_plan(prepare_components(damping_generator()), eps, t)).to_dict()
+    rep = build_plan(prepare_components(damping_generator()), eps, t).cost_report()
     assert (rep["builds"], rep["certificate"], rep["predicted_certificate"]) == (0, None, None)
 
 
@@ -1516,9 +1546,9 @@ def test_coin_flip_block_is_the_mean_of_both_orders(monkeypatch):
         block = np.eye(len(mean)) + block_superoperator(mixed, comps)  # less I as built
         assert np.abs(block - mean).max() <= 1e-15
         assert calls == [1] * m  # one half-step channel per component
-        assert mixed.actual_exponentials() == n * (2 * m - 1)
+        assert mixed.n_exp_actual == n * (2 * m - 1)
         assert fixed.n_exp == mixed.n_exp and fixed != mixed
-    assert fixed.actual_exponentials() == n * (2 * m - 2) + 1
+    assert fixed.n_exp_actual == n * (2 * m - 2) + 1
 
 
 @pytest.mark.parametrize("k, rows", [(1, ()), (1, (0,)), (1, None), (2, ()), (3, ())],
@@ -1565,9 +1595,9 @@ def test_a_run_builds_no_schedule(monkeypatch):
         run_plan(plans[-1], comps, rho0)
     plans.append(paper_plan(comps.record.norms, 1e-3, 1.0))
     run_plan(plans[-1], comps, rho0)
-    reports = [nexp_report(plan) for plan in plans]
+    reports = [plan.cost_report() for plan in plans]
     monkeypatch.undo()
-    assert plans[-1].k == 2 and [r.negative_segments for r in reports] == [False, False, True]
+    assert plans[-1].k == 2 and [r["negative_segments"] for r in reports] == [False, False, True]
     for plan in plans:
         assert plan.lam == 1.0 * plan.L1 / plan.n_reps
         assert plan.schedule == block_schedule(plan.m, plan.k, plan.lam)
@@ -1591,10 +1621,10 @@ def test_both_formulas_certify_at_their_predicted_n(eps):
         for plan in plans:
             assert_certified(g, comps, plan, t, eps)
             assert trace_distance(run_plan(plan, comps, rho0).rho, exact.rho) <= eps
-        cheapest = min(plans, key=TrotterPlan.actual_exponentials)
+        cheapest = min(plans, key=lambda p: p.n_exp_actual)
         run = build_plan(comps, eps, t)
         assert (run.rows, run.n_reps, run.builds) == (cheapest.rows, cheapest.n_reps, 1)
-        assert run.actual_exponentials() <= plans[0].actual_exponentials()
+        assert run.n_exp_actual <= plans[0].n_exp_actual
         chosen.add("fixed" if not run.rows else "coin flip" if run.rows == (0,) else "chosen")
     assert chosen == {"fixed", "coin flip", "chosen"}
 
@@ -1606,7 +1636,7 @@ def test_both_formulas_certify_at_their_predicted_n(eps):
 def candidate_records(g):
     """g's candidate splits, made by a run at t = 0, which builds no block."""
     simulate(g, maximally_mixed(g.d), 0.0, 1e-3)
-    return g.splits.records
+    return g.splits
 
 
 @settings(max_examples=60)
@@ -1711,11 +1741,11 @@ def test_a_run_takes_the_cheapest_split_at_each_t(eps):
         state, plan, comps = simulate(g, rho0, t, eps)
         own = build_plan(spectral, eps, t)
         assert plan.certificate is not None
-        assert plan.actual_exponentials() <= own.actual_exponentials()
+        assert plan.n_exp_actual <= own.n_exp_actual
         assert comps.record.split == plan.split
         assert trace_distance(state.rho, apply_exact(g, rho0, t).rho) <= eps / 2
         if t == 1.0 and eps == 1e-3:
-            assert (plan.split, plan.actual_exponentials(), own.actual_exponentials()) == (
+            assert (plan.split, plan.n_exp_actual, own.n_exp_actual) == (
                 trotter.DFT, 6, 9)
         if t == 32.0:
             assert plan == own and plan.split == trotter.SPECTRAL
@@ -1733,11 +1763,11 @@ def test_the_choice_on_the_qubit_chains_and_the_quick_start():
             _, plan, _ = simulate(g, maximally_mixed(g.d), 1.0, eps)
             assert plan == build_plan(prepare_components(g), eps, 1.0)
             assert plan.split == trotter.SPECTRAL
-        assert [r.split for r in g.splits.records] == [trotter.SPECTRAL]
+        assert [r.split for r in g.splits] == [trotter.SPECTRAL]
     _, plan, _ = simulate(quick, maximally_mixed(2), 1.0, 1e-3)
     assert (plan.k, plan.n_reps, plan.formula, plan.rows) == (1, 3, MIXED_ORDERS, (0,))
     _, plan, _ = simulate(n_qubit_generator(1), maximally_mixed(2), 1.0, 1e-3)
-    assert plan.actual_exponentials() == 30
+    assert plan.n_exp_actual == 30
 
 
 def test_only_pieces_that_do_not_commute_are_mixed():
@@ -1764,4 +1794,4 @@ def test_a_near_miss_steps_by_near_step():
     g = lambda_atom()
     _, plan, _ = simulate(g, maximally_mixed(3), 4.0, 1e-11)
     assert plan.certificate is not None and plan.builds == 2
-    assert plan.actual_exponentials() <= 122331
+    assert plan.n_exp_actual <= 122331
