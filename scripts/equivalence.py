@@ -1,5 +1,5 @@
-"""The equivalence set: one simulate run per instance, recorded so that two
-checkouts can be compared plan by plan and state by state.
+"""The equivalence set: one simulate run per instance, and a repeat of it, recorded so
+that two checkouts can be compared plan by plan and state by state.
 
     PYTHONPATH=src python3 scripts/equivalence.py > runs.jsonl
     PYTHONPATH=src python3 scripts/equivalence.py --compare parent.jsonl change.jsonl
@@ -20,8 +20,13 @@ a comparison); its certificate,
 predicted certificate, residual bound t r, rounding allowance delta and
 target eps - t r - delta (each null for the paper's fallback plan); dist / eps,
 the trace distance to lindblad.apply_exact over eps; the SHA-256 of the
-state's bytes; and the state itself, as [re, im] pairs row by row.  A run that
-raises is written with its error in place of the plan.
+state's bytes; and the state itself, as [re, im] pairs row by row.  Each run is
+then repeated at once on the same generator, and the line also carries the component
+builds of both, the calls of trotter.one_one_norm, one per component built, which
+older checkouts bind too (norm_calls, repeat_norm_calls), and whether the repeat's
+plan, build count and state bytes equal the first run's (repeat_same).  An earlier
+case may have run the same generator, so a case's first run is not always the
+generator's first.  A run that raises is written with its error in place of the plan.
 
 After the runs come the CLI's documents.  Every call of the cli-roundtrip
 workload's instances (bench/workloads.py, seeds 1-10; 43 calls each) runs
@@ -38,14 +43,16 @@ id, the subcommand, the exit code, the byte count and the SHA-256 of the bytes:
 --compare reads two such files, the first the reference, and prints the plans
 that moved (split, formula, rows, k, n_reps, builds or exponentials), each with the
 reference's certificate over that run's own target; the runs whose exponentials
-rose; the certified runs that fall back; per workload, how many states are
+rose; the runs whose component builds rose, on the first run or the repeat; the
+repeats that differ from their first run; the certified runs that fall back; per
+workload, how many states are
 bit-identical, the largest entry difference, the largest relative change of
 a certificate that both files carry and the largest change of dist / eps;
 the worst dist / eps of a certified run in each file; and the CLI documents
 (stderr included) whose exit code or bytes moved.  It exits 1 when the case
-ids differ, a plan moved, exponentials rose, a certified run falls back, an
-error changed or a CLI exit code moved, and 0 otherwise: moved bytes alone do
-not fail it.
+ids differ, a plan moved, exponentials or component builds rose, a repeat
+differs, a certified run falls back, an error changed or a CLI exit code moved,
+and 0 otherwise: moved bytes alone do not fail it.
 """
 
 import argparse
@@ -65,9 +72,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "bench")]
 
 from conftest import lambda_atom, n_qubit_generator, random_gks  # noqa: E402
-from lindbladsim import cli, serialize  # noqa: E402
+from lindbladsim import cli, serialize, trotter  # noqa: E402
 from lindbladsim.lindblad import apply_exact, maximally_mixed, trace_distance  # noqa: E402
-from lindbladsim.trotter import nexp_report, simulate  # noqa: E402
+from lindbladsim.trotter import nexp_report  # noqa: E402
 from workloads import cli_roundtrip, lambda_trajectory, random_d6  # noqa: E402
 
 SEEDS = range(1, 11)
@@ -91,13 +98,31 @@ def instances():
             yield f"{name}/eps{eps:g}", g, maximally_mixed(g.d), t, eps
 
 
+def counted_simulate(g, rho0, t, eps):
+    """trotter.simulate(g, rho0, t, eps) and the calls of trotter.one_one_norm it made."""
+    norm, calls = trotter.one_one_norm, []
+
+    def counted(*args):
+        calls.append(None)
+        return norm(*args)
+
+    trotter.one_one_norm = counted
+    try:
+        return trotter.simulate(g, rho0, t, eps), len(calls)
+    finally:
+        trotter.one_one_norm = norm
+
+
 def record(case, g, rho0, t, eps) -> dict:
     out = {"id": case, "t": t, "eps": eps}
     try:
-        state, plan, _ = simulate(g, rho0, t, eps)
+        (state, plan, _), norm_calls = counted_simulate(g, rho0, t, eps)
+        (again, repeat, _), repeat_norm_calls = counted_simulate(g, rho0, t, eps)
     except Exception as exc:  # recorded, so that a refusal shows in the comparison
         return {**out, "error": f"{type(exc).__name__}: {exc}"}
     rho = np.ascontiguousarray(state.rho)
+    repeat_same = (repeat == plan and repeat.builds == plan.builds
+                   and np.ascontiguousarray(again.rho).tobytes() == rho.tobytes())
     return {**out, "split": plan.split, "formula": plan.formula, "rows": list(plan.rows),
             "k": plan.k,
             "n_reps": plan.n_reps,
@@ -109,7 +134,9 @@ def record(case, g, rho0, t, eps) -> dict:
             "target": plan.target,
             "dist_over_eps": trace_distance(rho, apply_exact(g, rho0, t).rho) / eps,
             "sha256": hashlib.sha256(rho.tobytes()).hexdigest(),
-            "state": serialize.matrix_to_json(rho.ravel())}
+            "state": serialize.matrix_to_json(rho.ravel()),
+            "norm_calls": norm_calls, "repeat_norm_calls": repeat_norm_calls,
+            "repeat_same": repeat_same}
 
 
 def malformed_requests() -> dict:
@@ -188,7 +215,7 @@ def compare(path_a, path_b) -> bool:
         print(f"case ids differ: {sorted(a.keys() ^ b.keys())}")
     documents = [c for c in a if c in b and "document_sha256" in a[c]]
     cases = [c for c in a if c in b and "document_sha256" not in a[c]]
-    moved, rose, fell_back, errors = [], [], [], []
+    moved, rose, more_builds, repeats, fell_back, errors = [], [], [], [], [], []
     same, largest, certificates, ratios = {}, {}, {}, {}
     for c in cases:
         x, y = a[c], b[c]
@@ -205,6 +232,11 @@ def compare(path_a, path_b) -> bool:
                          + f"; reference certificate / target = {ratio}")
         if y["actual_exponentials"] > x["actual_exponentials"]:
             rose.append(c)
+        counts = [(f, x[f], y[f]) for f in ("norm_calls", "repeat_norm_calls") if y[f] > x[f]]
+        if counts:
+            more_builds.append(f"{c}: " + ", ".join(f"{f} {u} -> {v}" for f, u, v in counts))
+        if not y["repeat_same"]:
+            repeats.append(c)
         if x["certificate"] is not None and y["certificate"] is None:
             fell_back.append(c)
         w = workload(c)
@@ -222,6 +254,8 @@ def compare(path_a, path_b) -> bool:
             ratios[w] = change, c
     print(f"{len(cases)} runs compared")
     for title, lines in (("plans that moved", moved), ("exponentials rose", rose),
+                         ("component builds rose", more_builds),
+                         ("repeats that differ from their first run", repeats),
                          ("certified, now falls back", fell_back), ("errors changed", errors)):
         print(f"{title}: {len(lines)}")
         for line in lines:
@@ -247,7 +281,8 @@ def compare(path_a, path_b) -> bool:
         print(f"  {line}")
     exits = [c for c in documents if a[c]["exit"] != b[c]["exit"]]
     print(f"CLI exit codes moved: {len(exits)}")
-    return bool(a.keys() != b.keys() or moved or rose or fell_back or errors or exits)
+    return bool(a.keys() != b.keys() or moved or rose or more_builds or repeats or fell_back
+                or errors or exits)
 
 
 def main(argv=None):

@@ -6,6 +6,10 @@ of rank-one GKS matrices by a special unitary, and the full dynamics is
 recombined with Suzuki product formulas whose order and step count come
 from explicit error bounds.  An exact matrix-exponential oracle is kept
 alongside for verification.
+
+simulate(g, rho0, t, eps) is build_plan(g, eps, t), the one planner, which plans
+over every split of g's A and returns a plan that carries the components of its
+own split, followed by run_plan(plan, plan.components, rho0).
 """
 
 from .sud import GellMannBasis, gell_mann_basis, adjoint_matrix

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .numerics import dagger, frozen_copy
+from .numerics import dagger, frozen_copy, read_only_state
 from .lindblad import GksGenerator, gks_spectrum
 from .sud import GellMannBasis
 
@@ -77,6 +77,8 @@ class RankOneTerm:
             raise DecomposeError("rank-one direction is not a unit vector")
         object.__setattr__(self, "a", a)
 
+    __setstate__ = read_only_state
+
 
 @dataclass(frozen=True)
 class UniversalParams:
@@ -100,6 +102,8 @@ class ConjugationPlan:
     def __post_init__(self):
         _require_weight(self.lam)
         object.__setattr__(self, "U", frozen_copy(self.U))
+
+    __setstate__ = read_only_state
 
 
 def spectral_split(g: GksGenerator) -> list[RankOneTerm]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .numerics import dagger, expm, frobenius, frozen_copy, trace_norm
+from .numerics import dagger, expm, frobenius, frozen_copy, read_only_state, trace_norm
 from .sud import GellMannBasis, gell_mann_basis
 
 
@@ -62,13 +62,14 @@ class GksGenerator:
     """Generator data (H, A) over a fixed Gell-Mann basis.
 
     A generator cannot change: H and A are read-only copies of the arrays it is given,
-    and the basis matrices are read-only.  eigenpairs holds A's eigenvalues, descending,
+    and the basis matrices are read-only, in a deep copy or an unpickled copy too
+    (numerics.read_only_state).  eigenpairs holds A's eigenvalues, descending,
     and its eigenvectors in the columns of the second array, both read-only, from the one
     numerics.eigh taken here, whose own check is A's one Hermiticity check and whose
     eigenvalues check that A is positive semidefinite.  splits is a slot for what runs
     derive from g, a tuple of one trotter.Record per split of A, spectral first, None
-    until its first trotter.prepare_components or trotter.simulate, which makes every
-    split at once.
+    until its first trotter.build_plan or trotter.prepare_components (trotter.simulate
+    calls build_plan), which makes every split at once.
     """
 
     basis: GellMannBasis
@@ -99,6 +100,8 @@ class GksGenerator:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "eigenpairs", (w, v))
+
+    __setstate__ = read_only_state
 
     @property
     def d(self) -> int:

@@ -63,6 +63,24 @@ def frozen_copy(m) -> np.ndarray:
     return out
 
 
+def read_only_state(obj, state: dict) -> None:
+    """__setstate__ of the frozen classes that keep read-only arrays: sets state's
+    attributes on obj, a copy or an unpickled object, each array read-only, inside tuples
+    too, so that a deep copy or a pickle round trip keeps the arrays as the original
+    keeps them."""
+    for name, value in state.items():
+        object.__setattr__(obj, name, _read_only(value))
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
 def frobenius(m):
     """Frobenius norm of a matrix, or array of them for a stack (..., n, n), which
     overflows or underflows only when the norm itself does: each matrix is first

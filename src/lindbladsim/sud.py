@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import frozen_copy, is_unitary
+from .numerics import frozen_copy, is_unitary, read_only_state
 
 
 class SudError(ValueError):
@@ -53,6 +53,8 @@ class GellMannBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", frozen_copy(self.matrices))
+
+    __setstate__ = read_only_state
 
     @property
     def n(self) -> int:

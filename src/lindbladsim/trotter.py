@@ -98,7 +98,7 @@ decompose_terms carries onto the universal family alike, and it mixes the Lindbl
 operators by a unitary, which leaves the Liouvillian unchanged (Gorini, Kossakowski
 and Sudarshan, J. Math. Phys. 17, 821 (1976)).  What changes is the commutators
 between the pieces, and so the leading terms.  A generator's first use, its first
-prepare_components or simulate, makes up to three candidate splits in one pass against
+build_plan or prepare_components, makes up to three candidate splits in one pass against
 one real Liouvillian (_make_splits), each kept in its own Record: the spectral one,
 always first, and a pivoted Cholesky factor of A (decompose.cholesky_split) and the
 spectral factor rotated by the K-point DFT (decompose.dft_split).  The other two are
@@ -122,8 +122,9 @@ everything the planner reads of a split, its residual, ||sum_j G_j||_1, norms an
 commutator sums, is computed from them there (_new_split).  It keeps g's H and its
 split's operators, from which its components are built again (_split_components), so
 the planner (leading_terms, mixture_rows, expm_rounding, _leads, certify) reads records
-alone and takes no generator; a run builds each split's components at most once, g's
-first run with its records.
+alone and takes no generator.  build_plan(g, eps, t) is the one planner, which simulate
+calls: it builds each split's components at most once, g's first call with its records,
+and returns a plan that carries the components of its own split, which run_plan runs.
 
 Every block and its power are formed as offsets from the identity and
 projected onto trace-preserving maps (plan_map), so that n repetitions add up
@@ -169,7 +170,7 @@ from .decompose import (DecomposeError, cholesky_split, decompose_terms, dft_spl
                         spectral_split, universal_operators)
 from .lindblad import (DiagonalGenerator, GksGenerator, QuantumState, dissipator_superoperator,
                        evolve, hermitian_basis, liouvillian_matrix, one_one_norm, real_map)
-from .numerics import NumericsError, dagger, expm
+from .numerics import NumericsError, dagger, expm, read_only_state
 
 
 class TrotterError(ValueError):
@@ -236,37 +237,17 @@ class Record:
     sums: tuple = field(repr=False)
     memo: tuple | None = field(default=None, repr=False)
 
+    __setstate__ = read_only_state
+
     @property
     def d(self) -> int:
         return self.operators.shape[-1]
 
 
-class Components(tuple):
-    """A split's components, norm-ordered, with record, the split's Record, which the
-    planner reads.  certify takes t r out of eps, so a component sequence is certified
-    only with the record of the split it comes from.  A tuple, so that no component can
-    be added, removed or moved; a slice or a join is a plain tuple, which build_plan
-    refuses; and record can be neither rebound nor deleted, nor any attribute set.  A
-    copy, a deep copy or a pickle round trip keeps the record with the components."""
-
-    def __new__(cls, components, record: Record):
-        self = super().__new__(cls, components)
-        object.__setattr__(self, "record", record)
-        return self
-
-    def __reduce__(self):
-        return Components, (tuple(self), self.record)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Components cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Components cannot delete {name!r}")
-
-
-def prepare_components(g: GksGenerator) -> Components:
-    """The components of g's spectral split, norm-ordered, with the split's record, g.splits[0]
-    (Record): on g's first use those _make_splits made with every split, else built anew.
+def prepare_components(g: GksGenerator) -> tuple:
+    """The components of g's spectral split, norm-ordered, a plain tuple; the split's record
+    is g.splits[0] (Record).  On g's first use they are those _make_splits made with every
+    split, else built anew.
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan gives
     lam U [L . L† - (1/2){L†L, .}] U†, the dissipator of L' = U L U† with L its
@@ -279,23 +260,21 @@ def prepare_components(g: GksGenerator) -> Components:
     descending norm, with stable ties, which fixes the product order
     deterministically.
     """
-    built = _make_splits(g)
-    return _split_components(built, g.splits[0])
+    return _split_components(_make_splits(g), g.splits[0])
 
 
-def _split_components(built: dict, record: Record) -> Components:
-    """The components of record's split: built's, by split, or else built anew from the
-    record's H and operators and added to built."""
+def _split_components(built: dict, record: Record) -> tuple:
+    """The components of record's split: built's, a tuple by split, or else built anew
+    from the record's H and operators and added to built."""
     if record.split not in built:
-        built[record.split] = Components(_components(record.H, record.plans, record.operators),
-                                         record)
+        built[record.split] = _components(record.H, record.plans, record.operators)
     return built[record.split]
 
 
 def _make_splits(g: GksGenerator) -> dict:
     """Make g's splits, every one in one pass, on g's first use, and put their records in
-    g.splits, spectral first; the components of each split made, by split, or {} once g
-    has its splits.
+    g.splits, spectral first; the components of each split made, a tuple by split, or {}
+    once g has its splits.
 
     The candidates are the spectral split, then cholesky_split and dft_split: each
     A = W W†, whose rank-one pieces the same SU(d) conjugation carries onto the universal
@@ -308,18 +287,19 @@ def _make_splits(g: GksGenerator) -> dict:
     if g.splits is not None:
         return {}
     liouvillian = real_map(liouvillian_matrix(g))
-    spectral = _new_split(g, SPECTRAL, tuple(spectral_split(g)), liouvillian)
-    built = {SPECTRAL: spectral}
-    if _may_mix(g, spectral.record):
-        terms = spectral.record.terms
-        for name, pieces in ((CHOLESKY, cholesky_split(g, len(terms))), (DFT, dft_split(terms))):
-            if any(_same_pieces(pieces, c.record.terms) for c in built.values()):
+    spectral, components = _new_split(g, SPECTRAL, tuple(spectral_split(g)), liouvillian)
+    records, built = [spectral], {SPECTRAL: components}
+    if _may_mix(g, spectral):
+        for name, pieces in ((CHOLESKY, cholesky_split(g, len(spectral.terms))),
+                             (DFT, dft_split(spectral.terms))):
+            if any(_same_pieces(pieces, r.terms) for r in records):
                 continue
             try:
-                built[name] = _new_split(g, name, tuple(pieces), liouvillian)
+                record, built[name] = _new_split(g, name, tuple(pieces), liouvillian)
             except DecomposeError:  # a piece that decompose_terms refuses: no candidate
                 continue
-    object.__setattr__(g, "splits", tuple(c.record for c in built.values()))
+            records.append(record)
+    object.__setattr__(g, "splits", tuple(records))
     return built
 
 
@@ -362,8 +342,8 @@ def _same_pieces(terms, others) -> bool:
             and bool((np.abs(lam - mu[j]) <= 1e-9 * max(lam.max(), mu.max())).all()))
 
 
-def _new_split(g: GksGenerator, split: str, terms: tuple, liouvillian) -> Components:
-    """The components of a new split of g, with its record, whole: r taken against
+def _new_split(g: GksGenerator, split: str, terms: tuple, liouvillian) -> tuple:
+    """(record, components) of a new split of g, the record whole: r taken against
     liouvillian, g's real map, and the commutator sums of the components, which exist
     only while this call or its caller holds them."""
     plans = tuple(decompose_terms(terms, g.basis))
@@ -374,10 +354,10 @@ def _new_split(g: GksGenerator, split: str, terms: tuple, liouvillian) -> Compon
     record = Record(split, terms, plans, L, g.H, float(diamond_bound(liouvillian - total)),
                     max(np.abs(total).sum(axis=0).tolist()) if comps else 0.0,
                     tuple(c.norm for c in comps), commutator_sums(comps, g.d))
-    return Components(comps, record)
+    return record, comps
 
 
-def _components(H: np.ndarray, plans: tuple, L: np.ndarray) -> list:
+def _components(H: np.ndarray, plans: tuple, L: np.ndarray) -> tuple:
     """The components of the Hamiltonian H and of the plans, L their operators,
     norm-ordered (prepare_components)."""
     d = len(H)
@@ -409,7 +389,7 @@ def _components(H: np.ndarray, plans: tuple, L: np.ndarray) -> list:
     real = B.reshape(d * d, d * d).view(float)
     R = (Y.reshape(n * d * d, d * d).view(float) @ real.T).reshape(n, d * d, d * d)
     comps = [Component(d, norm, r) for norm, r in zip(norms, R)]
-    return sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm)  # stable
+    return tuple(sorted((c for c in comps if c.norm > 0.0), key=lambda c: -c.norm))  # stable
 
 
 def suzuki_p(k: int) -> float:
@@ -561,8 +541,9 @@ class TrotterPlan:
     predicted, the map it certifies and the parts of eps the certificate
     leaves to the residual (t r) and to rounding (delta), with the target
     eps - t r - delta, the blocks the certificate search built, whichever
-    plan it returned, a k = 1 mixture's rows of component_orders(m), and the
-    split of A whose components run it (SPECTRAL for the paper's plan).
+    plan it returned, a k = 1 mixture's rows of component_orders(m), the
+    split of A whose components run it (SPECTRAL for the paper's plan) and, in a
+    plan from build_plan, those components, norm-ordered.
 
     r is the paper planner's block parameter, n_reps = ceil(r L1); a
     certified plan's n_reps comes from the search instead, and its r is
@@ -575,8 +556,8 @@ class TrotterPlan:
     pairs = len(rows): each of its rows of component_orders(m) runs as the
     symmetric block in that order or in the reversed one, at the half step
     lam / 2.  The coin flip, rows (0,), is the norm order's pair, whose reverse
-    runs component j as m - 1 - j.  Plans compare without their map and build
-    count.
+    runs component j as m - 1 - j.  Plans compare without their map, build
+    count and components.
     """
 
     k: int
@@ -591,12 +572,13 @@ class TrotterPlan:
     certificate: float | None = None
     total_map: np.ndarray | None = field(default=None, compare=False, repr=False)
     predicted_certificate: float | None = None  # lead / n_reps^2 (certify)
-    residual_bound: float | None = None  # t r, r the components' residual (Components)
+    residual_bound: float | None = None  # t r, r the split's residual (Record)
     rounding_allowance: float | None = None  # delta (expm_rounding)
     target: float | None = None
     builds: int = field(default=0, compare=False)
     rows: tuple = ()  # a k = 1 mixture's rows of component_orders(m), () for one order
     split: str = SPECTRAL  # the split of A whose components run the plan (Record.split)
+    components: tuple = field(default=(), compare=False, repr=False)  # split's (build_plan)
 
     @property
     def formula(self) -> str:
@@ -1010,10 +992,10 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     way to it: a near miss of the coin flip at 0.9 % fewer exponentials than the
     mixture would otherwise step past the mixture's certified count.  Targets, leads
     and the parts a plan carries are read from the records alone; built holds the
-    components of the splits built so far, by split, which only the blocks use: all of
-    them on a generator's first run (_make_splits), and a split that builds and is
-    missing there has its components built from its record and added to it
-    (_split_components).
+    components of the splits built so far, a tuple by split, which only the blocks use:
+    all of them on a generator's first build_plan (_make_splits), and a split that
+    builds and is missing there has its components built from its record and added to
+    it (_split_components).
     After a miss at n a candidate steps to ceil(sqrt(lead / (target - off))), with
     off = certificate - lead / n^2 the part the term did not predict, by a factor of
     at least NEAR_STEP; or, when off >= target or lead = 0, by the k = 1 law
@@ -1120,34 +1102,24 @@ def paper_plan(norms, eps: float, t: float) -> TrotterPlan:
                        bound_res=bound_res, bound_closed_form=bound_closed)
 
 
-def build_plan(components, eps: float, t: float, g: GksGenerator | None = None) -> TrotterPlan:
-    """The certified plan (certify) for one split's components, sized by the leading
-    error terms of their record and certified against its residual, or else the paper's
-    plan (paper_plan of their norms), which also bounds the search's cost.  With g,
-    components is instead a dict, by split, of the components of g's splits built so
-    far: all of them on g's first run, none on a later one (simulate, _make_splits).  The
-    plan may run any of g's splits (its records, g.splits), each split the search builds
-    is added to the dict, and the paper's plan is that of the spectral record's norms.
-    Either way a repeat call at the t a record saw last reads its leads from the
-    record's memo (_leads).
+def build_plan(g: GksGenerator, eps: float, t: float) -> TrotterPlan:
+    """The plan for g at eps and t, carrying the components of its split: the certified
+    plan (certify) over every split of g (its records, g.splits, made on g's first use by
+    _make_splits), sized by their leading error terms and certified against its own
+    split's residual, or else the paper's plan (paper_plan of the spectral record's
+    norms), which also bounds the search's cost.  A repeat call at the t a record saw
+    last reads its leads from the record's memo (_leads).
 
-    A plan with one component or no repetition is the paper's: it has
-    nothing to certify, and no block is built for it.  Any other plan needs
-    the components' record, so a plain list or tuple of them is refused.
+    A plan with one component or no repetition is the paper's: it has nothing to
+    certify, and no block is built for it.  Each split's components are built at most
+    once a call, on g's first with the records (_split_components), and only the plan's
+    are kept, in plan.components.
     """
-    if g is not None:
-        records, built = g.splits, components
-        paper = paper_plan(records[0].norms, eps, t)
-    else:
-        paper = paper_plan([c.norm for c in components], eps, t)
-    if paper.m < 2 or paper.n_reps == 0:
-        return paper
-    if g is None:
-        if not isinstance(components, Components):
-            raise TrotterError("a plan is certified against its generator: take the "
-                               "components, with their residual, from prepare_components")
-        records, built = (components.record,), {components.record.split: components}
-    return certify(records, built, eps, t, paper)
+    built = _make_splits(g)
+    paper = paper_plan(g.splits[0].norms, eps, t)
+    plan = paper if paper.m < 2 or paper.n_reps == 0 else certify(g.splits, built, eps, t, paper)
+    record = next(r for r in g.splits if r.split == plan.split)
+    return replace(plan, components=_split_components(built, record))
 
 
 def block_superoperator(plan: TrotterPlan, components: list[Component]) -> np.ndarray:
@@ -1252,21 +1224,15 @@ def nexp_report(plan: TrotterPlan) -> TrotterPlan:
 
 
 def simulate(g: GksGenerator, rho0: QuantumState, t: float, eps: float):
-    """Decompose, plan, and run; returns (state, plan, components), the components
-    those of the split the plan runs (plan.split).
+    """Plan and run; returns (state, plan, components), the components those of the
+    split the plan runs (plan.split), which the plan carries.
 
-    g's first use, this or prepare_components, makes its candidate splits of A in one
-    pass (_make_splits), each kept in its own Record in g.splits and reused by every later
-    run, whatever its t and eps.  Each run takes every split's leading terms at t from its
-    record (_leads, kept with the last t in the record's memo), and builds and certifies
-    the split whose best formula predicts the fewest exponentials at eps, handing over to
-    another split when a miss makes it cost more (certify).  Each split's components are
-    built once a run, on g's first with the records (_split_components), and none is
-    kept.
+    build_plan makes g's candidate splits of A on its first use, each kept in its own
+    Record in g.splits and reused by every later run, whatever its t and eps, and
+    certifies the split whose best formula predicts the fewest exponentials at eps,
+    handing over to another split when a miss makes it cost more (certify).
     """
     if rho0.d != g.d:
         raise TrotterError(f"state has d = {rho0.d} but the generator has d = {g.d}")
-    built = _make_splits(g)
-    plan = build_plan(built, eps, t, g)
-    components = _split_components(built, next(r for r in g.splits if r.split == plan.split))
-    return run_plan(plan, components, rho0), plan, components
+    plan = build_plan(g, eps, t)
+    return run_plan(plan, plan.components, rho0), plan, plan.components

@@ -361,23 +361,32 @@ def exp_derivative(A, X):
     return scipy.linalg.expm(A + (1j * h) * X).imag / h
 
 
-def leading_error(components, t, rows=None):
-    """trotter.leading_terms of one split's components: e^(t sum_j G_j) and its
-    candidates' leading terms, the mixture's of rows, by default of its mixture_rows at t."""
-    rows = trotter.mixture_rows(components.record, t) if rows is None else rows
-    return trotter.leading_terms([components.record], t, [rows])[0]
+def one_split_plan(record, eps, t):
+    """trotter.build_plan's search held to the split whose record this is: certify over
+    that record alone, under the paper's plan of its norms, or that plan when it is
+    trivial (one component or no repetition)."""
+    paper = trotter.paper_plan(record.norms, eps, t)
+    if paper.m < 2 or paper.n_reps == 0:
+        return paper
+    return trotter.certify((record,), {}, eps, t, paper)
 
 
-def predicted_plan(components, t, eps, rows):
+def leading_error(record, t, rows=None):
+    """trotter.leading_terms of one split's record: e^(t sum_j G_j) and its candidates'
+    leading terms, the mixture's of rows, by default of its mixture_rows at t."""
+    rows = trotter.mixture_rows(record, t) if rows is None else rows
+    return trotter.leading_terms([record], t, [rows])[0]
+
+
+def predicted_plan(record, components, t, eps, rows):
     """The k = 1 plan of the candidate that runs these rows of component_orders, () for
     the fixed block and (0,) for the coin flip, at the n that its own leading error term
     predicts, n = ceil(sqrt(lead / target)) with certify's target eps - t r - delta,
     carrying that target, its parts, its map and its certificate, both bounds taken by
-    choi_split_bound."""
-    exact, terms = leading_error(components, t, rows or (0,))
+    choi_split_bound.  components are the record's split's."""
+    exact, terms = leading_error(record, t, rows or (0,))
     D = terms[{(): 0, (0,): 1}.get(rows, 2)]
     m, L1 = len(components), components[0].norm
-    record = components.record
     residual, rounding = t * record.residual, trotter.expm_rounding(record, t)
     target = eps - residual - rounding
     n = max(1, math.ceil(math.sqrt(choi_split_bound(column_stacked(D)) / target)))
@@ -389,11 +398,11 @@ def predicted_plan(components, t, eps, rows):
                                certificate=choi_split_bound(column_stacked(total - exact)))
 
 
-def pair_terms(components, t):
-    """Each pool row's leading term t^3 L(t sum_j G_j, pairs_o), from the components'
-    eigenbasis as trotter.mixture_rows chooses by them, stacked by row; None when the
-    components have no eigenbasis."""
-    basis = components.record.sums[4]
+def pair_terms(record, t):
+    """Each pool row's leading term t^3 L(t sum_j G_j, pairs_o), from the eigenbasis of a
+    split's components as trotter.mixture_rows chooses by them, stacked by row; None when
+    the record has no eigenbasis."""
+    basis = record.sums[4]
     if basis is None:
         return None
     return trotter._pair_terms(basis, t).transpose(1, 0, 2) * t ** 3

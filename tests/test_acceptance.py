@@ -130,10 +130,12 @@ def test_criterion_4_trotter_error_bound():
             oracle = apply_exact(g, rho0, t)
             _SIMULATED_STATES.append(oracle.rho)
             for eps in (1e-2, 1e-3):
-                # the plan a run uses, and the paper's plan, its fallback
-                norms = components.record.norms
-                for plan in (build_plan(components, eps, t), paper_plan(norms, eps, t)):
-                    out = run_plan(plan, components, rho0)
+                # the plan a run uses, on its own split, and the paper's plan, its
+                # fallback, on the spectral split
+                run = build_plan(g, eps, t)
+                for plan, comps in ((run, run.components),
+                                    (paper_plan(g.splits[0].norms, eps, t), components)):
+                    out = run_plan(plan, comps, rho0)
                     _SIMULATED_STATES.append(out.rho)
                     dist = trace_distance(out.rho, oracle.rho)
                     worst_ratio = max(worst_ratio, dist / eps)
@@ -191,11 +193,10 @@ def test_criterion_6_cptp_properties():
             for _ in range(5):
                 g = from_diagonal(random_diagonal(d, 2, rng), gell_mann_basis(d))
                 rho0 = QuantumState(d=d, rho=random_mixed_state(d, rng))
-                comps = prepare_components(g)
                 for t, eps in ((1.0, 1e-2), (2.0, 1e-3)):
                     states.append(apply_exact(g, rho0, t).rho)
-                    plan = build_plan(comps, eps, t)
-                    states.append(run_plan(plan, comps, rho0).rho)
+                    plan = build_plan(g, eps, t)
+                    states.append(run_plan(plan, plan.components, rho0).rho)
     worst_trace = 0.0
     worst_eig = 0.0
     for rho in states:

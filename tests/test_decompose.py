@@ -462,8 +462,8 @@ def test_objects_that_hold_arrays_compare_by_identity():
         assert len({obj, copy}) == 2
     # the plans and parameters that hold no array keep value equality
     assert plan.params == dataclasses.replace(plan.params)
-    trotter_plan = build_plan(prepare_components(g), 1e-3, 1.0)
-    assert trotter_plan == dataclasses.replace(trotter_plan, total_map=None)
+    trotter_plan = build_plan(g, 1e-3, 1.0)
+    assert trotter_plan == dataclasses.replace(trotter_plan, total_map=None, components=())
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
