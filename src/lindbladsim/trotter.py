@@ -111,12 +111,13 @@ depends on t, so each call chooses: it takes every split's leading terms at t in
 stacked exponential and one stacked diamond_bound (_leads), each kept with the last t
 in its record's memo (Record.memo), and certify builds only the split whose best
 formula predicts the fewest exponentials at eps, handing over to another split after
-a miss as it does between formulas.  Each split is certified against its own residual
-r.  On the benchmark's random d = 6 generators the chosen splits need about 20 % fewer
-exponentials than the spectral split; on the lambda atom the DFT split wins at small
-t (6 exponentials where the spectral split needs 9 at t = 1, eps = 1e-3), and the
-spectral split at t >= 4 (735 at t = 32, eps = 1e-6, where the DFT split would need
-5667).  The paper's plan, which bounds and ends every search, is the spectral split's.
+a miss as it does between formulas, each split with its own budget of builds.  Each
+split is certified against its own residual r.  On the benchmark's random d = 6
+generators the chosen splits need about 20 % fewer exponentials than the spectral
+split; on the lambda atom the DFT split wins at small t (6 exponentials where the
+spectral split needs 9 at t = 1, eps = 1e-3), and the spectral split at t >= 4 (735
+at t = 32, eps = 1e-6, where the DFT split would need 5667).  The paper's plan, which
+bounds and ends every search, is the spectral split's.
 A Record is whole when it is made: its split's components exist then, once, and
 everything the planner reads of a split, its residual, ||sum_j G_j||_1, norms and
 commutator sums, is computed from them there (_new_split).  It keeps g's H and its
@@ -247,7 +248,7 @@ class Record:
 def prepare_components(g: GksGenerator) -> tuple:
     """The components of g's spectral split, norm-ordered, a plain tuple; the split's record
     is g.splits[0] (Record).  On g's first use they are those _make_splits made with every
-    split, else built anew.
+    split, else built anew.  Not exported: a plan carries its own split's components.
 
     The Hamiltonian gives rho -> i[rho, H] when H is nonzero.  Each plan gives
     lam U [L . L† - (1/2){L†L, .}] U†, the dissipator of L' = U L U† with L its
@@ -673,7 +674,7 @@ def block_schedule(m: int, k: int, lam: float) -> tuple:
 # random_gks(d), d = 2, 3, seeds 1-3, and the lambda atom, at t = 0.25..32, and 0.92 and
 # 1.23 units off on n_qubit_generator(2) and (3) (d = 4, 8) at t = 0.25 and 1
 ROUNDING_ULPS = 16
-# the certificate search: at most this many block builds; a step that the leading
+# the certificate search: at most this many block builds a split; a step that the leading
 # error term cannot size overshoots the n^-2 law's prediction by SEARCH_MARGIN, and
 # no step grows n by less
 MAX_BUILDS = 4
@@ -1001,14 +1002,16 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
     at least NEAR_STEP; or, when off >= target or lead = 0, by the k = 1 law
     err ~ n^-2 with SEARCH_MARGIN, and by a factor of at least SEARCH_MARGIN, since
     near the rounding floor off moves by about 1 % of the target from one n to the
-    next, and a step that aims at the target itself misses again.  It stops when
-    even n = 1, or a candidate, would need as many exponentials as the paper's plan,
-    after MAX_BUILDS builds, when T_n or every split's terms are not finite, when
-    numerics.expm refuses t sum_j G_j, and at the rounding floor: when the
+    next, and a step that aims at the target itself misses again.  A split stops after
+    MAX_BUILDS builds, when its T_n is not finite, and at its rounding floor: when the
     certificate falls by a factor less than min(2, f / 2) from the same candidate's
-    last build, f the fall the law predicted for the step.  The plan carries the
-    paper plan's two N_exp bounds, its split, the predicted certificate lead / n^2,
-    and t r, delta and the target.
+    last build, f the fall the law predicted for the step.  So its candidates build as
+    in its search alone, in order of a count that only grows, and the plan costs no
+    more than any one split's search gives.  The search stops when even n = 1, or a
+    candidate, would need as many exponentials as the paper's plan, when no split is
+    left, and when numerics.expm refuses t sum_j G_j.  The plan carries the paper
+    plan's two N_exp bounds, its split, the predicted certificate lead / n^2, and
+    t r, delta and the target; its builds are every split's.
     """
     budget = paper.n_exp_actual
     records = {r.split: r for r in records}
@@ -1037,14 +1040,14 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
             search.update(((name, r), (lead, max(1, math.ceil(math.sqrt(lead / target))),
                                        math.inf, math.inf))
                           for r, lead in zip(((), (0,), rows), bounds))
-    if not search:
-        return paper
-    for builds in range(1, MAX_BUILDS + 1):
+    builds = dict.fromkeys(records, 0)  # by split
+    while search:
         # min keeps the first of equal counts
         key = min(search, key=lambda k: count(k, search[k][1]))
         (name, rows), (lead, n, last, fall) = key, search[key]
         if count(key, n) >= budget:
-            return replace(paper, builds=builds - 1)
+            break
+        builds[name] += 1
         record, target = records[name], targets[name]
         components = _split_components(built, record)
         L1 = components[0].norm
@@ -1052,16 +1055,15 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
                            bound_res=paper.bound_res, bound_closed_form=paper.bound_closed_form,
                            rows=rows, split=name)
         total = plan_map(plan, components)
-        if not np.isfinite(total).all():
-            return replace(paper, builds=builds)
-        cert = float(diamond_bound(total - leads[name][1]))
-        if cert <= target:
-            return replace(plan, certificate=cert, total_map=total, builds=builds,
+        cert = float(diamond_bound(total - leads[name][1])) if np.isfinite(total).all() else None
+        if cert is not None and cert <= target:
+            return replace(plan, certificate=cert, total_map=total, builds=sum(builds.values()),
                            predicted_certificate=lead / n ** 2,
                            residual_bound=t * record.residual,
                            rounding_allowance=expm_rounding(record, t), target=target)
-        if not cert * min(2.0, 0.5 * fall) <= last:
-            return replace(paper, builds=builds)
+        if cert is None or not cert * min(2.0, 0.5 * fall) <= last or builds[name] == MAX_BUILDS:
+            search = {k: v for k, v in search.items() if k[0] != name}  # this split stops
+            continue
         off = cert - lead / n ** 2
         if lead > 0.0 and off < target:
             step = max(math.ceil(n * NEAR_STEP), math.ceil(math.sqrt(lead / (target - off))))
@@ -1069,7 +1071,7 @@ def certify(records: tuple, built: dict, eps: float, t: float, paper: TrotterPla
             step = max(math.ceil(n * SEARCH_MARGIN),
                        math.ceil(n * math.sqrt(cert / target) * SEARCH_MARGIN))
         search[key] = lead, step, cert, (step / n) ** 2
-    return replace(paper, builds=MAX_BUILDS)
+    return replace(paper, builds=sum(builds.values()))
 
 
 def paper_plan(norms, eps: float, t: float) -> TrotterPlan:

@@ -721,16 +721,23 @@ def assert_certified(g, plan, t, eps):
 
 
 def test_certified_plans_on_the_criterion_4_instances():
-    # the spectral split's search certifies on every instance.  The search over every
-    # split does not on one d = 2 instance at t = 2, eps = 1e-2: it spends its MAX_BUILDS
-    # builds on four candidates' first n, two splits' coin flips and mixtures at n = 4,
-    # and runs the paper's plan of 7421 exponentials, where the spectral split alone
+    # each split has its own MAX_BUILDS, so the search over every split costs no more
+    # than any one split's search.  On one d = 2 instance at t = 2, eps = 1e-2, four
+    # candidates of two splits miss at n = 4, and a budget of four builds shared by the
+    # splits ran the paper's plan of 7421 exponentials where the spectral split alone
     # certifies at 21
     for d, g, _ in criterion_4_instances():
-        prepare_components(g)
         for t in (0.5, 1.0, 2.0):
             for eps in (1e-2, 1e-3):
-                assert_certified(g, one_split_plan(g.splits[0], eps, t), t, eps)
+                plan = build_plan(g, eps, t)
+                assert_certified(g, plan, t, eps)
+                assert plan.builds <= trotter.MAX_BUILDS * len(g.splits)
+                for record in g.splits:
+                    assert plan.n_exp_actual <= one_split_plan(record, eps, t).n_exp_actual
+    g = criterion_4_instances()[36][1]
+    plan, alone = build_plan(g, 1e-2, 2.0), one_split_plan(g.splits[0], 1e-2, 2.0)
+    assert len(g.splits) == 3 and plan.builds > trotter.MAX_BUILDS
+    assert plan.certificate is not None and plan.n_exp_actual <= alone.n_exp_actual == 21
 
 
 def test_certificates_are_the_column_stacked_distances():
@@ -1264,7 +1271,9 @@ def test_search_gives_up_on_a_non_finite_map(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(trotter, "plan_map", lambda plan, components: np.full((9, 9), np.inf))
         plan = build_plan(g, eps=1e-3, t=1.0)
+    # a split whose map is not finite stops; the others still search
     assert plan.certificate is None and plan == paper_plan(g.splits[0].norms, 1e-3, 1.0)
+    assert plan.builds == len(g.splits)
     # a non-finite leading term is refused before its bound, whose eigh cannot take it; each
     # patched term goes to a fresh generator, since g's records hold t = 1's leads
     exact, terms = leading_error(g.splits[0], 1.0)
